@@ -51,7 +51,7 @@ func run() error {
 	batch := flag.String("batch", "", "batch-verification sweep: 'on', 'off', or 'on,off' to compare (runs the AB3 table)")
 	ckpt := flag.String("ckpt", "", "checkpoint/GC sweep: 'on', 'off', or 'on,off' to compare end-to-end cost")
 	quorums := flag.Bool("quorums", false, "quorum-predicate cost table: IsQuorum latency across threshold / generalized / asymmetric trust backends")
-	wal := flag.String("wal", "", "write-ahead log sweep: 'on,off' compares durability cost end-to-end; add group-commit intervals ('on,1ms,5ms,off') to sweep the fsync batch window")
+	wal := flag.String("wal", "", "write-ahead log sweep: 'on,off' compares durability cost end-to-end")
 	coded := flag.String("coded", "", "coded-dissemination sweep: 'on', 'off', or 'on,off' to compare fragment dispersal against full-payload reliable broadcast (the CD table; pair with -payload and -sizes)")
 	payload := flag.String("payload", "1024,16384,65536,262144", "comma list of payload sizes in bytes for the -coded sweep")
 	flag.Var(&exps, "exp", "experiment: f1 | stack | aba | ex1 | ex2 | apps | tolerance | ablate | all (repeatable)")
@@ -199,11 +199,11 @@ func runExperiments(want map[string]bool, ns, cpuList, payloads []int, ops, tria
 		for _, m := range strings.Split(ckpt, ",") {
 			modes = append(modes, strings.TrimSpace(m))
 		}
-		rows, err := bench.RunCheckpointSweep(scaleN, 64, modes)
+		rows, err := bench.CheckpointSweep.Run(scaleN, 64, modes)
 		if err != nil {
 			return err
 		}
-		bench.PrintCheckpointSweep(out, rows)
+		bench.CheckpointSweep.Print(out, rows)
 		bench.Separator(out)
 	}
 	if coded != "" {
@@ -231,11 +231,11 @@ func runExperiments(want map[string]bool, ns, cpuList, payloads []int, ops, tria
 		for _, m := range strings.Split(wal, ",") {
 			modes = append(modes, strings.TrimSpace(m))
 		}
-		rows, err := bench.RunWALSweep(scaleN, 64, modes)
+		rows, err := bench.WALSweep.Run(scaleN, 64, modes)
 		if err != nil {
 			return err
 		}
-		bench.PrintWALSweep(out, rows)
+		bench.WALSweep.Print(out, rows)
 		bench.Separator(out)
 	}
 	if all || want["ablate"] {

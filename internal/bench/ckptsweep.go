@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"time"
 
@@ -48,110 +50,133 @@ func (m *ckptMachine) Restore(snapshot []byte) error {
 	return nil
 }
 
-// CkptRow is one end-to-end measurement of the full service stack with
-// checkpointing on (certify + GC every interval) or off.
-type CkptRow struct {
+// CostRow is one end-to-end measurement of the full service stack with a
+// subsystem on or off; Values are the sweep's own metric columns (all zero
+// with the subsystem off).
+type CostRow struct {
 	Mode        string
 	N, Requests int
 	LatencyAll  time.Duration
-	// StableSeq is the final stable checkpoint; Freed counts pruned
-	// delivered-digest entries summed over replicas; DeliveredMax is the
-	// dedup set's high-water mark (all zero with checkpointing off).
-	StableSeq    int64
-	Freed        int64
-	DeliveredMax int64
+	Values      []int64
 }
 
-// ckptSweepInterval keeps checkpoints frequent relative to the short
-// request load so the "on" rows actually exercise certify + GC.
-const ckptSweepInterval = 16
+// CostSweep orders the same request load through the full
+// replicated-service stack once per mode — "on" or "off" — under the
+// identical seeded schedule, measuring what a subsystem costs end to end.
+type CostSweep struct {
+	what    string // names the subsystem in errors and the overhead line
+	title   string
+	on, off string   // row labels
+	columns []string // headers of CostRow.Values
+	// options returns the deployment options of one mode; dir is a
+	// throwaway directory that lives as long as the deployment.
+	options func(on bool, dir string) []sintra.SimOption
+	values  func(sintra.MetricsSnapshot) []int64
+}
 
-// RunCheckpointSweep orders the same request load through the full
-// replicated-service stack once per mode — "on" checkpoints every 16
-// deliveries, "off" disables the subsystem — under the identical seeded
-// schedule, measuring what the checkpoint protocol costs end to end.
-func RunCheckpointSweep(n, requests int, modes []string) ([]CkptRow, error) {
+// sweepInterval keeps checkpoints (and with them journal truncation)
+// frequent relative to the short request load.
+const sweepInterval = 16
+
+// Run measures one row per mode.
+func (c CostSweep) Run(n, requests int, modes []string) ([]CostRow, error) {
 	st, err := sintra.NewThresholdStructure(n, (n-1)/3)
 	if err != nil {
 		return nil, err
 	}
-	var rows []CkptRow
+	var rows []CostRow
 	for _, mode := range modes {
-		var interval int64
-		var name string
-		switch mode {
-		case "on":
-			interval = ckptSweepInterval
-			name = "checkpointed"
-		case "off":
-			interval = -1
-			name = "no-checkpoint"
-		default:
-			return nil, fmt.Errorf("bench: unknown ckpt mode %q (want on or off)", mode)
+		if mode != "on" && mode != "off" {
+			return nil, fmt.Errorf("bench: unknown %s mode %q (want on or off)", c.what, mode)
 		}
-		row, err := runCheckpointOnce(st, name, requests, interval)
+		dir, err := os.MkdirTemp("", "sintra-sweep-*")
 		if err != nil {
-			return nil, fmt.Errorf("bench: ckpt sweep %s: %w", name, err)
+			return nil, err
 		}
-		rows = append(rows, row)
+		elapsed, snap, err := orderSequentially(st, requests, c.options(mode == "on", dir)...)
+		os.RemoveAll(dir)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s sweep %s: %w", c.what, mode, err)
+		}
+		name := c.off
+		if mode == "on" {
+			name = c.on
+		}
+		rows = append(rows, CostRow{name, st.N(), requests, elapsed, c.values(snap)})
 	}
 	return rows, nil
 }
 
-func runCheckpointOnce(st *sintra.Structure, mode string, requests int, interval int64) (CkptRow, error) {
+// orderSequentially starts a deployment of ckptMachine replicas under the
+// sweeps' fixed seed, orders requests one at a time from one client, and
+// returns the time that took and the deployment's final metrics.
+func orderSequentially(st *sintra.Structure, requests int, opts ...sintra.SimOption) (time.Duration, sintra.MetricsSnapshot, error) {
 	dep, err := sintra.NewDeployment(st,
 		func() sintra.StateMachine { return &ckptMachine{} },
-		sintra.WithSeed(23),
-		sintra.WithCheckpointInterval(interval),
-	)
+		append([]sintra.SimOption{sintra.WithSeed(23)}, opts...)...)
 	if err != nil {
-		return CkptRow{}, err
+		return 0, sintra.MetricsSnapshot{}, err
 	}
 	defer dep.Stop()
 	client, err := dep.NewClient()
 	if err != nil {
-		return CkptRow{}, err
+		return 0, sintra.MetricsSnapshot{}, err
 	}
 	start := time.Now()
 	for k := 0; k < requests; k++ {
-		if _, err := client.Invoke(fmt.Appendf(nil, "ckpt-%03d", k), defaultTimeout); err != nil {
-			return CkptRow{}, err
+		ctx, cancel := context.WithTimeout(context.Background(), defaultTimeout)
+		_, err := client.InvokeContext(ctx, fmt.Appendf(nil, "request-%03d", k))
+		cancel()
+		if err != nil {
+			return 0, sintra.MetricsSnapshot{}, err
 		}
 	}
-	elapsed := time.Since(start)
-	snap := dep.Metrics()
-	return CkptRow{
-		Mode:         mode,
-		N:            st.N(),
-		Requests:     requests,
-		LatencyAll:   elapsed,
-		StableSeq:    snap.Gauges["checkpoint.stable.seq"].Value,
-		Freed:        snap.Counter("checkpoint.gc.freed"),
-		DeliveredMax: snap.Gauges["abc.delivered.size"].Max,
-	}, nil
+	return time.Since(start), dep.Metrics(), nil
 }
 
-// PrintCheckpointSweep renders the sweep and, when both modes ran, the
-// relative cost of checkpointing (the acceptance target is < 5%).
-func PrintCheckpointSweep(w io.Writer, rows []CkptRow) {
-	fmt.Fprintf(w, "Checkpoint/GC cost (full service stack, interval %d)\n", ckptSweepInterval)
-	fmt.Fprintf(w, "%-14s %3s %9s %12s %11s %8s %14s\n",
-		"mode", "n", "requests", "total", "stable.seq", "freed", "delivered.max")
-	var on, off *CkptRow
-	for i := range rows {
-		r := &rows[i]
-		fmt.Fprintf(w, "%-14s %3d %9d %12s %11d %8d %14d\n",
-			r.Mode, r.N, r.Requests, r.LatencyAll.Round(time.Millisecond),
-			r.StableSeq, r.Freed, r.DeliveredMax)
-		switch r.Mode {
-		case "checkpointed":
-			on = r
-		case "no-checkpoint":
-			off = r
+// Print renders the rows and, when both modes ran, the relative cost.
+func (c CostSweep) Print(w io.Writer, rows []CostRow) {
+	fmt.Fprintln(w, c.title)
+	fmt.Fprintf(w, "%-14s %3s %9s %12s", "mode", "n", "requests", "total")
+	for _, col := range c.columns {
+		fmt.Fprintf(w, " %14s", col)
+	}
+	fmt.Fprintln(w)
+	var on, off time.Duration
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-14s %3d %9d %12s", r.Mode, r.N, r.Requests, r.LatencyAll.Round(time.Millisecond))
+		for _, v := range r.Values {
+			fmt.Fprintf(w, " %14d", v)
+		}
+		fmt.Fprintln(w)
+		if r.Mode == c.on {
+			on = r.LatencyAll
+		} else {
+			off = r.LatencyAll
 		}
 	}
-	if on != nil && off != nil && off.LatencyAll > 0 {
-		pct := 100 * (float64(on.LatencyAll) - float64(off.LatencyAll)) / float64(off.LatencyAll)
-		fmt.Fprintf(w, "checkpoint overhead: %+.1f%% end-to-end\n", pct)
+	if on > 0 && off > 0 {
+		fmt.Fprintf(w, "%s overhead: %+.1f%% end-to-end\n", c.what, 100*(float64(on)-float64(off))/float64(off))
 	}
+}
+
+// CheckpointSweep prices the checkpoint protocol: certify + GC every
+// sweepInterval deliveries against the subsystem disabled (the acceptance
+// target is < 5%). Columns: the final stable checkpoint, pruned
+// delivered-digest entries summed over replicas, and the dedup set's
+// high-water mark.
+var CheckpointSweep = CostSweep{
+	what:  "checkpoint",
+	title: fmt.Sprintf("Checkpoint/GC cost (full service stack, interval %d)", sweepInterval),
+	on:    "checkpointed", off: "no-checkpoint",
+	columns: []string{"stable.seq", "freed", "delivered.max"},
+	options: func(on bool, _ string) []sintra.SimOption {
+		if on {
+			return []sintra.SimOption{sintra.WithCheckpointInterval(sweepInterval)}
+		}
+		return []sintra.SimOption{sintra.WithCheckpointInterval(-1)}
+	},
+	values: func(snap sintra.MetricsSnapshot) []int64 {
+		return []int64{snap.Gauges["checkpoint.stable.seq"].Value, snap.Counter("checkpoint.gc.freed"), snap.Gauges["abc.delivered.size"].Max}
+	},
 }

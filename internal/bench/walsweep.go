@@ -2,133 +2,28 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"time"
 
 	"sintra"
 )
 
-// WALRow is one end-to-end measurement of the full service stack with the
-// durability journal on (every protocol-critical message fsynced before
-// transmission, group-committed) or off.
-type WALRow struct {
-	Mode        string
-	N, Requests int
-	LatencyAll  time.Duration
-	// Records counts journaled outbound messages; Bytes is the final
-	// on-disk WAL footprint after checkpoint-driven truncation (both
-	// zero with the journal off).
-	Records int64
-	Bytes   int64
-}
-
-// walSweepInterval matches the checkpoint sweep so journal truncation is
-// exercised several times within the short request load.
-const walSweepInterval = 16
-
-// RunWALSweep orders the same request load through the full
-// replicated-service stack once per mode — "on" journals to a throwaway
-// data directory with real group-commit fsync at the default interval,
-// "off" runs memoryless, and a duration (e.g. "500us", "5ms") journals
-// with that group-commit cap — under the identical seeded schedule,
-// measuring what durability costs end to end and how the fsync batch
-// window trades latency for it.
-func RunWALSweep(n, requests int, modes []string) ([]WALRow, error) {
-	st, err := sintra.NewThresholdStructure(n, (n-1)/3)
-	if err != nil {
-		return nil, err
-	}
-	var rows []WALRow
-	for _, mode := range modes {
-		switch mode {
-		case "on", "off":
-		default:
-			if _, err := time.ParseDuration(mode); err != nil {
-				return nil, fmt.Errorf("bench: unknown wal mode %q (want on, off, or a sync interval like 5ms)", mode)
-			}
+// WALSweep prices journal-before-send durability: every protocol-critical
+// message held back until its record is fsynced (group-committed) to a
+// throwaway data directory, against memoryless replicas. Columns:
+// journaled outbound messages, the commits that made them durable, and
+// the final on-disk footprint after checkpoint-driven truncation.
+var WALSweep = CostSweep{
+	what:  "durability",
+	title: fmt.Sprintf("Write-ahead log cost (full service stack, checkpoint interval %d)", sweepInterval),
+	on:    "journaled", off: "no-wal",
+	columns: []string{"wal.records", "wal.fsyncs", "wal.bytes"},
+	options: func(on bool, dir string) []sintra.SimOption {
+		opts := []sintra.SimOption{sintra.WithCheckpointInterval(sweepInterval)}
+		if on {
+			opts = append(opts, sintra.WithDataDir(dir))
 		}
-		row, err := runWALOnce(st, mode, requests)
-		if err != nil {
-			return nil, fmt.Errorf("bench: wal sweep %s: %w", mode, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func runWALOnce(st *sintra.Structure, mode string, requests int) (WALRow, error) {
-	opts := []sintra.SimOption{
-		sintra.WithSeed(23),
-		sintra.WithCheckpointInterval(walSweepInterval),
-	}
-	name := "no-wal"
-	if mode != "off" {
-		dir, err := os.MkdirTemp("", "sintra-walsweep-*")
-		if err != nil {
-			return WALRow{}, err
-		}
-		defer os.RemoveAll(dir)
-		opts = append(opts, sintra.WithDataDir(dir))
-		name = "journaled"
-		if mode != "on" {
-			d, err := time.ParseDuration(mode)
-			if err != nil {
-				return WALRow{}, err
-			}
-			opts = append(opts, sintra.WithWALSyncInterval(d))
-			name = "sync=" + mode
-		}
-	}
-	dep, err := sintra.NewDeployment(st,
-		func() sintra.StateMachine { return &ckptMachine{} }, opts...)
-	if err != nil {
-		return WALRow{}, err
-	}
-	defer dep.Stop()
-	client, err := dep.NewClient()
-	if err != nil {
-		return WALRow{}, err
-	}
-	start := time.Now()
-	for k := 0; k < requests; k++ {
-		if _, err := client.Invoke(fmt.Appendf(nil, "wal-%03d", k), defaultTimeout); err != nil {
-			return WALRow{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	snap := dep.Metrics()
-	return WALRow{
-		Mode:       name,
-		N:          st.N(),
-		Requests:   requests,
-		LatencyAll: elapsed,
-		Records:    snap.Counter("wal.records"),
-		Bytes:      snap.Gauges["wal.size.bytes"].Value,
-	}, nil
-}
-
-// PrintWALSweep renders the sweep and, when both modes ran, the relative
-// end-to-end cost of journal-before-send durability.
-func PrintWALSweep(w io.Writer, rows []WALRow) {
-	fmt.Fprintf(w, "Write-ahead log cost (full service stack, checkpoint interval %d)\n", walSweepInterval)
-	fmt.Fprintf(w, "%-12s %3s %9s %12s %12s %12s\n",
-		"mode", "n", "requests", "total", "wal.records", "wal.bytes")
-	var on, off *WALRow
-	for i := range rows {
-		r := &rows[i]
-		fmt.Fprintf(w, "%-12s %3d %9d %12s %12d %12d\n",
-			r.Mode, r.N, r.Requests, r.LatencyAll.Round(time.Millisecond),
-			r.Records, r.Bytes)
-		switch r.Mode {
-		case "journaled":
-			on = r
-		case "no-wal":
-			off = r
-		}
-	}
-	if on != nil && off != nil && off.LatencyAll > 0 {
-		pct := 100 * (float64(on.LatencyAll) - float64(off.LatencyAll)) / float64(off.LatencyAll)
-		fmt.Fprintf(w, "durability overhead: %+.1f%% end-to-end\n", pct)
-	}
+		return opts
+	},
+	values: func(snap sintra.MetricsSnapshot) []int64 {
+		return []int64{snap.Counter("wal.records"), snap.Counter("wal.fsyncs"), snap.Gauges["wal.size.bytes"].Value}
+	},
 }

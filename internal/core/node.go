@@ -109,13 +109,13 @@ type NodeConfig struct {
 	// DataDir, when non-empty, enables the durable write-ahead log under
 	// this directory: every protocol-critical outbound message (RBC
 	// echoes, ABA votes, coin shares, signed proposals, ...) is journaled
-	// durably before its first transmission and the delivery frontier is
-	// logged at apply time, so a crash-restarted replica re-sends
-	// byte-identical messages — never conflicting ones. Empty keeps the
+	// and held back until the journal is durable, and the delivery
+	// frontier is logged at apply time, so a crash-restarted replica
+	// re-sends byte-identical messages — never conflicting ones. Empty keeps the
 	// replica memoryless (a restart is amnesiac, as before this knob).
 	DataDir string
-	// WALSyncInterval is the journal's group-commit latency cap: 0
-	// selects the WAL default, negative disables fsync (tests).
+	// WALSyncInterval disables the journal's fsync when negative (tests);
+	// zero and every positive value mean fsync on.
 	WALSyncInterval time.Duration
 	// WALFailAppend is a crash-injection hook forwarded to the WAL: the
 	// first append whose LSN it accepts fails and wedges the journal,
@@ -222,6 +222,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n.journal = j
 		n.router.SetJournal(j)
 		if cfg.Observer != nil {
+			j.SetObserver(cfg.Observer)
 			n.walSize = cfg.Observer.Gauge("wal.size.bytes")
 			n.walSize.Set(j.Size())
 			cfg.Observer.Gauge("wal.recovered.records").Set(int64(j.Recovered()))
@@ -346,6 +347,8 @@ func (n *Node) Run() {
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		_ = n.cfg.Transport.Close()
+		// The router has dropped its outbox by the time Done closes, so
+		// the journal's closing commit cannot release anything.
 		<-n.router.Done()
 		if n.journal != nil {
 			_ = n.journal.Close()
@@ -657,8 +660,8 @@ func (n *Node) apply(seq int64, env envelope) {
 	n.appliedCount.Inc()
 	n.applyLat.ObserveSince(start)
 	if n.journal != nil {
-		// Log the delivery frontier at apply time (async append; the
-		// group-commit fsync of subsequent outbound traffic covers it).
+		// Log the delivery frontier at apply time (no wait; the answer
+		// below is held back until the commit covering it completes).
 		d := sha256.Sum256(env.Body)
 		_ = n.journal.RecordDeliver(seq, d[:])
 		n.walSize.Set(n.journal.Size())

@@ -203,21 +203,47 @@ type Router struct {
 
 	mx *routerMetrics // nil when observability is off
 
-	// journal, when set, durably records slot-keyed outbound messages
-	// before first transmission (SendJournaled/BroadcastJournaled). Set
-	// before Run; the implementation must be safe from any goroutine.
+	// journal, when set, records slot-keyed outbound messages before
+	// first transmission and out gates every send on it. Set before Run;
+	// the implementation must be safe from any goroutine.
 	journal Journal
+	out     outbox
 }
 
-// Journal durably records protocol-critical outbound messages before
-// their first transmission. RecordOutbound returns the bytes to
-// actually put on the wire: for a fresh slot the given payload (now
-// durable); for a slot already journaled — a recovered replica
-// re-deciding the same step — the original bytes, so the replica can
-// only repeat itself, never contradict itself. An error means the
-// record is not durable and the message must not be sent at all.
+// Journal records protocol-critical outbound messages before their
+// first transmission. RecordOutbound appends without waiting and returns
+// the bytes to put on the wire: the given payload for a fresh slot, the
+// recorded bytes for a slot already filled — a recovered replica can only
+// repeat itself, never contradict itself. An error means the log refused
+// the record and the message must not be sent. Progress reports how many
+// records the log has accepted, how many of those are durable, a channel
+// closed when that next changes, and the failure that makes durable final.
 type Journal interface {
 	RecordOutbound(protocol, instance, msgType, slot string, payload []byte) (send []byte, replayed bool, err error)
+	Progress() (appended, durable uint64, changed <-chan struct{}, err error)
+}
+
+// everyone as a message's To addresses all servers, the sender included.
+const everyone = -1
+
+// outbox is the durability gate between the protocols and the transport
+// (journal installed only): nothing that causally follows a journal
+// record leaves the replica before that record is durable. A message is
+// stamped with the journal's appended mark as it is sent and queued, in
+// send order, until the durable mark reaches the stamp. A crash loses an
+// undurable suffix of the log and every message that could reveal it.
+type outbox struct {
+	mu      sync.Mutex
+	q       []gated
+	sending bool          // the releaser is transmitting messages it took off q
+	wake    chan struct{} // cap 1: q gained a message the releaser may not know of
+	quit    chan struct{}
+	done    chan struct{}
+}
+
+type gated struct {
+	m    wire.Message
+	mark uint64 // the journal's appended mark when m was sent
 }
 
 // routerMetrics holds the router's instruments. The per-(protocol,type)
@@ -303,9 +329,8 @@ func (r *Router) SetObserver(reg *obs.Registry) {
 }
 
 // SetJournal installs the outbound-message journal. Call before Run.
-// With a journal installed, SendJournaled/BroadcastJournaled enforce
-// the journal-before-send invariant; without one they degrade to plain
-// Send/Broadcast (volatile deployments, tests).
+// With one every send passes the durability-gated outbox; without one
+// SendJournaled/BroadcastJournaled are plain Send/Broadcast.
 func (r *Router) SetJournal(j Journal) { r.journal = j }
 
 // NewRouter wraps a transport. Call Run (usually in a goroutine) to start
@@ -324,6 +349,7 @@ func NewRouter(tr wire.Transport) *Router {
 		inCh:             make(chan wire.Message, 1),
 		done:             make(chan struct{}),
 		verifyWorkers:    defaultVerifyWorkers(),
+		out:              outbox{wake: make(chan struct{}, 1), quit: make(chan struct{}), done: make(chan struct{})},
 	}
 }
 
@@ -576,13 +602,19 @@ func (r *Router) DoSync(f func()) bool {
 	}
 }
 
-// Send transmits one message to a party. Safe from any goroutine.
-func (r *Router) Send(to int, protocol, instance, msgType string, body any) error {
+// post is the one send path: marshal body, journal it under slot (if
+// any, and a journal is installed), emit it to one party or to everyone.
+func (r *Router) post(slot string, to int, protocol, instance, msgType string, body any) error {
 	payload, err := wire.MarshalBody(body)
 	if err != nil {
 		return err
 	}
-	r.tr.Send(wire.Message{
+	if slot != "" && r.journal != nil {
+		if payload, _, err = r.record(protocol, instance, msgType, slot, payload); err != nil {
+			return err
+		}
+	}
+	r.emit(wire.Message{
 		To:       to,
 		Protocol: protocol,
 		Instance: instance,
@@ -590,145 +622,172 @@ func (r *Router) Send(to int, protocol, instance, msgType string, body any) erro
 		Payload:  payload,
 	})
 	return nil
+}
+
+// Send transmits one message to a party. Safe from any goroutine.
+func (r *Router) Send(to int, protocol, instance, msgType string, body any) error {
+	return r.post("", to, protocol, instance, msgType, body)
 }
 
 // Loopback sends a message to the local party itself — the entry point for
 // externally-triggered protocol actions (Start, Submit). Safe from any
 // goroutine.
 func (r *Router) Loopback(protocol, instance, msgType string, body any) error {
-	return r.Send(r.Self(), protocol, instance, msgType, body)
+	return r.post("", r.Self(), protocol, instance, msgType, body)
 }
 
 // Broadcast transmits one message to every server, including the sender
 // itself (loopback), so protocols treat their own messages uniformly.
 // Safe from any goroutine.
 func (r *Router) Broadcast(protocol, instance, msgType string, body any) error {
-	payload, err := wire.MarshalBody(body)
-	if err != nil {
-		return err
-	}
-	for to := 0; to < r.tr.N(); to++ {
-		r.tr.Send(wire.Message{
-			To:       to,
-			Protocol: protocol,
-			Instance: instance,
-			Type:     msgType,
-			Payload:  payload,
-		})
-	}
-	return nil
-}
-
-// journalPayload runs one outbound payload through the journal. It
-// returns the bytes to transmit, or an error when the record could not
-// be made durable — in which case the caller must NOT transmit: a
-// replica whose log is wedged goes mute (a benign crash) instead of
-// risking an unjournaled message it could later contradict.
-func (r *Router) journalPayload(protocol, instance, msgType, slot string, payload []byte) ([]byte, error) {
-	out, replayed, err := r.journal.RecordOutbound(protocol, instance, msgType, slot, payload)
-	if err != nil {
-		if r.mx != nil {
-			r.mx.journalDrops.Inc()
-		}
-		return nil, err
-	}
-	if r.mx != nil {
-		if replayed {
-			r.mx.journalReplayed.Inc()
-		} else {
-			r.mx.journalRecords.Inc()
-		}
-	}
-	return out, nil
+	return r.post("", everyone, protocol, instance, msgType, body)
 }
 
 // SendJournaled is Send for protocol-critical messages: with a journal
-// installed the payload is durably recorded under (protocol, instance,
-// slot) before transmission, and a slot already journaled re-sends the
-// recorded bytes verbatim. The slot must uniquely identify a protocol
-// commitment an honest party never makes twice with different content
-// (e.g. "bval/3/1", "prop/17"). Safe from any goroutine.
+// installed the payload is recorded under (protocol, instance, slot) and
+// leaves once that record is durable, and a slot already journaled
+// re-sends the recorded bytes verbatim. The slot must be non-empty and
+// name a commitment an honest party never makes twice with different
+// content (e.g. "bval/3/1", "prop/17"). On an error nothing is sent: a
+// wedged replica goes mute (a benign crash) rather than risk a message it
+// could later contradict. Safe from any goroutine.
 func (r *Router) SendJournaled(slot string, to int, protocol, instance, msgType string, body any) error {
-	if r.journal == nil {
-		return r.Send(to, protocol, instance, msgType, body)
-	}
-	payload, err := wire.MarshalBody(body)
-	if err != nil {
-		return err
-	}
-	if payload, err = r.journalPayload(protocol, instance, msgType, slot, payload); err != nil {
-		return err
-	}
-	r.tr.Send(wire.Message{
-		To:       to,
-		Protocol: protocol,
-		Instance: instance,
-		Type:     msgType,
-		Payload:  payload,
-	})
-	return nil
+	return r.post(slot, to, protocol, instance, msgType, body)
 }
 
 // BroadcastJournaled is Broadcast under the journal-before-send
 // invariant; see SendJournaled. Safe from any goroutine.
 func (r *Router) BroadcastJournaled(slot string, protocol, instance, msgType string, body any) error {
-	if r.journal == nil {
-		return r.Broadcast(protocol, instance, msgType, body)
-	}
-	payload, err := wire.MarshalBody(body)
-	if err != nil {
-		return err
-	}
-	if payload, err = r.journalPayload(protocol, instance, msgType, slot, payload); err != nil {
-		return err
-	}
-	for to := 0; to < r.tr.N(); to++ {
-		r.tr.Send(wire.Message{
-			To:       to,
-			Protocol: protocol,
-			Instance: instance,
-			Type:     msgType,
-			Payload:  payload,
-		})
-	}
-	return nil
+	return r.post(slot, everyone, protocol, instance, msgType, body)
 }
 
-// JournalCommitment durably records a protocol commitment under
-// (protocol, instance, slot) without transmitting anything — for
-// commitments that are not themselves wire messages, such as the Merkle
-// root a coded-broadcast sender binds itself to before fanning out
-// fragments. It returns the recorded bytes for the slot: the caller's
-// payload on a fresh record, or the previously journaled bytes with
-// replayed=true — a recovered caller must compare and repeat (or go
-// mute), never contradict. With no journal installed the payload echoes
-// back unrecorded. An error means the record is not durable and the
-// caller must not act on the commitment. Safe from any goroutine.
+// JournalCommitment records a protocol commitment under (protocol,
+// instance, slot) without transmitting anything — for commitments that
+// are not themselves wire messages, such as the Merkle root a
+// coded-broadcast sender binds itself to before fanning out fragments
+// (which then wait in the outbox for the record). It returns the recorded
+// bytes for the slot: the caller's payload on a fresh record, or the
+// previously journaled bytes with replayed=true — a recovered caller must
+// compare and repeat (or go mute), never contradict. With no journal the
+// payload echoes back unrecorded. An error means the record was refused:
+// do not act on the commitment. Safe from any goroutine.
 func (r *Router) JournalCommitment(protocol, instance, msgType, slot string, payload []byte) (recorded []byte, replayed bool, err error) {
 	if r.journal == nil {
 		return payload, false, nil
 	}
+	return r.record(protocol, instance, msgType, slot, payload)
+}
+
+// record runs one payload through the journal and counts the outcome.
+func (r *Router) record(protocol, instance, msgType, slot string, payload []byte) ([]byte, bool, error) {
 	out, replayed, err := r.journal.RecordOutbound(protocol, instance, msgType, slot, payload)
-	if err != nil {
-		if r.mx != nil {
-			r.mx.journalDrops.Inc()
-		}
-		return nil, false, err
-	}
 	if r.mx != nil {
-		if replayed {
+		switch {
+		case err != nil:
+			r.mx.journalDrops.Inc()
+		case replayed:
 			r.mx.journalReplayed.Inc()
-		} else {
+		default:
 			r.mx.journalRecords.Inc()
 		}
 	}
-	return out, replayed, nil
+	return out, replayed, err
+}
+
+// emit hands one message to the transport: at once with no journal or
+// nothing undurable ahead of it, otherwise through the outbox.
+func (r *Router) emit(m wire.Message) {
+	if r.journal == nil {
+		r.transmit(m)
+		return
+	}
+	appended, durable, _, err := r.journal.Progress()
+	o := &r.out
+	o.mu.Lock()
+	switch {
+	case durable < appended && err != nil:
+		// The record this message follows will never be durable.
+		o.mu.Unlock()
+		r.dropGated(1)
+	case durable >= appended && len(o.q) == 0 && !o.sending:
+		o.mu.Unlock()
+		r.transmit(m)
+	default:
+		o.q = append(o.q, gated{m, appended})
+		o.mu.Unlock()
+		select {
+		case o.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+func (r *Router) transmit(m wire.Message) {
+	if m.To != everyone {
+		r.tr.Send(m)
+		return
+	}
+	for to := 0; to < r.tr.N(); to++ {
+		m.To = to
+		r.tr.Send(m)
+	}
+}
+
+func (r *Router) dropGated(n int) {
+	if r.mx != nil {
+		r.mx.journalDrops.Add(int64(n))
+	}
+}
+
+// release is the outbox's one releaser: it transmits, in send order, what
+// the journal's durable mark has reached, and discards the rest once the
+// journal has failed — mute beats a message that follows a lost record.
+func (r *Router) release() {
+	o := &r.out
+	defer close(o.done)
+	for {
+		_, durable, changed, err := r.journal.Progress()
+		o.mu.Lock()
+		k := 0
+		for k < len(o.q) && o.q[k].mark <= durable {
+			k++
+		}
+		batch := o.q[:k:k]
+		o.q = o.q[k:]
+		if err != nil {
+			r.dropGated(len(o.q))
+			o.q = nil
+		}
+		o.sending = k > 0
+		o.mu.Unlock()
+		for _, g := range batch {
+			r.transmit(g.m)
+		}
+		o.mu.Lock()
+		o.sending = false
+		o.mu.Unlock()
+		select {
+		case <-changed:
+		case <-o.wake:
+		case <-o.quit:
+			return
+		}
+	}
 }
 
 // Run dispatches inbound messages and scheduled tasks until the transport
 // closes. It must be called exactly once.
 func (r *Router) Run() {
 	defer close(r.done)
+	if r.journal != nil {
+		go r.release()
+		// What is still gated at exit is dropped, never flushed: a later
+		// commit (the journal's Close runs one) must not make the dead speak.
+		defer func() {
+			close(r.out.quit)
+			<-r.out.done
+		}()
+	}
 	if r.verifyWorkers > 0 {
 		r.verifyCh = make(chan *applyCell, verifyQueueCap)
 		for i := 0; i < r.verifyWorkers; i++ {

@@ -1,6 +1,7 @@
 // Journal: the protocol-level ledger kept on top of the raw log. It
 // records every protocol-critical outbound message *before first
-// transmission* keyed by a slot — a string that uniquely identifies a
+// transmission* (the sender holds the message back until Progress shows
+// the record durable) keyed by a slot — a string that uniquely identifies a
 // commitment an honest party never fills twice with different bytes
 // (an RBC ECHO, an ABA round-r BVAL for value v, a signed round-r ABC
 // proposal, ...). After a crash the replayed ledger substitutes the
@@ -12,6 +13,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"sync"
+
+	"sintra/internal/obs"
 )
 
 // Record kinds (first byte of a WAL record payload).
@@ -102,33 +105,26 @@ func (j *Journal) applyRec(rec Rec) {
 	}
 }
 
-// RecordOutbound durably records one slot-keyed outbound message and
-// returns the bytes that must actually be transmitted. On a fresh slot
-// that is the given payload, recorded with a group-commit fsync before
-// return (the journal-before-send invariant). On a slot already in the
-// ledger — typically a restarted instance re-deciding the same step —
-// it returns the journaled bytes instead, with replayed=true; if the
-// caller's bytes differ the journaled ones still win, which is exactly
-// the "repeat, never contradict" guarantee. An error means the record
-// is NOT durable and the message must not be sent.
+// RecordOutbound appends one slot-keyed outbound message to the log and
+// returns the bytes that must actually be transmitted — once Progress
+// reports the log durable up to this append (the journal-before-send
+// invariant; the caller gates the transmission, RecordOutbound does not
+// wait). On a fresh slot that is the given payload. On a slot already in
+// the ledger — a restarted instance re-deciding the same step, or a
+// second fill in the same run — it returns the first fill's bytes
+// instead, with replayed=true; if the caller's bytes differ the recorded
+// ones still win, which is exactly the "repeat, never contradict"
+// guarantee. An error means the log refused the record and the message
+// must not be sent.
 func (j *Journal) RecordOutbound(protocol, instance, msgType, slot string, payload []byte) (send []byte, replayed bool, err error) {
 	key := journalKey(protocol, instance, slot)
 	j.mu.Lock()
-	if e, ok := j.ledger[key]; ok {
-		j.mu.Unlock()
-		return e.payload, true, nil
-	}
-	j.mu.Unlock()
-
-	rec := encodeOutbound(protocol, instance, msgType, slot, payload)
-	if _, err := j.log.AppendDurable(rec); err != nil {
-		return nil, false, err
-	}
-
-	j.mu.Lock()
 	defer j.mu.Unlock()
-	if e, ok := j.ledger[key]; ok { // lost a race with an identical writer
+	if e, ok := j.ledger[key]; ok {
 		return e.payload, true, nil
+	}
+	if _, err := j.log.Append(encodeOutbound(protocol, instance, msgType, slot, payload)); err != nil {
+		return nil, false, err
 	}
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
@@ -136,8 +132,14 @@ func (j *Journal) RecordOutbound(protocol, instance, msgType, slot string, paylo
 	return payload, false, nil
 }
 
-// RecordDeliver logs the delivered-sequence state at apply time. It is
-// asynchronous (no fsync wait): delivery state is independently
+// Progress reports the log's appended and durable marks; see
+// Log.Progress.
+func (j *Journal) Progress() (appended, durable uint64, changed <-chan struct{}, err error) {
+	return j.log.Progress()
+}
+
+// RecordDeliver logs the delivered-sequence state at apply time. It
+// does not wait for the commit: delivery state is independently
 // recoverable from checkpoint catch-up, so the record only needs to
 // reach the log ordering, not stable storage, before the next step.
 func (j *Journal) RecordDeliver(seq int64, digest []byte) error {
@@ -236,10 +238,10 @@ func (j *Journal) Wedged() bool { return j.log.Wedged() }
 // as a torn or corrupted tail.
 func (j *Journal) TornBytes() int64 { return j.log.TornBytes }
 
-// Sync forces outstanding records to stable storage.
-func (j *Journal) Sync() error { return j.log.Sync() }
+// SetObserver reports the log's commits into reg; see Log.SetObserver.
+func (j *Journal) SetObserver(reg *obs.Registry) { j.log.SetObserver(reg) }
 
-// Close releases the journal, fsyncing outstanding records.
+// Close releases the journal, committing outstanding records.
 func (j *Journal) Close() error { return j.log.Close() }
 
 // --- record encoding -------------------------------------------------

@@ -1,6 +1,8 @@
 // Package wal implements a segmented append-only write-ahead log with
-// CRC32C-framed records, group-commit fsync batching under a latency
-// cap, and torn-tail detection on open. It backs the protocol journal
+// CRC32C-framed records, commit-on-idle group commit (a commit starts the
+// moment one is wanted and none is in flight; records appended during an
+// fsync share the next one), and torn-tail detection on open. It backs
+// the protocol journal
 // (journal.go) that makes crash recovery amnesia-free: a replica that
 // durably records every protocol-critical message before first
 // transmission can be restarted without risk of equivocation.
@@ -28,6 +30,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"sintra/internal/obs"
 )
 
 const (
@@ -38,7 +42,6 @@ const (
 
 	segmentSuffix      = ".wal"
 	defaultSegmentSize = 4 << 20
-	defaultSyncEvery   = 2 * time.Millisecond
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -61,11 +64,9 @@ type Options struct {
 	// SegmentSize rotates the active segment once it exceeds this many
 	// bytes (default 4 MiB).
 	SegmentSize int64
-	// SyncInterval is the group-commit latency cap: an AppendDurable
-	// waits at most roughly this long before the batch fsync that
-	// covers it starts (concurrent appenders within the window share
-	// one fsync). Zero selects the default (2ms); negative disables
-	// fsync entirely (tests and benchmarks on throwaway data).
+	// SyncInterval disables fsync entirely when negative (tests and
+	// benchmarks on throwaway data). Group commit has no window any more,
+	// so zero and every positive value mean the same: fsync on.
 	SyncInterval time.Duration
 	// FailAppend is a crash-injection hook: when it returns true for
 	// the LSN about to be assigned, the log wedges permanently before
@@ -87,17 +88,20 @@ type Log struct {
 	opts Options
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast when synced/wedged/closed changes
 	seg      *os.File
+	tail     []byte // frames appended but not yet written to seg
 	segStart uint64 // LSN of the active segment's first record
-	segSize  int64
+	segSize  int64  // bytes of the active segment, tail included
 	base     uint64 // LSN of the oldest surviving record
 	next     uint64 // next LSN to assign
 	synced   uint64 // LSNs below this are durable
 	diskSize int64  // bytes across sealed segments (excl. active)
-	wedged   bool
+	failed   error  // why the log is wedged; nil while it is not
 	closed   bool
-	syncErr  error
+	changed  chan struct{} // closed and replaced when synced, wedged or closed changes
+
+	fsyncs        *obs.Counter   // commits that reached the disk
+	commitRecords *obs.Histogram // records covered per commit
 
 	syncReq chan struct{}
 	quit    chan struct{}
@@ -115,9 +119,6 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = defaultSegmentSize
 	}
-	if opts.SyncInterval == 0 {
-		opts.SyncInterval = defaultSyncEvery
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -128,11 +129,11 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 	l := &Log{
 		dir:     dir,
 		opts:    opts,
+		changed: make(chan struct{}),
 		syncReq: make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	l.cond = sync.NewCond(&l.mu)
 
 	var records []Record
 	for i, name := range names {
@@ -303,52 +304,86 @@ func syncDir(dir string) {
 	}
 }
 
-// Append writes one record and returns its LSN. The record is durable
-// only after a later group-commit sync (see AppendDurable). Any write
-// failure or triggered crash point wedges the log permanently.
+// Append buffers one record behind the active segment, requests a commit
+// and returns the record's LSN; the record is durable once that commit is
+// done (WaitDurable, Progress). A crash point wedges the log permanently.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if len(payload) > MaxRecordSize {
 		return 0, ErrTooLarge
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(payload)
-}
-
-func (l *Log) appendLocked(payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	if l.wedged {
-		return 0, ErrWedged
+	if l.failed != nil {
+		return 0, l.failed
 	}
 	if l.opts.FailAppend != nil && l.opts.FailAppend(l.next) {
-		l.wedged = true
-		l.cond.Broadcast()
+		l.wedgeLocked(nil)
 		return 0, ErrWedged
 	}
 	if l.segSize >= l.opts.SegmentSize {
 		if err := l.rotateLocked(); err != nil {
-			l.wedged = true
-			l.cond.Broadcast()
+			l.wedgeLocked(err)
 			return 0, err
 		}
 	}
-	frame := encodeFrame(nil, payload)
-	if _, err := l.seg.Write(frame); err != nil {
-		l.wedged = true
-		l.cond.Broadcast()
-		return 0, err
-	}
-	l.segSize += int64(len(frame))
+	l.tail = encodeFrame(l.tail, payload)
+	l.segSize += int64(frameHeaderSize + len(payload))
 	lsn := l.next
 	l.next++
+	if l.opts.SyncInterval < 0 {
+		// No fsync: committed once the file has it (byte-exact crash tests).
+		if err := l.flushLocked(); err != nil {
+			l.wedgeLocked(err)
+			return 0, err
+		}
+		l.synced = l.next
+		return lsn, nil
+	}
+	select {
+	case l.syncReq <- struct{}{}:
+	default: // a commit is already requested; it will cover this record
+	}
 	return lsn, nil
+}
+
+// flushLocked writes the buffered frames to the active segment with one
+// write. Caller holds l.mu.
+func (l *Log) flushLocked() error {
+	if len(l.tail) == 0 {
+		return nil
+	}
+	_, err := l.seg.Write(l.tail)
+	l.tail = l.tail[:0]
+	return err
+}
+
+// wedgeLocked fails the log for good: nothing unsynced becomes durable
+// any more (the buffered tail is the suffix a power failure loses).
+func (l *Log) wedgeLocked(cause error) {
+	if l.failed == nil {
+		l.failed = ErrWedged
+		if cause != nil {
+			l.failed = fmt.Errorf("%w: %v", ErrWedged, cause)
+		}
+	}
+	l.notifyLocked()
+}
+
+// notifyLocked wakes everyone watching synced, wedged or closed.
+func (l *Log) notifyLocked() {
+	close(l.changed)
+	l.changed = make(chan struct{})
 }
 
 // rotateLocked seals the active segment (fsynced so earlier records
 // stay durable independently of the new file) and starts the next one.
 func (l *Log) rotateLocked() error {
+	if err := l.flushLocked(); err != nil {
+		return err
+	}
 	if l.opts.SyncInterval >= 0 {
 		if err := l.seg.Sync(); err != nil {
 			return err
@@ -360,46 +395,51 @@ func (l *Log) rotateLocked() error {
 	l.diskSize += l.segSize
 	if l.synced < l.next {
 		l.synced = l.next // sealed segment is fully durable
-		l.cond.Broadcast()
+		l.notifyLocked()
 	}
 	return l.createSegmentLocked(l.next)
 }
 
-// AppendDurable writes one record and blocks until the group-commit
-// fsync covering it completes (or returns immediately when fsync is
-// disabled). Concurrent callers share a single fsync.
+// Progress reports how many records have been appended and how many of
+// them are durable (record lsn is durable once durable > lsn), a channel
+// closed when durable next moves or the log fails, and that failure, after
+// which durable is final.
+func (l *Log) Progress() (appended, durable uint64, changed <-chan struct{}, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err = l.failed; err == nil && l.closed {
+		err = ErrClosed
+	}
+	return l.next, l.synced, l.changed, err
+}
+
+// WaitDurable blocks until the commit covering record lsn completes. An
+// error means the record is not durable and never will be.
+func (l *Log) WaitDurable(lsn uint64) error {
+	for {
+		_, durable, changed, err := l.Progress()
+		if durable > lsn {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		<-changed
+	}
+}
+
+// AppendDurable is Append followed by WaitDurable.
 func (l *Log) AppendDurable(payload []byte) (uint64, error) {
 	lsn, err := l.Append(payload)
 	if err != nil {
 		return lsn, err
 	}
-	if l.opts.SyncInterval < 0 {
-		return lsn, nil
-	}
-	select {
-	case l.syncReq <- struct{}{}:
-	default: // a sync is already pending; it will cover us
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.synced <= lsn && l.syncErr == nil && !l.wedged && !l.closed {
-		l.cond.Wait()
-	}
-	switch {
-	case l.synced > lsn:
-		return lsn, nil
-	case l.syncErr != nil:
-		return lsn, l.syncErr
-	case l.wedged:
-		return lsn, ErrWedged
-	default:
-		return lsn, ErrClosed
-	}
+	return lsn, l.WaitDurable(lsn)
 }
 
-// syncLoop is the group-commit goroutine: it wakes on demand, sleeps
-// out the latency cap so concurrent appenders coalesce, then fsyncs
-// once for the whole batch.
+// syncLoop is the group-commit goroutine. It commits the moment one is
+// requested and none is in flight; records appended during an fsync have
+// re-armed syncReq and form the next batch: the fsync is the window.
 func (l *Log) syncLoop() {
 	defer close(l.done)
 	for {
@@ -407,61 +447,46 @@ func (l *Log) syncLoop() {
 		case <-l.quit:
 			return
 		case <-l.syncReq:
+			l.commit()
 		}
-		if l.opts.SyncInterval > 0 {
-			timer := time.NewTimer(l.opts.SyncInterval)
-			select {
-			case <-l.quit:
-				timer.Stop()
-				// Fall through to a final sync below so late
-				// AppendDurable callers are not stranded.
-			case <-timer.C:
-			}
-		}
-		l.mu.Lock()
-		f := l.seg
-		target := l.next
-		closed := l.closed
-		l.mu.Unlock()
-		if closed || f == nil {
-			return
-		}
-		err := f.Sync()
-		l.mu.Lock()
-		if err != nil {
-			if l.syncErr == nil {
-				l.syncErr = err
-			}
-			l.wedged = true
-		} else if target > l.synced {
-			l.synced = target
-		}
-		l.cond.Broadcast()
-		l.mu.Unlock()
 	}
 }
 
-// Sync forces an immediate fsync of the active segment.
-func (l *Log) Sync() error {
+// commit writes the buffered frames with one write and fsyncs them.
+func (l *Log) commit() {
 	l.mu.Lock()
-	if l.closed {
+	if l.failed != nil || l.synced == l.next {
 		l.mu.Unlock()
-		return ErrClosed
+		return
 	}
-	f := l.seg
-	target := l.next
+	err := l.flushLocked()
+	f, target := l.seg, l.next
 	l.mu.Unlock()
-	if l.opts.SyncInterval < 0 {
-		return nil
+	if err == nil {
+		err = f.Sync() // outside the lock: appends go on, and form the next batch
 	}
-	err := f.Sync()
+	l.committed(f, target, err)
+}
+
+// committed closes out a commit that flushed records below target to f
+// and fsynced it with result err.
+func (l *Log) committed(f *os.File, target uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err == nil && target > l.synced {
-		l.synced = target
-		l.cond.Broadcast()
+	if err != nil {
+		// A sync that finds its file sealed (os.ErrClosed) is covered:
+		// rotation fsynced the segment before closing it.
+		if f == l.seg {
+			l.wedgeLocked(err)
+		}
+		return
 	}
-	return err
+	l.fsyncs.Inc()
+	if target > l.synced {
+		l.commitRecords.Observe(int64(target - l.synced))
+		l.synced = target
+		l.notifyLocked()
+	}
 }
 
 // Rotate seals the active segment and starts a new one regardless of
@@ -474,7 +499,7 @@ func (l *Log) Rotate() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if l.wedged {
+	if l.failed != nil {
 		return ErrWedged
 	}
 	if l.segSize == 0 {
@@ -539,30 +564,31 @@ func (l *Log) Size() int64 {
 	return l.diskSize + l.segSize
 }
 
-// NextLSN returns the LSN the next appended record will receive.
-func (l *Log) NextLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
 // Wedged reports whether the log has permanently failed.
 func (l *Log) Wedged() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.wedged
+	return l.failed != nil
 }
 
-// Close fsyncs outstanding records (unless fsync is disabled) and
-// releases the log.
+// SetObserver reports commits into reg: wal.fsyncs counts them and
+// wal.commit.records is the number of records each one covered.
+func (l *Log) SetObserver(reg *obs.Registry) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.fsyncs = reg.Counter("wal.fsyncs")
+	l.commitRecords = reg.Histogram("wal.commit.records")
+}
+
+// Close commits outstanding records (unless the log is wedged) and
+// releases the log; waiters that last commit covered see their record
+// durable, not ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
-	f := l.seg
-	needSync := l.opts.SyncInterval >= 0 && !l.wedged && l.synced < l.next
 	l.mu.Unlock()
 
 	close(l.quit)
@@ -570,17 +596,21 @@ func (l *Log) Close() error {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.closed = true
-	l.cond.Broadcast()
 	var err error
-	if f != nil {
-		if needSync {
-			err = f.Sync()
+	if l.failed == nil {
+		err = l.flushLocked()
+		if err == nil && l.opts.SyncInterval >= 0 && l.synced < l.next {
+			err = l.seg.Sync()
 		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		if err == nil {
+			l.synced = l.next
 		}
 	}
+	if cerr := l.seg.Close(); err == nil {
+		err = cerr
+	}
 	l.seg = nil
+	l.closed = true
+	l.notifyLocked()
 	return err
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sintra/internal/obs"
 )
 
 // testOpts disables fsync so unit tests don't pay disk latency; the
@@ -54,8 +56,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: LSN %d payload %q", i, r.LSN, r.Payload)
 		}
 	}
-	if l2.NextLSN() != uint64(len(want)) {
-		t.Fatalf("NextLSN = %d, want %d", l2.NextLSN(), len(want))
+	if next, _, _, _ := l2.Progress(); next != uint64(len(want)) {
+		t.Fatalf("next LSN = %d, want %d", next, len(want))
 	}
 }
 
@@ -254,10 +256,12 @@ func TestTruncateBefore(t *testing.T) {
 
 func TestGroupCommitDurable(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SyncInterval: time.Millisecond})
+	l, _, err := Open(dir, Options{SyncInterval: time.Millisecond}) // positive means the same as 0
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	l.SetObserver(reg)
 	// Concurrent durable appends must all complete (sharing fsyncs).
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -270,6 +274,12 @@ func TestGroupCommitDurable(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	snap := reg.Snapshot()
+	commits := snap.Histograms["wal.commit.records"]
+	if commits.Sum != 16 || commits.Count > snap.Counter("wal.fsyncs") || snap.Counter("wal.fsyncs") > 16 {
+		t.Fatalf("commits cover %d records in %d batches over %d fsyncs, want 16 records in at most 16",
+			commits.Sum, commits.Count, snap.Counter("wal.fsyncs"))
+	}
 	l.Close()
 	_, recs, err := Open(dir, testOpts())
 	if err != nil {
@@ -278,6 +288,169 @@ func TestGroupCommitDurable(t *testing.T) {
 	if len(recs) != 16 {
 		t.Fatalf("replayed %d durable records, want 16", len(recs))
 	}
+}
+
+// TestRotateDuringSyncNeverWedges: a commit's fsync runs outside the
+// lock, so a size-driven or explicit rotation can seal the very file it
+// is syncing. The sealed file was fsynced by the rotation; the commit
+// must count as covered, not fail the log for good.
+func TestRotateDuringSyncNeverWedges(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{SegmentSize: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appenders, each = 4, 150
+	stop := make(chan struct{})
+	rotated := make(chan struct{})
+	go func() {
+		defer close(rotated)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := l.Rotate(); err != nil {
+				t.Errorf("Rotate: %v", err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				lsn, err := l.Append(bytes.Repeat([]byte{byte(a)}, 100))
+				if err != nil {
+					t.Errorf("Append: %v", err)
+					return
+				}
+				if err := l.WaitDurable(lsn); err != nil {
+					t.Errorf("WaitDurable(%d): %v", lsn, err)
+					return
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+	close(stop)
+	<-rotated
+	if l.Wedged() {
+		t.Fatal("log wedged by a rotation racing a commit")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := Open(dir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != appenders*each {
+		t.Fatalf("replayed %d records, want %d", len(recs), appenders*each)
+	}
+}
+
+// TestSyncOfSealedSegmentIsCovered pins the interleaving the stress test
+// above can only hope for: the commit picks its file, a rotation seals
+// and closes it, and only then does the commit's fsync run.
+func TestSyncOfSealedSegmentIsCovered(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	lsn, err := l.Append([]byte("in the batch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	f, target := l.seg, l.next
+	l.mu.Unlock()
+	if err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	serr := f.Sync()
+	if serr == nil {
+		t.Fatal("fsync of a closed segment file succeeded")
+	}
+	l.committed(f, target, serr)
+	if l.Wedged() {
+		t.Fatalf("log wedged by %v on a segment rotation had already sealed", serr)
+	}
+	if err := l.WaitDurable(lsn); err != nil {
+		t.Fatalf("WaitDurable: %v", err)
+	}
+}
+
+// TestCloseReleasesDurableWaiters: a record the final commit in Close
+// makes durable must read as durable to whoever waits for it. Whether
+// the sync loop or Close commits the record is a race, so repeat until
+// Close has certainly won it a few times.
+func TestCloseReleasesDurableWaiters(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		dir := t.TempDir()
+		l, _, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsn, err := l.Append([]byte("last words"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waited := make(chan error, 1)
+		go func() { waited <- l.WaitDurable(lsn) }()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-waited; err != nil {
+			t.Fatalf("iteration %d: waiter stranded by Close: %v", i, err)
+		}
+		if _, recs, err := Open(dir, testOpts()); err != nil || len(recs) != 1 {
+			t.Fatalf("iteration %d: replayed %d records (%v), want 1", i, len(recs), err)
+		}
+	}
+}
+
+// TestWedgeLosesExactlyTheUndurableSuffix: once the log wedges, what
+// Progress reports durable is final, waiters beyond it fail, and a
+// reopen finds exactly the durable prefix — the buffered tail is the
+// suffix a power failure would have taken.
+func TestWedgeLosesExactlyTheUndurableSuffix(t *testing.T) {
+	dir := t.TempDir()
+	const crashAt = 64
+	l, _, err := Open(dir, Options{FailAppend: func(lsn uint64) bool { return lsn == crashAt }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < crashAt; i++ {
+		if _, err := l.Append([]byte("pending")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.Append([]byte("boom")); err != ErrWedged {
+		t.Fatalf("crash-point append error = %v, want ErrWedged", err)
+	}
+	l.Close() // waits out a commit that was in flight when the log wedged
+	_, durable, _, err := l.Progress()
+	if err == nil {
+		t.Fatal("wedged log reports no failure")
+	}
+	for lsn := uint64(0); lsn < crashAt; lsn++ {
+		if err := l.WaitDurable(lsn); (err == nil) != (lsn < durable) {
+			t.Fatalf("WaitDurable(%d) = %v with durable mark %d", lsn, err, durable)
+		}
+	}
+	_, recs, err := Open(dir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(recs)) != durable {
+		t.Fatalf("replayed %d records, durable mark was %d", len(recs), durable)
+	}
+	t.Logf("crash at record %d lost the %d undurable ones before it", crashAt, crashAt-durable)
 }
 
 func TestFailAppendWedgesLog(t *testing.T) {

@@ -2,12 +2,19 @@ package sintra_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sintra"
 	"sintra/internal/faultsim"
+	"sintra/internal/wal"
+	"sintra/internal/wire"
 )
 
 // waitFrontier blocks until the replica catches the given delivery
@@ -215,6 +222,12 @@ func TestChaosDurableRestartDamagedTail(t *testing.T) {
 // then revives the replica from its journal and requires convergence
 // with zero equivocation. Deterministic seeds make every crash point
 // reproducible.
+//
+// The last point runs with the real fsync on and fires on the first
+// append that follows another within half a millisecond, so the crash
+// lands between an append and the commit covering it: the records still
+// waiting for their fsync are lost with the process, and the peers must
+// never have seen a message whose record the replayed log does not hold.
 func TestWALCrashPointMatrix(t *testing.T) {
 	points := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 	if testing.Short() {
@@ -224,49 +237,165 @@ func TestWALCrashPointMatrix(t *testing.T) {
 		k := k
 		t.Run(fmt.Sprintf("record-%d", k), func(t *testing.T) {
 			t.Parallel()
-			dir := t.TempDir()
-			c := newChainCluster(t, 4, 1,
-				sintra.WithSeed(int64(300+k)),
-				sintra.WithCheckpointInterval(4),
-				sintra.WithDataDir(dir),
-				sintra.WithWALSyncInterval(-1),
-				sintra.WithWALCrashPoint(1, func(lsn uint64) bool { return lsn >= k }),
-			)
-			client, err := c.dep.NewClient()
-			if err != nil {
-				t.Fatal(err)
-			}
-			invoke := func(i int) {
-				ans, err := client.Invoke([]byte(fmt.Sprintf("matrix-%d-%d", k, i)), 120*time.Second)
-				if err != nil {
-					t.Fatalf("request %d: liveness lost with replica crashed at record %d: %v", i, k, err)
-				}
-				if err := sintra.VerifyAnswer(c.dep.Public, "service", ans.ReqID, ans.Result, ans.Signature); err != nil {
-					t.Fatalf("request %d: answer does not verify: %v", i, err)
-				}
-			}
-			// The first appends hit within the first request; the cluster
-			// must stay live with the replica muted at record k.
-			for i := 0; i < 6; i++ {
-				invoke(i)
-			}
-			if !c.dep.Node(1).Journal().Wedged() {
-				t.Fatalf("crash point %d never fired", k)
-			}
-			c.dep.StopServer(1)
-			if err := c.dep.RestartServerDurable(1); err != nil {
-				t.Fatalf("durable restart: %v", err)
-			}
-			restarted := c.machines[len(c.machines)-1]
-			for i := 6; i < 10; i++ {
-				invoke(i)
-			}
-			waitFrontier(t, c.dep, 1, c.dep.Node(0).Seq())
-			if n := c.dep.Metrics().Counter("router.panics"); n != 0 {
-				t.Fatalf("router recovered %d handler panics (crash point %d)", n, k)
-			}
-			assertRestartedConsistent(t, c, restarted, 0)
-			c.assertReplicasConsistent(t, 4)
+			crashAtRecord(t, int64(300+k), func(lsn uint64) bool { return lsn >= k }, false)
 		})
 	}
+	t.Run("between-append-and-fsync", func(t *testing.T) {
+		t.Parallel()
+		var last time.Time // the hook runs under the log's lock
+		crashAtRecord(t, 323, func(lsn uint64) bool {
+			prev := last
+			last = time.Now()
+			return lsn >= 12 && (last.Sub(prev) < 500*time.Microsecond || lsn >= 60)
+		}, true)
+	})
+}
+
+// wireTap is a pass-through "attack": it records everything its party
+// puts on the wire for someone else.
+type wireTap struct {
+	mu   sync.Mutex
+	sent []wire.Message
+}
+
+func (*wireTap) Name() string { return "tap" }
+
+func (w *wireTap) Apply(ctx *faultsim.Context, m wire.Message) []wire.Message {
+	if m.To != ctx.Self {
+		w.mu.Lock()
+		w.sent = append(w.sent, m)
+		w.mu.Unlock()
+	}
+	return []wire.Message{m}
+}
+
+// journaledOnDisk reads a server's WAL directory without opening the
+// log: the outbound records it holds, as (protocol, instance, type,
+// payload) keys, and the number of records of any kind.
+func journaledOnDisk(t *testing.T, serverDir string) (onDisk map[string]bool, records int) {
+	t.Helper()
+	segments, err := filepath.Glob(filepath.Join(serverDir, "wal", "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segments)
+	onDisk = make(map[string]bool)
+	for _, path := range segments {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads, _ := wal.ScanSegment(data)
+		records += len(payloads)
+		for _, p := range payloads {
+			rec, err := wal.DecodeRecord(p)
+			if err != nil {
+				continue
+			}
+			for _, e := range append(rec.Entries, rec) {
+				if e.Slot != "" {
+					onDisk[wireKey(e.Protocol, e.Instance, e.MsgType, e.Payload)] = true
+				}
+			}
+		}
+	}
+	return onDisk, records
+}
+
+func wireKey(protocol, instance, msgType string, payload []byte) string {
+	return fmt.Sprintf("%s|%s|%s|%x", protocol, instance, msgType, payload)
+}
+
+// crashAtRecord wedges replica 1's journal at the first record fail
+// accepts, kills it, revives it from the journal and requires
+// convergence. With fsync on, the undurable records die with the replica,
+// and every journaled kind of message a peer received from it must be in
+// the log it left behind.
+func crashAtRecord(t *testing.T, seed int64, fail func(lsn uint64) bool, fsync bool) {
+	dir := t.TempDir()
+	var crashedAt atomic.Uint64
+	opts := []sintra.SimOption{
+		sintra.WithSeed(seed),
+		sintra.WithCheckpointInterval(4),
+		sintra.WithDataDir(dir),
+		sintra.WithWALCrashPoint(1, func(lsn uint64) bool {
+			if !fail(lsn) {
+				return false
+			}
+			crashedAt.Store(lsn)
+			return true
+		}),
+	}
+	tap := &wireTap{}
+	if fsync {
+		opts = append(opts, sintra.WithByzantine(1, tap))
+	} else {
+		opts = append(opts, sintra.WithWALSyncInterval(-1))
+	}
+	c := newChainCluster(t, 4, 1, opts...)
+	client, err := c.dep.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	invoke := func(i int) {
+		ans, err := client.Invoke([]byte(fmt.Sprintf("matrix-%d-%d", seed, i)), 120*time.Second)
+		if err != nil {
+			t.Fatalf("request %d: liveness lost with replica crashed at record %d: %v", i, crashedAt.Load(), err)
+		}
+		if err := sintra.VerifyAnswer(c.dep.Public, "service", ans.ReqID, ans.Result, ans.Signature); err != nil {
+			t.Fatalf("request %d: answer does not verify: %v", i, err)
+		}
+	}
+	// The first appends hit within the first request; the cluster
+	// must stay live with the replica muted at record k.
+	for i := 0; i < 6; i++ {
+		invoke(i)
+	}
+	if !c.dep.Node(1).Journal().Wedged() {
+		t.Fatal("crash point never fired")
+	}
+	c.dep.StopServer(1)
+	if fsync {
+		onDisk, survived := journaledOnDisk(t, filepath.Join(dir, "server1"))
+		// The kinds of message that are journaled at all, from every log.
+		kinds := make(map[string]bool)
+		for i := 0; i < 4; i++ {
+			log, _ := journaledOnDisk(t, filepath.Join(dir, fmt.Sprintf("server%d", i)))
+			for key := range log {
+				parts := strings.SplitN(key, "|", 4)
+				kinds[parts[0]+"|"+parts[2]] = true
+			}
+		}
+		tap.mu.Lock()
+		seen := 0
+		for _, m := range tap.sent {
+			if !kinds[m.Protocol+"|"+m.Type] {
+				continue
+			}
+			seen++
+			if !onDisk[wireKey(m.Protocol, m.Instance, m.Type, m.Payload)] {
+				t.Errorf("peer %d received %s/%s %s, which the crashed replica's log does not hold",
+					m.To, m.Protocol, m.Instance, m.Type)
+			}
+		}
+		tap.mu.Unlock()
+		if seen == 0 {
+			t.Fatal("the tap saw no journaled message leave replica 1")
+		}
+		t.Logf("crash lost %d of the %d records appended; all %d journaled messages on the wire are in the log",
+			int(crashedAt.Load())-survived, crashedAt.Load(), seen)
+	}
+	if err := c.dep.RestartServerDurable(1); err != nil {
+		t.Fatalf("durable restart: %v", err)
+	}
+	restarted := c.machines[len(c.machines)-1]
+	for i := 6; i < 10; i++ {
+		invoke(i)
+	}
+	waitFrontier(t, c.dep, 1, c.dep.Node(0).Seq())
+	if n := c.dep.Metrics().Counter("router.panics"); n != 0 {
+		t.Fatalf("router recovered %d handler panics (crash point %d)", n, crashedAt.Load())
+	}
+	assertRestartedConsistent(t, c, restarted, 0)
+	c.assertReplicasConsistent(t, 4)
 }

@@ -106,9 +106,9 @@ type SimOptions struct {
 	// revives a killed replica from its journal (amnesia-free recovery).
 	// Empty keeps replicas memoryless. See core.NodeConfig.DataDir.
 	DataDir string
-	// WALSyncInterval is every journal's group-commit latency cap: 0
-	// selects the WAL default, negative disables fsync (fast tests on
-	// throwaway data — crash injection still sees the written bytes).
+	// WALSyncInterval disables every journal's fsync when negative (fast
+	// tests on throwaway data — crash injection still sees the written
+	// bytes); zero and every positive value mean fsync on.
 	WALSyncInterval time.Duration
 	// WALCrash maps a server index to a crash-injection hook handed to
 	// its journal (see core.NodeConfig.WALFailAppend): the first append
@@ -279,8 +279,8 @@ func WithDataDir(dir string) SimOption {
 	return func(o *SimOptions) { o.DataDir = dir }
 }
 
-// WithWALSyncInterval tunes every journal's group-commit latency cap:
-// 0 keeps the WAL default, negative disables fsync (fast tests).
+// WithWALSyncInterval disables every journal's fsync when d is negative
+// (fast tests); zero and every positive value mean fsync on.
 func WithWALSyncInterval(d time.Duration) SimOption {
 	return func(o *SimOptions) { o.WALSyncInterval = d }
 }
@@ -472,7 +472,8 @@ func (d *SimulatedDeployment) Node(i int) *core.Node {
 }
 
 // StopServer kills one replica mid-run: its endpoint closes, its
-// dispatch loop exits, and the rest of the cluster keeps operating
+// dispatch loop exits — dropping, not flushing, whatever its outbox still
+// held back for the journal — and the rest of the cluster keeps operating
 // (tolerating it as a crash fault). Restart it with RestartServer.
 func (d *SimulatedDeployment) StopServer(i int) {
 	d.mu.Lock()
