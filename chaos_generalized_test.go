@@ -68,7 +68,7 @@ func TestChaosGeneralizedExample2FullStack(t *testing.T) {
 	lastSeq := int64(-1)
 	for i := 0; i < 2; i++ {
 		req := []byte(fmt.Sprintf("ex2-chaos-%d", i))
-		ans, err := client.Invoke(req, 180*time.Second)
+		ans, err := invokeWithin(client, req, 180*time.Second)
 		if err != nil {
 			t.Fatalf("request %d: liveness lost on Example 2: %v", i, err)
 		}

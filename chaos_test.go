@@ -1,6 +1,7 @@
 package sintra_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -78,6 +79,13 @@ type chainCluster struct {
 	machines []*chainMachine
 }
 
+// invokeWithin executes one request with a plain timeout.
+func invokeWithin(c *sintra.Client, body []byte, timeout time.Duration) (sintra.Answer, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return c.InvokeContext(ctx, body)
+}
+
 func newChainCluster(t *testing.T, n, f int, opts ...sintra.SimOption) *chainCluster {
 	t.Helper()
 	st, err := sintra.NewThresholdStructure(n, f)
@@ -122,7 +130,7 @@ func (c *chainCluster) run(t *testing.T, requests int) {
 	lastSeq := int64(-1)
 	for i := 0; i < requests; i++ {
 		req := []byte(fmt.Sprintf("chaos-request-%d", i))
-		ans, err := client.Invoke(req, 120*time.Second)
+		ans, err := invokeWithin(client, req, 120*time.Second)
 		if err != nil {
 			t.Fatalf("request %d: liveness lost: %v", i, err)
 		}
@@ -290,7 +298,7 @@ func TestChaosBeyondToleranceBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.Invoke([]byte("doomed"), 3*time.Second)
+	_, err = invokeWithin(client, []byte("doomed"), 3*time.Second)
 	if !errors.Is(err, sintra.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout: 2 > t corruptions must stall the service", err)
 	}
@@ -310,7 +318,7 @@ func TestChaosBeyondToleranceBoundary(t *testing.T) {
 func TestChaosByzantineSharesInBatch(t *testing.T) {
 	c := newChainCluster(t, 4, 1,
 		sintra.WithSeed(31),
-		sintra.WithVerifyWorkers(1),
+		sintra.WithTuning(sintra.Tuning{VerifyWorkers: 1}),
 		sintra.WithByzantine(2, sintra.TamperTail(1)),
 	)
 	c.run(t, 6)
@@ -347,7 +355,7 @@ func TestChaosByzantineSharesInBatch(t *testing.T) {
 func TestChaosReplicaRestartCatchUp(t *testing.T) {
 	c := newChainCluster(t, 4, 1,
 		sintra.WithSeed(23),
-		sintra.WithCheckpointInterval(8),
+		sintra.WithTuning(sintra.Tuning{CheckpointInterval: 8}),
 	)
 	client, err := c.dep.NewClient()
 	if err != nil {
@@ -355,7 +363,7 @@ func TestChaosReplicaRestartCatchUp(t *testing.T) {
 	}
 	invoke := func(i int) {
 		req := []byte(fmt.Sprintf("restart-request-%d", i))
-		ans, err := client.Invoke(req, 120*time.Second)
+		ans, err := invokeWithin(client, req, 120*time.Second)
 		if err != nil {
 			t.Fatalf("request %d: liveness lost: %v", i, err)
 		}

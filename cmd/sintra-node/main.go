@@ -50,6 +50,17 @@ func loadAddrs(dir string, n int) ([]string, error) {
 	return addrs, nil
 }
 
+// tuningFlags binds the replica knobs an operator can set to fs and
+// returns the Tuning that Parse fills in; every knob without a flag keeps
+// its default.
+func tuningFlags(fs *flag.FlagSet) *sintra.Tuning {
+	t := new(sintra.Tuning)
+	fs.Int64Var(&t.CheckpointInterval, "checkpoint-interval", 0, "checkpoint/GC period in delivered requests (0: default, negative: disabled; atomic mode)")
+	fs.IntVar(&t.CodedThreshold, "coded-threshold", 0, "batch size in bytes above which proposals disseminate as digest headers plus erasure-coded reliable broadcast (0: default 4096, negative: disabled; identical on every replica)")
+	fs.IntVar(&t.ChunkSize, "chunk-size", 0, "payload size in bytes above which client requests split into frames reassembled after ordering (0: default 65536, negative: disabled; atomic mode, identical on every replica)")
+	return t
+}
+
 func run() error {
 	var (
 		config  = flag.String("config", "sintra-deploy", "configuration directory from sintra-dealer")
@@ -62,15 +73,12 @@ func run() error {
 
 		trustConfig = flag.String("trust-config", "", "JSON trust-configuration file selecting the quorum backend: omitted or mode \"symmetric\" keeps the deployment's shared adversary structure; mode \"asymmetric\" lists one fail-prone system per party (identical file on every replica)")
 
-		ckptInterval = flag.Int64("checkpoint-interval", 0, "checkpoint/GC period in delivered requests (0: default, negative: disabled; atomic mode)")
-
-		codedThreshold = flag.Int("coded-threshold", 0, "batch size in bytes above which proposals disseminate as digest headers plus erasure-coded reliable broadcast (0: default 4096, negative: disabled; identical on every replica)")
-		chunkSize      = flag.Int("chunk-size", 0, "payload size in bytes above which client requests split into frames reassembled after ordering (0: default 65536, negative: disabled; atomic mode, identical on every replica)")
-		dataDir      = flag.String("data-dir", "", "durable write-ahead log directory: protocol-critical messages are journaled before transmission, and a restart with the same directory recovers without amnesia (re-sending identical messages, never conflicting ones); empty disables durability (a restart rejoins via checkpoint catch-up with empty state)")
+		dataDir = flag.String("data-dir", "", "durable write-ahead log directory: protocol-critical messages are journaled before transmission, and a restart with the same directory recovers without amnesia (re-sending identical messages, never conflicting ones); empty disables durability (a restart rejoins via checkpoint catch-up with empty state)")
 
 		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address (empty: observability off)")
 		metricsEvery = flag.Duration("metrics-interval", 0, "dump metrics to stderr this often (0: off)")
 	)
+	tuning := tuningFlags(flag.CommandLine)
 	flag.Parse()
 
 	pub, err := sintra.LoadPublic(*config)
@@ -155,18 +163,16 @@ func run() error {
 	}
 
 	node, err := sintra.NewNode(sintra.NodeConfig{
-		Public:             pub,
-		Secret:             secret,
-		Transport:          tr,
-		ServiceName:        *svcName,
-		Service:            svc,
-		Mode:               m,
-		Trust:              qtrust,
-		Observer:           reg,
-		CheckpointInterval: *ckptInterval,
-		CodedThreshold:     *codedThreshold,
-		ChunkSize:          *chunkSize,
-		DataDir:            *dataDir,
+		Public:      pub,
+		Secret:      secret,
+		Transport:   tr,
+		ServiceName: *svcName,
+		Service:     svc,
+		Mode:        m,
+		Trust:       qtrust,
+		Observer:    reg,
+		DataDir:     *dataDir,
+		Tuning:      *tuning,
 	})
 	if err != nil {
 		return err

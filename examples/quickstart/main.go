@@ -32,12 +32,11 @@ func run() error {
 	fmt.Printf("structure: %v (Q3 satisfied: %v)\n", st, st.Q3())
 
 	// 2. Deal keys and start the replicas (the trusted dealer runs once).
-	dep, err := sintra.NewSimulatedDeployment(sintra.SimOptions{
-		Structure:   st,
-		ServiceName: "directory",
-		NewService:  func() sintra.StateMachine { return sintra.NewDirectory() },
-		Seed:        42,
-	})
+	dep, err := sintra.NewDeployment(st,
+		func() sintra.StateMachine { return sintra.NewDirectory() },
+		sintra.WithServiceName("directory"),
+		sintra.WithSeed(42),
+	)
 	if err != nil {
 		return err
 	}
@@ -91,7 +90,12 @@ func run() error {
 	fmt.Printf("directory lookup: dns:example.com -> %s (version %d), signed answer ✓\n",
 		resp.Value, resp.Version)
 
-	msgs, total, bytes := dep.TrafficSummary()
-	fmt.Printf("traffic: %d messages, %d bytes, per layer %v\n", total, bytes, msgs)
+	snap := dep.Metrics()
+	var bytes int64
+	for _, b := range snap.CountersWithPrefix("net.bytes.") {
+		bytes += b
+	}
+	fmt.Printf("traffic: %d messages, %d bytes, per layer %v\n",
+		snap.Counter("net.delivered"), bytes, snap.CountersWithPrefix("net.msgs."))
 	return nil
 }

@@ -220,9 +220,6 @@ func (a *ABA) Start(value bool) error {
 	return a.cfg.Router.Loopback(Protocol, a.cfg.Instance, typeStart, decidedBody{Value: value})
 }
 
-// Decided reports the decision, if reached.
-func (a *ABA) Decided() (bool, bool) { return a.decision, a.decided }
-
 // Round returns the current round number (1-based; 0 before Start), a
 // progress metric for the experiment harness.
 func (a *ABA) Round() int { return a.round }

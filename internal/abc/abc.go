@@ -47,12 +47,15 @@ const DefaultBatchSize = 8
 // pressure the batch bound may grow up to this multiple of BatchSize.
 const DefaultMaxBatchFactor = 8
 
-// DefaultRetentionWindow is the default dedup-history bound: delivered
-// digests more than this many deliveries below the frontier are pruned
-// at round boundaries even without a checkpoint certificate. The prune
-// rule reads only decided values and the deterministic delivered map, so
-// identically configured honest replicas prune identically.
-const DefaultRetentionWindow = 8192
+// dedupHistory bounds the delivered-digest dedup history: digests more
+// than this many deliveries below the frontier are pruned at round
+// boundaries even without a checkpoint certificate. The prune rule reads
+// only decided values and the deterministic delivered map, so honest
+// replicas prune identically — which is why it is a constant and not a
+// per-replica knob. A payload replayed after its digest ages out is
+// delivered again (at-most-once within the window, the standard
+// watermark trade-off).
+const dedupHistory = 8192
 
 // roundWindow bounds how far ahead of the current round a proposal may
 // be buffered; beyond it the proposals map would grow without bound
@@ -143,15 +146,6 @@ type Config struct {
 	// DefaultMaxBatchFactor × BatchSize; values below BatchSize clamp
 	// to BatchSize, fixing the batch bound).
 	MaxBatchSize int
-	// RetentionWindow bounds the delivered-digest dedup history: entries
-	// more than this many deliveries below the frontier are pruned at
-	// round boundaries. 0 selects DefaultRetentionWindow; negative
-	// disables retention pruning (checkpoint certificates still prune).
-	// Must be configured identically on every replica — the prune rule is
-	// deterministic only under a uniform window. A payload replayed after
-	// its digest ages out is delivered again (at-most-once within the
-	// window, the standard watermark trade-off).
-	RetentionWindow int64
 	// ProvideCheckpoint, if set, returns the encoded latest stable
 	// checkpoint certificate to piggyback on this party's proposals (nil
 	// when none yet).
@@ -261,9 +255,6 @@ func New(cfg Config) *ABC {
 		cfg.MaxBatchSize = DefaultMaxBatchFactor * cfg.BatchSize
 	}
 	cfg.MaxBatchSize = max(cfg.MaxBatchSize, cfg.BatchSize)
-	if cfg.RetentionWindow == 0 {
-		cfg.RetentionWindow = DefaultRetentionWindow
-	}
 	a := &ABC{
 		cfg:           cfg,
 		trust:         cfg.Trust,
@@ -693,7 +684,7 @@ func (a *ABC) onDecide(round int64, value []byte) {
 		a.deliverPayload(it.digest, it.payload)
 	}
 	// Advance the GC horizon: the maximum certified checkpoint carried by
-	// the decided proposals, floored by the retention window. Both inputs
+	// the decided proposals, floored by the dedup-history bound. Both inputs
 	// are functions of the decided value and the (deterministic) local
 	// frontier, so every honest replica prunes identically.
 	horizon := a.gcHorizon
@@ -707,8 +698,8 @@ func (a *ABC) onDecide(round int64, value []byte) {
 		}
 	}
 	seq := a.seq.Load()
-	if w := a.cfg.RetentionWindow; w >= 0 && seq-w > horizon {
-		horizon = seq - w
+	if seq-dedupHistory > horizon {
+		horizon = seq - dedupHistory
 	}
 	if horizon > a.gcHorizon {
 		a.pruneBelow(horizon)

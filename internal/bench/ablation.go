@@ -28,7 +28,7 @@ func RunBatchAblation(batchSizes []int, requests int) ([]BatchRow, error) {
 	var rows []BatchRow
 	st := adversary.MustThreshold(4, 1)
 	for _, bs := range batchSizes {
-		c, err := newCluster(st, netsim.NewRandomScheduler(17), nil)
+		c, err := newCluster(st, clusterOptions{sched: netsim.NewRandomScheduler(17)})
 		if err != nil {
 			return nil, err
 		}
@@ -42,8 +42,11 @@ func RunBatchAblation(batchSizes []int, requests int) ([]BatchRow, error) {
 					Identity: c.pub.Identity, IDKey: c.secrets[i].Identity,
 					Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
 					Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-					BatchSize: bs,
-					Deliver:   func(int64, []byte) { delivered.Add(1) },
+					// Ceiling = floor pins the batch: with adaptive growth
+					// on, "batch 1" climbs to 8 under this backlog and the
+					// rows measure the same thing.
+					BatchSize: bs, MaxBatchSize: bs,
+					Deliver: func(int64, []byte) { delivered.Add(1) },
 				})
 			})
 		}
@@ -98,7 +101,7 @@ func RunSigSchemeAblation(n, requests int) ([]SigSchemeRow, error) {
 	}
 	var rows []SigSchemeRow
 	for _, scheme := range []string{"shoup-rsa", "ed25519-cert"} {
-		c, err := newClusterForceCert(st, netsim.NewRandomScheduler(19), nil, scheme == "ed25519-cert")
+		c, err := newCluster(st, clusterOptions{sched: netsim.NewRandomScheduler(19), forceCert: scheme == "ed25519-cert"})
 		if err != nil {
 			return nil, err
 		}

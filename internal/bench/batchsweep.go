@@ -10,19 +10,6 @@ import (
 	"sintra/internal/netsim"
 )
 
-// verifyBatchOverride threads the router's verify-coalescing knob into
-// newClusterFull: 0 keeps the engine default, negative disables batch
-// verification. Bench runners execute sequentially, so a package variable
-// is safe; RunBatchVerifySweep restores it before returning.
-var verifyBatchOverride int
-
-// verifyWorkersOverride likewise sizes the routers' verify pools (0 keeps
-// the engine default). The batch sweep pins it to one worker per router:
-// coalescing pays off exactly when verification cannot fan out over spare
-// cores, so the sweep models the CPU-bound deployment where the backlog
-// the batcher drains actually forms.
-var verifyWorkersOverride int
-
 // BatchVerifyRow is one end-to-end measurement of atomic broadcast with
 // share-burst batch verification on (coalesced multi-exponentiation) or
 // off (every share proof checked individually).
@@ -47,22 +34,24 @@ func RunBatchVerifySweep(n, requests int, modes []string) ([]BatchVerifyRow, err
 	if err != nil {
 		return nil, err
 	}
-	verifyWorkersOverride = 1
-	defer func() { verifyBatchOverride, verifyWorkersOverride = 0, 0 }()
 	var rows []BatchVerifyRow
 	for _, mode := range modes {
+		// One verify worker per router: coalescing pays off exactly when
+		// verification cannot fan out over spare cores, so the sweep models
+		// the CPU-bound deployment where the backlog the batcher drains
+		// actually forms.
+		opts := clusterOptions{sched: netsim.NewRandomScheduler(23), verifyWorkers: 1}
 		var name string
 		switch mode {
 		case "on":
-			verifyBatchOverride = 0
 			name = "batched"
 		case "off":
-			verifyBatchOverride = -1
+			opts.verifyBatch = -1
 			name = "per-share"
 		default:
 			return nil, fmt.Errorf("bench: unknown batch mode %q (want on or off)", mode)
 		}
-		row, err := runBatchVerifyOnce(st, name, requests)
+		row, err := runBatchVerifyOnce(st, opts, name, requests)
 		if err != nil {
 			return nil, fmt.Errorf("bench: batch sweep %s: %w", name, err)
 		}
@@ -71,9 +60,9 @@ func RunBatchVerifySweep(n, requests int, modes []string) ([]BatchVerifyRow, err
 	return rows, nil
 }
 
-func runBatchVerifyOnce(st *adversary.Structure, mode string, requests int) (BatchVerifyRow, error) {
+func runBatchVerifyOnce(st *adversary.Structure, opts clusterOptions, mode string, requests int) (BatchVerifyRow, error) {
 	n := st.N()
-	c, err := newCluster(st, netsim.NewRandomScheduler(23), nil)
+	c, err := newCluster(st, opts)
 	if err != nil {
 		return BatchVerifyRow{}, err
 	}

@@ -75,7 +75,7 @@ func RunCausality() (CausalityResult, error) {
 	// Plain atomic broadcast.
 	{
 		snoop := &snoopScheduler{inner: netsim.NewRandomScheduler(3), pattern: secret}
-		c, err := newCluster(st, snoop, nil)
+		c, err := newCluster(st, clusterOptions{sched: snoop})
 		if err != nil {
 			return res, err
 		}
@@ -109,7 +109,7 @@ func RunCausality() (CausalityResult, error) {
 	// Secure causal atomic broadcast.
 	{
 		snoop := &snoopScheduler{inner: netsim.NewRandomScheduler(3), pattern: secret}
-		c, err := newCluster(st, snoop, nil)
+		c, err := newCluster(st, clusterOptions{sched: snoop})
 		if err != nil {
 			return res, err
 		}

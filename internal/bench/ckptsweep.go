@@ -68,9 +68,11 @@ type CostSweep struct {
 	title   string
 	on, off string   // row labels
 	columns []string // headers of CostRow.Values
-	// options returns the deployment options of one mode; dir is a
-	// throwaway directory that lives as long as the deployment.
-	options func(on bool, dir string) []sintra.SimOption
+	// tuning is the replicas' knobs with the subsystem on and off.
+	onTuning, offTuning sintra.Tuning
+	// dataDir gives the "on" deployment a throwaway data directory that
+	// lives as long as it does.
+	dataDir bool
 	values  func(sintra.MetricsSnapshot) []int64
 }
 
@@ -93,7 +95,14 @@ func (c CostSweep) Run(n, requests int, modes []string) ([]CostRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		elapsed, snap, err := orderSequentially(st, requests, c.options(mode == "on", dir)...)
+		opts := []sintra.SimOption{sintra.WithTuning(c.offTuning)}
+		if mode == "on" {
+			opts = []sintra.SimOption{sintra.WithTuning(c.onTuning)}
+			if c.dataDir {
+				opts = append(opts, sintra.WithDataDir(dir))
+			}
+		}
+		elapsed, snap, err := orderSequentially(st, requests, opts...)
 		os.RemoveAll(dir)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s sweep %s: %w", c.what, mode, err)
@@ -169,13 +178,9 @@ var CheckpointSweep = CostSweep{
 	what:  "checkpoint",
 	title: fmt.Sprintf("Checkpoint/GC cost (full service stack, interval %d)", sweepInterval),
 	on:    "checkpointed", off: "no-checkpoint",
-	columns: []string{"stable.seq", "freed", "delivered.max"},
-	options: func(on bool, _ string) []sintra.SimOption {
-		if on {
-			return []sintra.SimOption{sintra.WithCheckpointInterval(sweepInterval)}
-		}
-		return []sintra.SimOption{sintra.WithCheckpointInterval(-1)}
-	},
+	columns:   []string{"stable.seq", "freed", "delivered.max"},
+	onTuning:  sintra.Tuning{CheckpointInterval: sweepInterval},
+	offTuning: sintra.Tuning{CheckpointInterval: -1},
 	values: func(snap sintra.MetricsSnapshot) []int64 {
 		return []int64{snap.Gauges["checkpoint.stable.seq"].Value, snap.Counter("checkpoint.gc.freed"), snap.Gauges["abc.delivered.size"].Max}
 	},

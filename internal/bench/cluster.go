@@ -26,8 +26,7 @@ const defaultTimeout = 120 * time.Second
 // SetGroupName threads the sintra-bench -group flag here; the default
 // follows the SINTRA_GROUP environment variable (test256 otherwise), so
 // the harness and the test matrix agree. Bench runners execute
-// sequentially, so a package variable is safe — the same convention as
-// verifyBatchOverride.
+// sequentially, so a package variable is safe.
 var benchGroup = group.TestDefault()
 
 // SetGroupName selects the group backend for all subsequent experiment
@@ -61,34 +60,39 @@ type cluster struct {
 	wg       sync.WaitGroup
 }
 
+// clusterOptions are the knobs of one dealt cluster; the zero value is a
+// full, honest cluster under the fair random schedule of seed 1.
+type clusterOptions struct {
+	// sched overrides the network's delivery schedule.
+	sched netsim.Scheduler
+	// crashed parties are never started.
+	crashed []int
+	// forceCert selects the certificate signature scheme even for
+	// threshold structures (ablations).
+	forceCert bool
+	// byzantine routes the listed parties' traffic through faultsim attack
+	// behaviors — active corruption instead of the silence of a crash.
+	byzantine map[int][]faultsim.Behavior
+	// verifyBatch is the routers' verify-coalescing cap: 0 keeps the
+	// engine default, negative disables batch verification.
+	verifyBatch int
+	// verifyWorkers sizes the routers' verify pools (0 keeps the engine
+	// default).
+	verifyWorkers int
+}
+
 // newCluster deals keys and starts routers for every non-crashed party.
-func newCluster(st *adversary.Structure, sched netsim.Scheduler, crashed []int) (*cluster, error) {
-	return newClusterForceCert(st, sched, crashed, false)
-}
-
-// newClusterForceCert additionally selects the certificate signature
-// scheme even for threshold structures (ablations).
-func newClusterForceCert(st *adversary.Structure, sched netsim.Scheduler, crashed []int, forceCert bool) (*cluster, error) {
-	return newClusterFull(st, sched, crashed, forceCert, nil)
-}
-
-// newClusterByzantine starts every party but routes the listed parties'
-// traffic through faultsim attack behaviors — active corruption instead of
-// the silence of a crash.
-func newClusterByzantine(st *adversary.Structure, sched netsim.Scheduler, byz map[int][]faultsim.Behavior) (*cluster, error) {
-	return newClusterFull(st, sched, nil, false, byz)
-}
-
-func newClusterFull(st *adversary.Structure, sched netsim.Scheduler, crashed []int, forceCert bool, byz map[int][]faultsim.Behavior) (*cluster, error) {
+func newCluster(st *adversary.Structure, o clusterOptions) (*cluster, error) {
 	pub, secrets, err := deal.New(deal.Options{
 		Group:     benchGroup,
 		Structure: st,
 		RSAPrimes: deal.TestPrimes256(),
-		ForceCert: forceCert,
+		ForceCert: o.forceCert,
 	})
 	if err != nil {
 		return nil, err
 	}
+	sched := o.sched
 	if sched == nil {
 		sched = netsim.NewRandomScheduler(1)
 	}
@@ -100,8 +104,8 @@ func newClusterFull(st *adversary.Structure, sched netsim.Scheduler, crashed []i
 		reg:     obs.NewRegistry(),
 	}
 	c.net.SetObserver(c.reg)
-	down := make(map[int]bool, len(crashed))
-	for _, i := range crashed {
+	down := make(map[int]bool, len(o.crashed))
+	for _, i := range o.crashed {
 		down[i] = true
 	}
 	c.routers = make([]*engine.Router, st.N())
@@ -110,18 +114,16 @@ func newClusterFull(st *adversary.Structure, sched netsim.Scheduler, crashed []i
 			continue
 		}
 		var tr wire.Transport = c.net.Endpoint(i)
-		if bs := byz[i]; len(bs) > 0 {
+		if bs := o.byzantine[i]; len(bs) > 0 {
 			p := faultsim.Wrap(tr, int64(1000003*(i+1)), bs...)
 			p.SetObserver(c.reg)
 			tr = p
 		}
 		r := engine.NewRouter(tr)
 		r.SetObserver(c.reg)
-		if verifyBatchOverride != 0 {
-			r.SetVerifyBatch(verifyBatchOverride)
-		}
-		if verifyWorkersOverride != 0 {
-			r.SetVerifyWorkers(verifyWorkersOverride)
+		r.SetVerifyBatch(o.verifyBatch)
+		if o.verifyWorkers != 0 {
+			r.SetVerifyWorkers(o.verifyWorkers)
 		}
 		c.routers[i] = r
 		c.wg.Add(1)

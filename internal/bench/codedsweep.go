@@ -62,7 +62,7 @@ func RunCodedSweep(ns, payloads []int, modes []string, ops int) ([]CodedRow, err
 }
 
 func runCodedOnce(st *adversary.Structure, mode string, threshold, payload, ops int) (CodedRow, error) {
-	c, err := newCluster(st, nil, nil)
+	c, err := newCluster(st, clusterOptions{})
 	if err != nil {
 		return CodedRow{}, err
 	}

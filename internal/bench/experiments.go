@@ -35,7 +35,7 @@ func RunABARounds(ns []int, trials int) ([]ABARow, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := newCluster(st, netsim.NewRandomScheduler(7), nil)
+		c, err := newCluster(st, clusterOptions{sched: netsim.NewRandomScheduler(7)})
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +115,7 @@ func RunF1(window time.Duration) (F1Result, error) {
 	// Part 1: the deterministic baseline under the paper's §2.2 attack.
 	{
 		sched := baseline.NewLeaderStalker(st, netsim.NewRandomScheduler(3))
-		c, err := newCluster(st, sched, nil)
+		c, err := newCluster(st, clusterOptions{sched: sched})
 		if err != nil {
 			return res, err
 		}
@@ -145,7 +145,7 @@ func RunF1(window time.Duration) (F1Result, error) {
 	// party's traffic completely (a strictly stronger single-target attack
 	// than delaying a leader: there is no leader to protect).
 	run := func(sched netsim.Scheduler) (int64, error) {
-		c, err := newCluster(st, sched, nil)
+		c, err := newCluster(st, clusterOptions{sched: sched})
 		if err != nil {
 			return 0, err
 		}

@@ -107,7 +107,7 @@ func runExample(name string, st *adversary.Structure, crashed []int, ops int) (E
 	}
 
 	// Live run with the claimed corruption crashed.
-	c, err := newCluster(st, nil, crashed)
+	c, err := newCluster(st, clusterOptions{crashed: crashed})
 	if err != nil {
 		return res, err
 	}

@@ -81,7 +81,7 @@ func RunLayer(n int, layer string, ops int) (StackRow, error) {
 
 // runStackLayer measures one layer on a fresh cluster.
 func runStackLayer(st *adversary.Structure, layer string, ops int) (StackRow, error) {
-	c, err := newCluster(st, nil, nil)
+	c, err := newCluster(st, clusterOptions{})
 	if err != nil {
 		return StackRow{}, err
 	}

@@ -75,14 +75,14 @@ func runTolerancePoint(st *adversary.Structure, fault string, faulty, ops int, w
 			down = append(down, n-1-i)
 			honest[n-1-i] = false
 		}
-		c, err = newCluster(st, netsim.NewRandomScheduler(int64(29+faulty)), down)
+		c, err = newCluster(st, clusterOptions{sched: netsim.NewRandomScheduler(int64(29 + faulty)), crashed: down})
 	case "byzantine":
 		byz := make(map[int][]faultsim.Behavior, faulty)
 		for i := 0; i < faulty; i++ {
 			byz[n-1-i] = []faultsim.Behavior{faultsim.Equivocate()}
 			honest[n-1-i] = false
 		}
-		c, err = newClusterByzantine(st, netsim.NewRandomScheduler(int64(59+faulty)), byz)
+		c, err = newCluster(st, clusterOptions{sched: netsim.NewRandomScheduler(int64(59 + faulty)), byzantine: byz})
 	default:
 		return ToleranceRow{}, fmt.Errorf("bench: unknown fault kind %q", fault)
 	}

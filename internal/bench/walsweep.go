@@ -15,14 +15,10 @@ var WALSweep = CostSweep{
 	what:  "durability",
 	title: fmt.Sprintf("Write-ahead log cost (full service stack, checkpoint interval %d)", sweepInterval),
 	on:    "journaled", off: "no-wal",
-	columns: []string{"wal.records", "wal.fsyncs", "wal.bytes"},
-	options: func(on bool, dir string) []sintra.SimOption {
-		opts := []sintra.SimOption{sintra.WithCheckpointInterval(sweepInterval)}
-		if on {
-			opts = append(opts, sintra.WithDataDir(dir))
-		}
-		return opts
-	},
+	columns:   []string{"wal.records", "wal.fsyncs", "wal.bytes"},
+	onTuning:  sintra.Tuning{CheckpointInterval: sweepInterval},
+	offTuning: sintra.Tuning{CheckpointInterval: sweepInterval},
+	dataDir:   true,
 	values: func(snap sintra.MetricsSnapshot) []int64 {
 		return []int64{snap.Counter("wal.records"), snap.Counter("wal.fsyncs"), snap.Gauges["wal.size.bytes"].Value}
 	},

@@ -92,6 +92,24 @@ func (h *harness) deliver(p []byte) {
 	h.seq++
 }
 
+// deliverInterval has replicas [0, live) deliver one four-payload
+// checkpoint interval and note the round that follows, without ending it.
+// Every replica must deliver before any of them calls RoundEnd: a SHARE for
+// seq 4 reaching a replica still at seq 0 marks it a full interval behind,
+// so it would install its peers' certified snapshot — and then deliver its
+// own four payloads on top of it, and hold no snapshot to serve.
+func deliverInterval(c *testutil.Cluster, hs []*harness, live int, prefix string, round int64) {
+	for i := 0; i < live; i++ {
+		h := hs[i]
+		c.Routers[i].DoSync(func() {
+			for s := 0; s < 4; s++ {
+				h.deliver(fmt.Appendf(nil, "%s%d", prefix, s))
+			}
+			h.round = round
+		})
+	}
+}
+
 func waitStable(t *testing.T, c *testutil.Cluster, hs []*harness, i int, seq int64) checkpoint.Checkpoint {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -117,15 +135,10 @@ func TestCertificateFormation(t *testing.T) {
 	c := testutil.NewCluster(t, st, testutil.Options{})
 	hs := newHarnesses(t, c, 4)
 
+	deliverInterval(c, hs, c.N(), "payload-", 2)
 	for i := 0; i < c.N(); i++ {
 		h := hs[i]
-		c.Routers[i].DoSync(func() {
-			for s := 0; s < 4; s++ {
-				h.deliver(fmt.Appendf(nil, "payload-%d", s))
-			}
-			h.round = 2
-			h.tracker.RoundEnd(h.seq, h.round)
-		})
+		c.Routers[i].DoSync(func() { h.tracker.RoundEnd(h.seq, h.round) })
 	}
 	for i := 0; i < c.N(); i++ {
 		cp := waitStable(t, c, hs, i, 4)
@@ -177,13 +190,10 @@ func TestCatchUpInstall(t *testing.T) {
 
 	// Replicas 0-2 deliver six payloads and checkpoint at seq 4; replica 3
 	// saw nothing (crashed). The extra two payloads form the live suffix.
+	deliverInterval(c, hs, 3, "p", 3)
 	for i := 0; i < 3; i++ {
 		h := hs[i]
 		c.Routers[i].DoSync(func() {
-			for s := 0; s < 4; s++ {
-				h.deliver(fmt.Appendf(nil, "p%d", s))
-			}
-			h.round = 3
 			h.tracker.RoundEnd(h.seq, h.round)
 			h.deliver([]byte("p4"))
 			h.deliver([]byte("p5"))
@@ -306,6 +316,12 @@ func (l *lossyTransport) setDropping(v bool) {
 	l.mu.Unlock()
 }
 
+func (l *lossyTransport) droppedCount() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dropped
+}
+
 func (l *lossyTransport) Recv() (wire.Message, bool) {
 	for {
 		m, ok := l.Transport.Recv()
@@ -374,15 +390,10 @@ func lossyLaggard(t *testing.T, retry time.Duration) (*testutil.Cluster, []*harn
 	// Replicas 0-2 certify a checkpoint at seq 4; their SHARE broadcasts
 	// reach replica 3, whose frontier of 0 marks it a full interval
 	// behind, so it FETCHes — and every STATE reply vanishes on its link.
+	deliverInterval(c, hs, 3, "r", 2)
 	for i := 0; i < 3; i++ {
 		h := hs[i]
-		c.Routers[i].DoSync(func() {
-			for s := 0; s < 4; s++ {
-				h.deliver(fmt.Appendf(nil, "r%d", s))
-			}
-			h.round = 2
-			h.tracker.RoundEnd(h.seq, h.round)
-		})
+		c.Routers[i].DoSync(func() { h.tracker.RoundEnd(h.seq, h.round) })
 	}
 	waitStable(t, c, hs, 0, 4)
 	return c, hs, h3, r3, lossy, reg
@@ -410,7 +421,7 @@ func TestCatchUpStallsWithoutRetry(t *testing.T) {
 	if installs != 0 {
 		t.Fatalf("laggard installed %d checkpoints with retries disabled — the stall this test documents is gone, update it", installs)
 	}
-	if lossy.dropped == 0 {
+	if lossy.droppedCount() == 0 {
 		t.Fatal("no STATE reply was ever dropped: the scenario never exercised the lossy link")
 	}
 	if n := reg.Snapshot().Counter("checkpoint.catchup.retries"); n != 0 {
@@ -426,8 +437,18 @@ func TestCatchUpStallsWithoutRetry(t *testing.T) {
 func TestCatchUpRetryRecoversLostState(t *testing.T) {
 	c, hs, h3, r3, lossy, reg := lossyLaggard(t, 40*time.Millisecond)
 
-	// Let several retry ticks burn against the lossy link.
-	time.Sleep(90 * time.Millisecond)
+	// Let a STATE reply vanish and a retry tick burn against the lossy
+	// link. Waiting for the events (not a fixed sleep) heals the link
+	// while the peers still have serve budget left, however slowly this
+	// goroutine is scheduled.
+	for deadline := time.Now().Add(10 * time.Second); lossy.droppedCount() == 0 ||
+		reg.Snapshot().Counter("checkpoint.catchup.retries") == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("lossy link never exercised: %d STATE replies dropped, %d retries",
+				lossy.droppedCount(), reg.Snapshot().Counter("checkpoint.catchup.retries"))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	var installs int
 	r3.DoSync(func() { installs = h3.install.count })
 	if installs != 0 {
@@ -442,12 +463,10 @@ func TestCatchUpRetryRecoversLostState(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("laggard never installed after the link healed: retry FETCH not re-sent")
+			t.Fatalf("laggard never installed after the link healed: retry FETCH not re-sent (dropped=%d retries=%d)",
+				lossy.droppedCount(), reg.Snapshot().Counter("checkpoint.catchup.retries"))
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	if lossy.dropped == 0 {
-		t.Fatal("no STATE reply was ever dropped: the retry was never needed")
 	}
 	if n := reg.Snapshot().Counter("checkpoint.catchup.retries"); n == 0 {
 		t.Fatal("checkpoint.catchup.retries never incremented")

@@ -164,16 +164,6 @@ func (c *Client) InvokeContext(ctx context.Context, body []byte) (Answer, error)
 	return a, err
 }
 
-// Invoke executes one request with a plain timeout.
-//
-// Deprecated: Invoke survives as a thin compatibility wrapper around
-// InvokeContext; new code should pass a context instead of a timeout.
-func (c *Client) Invoke(body []byte, timeout time.Duration) (Answer, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return c.InvokeContext(ctx, body)
-}
-
 func (c *Client) invoke(ctx context.Context, body []byte) (Answer, error) {
 	var reqID [16]byte
 	if _, err := rand.Read(reqID[:]); err != nil {

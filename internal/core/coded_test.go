@@ -32,14 +32,13 @@ func TestLargeRequestCodedAndChunked(t *testing.T) {
 	nodes := make(map[int]*core.Node, len(parties))
 	for _, i := range parties {
 		n, err := core.NewNode(core.NodeConfig{
-			Public:         c.Pub,
-			Secret:         c.Secrets[i],
-			Transport:      c.Net.Endpoint(i),
-			ServiceName:    "test",
-			Service:        digestService{},
-			Mode:           core.ModeAtomic,
-			CodedThreshold: 512,
-			ChunkSize:      1024,
+			Public:      c.Pub,
+			Secret:      c.Secrets[i],
+			Transport:   c.Net.Endpoint(i),
+			ServiceName: "test",
+			Service:     digestService{},
+			Mode:        core.ModeAtomic,
+			Tuning:      core.Tuning{CodedThreshold: 512, ChunkSize: 1024},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +58,7 @@ func TestLargeRequestCodedAndChunked(t *testing.T) {
 
 	req := make([]byte, 10_000)
 	rand.New(rand.NewSource(62)).Read(req)
-	ans, err := client.Invoke(req, 120*time.Second)
+	ans, err := invokeWithin(client, req, 120*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,6 +89,13 @@ func coreCluster(t *testing.T, st *adversary.Structure, opts testutil.Options) *
 	return testutil.NewCluster(t, st, opts)
 }
 
+// invokeWithin executes one request with a plain timeout.
+func invokeWithin(c *core.Client, body []byte, timeout time.Duration) (core.Answer, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return c.InvokeContext(ctx, body)
+}
+
 func TestClientInvokeAtomic(t *testing.T) {
 	st := adversary.MustThreshold(4, 1)
 	c := coreCluster(t, st, testutil.Options{Seed: 2})
@@ -96,7 +103,7 @@ func TestClientInvokeAtomic(t *testing.T) {
 	client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", core.ModeAtomic)
 	defer client.Close()
 
-	ans, err := client.Invoke([]byte("hello"), 60*time.Second)
+	ans, err := invokeWithin(client, []byte("hello"), 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +126,7 @@ func TestSequentialStateEvolution(t *testing.T) {
 	// reflect the same replica history: counts strictly increase.
 	last := int64(-1)
 	for k := 0; k < 3; k++ {
-		ans, err := client.Invoke([]byte("xx"), 60*time.Second)
+		ans, err := invokeWithin(client, []byte("xx"), 60*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +147,7 @@ func TestClientSurvivesCrashedServer(t *testing.T) {
 	nodesFor(t, c, []int{0, 1, 2}, core.ModeAtomic, func() core.StateMachine { return &echoService{} })
 	client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", core.ModeAtomic)
 	defer client.Close()
-	ans, err := client.Invoke([]byte("crash-tolerant"), 90*time.Second)
+	ans, err := invokeWithin(client, []byte("crash-tolerant"), 90*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +162,7 @@ func TestSecureCausalMode(t *testing.T) {
 	nodesFor(t, c, []int{0, 1, 2, 3}, core.ModeSecureCausal, func() core.StateMachine { return &echoService{} })
 	client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", core.ModeSecureCausal)
 	defer client.Close()
-	ans, err := client.Invoke([]byte("confidential"), 90*time.Second)
+	ans, err := invokeWithin(client, []byte("confidential"), 90*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +188,7 @@ func TestTwoClientsConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = cl.Invoke([]byte(fmt.Sprintf("client-%d", i)), 90*time.Second)
+			results[i], errs[i] = invokeWithin(cl, []byte(fmt.Sprintf("client-%d", i)), 90*time.Second)
 		}()
 	}
 	wg.Wait()
@@ -203,7 +210,7 @@ func TestGeneralStructureService(t *testing.T) {
 	nodesFor(t, c, []int{4, 5, 6, 7, 8}, core.ModeAtomic, func() core.StateMachine { return &echoService{} })
 	client := core.NewClient(c.Pub, c.Net.Endpoint(9), "test", core.ModeAtomic)
 	defer client.Close()
-	ans, err := client.Invoke([]byte("class-a-is-down"), 120*time.Second)
+	ans, err := invokeWithin(client, []byte("class-a-is-down"), 120*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +265,7 @@ func TestByzantineResponderCannotFoolClient(t *testing.T) {
 
 	client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", core.ModeAtomic)
 	defer client.Close()
-	ans, err := client.Invoke([]byte("truth"), 90*time.Second)
+	ans, err := invokeWithin(client, []byte("truth"), 90*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +312,7 @@ func TestClientTimeoutWhenServersDown(t *testing.T) {
 	c := coreCluster(t, st, testutil.Options{Seed: 15})
 	client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", core.ModeAtomic)
 	defer client.Close()
-	_, err := client.Invoke([]byte("void"), 300*time.Millisecond)
+	_, err := invokeWithin(client, []byte("void"), 300*time.Millisecond)
 	if !errors.Is(err, core.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -346,7 +353,7 @@ func TestClientClosed(t *testing.T) {
 	c := coreCluster(t, st, testutil.Options{Seed: 16})
 	client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", core.ModeAtomic)
 	client.Close()
-	if _, err := client.Invoke([]byte("x"), time.Second); !errors.Is(err, core.ErrClosed) {
+	if _, err := invokeWithin(client, []byte("x"), time.Second); !errors.Is(err, core.ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	client.Close() // idempotent
@@ -385,7 +392,7 @@ func TestVerifyAnswerRejectsForgery(t *testing.T) {
 	nodesFor(t, c, []int{0, 1, 2, 3}, core.ModeAtomic, func() core.StateMachine { return &echoService{} })
 	client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", core.ModeAtomic)
 	defer client.Close()
-	ans, err := client.Invoke([]byte("real"), 60*time.Second)
+	ans, err := invokeWithin(client, []byte("real"), 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +473,7 @@ func TestLargerClusterService(t *testing.T) {
 	client := core.NewClient(c.Pub, c.Net.Endpoint(7), "test", core.ModeAtomic)
 	defer client.Close()
 	for k := 0; k < 2; k++ {
-		ans, err := client.Invoke([]byte(fmt.Sprintf("big-%d", k)), 120*time.Second)
+		ans, err := invokeWithin(client, []byte(fmt.Sprintf("big-%d", k)), 120*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,15 +22,10 @@ import (
 	"sintra/internal/wire"
 )
 
-// DefaultCheckpointInterval is the checkpoint period (in delivered
-// payloads) used when the service implements Snapshotter and no explicit
-// interval is configured.
-const DefaultCheckpointInterval = 256
-
-// defaultRequestTTL is the fallback expiry for request bookkeeping of
+// requestTTL is the fallback expiry for request bookkeeping of
 // payloads that never a-deliver; the stable-checkpoint horizon usually
 // clears them first.
-const defaultRequestTTL = 2 * time.Minute
+const requestTTL = 2 * time.Minute
 
 // maxPendingRequests hard-caps the request-bookkeeping map; beyond it
 // the oldest entries are evicted (a flood of undeliverable requests
@@ -58,54 +53,11 @@ type NodeConfig struct {
 	// (see trust.ParseSpec) and must pass the same per-party fail-prone
 	// systems on every replica.
 	Trust trust.Quorums
-	// BatchSize tunes the atomic broadcast batches (the adaptive floor).
-	BatchSize int
-	// MaxBatchSize caps the atomic broadcast's adaptive batch growth:
-	// 0 defaults to 8x the batch size; values below BatchSize clamp to
-	// BatchSize, pinning the batch (adaptation off).
-	MaxBatchSize int
 	// Observer optionally wires the replica — its router, the whole
 	// broadcast stack beneath it, and the state-machine execution — into
-	// an observability registry. Nil leaves observability off.
+	// an observability registry. Nil leaves observability off. Structured
+	// protocol-stage events go to the registry's tracer (SetTracer).
 	Observer *obs.Registry
-	// Tracer optionally receives structured protocol-stage events; it is
-	// installed on Observer (and ignored when Observer is nil).
-	Tracer obs.Tracer
-	// VerifyWorkers sizes the router's parallel message-verification
-	// pool: 0 keeps the engine default (GOMAXPROCS), a negative value
-	// disables the pool (all verification inline on the dispatch
-	// goroutine), a positive value sets the worker count.
-	VerifyWorkers int
-	// VerifyBatch caps how many queued same-kind messages one verify
-	// worker coalesces into a single batch-verification call: 0 keeps
-	// the engine default, a negative value disables coalescing (every
-	// share proof checked individually), a positive value sets the cap.
-	VerifyBatch int
-	// CheckpointInterval is the checkpoint/GC period in delivered
-	// payloads: 0 selects DefaultCheckpointInterval, negative disables
-	// checkpointing. Effective only in ModeAtomic with a Service that
-	// implements Snapshotter; otherwise the node falls back to the
-	// ordering layer's deterministic retention-window pruning.
-	CheckpointInterval int64
-	// RetentionWindow overrides the ordering layer's delivered-digest
-	// dedup bound (see abc.Config.RetentionWindow). Must be identical on
-	// every replica.
-	RetentionWindow int64
-	// RequestTTL overrides the fallback expiry of request bookkeeping
-	// for payloads that never deliver (0 selects defaultRequestTTL).
-	RequestTTL time.Duration
-	// CodedThreshold switches ordering-layer proposals whose batches
-	// reach this many bytes to coded dissemination (digest header plus
-	// one erasure-coded reliable broadcast). 0 selects
-	// abc.DefaultCodedThreshold, negative disables. Must be identical on
-	// every replica.
-	CodedThreshold int
-	// ChunkSize splits oversized client payloads into deterministic
-	// frames reassembled after ordering, so one huge request cannot
-	// wedge a round. 0 selects abc.DefaultChunkSize, negative disables.
-	// Atomic mode only (the secure-causal pipeline needs dense sequence
-	// numbers); must be identical on every replica.
-	ChunkSize int
 	// DataDir, when non-empty, enables the durable write-ahead log under
 	// this directory: every protocol-critical outbound message (RBC
 	// echoes, ABA votes, coin shares, signed proposals, ...) is journaled
@@ -114,18 +66,18 @@ type NodeConfig struct {
 	// re-sends byte-identical messages — never conflicting ones. Empty keeps the
 	// replica memoryless (a restart is amnesiac, as before this knob).
 	DataDir string
-	// WALSyncInterval disables the journal's fsync when negative (tests);
-	// zero and every positive value mean fsync on.
-	WALSyncInterval time.Duration
 	// WALFailAppend is a crash-injection hook forwarded to the WAL: the
 	// first append whose LSN it accepts fails and wedges the journal,
 	// muting the replica mid-protocol (kill-at-record-N testing).
 	WALFailAppend func(lsn uint64) bool
+	// Tuning holds every performance and protocol knob; the zero value is
+	// the default configuration.
+	Tuning
 }
 
 // Node is one replica of a distributed trusted service.
 type Node struct {
-	cfg    NodeConfig
+	cfg    NodeConfig // Tuning resolved: every default written out
 	router *engine.Router
 
 	// reqClients maps a request correlation ID to the client endpoints
@@ -137,15 +89,11 @@ type Node struct {
 	reqOrder     [][16]byte
 	reqHead      int
 	reqSinceScan int
-	reqTTL       time.Duration
-
-	applied int64 // requests applied (dispatch goroutine only)
 
 	// Atomic-mode checkpointing (nil when disabled or not applicable).
-	abc      *abc.ABC
-	ckpt     *checkpoint.Tracker
-	snapper  Snapshotter
-	interval int64
+	abc     *abc.ABC
+	ckpt    *checkpoint.Tracker
+	snapper Snapshotter
 
 	// journal is the durability journal (nil without DataDir). Opened —
 	// and replayed — before any protocol instance exists, so recovered
@@ -179,29 +127,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Mode != ModeAtomic && cfg.Mode != ModeSecureCausal {
 		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
 	}
+	cfg.Tuning = cfg.Tuning.resolved()
 	n := &Node{
 		cfg:        cfg,
 		router:     engine.NewRouter(cfg.Transport),
 		reqClients: make(map[[16]byte]*reqEntry),
-		reqTTL:     cfg.RequestTTL,
 	}
-	if n.reqTTL <= 0 {
-		n.reqTTL = defaultRequestTTL
-	}
-	if cfg.VerifyWorkers != 0 {
-		workers := cfg.VerifyWorkers
-		if workers < 0 {
-			workers = 0
-		}
-		n.router.SetVerifyWorkers(workers)
-	}
-	if cfg.VerifyBatch != 0 {
-		n.router.SetVerifyBatch(cfg.VerifyBatch)
-	}
+	n.router.SetVerifyWorkers(cfg.VerifyWorkers)
 	if cfg.Observer != nil {
-		if cfg.Tracer != nil {
-			cfg.Observer.SetTracer(cfg.Tracer)
-		}
 		n.router.SetObserver(cfg.Observer)
 		n.appliedCount = cfg.Observer.Counter("node.applied")
 		n.applyLat = cfg.Observer.Histogram("node.apply.latency")
@@ -213,8 +146,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	// in force when the first message could be sent.
 	if cfg.DataDir != "" {
 		j, err := wal.OpenJournal(filepath.Join(cfg.DataDir, "wal"), wal.Options{
-			SyncInterval: cfg.WALSyncInterval,
-			FailAppend:   cfg.WALFailAppend,
+			NoSync:     cfg.NoFsync,
+			FailAppend: cfg.WALFailAppend,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: open journal: %w", err)
@@ -230,13 +163,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 
 	// Checkpointing engages in atomic mode when the service can snapshot
-	// itself and the interval is not explicitly disabled.
-	n.interval = cfg.CheckpointInterval
-	if n.interval == 0 {
-		n.interval = DefaultCheckpointInterval
-	}
+	// itself and the interval is not turned off.
 	snapper, canSnap := cfg.Service.(Snapshotter)
-	useCkpt := cfg.Mode == ModeAtomic && canSnap && n.interval > 0
+	useCkpt := cfg.Mode == ModeAtomic && canSnap && cfg.CheckpointInterval > 0
 
 	qtrust := cfg.Trust
 	if qtrust == nil {
@@ -256,23 +185,22 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	switch cfg.Mode {
 	case ModeAtomic:
 		abcCfg := abc.Config{
-			Router:          n.router,
-			Struct:          cfg.Public.Structure,
-			Trust:           qtrust,
-			Instance:        "svc/" + cfg.ServiceName,
-			Identity:        cfg.Public.Identity,
-			IDKey:           cfg.Secret.Identity,
-			Coin:            cfg.Public.Coin,
-			CoinKey:         cfg.Secret.Coin,
-			Scheme:          cfg.Public.QuorumSig(),
-			Key:             cfg.Secret.SigQuorum,
-			BatchSize:       cfg.BatchSize,
-			MaxBatchSize:    cfg.MaxBatchSize,
-			RetentionWindow: cfg.RetentionWindow,
-			CodedThreshold:  cfg.CodedThreshold,
-			ChunkSize:       cfg.ChunkSize,
-			Deliver:         n.onAtomicDeliver,
-			RoundEnd:        n.onRoundEnd,
+			Router:         n.router,
+			Struct:         cfg.Public.Structure,
+			Trust:          qtrust,
+			Instance:       "svc/" + cfg.ServiceName,
+			Identity:       cfg.Public.Identity,
+			IDKey:          cfg.Secret.Identity,
+			Coin:           cfg.Public.Coin,
+			CoinKey:        cfg.Secret.Coin,
+			Scheme:         cfg.Public.QuorumSig(),
+			Key:            cfg.Secret.SigQuorum,
+			BatchSize:      cfg.BatchSize,
+			MaxBatchSize:   cfg.MaxBatchSize,
+			CodedThreshold: cfg.CodedThreshold,
+			ChunkSize:      cfg.ChunkSize,
+			Deliver:        n.onAtomicDeliver,
+			RoundEnd:       n.onRoundEnd,
 		}
 		if useCkpt {
 			// Late binding through the node fields: the tracker needs the
@@ -299,7 +227,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 				Instance:   "svc/" + cfg.ServiceName,
 				Scheme:     cfg.Public.AnswerSig(),
 				Key:        cfg.Secret.SigAnswer,
-				Interval:   n.interval,
+				Interval:   cfg.CheckpointInterval,
 				Snapshot:   n.checkpointSnapshot,
 				CurrentSeq: n.abc.Seq,
 				Suffix:     n.abc.SuffixSince,
@@ -309,23 +237,22 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 	case ModeSecureCausal:
 		scabc.New(scabc.Config{
-			Router:          n.router,
-			Struct:          cfg.Public.Structure,
-			Trust:           qtrust,
-			Instance:        "svc/" + cfg.ServiceName,
-			Identity:        cfg.Public.Identity,
-			IDKey:           cfg.Secret.Identity,
-			Coin:            cfg.Public.Coin,
-			CoinKey:         cfg.Secret.Coin,
-			Scheme:          cfg.Public.QuorumSig(),
-			Key:             cfg.Secret.SigQuorum,
-			Enc:             cfg.Public.Enc,
-			EncKey:          cfg.Secret.Enc,
-			BatchSize:       cfg.BatchSize,
-			MaxBatchSize:    cfg.MaxBatchSize,
-			RetentionWindow: cfg.RetentionWindow,
-			CodedThreshold:  cfg.CodedThreshold,
-			Deliver:         n.onCausalDeliver,
+			Router:         n.router,
+			Struct:         cfg.Public.Structure,
+			Trust:          qtrust,
+			Instance:       "svc/" + cfg.ServiceName,
+			Identity:       cfg.Public.Identity,
+			IDKey:          cfg.Secret.Identity,
+			Coin:           cfg.Public.Coin,
+			CoinKey:        cfg.Secret.Coin,
+			Scheme:         cfg.Public.QuorumSig(),
+			Key:            cfg.Secret.SigQuorum,
+			Enc:            cfg.Public.Enc,
+			EncKey:         cfg.Secret.Enc,
+			BatchSize:      cfg.BatchSize,
+			MaxBatchSize:   cfg.MaxBatchSize,
+			CodedThreshold: cfg.CodedThreshold,
+			Deliver:        n.onCausalDeliver,
 		})
 	}
 	n.router.Register(clientProtocol, cfg.ServiceName, n.onClientMessage)
@@ -362,11 +289,6 @@ func (n *Node) Router() *engine.Router { return n.router }
 // Journal exposes the durability journal (nil without DataDir); the
 // crash-recovery harness inspects recovery and wedge state through it.
 func (n *Node) Journal() *wal.Journal { return n.journal }
-
-// Applied returns how many requests this replica has executed. Must be
-// read via Router().DoSync from outside the dispatch loop; the experiment
-// harness uses it as a progress metric.
-func (n *Node) Applied() int64 { return n.applied }
 
 // Seq reports the atomic-broadcast delivery frontier (0 in secure-causal
 // mode). Safe from any goroutine; the restart/catch-up harness polls it.
@@ -444,7 +366,7 @@ func (n *Node) sweepRequests() {
 		n.reqSinceScan = 0
 		now := time.Now()
 		for id, e := range n.reqClients {
-			if now.Sub(e.at) > n.reqTTL {
+			if now.Sub(e.at) > requestTTL {
 				delete(n.reqClients, id)
 			}
 		}
@@ -487,7 +409,7 @@ func (n *Node) onRoundEnd(seq, nextRound, horizon int64) {
 	// horizon have had every chance to deliver; expire them. The age
 	// guard keeps a just-inserted entry alive when the horizon races
 	// right up to the frontier.
-	grace := n.interval
+	grace := n.cfg.CheckpointInterval
 	if grace <= 0 {
 		grace = DefaultCheckpointInterval
 	}
@@ -545,11 +467,7 @@ func (n *Node) installCheckpoint(cp checkpoint.Checkpoint, snapshot []byte, suff
 			if n.snapper.Restore(w.Svc) != nil {
 				return false
 			}
-			if n.abc.RestoreChunkState(w.Chunks) != nil {
-				return false
-			}
-			n.applied = cp.Seq
-			return true
+			return n.abc.RestoreChunkState(w.Chunks) == nil
 		}
 	}
 	return n.abc.Install(cp.Seq, install, suffix, liveRound)
@@ -656,7 +574,6 @@ func (n *Node) apply(seq int64, env envelope) {
 		start = time.Now()
 	}
 	result := n.cfg.Service.Apply(seq, env.Body)
-	n.applied++
 	n.appliedCount.Inc()
 	n.applyLat.ObserveSince(start)
 	if n.journal != nil {

@@ -348,13 +348,14 @@ func NewRouter(tr wire.Transport) *Router {
 		tasks:            make(chan func(), 256),
 		inCh:             make(chan wire.Message, 1),
 		done:             make(chan struct{}),
-		verifyWorkers:    defaultVerifyWorkers(),
+		verifyWorkers:    DefaultVerifyWorkers(),
 		out:              outbox{wake: make(chan struct{}, 1), quit: make(chan struct{}), done: make(chan struct{})},
 	}
 }
 
-// defaultVerifyWorkers sizes the pool off the available parallelism.
-func defaultVerifyWorkers() int {
+// DefaultVerifyWorkers sizes the pool off the available parallelism: one
+// worker per processor, and no pool (0) on a single one.
+func DefaultVerifyWorkers() int {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		return n
 	}

@@ -449,15 +449,3 @@ func TestDefault() Group {
 	}
 	return g
 }
-
-// Zp exposes the legacy *big.Int arithmetic engine behind a Z_p*-backed
-// Group, or nil for other backends.
-//
-// Deprecated: the big.Int view exists for one release to ease migration;
-// use the Scalar/Point API.
-func Zp(g Group) *ZpGroup {
-	if m, ok := g.(*modpGroup); ok {
-		return m.zp
-	}
-	return nil
-}

@@ -147,9 +147,8 @@ type MVBA struct {
 	trial  int
 	trials map[int]*trialState
 
-	decided  bool
-	decision []byte
-	halted   bool
+	decided bool
+	halted  bool
 
 	span *obs.Span
 }
@@ -212,9 +211,6 @@ func (m *MVBA) Start(proposal []byte) error {
 	}
 	return m.cfg.Router.Loopback(Protocol, m.cfg.Instance, typeStart, startBody{Proposal: proposal})
 }
-
-// Decided returns the decision, if reached.
-func (m *MVBA) Decided() ([]byte, bool) { return m.decision, m.decided }
 
 // Trial returns the current trial number (progress metric).
 func (m *MVBA) Trial() int { return m.trial }
@@ -659,7 +655,6 @@ func (m *MVBA) decide(value []byte) {
 		return
 	}
 	m.decided = true
-	m.decision = value
 	m.span.End(obs.StageDecide, int64(m.trial))
 	if m.cfg.Decide != nil {
 		m.cfg.Decide(value)

@@ -85,12 +85,6 @@ type Config struct {
 	// MaxBatchSize is passed to the embedded atomic broadcast as the
 	// adaptive batching ceiling; see abc.Config.MaxBatchSize.
 	MaxBatchSize int
-	// RetentionWindow is passed to the embedded atomic broadcast as the
-	// delivered-digest dedup bound; see abc.Config.RetentionWindow.
-	// Secure-causal mode relies on the deterministic retention prune for
-	// bounded memory — full checkpoint state transfer is atomic-mode only
-	// (the pending-decrypt pipeline is not settled at round boundaries).
-	RetentionWindow int64
 	// CodedThreshold is passed to the embedded atomic broadcast; see
 	// abc.Config.CodedThreshold. Chunking, by contrast, is always off in
 	// secure-causal mode: the decryption pipeline flushes by dense ABC
@@ -143,23 +137,26 @@ func New(cfg Config) *SCABC {
 	if reg := s.span.Registry(); reg != nil {
 		s.decryptLat = reg.Histogram(Protocol + ".latency.decrypt")
 	}
+	// No checkpoint hooks: secure-causal mode relies on the ordering
+	// layer's deterministic dedup-history prune for bounded memory — full
+	// checkpoint state transfer is atomic-mode only (the pending-decrypt
+	// pipeline is not settled at round boundaries).
 	s.abc = abc.New(abc.Config{
-		Router:          cfg.Router,
-		Struct:          cfg.Struct,
-		Trust:           cfg.Trust,
-		Instance:        cfg.Instance + "/ord",
-		Identity:        cfg.Identity,
-		IDKey:           cfg.IDKey,
-		Coin:            cfg.Coin,
-		CoinKey:         cfg.CoinKey,
-		Scheme:          cfg.Scheme,
-		Key:             cfg.Key,
-		BatchSize:       cfg.BatchSize,
-		MaxBatchSize:    cfg.MaxBatchSize,
-		RetentionWindow: cfg.RetentionWindow,
-		CodedThreshold:  cfg.CodedThreshold,
-		ChunkSize:       -1, // frames would break the dense-seq flush
-		Deliver:         s.onOrdered,
+		Router:         cfg.Router,
+		Struct:         cfg.Struct,
+		Trust:          cfg.Trust,
+		Instance:       cfg.Instance + "/ord",
+		Identity:       cfg.Identity,
+		IDKey:          cfg.IDKey,
+		Coin:           cfg.Coin,
+		CoinKey:        cfg.CoinKey,
+		Scheme:         cfg.Scheme,
+		Key:            cfg.Key,
+		BatchSize:      cfg.BatchSize,
+		MaxBatchSize:   cfg.MaxBatchSize,
+		CodedThreshold: cfg.CodedThreshold,
+		ChunkSize:      -1, // frames would break the dense-seq flush
+		Deliver:        s.onOrdered,
 	})
 	cfg.Router.RegisterSplit(Protocol, cfg.Instance, engine.SplitHandler{
 		Verify:      s.verifyMsg,

@@ -113,11 +113,11 @@ func TestAuthEndToEndConfidential(t *testing.T) {
 	defer client.Close()
 
 	enroll := mustJSON(t, service.AuthRequest{Op: service.OpEnroll, User: "alice", Secret: []byte("s3cr3t")})
-	if _, err := client.Invoke(enroll, 90*time.Second); err != nil {
+	if _, err := invokeWithin(client, enroll, 90*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	verify := mustJSON(t, service.AuthRequest{Op: service.OpVerify, User: "alice", Secret: []byte("s3cr3t")})
-	ans, err := client.Invoke(verify, 90*time.Second)
+	ans, err := invokeWithin(client, verify, 90*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

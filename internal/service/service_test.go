@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -37,6 +38,13 @@ func notaryApply(t *testing.T, n *service.Notary, seq int64, req service.NotaryR
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// invokeWithin executes one request with a plain timeout.
+func invokeWithin(c *core.Client, body []byte, timeout time.Duration) (core.Answer, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return c.InvokeContext(ctx, body)
 }
 
 func TestDirectoryIssue(t *testing.T) {
@@ -177,7 +185,7 @@ func TestCAEndToEnd(t *testing.T) {
 	defer client.Close()
 
 	req := mustJSON(t, service.DirectoryRequest{Op: service.OpIssue, Name: "alice", PubKey: []byte("alice-pk")})
-	ans, err := client.Invoke(req, 90*time.Second)
+	ans, err := invokeWithin(client, req, 90*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

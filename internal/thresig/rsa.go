@@ -147,21 +147,6 @@ func NewRSAScheme(tag string, p, q *big.Int, n, k int, rnd io.Reader) (*RSASchem
 	return scheme, keys, nil
 }
 
-// GenerateRSAScheme deals a fresh key over newly generated safe primes of
-// the given modulus size. Safe-prime generation is slow; use the embedded
-// test primes (TestSafePrimes256) in tests.
-func GenerateRSAScheme(tag string, modulusBits, n, k int, rnd io.Reader) (*RSAScheme, []*SecretKey, error) {
-	p, err := GenerateSafePrime(modulusBits/2, rnd)
-	if err != nil {
-		return nil, nil, err
-	}
-	q, err := GenerateSafePrime(modulusBits/2, rnd)
-	if err != nil {
-		return nil, nil, err
-	}
-	return NewRSAScheme(tag, p, q, n, k, rnd)
-}
-
 // GenerateSafePrime finds a prime p = 2p'+1 with p' prime, of the given
 // bit length.
 func GenerateSafePrime(bits int, rnd io.Reader) (*big.Int, error) {

@@ -9,10 +9,6 @@ import "math/big"
 const (
 	testSafePrimeA256 = "f66b4943261a5028929e92bbd6ccbebcdcffc0f2487d31f36725663ed264641f"
 	testSafePrimeB256 = "c6f1953e75bdf815f9a756802717236bd3c08178ef8a18ca8b8220a250c75ef7"
-	testSafePrimeA512 = "ec1e909717dc6e7bdf229eecfa6773e72b50818c89a47c87e038138b5d2f3276" +
-		"7bb947a44e2c2ae36401df39d812ba37da46b7fe24b4f3ebc2a1127cc0d343e7"
-	testSafePrimeB512 = "fb1ba400b78710213fbc33136cdac0abdc2b04ceaa9675d811d262676d0b3628" +
-		"2f47b182f6e99301419a79fecdd1a266254a77895bb97e95a7d41245b8032c03"
 )
 
 func mustHex(s string) *big.Int {
@@ -27,10 +23,4 @@ func mustHex(s string) *big.Int {
 // RSA modulus) for fast tests.
 func TestSafePrimes256() (*big.Int, *big.Int) {
 	return mustHex(testSafePrimeA256), mustHex(testSafePrimeB256)
-}
-
-// TestSafePrimes512 returns two embedded 512-bit safe primes (a 1024-bit
-// RSA modulus) for benchmarks that want more realistic key sizes.
-func TestSafePrimes512() (*big.Int, *big.Int) {
-	return mustHex(testSafePrimeA512), mustHex(testSafePrimeB512)
 }

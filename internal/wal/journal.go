@@ -55,9 +55,7 @@ type Journal struct {
 	ledger    map[string]ledgerEntry
 	delivered int64 // highest seq recorded as applied; -1 when none
 
-	// Counters for recovery diagnostics and tests.
-	recovered int // outbound records restored at open
-	skipped   int // undecodable records skipped at open
+	recovered int // outbound records restored at open (diagnostics, tests)
 }
 
 // journalKey builds the ledger key. Slots are scoped to one protocol
@@ -76,8 +74,7 @@ func OpenJournal(dir string, opts Options) (*Journal, error) {
 	for _, r := range records {
 		rec, err := DecodeRecord(r.Payload)
 		if err != nil {
-			j.skipped++
-			continue
+			continue // an undecodable record restores nothing
 		}
 		j.applyRec(rec)
 	}
@@ -223,10 +220,8 @@ func (j *Journal) Entries() int {
 }
 
 // Recovered returns how many outbound records the opening replay
-// restored; Skipped how many records failed to decode and were
-// ignored.
+// restored.
 func (j *Journal) Recovered() int { return j.recovered }
-func (j *Journal) Skipped() int   { return j.skipped }
 
 // Size returns the WAL's on-disk size in bytes.
 func (j *Journal) Size() int64 { return j.log.Size() }

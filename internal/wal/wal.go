@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"sintra/internal/obs"
 )
@@ -64,10 +63,9 @@ type Options struct {
 	// SegmentSize rotates the active segment once it exceeds this many
 	// bytes (default 4 MiB).
 	SegmentSize int64
-	// SyncInterval disables fsync entirely when negative (tests and
-	// benchmarks on throwaway data). Group commit has no window any more,
-	// so zero and every positive value mean the same: fsync on.
-	SyncInterval time.Duration
+	// NoSync disables fsync entirely (tests and benchmarks on throwaway
+	// data): a record counts as committed once the file has its bytes.
+	NoSync bool
 	// FailAppend is a crash-injection hook: when it returns true for
 	// the LSN about to be assigned, the log wedges permanently before
 	// writing the record. Used by the fault simulator to model a crash
@@ -333,7 +331,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.segSize += int64(frameHeaderSize + len(payload))
 	lsn := l.next
 	l.next++
-	if l.opts.SyncInterval < 0 {
+	if l.opts.NoSync {
 		// No fsync: committed once the file has it (byte-exact crash tests).
 		if err := l.flushLocked(); err != nil {
 			l.wedgeLocked(err)
@@ -384,7 +382,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.flushLocked(); err != nil {
 		return err
 	}
-	if l.opts.SyncInterval >= 0 {
+	if !l.opts.NoSync {
 		if err := l.seg.Sync(); err != nil {
 			return err
 		}
@@ -599,7 +597,7 @@ func (l *Log) Close() error {
 	var err error
 	if l.failed == nil {
 		err = l.flushLocked()
-		if err == nil && l.opts.SyncInterval >= 0 && l.synced < l.next {
+		if err == nil && !l.opts.NoSync && l.synced < l.next {
 			err = l.seg.Sync()
 		}
 		if err == nil {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"sintra/internal/obs"
 )
@@ -15,7 +14,7 @@ import (
 // testOpts disables fsync so unit tests don't pay disk latency; the
 // durability path itself is exercised by TestGroupCommitDurable.
 func testOpts() Options {
-	return Options{SyncInterval: -1, SegmentSize: 1 << 20}
+	return Options{NoSync: true, SegmentSize: 1 << 20}
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
@@ -256,7 +255,7 @@ func TestTruncateBefore(t *testing.T) {
 
 func TestGroupCommitDurable(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SyncInterval: time.Millisecond}) // positive means the same as 0
+	l, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

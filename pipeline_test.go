@@ -15,10 +15,10 @@ import (
 func TestPipelineMixedFleetEquivalence(t *testing.T) {
 	c := newChainCluster(t, 4, 1,
 		sintra.WithSeed(42),
-		sintra.WithVerifyWorkersFor(0, -1),
-		sintra.WithVerifyWorkersFor(1, -1),
-		sintra.WithVerifyWorkersFor(2, 4),
-		sintra.WithVerifyWorkersFor(3, 4),
+		sintra.WithTuningFor(0, sintra.Tuning{VerifyWorkers: -1}),
+		sintra.WithTuningFor(1, sintra.Tuning{VerifyWorkers: -1}),
+		sintra.WithTuningFor(2, sintra.Tuning{VerifyWorkers: 4}),
+		sintra.WithTuningFor(3, sintra.Tuning{VerifyWorkers: 4}),
 	)
 	c.run(t, 8)
 	c.assertReplicasConsistent(t)
@@ -37,7 +37,7 @@ func TestPipelineMixedFleetEquivalence(t *testing.T) {
 func TestPipelineVerifyPoolUnderAttack(t *testing.T) {
 	c := newChainCluster(t, 4, 1,
 		sintra.WithSeed(4242),
-		sintra.WithVerifyWorkers(4),
+		sintra.WithTuning(sintra.Tuning{VerifyWorkers: 4}),
 		sintra.WithByzantine(1, sintra.Flood(3), sintra.Mutate(0.4)),
 	)
 	c.run(t, 4)

@@ -73,9 +73,8 @@ func TestChaosDurableCrashMidProtocol(t *testing.T) {
 	dir := t.TempDir()
 	c := newChainCluster(t, 4, 1,
 		sintra.WithSeed(51),
-		sintra.WithCheckpointInterval(8),
+		sintra.WithTuning(sintra.Tuning{CheckpointInterval: 8, NoFsync: true}),
 		sintra.WithDataDir(dir),
-		sintra.WithWALSyncInterval(-1),
 		// Crash replica 2 the moment it tries to journal record 40:
 		// several rounds of commitments are on disk, the current round is
 		// half-spoken.
@@ -87,7 +86,7 @@ func TestChaosDurableCrashMidProtocol(t *testing.T) {
 	}
 	invoke := func(i int) {
 		req := []byte(fmt.Sprintf("durable-request-%d", i))
-		ans, err := client.Invoke(req, 120*time.Second)
+		ans, err := invokeWithin(client, req, 120*time.Second)
 		if err != nil {
 			t.Fatalf("request %d: liveness lost: %v", i, err)
 		}
@@ -167,16 +166,15 @@ func TestChaosDurableRestartDamagedTail(t *testing.T) {
 			dir := t.TempDir()
 			c := newChainCluster(t, 4, 1,
 				sintra.WithSeed(int64(61+i)),
-				sintra.WithCheckpointInterval(8),
+				sintra.WithTuning(sintra.Tuning{CheckpointInterval: 8, NoFsync: true}),
 				sintra.WithDataDir(dir),
-				sintra.WithWALSyncInterval(-1),
 			)
 			client, err := c.dep.NewClient()
 			if err != nil {
 				t.Fatal(err)
 			}
 			invoke := func(k int) {
-				ans, err := client.Invoke([]byte(fmt.Sprintf("tail-request-%d", k)), 120*time.Second)
+				ans, err := invokeWithin(client, []byte(fmt.Sprintf("tail-request-%d", k)), 120*time.Second)
 				if err != nil {
 					t.Fatalf("request %d: liveness lost: %v", k, err)
 				}
@@ -316,7 +314,7 @@ func crashAtRecord(t *testing.T, seed int64, fail func(lsn uint64) bool, fsync b
 	var crashedAt atomic.Uint64
 	opts := []sintra.SimOption{
 		sintra.WithSeed(seed),
-		sintra.WithCheckpointInterval(4),
+		sintra.WithTuning(sintra.Tuning{CheckpointInterval: 4, NoFsync: !fsync}),
 		sintra.WithDataDir(dir),
 		sintra.WithWALCrashPoint(1, func(lsn uint64) bool {
 			if !fail(lsn) {
@@ -329,8 +327,6 @@ func crashAtRecord(t *testing.T, seed int64, fail func(lsn uint64) bool, fsync b
 	tap := &wireTap{}
 	if fsync {
 		opts = append(opts, sintra.WithByzantine(1, tap))
-	} else {
-		opts = append(opts, sintra.WithWALSyncInterval(-1))
 	}
 	c := newChainCluster(t, 4, 1, opts...)
 	client, err := c.dep.NewClient()
@@ -338,7 +334,7 @@ func crashAtRecord(t *testing.T, seed int64, fail func(lsn uint64) bool, fsync b
 		t.Fatal(err)
 	}
 	invoke := func(i int) {
-		ans, err := client.Invoke([]byte(fmt.Sprintf("matrix-%d-%d", seed, i)), 120*time.Second)
+		ans, err := invokeWithin(client, []byte(fmt.Sprintf("matrix-%d-%d", seed, i)), 120*time.Second)
 		if err != nil {
 			t.Fatalf("request %d: liveness lost with replica crashed at record %d: %v", i, crashedAt.Load(), err)
 		}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"sintra/internal/core"
 	"sintra/internal/deal"
@@ -17,118 +16,41 @@ import (
 	"sintra/internal/wire"
 )
 
-// SimOptions configures an in-process simulated deployment. New code
-// should prefer NewDeployment with functional options; this struct form
-// remains fully supported.
-type SimOptions struct {
-	// Structure is the adversary structure (required).
-	Structure *Structure
-	// ServiceName tags the replicated service (default "service").
-	ServiceName string
-	// NewService creates one state-machine replica per server (required).
-	NewService func() StateMachine
-	// Mode selects the dissemination protocol (default ModeAtomic).
-	Mode Mode
-	// Trust optionally overrides every replica's quorum backend; nil
-	// wraps Structure in the symmetric backend (the paper's shared
-	// trust model). See core.NodeConfig.Trust and WithTrust.
-	Trust Quorums
-	// Crashed lists servers that are never started — they stay silent for
-	// the whole run, modelling crash corruption.
-	Crashed []int
-	// Byzantine maps a server index to the attack behaviors applied to
-	// its outbound traffic: the party runs the honest code, but its
-	// transport lies for it. See WithByzantine.
-	Byzantine map[int][]ByzantineBehavior
-	// Scheduler overrides the network's delivery order (default: fair
-	// random under Seed). Use NewPartitionScheduler or NewDelayScheduler
-	// for targeted adversarial schedules.
-	Scheduler NetworkScheduler
-	// Seed makes the adversarial network scheduler deterministic.
-	Seed int64
-	// MaxClients bounds the number of NewClient calls (default 8).
-	MaxClients int
-	// GroupName selects the group backend: "modp2048"/"test256"/"test512"
-	// (Z_p*) or "p256" (elliptic). Empty follows the SINTRA_GROUP
-	// environment variable and falls back to "test256" — fast experiments
-	// by default, and the whole simulation harness re-runs over another
-	// backend by exporting SINTRA_GROUP=p256.
-	GroupName string
-	// ForceCert selects certificate signatures even for thresholds.
-	ForceCert bool
-	// Observer supplies the metrics registry shared by the network, every
-	// replica, and every client. Nil creates a fresh one (the simulated
-	// deployment always observes itself; read it via Metrics).
-	Observer *Registry
-	// Tracer optionally receives structured protocol-stage events from
-	// every layer of every replica.
-	Tracer Tracer
-	// VerifyWorkers sizes each replica's parallel message-verification
-	// pool: 0 keeps the engine default (GOMAXPROCS), negative disables
-	// the pool. Per-server overrides in VerifyWorkersFor win.
-	VerifyWorkers int
-	// VerifyWorkersFor overrides VerifyWorkers per server index,
-	// allowing mixed fleets (some replicas pipelined, some single-stage).
-	VerifyWorkersFor map[int]int
-	// VerifyBatch caps how many queued same-kind messages one verify
-	// worker coalesces into a single batch-verification call on every
-	// replica: 0 keeps the engine default, negative disables coalescing
-	// (per-share verification), positive sets the cap.
-	VerifyBatch int
-	// BatchSize sets every replica's atomic broadcast batch floor
-	// (0 keeps the protocol default).
-	BatchSize int
-	// MaxBatchSize caps the adaptive batch growth; see
-	// core.NodeConfig.MaxBatchSize.
-	MaxBatchSize int
-	// CheckpointInterval sets every replica's checkpoint/GC period in
-	// delivered payloads: 0 keeps the core default, negative disables
-	// checkpointing. Effective in ModeAtomic when the service implements
-	// Snapshotter; see core.NodeConfig.CheckpointInterval.
-	CheckpointInterval int64
-	// RetentionWindow bounds every replica's delivered-digest dedup
-	// history; see core.NodeConfig.RetentionWindow.
-	RetentionWindow int64
-	// CodedThreshold switches ordering-layer proposals whose batches
-	// reach this many bytes to coded dissemination (digest header plus
-	// an erasure-coded reliable broadcast): 0 keeps the protocol default
-	// (4 KiB), negative disables the coded path. See
-	// core.NodeConfig.CodedThreshold.
-	CodedThreshold int
-	// ChunkSize splits oversized client payloads into deterministic
-	// frames reassembled after ordering: 0 keeps the protocol default
-	// (64 KiB), negative disables chunking. Atomic mode only. See
-	// core.NodeConfig.ChunkSize.
-	ChunkSize int
-	// DataDir, when non-empty, gives every replica a durable write-ahead
-	// log under DataDir/server<i>: protocol-critical messages are
-	// journaled before first transmission, and RestartServerDurable
-	// revives a killed replica from its journal (amnesia-free recovery).
-	// Empty keeps replicas memoryless. See core.NodeConfig.DataDir.
-	DataDir string
-	// WALSyncInterval disables every journal's fsync when negative (fast
-	// tests on throwaway data — crash injection still sees the written
-	// bytes); zero and every positive value mean fsync on.
-	WALSyncInterval time.Duration
-	// WALCrash maps a server index to a crash-injection hook handed to
-	// its journal (see core.NodeConfig.WALFailAppend): the first append
-	// it accepts wedges the journal, muting the replica mid-protocol.
-	// RestartServerDurable clears the hook so the revived replica runs
-	// clean. See WithWALCrashPoint.
-	WALCrash map[int]func(lsn uint64) bool
+// simConfig is what the SimOption functions fill in.
+type simConfig struct {
+	structure   *Structure
+	newService  func() StateMachine
+	serviceName string // default "service"
+	mode        Mode   // default ModeAtomic
+	trust       Quorums
+	crashed     []int
+	byzantine   map[int][]ByzantineBehavior
+	scheduler   NetworkScheduler
+	seed        int64
+	maxClients  int // default 8
+	groupName   string
+	forceCert   bool
+	observer    *Registry
+	tracer      Tracer
+	dataDir     string
+	walCrash    map[int]func(lsn uint64) bool
+
+	Tuning                   // every replica's knobs ...
+	tuningFor map[int]Tuning // ... unless the server has its own
 }
 
 // SimOption is a functional option for NewDeployment.
-type SimOption func(*SimOptions)
+type SimOption func(*simConfig)
 
-// WithServiceName tags the replicated service.
+// WithServiceName tags the replicated service (default "service").
 func WithServiceName(name string) SimOption {
-	return func(o *SimOptions) { o.ServiceName = name }
+	return func(o *simConfig) { o.serviceName = name }
 }
 
-// WithMode selects atomic or secure-causal request dissemination.
+// WithMode selects atomic (the default) or secure-causal request
+// dissemination.
 func WithMode(m Mode) SimOption {
-	return func(o *SimOptions) { o.Mode = m }
+	return func(o *simConfig) { o.mode = m }
 }
 
 // WithTrust installs a quorum backend on every replica — e.g. an
@@ -136,13 +58,13 @@ func WithMode(m Mode) SimOption {
 // its own fail-prone assumptions. Nil (the default) keeps the symmetric
 // backend over the deployment's adversary structure.
 func WithTrust(q Quorums) SimOption {
-	return func(o *SimOptions) { o.Trust = q }
+	return func(o *simConfig) { o.trust = q }
 }
 
 // WithCrashed leaves the listed servers silent for the whole run,
 // modelling crash corruption.
 func WithCrashed(servers ...int) SimOption {
-	return func(o *SimOptions) { o.Crashed = append(o.Crashed, servers...) }
+	return func(o *simConfig) { o.crashed = append(o.crashed, servers...) }
 }
 
 // WithByzantine corrupts one server with the given attack behaviors,
@@ -152,121 +74,76 @@ func WithCrashed(servers ...int) SimOption {
 // further WithByzantine calls for a mixed fleet; keep the corrupted set
 // inside the adversary structure for the protocol guarantees to hold.
 func WithByzantine(server int, behaviors ...ByzantineBehavior) SimOption {
-	return func(o *SimOptions) {
-		if o.Byzantine == nil {
-			o.Byzantine = make(map[int][]ByzantineBehavior)
+	return func(o *simConfig) {
+		if o.byzantine == nil {
+			o.byzantine = make(map[int][]ByzantineBehavior)
 		}
-		o.Byzantine[server] = append(o.Byzantine[server], behaviors...)
+		o.byzantine[server] = append(o.byzantine[server], behaviors...)
 	}
 }
 
-// WithScheduler overrides the network's delivery schedule — e.g. a
-// PartitionScheduler that isolates parties until it heals.
+// WithScheduler overrides the network's delivery schedule (default: fair
+// random under the seed) — e.g. a PartitionScheduler that isolates parties
+// until it heals.
 func WithScheduler(s NetworkScheduler) SimOption {
-	return func(o *SimOptions) { o.Scheduler = s }
+	return func(o *simConfig) { o.scheduler = s }
 }
 
-// WithSeed makes the adversarial network scheduler deterministic.
+// WithSeed makes the adversarial network scheduler deterministic
+// (default 1).
 func WithSeed(seed int64) SimOption {
-	return func(o *SimOptions) { o.Seed = seed }
+	return func(o *simConfig) { o.seed = seed }
 }
 
-// WithMaxClients bounds the number of NewClient calls.
+// WithMaxClients bounds the number of NewClient calls (default 8).
 func WithMaxClients(n int) SimOption {
-	return func(o *SimOptions) { o.MaxClients = n }
+	return func(o *simConfig) { o.maxClients = n }
 }
 
-// WithGroupName selects the discrete-log group by name.
+// WithGroupName selects the group backend: "modp2048"/"test256"/"test512"
+// (Z_p*) or "p256" (elliptic). The default follows the SINTRA_GROUP
+// environment variable and falls back to "test256" — fast experiments by
+// default, and the whole simulation harness re-runs over another backend
+// by exporting SINTRA_GROUP=p256.
 func WithGroupName(name string) SimOption {
-	return func(o *SimOptions) { o.GroupName = name }
+	return func(o *simConfig) { o.groupName = name }
 }
 
 // WithForceCert selects certificate signatures even for thresholds.
 func WithForceCert() SimOption {
-	return func(o *SimOptions) { o.ForceCert = true }
+	return func(o *simConfig) { o.forceCert = true }
 }
 
 // WithObserver shares reg as the deployment's metrics registry instead
 // of creating a fresh one.
 func WithObserver(reg *Registry) SimOption {
-	return func(o *SimOptions) { o.Observer = reg }
+	return func(o *simConfig) { o.observer = reg }
 }
 
 // WithTracer streams structured protocol-stage events from every layer
 // of every replica to t.
 func WithTracer(t Tracer) SimOption {
-	return func(o *SimOptions) { o.Tracer = t }
+	return func(o *simConfig) { o.tracer = t }
 }
 
-// WithVerifyWorkers sizes every replica's parallel message-verification
-// pool: 0 keeps the engine default (GOMAXPROCS), negative disables the
-// pool so all verification runs inline on the dispatch goroutine.
-func WithVerifyWorkers(n int) SimOption {
-	return func(o *SimOptions) { o.VerifyWorkers = n }
+// WithTuning sets the knobs of every replica (see Tuning for the fields
+// and their one convention); the zero Tuning is the default. It replaces
+// the deployment-wide Tuning as a whole, so a later WithTuning wins.
+func WithTuning(t Tuning) SimOption {
+	return func(o *simConfig) { o.Tuning = t }
 }
 
-// WithVerifyWorkersFor overrides the verification pool size for one
-// server, allowing mixed fleets of pipelined and single-stage replicas
-// (the two are protocol-compatible by construction).
-func WithVerifyWorkersFor(server, n int) SimOption {
-	return func(o *SimOptions) {
-		if o.VerifyWorkersFor == nil {
-			o.VerifyWorkersFor = make(map[int]int)
+// WithTuningFor gives one server its own Tuning in place of the
+// deployment-wide one, for mixed fleets: replicas that differ in local
+// knobs (say, with and without the verification pool) are
+// protocol-compatible by construction.
+func WithTuningFor(server int, t Tuning) SimOption {
+	return func(o *simConfig) {
+		if o.tuningFor == nil {
+			o.tuningFor = make(map[int]Tuning)
 		}
-		o.VerifyWorkersFor[server] = n
+		o.tuningFor[server] = t
 	}
-}
-
-// WithVerifyBatch caps batch-verification coalescing on every replica:
-// 0 keeps the engine default, negative disables coalescing so every
-// share proof is checked individually, positive sets the cap.
-func WithVerifyBatch(n int) SimOption {
-	return func(o *SimOptions) { o.VerifyBatch = n }
-}
-
-// WithBatchSize sets the atomic broadcast batch floor and the adaptive
-// ceiling (maxBatch <= batch pins the batch size, disabling adaptation;
-// maxBatch 0 defaults to 8x the floor).
-func WithBatchSize(batch, maxBatch int) SimOption {
-	return func(o *SimOptions) {
-		o.BatchSize = batch
-		o.MaxBatchSize = maxBatch
-	}
-}
-
-// WithCheckpointInterval sets the checkpoint/GC period in delivered
-// payloads: every interval deliveries the replicas threshold-sign a
-// digest of the service state, and the resulting stable checkpoint
-// garbage-collects ordering history, router tombstones, and request
-// bookkeeping — and is the anchor a killed-and-restarted replica catches
-// up from. 0 keeps the core default; negative disables checkpointing
-// (memory then relies on the deterministic retention window alone).
-// Atomic mode with a Snapshotter service only.
-func WithCheckpointInterval(interval int64) SimOption {
-	return func(o *SimOptions) { o.CheckpointInterval = interval }
-}
-
-// WithRetentionWindow bounds the delivered-digest dedup history of every
-// replica's ordering layer; see core.NodeConfig.RetentionWindow.
-func WithRetentionWindow(window int64) SimOption {
-	return func(o *SimOptions) { o.RetentionWindow = window }
-}
-
-// WithCodedThreshold sets the batch size (in bytes) above which every
-// replica's ordering layer disseminates proposals as digest headers plus
-// one erasure-coded reliable broadcast instead of embedding the payloads
-// in the agreement value: 0 keeps the protocol default (4 KiB), negative
-// disables the coded path (always-inline proposals).
-func WithCodedThreshold(bytes int) SimOption {
-	return func(o *SimOptions) { o.CodedThreshold = bytes }
-}
-
-// WithChunkSize sets the payload size (in bytes) above which client
-// submissions are split into deterministic frames reassembled after
-// ordering: 0 keeps the protocol default (64 KiB), negative disables
-// chunking. Atomic mode only.
-func WithChunkSize(bytes int) SimOption {
-	return func(o *SimOptions) { o.ChunkSize = bytes }
 }
 
 // WithDataDir enables durable write-ahead logging: each replica journals
@@ -276,13 +153,7 @@ func WithChunkSize(bytes int) SimOption {
 // equivocating. The plain RestartServer stays amnesiac — it wipes the
 // server's journal first, modelling a replica that lost its disk.
 func WithDataDir(dir string) SimOption {
-	return func(o *SimOptions) { o.DataDir = dir }
-}
-
-// WithWALSyncInterval disables every journal's fsync when d is negative
-// (fast tests); zero and every positive value mean fsync on.
-func WithWALSyncInterval(d time.Duration) SimOption {
-	return func(o *SimOptions) { o.WALSyncInterval = d }
+	return func(o *simConfig) { o.dataDir = dir }
 }
 
 // WithWALCrashPoint injects a crash into one server's journal: the first
@@ -292,11 +163,11 @@ func WithWALSyncInterval(d time.Duration) SimOption {
 // revive it with RestartServerDurable, which clears the hook. Requires
 // WithDataDir.
 func WithWALCrashPoint(server int, fail func(lsn uint64) bool) SimOption {
-	return func(o *SimOptions) {
-		if o.WALCrash == nil {
-			o.WALCrash = make(map[int]func(lsn uint64) bool)
+	return func(o *simConfig) {
+		if o.walCrash == nil {
+			o.walCrash = make(map[int]func(lsn uint64) bool)
 		}
-		o.WALCrash[server] = fail
+		o.walCrash[server] = fail
 	}
 }
 
@@ -308,11 +179,10 @@ type SimulatedDeployment struct {
 	// Public is the dealer's public output.
 	Public *Public
 
-	opts    SimOptions
+	cfg     simConfig
 	reg     *obs.Registry
 	net     *netsim.Network
 	secrets []*deal.PartySecret
-	seed    int64
 
 	mu         sync.Mutex
 	nodes      []*core.Node // indexed by server; nil = crashed/stopped
@@ -323,76 +193,69 @@ type SimulatedDeployment struct {
 }
 
 // NewDeployment deals keys, builds the adversarially scheduled network,
-// and starts one replica per server. It is the primary constructor;
-// NewSimulatedDeployment accepts the same configuration as a struct.
+// and starts one replica per server that WithCrashed does not list. st is
+// the adversary structure and newService creates one state-machine
+// replica per server; both are required.
 func NewDeployment(st *Structure, newService func() StateMachine, opts ...SimOption) (*SimulatedDeployment, error) {
-	o := SimOptions{Structure: st, NewService: newService}
+	if st == nil || newService == nil {
+		return nil, errors.New("sintra: a structure and a service factory are required")
+	}
+	cfg := simConfig{structure: st, newService: newService}
 	for _, opt := range opts {
-		opt(&o)
+		opt(&cfg)
 	}
-	return NewSimulatedDeployment(o)
-}
-
-// NewSimulatedDeployment deals keys, builds the network, and starts the
-// replicas.
-func NewSimulatedDeployment(opts SimOptions) (*SimulatedDeployment, error) {
-	if opts.Structure == nil || opts.NewService == nil {
-		return nil, errors.New("sintra: Structure and NewService are required")
+	if cfg.serviceName == "" {
+		cfg.serviceName = "service"
 	}
-	if opts.ServiceName == "" {
-		opts.ServiceName = "service"
+	if cfg.mode == 0 {
+		cfg.mode = ModeAtomic
 	}
-	if opts.Mode == 0 {
-		opts.Mode = ModeAtomic
+	if cfg.maxClients <= 0 {
+		cfg.maxClients = 8
 	}
-	if opts.MaxClients <= 0 {
-		opts.MaxClients = 8
+	if cfg.groupName == "" {
+		cfg.groupName = group.TestDefaultName()
 	}
-	if opts.GroupName == "" {
-		opts.GroupName = group.TestDefaultName()
+	if cfg.seed == 0 {
+		cfg.seed = 1
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	g, err := group.ByName(opts.GroupName)
+	g, err := group.ByName(cfg.groupName)
 	if err != nil {
 		return nil, err
 	}
 	pub, secrets, err := deal.New(deal.Options{
 		Group:     g,
-		Structure: opts.Structure,
+		Structure: st,
 		RSAPrimes: deal.TestPrimes256(),
-		ForceCert: opts.ForceCert,
+		ForceCert: cfg.forceCert,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	reg := opts.Observer
+	reg := cfg.observer
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	if opts.Tracer != nil {
-		reg.SetTracer(opts.Tracer)
+	if cfg.tracer != nil {
+		reg.SetTracer(cfg.tracer)
 	}
 
-	crashed := make(map[int]bool, len(opts.Crashed))
-	for _, i := range opts.Crashed {
+	crashed := make(map[int]bool, len(cfg.crashed))
+	for _, i := range cfg.crashed {
 		crashed[i] = true
 	}
-	n := opts.Structure.N()
-	sched := opts.Scheduler
+	n := st.N()
+	sched := cfg.scheduler
 	if sched == nil {
-		sched = netsim.NewRandomScheduler(seed)
+		sched = netsim.NewRandomScheduler(cfg.seed)
 	}
 	d := &SimulatedDeployment{
 		Public:     pub,
-		opts:       opts,
+		cfg:        cfg,
 		reg:        reg,
-		net:        netsim.New(n, opts.MaxClients, sched),
+		net:        netsim.New(n, cfg.maxClients, sched),
 		secrets:    secrets,
-		seed:       seed,
 		nodes:      make([]*core.Node, n),
 		clientNext: n,
 	}
@@ -413,40 +276,31 @@ func NewSimulatedDeployment(opts SimOptions) (*SimulatedDeployment, error) {
 // the slot is free).
 func (d *SimulatedDeployment) startNode(i int) error {
 	var tr wire.Transport = d.net.Endpoint(i)
-	if bs := d.opts.Byzantine[i]; len(bs) > 0 {
+	if bs := d.cfg.byzantine[i]; len(bs) > 0 {
 		// Each corrupted party draws from its own seeded source so a
 		// run is reproducible regardless of goroutine interleaving.
-		p := faultsim.Wrap(tr, d.seed*1000003+int64(i), bs...)
+		p := faultsim.Wrap(tr, d.cfg.seed*1000003+int64(i), bs...)
 		p.SetObserver(d.reg)
 		tr = p
 	}
-	workers := d.opts.VerifyWorkers
-	if w, ok := d.opts.VerifyWorkersFor[i]; ok {
-		workers = w
-	}
 	cfg := core.NodeConfig{
-		Public:             d.Public,
-		Secret:             d.secrets[i],
-		Transport:          tr,
-		ServiceName:        d.opts.ServiceName,
-		Service:            d.opts.NewService(),
-		Mode:               d.opts.Mode,
-		Trust:              d.opts.Trust,
-		Observer:           d.reg,
-		VerifyWorkers:      workers,
-		VerifyBatch:        d.opts.VerifyBatch,
-		BatchSize:          d.opts.BatchSize,
-		MaxBatchSize:       d.opts.MaxBatchSize,
-		CheckpointInterval: d.opts.CheckpointInterval,
-		RetentionWindow:    d.opts.RetentionWindow,
-		CodedThreshold:     d.opts.CodedThreshold,
-		ChunkSize:          d.opts.ChunkSize,
+		Public:      d.Public,
+		Secret:      d.secrets[i],
+		Transport:   tr,
+		ServiceName: d.cfg.serviceName,
+		Service:     d.cfg.newService(),
+		Mode:        d.cfg.mode,
+		Trust:       d.cfg.trust,
+		Observer:    d.reg,
+		Tuning:      d.cfg.Tuning,
 	}
-	if d.opts.DataDir != "" {
+	if t, ok := d.cfg.tuningFor[i]; ok {
+		cfg.Tuning = t
+	}
+	if d.cfg.dataDir != "" {
 		cfg.DataDir = d.serverDir(i)
-		cfg.WALSyncInterval = d.opts.WALSyncInterval
 		d.mu.Lock()
-		cfg.WALFailAppend = d.opts.WALCrash[i]
+		cfg.WALFailAppend = d.cfg.walCrash[i]
 		d.mu.Unlock()
 	}
 	node, err := core.NewNode(cfg)
@@ -495,13 +349,13 @@ func (d *SimulatedDeployment) StopServer(i int) {
 // the amnesiac restart (a replica that lost its disk); use
 // RestartServerDurable for amnesia-free recovery.
 func (d *SimulatedDeployment) RestartServer(i int) error {
-	if i < 0 || i >= d.opts.Structure.N() {
+	if i < 0 || i >= d.cfg.structure.N() {
 		return fmt.Errorf("sintra: no server %d", i)
 	}
 	if d.Node(i) != nil {
 		return fmt.Errorf("sintra: server %d is still running", i)
 	}
-	if d.opts.DataDir != "" {
+	if d.cfg.dataDir != "" {
 		if err := os.RemoveAll(d.serverDir(i)); err != nil {
 			return err
 		}
@@ -517,17 +371,17 @@ func (d *SimulatedDeployment) RestartServer(i int) error {
 // cluster up via checkpoint fetch. Any WithWALCrashPoint hook on the
 // server is cleared — the crash already happened. Requires WithDataDir.
 func (d *SimulatedDeployment) RestartServerDurable(i int) error {
-	if d.opts.DataDir == "" {
+	if d.cfg.dataDir == "" {
 		return errors.New("sintra: RestartServerDurable requires WithDataDir")
 	}
-	if i < 0 || i >= d.opts.Structure.N() {
+	if i < 0 || i >= d.cfg.structure.N() {
 		return fmt.Errorf("sintra: no server %d", i)
 	}
 	if d.Node(i) != nil {
 		return fmt.Errorf("sintra: server %d is still running", i)
 	}
 	d.mu.Lock()
-	delete(d.opts.WALCrash, i)
+	delete(d.cfg.walCrash, i)
 	d.mu.Unlock()
 	d.net.Reopen(i)
 	return d.startNode(i)
@@ -535,19 +389,19 @@ func (d *SimulatedDeployment) RestartServerDurable(i int) error {
 
 // serverDir is server i's private slice of the data directory.
 func (d *SimulatedDeployment) serverDir(i int) string {
-	return filepath.Join(d.opts.DataDir, fmt.Sprintf("server%d", i))
+	return filepath.Join(d.cfg.dataDir, fmt.Sprintf("server%d", i))
 }
 
 // NewClient attaches a client endpoint to the simulated network.
 func (d *SimulatedDeployment) NewClient() (*Client, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.clientNext >= d.opts.Structure.N()+d.opts.MaxClients {
-		return nil, fmt.Errorf("sintra: more than %d clients", d.opts.MaxClients)
+	if d.clientNext >= d.cfg.structure.N()+d.cfg.maxClients {
+		return nil, fmt.Errorf("sintra: more than %d clients", d.cfg.maxClients)
 	}
 	ep := d.net.Endpoint(d.clientNext)
 	d.clientNext++
-	c := core.NewClient(d.Public, ep, d.opts.ServiceName, d.opts.Mode,
+	c := core.NewClient(d.Public, ep, d.cfg.serviceName, d.cfg.mode,
 		core.WithObserver(d.reg))
 	d.clients = append(d.clients, c)
 	return c, nil
@@ -560,26 +414,9 @@ func (d *SimulatedDeployment) Observer() *Registry { return d.reg }
 
 // Metrics snapshots every metric of the deployment — traffic per
 // protocol, dispatch and end-to-end latency distributions, instance
-// lifecycle counts, drops. It supersedes TrafficSummary.
+// lifecycle counts, drops; network traffic per protocol layer is under
+// "net.msgs." and "net.bytes.".
 func (d *SimulatedDeployment) Metrics() MetricsSnapshot { return d.reg.Snapshot() }
-
-// TrafficSummary reports the messages and bytes delivered so far, per
-// protocol layer — the measurement hook of the experiment harness. It is
-// a view of Metrics: per-protocol counters under "net.msgs." and
-// "net.bytes.".
-func (d *SimulatedDeployment) TrafficSummary() (perProtocolMsgs map[string]int, totalMsgs, totalBytes int) {
-	snap := d.Metrics()
-	msgs := snap.CountersWithPrefix("net.msgs.")
-	perProtocolMsgs = make(map[string]int, len(msgs))
-	for proto, v := range msgs {
-		perProtocolMsgs[proto] = int(v)
-		totalMsgs += int(v)
-	}
-	for _, v := range snap.CountersWithPrefix("net.bytes.") {
-		totalBytes += int(v)
-	}
-	return perProtocolMsgs, totalMsgs, totalBytes
-}
 
 // Stop shuts the deployment down.
 func (d *SimulatedDeployment) Stop() {

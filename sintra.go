@@ -30,7 +30,7 @@
 //     and an in-process simulated deployment whose network scheduler is
 //     adversary-controlled, for tests and experiments.
 //
-// Start with NewSimulatedDeployment for an in-process cluster, or use the
+// Start with NewDeployment for an in-process cluster, or use the
 // sintra-dealer / sintra-node / sintra-client commands for a multi-process
 // deployment. DESIGN.md maps every paper claim to the module implementing
 // it; EXPERIMENTS.md records the reproduction results.
@@ -89,6 +89,10 @@ type (
 	Node = core.Node
 	// NodeConfig configures a replica.
 	NodeConfig = core.NodeConfig
+	// Tuning is every performance and protocol knob of a replica,
+	// declared and documented once (0 = default, negative = off,
+	// positive = value); NodeConfig embeds it and WithTuning carries it.
+	Tuning = core.Tuning
 	// StateMachine is a deterministic replicated application.
 	StateMachine = core.StateMachine
 	// Snapshotter is the optional state-transfer extension of

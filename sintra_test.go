@@ -17,11 +17,9 @@ func TestSimulatedDeploymentQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := sintra.NewSimulatedDeployment(sintra.SimOptions{
-		Structure:  st,
-		NewService: func() sintra.StateMachine { return sintra.NewDirectory() },
-		Seed:       2,
-	})
+	dep, err := sintra.NewDeployment(st,
+		func() sintra.StateMachine { return sintra.NewDirectory() },
+		sintra.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +29,7 @@ func TestSimulatedDeploymentQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	req, _ := json.Marshal(service.DirectoryRequest{Op: service.OpIssue, Name: "alice", PubKey: []byte{1}})
-	ans, err := client.Invoke(req, 60*time.Second)
+	ans, err := invokeWithin(client, req, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,20 +37,17 @@ func TestSimulatedDeploymentQuickstart(t *testing.T) {
 	if err := json.Unmarshal(ans.Result, &resp); err != nil || !resp.OK {
 		t.Fatalf("bad response %s: %v", ans.Result, err)
 	}
-	msgs, total, bytes := dep.TrafficSummary()
-	if total == 0 || bytes == 0 || len(msgs) == 0 {
+	if dep.Metrics().Counter("net.delivered") == 0 {
 		t.Fatal("no traffic recorded")
 	}
 }
 
 func TestSimulatedDeploymentWithCrashes(t *testing.T) {
 	st := sintra.Example1Structure()
-	dep, err := sintra.NewSimulatedDeployment(sintra.SimOptions{
-		Structure:  st,
-		NewService: func() sintra.StateMachine { return sintra.NewNotary() },
-		Crashed:    []int{0, 1, 2, 3}, // the whole class a
-		Seed:       3,
-	})
+	dep, err := sintra.NewDeployment(st,
+		func() sintra.StateMachine { return sintra.NewNotary() },
+		sintra.WithCrashed(0, 1, 2, 3), // the whole class a
+		sintra.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +57,7 @@ func TestSimulatedDeploymentWithCrashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	req, _ := json.Marshal(service.NotaryRequest{Op: service.OpRegister, Document: []byte("doc")})
-	ans, err := client.Invoke(req, 120*time.Second)
+	ans, err := invokeWithin(client, req, 120*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,19 +67,16 @@ func TestSimulatedDeploymentWithCrashes(t *testing.T) {
 	}
 }
 
-func TestSimOptionsValidation(t *testing.T) {
-	if _, err := sintra.NewSimulatedDeployment(sintra.SimOptions{}); err == nil {
-		t.Fatal("empty options accepted")
+func TestNewDeploymentValidation(t *testing.T) {
+	newNotary := func() sintra.StateMachine { return sintra.NewNotary() }
+	if _, err := sintra.NewDeployment(nil, newNotary); err == nil {
+		t.Fatal("missing structure accepted")
 	}
 	st, _ := sintra.NewThresholdStructure(4, 1)
-	if _, err := sintra.NewSimulatedDeployment(sintra.SimOptions{Structure: st}); err == nil {
+	if _, err := sintra.NewDeployment(st, nil); err == nil {
 		t.Fatal("missing service factory accepted")
 	}
-	dep, err := sintra.NewSimulatedDeployment(sintra.SimOptions{
-		Structure:  st,
-		NewService: func() sintra.StateMachine { return sintra.NewNotary() },
-		MaxClients: 1,
-	})
+	dep, err := sintra.NewDeployment(st, newNotary, sintra.WithMaxClients(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +203,18 @@ func TestDeploymentObservability(t *testing.T) {
 		t.Error("no per-protocol traffic counters")
 	}
 
-	// TrafficSummary is now a view of the same snapshot.
-	msgs, total, bytes := dep.TrafficSummary()
-	if total == 0 || bytes == 0 || len(msgs) == 0 {
-		t.Fatal("TrafficSummary empty")
+	// The per-protocol traffic counters add up to the network total, and
+	// bytes were counted alongside.
+	var total, bytes int64
+	for _, v := range snap.CountersWithPrefix("net.msgs.") {
+		total += v
 	}
-	if int64(total) != snap.Counter("net.delivered") {
-		t.Fatalf("TrafficSummary total %d != net.delivered %d",
-			total, snap.Counter("net.delivered"))
+	for _, v := range snap.CountersWithPrefix("net.bytes.") {
+		bytes += v
+	}
+	if total == 0 || bytes == 0 || total != snap.Counter("net.delivered") {
+		t.Fatalf("per-protocol traffic: %d messages, %d bytes; net.delivered %d",
+			total, bytes, snap.Counter("net.delivered"))
 	}
 
 	// The tracer saw lifecycle events from the protocol stack.

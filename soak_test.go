@@ -74,8 +74,7 @@ func TestSoakBoundedMemory(t *testing.T) {
 		mustThreshold(t, 4, 1),
 		func() sintra.StateMachine { return &soakMachine{} },
 		sintra.WithSeed(97),
-		sintra.WithCheckpointInterval(interval),
-		sintra.WithBatchSize(8, 64),
+		sintra.WithTuning(sintra.Tuning{CheckpointInterval: interval, BatchSize: 8, MaxBatchSize: 64}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +97,7 @@ func TestSoakBoundedMemory(t *testing.T) {
 				defer wg.Done()
 				for i := w; i < n; i += workers {
 					req := fmt.Appendf(nil, "soak-%d", offset+i)
-					if _, err := clients[w].Invoke(req, 120*time.Second); err != nil {
+					if _, err := invokeWithin(clients[w], req, 120*time.Second); err != nil {
 						t.Errorf("request %d: %v", offset+i, err)
 						return
 					}
@@ -179,10 +178,9 @@ func TestSoakWALBounded(t *testing.T) {
 		mustThreshold(t, 4, 1),
 		func() sintra.StateMachine { return &soakMachine{} },
 		sintra.WithSeed(101),
-		sintra.WithCheckpointInterval(interval),
-		sintra.WithBatchSize(8, 64),
+		// NoFsync: the data is throwaway — size, not fsync, is under test.
+		sintra.WithTuning(sintra.Tuning{CheckpointInterval: interval, BatchSize: 8, MaxBatchSize: 64, NoFsync: true}),
 		sintra.WithDataDir(t.TempDir()),
-		sintra.WithWALSyncInterval(-1), // throwaway data: size, not fsync, is under test
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +201,7 @@ func TestSoakWALBounded(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < total; i += workers {
 				req := fmt.Appendf(nil, "wal-soak-%d", i)
-				if _, err := clients[w].Invoke(req, 120*time.Second); err != nil {
+				if _, err := invokeWithin(clients[w], req, 120*time.Second); err != nil {
 					t.Errorf("request %d: %v", i, err)
 					return
 				}
