@@ -246,12 +246,6 @@ func b2i(v bool) int {
 	return 0
 }
 
-// Handle processes one protocol message without a pipeline verdict (the
-// legacy single-stage entry point, kept for tests and direct callers).
-func (a *ABA) Handle(from int, msgType string, payload []byte) {
-	a.apply(from, msgType, payload, nil)
-}
-
 // apply is the serialized Apply stage. A non-nil verdict carries the
 // Verify stage's result for COIN messages; a nil verdict means the shares
 // were not pre-verified and are checked inline.

@@ -19,8 +19,10 @@
 package abc
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -31,7 +33,6 @@ import (
 	"sintra/internal/identity"
 	"sintra/internal/mvba"
 	"sintra/internal/obs"
-	"sintra/internal/rbc"
 	"sintra/internal/thresig"
 	"sintra/internal/trust"
 	"sintra/internal/wire"
@@ -74,6 +75,8 @@ const maxRecent = 8192
 const (
 	typeSubmit   = "SUBMIT"
 	typeProposal = "PROPOSAL"
+	typeFetch    = "FETCH"
+	typePayload  = "PAYLOAD"
 )
 
 type submitBody struct {
@@ -87,24 +90,32 @@ type SignedProposal struct {
 	Party int
 	// Round is the atomic-broadcast round.
 	Round int64
-	// Batch holds the proposed payloads (possibly empty for parties that
-	// join a round without pending requests). Empty when Coded is set.
+	// Batch holds the proposed payloads carried inline (possibly none,
+	// for parties that join a round without pending requests).
 	Batch [][]byte
-	// Coded marks a header-only proposal: Batch is empty and the batch
-	// bytes travel separately by coded reliable broadcast.
-	Coded bool
-	// BatchDigest binds a coded proposal to its reliably-broadcast batch
-	// blob (sha256 of the marshaled blob).
-	BatchDigest [32]byte
+	// Refs is the concatenation of the SHA-256 digests of the proposed
+	// payloads carried by reference: the proposer holds the bytes and
+	// every replica resolves them from its own store (store.go).
+	Refs []byte
 	// Ckpt optionally piggybacks the proposer's latest stable checkpoint
 	// certificate (wire-encoded). Folding it into the decided value makes
 	// the garbage-collection horizon part of the agreed round output, so
 	// every honest replica prunes at the same point.
 	Ckpt []byte
-	// Sig is the proposer's individual signature over (round, batch,
-	// checkpoint).
+	// Sig is the proposer's individual signature over (round, the digest
+	// of every inline and referenced payload, checkpoint).
 	Sig []byte
 }
+
+// accepted is a proposal whose signature checked out, with the digests of
+// its payloads — inline ones first, hashed once on arrival, then the
+// referenced ones.
+type accepted struct {
+	p       SignedProposal
+	digests [][32]byte
+}
+
+func (ac *accepted) refs() [][32]byte { return ac.digests[len(ac.p.Batch):] }
 
 type proposalList struct {
 	Proposals []SignedProposal
@@ -159,11 +170,10 @@ type Config struct {
 	// frontier, the round about to open, and the GC horizon — the hook
 	// the checkpoint tracker and request bookkeeping hang off.
 	RoundEnd func(seq, nextRound, horizon int64)
-	// CodedThreshold switches proposals whose batch payloads total at
-	// least this many bytes to coded dissemination: the proposal carries
-	// a digest and the batch travels once by coded reliable broadcast.
-	// 0 selects DefaultCodedThreshold; negative disables the coded path.
-	// Must be configured identically on every replica.
+	// CodedThreshold is the payload size in bytes from which this party's
+	// proposals reference a payload by digest instead of embedding it.
+	// 0 selects DefaultCodedThreshold; negative embeds every payload.
+	// Local: proposals are self-describing, receivers need not agree.
 	CodedThreshold int
 	// ChunkSize splits submitted payloads larger than this many bytes
 	// into deterministic frames that reassemble after delivery, so one
@@ -187,16 +197,15 @@ type ABC struct {
 	seq    atomic.Int64
 	active bool
 
-	proposals map[int64]map[int]SignedProposal
+	proposals map[int64]map[int]*accepted
 	mvbas     map[int64]*mvba.MVBA
 
-	// Coded-dissemination state: resolved threshold (0 = disabled),
-	// reliably-delivered batch blobs, the per-(round, proposer) coded
-	// broadcast instances, and decides parked on a missing batch.
+	// By-reference state (store.go): resolved threshold (0 = embed all),
+	// the digest-keyed payload store, and the current round's decide
+	// while it is parked on a referenced payload still missing.
 	codedThreshold int
-	batches        map[batchKey][]byte
-	batchRBCs      map[batchKey]*rbc.RBC
-	pendingDecide  map[int64][]byte
+	store          map[[32]byte]*held
+	parked         []byte
 
 	// Chunking state: resolved frame size (0 = disabled) and the
 	// reassembly groups in first-frame delivery order.
@@ -204,8 +213,9 @@ type ABC struct {
 	chunkGroups map[chunkKey]*chunkGroup
 	chunkOrder  []chunkKey
 
-	queue  [][]byte
-	queued map[[32]byte]bool
+	// queue lists the digests of the locally submitted payloads awaiting
+	// delivery, in proposal order; the bytes are in the store.
+	queue [][32]byte
 	// delivered maps each delivered payload digest to its sequence
 	// number; entries below the GC horizon are pruned.
 	delivered map[[32]byte]int64
@@ -235,6 +245,10 @@ type ABC struct {
 
 	codedProposals  *obs.Counter
 	codedDeferred   *obs.Counter
+	fetchSent       *obs.Counter
+	fetchServed     *obs.Counter
+	fetchRejected   *obs.Counter
+	storeSize       *obs.Gauge
 	chunksSplit     *obs.Counter
 	chunksAssembled *obs.Counter
 	chunksDropped   *obs.Counter
@@ -254,35 +268,27 @@ func New(cfg Config) *ABC {
 	if cfg.MaxBatchSize <= 0 {
 		cfg.MaxBatchSize = DefaultMaxBatchFactor * cfg.BatchSize
 	}
-	cfg.MaxBatchSize = max(cfg.MaxBatchSize, cfg.BatchSize)
+	cfg.BatchSize = min(cfg.BatchSize, maxProposalEntries)
+	cfg.MaxBatchSize = min(max(cfg.MaxBatchSize, cfg.BatchSize), maxProposalEntries)
 	a := &ABC{
-		cfg:           cfg,
-		trust:         cfg.Trust,
-		self:          cfg.Router.Self(),
-		curBatch:      cfg.BatchSize,
-		proposals:     make(map[int64]map[int]SignedProposal),
-		mvbas:         make(map[int64]*mvba.MVBA),
-		queued:        make(map[[32]byte]bool),
-		delivered:     make(map[[32]byte]int64),
-		batches:       make(map[batchKey][]byte),
-		batchRBCs:     make(map[batchKey]*rbc.RBC),
-		pendingDecide: make(map[int64][]byte),
-		chunkGroups:   make(map[chunkKey]*chunkGroup),
-		span:          obs.StartSpan(cfg.Router.Observer(), cfg.Router.Self(), Protocol, cfg.Instance),
+		cfg:         cfg,
+		trust:       cfg.Trust,
+		self:        cfg.Router.Self(),
+		curBatch:    cfg.BatchSize,
+		proposals:   make(map[int64]map[int]*accepted),
+		mvbas:       make(map[int64]*mvba.MVBA),
+		delivered:   make(map[[32]byte]int64),
+		store:       make(map[[32]byte]*held),
+		chunkGroups: make(map[chunkKey]*chunkGroup),
+		span:        obs.StartSpan(cfg.Router.Observer(), cfg.Router.Self(), Protocol, cfg.Instance),
 	}
 	if a.trust == nil {
 		a.trust = trust.NewSymmetric(cfg.Struct)
 	}
-	switch {
-	case cfg.CodedThreshold > 0:
-		a.codedThreshold = cfg.CodedThreshold
-	case cfg.CodedThreshold == 0:
+	if a.codedThreshold = max(cfg.CodedThreshold, 0); cfg.CodedThreshold == 0 {
 		a.codedThreshold = DefaultCodedThreshold
 	}
-	switch {
-	case cfg.ChunkSize > 0:
-		a.chunkSize = cfg.ChunkSize
-	case cfg.ChunkSize == 0:
+	if a.chunkSize = max(cfg.ChunkSize, 0); cfg.ChunkSize == 0 {
 		a.chunkSize = DefaultChunkSize
 	}
 	a.round.Store(1)
@@ -296,6 +302,10 @@ func New(cfg Config) *ABC {
 		a.horizonGauge = reg.Gauge(Protocol + ".gc.horizon")
 		a.codedProposals = reg.Counter(Protocol + ".coded.proposals")
 		a.codedDeferred = reg.Counter(Protocol + ".coded.decides.deferred")
+		a.fetchSent = reg.Counter(Protocol + ".fetch.sent")
+		a.fetchServed = reg.Counter(Protocol + ".fetch.served")
+		a.fetchRejected = reg.Counter(Protocol + ".fetch.rejected")
+		a.storeSize = reg.Gauge(Protocol + ".store.size")
 		a.chunksSplit = reg.Counter(Protocol + ".chunks.split")
 		a.chunksAssembled = reg.Counter(Protocol + ".chunks.assembled")
 		a.chunksDropped = reg.Counter(Protocol + ".chunks.dropped")
@@ -310,13 +320,32 @@ func New(cfg Config) *ABC {
 }
 
 // Broadcast a-broadcasts a payload: it will eventually be delivered, in
-// the same total order, by every honest party. Safe from any goroutine.
+// the same total order, by every honest party. Safe from any goroutine
+// (it crosses to the dispatch goroutine as a loopback message); callers
+// already on it use Submit.
 func (a *ABC) Broadcast(payload []byte) error {
+	if err := a.checkSize(payload); err != nil {
+		return err
+	}
+	return a.cfg.Router.Loopback(Protocol, a.cfg.Instance, typeSubmit, submitBody{Payload: payload})
+}
+
+// Submit is Broadcast for callers on the dispatch goroutine: the payload
+// is queued in place, without a trip through the codec and the network.
+func (a *ABC) Submit(payload []byte) error {
+	err := a.checkSize(payload)
+	if err == nil {
+		a.onSubmit(payload)
+	}
+	return err
+}
+
+func (a *ABC) checkSize(payload []byte) error {
 	if a.chunkSize > 0 && chunkCount(len(payload), a.chunkSize) > maxChunksPerPayload {
 		return fmt.Errorf("abc: payload of %d bytes exceeds %d chunks of %d bytes",
 			len(payload), maxChunksPerPayload, a.chunkSize)
 	}
-	return a.cfg.Router.Loopback(Protocol, a.cfg.Instance, typeSubmit, submitBody{Payload: payload})
+	return nil
 }
 
 // Seq returns the number of payloads delivered so far (progress metric).
@@ -327,36 +356,58 @@ func (a *ABC) Seq() int64 { return a.seq.Load() }
 // goroutine.
 func (a *ABC) Round() int64 { return a.round.Load() }
 
-// signStatement is the byte string a proposal signature covers.
-func (a *ABC) signStatement(p *SignedProposal) []byte {
+// signStatement is the byte string a proposal signature covers; digests
+// are those of the inline payloads followed by the referenced ones.
+func (a *ABC) signStatement(p *SignedProposal, digests [][32]byte) []byte {
 	h := sha256.New()
-	fmt.Fprintf(h, "abc|%s|%d|%d|%d|%d|", a.cfg.Instance, p.Party, p.Round, len(p.Batch), len(p.Ckpt))
-	for _, m := range p.Batch {
-		d := sha256.Sum256(m)
-		h.Write(d[:])
+	fmt.Fprintf(h, "abc|%s|%d|%d|%d|%d|%d|", a.cfg.Instance, p.Party, p.Round, len(p.Batch), len(digests), len(p.Ckpt))
+	for i := range digests {
+		h.Write(digests[i][:])
 	}
 	if len(p.Ckpt) > 0 {
 		d := sha256.Sum256(p.Ckpt)
 		h.Write(d[:])
 	}
-	if p.Coded {
-		h.Write([]byte("|coded|"))
-		h.Write(p.BatchDigest[:])
-	}
 	return h.Sum(nil)
 }
 
-// proposalVerdict is the Verify-stage result for PROPOSAL messages: the
-// decoded proposal and whether the proposer's signature checked out.
-// Round-window and duplicate checks are stateful and stay in Apply.
-type proposalVerdict struct {
-	p     SignedProposal
-	valid bool
+// check hashes a received proposal's inline payloads and verifies the
+// proposer's signature over them and the referenced digests; nil for a
+// malformed proposal or a bad signature. It only reads the immutable
+// identity registry and the instance name, so it is safe off the dispatch
+// goroutine.
+func (a *ABC) check(p SignedProposal) *accepted {
+	n := len(p.Batch) + len(p.Refs)/sha256.Size
+	if len(p.Refs)%sha256.Size != 0 || n > maxProposalEntries || p.Party < 0 || p.Party >= a.cfg.Router.N() {
+		return nil
+	}
+	ac := &accepted{p: p, digests: make([][32]byte, 0, n)}
+	for _, m := range p.Batch {
+		ac.digests = append(ac.digests, sha256.Sum256(m))
+	}
+	for i := 0; i < len(p.Refs); i += sha256.Size {
+		ac.digests = append(ac.digests, [32]byte(p.Refs[i:]))
+	}
+	if a.cfg.Identity.Verify(p.Party, "abc-prop", a.signStatement(&p, ac.digests), p.Sig) != nil {
+		return nil
+	}
+	return ac
 }
 
-// verifyMsg is the parallel Verify stage: proposal signature checks only
-// read the immutable identity registry and the instance name, so they are
-// safe off the dispatch goroutine.
+// known is check for a proposal inside an agreement value: one identical
+// to what this party already accepted from the same proposer — the
+// common case — is neither hashed nor verified again.
+func (a *ABC) known(p *SignedProposal) *accepted {
+	if ac := a.proposals[p.Round][p.Party]; ac != nil && reflect.DeepEqual(&ac.p, p) {
+		return ac
+	}
+	return a.check(*p)
+}
+
+// verifyMsg is the parallel Verify stage for PROPOSAL messages: its
+// verdict is the checked proposal, a nil *accepted when it is malformed or
+// its signature failed. The round-window and duplicate checks are
+// stateful and stay in Apply.
 func (a *ABC) verifyMsg(from int, msgType string, payload []byte) any {
 	if msgType != typeProposal {
 		return nil
@@ -367,39 +418,46 @@ func (a *ABC) verifyMsg(from int, msgType string, payload []byte) any {
 	if wire.UnmarshalBody(payload, &p) != nil {
 		return nil
 	}
-	valid := p.Party == from &&
-		a.cfg.Identity.Verify(from, "abc-prop", a.signStatement(&p), p.Sig) == nil
-	return &proposalVerdict{p: p, valid: valid}
-}
-
-// Handle processes one protocol message without a pipeline verdict (the
-// legacy single-stage entry point, kept for tests and direct callers).
-func (a *ABC) Handle(from int, msgType string, payload []byte) {
-	a.apply(from, msgType, payload, nil)
+	if p.Party != from {
+		return (*accepted)(nil)
+	}
+	return a.check(p)
 }
 
 // apply is the serialized Apply stage; a non-nil verdict carries a
-// pre-checked proposal signature.
+// proposal the Verify stage already checked.
 func (a *ABC) apply(from int, msgType string, payload []byte, verdict any) {
 	switch msgType {
 	case typeSubmit:
 		var body submitBody
-		if from != a.cfg.Router.Self() || !a.cfg.Router.Decode(payload, &body) {
+		if from != a.self || !a.cfg.Router.Decode(payload, &body) {
 			return
 		}
 		a.onSubmit(body.Payload)
 	case typeProposal:
-		if v, ok := verdict.(*proposalVerdict); ok {
-			if v.valid {
-				a.onProposalVerified(from, v.p)
+		if ac, ok := verdict.(*accepted); ok {
+			if ac != nil {
+				a.acceptProposal(from, ac)
 			}
 			return
 		}
 		var p SignedProposal
-		if !a.cfg.Router.Decode(payload, &p) {
+		if !a.cfg.Router.Decode(payload, &p) || p.Party != from || !a.fresh(p.Round, from) {
 			return
 		}
-		a.onProposal(from, p)
+		if ac := a.check(p); ac != nil {
+			a.acceptProposal(from, ac)
+		}
+	case typeFetch:
+		var body fetchBody
+		if a.cfg.Router.Decode(payload, &body) {
+			a.onFetch(from, body.Digest)
+		}
+	case typePayload:
+		var body submitBody
+		if a.cfg.Router.Decode(payload, &body) {
+			a.onPayload(body.Payload)
+		}
 	}
 }
 
@@ -411,21 +469,35 @@ func (a *ABC) onSubmit(payload []byte) {
 		for _, f := range chunkFrames(payload, a.chunkSize) {
 			a.enqueue(f)
 		}
-		if a.chunksSplit != nil {
-			a.chunksSplit.Inc()
-		}
+		a.chunksSplit.Inc()
 		return
 	}
 	a.enqueue(payload)
 }
 
+// enqueue hashes a submitted payload — the one time it is hashed here —
+// and queues it for proposal, keeping the bytes in the store.
 func (a *ABC) enqueue(payload []byte) {
 	d := sha256.Sum256(payload)
-	if _, done := a.delivered[d]; done || a.queued[d] {
+	if _, done := a.delivered[d]; done {
 		return
 	}
-	a.queued[d] = true
-	a.queue = append(a.queue, payload)
+	e := a.store[d]
+	if e == nil {
+		e = &held{}
+		a.store[d] = e
+		a.storeSize.Set(int64(len(a.store)))
+	}
+	if e.queued {
+		return
+	}
+	e.queued = true
+	// A proposal may have referenced it before the client's copy got here.
+	wanted := e.payload == nil && e.asked != 0
+	if e.payload == nil {
+		e.payload = payload
+	}
+	a.queue = append(a.queue, d)
 	if a.submitted != nil {
 		a.submitted[d] = time.Now()
 		// Sweep periodically on the submit path too: under a flood of
@@ -435,6 +507,9 @@ func (a *ABC) enqueue(payload []byte) {
 			a.submitsSince = 0
 			a.sweepSubmitted(time.Now())
 		}
+	}
+	if wanted {
+		a.payloadArrived()
 	}
 	a.maybeActivate()
 }
@@ -463,113 +538,102 @@ func (a *ABC) maybeActivate() {
 	}
 	a.active = true
 	a.curBatch = adaptBatch(a.curBatch, len(a.queue), a.cfg.BatchSize, a.cfg.MaxBatchSize)
-	if a.batchSize != nil {
-		a.batchSize.Set(int64(a.curBatch))
+	a.batchSize.Set(int64(a.curBatch))
+	p := SignedProposal{Party: a.self, Round: round}
+	batch := a.queue[:min(len(a.queue), a.curBatch)]
+	inline := make([][32]byte, 0, len(batch))
+	var refs [][32]byte
+	for _, d := range batch {
+		e := a.store[d]
+		if a.codedThreshold > 0 && len(e.payload) >= a.codedThreshold {
+			refs = append(refs, d)
+			p.Refs = append(p.Refs, d[:]...)
+			// Peers that lost the payload since an earlier round proposed
+			// it may ask once more.
+			e.served = 0
+		} else {
+			inline = append(inline, d)
+			p.Batch = append(p.Batch, e.payload)
+		}
 	}
-	batch := a.queue
-	if len(batch) > a.curBatch {
-		batch = batch[:a.curBatch]
-	}
-	p := SignedProposal{
-		Party: a.cfg.Router.Self(),
-		Round: round,
-		Batch: batch,
+	if len(refs) > 0 {
+		a.codedProposals.Inc()
 	}
 	if a.cfg.ProvideCheckpoint != nil {
 		p.Ckpt = a.cfg.ProvideCheckpoint()
 	}
-	if a.codedThreshold > 0 && batchBytes(batch) >= a.codedThreshold {
-		if blob, err := wire.MarshalBody(batchBlob{Batch: batch}); err == nil {
-			p.Coded = true
-			p.BatchDigest = sha256.Sum256(blob)
-			p.Batch = nil
-			// Store our own blob before broadcasting the header, so the
-			// loopback proposal counts as available immediately, then
-			// disperse the bytes once by coded reliable broadcast.
-			a.batches[batchKey{round: round, party: a.self}] = blob
-			_ = a.ensureBatchRBC(round, a.self).Start(blob)
-			if a.codedProposals != nil {
-				a.codedProposals.Inc()
-			}
-		}
-	}
-	p.Sig = a.cfg.IDKey.Sign("abc-prop", a.signStatement(&p))
+	p.Sig = a.cfg.IDKey.Sign("abc-prop", a.signStatement(&p, append(inline, refs...)))
 	// A signed proposal is the canonical equivocation surface: one slot
 	// per round so a recovered replica re-sends the identical proposal.
 	_ = a.cfg.Router.BroadcastJournaled(fmt.Sprintf("prop/%d", round),
 		Protocol, a.cfg.Instance, typeProposal, p)
 }
 
-func (a *ABC) onProposal(from int, p SignedProposal) {
-	if p.Party != from || !a.roundInWindow(p.Round) {
-		return
-	}
-	if _, dup := a.proposals[p.Round][from]; dup {
-		return
-	}
-	if a.cfg.Identity.Verify(from, "abc-prop", a.signStatement(&p), p.Sig) != nil {
-		return
-	}
-	a.acceptProposal(from, p)
+// fresh is the stateful filter on proposals: the proposer has none
+// recorded for the round yet, and the round is the current one or at most
+// roundWindow ahead — older rounds are settled, and buffering arbitrarily
+// far futures would let a Byzantine flood grow the proposals map without
+// bound.
+func (a *ABC) fresh(round int64, from int) bool {
+	cur := a.round.Load()
+	return round >= cur && round <= cur+roundWindow && a.proposals[round][from] == nil
 }
 
-// onProposalVerified consumes a proposal whose signature the Verify stage
-// already checked; only the stateful round/duplicate filters remain.
-func (a *ABC) onProposalVerified(from int, p SignedProposal) {
-	if !a.roundInWindow(p.Round) {
+// acceptProposal records a checked proposal.
+func (a *ABC) acceptProposal(from int, ac *accepted) {
+	round := ac.p.Round
+	if !a.fresh(round, from) {
 		return
 	}
-	if _, dup := a.proposals[p.Round][from]; dup {
-		return
+	if a.proposals[round] == nil {
+		a.proposals[round] = make(map[int]*accepted)
 	}
-	a.acceptProposal(from, p)
-}
-
-func (a *ABC) acceptProposal(from int, p SignedProposal) {
-	if p.Coded && len(p.Batch) > 0 {
-		return // malformed: a coded header must not carry inline payloads
-	}
-	if a.proposals[p.Round] == nil {
-		a.proposals[p.Round] = make(map[int]SignedProposal)
-	}
-	a.proposals[p.Round][from] = p
-	if p.Coded {
-		// Open the dispersal instance now so buffered fragments flow.
-		a.ensureBatchRBC(p.Round, from)
-	}
-	if p.Round == a.round.Load() {
+	a.proposals[round][from] = ac
+	if round == a.round.Load() {
+		a.want(round, from, ac.refs())
 		a.maybeActivate()
 		a.maybeAgree()
 	}
+}
+
+// enterRound opens the round the counter was just moved to: payloads
+// referenced by proposals buffered for it are asked for, then the party
+// proposes and agrees if there is anything to do.
+func (a *ABC) enterRound() {
+	a.active = false
+	a.parked = nil
+	round := a.round.Load()
+	for from := 0; from < a.cfg.Router.N(); from++ {
+		if ac := a.proposals[round][from]; ac != nil {
+			a.want(round, from, ac.refs())
+		}
+	}
+	a.maybeActivate()
+	a.maybeAgree()
 }
 
 // maybeAgree starts the round's multi-valued agreement once a quorum of
 // signed proposals has been collected.
 func (a *ABC) maybeAgree() {
 	round := a.round.Load()
-	if !a.active {
-		return
-	}
-	if _, started := a.mvbas[round]; started {
+	if _, started := a.mvbas[round]; started || !a.active {
 		return
 	}
 	var parties adversary.Set
-	for j := range a.proposals[round] {
-		p := a.proposals[round][j]
-		// Availability gate: a coded header joins our proposed list only
-		// once its batch blob has arrived, so our own agreement value
-		// always passes our own external-validity predicate.
-		if !a.batchAvailable(&p) {
-			continue
+	for j, ac := range a.proposals[round] {
+		// Availability gate: a proposal joins our list only once every
+		// payload it references is here, so our own agreement value always
+		// passes our own external-validity predicate.
+		if a.allHeld(ac.refs()) {
+			parties = parties.Add(j)
 		}
-		parties = parties.Add(j)
 	}
 	if !a.trust.IsQuorum(a.self, parties) {
 		return
 	}
-	list := proposalList{Proposals: make([]SignedProposal, 0, len(a.proposals[round]))}
+	list := proposalList{Proposals: make([]SignedProposal, 0, parties.Count())}
 	for _, j := range parties.Members() {
-		list.Proposals = append(list.Proposals, a.proposals[round][j])
+		list.Proposals = append(list.Proposals, a.proposals[round][j].p)
 	}
 	value, err := wire.MarshalBody(list)
 	if err != nil {
@@ -593,45 +657,41 @@ func (a *ABC) maybeAgree() {
 
 // validList is the external validity condition of the paper: the value
 // must be a list of properly signed round-r proposals from a quorum of
-// distinct parties.
+// distinct parties — and, the availability gate, every payload they
+// reference must be here. That part is not final: the agreement layer
+// re-evaluates when a payload arrives.
 func (a *ABC) validList(round int64, value []byte) bool {
 	var list proposalList
 	if !a.cfg.Router.Decode(value, &list) {
 		return false
 	}
 	var parties adversary.Set
+	var refs [][32]byte
 	for i := range list.Proposals {
 		p := &list.Proposals[i]
 		if p.Round != round || p.Party < 0 || p.Party >= a.cfg.Router.N() || parties.Has(p.Party) {
 			return false
 		}
-		if p.Coded && len(p.Batch) > 0 {
+		ac := a.known(p)
+		if ac == nil {
 			return false
 		}
-		if a.cfg.Identity.Verify(p.Party, "abc-prop", a.signStatement(p), p.Sig) != nil {
-			return false
-		}
-		if p.Coded {
-			a.ensureBatchRBC(p.Round, p.Party)
-			// Availability gate: we vouch for a list only when every coded
-			// batch it references has reached us. A failing check is not
-			// final — the agreement layer re-evaluates on blob arrival.
-			if !a.batchAvailable(p) {
-				return false
-			}
-		}
+		refs = append(refs, ac.refs()...)
 		parties = parties.Add(p.Party)
 	}
-	return a.trust.IsQuorum(a.self, parties)
-}
-
-// roundInWindow accepts proposals for the current round up to roundWindow
-// rounds ahead: older rounds are settled, and buffering arbitrarily far
-// futures would let a Byzantine flood grow the proposals map without
-// bound.
-func (a *ABC) roundInWindow(round int64) bool {
-	cur := a.round.Load()
-	return round >= cur && round <= cur+roundWindow
+	if !a.trust.IsQuorum(a.self, parties) {
+		return false
+	}
+	if a.allHeld(refs) {
+		return true
+	}
+	if round == a.round.Load() {
+		// A list worth evaluating has an honest holder of everything it
+		// references (its author, or a signer of its certificate), but the
+		// predicate is not told who: ask everyone.
+		a.want(round, -1, refs)
+	}
+	return false
 }
 
 // onDecide delivers the decided round's payloads in a deterministic order
@@ -644,41 +704,55 @@ func (a *ABC) onDecide(round int64, value []byte) {
 	if !a.cfg.Router.Decode(value, &list) {
 		return // cannot happen: the predicate validated the value
 	}
-	// Resolve coded headers to their batches first. A decide can outrun
-	// a batch blob (external validity was checked elsewhere); park it and
-	// retry when the blob arrives by reliable-broadcast totality.
-	batches := make([][][]byte, len(list.Proposals))
-	for i := range list.Proposals {
-		b, ok := a.resolveBatch(&list.Proposals[i])
-		if !ok {
-			a.pendingDecide[round] = value
-			if a.codedDeferred != nil {
-				a.codedDeferred.Inc()
-			}
-			return
-		}
-		batches[i] = b
-	}
-	delete(a.pendingDecide, round)
-	// Collect the union of batches, dedup by digest, order by digest.
+	// Collect the union of the proposals' undelivered payloads by digest:
+	// the inline ones first, then the referenced ones from the store.
 	type item struct {
 		digest  [32]byte
 		payload []byte
 	}
 	var items []item
+	var refs, missing [][32]byte
 	seen := make(map[[32]byte]bool)
-	for i := range list.Proposals {
-		for _, payload := range batches[i] {
-			d := sha256.Sum256(payload)
-			if _, done := a.delivered[d]; done || seen[d] {
-				continue
-			}
-			seen[d] = true
+	add := func(d [32]byte, payload []byte, here bool) {
+		if _, done := a.delivered[d]; done || seen[d] {
+			return
+		}
+		seen[d] = true
+		if here {
 			items = append(items, item{digest: d, payload: payload})
+		} else {
+			missing = append(missing, d)
 		}
 	}
+	for i := range list.Proposals {
+		ac := a.known(&list.Proposals[i])
+		if ac == nil {
+			continue // cannot happen: a quorum validated the list
+		}
+		for k, payload := range ac.p.Batch {
+			add(ac.digests[k], payload, true)
+		}
+		refs = append(refs, ac.refs()...)
+	}
+	for _, d := range refs {
+		if e := a.store[d]; e != nil && e.payload != nil {
+			add(d, e.payload, true)
+		} else {
+			add(d, nil, false)
+		}
+	}
+	if len(missing) > 0 {
+		// A decide can outrun a referenced payload (external validity was
+		// checked elsewhere, at a quorum): park it and ask everyone.
+		if a.parked == nil {
+			a.codedDeferred.Inc()
+		}
+		a.parked = value
+		a.want(round, -1, missing)
+		return
+	}
 	sort.Slice(items, func(i, j int) bool {
-		return string(items[i].digest[:]) < string(items[j].digest[:])
+		return bytes.Compare(items[i].digest[:], items[j].digest[:]) < 0
 	})
 	for _, it := range items {
 		a.deliverPayload(it.digest, it.payload)
@@ -707,25 +781,22 @@ func (a *ABC) onDecide(round int64, value []byte) {
 	if a.submitted != nil {
 		a.sweepSubmitted(time.Now())
 	}
-	// Garbage-collect an old round's agreement, then open the next round
-	// if there is anything to do.
+	// Garbage-collect an old round's agreement and the payloads whose lag
+	// has run out, then open the next round if there is anything to do.
 	delete(a.proposals, round)
-	if old, ok := a.mvbas[round-2]; ok {
+	if old, ok := a.mvbas[round-storeLag]; ok {
 		old.Halt()
-		delete(a.mvbas, round-2)
+		delete(a.mvbas, round-storeLag)
 	}
-	a.gcCoded(round)
+	a.retireStore(round)
 	a.round.Store(round + 1)
-	a.active = false
 	// Payloads left over from this round (submitted but not in the decided
-	// union) are re-proposed next round in digest order, so retransmission
-	// order is deterministic across replicas regardless of arrival order.
-	a.sortQueueByDigest()
+	// union) are re-proposed next round.
+	a.settleQueue()
 	if a.cfg.RoundEnd != nil {
 		a.cfg.RoundEnd(a.seq.Load(), round+1, a.gcHorizon)
 	}
-	a.maybeActivate()
-	a.maybeAgree()
+	a.enterRound()
 }
 
 // deliverPayload hands one payload to the application at the next
@@ -733,9 +804,10 @@ func (a *ABC) onDecide(round int64, value []byte) {
 func (a *ABC) deliverPayload(digest [32]byte, payload []byte) {
 	seq := a.seq.Add(1) - 1
 	a.delivered[digest] = seq
-	if a.queued[digest] {
-		delete(a.queued, digest)
-		a.removeFromQueue(digest)
+	if e := a.store[digest]; e != nil {
+		// Delivered: out of the queue (settleQueue), retained for laggards.
+		e.queued = false
+		e.expire = a.round.Load() + storeLag
 	}
 	if a.cfg.VerifyCheckpoint != nil {
 		a.recent = append(a.recent, recentEntry{seq: seq, payload: payload})
@@ -750,9 +822,7 @@ func (a *ABC) deliverPayload(digest [32]byte, payload []byte) {
 			a.orderLat.ObserveSince(start)
 		}
 	}
-	if a.deliveredSize != nil {
-		a.deliveredSize.Set(int64(len(a.delivered)))
-	}
+	a.deliveredSize.Set(int64(len(a.delivered)))
 	if a.cfg.Deliver == nil {
 		return
 	}
@@ -761,9 +831,7 @@ func (a *ABC) deliverPayload(digest [32]byte, payload []byte) {
 			// A chunk frame feeds the reassembler instead of the app; the
 			// assembled payload delivers at the completing frame's seq.
 			if assembled, done := a.feedFrame(id, idx, total, chunk); done {
-				if a.chunksAssembled != nil {
-					a.chunksAssembled.Inc()
-				}
+				a.chunksAssembled.Inc()
 				a.cfg.Deliver(seq, assembled)
 			}
 			return
@@ -790,11 +858,9 @@ func (a *ABC) pruneBelow(horizon int64) {
 	if cut > 0 {
 		a.recent = append(a.recent[:0:0], a.recent[cut:]...)
 	}
-	if a.gcFreed != nil {
-		a.gcFreed.Add(int64(freed))
-		a.deliveredSize.Set(int64(len(a.delivered)))
-		a.horizonGauge.Set(horizon)
-	}
+	a.gcFreed.Add(int64(freed))
+	a.deliveredSize.Set(int64(len(a.delivered)))
+	a.horizonGauge.Set(horizon)
 }
 
 // SuffixSince returns the retained payloads delivered at sequences
@@ -843,10 +909,8 @@ func (a *ABC) Install(base int64, install func() bool, suffix [][]byte, liveRoun
 		a.recent = nil
 		a.seq.Store(base)
 		a.gcHorizon = base
-		if a.horizonGauge != nil {
-			a.horizonGauge.Set(base)
-			a.deliveredSize.Set(0)
-		}
+		a.horizonGauge.Set(base)
+		a.deliveredSize.Set(0)
 	} else {
 		if base > cur {
 			return false // gap: suffix does not reach our frontier
@@ -863,15 +927,13 @@ func (a *ABC) Install(base int64, install func() bool, suffix [][]byte, liveRoun
 		}
 		a.deliverPayload(d, payload)
 	}
+	a.settleQueue()
 	a.adoptRound(liveRound)
 	return true
 }
 
 // adoptRound jumps the round counter forward after a checkpoint install,
-// discarding agreement state of the skipped rounds. The pending queue is
-// re-sorted into ascending-digest order first, so the retransmission of
-// still-undelivered payloads proposes them in a deterministic order —
-// reproducible across runs under a fixed sim seed.
+// discarding agreement state of the skipped rounds.
 func (a *ABC) adoptRound(round int64) {
 	if round <= a.round.Load() {
 		a.maybeActivate()
@@ -889,21 +951,9 @@ func (a *ABC) adoptRound(round int64) {
 			delete(a.proposals, r)
 		}
 	}
-	a.gcCoded(round)
-	a.sortQueueByDigest()
+	a.retireStore(round - 1)
 	a.round.Store(round)
-	a.active = false
-	a.maybeActivate()
-	a.maybeAgree()
-}
-
-// sortQueueByDigest orders the pending queue by payload digest, the same
-// order deliveries use.
-func (a *ABC) sortQueueByDigest() {
-	sort.Slice(a.queue, func(i, j int) bool {
-		di, dj := sha256.Sum256(a.queue[i]), sha256.Sum256(a.queue[j])
-		return string(di[:]) < string(dj[:])
-	})
+	a.enterRound()
 }
 
 // adaptBatch moves the adaptive batch bound one step per round opening:
@@ -920,13 +970,4 @@ func adaptBatch(cur, queued, floor, cap int) int {
 		return max(cur/2, floor)
 	}
 	return cur
-}
-
-func (a *ABC) removeFromQueue(d [32]byte) {
-	for i, payload := range a.queue {
-		if sha256.Sum256(payload) == d {
-			a.queue = append(a.queue[:i], a.queue[i+1:]...)
-			return
-		}
-	}
 }

@@ -124,9 +124,7 @@ func (a *ABC) feedFrame(id [16]byte, index, total int, chunk []byte) ([]byte, bo
 	}
 	g.chunks[index] = chunk
 	g.have++
-	if a.chunkGauge != nil {
-		a.chunkGauge.Set(int64(len(a.chunkGroups)))
-	}
+	a.chunkGauge.Set(int64(len(a.chunkGroups)))
 	if g.have < total {
 		return nil, false
 	}
@@ -136,9 +134,7 @@ func (a *ABC) feedFrame(id [16]byte, index, total int, chunk []byte) ([]byte, bo
 	// prefix. A forged frame squatting on an (id, total, index) slot
 	// poisons the group — every replica drops it identically.
 	if chunkID(assembled) != id {
-		if a.chunksDropped != nil {
-			a.chunksDropped.Inc()
-		}
+		a.chunksDropped.Inc()
 		return nil, false
 	}
 	return assembled, true
@@ -151,9 +147,7 @@ func (a *ABC) evictOldestGroup() {
 	}
 	k := a.chunkOrder[0]
 	a.dropGroup(k)
-	if a.chunksDropped != nil {
-		a.chunksDropped.Inc()
-	}
+	a.chunksDropped.Inc()
 }
 
 func (a *ABC) dropGroup(k chunkKey) {
@@ -164,9 +158,7 @@ func (a *ABC) dropGroup(k chunkKey) {
 			break
 		}
 	}
-	if a.chunkGauge != nil {
-		a.chunkGauge.Set(int64(len(a.chunkGroups)))
-	}
+	a.chunkGauge.Set(int64(len(a.chunkGroups)))
 }
 
 // chunkGroupSnap is one group's serialized reassembly state: present
@@ -237,8 +229,6 @@ func (a *ABC) RestoreChunkState(enc []byte) error {
 	}
 	a.chunkGroups = groups
 	a.chunkOrder = order
-	if a.chunkGauge != nil {
-		a.chunkGauge.Set(int64(len(a.chunkGroups)))
-	}
+	a.chunkGauge.Set(int64(len(a.chunkGroups)))
 	return nil
 }

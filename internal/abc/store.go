@@ -1,0 +1,167 @@
+// By-reference proposals: the paper's client sends every request to all
+// n servers, so an honest replica normally holds the bytes before any
+// proposal mentions them. A signed proposal embeds only the payloads below
+// the proposer's CodedThreshold and names every larger one by its SHA-256
+// digest; the bytes come from each replica's own digest-keyed store,
+// filled by the client's copy (chunk framing is deterministic).
+//
+// Validity is availability-gated: a proposal counts toward this party's
+// list, and a list passes external validity, only when every digest it
+// references is held here or already delivered. Two liveness conditions
+// replace timers. An honest proposer holds what it references: accepting
+// a proposal that names an unknown digest sends one FETCH to the proposer.
+// A list that passed validity somewhere has an honest holder: a list or a
+// parked decide still missing a digest sends FETCH to all. Answers are
+// hash-checked, kept only if asked for, and given once per (peer, digest)
+// — again each round the holder re-proposes the payload, still less than
+// the copy per peer per round an inline proposal costs.
+
+package abc
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"sort"
+
+	"sintra/internal/adversary"
+)
+
+// DefaultCodedThreshold is the payload size in bytes from which a
+// proposal references instead of embeds when Config.CodedThreshold is zero.
+const DefaultCodedThreshold = 4096
+
+// maxProposalEntries bounds the payloads (inline plus referenced) one
+// proposal may carry; receivers drop larger ones, so a Byzantine header
+// cannot make a replica track or fetch without limit. The adaptive batch
+// bound is clamped to it.
+const maxProposalEntries = 1024
+
+// storeLag is how many rounds a payload stays in the store after the
+// round that delivered (or last referenced) it, so a replica up to that
+// far behind can still fetch it — the lag agreement instances retire at.
+const storeLag = 2
+
+// fetchBody asks for the payload with this digest; the answer is a
+// PAYLOAD message carrying a submitBody.
+type fetchBody struct {
+	Digest [32]byte
+}
+
+// held is one entry of the digest-keyed payload store: a payload this
+// replica can contribute to a decided round and serve to peers, or — with
+// a nil payload — one it has asked for.
+type held struct {
+	payload []byte
+	// queued marks a locally submitted payload awaiting delivery, which
+	// stays whatever expire — the round whose decide retires the entry —
+	// says.
+	queued bool
+	expire int64
+	// asked: the peers sent a FETCH while the payload was missing; served:
+	// the peers already given it.
+	asked, served adversary.Set
+}
+
+// want records that a round-r proposal or list references refs, and sends
+// a FETCH for each one missing here to the party that vouches for it —
+// everyone, when that is this party itself or (from < 0) unknown.
+func (a *ABC) want(round int64, from int, refs [][32]byte) {
+	target := adversary.FullSet(a.cfg.Router.N()).Remove(a.self)
+	if from >= 0 && from != a.self {
+		target = adversary.SetOf(from)
+	}
+	for _, d := range refs {
+		if _, done := a.delivered[d]; done {
+			continue
+		}
+		e := a.store[d]
+		if e == nil {
+			e = &held{}
+			a.store[d] = e
+			a.storeSize.Set(int64(len(a.store)))
+		}
+		e.expire = max(e.expire, round+storeLag)
+		if e.payload != nil {
+			continue
+		}
+		for _, to := range target.Minus(e.asked).Members() {
+			a.fetchSent.Inc()
+			_ = a.cfg.Router.Send(to, Protocol, a.cfg.Instance, typeFetch, fetchBody{Digest: d})
+		}
+		e.asked = e.asked.Union(target)
+	}
+}
+
+// allHeld reports whether every referenced digest is resolvable here:
+// delivered already (it contributes nothing more) or in the store.
+func (a *ABC) allHeld(refs [][32]byte) bool {
+	for _, d := range refs {
+		_, done := a.delivered[d]
+		if e := a.store[d]; !done && (e == nil || e.payload == nil) {
+			return false
+		}
+	}
+	return true
+}
+
+// onFetch serves a held payload to a peer that asks for it, once.
+func (a *ABC) onFetch(from int, d [32]byte) {
+	e := a.store[d]
+	if from >= a.cfg.Router.N() || e == nil || e.payload == nil || e.served.Has(from) {
+		return
+	}
+	e.served = e.served.Add(from)
+	a.fetchServed.Inc()
+	_ = a.cfg.Router.Send(from, Protocol, a.cfg.Instance, typePayload, submitBody{Payload: e.payload})
+}
+
+// onPayload consumes a FETCH answer: kept only when its hash is one this
+// replica asked for and still lacks.
+func (a *ABC) onPayload(payload []byte) {
+	e := a.store[sha256.Sum256(payload)]
+	switch {
+	case e == nil || e.asked == 0:
+		a.fetchRejected.Inc()
+	case e.payload == nil:
+		e.payload = payload
+		a.payloadArrived()
+	}
+}
+
+// payloadArrived re-runs everything the availability gate held back: the
+// proposal quorum, deferred agreement evidence, and a parked decide.
+func (a *ABC) payloadArrived() {
+	round := a.round.Load()
+	a.maybeAgree()
+	if mv, ok := a.mvbas[round]; ok {
+		mv.Reeval()
+	}
+	if v := a.parked; v != nil && round == a.round.Load() {
+		a.parked = nil
+		a.onDecide(round, v)
+	}
+}
+
+// retireStore drops entries whose round has passed, once a round decides.
+func (a *ABC) retireStore(decided int64) {
+	for d, e := range a.store {
+		if !e.queued && e.expire <= decided {
+			delete(a.store, d)
+		}
+	}
+	a.storeSize.Set(int64(len(a.store)))
+}
+
+// settleQueue drops delivered payloads from the pending queue and orders
+// the rest by digest — the order deliveries use — so what is re-proposed
+// next round is deterministic across replicas regardless of arrival order.
+func (a *ABC) settleQueue() {
+	kept := a.queue[:0]
+	for _, d := range a.queue {
+		if e := a.store[d]; e != nil && e.queued {
+			kept = append(kept, d)
+		}
+	}
+	a.queue = kept
+	sort.Slice(a.queue, func(i, j int) bool { return bytes.Compare(a.queue[i][:], a.queue[j][:]) < 0 })
+}

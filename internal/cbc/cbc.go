@@ -266,17 +266,8 @@ func (c *CBC) Start(payload []byte) error {
 	return c.cfg.Router.Loopback(Protocol, c.cfg.Instance, "START", sendBody{Payload: payload})
 }
 
-// Delivered reports whether the instance has delivered.
-func (c *CBC) Delivered() bool { return c.delivered }
-
 func (c *CBC) valid(payload []byte) bool {
 	return c.cfg.Predicate == nil || c.cfg.Predicate(payload)
-}
-
-// Handle processes one protocol message without a pipeline verdict (the
-// legacy single-stage entry point, kept for tests and direct callers).
-func (c *CBC) Handle(from int, msgType string, payload []byte) {
-	c.apply(from, msgType, payload, nil)
 }
 
 // apply is the serialized Apply stage; a non-nil verdict carries the
@@ -333,9 +324,9 @@ func (c *CBC) apply(from int, msgType string, payload []byte, verdict any) {
 
 // onSend: sign the digest once and return the share to the sender. A
 // payload failing the predicate is stashed, not discarded: predicates
-// gated on local availability (the ABC coded mode validates proposal
-// headers against batches that arrive on a separate coded broadcast)
-// can start holding and later pass — Reeval retries the stash.
+// gated on local availability (ABC accepts a proposal list only once it
+// holds every payload the list references by digest) can start holding
+// and later pass — Reeval retries the stash.
 func (c *CBC) onSend(payload []byte) {
 	if c.signedDigest != nil {
 		return

@@ -90,6 +90,10 @@ type Node struct {
 	reqHead      int
 	reqSinceScan int
 
+	// submit is the ordering layer's in-place entry point (dispatch
+	// goroutine only), in either mode.
+	submit func(payload []byte) error
+
 	// Atomic-mode checkpointing (nil when disabled or not applicable).
 	abc     *abc.ABC
 	ckpt    *checkpoint.Tracker
@@ -199,7 +203,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			MaxBatchSize:   cfg.MaxBatchSize,
 			CodedThreshold: cfg.CodedThreshold,
 			ChunkSize:      cfg.ChunkSize,
-			Deliver:        n.onAtomicDeliver,
+			Deliver:        n.onDeliver,
 			RoundEnd:       n.onRoundEnd,
 		}
 		if useCkpt {
@@ -219,6 +223,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			}
 		}
 		n.abc = abc.New(abcCfg)
+		n.submit = n.abc.Submit
 		if useCkpt {
 			n.snapper = snapper
 			n.ckpt = checkpoint.New(checkpoint.Config{
@@ -236,7 +241,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			})
 		}
 	case ModeSecureCausal:
-		scabc.New(scabc.Config{
+		n.submit = scabc.New(scabc.Config{
 			Router:         n.router,
 			Struct:         cfg.Public.Structure,
 			Trust:          qtrust,
@@ -252,8 +257,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			BatchSize:      cfg.BatchSize,
 			MaxBatchSize:   cfg.MaxBatchSize,
 			CodedThreshold: cfg.CodedThreshold,
-			Deliver:        n.onCausalDeliver,
-		})
+			Deliver:        n.onDeliver,
+		}).SubmitLocal
 	}
 	n.router.Register(clientProtocol, cfg.ServiceName, n.onClientMessage)
 	if n.ckpt != nil {
@@ -305,19 +310,6 @@ func (n *Node) PendingRequests() int {
 	var size int
 	n.router.DoSync(func() { size = len(n.reqClients) })
 	return size
-}
-
-// submitter resolves the ordering layer's submit entry point.
-func (n *Node) submit(payload []byte) error {
-	switch n.cfg.Mode {
-	case ModeAtomic:
-		return n.router.Loopback(abc.Protocol, "svc/"+n.cfg.ServiceName, "SUBMIT",
-			struct{ Payload []byte }{payload})
-	case ModeSecureCausal:
-		return n.router.Loopback(abc.Protocol, "svc/"+n.cfg.ServiceName+"/ord", "SUBMIT",
-			struct{ Payload []byte }{payload})
-	}
-	return fmt.Errorf("core: unknown mode")
 }
 
 // onClientMessage handles REQUEST messages from clients (and ignores
@@ -480,8 +472,7 @@ func (n *Node) onStableCheckpoint(cp checkpoint.Checkpoint) {
 	prefix := "svc/" + n.cfg.ServiceName + "/r"
 	n.router.CompactTombstones(func(protocol, instance string) bool {
 		// roundIn, not roundOf: sub-protocol instances embed the round
-		// marker mid-name (MVBA's "<sender>/m/svc/<name>/r<round>" CBCs,
-		// the coded batch dispersals "<proposer>/svc/<name>/r<round>/batch").
+		// marker mid-name (MVBA's "<sender>/m/svc/<name>/r<round>" CBCs).
 		r, ok := roundIn(instance, prefix)
 		return ok && r < cp.Round
 	})
@@ -547,22 +538,12 @@ func roundAfter(rest string) (int64, bool) {
 	return r, true
 }
 
-// onAtomicDeliver executes a plaintext envelope delivered by atomic
-// broadcast.
-func (n *Node) onAtomicDeliver(seq int64, payload []byte) {
-	var env envelope
-	if !n.router.Decode(payload, &env) {
-		return // malformed request: deterministic skip on every replica
-	}
-	n.apply(seq, env)
-}
-
-// onCausalDeliver executes a decrypted envelope delivered by secure
-// causal atomic broadcast.
-func (n *Node) onCausalDeliver(seq int64, request []byte) {
+// onDeliver executes an envelope delivered by the ordering layer: as
+// submitted in atomic mode, decrypted in secure-causal mode.
+func (n *Node) onDeliver(seq int64, request []byte) {
 	var env envelope
 	if !n.router.Decode(request, &env) {
-		return
+		return // malformed request: deterministic skip on every replica
 	}
 	n.apply(seq, env)
 }

@@ -45,11 +45,11 @@ type Tuning struct {
 	// bound. Effective in ModeAtomic with a Snapshotter service. Must
 	// match.
 	CheckpointInterval int64
-	// CodedThreshold is the batch size in bytes from which the ordering
-	// layer disseminates a proposal as a digest header plus one
-	// erasure-coded reliable broadcast instead of embedding the payloads
-	// in the agreement value. Default 4096; off keeps every proposal
-	// inline. Must match: it changes what the validity predicate accepts.
+	// CodedThreshold is the per-payload size in bytes from which a
+	// proposal references a request by digest instead of embedding it:
+	// every replica already has the bytes from the client, and one that
+	// does not pulls them once. Default 4096; off embeds every payload.
+	// Local: proposals say per entry which form they use.
 	CodedThreshold int
 	// ChunkSize is the payload size in bytes above which a client request
 	// is split into deterministic frames reassembled after ordering, so

@@ -113,7 +113,7 @@ type trialState struct {
 	pendingVotes []voteRec
 	// deferred holds yes-evidence whose certificate verified but whose
 	// external-validity predicate failed at evaluation time. Predicates
-	// gated on local availability (ABC's coded mode) can pass later;
+	// gated on local availability (ABC's referenced payloads) can pass later;
 	// Reeval retries these without re-verifying the certificates.
 	deferred []voteBody
 
@@ -212,9 +212,6 @@ func (m *MVBA) Start(proposal []byte) error {
 	return m.cfg.Router.Loopback(Protocol, m.cfg.Instance, typeStart, startBody{Proposal: proposal})
 }
 
-// Trial returns the current trial number (progress metric).
-func (m *MVBA) Trial() int { return m.trial }
-
 // Halt unregisters the instance and its consistent broadcasts. Call only
 // when the whole system has moved on (e.g. two atomic-broadcast rounds
 // later); dispatch goroutine only.
@@ -312,12 +309,6 @@ func (m *MVBA) batchVerify(msgs []*wire.Message) ([]any, int) {
 		verdicts[i] = &leadCoinVerdict{trial: body.Trial, shares: valid}
 	}
 	return verdicts, culprits
-}
-
-// Handle processes one protocol message without a pipeline verdict (the
-// legacy single-stage entry point, kept for tests and direct callers).
-func (m *MVBA) Handle(from int, msgType string, payload []byte) {
-	m.apply(from, msgType, payload, nil)
 }
 
 // apply is the serialized Apply stage; a non-nil verdict carries
@@ -605,9 +596,9 @@ func (m *MVBA) onRecAns(body voteBody) {
 // first evaluation failed: the embedded consistent broadcasts' pending
 // SENDs and this instance's deferred (certificate-verified) votes and
 // recovery answers. Call from the dispatch goroutine whenever local
-// state the predicate depends on has changed — the ABC coded mode calls
-// it each time a proposal batch finishes its coded broadcast. Safe to
-// call at any time; a no-op when nothing is pending.
+// state the predicate depends on has changed — ABC calls it each time a
+// payload some proposal references by digest arrives. Safe to call at any
+// time; a no-op when nothing is pending.
 func (m *MVBA) Reeval() {
 	if m.halted {
 		return

@@ -85,9 +85,10 @@ type Config struct {
 	// MaxBatchSize is passed to the embedded atomic broadcast as the
 	// adaptive batching ceiling; see abc.Config.MaxBatchSize.
 	MaxBatchSize int
-	// CodedThreshold is passed to the embedded atomic broadcast; see
-	// abc.Config.CodedThreshold. Chunking, by contrast, is always off in
-	// secure-causal mode: the decryption pipeline flushes by dense ABC
+	// CodedThreshold is passed to the embedded atomic broadcast (the
+	// ciphertext size from which proposals reference instead of embed);
+	// see abc.Config.CodedThreshold. Chunking, by contrast, is always off
+	// in secure-causal mode: the decryption pipeline flushes by dense ABC
 	// sequence numbers, and chunk frames would leave gaps.
 	CodedThreshold int
 }
@@ -178,9 +179,15 @@ func Encrypt(enc *threnc.Params, instance string, request []byte) ([]byte, error
 }
 
 // Submit hands an encrypted request (from Encrypt) to the ordering layer.
-// Safe from any goroutine.
+// Safe from any goroutine (a loopback message); callers already on the
+// dispatch goroutine use SubmitLocal.
 func (s *SCABC) Submit(ciphertext []byte) error {
 	return s.abc.Broadcast(ciphertext)
+}
+
+// SubmitLocal is Submit in place, for callers on the dispatch goroutine.
+func (s *SCABC) SubmitLocal(ciphertext []byte) error {
+	return s.abc.Submit(ciphertext)
 }
 
 // Seq returns the number of plaintexts delivered so far.
@@ -321,13 +328,6 @@ func (s *SCABC) batchVerify(msgs []*wire.Message) ([]any, int) {
 	return verdicts, culprits
 }
 
-// Handle processes decryption-share messages without a pipeline verdict
-// (the legacy single-stage entry point, kept for tests and direct
-// callers).
-func (s *SCABC) Handle(from int, msgType string, payload []byte) {
-	s.apply(from, msgType, payload, nil)
-}
-
 // apply is the serialized Apply stage; a non-nil verdict carries shares
 // already checked against the ordered ciphertext.
 func (s *SCABC) apply(from int, msgType string, payload []byte, verdict any) {
@@ -427,9 +427,4 @@ func (s *SCABC) flush() {
 		s.cts.Delete(s.nextABC)
 		s.nextABC++
 	}
-}
-
-// String describes the instance (for logs).
-func (s *SCABC) String() string {
-	return fmt.Sprintf("scabc(%s)", s.cfg.Instance)
 }

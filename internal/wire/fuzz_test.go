@@ -7,10 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/engine"
 	"sintra/internal/netsim"
 	"sintra/internal/rbc"
+	"sintra/internal/testutil"
 	"sintra/internal/wire"
 )
 
@@ -42,8 +44,65 @@ func (s *recordingScheduler) recorded() []wire.Message {
 
 // liveTraffic runs a real four-party reliable broadcast on the simulator
 // and returns every envelope the network delivered — SEND, ECHO, and READY
-// messages with genuine gob payloads.
+// messages with genuine gob payloads — followed by the atomic-broadcast
+// envelopes of fetchTraffic.
 func liveTraffic(tb testing.TB) []wire.Message {
+	tb.Helper()
+	return append(rbcTraffic(tb), fetchTraffic(tb)...)
+}
+
+// fetchTraffic orders one payload submitted at a single party of a real
+// four-party atomic broadcast whose proposals reference anything over 64
+// bytes, and returns the abc envelopes delivered: by-reference PROPOSALs,
+// the FETCHes of the three parties that lacked the payload, and the
+// PAYLOAD answers.
+func fetchTraffic(tb testing.TB) []wire.Message {
+	tb.Helper()
+	rec := &recordingScheduler{inner: netsim.NewRandomScheduler(43)}
+	c := testutil.NewCluster(tb, adversary.MustThreshold(4, 1), testutil.Options{Scheduler: rec})
+	delivered := make(chan struct{}, c.N())
+	insts := make([]*abc.ABC, c.N())
+	for i, r := range c.Routers {
+		i, r := i, r
+		r.DoSync(func() {
+			insts[i] = abc.New(abc.Config{
+				Router: r, Struct: c.Struct, Instance: "fuzz-seed",
+				Identity: c.Pub.Identity, IDKey: c.Secrets[i].Identity,
+				Coin: c.Pub.Coin, CoinKey: c.Secrets[i].Coin,
+				Scheme: c.Pub.QuorumSig(), Key: c.Secrets[i].SigQuorum,
+				CodedThreshold: 64,
+				Deliver:        func(int64, []byte) { delivered <- struct{}{} },
+			})
+		})
+	}
+	if err := insts[0].Broadcast(bytes.Repeat([]byte("fuzz corpus payload "), 10)); err != nil {
+		tb.Fatal(err)
+	}
+	for range insts {
+		select {
+		case <-delivered:
+		case <-time.After(60 * time.Second):
+			tb.Fatal("seed atomic broadcast did not deliver")
+		}
+	}
+	c.Stop()
+	var out []wire.Message
+	seen := map[string]bool{}
+	for _, m := range rec.recorded() {
+		if m.Protocol == abc.Protocol {
+			out = append(out, m)
+			seen[m.Type] = true
+		}
+	}
+	for _, typ := range []string{"PROPOSAL", "FETCH", "PAYLOAD"} {
+		if !seen[typ] {
+			tb.Fatalf("seed atomic broadcast produced no %s", typ)
+		}
+	}
+	return out
+}
+
+func rbcTraffic(tb testing.TB) []wire.Message {
 	tb.Helper()
 	const n = 4
 	st, err := adversary.NewThreshold(n, 1)

@@ -70,10 +70,25 @@ func assertRestartedConsistent(t *testing.T, c *chainCluster, restarted *chainMa
 // revived replica reaches the live frontier, honest histories stay
 // identical, and no replica panics. Run under -race by the chaos CI job.
 func TestChaosDurableCrashMidProtocol(t *testing.T) {
+	durableCrashMidProtocol(t, sintra.Tuning{CheckpointInterval: 8, NoFsync: true}, 0)
+}
+
+// TestChaosDurableCrashByReference is the same crash cycle with requests
+// over the reference threshold: the journaled proposals name payloads by
+// digest, and the revived replica's payload store starts empty — what it
+// proposed before the crash it can re-send but no longer serve. It must
+// neither wedge a round nor contradict its journal, and must converge.
+func TestChaosDurableCrashByReference(t *testing.T) {
+	durableCrashMidProtocol(t, sintra.Tuning{CheckpointInterval: 8, NoFsync: true, CodedThreshold: 256}, 1024)
+}
+
+// durableCrashMidProtocol runs the crash cycle with every request padded
+// by pad bytes.
+func durableCrashMidProtocol(t *testing.T, tuning sintra.Tuning, pad int) {
 	dir := t.TempDir()
 	c := newChainCluster(t, 4, 1,
 		sintra.WithSeed(51),
-		sintra.WithTuning(sintra.Tuning{CheckpointInterval: 8, NoFsync: true}),
+		sintra.WithTuning(tuning),
 		sintra.WithDataDir(dir),
 		// Crash replica 2 the moment it tries to journal record 40:
 		// several rounds of commitments are on disk, the current round is
@@ -85,7 +100,7 @@ func TestChaosDurableCrashMidProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	invoke := func(i int) {
-		req := []byte(fmt.Sprintf("durable-request-%d", i))
+		req := append([]byte(fmt.Sprintf("durable-request-%d", i)), make([]byte, pad)...)
 		ans, err := invokeWithin(client, req, 120*time.Second)
 		if err != nil {
 			t.Fatalf("request %d: liveness lost: %v", i, err)
@@ -140,6 +155,9 @@ func TestChaosDurableCrashMidProtocol(t *testing.T) {
 	// The continuously-live replicas (index 4 is the restarted fresh
 	// machine, compared by seq above) must agree position by position.
 	c.assertReplicasConsistent(t, 4)
+	if referenced := snap.Counter("abc.coded.proposals"); (pad > 0) != (referenced > 0) {
+		t.Fatalf("abc.coded.proposals = %d with %d-byte requests", referenced, pad)
+	}
 	t.Logf("recovered=%d replayed=%d records=%d",
 		j.Recovered(), snap.Counter("wal.replayed"), snap.Counter("wal.records"))
 }
