@@ -79,7 +79,8 @@ const (
 	typePayload  = "PAYLOAD"
 )
 
-type submitBody struct {
+// payloadBody is a local SUBMIT, or the PAYLOAD answer to a FETCH.
+type payloadBody struct {
 	Payload []byte
 }
 
@@ -327,7 +328,7 @@ func (a *ABC) Broadcast(payload []byte) error {
 	if err := a.checkSize(payload); err != nil {
 		return err
 	}
-	return a.cfg.Router.Loopback(Protocol, a.cfg.Instance, typeSubmit, submitBody{Payload: payload})
+	return a.cfg.Router.Loopback(Protocol, a.cfg.Instance, typeSubmit, payloadBody{Payload: payload})
 }
 
 // Submit is Broadcast for callers on the dispatch goroutine: the payload
@@ -429,7 +430,7 @@ func (a *ABC) verifyMsg(from int, msgType string, payload []byte) any {
 func (a *ABC) apply(from int, msgType string, payload []byte, verdict any) {
 	switch msgType {
 	case typeSubmit:
-		var body submitBody
+		var body payloadBody
 		if from != a.self || !a.cfg.Router.Decode(payload, &body) {
 			return
 		}
@@ -454,7 +455,7 @@ func (a *ABC) apply(from int, msgType string, payload []byte, verdict any) {
 			a.onFetch(from, body.Digest)
 		}
 	case typePayload:
-		var body submitBody
+		var body payloadBody
 		if a.cfg.Router.Decode(payload, &body) {
 			a.onPayload(body.Payload)
 		}
@@ -482,12 +483,7 @@ func (a *ABC) enqueue(payload []byte) {
 	if _, done := a.delivered[d]; done {
 		return
 	}
-	e := a.store[d]
-	if e == nil {
-		e = &held{}
-		a.store[d] = e
-		a.storeSize.Set(int64(len(a.store)))
-	}
+	e := a.entry(d)
 	if e.queued {
 		return
 	}

@@ -41,8 +41,7 @@ const maxProposalEntries = 1024
 // far behind can still fetch it — the lag agreement instances retire at.
 const storeLag = 2
 
-// fetchBody asks for the payload with this digest; the answer is a
-// PAYLOAD message carrying a submitBody.
+// fetchBody asks for a payload by digest; the answer is a payloadBody.
 type fetchBody struct {
 	Digest [32]byte
 }
@@ -62,6 +61,17 @@ type held struct {
 	asked, served adversary.Set
 }
 
+// entry returns the store entry for a digest, creating an empty one.
+func (a *ABC) entry(d [32]byte) *held {
+	e := a.store[d]
+	if e == nil {
+		e = &held{}
+		a.store[d] = e
+		a.storeSize.Set(int64(len(a.store)))
+	}
+	return e
+}
+
 // want records that a round-r proposal or list references refs, and sends
 // a FETCH for each one missing here to the party that vouches for it —
 // everyone, when that is this party itself or (from < 0) unknown.
@@ -74,12 +84,7 @@ func (a *ABC) want(round int64, from int, refs [][32]byte) {
 		if _, done := a.delivered[d]; done {
 			continue
 		}
-		e := a.store[d]
-		if e == nil {
-			e = &held{}
-			a.store[d] = e
-			a.storeSize.Set(int64(len(a.store)))
-		}
+		e := a.entry(d)
 		e.expire = max(e.expire, round+storeLag)
 		if e.payload != nil {
 			continue
@@ -112,7 +117,7 @@ func (a *ABC) onFetch(from int, d [32]byte) {
 	}
 	e.served = e.served.Add(from)
 	a.fetchServed.Inc()
-	_ = a.cfg.Router.Send(from, Protocol, a.cfg.Instance, typePayload, submitBody{Payload: e.payload})
+	_ = a.cfg.Router.Send(from, Protocol, a.cfg.Instance, typePayload, payloadBody{Payload: e.payload})
 }
 
 // onPayload consumes a FETCH answer: kept only when its hash is one this
