@@ -483,16 +483,13 @@ func (a *ABC) enqueue(payload []byte) {
 	if _, done := a.delivered[d]; done {
 		return
 	}
-	e := a.entry(d)
-	if e.queued {
+	e := a.store[d]
+	// A proposal may have referenced it before the client's copy got here.
+	wanted := e != nil && e.payload == nil
+	if e = a.entry(d); e.queued {
 		return
 	}
-	e.queued = true
-	// A proposal may have referenced it before the client's copy got here.
-	wanted := e.payload == nil && e.asked != 0
-	if e.payload == nil {
-		e.payload = payload
-	}
+	e.queued, e.payload = true, payload
 	a.queue = append(a.queue, d)
 	if a.submitted != nil {
 		a.submitted[d] = time.Now()
@@ -544,9 +541,6 @@ func (a *ABC) maybeActivate() {
 		if a.codedThreshold > 0 && len(e.payload) >= a.codedThreshold {
 			refs = append(refs, d)
 			p.Refs = append(p.Refs, d[:]...)
-			// Peers that lost the payload since an earlier round proposed
-			// it may ask once more.
-			e.served = 0
 		} else {
 			inline = append(inline, d)
 			p.Batch = append(p.Batch, e.payload)
@@ -644,7 +638,7 @@ func (a *ABC) maybeAgree() {
 		CoinKey:   a.cfg.CoinKey,
 		Scheme:    a.cfg.Scheme,
 		Key:       a.cfg.Key,
-		Predicate: func(v []byte) bool { return a.validList(round, v) },
+		Predicate: func(v []byte, from int) bool { return a.validList(round, v, from) },
 		Decide:    func(v []byte) { a.onDecide(round, v) },
 	})
 	a.mvbas[round] = inst
@@ -654,9 +648,10 @@ func (a *ABC) maybeAgree() {
 // validList is the external validity condition of the paper: the value
 // must be a list of properly signed round-r proposals from a quorum of
 // distinct parties — and, the availability gate, every payload they
-// reference must be here. That part is not final: the agreement layer
-// re-evaluates when a payload arrives.
-func (a *ABC) validList(round int64, value []byte) bool {
+// reference must be here. That part is not final: what is missing is
+// asked of from, the party that stands behind the list (-1: a quorum has
+// accepted it), and the agreement layer re-evaluates when a payload arrives.
+func (a *ABC) validList(round int64, value []byte, from int) bool {
 	var list proposalList
 	if !a.cfg.Router.Decode(value, &list) {
 		return false
@@ -682,10 +677,7 @@ func (a *ABC) validList(round int64, value []byte) bool {
 		return true
 	}
 	if round == a.round.Load() {
-		// A list worth evaluating has an honest holder of everything it
-		// references (its author, or a signer of its certificate), but the
-		// predicate is not told who: ask everyone.
-		a.want(round, -1, refs)
+		a.want(round, from, refs)
 	}
 	return false
 }

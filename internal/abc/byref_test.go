@@ -426,6 +426,85 @@ func TestParkedDecideReleasedByBroadcastFetch(t *testing.T) {
 	}
 }
 
+// signedEmpty is party's validly signed round proposal carrying nothing.
+func (b *byzantineProposer) signedEmpty(party int, round int64) abc.SignedProposal {
+	p := abc.SignedProposal{Party: party, Round: round}
+	b.inst.SignProposal(b.c.Secrets[party].Identity, &p)
+	return p
+}
+
+// TestEarlyListCannotWedgeDecide: the corrupted party shows party 2 a
+// list referencing a payload before any honest party holds it, then lets
+// the others have the payload so that they decide the list. Party 2 asked
+// only the list's author, who stays mute; the decide, behind which a
+// quorum stands, asks the parties that hold the payload by then.
+func TestEarlyListCannotWedgeDecide(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	c := testutil.NewCluster(t, st, testutil.Options{Seed: 57, Observe: true, Corrupted: []int{3}})
+	honest := []int{0, 1, 2}
+	h := newHarness(t, c, honest)
+	b := newByzantineProposer(t, c, h.insts[0])
+
+	payload := randomPayload(58, 2000)
+	value := abc.ListValue(b.signedEmpty(0, 1), b.signedEmpty(1, 1), b.propose(1, payload))
+	var valid bool
+	c.Routers[2].DoSync(func() { valid = h.insts[2].ValidList(value, 3) })
+	if valid {
+		t.Fatal("party 2 accepted a list referencing a payload it does not hold")
+	}
+	if v := c.Regs[2].Counter("abc.fetch.sent").Value(); v != 1 {
+		t.Fatalf("party 2 sent %d FETCHes for the list, want one, to its author", v)
+	}
+	for _, holder := range []int{0, 1} {
+		c.Routers[holder].DoSync(func() { h.insts[holder].Hold(payload) })
+	}
+	c.Routers[2].DoSync(func() { h.insts[2].Decide(value) })
+
+	h.waitLogs(t, []int{2}, 1, 60*time.Second)
+	if v := c.Regs[2].Counter("abc.fetch.sent").Value(); v != 3 {
+		t.Fatalf("party 2 sent %d FETCHes in all, want 3: the author, then the two others", v)
+	}
+	if v := counterSum(c, []int{0, 1}, "abc.fetch.served"); v < 1 {
+		t.Fatal("party 2 delivered, yet neither holder counts an answer")
+	}
+}
+
+// TestAskStartsAfreshEachRound: an ask that went out while nobody held
+// the payload is not held against a later round. Party 2 asks everyone in
+// round 1 and gets nothing; round 1 decides without the payload; in round
+// 2 the others hold it, and a decide referencing it asks them again.
+func TestAskStartsAfreshEachRound(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	c := testutil.NewCluster(t, st, testutil.Options{Seed: 59, Observe: true, Corrupted: []int{3}})
+	honest := []int{0, 1, 2}
+	h := newHarness(t, c, honest)
+	b := newByzantineProposer(t, c, h.insts[0])
+
+	payload := randomPayload(60, 2000)
+	early := abc.ListValue(b.signedEmpty(0, 1), b.signedEmpty(1, 1), b.propose(1, payload))
+	c.Routers[2].DoSync(func() {
+		if h.insts[2].ValidList(early, -1) {
+			t.Error("party 2 accepted a list referencing a payload it does not hold")
+		}
+		h.insts[2].Decide(abc.ListValue(b.signedEmpty(0, 1)))
+	})
+	for _, holder := range []int{0, 1} {
+		// The round-1 FETCH has to find the holder still empty-handed.
+		for deadline := time.Now().Add(30 * time.Second); c.Regs[holder].Counter("router.recv.abc.FETCH").Value() < 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("party %d never got the round-1 FETCH", holder)
+			}
+		}
+		c.Routers[holder].DoSync(func() { h.insts[holder].Hold(payload) })
+	}
+	c.Routers[2].DoSync(func() { h.insts[2].Decide(abc.ListValue(b.propose(2, payload))) })
+
+	h.waitLogs(t, []int{2}, 1, 60*time.Second)
+	if v := c.Regs[2].Counter("abc.fetch.sent").Value(); v != 6 {
+		t.Fatalf("party 2 sent %d FETCHes, want 3 in each of the two rounds", v)
+	}
+}
+
 // TestOversizedProposalDropped: a validly signed proposal with more
 // entries than the constant bound is dropped before anything is tracked
 // or fetched for it.

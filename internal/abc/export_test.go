@@ -36,6 +36,12 @@ func (a *ABC) Hold(payload []byte) {
 	a.store[sha256.Sum256(payload)] = &held{payload: payload, expire: a.round.Load() + storeLag}
 }
 
+// ValidList evaluates the current round's external-validity predicate on
+// a value that from stands behind. Dispatch goroutine only.
+func (a *ABC) ValidList(value []byte, from int) bool {
+	return a.validList(a.round.Load(), value, from)
+}
+
 // Decide hands the current round a decided value. Dispatch goroutine only.
 func (a *ABC) Decide(value []byte) { a.onDecide(a.round.Load(), value) }
 

@@ -7,14 +7,16 @@
 //
 // Validity is availability-gated: a proposal counts toward this party's
 // list, and a list passes external validity, only when every digest it
-// references is held here or already delivered. Two liveness conditions
-// replace timers. An honest proposer holds what it references: accepting
-// a proposal that names an unknown digest sends one FETCH to the proposer.
-// A list that passed validity somewhere has an honest holder: a list or a
-// parked decide still missing a digest sends FETCH to all. Answers are
-// hash-checked, kept only if asked for, and given once per (peer, digest)
-// — again each round the holder re-proposes the payload, still less than
-// the copy per peer per round an inline proposal costs.
+// references is held here or already delivered. Liveness conditions
+// replace timers, and a missing payload is asked only of a party one of
+// them covers, when it does — a peer that lacks the payload drops the ask.
+// An honest proposer holds what it references: an accepted proposal sends
+// FETCH to its proposer. An honest party holds what the list it proposes
+// for agreement references: such a list sends FETCH to its author. A list
+// a quorum accepted — certified or decided — has an honest holder: it
+// sends FETCH to all. Within a round no peer is asked twice for a digest
+// and none is answered twice; the next round starts afresh. Answers are
+// hash-checked and kept only for a digest being tracked.
 
 package abc
 
@@ -56,8 +58,8 @@ type held struct {
 	// says.
 	queued bool
 	expire int64
-	// asked: the peers sent a FETCH while the payload was missing; served:
-	// the peers already given it.
+	// asked: the peers sent a FETCH this round; served: the peers given the
+	// payload this round.
 	asked, served adversary.Set
 }
 
@@ -73,8 +75,10 @@ func (a *ABC) entry(d [32]byte) *held {
 }
 
 // want records that a round-r proposal or list references refs, and sends
-// a FETCH for each one missing here to the party that vouches for it —
-// everyone, when that is this party itself or (from < 0) unknown.
+// a FETCH for each one missing here to the party that stands behind it:
+// from, or everyone for a quorum (from < 0). Nobody stands behind what
+// this party itself proposed and lost in a restart: it tries everyone
+// too, but that ask counts against no peer.
 func (a *ABC) want(round int64, from int, refs [][32]byte) {
 	target := adversary.FullSet(a.cfg.Router.N()).Remove(a.self)
 	if from >= 0 && from != a.self {
@@ -93,7 +97,9 @@ func (a *ABC) want(round int64, from int, refs [][32]byte) {
 			a.fetchSent.Inc()
 			_ = a.cfg.Router.Send(to, Protocol, a.cfg.Instance, typeFetch, fetchBody{Digest: d})
 		}
-		e.asked = e.asked.Union(target)
+		if from != a.self {
+			e.asked = e.asked.Union(target)
+		}
 	}
 }
 
@@ -109,7 +115,7 @@ func (a *ABC) allHeld(refs [][32]byte) bool {
 	return true
 }
 
-// onFetch serves a held payload to a peer that asks for it, once.
+// onFetch serves a held payload to a peer that asks for it, once a round.
 func (a *ABC) onFetch(from int, d [32]byte) {
 	e := a.store[d]
 	if from >= a.cfg.Router.N() || e == nil || e.payload == nil || e.served.Has(from) {
@@ -121,13 +127,12 @@ func (a *ABC) onFetch(from int, d [32]byte) {
 }
 
 // onPayload consumes a FETCH answer: kept only when its hash is one this
-// replica asked for and still lacks.
+// replica tracks (an entry without the bytes exists only because want
+// asked for them) and still lacks.
 func (a *ABC) onPayload(payload []byte) {
-	e := a.store[sha256.Sum256(payload)]
-	switch {
-	case e == nil || e.asked == 0:
+	if e := a.store[sha256.Sum256(payload)]; e == nil {
 		a.fetchRejected.Inc()
-	case e.payload == nil:
+	} else if e.payload == nil {
 		e.payload = payload
 		a.payloadArrived()
 	}
@@ -147,12 +152,14 @@ func (a *ABC) payloadArrived() {
 	}
 }
 
-// retireStore drops entries whose round has passed, once a round decides.
+// retireStore drops entries whose round has passed, once a round decides,
+// and lets the next round ask and answer for the rest again.
 func (a *ABC) retireStore(decided int64) {
 	for d, e := range a.store {
 		if !e.queued && e.expire <= decided {
 			delete(a.store, d)
 		}
+		e.asked, e.served = 0, 0
 	}
 	a.storeSize.Set(int64(len(a.store)))
 }

@@ -328,13 +328,11 @@ func (c *CBC) apply(from int, msgType string, payload []byte, verdict any) {
 // holds every payload the list references by digest) can start holding
 // and later pass — Reeval retries the stash.
 func (c *CBC) onSend(payload []byte) {
-	if c.signedDigest != nil {
-		return
+	if c.signedDigest != nil || c.pendingSend != nil {
+		return // an honest sender sends one SEND: only the first is looked at
 	}
 	if !c.valid(payload) {
-		if c.pendingSend == nil {
-			c.pendingSend = payload
-		}
+		c.pendingSend = payload
 		return
 	}
 	c.signAndShare(payload)

@@ -91,8 +91,10 @@ type Config struct {
 	// certificates); Key the party's signing key.
 	Scheme thresig.Scheme
 	Key    *thresig.SecretKey
-	// Predicate is the external validity condition; nil accepts all.
-	Predicate func(payload []byte) bool
+	// Predicate is the external validity condition; nil accepts all. from
+	// is who stands behind the value: the party whose consistent broadcast
+	// proposes it, or -1 when its certificate shows a quorum accepted it.
+	Predicate func(payload []byte, from int) bool
 	// Decide is called exactly once with the decided value.
 	Decide func(value []byte)
 }
@@ -185,7 +187,7 @@ func New(cfg Config) *MVBA {
 			Sender:    j,
 			Scheme:    cfg.Scheme,
 			Key:       cfg.Key,
-			Predicate: cfg.Predicate,
+			Predicate: func(p []byte) bool { return m.valid(p, j) },
 			Deliver:   func(p, cert []byte) { m.onCBCDeliver(j, p, cert) },
 		})
 	}
@@ -206,7 +208,7 @@ func (m *MVBA) coinName(trial int) string {
 
 // Start proposes a value. Safe from any goroutine (loopback).
 func (m *MVBA) Start(proposal []byte) error {
-	if m.cfg.Predicate != nil && !m.cfg.Predicate(proposal) {
+	if !m.valid(proposal, m.self) {
 		return fmt.Errorf("mvba: own proposal fails the validity predicate")
 	}
 	return m.cfg.Router.Loopback(Protocol, m.cfg.Instance, typeStart, startBody{Proposal: proposal})
@@ -237,8 +239,8 @@ func (m *MVBA) trialState(a int) *trialState {
 	return ts
 }
 
-func (m *MVBA) valid(payload []byte) bool {
-	return m.cfg.Predicate == nil || m.cfg.Predicate(payload)
+func (m *MVBA) valid(payload []byte, from int) bool {
+	return m.cfg.Predicate == nil || m.cfg.Predicate(payload, from)
 }
 
 // leadCoinVerdict is the Verify-stage result for LEADCOIN messages: the
@@ -495,7 +497,7 @@ func (m *MVBA) evalVotes(a int) {
 		if cbc.VerifyCertificate(m.cfg.Scheme, m.cbcInstance(ts.leader), v.body.Payload, v.body.Cert) != nil {
 			continue
 		}
-		if !m.valid(v.body.Payload) {
+		if !m.valid(v.body.Payload, -1) {
 			ts.deferred = append(ts.deferred, v.body)
 			continue
 		}
@@ -576,7 +578,7 @@ func (m *MVBA) onRecAns(body voteBody) {
 	if cbc.VerifyCertificate(m.cfg.Scheme, m.cbcInstance(ts.leader), body.Payload, body.Cert) != nil {
 		return
 	}
-	if !m.valid(body.Payload) {
+	if !m.valid(body.Payload, -1) {
 		// Certified but not yet locally valid (availability-gated
 		// predicate): keep it for Reeval instead of dropping it.
 		if !ts.hasYes {
@@ -621,7 +623,7 @@ func (m *MVBA) Reeval() {
 		kept := ts.deferred[:0]
 		progress := false
 		for _, v := range ts.deferred {
-			if !ts.hasYes && m.valid(v.Payload) {
+			if !ts.hasYes && m.valid(v.Payload, -1) {
 				ts.hasYes = true
 				ts.yesPayload = v.Payload
 				ts.yesCert = v.Cert

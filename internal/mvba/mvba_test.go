@@ -20,7 +20,7 @@ type decision struct {
 
 // runMVBA spawns instances on the given parties with per-party proposals
 // and waits for all of them to decide.
-func runMVBA(t *testing.T, c *testutil.Cluster, tag string, proposals map[int][]byte, pred func([]byte) bool) map[int][]byte {
+func runMVBA(t *testing.T, c *testutil.Cluster, tag string, proposals map[int][]byte, pred func([]byte, int) bool) map[int][]byte {
 	t.Helper()
 	ch := make(chan decision, len(proposals)*2)
 	insts := make(map[int]*mvba.MVBA, len(proposals))
@@ -115,7 +115,7 @@ func TestExternalValidity(t *testing.T) {
 	// raw network (a corrupted proposer).
 	st := adversary.MustThreshold(4, 1)
 	c := testutil.NewCluster(t, st, testutil.Options{Seed: 5, Corrupted: []int{3}})
-	pred := func(p []byte) bool { return bytes.HasPrefix(p, []byte("ok:")) }
+	pred := func(p []byte, _ int) bool { return bytes.HasPrefix(p, []byte("ok:")) }
 	proposals := map[int][]byte{
 		0: []byte("ok:zero"),
 		1: []byte("ok:one"),
@@ -123,7 +123,7 @@ func TestExternalValidity(t *testing.T) {
 	}
 	got := runMVBA(t, c, "validity", proposals, pred)
 	v := assertAgreementOnProposal(t, got, proposals)
-	if !pred(v) {
+	if !pred(v, -1) {
 		t.Fatalf("decided invalid value %q", v)
 	}
 }

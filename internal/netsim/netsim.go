@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sintra/internal/obs"
 	"sintra/internal/wire"
@@ -91,8 +92,8 @@ func (s *DelayScheduler) Next(pending []wire.Message) int {
 type PartitionScheduler struct {
 	rng       *rand.Rand
 	isolated  map[int]bool
-	healAfter int
-	delivered int
+	healAfter int64
+	delivered atomic.Int64 // Healed is asked from outside the network goroutine
 }
 
 // NewPartitionScheduler builds a scheduler that cuts the isolated parties
@@ -105,17 +106,16 @@ func NewPartitionScheduler(seed int64, healAfter int, isolated ...int) *Partitio
 	return &PartitionScheduler{
 		rng:       rand.New(rand.NewSource(seed)),
 		isolated:  cut,
-		healAfter: healAfter,
+		healAfter: int64(healAfter),
 	}
 }
 
 // Healed reports whether the partition has healed.
-func (s *PartitionScheduler) Healed() bool { return s.delivered >= s.healAfter }
+func (s *PartitionScheduler) Healed() bool { return s.delivered.Load() >= s.healAfter }
 
 // Next starves crossing messages until the partition heals.
 func (s *PartitionScheduler) Next(pending []wire.Message) int {
-	s.delivered++
-	if s.delivered > s.healAfter {
+	if s.delivered.Add(1) > s.healAfter {
 		return s.rng.Intn(len(pending))
 	}
 	var free []int
