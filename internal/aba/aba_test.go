@@ -265,3 +265,34 @@ func TestAgreementWithForceCertScheme(t *testing.T) {
 	inputs := map[int]bool{0: true, 1: true, 2: false, 3: false}
 	assertAgreement(t, runAgreement(t, c, "fc", inputs))
 }
+
+// TestClientIdsAreNotParties: the transport admits unauthenticated clients
+// under any index >= n, and the DECIDED rule adopts a value that a set
+// with an honest member reports — a popcount for a threshold structure.
+// Two client endpoints reporting DECIDED(true) to party 0 once made it
+// decide true while the other three, all with input false, decided false.
+// The router now drops what a non-server sends to a server protocol.
+func TestClientIdsAreNotParties(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	c := testutil.NewCluster(t, st, testutil.Options{Seed: 19, Clients: 2, Observe: true})
+	const tag = "forged-decided"
+	for _, client := range []int{4, 5} {
+		c.Net.Endpoint(client).Send(wire.Message{
+			To: 0, Protocol: aba.Protocol, Instance: tag, Type: "DECIDED",
+			Payload: wire.MustMarshalBody(struct{ Value bool }{true}),
+		})
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for c.Regs[0].Snapshot().Counter("router.dropped.nonserver") < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("party 0 never dropped the clients' DECIDED messages")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	got := runAgreement(t, c, tag, map[int]bool{0: false, 1: false, 2: false, 3: false})
+	for p, v := range got {
+		if v {
+			t.Fatalf("party %d decided true: every server proposed false", p)
+		}
+	}
+}

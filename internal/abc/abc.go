@@ -649,8 +649,8 @@ func (a *ABC) maybeAgree() {
 // must be a list of properly signed round-r proposals from a quorum of
 // distinct parties — and, the availability gate, every payload they
 // reference must be here. That part is not final: what is missing is
-// asked of from, the party that stands behind the list (-1: a quorum has
-// accepted it), and the agreement layer re-evaluates when a payload arrives.
+// asked of from, the party that proposes the list for agreement, and the
+// agreement layer re-evaluates when a payload arrives.
 func (a *ABC) validList(round int64, value []byte, from int) bool {
 	var list proposalList
 	if !a.cfg.Router.Decode(value, &list) {

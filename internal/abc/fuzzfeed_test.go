@@ -26,8 +26,8 @@ func TestRandomBytesAgainstEveryLayer(t *testing.T) {
 	protocols := []string{"rbc", "cbc", "aba", "mvba", "abc", "scabc", "client", "fdabc"}
 	types := []string{
 		"SEND", "ECHO", "READY", "REQ", "ANS", "SHARE", "FINAL", "START",
-		"BVAL", "AUX", "COIN", "DECIDED", "VOTE", "LEADCOIN", "RECOVER",
-		"RECANS", "PROPOSAL", "SUBMIT", "SHARES", "REQUEST", "RESPONSE", "ZZZ",
+		"BVAL", "AUX", "COIN", "DECIDED", "VOTE", "LEADCOIN", "FETCH",
+		"PAYLOAD", "PROPOSAL", "SUBMIT", "SHARES", "REQUEST", "RESPONSE", "ZZZ",
 	}
 	instances := []string{
 		"svc", "svc/r1", "svc/r2", "0/m/svc/r1", "1/m/svc/r1", "svc/r1/t1",

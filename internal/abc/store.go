@@ -12,11 +12,12 @@
 // them covers, when it does — a peer that lacks the payload drops the ask.
 // An honest proposer holds what it references: an accepted proposal sends
 // FETCH to its proposer. An honest party holds what the list it proposes
-// for agreement references: such a list sends FETCH to its author. A list
-// a quorum accepted — certified or decided — has an honest holder: it
-// sends FETCH to all. Within a round no peer is asked twice for a digest
-// and none is answered twice; the next round starts afresh. Answers are
-// hash-checked and kept only for a digest being tracked.
+// for agreement references: such a list sends FETCH to its author. A
+// decided list was accepted by a quorum, so has an honest holder: a decide
+// parked on a missing payload sends FETCH to all. Within a round no peer
+// is asked twice for a digest and none is answered twice; the next round
+// starts afresh. Answers are hash-checked and kept only for a digest being
+// tracked.
 
 package abc
 
@@ -139,7 +140,7 @@ func (a *ABC) onPayload(payload []byte) {
 }
 
 // payloadArrived re-runs everything the availability gate held back: the
-// proposal quorum, deferred agreement evidence, and a parked decide.
+// proposal quorum, the agreement's unsigned SENDs, and a parked decide.
 func (a *ABC) payloadArrived() {
 	round := a.round.Load()
 	a.maybeAgree()

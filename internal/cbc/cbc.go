@@ -7,13 +7,23 @@
 // the workhorse of the multi-valued agreement protocol, where proposals
 // are c-broadcast and their certificates serve as evidence.
 //
-// Flow: the sender SENDs the payload; every party that accepts it (the
-// external-validity predicate) returns a signature share on the payload
-// digest to the sender; the sender combines a quorum of shares into a
-// certificate and FINALs (payload, certificate); parties deliver on a
-// valid certificate. Since two quorums intersect in an honest party and
-// honest parties sign at most one digest per instance, at most one payload
-// can ever carry a valid certificate: uniqueness.
+// Flow: the sender SENDs the payload; every party keeps it with its
+// digest and, if it accepts it (the external-validity predicate), returns
+// a signature share on the digest to the sender; the sender combines a
+// quorum of shares into a certificate and FINALs (digest, certificate) —
+// the payload does not travel twice. Since two quorums intersect in an
+// honest party and honest parties sign at most one digest per instance, at
+// most one digest can ever carry a valid certificate: uniqueness.
+//
+// Delivery is one rule, whatever brought the two halves: a verified
+// certificate and a payload whose SHA-256 is the certified digest are both
+// here. The payload comes from the sender's first SEND or from an ANS; the
+// certificate from a FINAL, from the layer above (Certify), from a REQ that
+// presents one, or from an ANS. A party that holds a certificate without
+// the payload asks for it with Fetch; a REQ that cannot be served yet is
+// remembered and answered on delivery. A certificate implies an honest
+// party that signed, so holds, the SEND payload — and a REQ that carries
+// the certificate makes that party deliver and answer.
 package cbc
 
 import (
@@ -53,12 +63,26 @@ type shareBody struct {
 	Share thresig.Share
 }
 
-type finalBody struct {
+// certBody is FINAL and REQ: a certificate for a digest. A REQ may be bare
+// (no certificate): the asker only knows that the broadcast completed.
+type certBody struct {
+	Digest [32]byte
+	Cert   []byte
+}
+
+// ansBody answers a REQ with both halves.
+type ansBody struct {
 	Payload []byte
 	Cert    []byte
 }
 
-type emptyBody struct{}
+// Stages counted through the instance span, so the slow path is visible.
+const (
+	stageCertEarly    = "cert.early"    // a certificate had to wait for its payload
+	stageCertRejected = "cert.rejected" // a certificate (or an ANS payload) that does not check out
+	stageFetchSent    = "fetch.sent"    // this party asked for the payload
+	stageFetchServed  = "fetch.served"  // this party answered a REQ
+)
 
 // InstanceID builds the canonical instance identifier, binding the sender.
 func InstanceID(sender int, tag string) string {
@@ -87,8 +111,13 @@ func signedStatement(instance string, digest [32]byte) []byte {
 // VerifyCertificate checks a transferable delivery certificate for the
 // given instance and payload.
 func VerifyCertificate(scheme thresig.Scheme, instance string, payload, cert []byte) error {
-	d := sha256.Sum256(payload)
-	if err := scheme.Verify(signedStatement(instance, d), cert); err != nil {
+	return verifyCertificate(scheme, instance, sha256.Sum256(payload), cert)
+}
+
+// verifyCertificate checks a certificate against the digest it speaks for;
+// no payload is needed, or hashed, to check one.
+func verifyCertificate(scheme thresig.Scheme, instance string, digest [32]byte, cert []byte) error {
+	if err := scheme.Verify(signedStatement(instance, digest), cert); err != nil {
 		return fmt.Errorf("cbc: certificate: %w", err)
 	}
 	return nil
@@ -116,6 +145,10 @@ type Config struct {
 	// Deliver is called exactly once with the payload and its
 	// transferable certificate.
 	Deliver func(payload, cert []byte)
+	// Certified is called once, when the instance first holds a verified
+	// certificate — before Deliver, which may follow at once or wait for
+	// the payload.
+	Certified func()
 	// Predicate optionally rejects payloads (external validity).
 	Predicate func(payload []byte) bool
 }
@@ -125,24 +158,35 @@ type CBC struct {
 	cfg   Config
 	trust trust.Quorums
 
-	signedDigest *[32]byte // the digest this party signed, if any
-	pendingSend  []byte    // SEND payload whose predicate hasn't passed yet
-	delivered    bool
-	payload      []byte
-	cert         []byte
+	// The payload half: the sender's first SEND (the sender's own START),
+	// kept with its digest whether or not this party signs it, or an ANS
+	// payload that matches the certificate.
+	payload []byte
+	digest  [32]byte
+	held    bool
+	signed  bool // this party returned its share on digest: never a second one
 
-	// Sender-side state.
-	sentPayload []byte
-	shares      []thresig.Share
-	shareFrom   adversary.Set
-	finalSent   bool
+	// The certificate half: the first certificate that verified. certified
+	// is read by the verify workers, which check no further one.
+	cert       []byte
+	certDigest [32]byte
+	certified  atomic.Bool
 
-	// stmt is the signed statement snapshot for the Verify stage: written
-	// once by the sender's START apply, read by verify workers checking
-	// SHARE messages. nil until the local payload is known.
-	stmt atomic.Pointer[[]byte]
+	delivered bool
 
-	answered adversary.Set
+	// Sender-side state. stmt is the signed statement of the payload this
+	// party broadcasts: written once by START's apply, read by verify
+	// workers checking SHARE messages; nil everywhere else.
+	stmt       atomic.Pointer[[]byte]
+	sentDigest [32]byte
+	shares     []thresig.Share
+	shareFrom  adversary.Set
+	finalSent  bool
+
+	// waiting are the parties whose REQ could not be served yet, answered
+	// the parties served; asked is set once this party has sent its REQs.
+	waiting, answered adversary.Set
+	asked             bool
 
 	span *obs.Span
 }
@@ -161,7 +205,7 @@ func New(cfg Config) *CBC {
 		Verify:      c.verifyMsg,
 		BatchVerify: c.batchVerify,
 		Apply:       c.apply,
-		VerifyTypes: []string{typeShare, typeFinal, typeAns},
+		VerifyTypes: []string{typeShare, typeFinal, typeReq, typeAns},
 	})
 	return c
 }
@@ -173,16 +217,57 @@ type shareVerdict struct {
 	valid bool
 }
 
-// finalVerdict is the Verify-stage result for FINAL and ANS messages:
-// the decoded body and whether its certificate checks out. Certificate
-// verification needs no protocol state, so the verdict is authoritative.
-type finalVerdict struct {
-	payload, cert []byte
-	valid         bool
+// certVerdict is the decoded body of a FINAL, REQ or ANS: the digest its
+// certificate speaks for (an ANS is hashed where it arrives) and — when
+// the instance held no certificate yet at the time of the check — whether
+// the certificate verifies. Verification needs no protocol state beyond
+// that one bit, so the verdict is authoritative.
+type certVerdict struct {
+	digest         [32]byte
+	cert           []byte
+	payload        []byte // with ans
+	ans            bool
+	checked, valid bool
 }
 
+// checkCert decodes a FINAL, REQ or ANS and verifies the certificate it
+// carries, unless the instance already holds one: once certified, no
+// message makes this party spend another public-key operation.
+func (c *CBC) checkCert(msgType string, payload []byte, decode func([]byte, any) bool) *certVerdict {
+	v := &certVerdict{ans: msgType == typeAns}
+	if v.ans {
+		var body ansBody
+		if !decode(payload, &body) {
+			return nil
+		}
+		v.payload, v.cert, v.digest = body.Payload, body.Cert, sha256.Sum256(body.Payload)
+	} else {
+		var body certBody
+		if !decode(payload, &body) {
+			return nil
+		}
+		v.digest, v.cert = body.Digest, body.Cert
+	}
+	if len(v.cert) > 0 {
+		c.verify(v)
+	}
+	return v
+}
+
+// verify checks v's certificate if the instance holds none.
+func (c *CBC) verify(v *certVerdict) {
+	if !c.certified.Load() {
+		v.checked = true
+		v.valid = verifyCertificate(c.cfg.Scheme, c.cfg.Instance, v.digest, v.cert) == nil
+	}
+}
+
+// plainDecode is the Verify stage's decoder: not Router.Decode, whose
+// router.malformed count the nil-verdict fallback in Apply would double.
+func plainDecode(payload []byte, v any) bool { return wire.UnmarshalBody(payload, v) == nil }
+
 // verifyMsg is the parallel Verify stage: signature-share checks (SHARE)
-// and certificate checks (FINAL/ANS) — the instance's dominant
+// and certificate checks (FINAL/REQ/ANS) — the instance's dominant
 // public-key costs — run here, off the dispatch goroutine.
 func (c *CBC) verifyMsg(from int, msgType string, payload []byte) any {
 	switch msgType {
@@ -194,22 +279,16 @@ func (c *CBC) verifyMsg(from int, msgType string, payload []byte) any {
 			return nil
 		}
 		var body shareBody
-		if wire.UnmarshalBody(payload, &body) != nil {
+		if !plainDecode(payload, &body) {
 			return nil
 		}
 		return &shareVerdict{
 			share: body.Share,
 			valid: c.cfg.Scheme.VerifyShare(*stmt, body.Share) == nil,
 		}
-	case typeFinal, typeAns:
-		var body finalBody
-		if wire.UnmarshalBody(payload, &body) != nil {
-			return nil
-		}
-		return &finalVerdict{
-			payload: body.Payload,
-			cert:    body.Cert,
-			valid:   VerifyCertificate(c.cfg.Scheme, c.cfg.Instance, body.Payload, body.Cert) == nil,
+	case typeFinal, typeReq, typeAns:
+		if v := c.checkCert(msgType, payload, plainDecode); v != nil {
+			return v
 		}
 	}
 	return nil
@@ -217,9 +296,8 @@ func (c *CBC) verifyMsg(from int, msgType string, payload []byte) any {
 
 // batchVerify is the coalescing Verify stage. A SHARE burst — the
 // sender collecting one signature share from every party — folds into
-// one thresig batch check against the published statement. FINAL and
-// ANS certificates have no share structure to fold and are verified
-// per message.
+// one thresig batch check against the published statement. Certificates
+// have no share structure to fold and are verified per message.
 func (c *CBC) batchVerify(msgs []*wire.Message) ([]any, int) {
 	if msgs[0].Type != typeShare {
 		verdicts := make([]any, len(msgs))
@@ -239,7 +317,7 @@ func (c *CBC) batchVerify(msgs []*wire.Message) ([]any, int) {
 	slots := make([]int, 0, len(msgs))
 	for i, m := range msgs {
 		var body shareBody
-		if wire.UnmarshalBody(m.Payload, &body) != nil {
+		if !plainDecode(m.Payload, &body) {
 			continue
 		}
 		verdicts[i] = &shareVerdict{share: body.Share}
@@ -276,23 +354,22 @@ func (c *CBC) apply(from int, msgType string, payload []byte, verdict any) {
 	switch msgType {
 	case "START":
 		var body sendBody
-		if from != c.cfg.Router.Self() || !c.cfg.Router.Decode(payload, &body) {
+		if from != c.cfg.Router.Self() || c.stmt.Load() != nil || !c.cfg.Router.Decode(payload, &body) {
 			return
 		}
-		if c.sentPayload != nil {
-			return
-		}
-		c.sentPayload = body.Payload
-		d := sha256.Sum256(body.Payload)
-		stmt := signedStatement(c.cfg.Instance, d)
+		c.sentDigest = sha256.Sum256(body.Payload)
+		stmt := signedStatement(c.cfg.Instance, c.sentDigest)
 		c.stmt.Store(&stmt) // expose the statement to verify workers
 		_ = c.cfg.Router.BroadcastJournaled("send", Protocol, c.cfg.Instance, typeSend, sendBody{Payload: body.Payload})
+		// The sender's own copy arrives here, hashed once; its SEND to
+		// itself is then a second one and ignored.
+		c.keep(body.Payload, c.sentDigest)
 	case typeSend:
 		var body sendBody
-		if from != c.cfg.Sender || !c.cfg.Router.Decode(payload, &body) {
-			return
+		if from != c.cfg.Sender || c.held || !c.cfg.Router.Decode(payload, &body) {
+			return // an honest sender sends one SEND: only the first is looked at
 		}
-		c.onSend(body.Payload)
+		c.keep(body.Payload, sha256.Sum256(body.Payload))
 	case typeShare:
 		if v, ok := verdict.(*shareVerdict); ok {
 			if v.valid {
@@ -305,64 +382,52 @@ func (c *CBC) apply(from int, msgType string, payload []byte, verdict any) {
 			return
 		}
 		c.onShare(from, body.Share, false)
-	case typeFinal, typeAns:
-		if v, ok := verdict.(*finalVerdict); ok {
-			if v.valid {
-				c.onFinalVerified(v.payload, v.cert)
+	case typeFinal, typeReq, typeAns:
+		if !c.delivered {
+			v, ok := verdict.(*certVerdict)
+			if !ok {
+				if v = c.checkCert(msgType, payload, c.cfg.Router.Decode); v == nil {
+					return
+				}
 			}
-			return
+			c.accept(v)
 		}
-		var body finalBody
-		if !c.cfg.Router.Decode(payload, &body) {
-			return
+		if msgType == typeReq {
+			c.onReq(from)
 		}
-		c.onFinal(body.Payload, body.Cert)
-	case typeReq:
-		c.onReq(from)
 	}
 }
 
-// onSend: sign the digest once and return the share to the sender. A
-// payload failing the predicate is stashed, not discarded: predicates
-// gated on local availability (ABC accepts a proposal list only once it
-// holds every payload the list references by digest) can start holding
-// and later pass — Reeval retries the stash.
-func (c *CBC) onSend(payload []byte) {
-	if c.signedDigest != nil || c.pendingSend != nil {
-		return // an honest sender sends one SEND: only the first is looked at
-	}
-	if !c.valid(payload) {
-		c.pendingSend = payload
+// keep stores the sender's payload with its digest and signs it if it is
+// externally valid; a certificate that outran the payload delivers now.
+func (c *CBC) keep(payload []byte, digest [32]byte) {
+	if c.held {
 		return
 	}
-	c.signAndShare(payload)
+	c.payload, c.digest, c.held = payload, digest, true
+	c.Reeval()
+	c.deliverIfComplete()
 }
 
-// Reeval re-runs the external-validity predicate on a stashed SEND whose
-// first evaluation failed. Call from the dispatch goroutine whenever
-// local state the predicate depends on has changed.
+// Reeval signs the kept payload once the external-validity predicate
+// accepts it, and returns the share to the sender. A payload failing the
+// predicate is kept, not discarded: predicates gated on local availability
+// (ABC accepts a proposal list only once it holds every payload the list
+// references by digest) can start holding and later pass. Call from the
+// dispatch goroutine whenever local state the predicate depends on has
+// changed. Once a certificate exists a share is of no use to anyone.
 func (c *CBC) Reeval() {
-	if c.signedDigest != nil || c.pendingSend == nil || !c.valid(c.pendingSend) {
-		return
-	}
-	payload := c.pendingSend
-	c.pendingSend = nil
-	c.signAndShare(payload)
-}
-
-// signAndShare signs the payload digest and returns the share to the
-// sender; the caller has already established external validity.
-func (c *CBC) signAndShare(payload []byte) {
-	c.pendingSend = nil
-	d := sha256.Sum256(payload)
-	c.signedDigest = &d
-	share, err := c.cfg.Scheme.SignShare(c.cfg.Key, signedStatement(c.cfg.Instance, d), rand.Reader)
-	if err != nil {
+	if !c.held || c.signed || c.certified.Load() || !c.valid(c.payload) {
 		return
 	}
 	// The signature share is the commitment CBC's consistency rests on:
 	// a recovered replica must never sign a second digest for this
 	// instance.
+	c.signed = true
+	share, err := c.cfg.Scheme.SignShare(c.cfg.Key, signedStatement(c.cfg.Instance, c.digest), rand.Reader)
+	if err != nil {
+		return
+	}
 	_ = c.cfg.Router.SendJournaled("share", c.cfg.Sender, Protocol, c.cfg.Instance, typeShare, shareBody{Share: share})
 }
 
@@ -370,74 +435,133 @@ func (c *CBC) signAndShare(payload []byte) {
 // preVerified shares passed the Verify stage against the published
 // statement and skip re-verification.
 func (c *CBC) onShare(from int, share thresig.Share, preVerified bool) {
-	if c.cfg.Router.Self() != c.cfg.Sender || c.finalSent || c.sentPayload == nil {
+	stmt := c.stmt.Load() // non-nil only at the sender, once started
+	if stmt == nil || c.finalSent || share.Party != from || c.shareFrom.Has(from) {
 		return
 	}
-	if share.Party != from || c.shareFrom.Has(from) {
+	if !preVerified && c.cfg.Scheme.VerifyShare(*stmt, share) != nil {
 		return
-	}
-	d := sha256.Sum256(c.sentPayload)
-	stmt := signedStatement(c.cfg.Instance, d)
-	if !preVerified {
-		if err := c.cfg.Scheme.VerifyShare(stmt, share); err != nil {
-			return
-		}
 	}
 	c.shareFrom = c.shareFrom.Add(from)
 	c.shares = append(c.shares, share)
 	if !c.cfg.Scheme.Sufficient(c.shareFrom) || !c.trust.IsQuorum(c.cfg.Sender, c.shareFrom) {
 		return
 	}
-	cert, err := c.cfg.Scheme.Combine(stmt, c.shares)
+	cert, err := c.cfg.Scheme.Combine(*stmt, c.shares)
 	if err != nil {
 		return
 	}
 	c.finalSent = true
-	_ = c.cfg.Router.Broadcast(Protocol, c.cfg.Instance, typeFinal, finalBody{Payload: c.sentPayload, Cert: cert})
+	_ = c.cfg.Router.Broadcast(Protocol, c.cfg.Instance, typeFinal, certBody{Digest: c.sentDigest, Cert: cert})
 }
 
-// onFinal: verify the certificate and deliver.
-func (c *CBC) onFinal(payload, cert []byte) {
-	if c.delivered {
-		return
-	}
-	if VerifyCertificate(c.cfg.Scheme, c.cfg.Instance, payload, cert) != nil {
-		return
-	}
-	c.onFinalVerified(payload, cert)
+// Certify presents a certificate learned by other means — a vote of the
+// agreement above. Dispatch goroutine only.
+func (c *CBC) Certify(digest [32]byte, cert []byte) {
+	v := &certVerdict{digest: digest, cert: cert}
+	c.verify(v)
+	c.accept(v)
 }
 
-// onFinalVerified delivers a payload whose certificate already checked
-// out (in onFinal or in the Verify stage).
-func (c *CBC) onFinalVerified(payload, cert []byte) {
-	if c.delivered {
+// accept applies the delivery rule to what one message brought: the
+// outcome of a certificate check made while the instance held none (a
+// failing one is counted and changes nothing) and, from an ANS, a payload,
+// taken only for the certified digest — an equivocating sender's second
+// payload never delivers, whoever forwards it.
+func (c *CBC) accept(v *certVerdict) {
+	fresh := false
+	if v.checked && !c.certified.Load() { // else two checks crossed in the Verify stage; the first stands
+		if fresh = v.valid; fresh {
+			c.certDigest, c.cert = v.digest, v.cert
+			c.certified.Store(true)
+		} else {
+			c.span.Event(stageCertRejected, -1, "")
+		}
+	}
+	if v.ans && c.certified.Load() && !c.complete() {
+		if v.digest == c.certDigest {
+			c.payload, c.digest, c.held = v.payload, v.digest, true
+		} else {
+			c.span.Event(stageCertRejected, -1, "")
+		}
+	}
+	if fresh {
+		if !c.complete() {
+			c.span.Event(stageCertEarly, -1, "")
+		}
+		if c.cfg.Certified != nil {
+			c.cfg.Certified()
+		}
+	}
+	c.deliverIfComplete()
+}
+
+// complete is the delivery rule: a verified certificate and a payload
+// whose SHA-256 is the certified digest are both here.
+func (c *CBC) complete() bool {
+	return c.certified.Load() && c.held && c.digest == c.certDigest
+}
+
+// deliverIfComplete delivers, once, and serves every REQ remembered.
+func (c *CBC) deliverIfComplete() {
+	if c.delivered || !c.complete() {
 		return
 	}
 	c.delivered = true
-	c.payload = payload
-	c.cert = cert
 	c.span.End(obs.StageDeliver, -1)
 	if c.cfg.Deliver != nil {
-		c.cfg.Deliver(payload, cert)
+		c.cfg.Deliver(c.payload, c.cert)
+	}
+	for _, to := range c.waiting.Members() {
+		c.onReq(to)
 	}
 }
 
 // onReq: serve the certified payload to a party that learned of the
-// message by other means (at most once per requester).
+// message by other means — at most once per requester, at once or, when
+// this party cannot serve it yet, the moment it delivers.
 func (c *CBC) onReq(from int) {
-	if !c.delivered || c.answered.Has(from) {
+	if !c.delivered {
+		c.waiting = c.waiting.Add(from)
+		return
+	}
+	if c.answered.Has(from) {
 		return
 	}
 	c.answered = c.answered.Add(from)
-	_ = c.cfg.Router.Send(from, Protocol, c.cfg.Instance, typeAns, finalBody{Payload: c.payload, Cert: c.cert})
+	c.span.Event(stageFetchServed, -1, "")
+	_ = c.cfg.Router.Send(from, Protocol, c.cfg.Instance, typeAns, ansBody{Payload: c.payload, Cert: c.cert})
 }
 
-// Fetch asks the given parties for the certified payload (used by parties
-// that learned about the broadcast out of band). Safe from any goroutine.
-func (c *CBC) Fetch(parties []int) {
-	for _, j := range parties {
-		if j != c.cfg.Router.Self() {
-			_ = c.cfg.Router.Send(j, Protocol, c.cfg.Instance, typeReq, emptyBody{})
+// Certificate returns the certified digest and its certificate, once the
+// instance holds one.
+func (c *CBC) Certificate() (digest [32]byte, cert []byte, ok bool) {
+	return c.certDigest, c.cert, c.certified.Load()
+}
+
+// Delivered returns the delivered payload.
+func (c *CBC) Delivered() (payload []byte, ok bool) {
+	if !c.delivered {
+		return nil, false
+	}
+	return c.payload, true
+}
+
+// Fetch asks every other party for the payload, once, presenting the
+// certificate if one is here: a holder that lacked the certificate then
+// delivers and answers. It reports whether it asked. Dispatch goroutine
+// only.
+func (c *CBC) Fetch() bool {
+	if c.asked || c.complete() {
+		return false
+	}
+	c.asked = true
+	c.span.Event(stageFetchSent, -1, "")
+	req := certBody{Digest: c.certDigest, Cert: c.cert}
+	for to := 0; to < c.cfg.Router.N(); to++ {
+		if to != c.cfg.Router.Self() {
+			_ = c.cfg.Router.Send(to, Protocol, c.cfg.Instance, typeReq, req)
 		}
 	}
+	return true
 }

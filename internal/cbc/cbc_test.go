@@ -187,7 +187,7 @@ func TestFetchAfterDelivery(t *testing.T) {
 	}
 	waitDeliveries(t, ch, 3)
 	late := spawnAll(c, 0, "f", []int{3}, ch, nil)
-	late[3].Fetch([]int{0, 1, 2})
+	c.Routers[3].DoSync(func() { late[3].Fetch() })
 	d := waitDeliveries(t, ch, 1)[0]
 	if d.party != 3 || !bytes.Equal(d.payload, msg) {
 		t.Fatalf("late fetch delivered wrong result: party %d", d.party)

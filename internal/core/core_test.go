@@ -14,6 +14,7 @@ import (
 	"sintra/internal/adversary"
 	"sintra/internal/core"
 	"sintra/internal/netsim"
+	"sintra/internal/obs"
 	"sintra/internal/testutil"
 	"sintra/internal/wire"
 )
@@ -480,5 +481,58 @@ func TestLargerClusterService(t *testing.T) {
 		if !strings.Contains(string(ans.Result), fmt.Sprintf("big-%d", k)) {
 			t.Fatalf("Result = %q", ans.Result)
 		}
+	}
+}
+
+// TestOnlyTheClientProtocolAdmitsClients: a client endpoint reaches a
+// replica through the client protocol — its request is ordered and
+// answered — and through nothing else: what it sends to a server protocol
+// is dropped at the router, whatever sender set that protocol counts.
+func TestOnlyTheClientProtocolAdmitsClients(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	c := coreCluster(t, st, testutil.Options{Seed: 31})
+	reg := obs.NewRegistry()
+	nodes := make(map[int]*core.Node)
+	for i := 0; i < 4; i++ {
+		cfg := core.NodeConfig{
+			Public: c.Pub, Secret: c.Secrets[i], Transport: c.Net.Endpoint(i),
+			ServiceName: "test", Service: &echoService{}, Mode: core.ModeAtomic,
+		}
+		if i == 0 {
+			cfg.Observer = reg
+		}
+		n, err := core.NewNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+		go n.Run()
+	}
+	t.Cleanup(func() {
+		c.Net.Stop()
+		for _, n := range nodes {
+			n.Stop()
+		}
+	})
+	client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", core.ModeAtomic)
+	defer client.Close()
+	if _, err := invokeWithin(client, []byte("from a client"), 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Counter("router.dropped.nonserver"); n != 0 {
+		t.Fatalf("%d client-protocol messages were dropped as non-server traffic", n)
+	}
+	for _, protocol := range []string{"abc", "mvba", "aba", "cbc", "rbc", "checkpoint"} {
+		c.Net.Endpoint(5).Send(wire.Message{To: 0, Protocol: protocol, Instance: "svc/test", Type: "FETCH"})
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for reg.Snapshot().Counter("router.dropped.nonserver") < 6 {
+		if time.Now().After(deadline) {
+			t.Fatalf("router.dropped.nonserver = %d, want 6", reg.Snapshot().Counter("router.dropped.nonserver"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := invokeWithin(client, []byte("and again"), 60*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }

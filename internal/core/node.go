@@ -260,6 +260,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			Deliver:        n.onDeliver,
 		}).SubmitLocal
 	}
+	n.router.AcceptClients(clientProtocol)
 	n.router.Register(clientProtocol, cfg.ServiceName, n.onClientMessage)
 	if n.ckpt != nil {
 		// A (re)started replica immediately asks peers for the latest

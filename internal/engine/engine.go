@@ -188,6 +188,10 @@ type Router struct {
 	factoryMu sync.Mutex
 	factories map[string]Factory
 
+	// clientFacing are the protocols declared open to senders outside the
+	// server set (AcceptClients); set before Run.
+	clientFacing map[string]bool
+
 	tasks chan func()
 	inCh  chan wire.Message
 	done  chan struct{}
@@ -265,6 +269,7 @@ type routerMetrics struct {
 	taskDepth       *obs.Gauge
 	bufferDepth     *obs.Gauge
 	bufferDrops     *obs.Counter
+	nonserver       *obs.Counter
 	malformed       *obs.Counter
 	panics          *obs.Counter
 	tombstones      *obs.Gauge
@@ -318,6 +323,7 @@ func (r *Router) SetObserver(reg *obs.Registry) {
 		taskDepth:       reg.Gauge("router.tasks.depth"),
 		bufferDepth:     reg.Gauge("router.buffered.depth"),
 		bufferDrops:     reg.Counter("router.buffered.drops"),
+		nonserver:       reg.Counter("router.dropped.nonserver"),
 		malformed:       reg.Counter("router.malformed"),
 		panics:          reg.Counter("router.panics"),
 		tombstones:      reg.Gauge("engine.tombstones"),
@@ -327,6 +333,14 @@ func (r *Router) SetObserver(reg *obs.Registry) {
 		counts:          make(map[ptKey]*obs.Counter),
 	}
 }
+
+// AcceptClients declares a protocol client-facing: its instances receive
+// messages from endpoints outside the server set too. Every other
+// protocol is between servers — the transport admits unauthenticated
+// clients under any index >= n, and the protocols count senders toward
+// quorums, so the router drops what a non-server sends them. Call before
+// Run.
+func (r *Router) AcceptClients(protocol string) { r.clientFacing[protocol] = true }
 
 // SetJournal installs the outbound-message journal. Call before Run.
 // With one every send passes the durability-gated outbox; without one
@@ -345,6 +359,7 @@ func NewRouter(tr wire.Transport) *Router {
 		tombstones:       make(map[instanceKey]struct{}),
 		bufferedBySender: make(map[int]int),
 		factories:        make(map[string]Factory),
+		clientFacing:     make(map[string]bool),
 		tasks:            make(chan func(), 256),
 		inCh:             make(chan wire.Message, 1),
 		done:             make(chan struct{}),
@@ -1082,9 +1097,18 @@ func (r *Router) Done() <-chan struct{} { return r.done }
 
 // admit routes one inbound message: straight to Apply when possible,
 // through the verify pipeline when its handler asks for it, into the
-// early-arrival buffer when no handler exists yet. Dispatch goroutine
-// only.
+// early-arrival buffer when no handler exists yet — and nowhere when a
+// non-server sends it to a protocol not declared client-facing. Dispatch
+// goroutine only.
 func (r *Router) admit(m wire.Message) {
+	if (m.From < 0 || m.From >= r.tr.N()) && !r.clientFacing[m.Protocol] {
+		// Not a server, and the protocol counts its senders as parties: drop
+		// before the message can reach a handler or the early-arrival buffer.
+		if r.mx != nil {
+			r.mx.nonserver.Inc()
+		}
+		return
+	}
 	var start time.Time
 	if r.mx != nil {
 		start = time.Now()

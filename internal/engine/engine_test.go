@@ -1231,3 +1231,66 @@ func TestTombstonesBounded(t *testing.T) {
 		t.Fatalf("tombstones after full compaction: %d", tombstones)
 	}
 }
+
+// TestNonServerSendersReachOnlyClientFacingProtocols: the transport admits
+// unauthenticated clients under any index >= n, and the server protocols
+// count senders toward quorums, so the router drops what such an endpoint
+// sends to any protocol not declared client-facing — before a handler or
+// the early-arrival buffer sees it.
+func TestNonServerSendersReachOnlyClientFacingProtocols(t *testing.T) {
+	nw := netsim.New(2, 1, netsim.NewRandomScheduler(1))
+	r := engine.NewRouter(nw.Endpoint(0))
+	reg := obs.NewRegistry()
+	r.SetObserver(reg)
+	r.AcceptClients("open")
+	got := make(chan recorded, 8)
+	handler := func(from int, msgType string, _ []byte) { got <- recorded{from, msgType} }
+	r.Register("open", "i", handler)
+	r.Register("closed", "i", handler)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Run()
+	}()
+	t.Cleanup(func() {
+		nw.Stop()
+		<-done
+	})
+
+	send := func(from int, protocol, instance, msgType string) {
+		nw.Endpoint(from).Send(wire.Message{To: 0, Protocol: protocol, Instance: instance, Type: msgType})
+	}
+	send(2, "closed", "i", "FORGED")        // a registered server protocol
+	send(2, "closed", "not-yet", "FORGED")  // one that would be buffered
+	send(2, "open", "i", "REQUEST")         // the client-facing protocol
+	send(1, "closed", "i", "FROM-A-SERVER") // a server is a server
+	want := map[recorded]bool{{2, "REQUEST"}: true, {1, "FROM-A-SERVER"}: true}
+	for len(want) > 0 {
+		select {
+		case m := <-got:
+			if !want[m] {
+				t.Fatalf("handler saw %+v", m)
+			}
+			delete(want, m)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("never dispatched: %v", want)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Snapshot().Counter("router.dropped.nonserver") < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("router.dropped.nonserver = %d, want 2", reg.Snapshot().Counter("router.dropped.nonserver"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case m := <-got:
+		t.Fatalf("handler saw %+v", m)
+	default:
+	}
+	r.DoSync(func() {
+		if instances, _ := r.Sizes(); instances != 2 {
+			t.Errorf("%d instances: a dropped message left state behind", instances)
+		}
+	})
+}

@@ -10,14 +10,20 @@
 //
 //  1. Every party consistent-broadcasts its (externally valid) proposal;
 //     the CBC certificate is transferable evidence of the proposal.
-//  2. After c-delivering a quorum of proposals, parties run trials: the
-//     threshold coin elects a random leader; everybody votes whether it
-//     holds the leader's certified proposal (yes-votes carry proposal and
-//     certificate); a binary agreement decides whether to adopt the
-//     leader.
-//  3. On a 1-decision, parties that miss the winning proposal recover it
-//     from the yes-voters — binary validity guarantees at least one
-//     honest party voted yes and thus holds payload and certificate.
+//  2. Once a quorum of proposals is certified here, parties run trials:
+//     the threshold coin elects a random leader; everybody votes whether
+//     the leader's proposal is certified at it (a yes-vote is the
+//     certificate, never the proposal: every party was sent that); a
+//     binary agreement decides whether to adopt the leader.
+//  3. On a 1-decision, a party that misses the winning proposal fetches it
+//     through the leader's consistent broadcast — binary validity
+//     guarantees an honest party that held the certificate when it input
+//     1: either it has delivered and answers, or it lacks the payload and
+//     its own request carries the certificate to the parties that signed,
+//     so hold, the payload, who then deliver and answer everyone.
+//
+// Per proposer the instance keeps one fact, "its broadcast is certified
+// here"; the bytes are needed in exactly one place, the decide.
 //
 // Because the leader is drawn after the proposals are fixed, a constant
 // expected number of trials suffices, giving constant expected rounds
@@ -47,8 +53,6 @@ const (
 	typeStart    = "START"
 	typeLeadCoin = "LEADCOIN"
 	typeVote     = "VOTE"
-	typeRecover  = "RECOVER"
-	typeRecAns   = "RECANS"
 )
 
 type startBody struct {
@@ -60,15 +64,13 @@ type leadCoinBody struct {
 	Shares []coin.Share
 }
 
+// voteBody with HasCert is a yes-vote: the certificate of the trial
+// leader's consistent broadcast, for the digest it certifies.
 type voteBody struct {
 	Trial   int
 	HasCert bool
-	Payload []byte
+	Digest  [32]byte
 	Cert    []byte
-}
-
-type recoverBody struct {
-	Trial int
 }
 
 // Config wires one multi-valued agreement instance.
@@ -93,15 +95,11 @@ type Config struct {
 	Key    *thresig.SecretKey
 	// Predicate is the external validity condition; nil accepts all. from
 	// is who stands behind the value: the party whose consistent broadcast
-	// proposes it, or -1 when its certificate shows a quorum accepted it.
+	// proposes it. It is evaluated before signing a proposal, so every
+	// certificate proves a quorum — hence an honest party — validated it.
 	Predicate func(payload []byte, from int) bool
 	// Decide is called exactly once with the decided value.
 	Decide func(value []byte)
-}
-
-type voteRec struct {
-	from int
-	body voteBody
 }
 
 type trialState struct {
@@ -110,25 +108,15 @@ type trialState struct {
 	leader       int
 	leaderKnown  bool
 
-	voted        bool
-	votesFrom    adversary.Set
-	pendingVotes []voteRec
-	// deferred holds yes-evidence whose certificate verified but whose
-	// external-validity predicate failed at evaluation time. Predicates
-	// gated on local availability (ABC's referenced payloads) can pass later;
-	// Reeval retries these without re-verifying the certificates.
-	deferred []voteBody
-
-	hasYes     bool
-	yesPayload []byte
-	yesCert    []byte
+	voted     bool
+	votesFrom adversary.Set
+	// early are the yes-votes that outran the leader election; their
+	// certificates are presented once the leader is known.
+	early []voteBody
 
 	abaStarted bool
 	abaDone    bool
 	abaValue   bool
-
-	recoverAsked adversary.Set
-	recoverSent  bool
 }
 
 // MVBA is one multi-valued agreement instance; dispatch-goroutine only.
@@ -137,13 +125,12 @@ type MVBA struct {
 	trust trust.Quorums
 	self  int
 
-	started  bool
-	proposal []byte
+	started bool
 
-	cbcs         map[int]*cbc.CBC
-	delivered    map[int][]byte // sender -> payload
-	certs        map[int][]byte // sender -> certificate
-	deliveredSet adversary.Set
+	cbcs []*cbc.CBC
+	// certified are the proposers whose consistent broadcast is certified
+	// here; the certificate and the payload stay in cbcs.
+	certified adversary.Set
 
 	phase2 bool
 	trial  int
@@ -159,26 +146,19 @@ type MVBA struct {
 // broadcasts of all parties' proposals (dispatch goroutine or pre-Run).
 func New(cfg Config) *MVBA {
 	m := &MVBA{
-		cfg:       cfg,
-		trust:     cfg.Trust,
-		self:      cfg.Router.Self(),
-		cbcs:      make(map[int]*cbc.CBC, cfg.Router.N()),
-		delivered: make(map[int][]byte),
-		certs:     make(map[int][]byte),
-		trials:    make(map[int]*trialState),
-		span:      obs.StartSpan(cfg.Router.Observer(), cfg.Router.Self(), Protocol, cfg.Instance),
+		cfg:    cfg,
+		trust:  cfg.Trust,
+		self:   cfg.Router.Self(),
+		cbcs:   make([]*cbc.CBC, cfg.Router.N()),
+		trials: make(map[int]*trialState),
+		span:   obs.StartSpan(cfg.Router.Observer(), cfg.Router.Self(), Protocol, cfg.Instance),
 	}
 	if m.trust == nil {
 		m.trust = trust.NewSymmetric(cfg.Struct)
 	}
-	cfg.Router.RegisterSplit(Protocol, cfg.Instance, engine.SplitHandler{
-		Verify:      m.verifyMsg,
-		BatchVerify: m.batchVerify,
-		Apply:       m.apply,
-		VerifyTypes: []string{typeLeadCoin},
-	})
-	for j := 0; j < cfg.Router.N(); j++ {
-		j := j
+	// The broadcasts come first: registering replays early arrivals, and a
+	// replayed VOTE reaches into the leader's broadcast.
+	for j := range m.cbcs {
 		m.cbcs[j] = cbc.New(cbc.Config{
 			Router:    cfg.Router,
 			Struct:    cfg.Struct,
@@ -188,9 +168,16 @@ func New(cfg Config) *MVBA {
 			Scheme:    cfg.Scheme,
 			Key:       cfg.Key,
 			Predicate: func(p []byte) bool { return m.valid(p, j) },
-			Deliver:   func(p, cert []byte) { m.onCBCDeliver(j, p, cert) },
+			Certified: func() { m.onCertified(j) },
+			Deliver:   func([]byte, []byte) { m.onCBCDeliver(j) },
 		})
 	}
+	cfg.Router.RegisterSplit(Protocol, cfg.Instance, engine.SplitHandler{
+		Verify:      m.verifyMsg,
+		BatchVerify: m.batchVerify,
+		Apply:       m.apply,
+		VerifyTypes: []string{typeLeadCoin},
+	})
 	return m
 }
 
@@ -342,18 +329,6 @@ func (m *MVBA) apply(from int, msgType string, payload []byte, verdict any) {
 			return
 		}
 		m.onVote(from, body)
-	case typeRecover:
-		var body recoverBody
-		if !m.cfg.Router.Decode(payload, &body) || body.Trial < 1 {
-			return
-		}
-		m.onRecover(from, body.Trial)
-	case typeRecAns:
-		var body voteBody
-		if !m.cfg.Router.Decode(payload, &body) || body.Trial < 1 {
-			return
-		}
-		m.onRecAns(body)
 	}
 }
 
@@ -362,28 +337,36 @@ func (m *MVBA) onStart(proposal []byte) {
 		return
 	}
 	m.started = true
-	m.proposal = proposal
-	_ = m.cbcs[m.cfg.Router.Self()].Start(proposal)
+	_ = m.cbcs[m.self].Start(proposal)
 	m.checkPhase2()
 }
 
-func (m *MVBA) onCBCDeliver(sender int, payload, cert []byte) {
+// leads reports whether party j is the known leader of the current trial.
+func (m *MVBA) leads(j int) bool {
+	ts, ok := m.trials[m.trial]
+	return ok && ts.leaderKnown && ts.leader == j
+}
+
+func (m *MVBA) onCertified(j int) {
 	if m.halted {
 		return
 	}
-	m.delivered[sender] = payload
-	m.certs[sender] = cert
-	m.deliveredSet = m.deliveredSet.Add(sender)
+	m.certified = m.certified.Add(j)
 	m.checkPhase2()
+	if m.leads(j) {
+		m.evalVotes(m.trial) // the binary input is 1 now
+	}
+}
+
+func (m *MVBA) onCBCDeliver(j int) {
 	// A pending 1-decision may have been waiting for the leader's payload.
-	if ts, ok := m.trials[m.trial]; ok && ts.leaderKnown && ts.leader == sender {
-		m.evalVotes(m.trial)
+	if !m.halted && m.leads(j) {
 		m.tryFinish(m.trial)
 	}
 }
 
 func (m *MVBA) checkPhase2() {
-	if m.phase2 || !m.started || !m.trust.IsQuorum(m.self, m.deliveredSet) {
+	if m.phase2 || !m.started || !m.trust.IsQuorum(m.self, m.certified) {
 		return
 	}
 	m.phase2 = true
@@ -439,78 +422,55 @@ func (m *MVBA) maybeElect(a int) {
 	}
 	ts.leaderKnown = true
 	ts.leader = v.Index(m.cfg.Router.N())
+	for _, vote := range ts.early {
+		m.cbcs[ts.leader].Certify(vote.Digest, vote.Cert)
+	}
+	ts.early = nil
 	m.sendVote(a)
 	m.evalVotes(a)
 }
 
 // sendVote casts this party's vote for trial a once phase 2 has begun and
-// the leader is known.
+// the leader is known: the leader's certificate if it is here.
 func (m *MVBA) sendVote(a int) {
 	ts := m.trialState(a)
 	if ts.voted || !ts.leaderKnown || !m.phase2 {
 		return
 	}
 	ts.voted = true
+	vote := voteBody{Trial: a}
+	vote.Digest, vote.Cert, vote.HasCert = m.cbcs[ts.leader].Certificate()
 	// One vote per trial is a commitment: a recovered replica must not
 	// flip between the with-cert and abstain forms.
-	slot := fmt.Sprintf("vote/%d", a)
-	if p, ok := m.delivered[ts.leader]; ok {
-		_ = m.cfg.Router.BroadcastJournaled(slot, Protocol, m.cfg.Instance, typeVote, voteBody{
-			Trial: a, HasCert: true, Payload: p, Cert: m.certs[ts.leader],
-		})
-		return
-	}
-	_ = m.cfg.Router.BroadcastJournaled(slot, Protocol, m.cfg.Instance, typeVote, voteBody{Trial: a})
+	_ = m.cfg.Router.BroadcastJournaled(fmt.Sprintf("vote/%d", a), Protocol, m.cfg.Instance, typeVote, vote)
 }
 
+// onVote counts the vote and hands a yes-vote's certificate to the
+// leader's broadcast, which checks it unless it holds one already.
 func (m *MVBA) onVote(from int, body voteBody) {
 	ts := m.trialState(body.Trial)
 	if ts.votesFrom.Has(from) {
 		return
 	}
 	ts.votesFrom = ts.votesFrom.Add(from)
-	ts.pendingVotes = append(ts.pendingVotes, voteRec{from: from, body: body})
+	if body.HasCert && ts.leaderKnown {
+		m.cbcs[ts.leader].Certify(body.Digest, body.Cert)
+	} else if body.HasCert {
+		ts.early = append(ts.early, body)
+	}
 	m.evalVotes(body.Trial)
 }
 
-// evalVotes processes stored votes once the leader is known, extracting
-// yes-evidence and starting the binary agreement when the input is
-// determined.
+// evalVotes starts the trial's binary agreement when its input is
+// determined: 1 as soon as the leader is certified here, 0 once a quorum
+// has voted and it is not.
 func (m *MVBA) evalVotes(a int) {
 	ts := m.trialState(a)
 	if !ts.leaderKnown {
 		return
 	}
-	if !ts.hasYes {
-		if p, ok := m.delivered[ts.leader]; ok {
-			ts.hasYes = true
-			ts.yesPayload = p
-			ts.yesCert = m.certs[ts.leader]
-		}
-	}
-	for _, v := range ts.pendingVotes {
-		if !v.body.HasCert || ts.hasYes {
-			continue
-		}
-		// Certificate first: once it checks out the evidence is real and
-		// worth retaining even if the predicate cannot pass yet.
-		if cbc.VerifyCertificate(m.cfg.Scheme, m.cbcInstance(ts.leader), v.body.Payload, v.body.Cert) != nil {
-			continue
-		}
-		if !m.valid(v.body.Payload, -1) {
-			ts.deferred = append(ts.deferred, v.body)
-			continue
-		}
-		ts.hasYes = true
-		ts.yesPayload = v.body.Payload
-		ts.yesCert = v.body.Cert
-	}
-	ts.pendingVotes = nil
-	if ts.hasYes {
-		ts.deferred = nil
-	}
-
-	if !ts.abaStarted && m.phase2 && (ts.hasYes || m.trust.IsQuorum(m.self, ts.votesFrom)) {
+	yes := m.certified.Has(ts.leader)
+	if !ts.abaStarted && m.phase2 && (yes || m.trust.IsQuorum(m.self, ts.votesFrom)) {
 		ts.abaStarted = true
 		inst := aba.New(aba.Config{
 			Router:   m.cfg.Router,
@@ -521,7 +481,7 @@ func (m *MVBA) evalVotes(a int) {
 			CoinKey:  m.cfg.CoinKey,
 			Decide:   func(v bool) { m.onABADecide(a, v) },
 		})
-		_ = inst.Start(ts.hasYes)
+		_ = inst.Start(yes)
 	}
 	m.tryFinish(a)
 }
@@ -536,7 +496,9 @@ func (m *MVBA) onABADecide(a int, v bool) {
 	m.tryFinish(a)
 }
 
-// tryFinish concludes a trial whose binary agreement has decided.
+// tryFinish concludes a trial whose binary agreement has decided. A
+// 1-decision without the leader's payload fetches it, presenting the
+// certificate if it is here; the broadcast's delivery comes back here.
 func (m *MVBA) tryFinish(a int) {
 	ts := m.trialState(a)
 	if !ts.abaDone || m.decided || a != m.trial {
@@ -546,100 +508,24 @@ func (m *MVBA) tryFinish(a int) {
 		m.startTrial(a + 1)
 		return
 	}
-	if ts.hasYes {
-		m.decide(ts.yesPayload)
-		return
-	}
-	// Binary validity guarantees an honest yes-voter exists; fetch the
-	// winning proposal from the others.
-	if !ts.recoverSent {
-		ts.recoverSent = true
-		_ = m.cfg.Router.Broadcast(Protocol, m.cfg.Instance, typeRecover, recoverBody{Trial: a})
+	if value, ok := m.cbcs[ts.leader].Delivered(); ok {
+		m.decide(value)
+	} else if m.cbcs[ts.leader].Fetch() {
+		m.span.Event("decide.fetched", int64(a), "")
 	}
 }
 
-func (m *MVBA) onRecover(from, a int) {
-	ts := m.trialState(a)
-	if !ts.hasYes || ts.recoverAsked.Has(from) {
-		return
-	}
-	ts.recoverAsked = ts.recoverAsked.Add(from)
-	_ = m.cfg.Router.Send(from, Protocol, m.cfg.Instance, typeRecAns, voteBody{
-		Trial: a, HasCert: true, Payload: ts.yesPayload, Cert: ts.yesCert,
-	})
-}
-
-func (m *MVBA) onRecAns(body voteBody) {
-	a := body.Trial
-	ts := m.trialState(a)
-	if m.decided || !ts.leaderKnown || !body.HasCert {
-		return
-	}
-	if cbc.VerifyCertificate(m.cfg.Scheme, m.cbcInstance(ts.leader), body.Payload, body.Cert) != nil {
-		return
-	}
-	if !m.valid(body.Payload, -1) {
-		// Certified but not yet locally valid (availability-gated
-		// predicate): keep it for Reeval instead of dropping it.
-		if !ts.hasYes {
-			ts.deferred = append(ts.deferred, body)
-		}
-		return
-	}
-	if !ts.hasYes {
-		ts.hasYes = true
-		ts.yesPayload = body.Payload
-		ts.yesCert = body.Cert
-	}
-	m.tryFinish(a)
-}
-
-// Reeval re-runs the external-validity predicate over every stash whose
-// first evaluation failed: the embedded consistent broadcasts' pending
-// SENDs and this instance's deferred (certificate-verified) votes and
-// recovery answers. Call from the dispatch goroutine whenever local
-// state the predicate depends on has changed — ABC calls it each time a
-// payload some proposal references by digest arrives. Safe to call at any
-// time; a no-op when nothing is pending.
+// Reeval re-runs the external-validity predicate over the embedded
+// consistent broadcasts' unsigned SENDs. Call from the dispatch goroutine
+// whenever local state the predicate depends on has changed — ABC calls it
+// each time a payload some proposal references by digest arrives. Safe to
+// call at any time; a no-op when nothing is pending.
 func (m *MVBA) Reeval() {
 	if m.halted {
 		return
 	}
 	for _, c := range m.cbcs {
 		c.Reeval()
-	}
-	if m.decided {
-		return
-	}
-	trials := make([]int, 0, len(m.trials))
-	for a := range m.trials {
-		trials = append(trials, a)
-	}
-	for _, a := range trials {
-		ts := m.trials[a]
-		if ts == nil || ts.hasYes {
-			continue
-		}
-		kept := ts.deferred[:0]
-		progress := false
-		for _, v := range ts.deferred {
-			if !ts.hasYes && m.valid(v.Payload, -1) {
-				ts.hasYes = true
-				ts.yesPayload = v.Payload
-				ts.yesCert = v.Cert
-				progress = true
-			} else if !ts.hasYes {
-				kept = append(kept, v)
-			}
-		}
-		ts.deferred = kept
-		if ts.hasYes {
-			ts.deferred = nil
-		}
-		if progress {
-			m.evalVotes(a)
-			m.tryFinish(a)
-		}
 	}
 }
 

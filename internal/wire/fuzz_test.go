@@ -3,13 +3,16 @@ package wire_test
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"sintra/internal/abc"
 	"sintra/internal/adversary"
+	"sintra/internal/cbc"
 	"sintra/internal/engine"
+	"sintra/internal/mvba"
 	"sintra/internal/netsim"
 	"sintra/internal/rbc"
 	"sintra/internal/testutil"
@@ -45,17 +48,96 @@ func (s *recordingScheduler) recorded() []wire.Message {
 // liveTraffic runs a real four-party reliable broadcast on the simulator
 // and returns every envelope the network delivered — SEND, ECHO, and READY
 // messages with genuine gob payloads — followed by the atomic-broadcast
-// envelopes of fetchTraffic.
+// envelopes of fetchTraffic and the consistent-broadcast ones of
+// cbcFetchTraffic.
 func liveTraffic(tb testing.TB) []wire.Message {
 	tb.Helper()
-	return append(rbcTraffic(tb), fetchTraffic(tb)...)
+	return append(append(rbcTraffic(tb), fetchTraffic(tb)...), cbcFetchTraffic(tb)...)
+}
+
+// withoutFinalTo3 is a fair scheduler that never delivers party 3 a FINAL.
+type withoutFinalTo3 struct{ rng *rand.Rand }
+
+func (s withoutFinalTo3) Next(pending []wire.Message) int {
+	var free []int
+	for i := range pending {
+		if pending[i].To != 3 || pending[i].Type != "FINAL" {
+			free = append(free, i)
+		}
+	}
+	if len(free) == 0 {
+		return -1
+	}
+	return free[s.rng.Intn(len(free))]
+}
+
+// cbcFetchTraffic runs a four-party consistent broadcast whose FINAL never
+// reaches party 3, which fetches the result instead, and returns what was
+// delivered: SEND, SHARE, the payload-free FINAL, party 3's REQ and the ANS.
+func cbcFetchTraffic(tb testing.TB) []wire.Message {
+	tb.Helper()
+	rec := &recordingScheduler{inner: withoutFinalTo3{rand.New(rand.NewSource(44))}}
+	c := testutil.NewCluster(tb, adversary.MustThreshold(4, 1), testutil.Options{Scheduler: rec})
+	delivered := make(chan struct{}, c.N())
+	insts := make([]*cbc.CBC, c.N())
+	for i, r := range c.Routers {
+		i, r := i, r
+		r.DoSync(func() {
+			insts[i] = cbc.New(cbc.Config{
+				Router: r, Struct: c.Struct, Instance: cbc.InstanceID(0, "fuzz-seed"), Sender: 0,
+				Scheme: c.Pub.QuorumSig(), Key: c.Secrets[i].SigQuorum,
+				Deliver: func([]byte, []byte) { delivered <- struct{}{} },
+			})
+		})
+	}
+	wait := func(n int) {
+		for ; n > 0; n-- {
+			select {
+			case <-delivered:
+			case <-time.After(60 * time.Second):
+				tb.Fatal("seed consistent broadcast did not deliver")
+			}
+		}
+	}
+	if err := insts[0].Start([]byte("fuzz corpus payload")); err != nil {
+		tb.Fatal(err)
+	}
+	wait(3)
+	c.Routers[3].DoSync(func() { insts[3].Fetch() })
+	wait(1)
+	c.Stop()
+	return requireTypes(tb, rec.recorded(), cbc.Protocol, "SEND", "SHARE", "FINAL", "REQ", "ANS")
+}
+
+// requireTypes keeps the recorded envelopes of one protocol that have one
+// of the given types, and fails if a type is not among them.
+func requireTypes(tb testing.TB, recorded []wire.Message, protocol string, types ...string) []wire.Message {
+	tb.Helper()
+	var out []wire.Message
+	seen := map[string]bool{}
+	for _, typ := range types {
+		seen[typ] = false
+	}
+	for _, m := range recorded {
+		if _, wanted := seen[m.Type]; wanted && m.Protocol == protocol {
+			out = append(out, m)
+			seen[m.Type] = true
+		}
+	}
+	for typ, found := range seen {
+		if !found {
+			tb.Fatalf("seed traffic produced no %s %s", protocol, typ)
+		}
+	}
+	return out
 }
 
 // fetchTraffic orders one payload submitted at a single party of a real
 // four-party atomic broadcast whose proposals reference anything over 64
-// bytes, and returns the abc envelopes delivered: by-reference PROPOSALs,
+// bytes, and returns the abc envelopes delivered — by-reference PROPOSALs,
 // the FETCHes of the three parties that lacked the payload, and the
-// PAYLOAD answers.
+// PAYLOAD answers — and the round's agreement VOTEs, which carry a
+// certificate and no payload.
 func fetchTraffic(tb testing.TB) []wire.Message {
 	tb.Helper()
 	rec := &recordingScheduler{inner: netsim.NewRandomScheduler(43)}
@@ -86,20 +168,8 @@ func fetchTraffic(tb testing.TB) []wire.Message {
 		}
 	}
 	c.Stop()
-	var out []wire.Message
-	seen := map[string]bool{}
-	for _, m := range rec.recorded() {
-		if m.Protocol == abc.Protocol {
-			out = append(out, m)
-			seen[m.Type] = true
-		}
-	}
-	for _, typ := range []string{"PROPOSAL", "FETCH", "PAYLOAD"} {
-		if !seen[typ] {
-			tb.Fatalf("seed atomic broadcast produced no %s", typ)
-		}
-	}
-	return out
+	return append(requireTypes(tb, rec.recorded(), abc.Protocol, "PROPOSAL", "FETCH", "PAYLOAD"),
+		requireTypes(tb, rec.recorded(), mvba.Protocol, "VOTE")...)
 }
 
 func rbcTraffic(tb testing.TB) []wire.Message {
@@ -227,8 +297,9 @@ func FuzzUnmarshalBody(f *testing.F) {
 		var full struct {
 			Payload []byte
 		}
-		var digest struct {
+		var digest struct { // FETCH; with Cert, a FINAL or REQ
 			Digest [32]byte
+			Cert   []byte
 		}
 		var nested struct {
 			Round int

@@ -1,0 +1,87 @@
+package sintra_test
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"sintra"
+	"sintra/internal/wire"
+)
+
+// sendOrderTally delivers messages in the order they were sent and
+// tallies them by (protocol, type). In send order a certificate cannot
+// outrun the payload it certifies, so a fetch count of zero follows from
+// the protocol and not from timing.
+type sendOrderTally struct {
+	mu    sync.Mutex
+	msgs  map[[2]string]int
+	bytes map[[2]string]int
+}
+
+func (s *sendOrderTally) Next(pending []wire.Message) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := [2]string{pending[0].Protocol, pending[0].Type}
+	s.msgs[k]++
+	s.bytes[k] += pending[0].Size()
+	return 0
+}
+
+// TestWireBudget pins what an ordered 64-byte request puts on the wire at
+// n=4: the messages that close a consistent broadcast (FINAL) and cast a
+// vote in the agreement (VOTE) carry a certificate, not the proposal list
+// every party was just sent; only the messages that have to move a payload
+// are large; and nothing is fetched on the fault-free path.
+func TestWireBudget(t *testing.T) {
+	tally := &sendOrderTally{msgs: map[[2]string]int{}, bytes: map[[2]string]int{}}
+	c := newChainCluster(t, 4, 1, sintra.WithSeed(7), sintra.WithScheduler(tally))
+	client, err := c.dep.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requests = 50
+	for i := 0; i < requests; i++ {
+		if _, err := invokeWithin(client, []byte(fmt.Sprintf("%-64d", i)), 60*time.Second); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	tally.mu.Lock()
+	defer tally.mu.Unlock()
+	var keys [][2]string
+	total, count := 0, 0
+	for k := range tally.msgs {
+		keys = append(keys, k)
+		total += tally.bytes[k]
+		count += tally.msgs[k]
+	}
+	sort.Slice(keys, func(i, j int) bool { return tally.bytes[keys[i]] > tally.bytes[keys[j]] })
+	for _, k := range keys {
+		t.Logf("%-10s %-9s %6d msgs %8d B  avg %5d B  %4.1f%%", k[0], k[1], tally.msgs[k], tally.bytes[k],
+			tally.bytes[k]/tally.msgs[k], 100*float64(tally.bytes[k])/float64(total))
+	}
+	t.Logf("%.1f KiB and %.1f messages per request", float64(total)/1024/requests, float64(count)/requests)
+
+	carriesPayload := map[string]bool{"SEND": true, "ANS": true, "PROPOSAL": true, "START": true}
+	for _, k := range keys {
+		avg := tally.bytes[k] / tally.msgs[k]
+		if !carriesPayload[k[1]] && avg > 1024 {
+			t.Errorf("%s %s averages %d B: only SEND, ANS, PROPOSAL and the START loopbacks may exceed 1 KiB", k[0], k[1], avg)
+		}
+	}
+	for _, k := range [][2]string{{"cbc", "FINAL"}, {"mvba", "VOTE"}} {
+		if tally.msgs[k] == 0 {
+			t.Fatalf("no %s %s was delivered", k[0], k[1])
+		}
+		if avg := tally.bytes[k] / tally.msgs[k]; avg >= 400 {
+			t.Errorf("%s %s averages %d B, want a certificate without its payload (< 400 B)", k[0], k[1], avg)
+		}
+	}
+	for _, k := range [][2]string{{"cbc", "REQ"}, {"cbc", "ANS"}} {
+		if n := tally.msgs[k]; n != 0 {
+			t.Errorf("%d %s %s on the fault-free path in send order, want 0", n, k[0], k[1])
+		}
+	}
+}
