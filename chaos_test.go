@@ -224,7 +224,7 @@ func TestChaosByzantineBehaviors(t *testing.T) {
 				t.Fatalf("behavior %q never fired — the run attacked nothing", tc.name)
 			}
 			// The mutate fleet must exercise the router's malformed-input
-			// guard: corrupted gob that fails to decode is counted and
+			// guard: a corrupted body that fails to decode is counted and
 			// dropped rather than crashing a replica.
 			if tc.name == "mutate" {
 				if n := snap.Counter("router.malformed"); n == 0 {

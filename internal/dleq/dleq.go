@@ -36,8 +36,7 @@ type Proof struct {
 	// recomputes them from (C, Z) and ignores these fields, so the
 	// compact form stays sufficient; BatchVerify needs them to fold
 	// many proofs into one product check and falls back to per-proof
-	// verification when they are absent (proofs from pre-batching
-	// peers gob-decode with A1 = A2 = nil).
+	// verification when they are absent (nil).
 	A1, A2 *group.Point
 }
 

@@ -264,10 +264,10 @@ func (b mutate) Apply(ctx *Context, m wire.Message) []wire.Message {
 type tamperTail struct{ rate float64 }
 
 // TamperTail corrupts each outbound payload with the given probability by
-// flipping a single bit in its final quarter — where gob keeps the
-// trailing value bytes, e.g. the group elements and proof scalars of a
-// share burst. Unlike Mutate's byte inversion anywhere (which usually
-// breaks the gob framing outright), a tail bit-flip tends to survive
+// flipping a single bit in its final quarter — in a share burst, the last
+// share's proof (the batch-verification commitments end every share).
+// Unlike Mutate's byte inversion anywhere (which usually breaks a length,
+// count or 0/1 flag and fails to decode), a tail bit-flip tends to survive
 // decoding: the recipient sees a structurally valid share whose proof is
 // cryptographically wrong, the input that coalesced batch verification
 // must isolate by binary split rather than let poison the whole batch.

@@ -214,6 +214,7 @@ type byzantineLeader struct {
 	slot     string // its consistent broadcast
 	proposal []byte
 	inbox    chan wire.Message
+	backlog  []wire.Message // received, not yet awaited
 }
 
 // leaderOf combines the trial's leader coin from the dealt keys.
@@ -258,6 +259,32 @@ func newByzantineLeader(t *testing.T, c *testutil.Cluster, name string) *byzanti
 	return b
 }
 
+// await returns the first message to the corrupted party that match
+// accepts, from the backlog or as it arrives. What it passes over stays in
+// the backlog: collecting shares must not eat the FINAL a later step of the
+// test waits for.
+func (b *byzantineLeader) await(what string, match func(m *wire.Message) bool) wire.Message {
+	b.t.Helper()
+	for i := range b.backlog {
+		if m := b.backlog[i]; match(&m) {
+			b.backlog = append(b.backlog[:i], b.backlog[i+1:]...)
+			return m
+		}
+	}
+	deadline := time.After(60 * time.Second)
+	for {
+		select {
+		case m := <-b.inbox:
+			if match(&m) {
+				return m
+			}
+			b.backlog = append(b.backlog, m)
+		case <-deadline:
+			b.t.Fatalf("timeout: %s", what)
+		}
+	}
+}
+
 func (b *byzantineLeader) send(to int, protocol, instance, msgType string, body any) {
 	b.c.Net.Endpoint(0).Send(wire.Message{
 		To: to, Protocol: protocol, Instance: instance,
@@ -282,18 +309,13 @@ func (b *byzantineLeader) certify(to ...int) (digest [32]byte, cert []byte) {
 		b.t.Fatal(err)
 	}
 	shares := []thresig.Share{own}
-	deadline := time.After(60 * time.Second)
 	for len(shares) <= len(to) {
-		select {
-		case m := <-b.inbox:
-			var body struct{ Share thresig.Share }
-			if m.Protocol == cbc.Protocol && m.Instance == b.slot && m.Type == "SHARE" &&
-				wire.UnmarshalBody(m.Payload, &body) == nil && scheme.VerifyShare(stmt, body.Share) == nil {
-				shares = append(shares, body.Share)
-			}
-		case <-deadline:
-			b.t.Fatal("timeout collecting shares")
-		}
+		var body struct{ Share thresig.Share }
+		b.await("collecting shares", func(m *wire.Message) bool {
+			return m.Protocol == cbc.Protocol && m.Instance == b.slot && m.Type == "SHARE" &&
+				wire.UnmarshalBody(m.Payload, &body) == nil && scheme.VerifyShare(stmt, body.Share) == nil
+		})
+		shares = append(shares, body.Share)
 	}
 	if cert, err = scheme.Combine(stmt, shares); err != nil {
 		b.t.Fatal(err)
@@ -361,9 +383,19 @@ func counterSum(c *testutil.Cluster, name string) (n int64) {
 // and FINALs to everyone. Party 3 is certified without the payload: it
 // enters phase 2, votes yes and inputs 1 like the others, and at the
 // 1-decision fetches the proposal with a REQ that carries the certificate.
+// The honest parties run while the leader collects its shares, so their
+// trial-1 votes are held until the leader's FINAL has reached their
+// recipient: a party that saw a quorum of votes first would input 0, and
+// trial 1 could decide against a leader that did nothing wrong yet.
 func TestByzantineLeaderSendsToBareQuorum(t *testing.T) {
+	sched := &holdScheduler{rng: mrand.New(mrand.NewSource(27))}
+	sched.hold = func(s *holdScheduler, m *wire.Message) bool {
+		return m.Protocol == mvba.Protocol && m.Type == "VOTE" && m.From != 0 && !s.saw(func(f *wire.Message) bool {
+			return f.Protocol == cbc.Protocol && f.Type == "FINAL" && f.From == 0 && f.To == m.To
+		})
+	}
 	c := testutil.NewCluster(t, adversary.MustThreshold(4, 1),
-		testutil.Options{Seed: 27, Observe: true, Corrupted: []int{0}})
+		testutil.Options{Scheduler: sched, Observe: true, Corrupted: []int{0}})
 	b := newByzantineLeader(t, c, "bare")
 	_, decisions := b.startHonest()
 	digest, cert := b.certify(1, 2)
@@ -377,21 +409,10 @@ func TestByzantineLeaderSendsToBareQuorum(t *testing.T) {
 	if n := counterSum(c, "cbc.fetch.sent"); n != 1 {
 		t.Fatalf("cbc.fetch.sent = %d over all parties, want party 3's one", n)
 	}
-	deadline := time.After(30 * time.Second)
-	for {
-		select {
-		case m := <-b.inbox:
-			var req certBody
-			if m.Type != "REQ" {
-				continue
-			}
-			if err := wire.UnmarshalBody(m.Payload, &req); err != nil || m.From != 3 || req.Digest != digest || !bytes.Equal(req.Cert, cert) {
-				t.Fatalf("REQ from %d carries %x (%v), want party 3's with the certificate", m.From, req.Digest[:4], err)
-			}
-			return
-		case <-deadline:
-			t.Fatal("the REQ never reached the leader")
-		}
+	m := b.await("the REQ never reached the leader", func(m *wire.Message) bool { return m.Type == "REQ" })
+	var req certBody
+	if err := wire.UnmarshalBody(m.Payload, &req); err != nil || m.From != 3 || req.Digest != digest || !bytes.Equal(req.Cert, cert) {
+		t.Fatalf("REQ from %d carries %x (%v), want party 3's with the certificate", m.From, req.Digest[:4], err)
 	}
 }
 
@@ -432,19 +453,13 @@ func TestByzantineLeaderShowsCertificateToOne(t *testing.T) {
 	digest, cert := b.certify(2, 3)
 
 	// A certificate of another instance: party 1's own broadcast, FINALed
-	// to everyone.
+	// to everyone — possibly while certify was still collecting shares.
 	var elsewhere certBody
-	for elsewhere.Cert == nil {
-		select {
-		case m := <-b.inbox:
-			if m.Protocol == cbc.Protocol && m.Type == "FINAL" && m.From == 1 {
-				if err := wire.UnmarshalBody(m.Payload, &elsewhere); err != nil {
-					t.Fatal(err)
-				}
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("party 1 never finished its broadcast")
-		}
+	m := b.await("party 1 never finished its broadcast", func(m *wire.Message) bool {
+		return m.Protocol == cbc.Protocol && m.Type == "FINAL" && m.From == 1
+	})
+	if err := wire.UnmarshalBody(m.Payload, &elsewhere); err != nil {
+		t.Fatal(err)
 	}
 	b.send(2, mvba.Protocol, b.tag, "VOTE", voteBody{Trial: 1, HasCert: true, Digest: elsewhere.Digest, Cert: elsewhere.Cert})
 	b.send(3, mvba.Protocol, b.tag, "VOTE", voteBody{Trial: 1, HasCert: true, Digest: sha256.Sum256([]byte("another")), Cert: cert})

@@ -51,9 +51,8 @@ type Share struct {
 	// Aux carries optional batch-verification material — for RSAScheme
 	// the proof commitments (v', x') that VerifyShare otherwise
 	// recomputes. Per-share verification and Combine ignore it, and
-	// Data keeps its exact legacy encoding, so shares with and without
-	// Aux interoperate in both directions across protocol versions
-	// (gob drops the field on old decoders and zeroes it on new ones).
+	// Data keeps its exact legacy encoding; an empty Aux makes the batch
+	// check fall back to per-share verification.
 	Aux []byte
 }
 

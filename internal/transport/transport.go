@@ -106,8 +106,8 @@ func redialDelay(attempt, self, dest int) time.Duration {
 	return time.Duration(half + h%half)
 }
 
-// helloMagic starts every connection.
-const helloMagic = "sintra1"
+// helloMagic starts every connection; it names the wire.Format.
+var helloMagic = fmt.Sprint("sintra", wire.Format)
 
 // hello is the first frame of a connection.
 type hello struct {
@@ -176,15 +176,20 @@ type transportMetrics struct {
 	redials    *obs.Counter
 	giveups    *obs.Counter
 	flushes    *obs.Counter
+	refused    *obs.Counter
+	reg        *obs.Registry
 }
 
 // SetObserver reports the transport's traffic through reg: counters
 // "transport.sent.msgs.<protocol>" (and .bytes, and the recv twins),
 // "transport.dropped", "transport.redials", "transport.flushes" (one per
-// coalesced write, so sent.msgs/flushes is the mean batch per syscall), and
-// the gauge "transport.queue.depth" summing all outbound queues. Call
-// before the first Send; a nil registry turns observability off.
+// coalesced write, so sent.msgs/flushes is the mean batch per syscall),
+// "transport.hello.refused" per peer refused at its hello (the reason is
+// traced), and the gauge "transport.queue.depth" summing all outbound queues.
+// Call before the first Send; a nil registry turns observability off.
 func (t *Transport) SetObserver(reg *obs.Registry) {
+	t.mu.Lock() // the listener is accepting: serveConn reads mx after taking mu
+	defer t.mu.Unlock()
 	if reg == nil {
 		t.mx = nil
 		return
@@ -199,6 +204,8 @@ func (t *Transport) SetObserver(reg *obs.Registry) {
 		redials:    reg.Counter("transport.redials"),
 		giveups:    reg.Counter("transport.redial.giveup"),
 		flushes:    reg.Counter("transport.flushes"),
+		refused:    reg.Counter("transport.hello.refused"),
+		reg:        reg,
 	}
 }
 
@@ -244,6 +251,14 @@ func (m *transportMetrics) giveup() {
 func (m *transportMetrics) flush() {
 	if m != nil {
 		m.flushes.Inc()
+	}
+}
+
+// refuse counts and traces an inbound connection refused at its hello.
+func (t *Transport) refuse(reason string) {
+	if t.mx != nil {
+		t.mx.refused.Inc()
+		t.mx.reg.Trace(obs.Event{Party: t.cfg.Self, Protocol: "transport", Stage: obs.StageDrop, Seq: -1, Note: reason})
 	}
 }
 
@@ -431,7 +446,9 @@ func (t *Transport) serveConn(conn net.Conn) {
 		return
 	}
 	var h hello
-	if wire.UnmarshalBody(raw, &h) != nil || h.Magic != helloMagic {
+	if err := wire.UnmarshalBody(raw, &h); err != nil || h.Magic != helloMagic {
+		// Most likely a peer of another wire.Format; a gob-era hello does not decode.
+		t.refuse(fmt.Sprintf("hello refused: magic %q (%v), this build speaks %q", h.Magic, err, helloMagic))
 		return
 	}
 	var session []byte

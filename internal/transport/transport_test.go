@@ -1,10 +1,17 @@
 package transport_test
 
 import (
+	"bytes"
 	"crypto/rand"
+	"encoding/binary"
+	"encoding/gob"
+	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"sintra/internal/obs"
 	"sintra/internal/transport"
 	"sintra/internal/wire"
 )
@@ -269,4 +276,66 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 		}
 	}
 	t.Fatal("no delivery after peer restart")
+}
+
+// TestHelloOfAnotherFormatRefused: a peer whose hello names another wire
+// format — a decodable hello with the old magic, or a gob-era hello that
+// does not decode at all — is refused at connect time, counted, and traced
+// with the magic it spoke.
+func TestHelloOfAnotherFormatRefused(t *testing.T) {
+	tr, err := transport.NewServer(transport.Config{
+		Self: 0, N: 2, Addrs: []string{"127.0.0.1:0", "127.0.0.1:0"},
+		ListenAddr: "127.0.0.1:0", LinkKeys: [][]byte{nil, make([]byte, 32)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	reg := obs.NewRegistry()
+	events := obs.NewCollectTracer()
+	reg.SetTracer(events)
+	tr.SetObserver(reg)
+
+	type hello struct { // the transport's hello, field for field
+		Magic string
+		From  int
+		Nonce []byte
+		MAC   []byte
+	}
+	var gobHello bytes.Buffer
+	if err := gob.NewEncoder(&gobHello).Encode(hello{Magic: "sintra1", From: 1, Nonce: make([]byte, 16)}); err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"old-magic", wire.MustMarshalBody(hello{Magic: "sintra1", From: 1, Nonce: make([]byte, 16)})},
+		{"gob", gobHello.Bytes()},
+	} {
+		conn, err := net.Dial("tcp", tr.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lb [4]byte
+		binary.BigEndian.PutUint32(lb[:], uint32(len(tc.frame)))
+		if _, err := conn.Write(append(lb[:], tc.frame...)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("%s hello: connection not closed by the server (%v)", tc.name, err)
+		}
+		conn.Close()
+		if n := reg.Snapshot().Counter("transport.hello.refused"); n != int64(i+1) {
+			t.Fatalf("%s hello: transport.hello.refused = %d, want %d", tc.name, n, i+1)
+		}
+	}
+	var noted bool
+	for _, ev := range events.Events() {
+		noted = noted || strings.Contains(ev.Note, `"sintra1"`)
+	}
+	if !noted {
+		t.Fatal("the refused magic was not traced")
+	}
 }

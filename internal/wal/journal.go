@@ -12,9 +12,13 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 
 	"sintra/internal/obs"
+	"sintra/internal/wire"
 )
 
 // Record kinds (first byte of a WAL record payload).
@@ -64,10 +68,53 @@ func journalKey(protocol, instance, slot string) string {
 	return protocol + "\x1f" + instance + "\x1f" + slot
 }
 
-// OpenJournal opens the WAL in dir and replays it into a fresh ledger.
+// ErrFormat is OpenJournal's refusal of a directory journaled in another
+// wire.Format: this build cannot decode its records, so it does not replay them.
+var ErrFormat = errors.New("wal: journal of another wire format")
+
+// checkFormat refuses dir if its FORMAT file (beside the segments, which
+// are all Compact and TruncateBefore remove) names another wire.Format, or
+// if it holds records but no marker (format 1); it marks a fresh dir before
+// its first record: written aside, synced, renamed.
+func checkFormat(dir string, hasRecords bool, opts Options) error {
+	want := fmt.Sprint(wire.Format)
+	path := filepath.Join(dir, "FORMAT")
+	got, err := os.ReadFile(path)
+	switch {
+	case err == nil && string(got) == want:
+		return nil
+	case err == nil:
+		return fmt.Errorf("%w: %s is marked format %q, this build journals format %s", ErrFormat, dir, got, want)
+	case !errors.Is(err, os.ErrNotExist):
+		return err
+	case hasRecords:
+		return fmt.Errorf("%w: %s holds records but no format marker (format 1), this build journals format %s", ErrFormat, dir, want)
+	}
+	f, err := os.Create(path + ".tmp")
+	if err == nil {
+		if _, err = f.WriteString(want); err == nil && !opts.NoSync {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	syncDir(dir)
+	return err
+}
+
+// OpenJournal opens the WAL in dir and replays it into a fresh ledger; a
+// dir of another wire format is refused with ErrFormat.
 func OpenJournal(dir string, opts Options) (*Journal, error) {
 	log, records, err := Open(dir, opts)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkFormat(dir, len(records) > 0, opts); err != nil {
+		log.Close()
 		return nil, err
 	}
 	j := &Journal{log: log, ledger: make(map[string]ledgerEntry), delivered: -1}

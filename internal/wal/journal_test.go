@@ -2,8 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"sintra/internal/wire"
 )
 
 func TestJournalSlotSubstitution(t *testing.T) {
@@ -191,5 +197,79 @@ func TestRecordEncodingRoundTrip(t *testing.T) {
 	}
 	if got.Kind != kindSnap || got.Seq != 41 || len(got.Entries) != 2 || got.Entries[1].Slot != "prop/7" {
 		t.Fatalf("snap round trip: %+v", got)
+	}
+}
+
+// TestJournalRefusesOtherFormats: a directory written before format
+// markers (records, no marker) or marked with another wire format is
+// refused by name and left as it was, never replayed.
+func TestJournalRefusesOtherFormats(t *testing.T) {
+	old := t.TempDir()
+	log, _, err := Open(old, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append(encodeOutbound("mvba", "svc/r1", "VOTE", "vote/1", []byte("gob-era vote"))); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	segments, _ := segmentNames(old)
+	before, _ := os.ReadFile(filepath.Join(old, segments[0]))
+
+	other := t.TempDir()
+	if err := os.WriteFile(filepath.Join(other, "FORMAT"), []byte("3"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for dir, names := range map[string][]string{old: {"format 1", "format 2"}, other: {`"3"`, "format 2"}} {
+		j, err := OpenJournal(dir, testOpts())
+		if !errors.Is(err, ErrFormat) {
+			if j != nil {
+				j.Close()
+			}
+			t.Fatalf("%s opened (err %v), want ErrFormat", dir, err)
+		}
+		for _, name := range names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not name %s", err, name)
+			}
+		}
+	}
+	after, _ := os.ReadFile(filepath.Join(old, segments[0]))
+	if _, err := os.Stat(filepath.Join(old, "FORMAT")); err == nil || !bytes.Equal(before, after) {
+		t.Fatal("a refused directory was modified")
+	}
+}
+
+// TestJournalFormatMarker: a fresh directory is marked before its first
+// record, round-trips, and keeps the marker across compaction.
+func TestJournalFormatMarker(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker, err := os.ReadFile(filepath.Join(dir, "FORMAT"))
+	if err != nil || string(marker) != fmt.Sprint(wire.Format) {
+		t.Fatalf("fresh journal marker %q (%v), want format %d", marker, err, wire.Format)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := j.RecordOutbound("aba", "svc/r1", "BVAL", fmt.Sprintf("bval/%d", i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if _, err := os.Stat(filepath.Join(dir, "FORMAT")); err != nil {
+		t.Fatalf("marker gone after compaction: %v", err)
+	}
+	j2, err := OpenJournal(dir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if j2.Entries() != 3 {
+		t.Fatalf("reopened ledger holds %d entries, want 3", j2.Entries())
 	}
 }

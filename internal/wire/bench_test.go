@@ -23,14 +23,27 @@ func benchBody() *shareBurst {
 }
 
 // BenchmarkMarshalBody tracks the allocation cost of body encoding on the
-// hot send path; the pooled scratch buffer should keep allocs/op flat as
-// bodies grow.
+// hot send path: one exact-size output slice per body.
 func BenchmarkMarshalBody(b *testing.B) {
 	body := benchBody()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := wire.MarshalBody(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUnmarshalBody tracks the receive side: one allocation per
+// decoded byte slice and the slice of slices, nothing per type.
+func BenchmarkUnmarshalBody(b *testing.B) {
+	data := wire.MustMarshalBody(benchBody())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var out shareBurst
+		if err := wire.UnmarshalBody(data, &out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,11 +11,13 @@ import (
 	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/cbc"
+	"sintra/internal/coin"
 	"sintra/internal/engine"
 	"sintra/internal/mvba"
 	"sintra/internal/netsim"
 	"sintra/internal/rbc"
 	"sintra/internal/testutil"
+	"sintra/internal/thresig"
 	"sintra/internal/wire"
 )
 
@@ -47,7 +49,7 @@ func (s *recordingScheduler) recorded() []wire.Message {
 
 // liveTraffic runs a real four-party reliable broadcast on the simulator
 // and returns every envelope the network delivered — SEND, ECHO, and READY
-// messages with genuine gob payloads — followed by the atomic-broadcast
+// messages with genuine encoded payloads — followed by the atomic-broadcast
 // envelopes of fetchTraffic and the consistent-broadcast ones of
 // cbcFetchTraffic.
 func liveTraffic(tb testing.TB) []wire.Message {
@@ -279,9 +281,52 @@ func uniqueByType(msgs []wire.Message) []wire.Message {
 	return out
 }
 
+// bodyShapes returns fresh decode targets in the layouts of the hot
+// bodies: aba's bool-round and coin-share burst, cbc's certificate and
+// share, mvba's vote, abc's proposal list, core's request and response,
+// the envelope, and a bare payload. The owning packages' golden tests pin
+// their real types to these layouts.
+func bodyShapes() []any {
+	return []any{
+		&struct {
+			Round int
+			Value bool
+		}{},
+		&struct {
+			Round  int
+			Shares []coin.Share
+		}{},
+		&struct {
+			Digest [32]byte
+			Cert   []byte
+		}{},
+		&struct{ Share thresig.Share }{},
+		&struct {
+			Trial   int
+			HasCert bool
+			Digest  [32]byte
+			Cert    []byte
+		}{},
+		&struct{ Proposals []abc.SignedProposal }{},
+		&struct {
+			ReqID   [16]byte
+			Payload []byte
+		}{},
+		&struct {
+			ReqID  [16]byte
+			Seq    int64
+			Result []byte
+			Share  thresig.Share
+		}{},
+		&wire.Message{},
+		&struct{ Payload []byte }{},
+	}
+}
+
 // FuzzUnmarshalBody feeds arbitrary bytes to the body decoder through the
-// same concrete target shapes the protocol stack uses. The decoder must
-// never panic — a corrupted party chooses these bytes.
+// concrete shapes the protocol stack uses. The decoder must never panic —
+// a corrupted party chooses these bytes — and must be canonical: whatever
+// decodes re-encodes to exactly the input. A map target always errors.
 func FuzzUnmarshalBody(f *testing.F) {
 	traffic := liveTraffic(f)
 	for _, m := range uniqueByType(traffic) {
@@ -293,26 +338,35 @@ func FuzzUnmarshalBody(f *testing.F) {
 	for _, blob := range burstSeeds(f, traffic) {
 		f.Add(blob)
 	}
+	f.Add(wire.MustMarshalBody(struct {
+		Round  int
+		Shares []coin.Share
+	}{3, []coin.Share{sampleShare()}}))
+	f.Add(wire.MustMarshalBody(struct{ Share thresig.Share }{thresig.Share{Party: 2, Data: []byte{1}, Aux: []byte{2}}}))
+	f.Add(wire.MustMarshalBody(struct{ Proposals []abc.SignedProposal }{[]abc.SignedProposal{
+		{Party: 0, Round: 4, Batch: [][]byte{[]byte("req")}, Sig: []byte("sig")},
+		{Party: 2, Round: 4, Refs: make([]byte, 32), Sig: []byte("sig")},
+	}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var full struct {
-			Payload []byte
-		}
-		var digest struct { // FETCH; with Cert, a FINAL or REQ
-			Digest [32]byte
-			Cert   []byte
+		for _, v := range bodyShapes() {
+			if wire.UnmarshalBody(data, v) != nil {
+				continue
+			}
+			out, err := wire.MarshalBody(v)
+			if err != nil {
+				t.Fatalf("re-marshal of decoded %T failed: %v", v, err)
+			}
+			if !bytes.Equal(out, data) {
+				t.Fatalf("non-canonical decode into %T: %x re-encodes as %x", v, data, out)
+			}
 		}
 		var nested struct {
 			Round int
 			Votes map[int][]byte
 		}
-		// Each decode either succeeds or errors; panics fail the fuzz run.
-		if wire.UnmarshalBody(data, &full) == nil {
-			if _, err := wire.MarshalBody(&full); err != nil {
-				t.Fatalf("re-marshal of decoded body failed: %v", err)
-			}
+		if wire.UnmarshalBody(data, &nested) == nil {
+			t.Fatal("decoded into a map")
 		}
-		_ = wire.UnmarshalBody(data, &digest)
-		_ = wire.UnmarshalBody(data, &nested)
 	})
 }
 
@@ -352,22 +406,4 @@ func FuzzMessageDecode(f *testing.F) {
 			t.Fatalf("round-trip changed the message: %s != %s", m2.String(), m.String())
 		}
 	})
-}
-
-// TestUnmarshalBodyRecoversDecoderPanic pins the panic guard: a crafted
-// prefix that drives the gob decoder into a panic must surface as an error.
-func TestUnmarshalBodyRecoversDecoderPanic(t *testing.T) {
-	// Deeply malformed type descriptors are the classic gob panic vector;
-	// whether this exact input panics or errors depends on the Go version,
-	// but either way UnmarshalBody must return an error, not crash.
-	inputs := [][]byte{
-		{0x0f, 0xff, 0x87, 0x01, 0x04, 0x01, 0xff},
-		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
-	}
-	for _, in := range inputs {
-		var v struct{ X int }
-		if err := wire.UnmarshalBody(in, &v); err == nil {
-			t.Fatalf("garbage %x decoded successfully", in)
-		}
-	}
 }

@@ -1,6 +1,6 @@
 // Package wire defines the message envelope exchanged between parties and
-// the codec used by both the in-process simulator (internal/netsim) and the
-// TCP transport (internal/transport).
+// the schema-less codec (codec.go) used by both the in-process simulator
+// (internal/netsim) and the TCP transport (internal/transport).
 //
 // Envelopes are routed by (Protocol, Instance): every protocol execution —
 // one reliable broadcast, one binary agreement, one atomic broadcast round —
@@ -9,12 +9,12 @@
 // prescribes (§3).
 package wire
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"sync"
-)
+import "fmt"
+
+// Format numbers the layout of codec.go (1 was encoding/gob). A replica
+// refuses a peer whose transport hello, or a journal directory whose marker
+// (wal.OpenJournal), names another format: neither decodes across formats.
+const Format = 2
 
 // Message is the envelope routed between parties. Payload bytes must be
 // treated as immutable once sent.
@@ -29,7 +29,7 @@ type Message struct {
 	Instance string
 	// Type is the message kind within the protocol, e.g. "ECHO".
 	Type string
-	// Payload is the gob-encoded protocol-specific body.
+	// Payload is the encoded protocol-specific body (MarshalBody).
 	Payload []byte
 }
 
@@ -57,60 +57,6 @@ type Transport interface {
 	Recv() (msg Message, ok bool)
 	// Close shuts the transport down and unblocks Recv.
 	Close() error
-}
-
-// encodeBufs recycles the scratch buffers behind MarshalBody. Gob grows its
-// output incrementally, so a fresh bytes.Buffer per body pays one allocation
-// per doubling; reusing a grown buffer makes the steady state a single
-// exact-size copy. Buffers that ballooned on an outlier body are dropped
-// rather than pinned in the pool.
-var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBuf bounds the capacity of buffers returned to encodeBufs.
-const maxPooledBuf = 1 << 20
-
-// MarshalBody gob-encodes a protocol message body. The returned slice is
-// freshly allocated and owned by the caller.
-func MarshalBody(v any) ([]byte, error) {
-	buf := encodeBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	err := gob.NewEncoder(buf).Encode(v)
-	if err != nil {
-		encodeBufs.Put(buf)
-		return nil, fmt.Errorf("wire: marshal body: %w", err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	if buf.Cap() <= maxPooledBuf {
-		encodeBufs.Put(buf)
-	}
-	return out, nil
-}
-
-// MustMarshalBody is MarshalBody for bodies that cannot fail (fixed
-// struct types); it panics on the programming error of an unencodable type.
-func MustMarshalBody(v any) []byte {
-	b, err := MarshalBody(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// UnmarshalBody decodes a body produced by MarshalBody. The input is
-// attacker-controlled — a corrupted party chooses every payload byte — so
-// decoding failures, including any panic inside the gob decoder, surface
-// as errors and must never take down the replica.
-func UnmarshalBody(data []byte, v any) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("wire: unmarshal body: decoder panic: %v", p)
-		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("wire: unmarshal body: %w", err)
-	}
-	return nil
 }
 
 // EncodeMessage encodes a full envelope into one transport frame.

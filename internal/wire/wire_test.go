@@ -35,8 +35,14 @@ func TestMarshalErrors(t *testing.T) {
 		t.Fatal("channel marshalled")
 	}
 	var out struct{ X int }
-	if err := wire.UnmarshalBody([]byte{0xFF, 0x01}, &out); err == nil {
-		t.Fatal("garbage unmarshalled")
+	for _, in := range [][]byte{
+		{0xFF},       // truncated varint
+		{0x80, 0x00}, // overlong zero
+		{0x02, 0x00}, // trailing byte
+	} {
+		if err := wire.UnmarshalBody(in, &out); err == nil {
+			t.Fatalf("garbage %x unmarshalled", in)
+		}
 	}
 }
 

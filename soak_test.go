@@ -209,11 +209,10 @@ func TestSoakWALBounded(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// A client is answered by a quorum, which need not include replica 0.
+	waitFrontier(t, dep, 0, int64(total))
 
 	snap := dep.Metrics()
-	if seq := dep.Node(0).Seq(); seq < int64(total) {
-		t.Fatalf("delivery frontier %d < %d requests", seq, total)
-	}
 	// The journal must have been busy — a bound over an idle log proves
 	// nothing.
 	records := snap.Counter("wal.records")

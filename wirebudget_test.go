@@ -34,7 +34,11 @@ func (s *sendOrderTally) Next(pending []wire.Message) int {
 // n=4: the messages that close a consistent broadcast (FINAL) and cast a
 // vote in the agreement (VOTE) carry a certificate, not the proposal list
 // every party was just sent; only the messages that have to move a payload
-// are large; and nothing is fetched on the fault-free path.
+// are large; nothing is fetched on the fault-free path; and a message
+// carries its values, not a schema (wire.Format 2): an agreement message —
+// a round number and a bit — stays under 64 B with its envelope, and the
+// whole request under 48 KiB (with gob's type descriptors: 83–96 B and
+// 76 KiB).
 func TestWireBudget(t *testing.T) {
 	tally := &sendOrderTally{msgs: map[[2]string]int{}, bytes: map[[2]string]int{}}
 	c := newChainCluster(t, 4, 1, sintra.WithSeed(7), sintra.WithScheduler(tally))
@@ -62,7 +66,20 @@ func TestWireBudget(t *testing.T) {
 		t.Logf("%-10s %-9s %6d msgs %8d B  avg %5d B  %4.1f%%", k[0], k[1], tally.msgs[k], tally.bytes[k],
 			tally.bytes[k]/tally.msgs[k], 100*float64(tally.bytes[k])/float64(total))
 	}
-	t.Logf("%.1f KiB and %.1f messages per request", float64(total)/1024/requests, float64(count)/requests)
+	kib := float64(total) / 1024 / requests
+	t.Logf("%.1f KiB and %.1f messages per request", kib, float64(count)/requests)
+	if kib > 48 {
+		t.Errorf("%.1f KiB per request, want ≤ 48", kib)
+	}
+	for _, typ := range []string{"BVAL", "AUX", "DECIDED", "START"} {
+		k := [2]string{"aba", typ}
+		if tally.msgs[k] == 0 {
+			t.Fatalf("no aba %s was delivered", typ)
+		}
+		if avg := tally.bytes[k] / tally.msgs[k]; avg >= 64 {
+			t.Errorf("aba %s averages %d B, want < 64", typ, avg)
+		}
+	}
 
 	carriesPayload := map[string]bool{"SEND": true, "ANS": true, "PROPOSAL": true, "START": true}
 	for _, k := range keys {
