@@ -3,21 +3,24 @@
 // proposal mentions them. A signed proposal embeds only the payloads below
 // the proposer's CodedThreshold and names every larger one by its SHA-256
 // digest; the bytes come from each replica's own digest-keyed store,
-// filled by the client's copy (chunk framing is deterministic).
+// filled by the client's copy (chunk framing is deterministic). The same
+// store keeps every accepted proposal's encoding under its digest, the
+// name an agreement value gives it, so proposals and payloads are fetched
+// alike.
 //
 // Validity is availability-gated: a proposal counts toward this party's
-// list, and a list passes external validity, only when every digest it
-// references is held here or already delivered. Liveness conditions
-// replace timers, and a missing payload is asked only of a party one of
-// them covers, when it does — a peer that lacks the payload drops the ask.
-// An honest proposer holds what it references: an accepted proposal sends
-// FETCH to its proposer. An honest party holds what the list it proposes
-// for agreement references: such a list sends FETCH to its author. A
-// decided list was accepted by a quorum, so has an honest holder: a decide
-// parked on a missing payload sends FETCH to all. Within a round no peer
-// is asked twice for a digest and none is answered twice; the next round
-// starts afresh. Answers are hash-checked and kept only for a digest being
-// tracked.
+// list, and a list passes external validity, only when every proposal it
+// names and every digest they reference is held here (or delivered).
+// Liveness conditions replace timers, and anything missing is asked only
+// of a party one of them covers, when it does — a peer that lacks the
+// bytes drops the ask. An honest proposer holds what it references: an
+// accepted proposal sends FETCH to its proposer. An honest party holds
+// what the list it proposes for agreement names and references: such a
+// list sends FETCH to its author. A decided list was accepted by a quorum,
+// so has an honest holder: a decide parked on anything missing sends FETCH
+// to all. Within a round no peer is asked twice for a digest and none is
+// answered twice; the next round starts afresh. Answers are hash-checked
+// and kept only for a digest being tracked.
 
 package abc
 
@@ -49,9 +52,9 @@ type fetchBody struct {
 	Digest [32]byte
 }
 
-// held is one entry of the digest-keyed payload store: a payload this
-// replica can contribute to a decided round and serve to peers, or — with
-// a nil payload — one it has asked for.
+// held is one entry of the digest-keyed payload store: a payload or a
+// proposal encoding this replica can contribute to a decided round and
+// serve to peers, or — with a nil payload — one it has asked for.
 type held struct {
 	payload []byte
 	// queued marks a locally submitted payload awaiting delivery, which
@@ -75,7 +78,7 @@ func (a *ABC) entry(d [32]byte) *held {
 	return e
 }
 
-// want records that a round-r proposal or list references refs, and sends
+// want records that a round-r proposal or list names refs, and sends
 // a FETCH for each one missing here to the party that stands behind it:
 // from, or everyone for a quorum (from < 0). Nobody stands behind what
 // this party itself proposed and lost in a restart: it tries everyone
@@ -139,8 +142,9 @@ func (a *ABC) onPayload(payload []byte) {
 	}
 }
 
-// payloadArrived re-runs everything the availability gate held back: the
-// proposal quorum, the agreement's unsigned SENDs, and a parked decide.
+// payloadArrived re-runs everything the availability gate held back when
+// a wanted payload or proposal arrives: the proposal quorum, the
+// agreement's unsigned SENDs, and a parked decide.
 func (a *ABC) payloadArrived() {
 	round := a.round.Load()
 	a.maybeAgree()
@@ -148,8 +152,7 @@ func (a *ABC) payloadArrived() {
 		mv.Reeval()
 	}
 	if v := a.parked; v != nil && round == a.round.Load() {
-		a.parked = nil
-		a.onDecide(round, v)
+		a.onDecide(round, v) // parks again, uncounted, while anything is missing
 	}
 }
 

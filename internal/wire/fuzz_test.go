@@ -283,9 +283,9 @@ func uniqueByType(msgs []wire.Message) []wire.Message {
 
 // bodyShapes returns fresh decode targets in the layouts of the hot
 // bodies: aba's bool-round and coin-share burst, cbc's certificate and
-// share, mvba's vote, abc's proposal list, core's request and response,
-// the envelope, and a bare payload. The owning packages' golden tests pin
-// their real types to these layouts.
+// share, mvba's vote, abc's proposal and proposal list (digests), core's
+// request and response, the envelope, and a bare payload. The owning
+// packages' golden tests pin their real types to these layouts.
 func bodyShapes() []any {
 	return []any{
 		&struct {
@@ -307,7 +307,8 @@ func bodyShapes() []any {
 			Digest  [32]byte
 			Cert    []byte
 		}{},
-		&struct{ Proposals []abc.SignedProposal }{},
+		&abc.SignedProposal{},
+		&struct{ Proposals [][32]byte }{},
 		&struct {
 			ReqID   [16]byte
 			Payload []byte
@@ -343,10 +344,8 @@ func FuzzUnmarshalBody(f *testing.F) {
 		Shares []coin.Share
 	}{3, []coin.Share{sampleShare()}}))
 	f.Add(wire.MustMarshalBody(struct{ Share thresig.Share }{thresig.Share{Party: 2, Data: []byte{1}, Aux: []byte{2}}}))
-	f.Add(wire.MustMarshalBody(struct{ Proposals []abc.SignedProposal }{[]abc.SignedProposal{
-		{Party: 0, Round: 4, Batch: [][]byte{[]byte("req")}, Sig: []byte("sig")},
-		{Party: 2, Round: 4, Refs: make([]byte, 32), Sig: []byte("sig")},
-	}}))
+	f.Add(wire.MustMarshalBody(abc.SignedProposal{Party: 2, Round: 4, Batch: [][]byte{[]byte("req")}, Refs: make([]byte, 32), Sig: []byte("sig")}))
+	f.Add(wire.MustMarshalBody(struct{ Proposals [][32]byte }{[][32]byte{{1}, {2}, {3}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, v := range bodyShapes() {
 			if wire.UnmarshalBody(data, v) != nil {

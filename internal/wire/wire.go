@@ -11,10 +11,12 @@ package wire
 
 import "fmt"
 
-// Format numbers the layout of codec.go (1 was encoding/gob). A replica
-// refuses a peer whose transport hello, or a journal directory whose marker
-// (wal.OpenJournal), names another format: neither decodes across formats.
-const Format = 2
+// Format numbers the codec layout and the agreement value (1 was
+// encoding/gob; 2 this codec with atomic broadcast agreeing on whole signed
+// proposals; 3 on their digests). A replica refuses a peer whose transport
+// hello, or a journal directory whose marker (wal.OpenJournal), names
+// another format: neither decodes nor agrees across formats.
+const Format = 3
 
 // Message is the envelope routed between parties. Payload bytes must be
 // treated as immutable once sent.

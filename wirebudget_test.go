@@ -31,14 +31,16 @@ func (s *sendOrderTally) Next(pending []wire.Message) int {
 }
 
 // TestWireBudget pins what an ordered 64-byte request puts on the wire at
-// n=4: the messages that close a consistent broadcast (FINAL) and cast a
-// vote in the agreement (VOTE) carry a certificate, not the proposal list
-// every party was just sent; only the messages that have to move a payload
-// are large; nothing is fetched on the fault-free path; and a message
-// carries its values, not a schema (wire.Format 2): an agreement message —
-// a round number and a bit — stays under 64 B with its envelope, and the
-// whole request under 48 KiB (with gob's type descriptors: 83–96 B and
-// 76 KiB).
+// n=4: the agreement value names the signed proposals every party was just
+// sent by their digests, so the messages that carry it (cbc SEND and the
+// START loopbacks) stay small, and the ones that close a consistent
+// broadcast (FINAL) and cast a vote in the agreement (VOTE) carry a
+// certificate; only PROPOSAL, which moves the payloads, may be large;
+// nothing is fetched on the fault-free path; and a message carries its
+// values, not a schema: an agreement message — a round number and a bit —
+// stays under 64 B with its envelope, and the whole request under 36 KiB
+// (with whole proposals in the value: ≈ 500 B per SEND and START, 42 KiB;
+// with gob's type descriptors besides: 83–96 B and 76 KiB).
 func TestWireBudget(t *testing.T) {
 	tally := &sendOrderTally{msgs: map[[2]string]int{}, bytes: map[[2]string]int{}}
 	c := newChainCluster(t, 4, 1, sintra.WithSeed(7), sintra.WithScheduler(tally))
@@ -68,8 +70,8 @@ func TestWireBudget(t *testing.T) {
 	}
 	kib := float64(total) / 1024 / requests
 	t.Logf("%.1f KiB and %.1f messages per request", kib, float64(count)/requests)
-	if kib > 48 {
-		t.Errorf("%.1f KiB per request, want ≤ 48", kib)
+	if kib > 36 {
+		t.Errorf("%.1f KiB per request, want ≤ 36", kib)
 	}
 	for _, typ := range []string{"BVAL", "AUX", "DECIDED", "START"} {
 		k := [2]string{"aba", typ}
@@ -81,11 +83,17 @@ func TestWireBudget(t *testing.T) {
 		}
 	}
 
-	carriesPayload := map[string]bool{"SEND": true, "ANS": true, "PROPOSAL": true, "START": true}
 	for _, k := range keys {
-		avg := tally.bytes[k] / tally.msgs[k]
-		if !carriesPayload[k[1]] && avg > 1024 {
-			t.Errorf("%s %s averages %d B: only SEND, ANS, PROPOSAL and the START loopbacks may exceed 1 KiB", k[0], k[1], avg)
+		if avg := tally.bytes[k] / tally.msgs[k]; k != [2]string{"abc", "PROPOSAL"} && avg > 1024 {
+			t.Errorf("%s %s averages %d B: only PROPOSAL may exceed 1 KiB", k[0], k[1], avg)
+		}
+	}
+	for _, k := range [][2]string{{"cbc", "SEND"}, {"cbc", "START"}, {"mvba", "START"}} {
+		if tally.msgs[k] == 0 {
+			t.Fatalf("no %s %s was delivered", k[0], k[1])
+		}
+		if avg := tally.bytes[k] / tally.msgs[k]; avg >= 256 {
+			t.Errorf("%s %s averages %d B, want proposal digests, not the proposals (< 256 B)", k[0], k[1], avg)
 		}
 	}
 	for _, k := range [][2]string{{"cbc", "FINAL"}, {"mvba", "VOTE"}} {
@@ -96,7 +104,7 @@ func TestWireBudget(t *testing.T) {
 			t.Errorf("%s %s averages %d B, want a certificate without its payload (< 400 B)", k[0], k[1], avg)
 		}
 	}
-	for _, k := range [][2]string{{"cbc", "REQ"}, {"cbc", "ANS"}} {
+	for _, k := range [][2]string{{"cbc", "REQ"}, {"cbc", "ANS"}, {"abc", "FETCH"}, {"abc", "PAYLOAD"}} {
 		if n := tally.msgs[k]; n != 0 {
 			t.Errorf("%d %s %s on the fault-free path in send order, want 0", n, k[0], k[1])
 		}
