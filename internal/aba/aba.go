@@ -13,12 +13,15 @@
 // outside the adversary structure (t+1), bin-values admission on an
 // IsStrong set (2t+1), and the AUX barrier on a quorum (n−t).
 //
-// Termination uses a DECIDED certificate exchange: a party that decides
-// broadcasts DECIDED(b); receiving DECIDED(b) from a set outside the
-// adversary structure is proof that an honest party decided b, so the
-// receiver may adopt b, and a party halts once a full quorum has sent
-// DECIDED — at that point every honest party is guaranteed to learn the
-// decision without further help.
+// Round 1's coin is fixed to 1, so unanimous 1 (the MVBA's common case)
+// decides in round 1 with no coin. Termination uses a DECIDED certificate
+// exchange: a party that decides broadcasts DECIDED(b); receiving
+// DECIDED(b) from a set outside the adversary structure is proof that an
+// honest party decided b, so the receiver may adopt b, and a party halts
+// once a full quorum has sent DECIDED — at that point every honest party
+// is guaranteed to learn the decision without further help. A decided
+// party opens a later round only once an honest party is in it (DESIGN.md
+// §2 argues both rules).
 package aba
 
 import (
@@ -111,6 +114,7 @@ type ABA struct {
 
 	started bool
 	round   int
+	opened  int // last round this party sent its estimate in
 	est     bool
 	rounds  map[int]*roundState
 
@@ -228,12 +232,19 @@ func (a *ABA) state(r int) *roundState {
 	st, ok := a.rounds[r]
 	if !ok {
 		st = &roundState{}
-		st.coinCombiner = coin.NewCombiner(a.cfg.Coin, a.coinName(r))
-		st.coinCombiner.SetGate(trust.CoinGate(a.trust, a.self))
+		if r == 1 { // the fixed coin: no shares, no combiner
+			st.coinSent, st.coinDone, st.coinValue = true, true, true
+		} else {
+			st.coinCombiner = coin.NewCombiner(a.cfg.Coin, a.coinName(r))
+			st.coinCombiner.SetGate(trust.CoinGate(a.trust, a.self))
+		}
 		a.rounds[r] = st
 	}
 	return st
 }
+
+// quiet reports whether round r is one this party counts but sends nothing in.
+func (a *ABA) quiet(r int) bool { return a.decided && r > a.opened }
 
 func (a *ABA) coinName(r int) string {
 	return fmt.Sprintf("aba|%s|r%d", a.cfg.Instance, r)
@@ -298,14 +309,36 @@ func (a *ABA) onStart(value bool) {
 	a.started = true
 	a.round = 1
 	a.est = value
-	a.sendBval(1, value)
+	a.tryOpen()
 	// Fast peers may already have completed round 1 around us.
 	a.tryAdvance(1)
 }
 
+// tryOpen opens the current round with BVAL(est). A decided party opens
+// it only once its BVAL senders, both values together, include an honest
+// party, and then sends the relays, AUX and coin share already due
+// (onBinValue passes the barrier on to the coin).
+func (a *ABA) tryOpen() {
+	r := a.round
+	st := a.state(r)
+	if a.opened == r || a.decided && !a.trust.HasHonest(a.self, st.bvalRecv[0].Union(st.bvalRecv[1])) {
+		return
+	}
+	a.opened = r
+	a.sendBval(r, a.est)
+	for _, v := range []bool{a.est, !a.est} {
+		if a.trust.Blocks(a.self, st.bvalRecv[b2i(v)]) {
+			a.sendBval(r, v)
+		}
+		if st.bin[b2i(v)] {
+			a.onBinValue(r, v)
+		}
+	}
+}
+
 func (a *ABA) sendBval(r int, v bool) {
 	st := a.state(r)
-	if st.bvalSent[b2i(v)] {
+	if st.bvalSent[b2i(v)] || a.quiet(r) {
 		return
 	}
 	st.bvalSent[b2i(v)] = true
@@ -321,6 +354,9 @@ func (a *ABA) onBval(from, r int, v bool) {
 		return
 	}
 	st.bvalRecv[b2i(v)] = st.bvalRecv[b2i(v)].Add(from)
+	if r == a.round {
+		a.tryOpen()
+	}
 	// Relay once the senders block every quorum (t+1 rule): some honest
 	// party BVAL'd v, so it is safe and live to support it.
 	if a.trust.Blocks(a.self, st.bvalRecv[b2i(v)]) {
@@ -336,7 +372,7 @@ func (a *ABA) onBval(from, r int, v bool) {
 
 func (a *ABA) onBinValue(r int, v bool) {
 	st := a.state(r)
-	if !st.auxSent {
+	if !st.auxSent && !a.quiet(r) {
 		st.auxSent = true
 		_ = a.cfg.Router.BroadcastJournaled(fmt.Sprintf("aux/%d", r),
 			Protocol, a.cfg.Instance, typeAux, boolRoundBody{Round: r, Value: v})
@@ -359,25 +395,24 @@ func (a *ABA) onAux(from, r int, v bool) {
 // (they may still join later once their BVAL support arrives).
 func (a *ABA) tryBarrier(r int) {
 	st := a.state(r)
-	if st.barrier {
-		return
-	}
-	var supported adversary.Set
-	for _, v := range []bool{false, true} {
-		if st.bin[b2i(v)] {
-			supported = supported.Union(st.auxRecv[b2i(v)])
+	if !st.barrier {
+		var supported adversary.Set
+		for _, v := range []bool{false, true} {
+			if st.bin[b2i(v)] {
+				supported = supported.Union(st.auxRecv[b2i(v)])
+			}
 		}
-	}
-	if !a.trust.IsQuorum(a.self, supported) {
-		return
-	}
-	st.barrier = true
-	for _, v := range []bool{false, true} {
-		st.vals[b2i(v)] = st.bin[b2i(v)] && st.auxRecv[b2i(v)] != adversary.EmptySet
+		if !a.trust.IsQuorum(a.self, supported) {
+			return
+		}
+		st.barrier = true
+		for _, v := range []bool{false, true} {
+			st.vals[b2i(v)] = st.bin[b2i(v)] && st.auxRecv[b2i(v)] != adversary.EmptySet
+		}
 	}
 	// Release the coin only after the barrier: its value must be
 	// unpredictable while votes are still free.
-	if !st.coinSent {
+	if !st.coinSent && !a.quiet(r) {
 		st.coinSent = true
 		shares, err := a.cfg.Coin.ReleaseShares(a.cfg.CoinKey, a.coinName(r), rand.Reader)
 		if err == nil {
@@ -450,11 +485,9 @@ func (a *ABA) tryAdvance(r int) {
 	default: // both values present
 		a.est = st.coinValue
 	}
-	// Advance to the next round (decided parties keep participating until
-	// the DECIDED quorum forms, so laggards never stall).
 	delete(a.rounds, r-1) // keep the previous round for stragglers, GC older
 	a.round = r + 1
-	a.sendBval(a.round, a.est)
+	a.tryOpen()
 	// Process any barrier/coin state that already arrived for the new
 	// round.
 	a.tryAdvance(a.round)

@@ -16,37 +16,19 @@ import (
 type decision struct {
 	party int
 	value bool
+	round int // the party's round when it decided
 }
 
 // runAgreement spawns instances on the given parties with the given inputs
 // and returns one decision per party.
 func runAgreement(t *testing.T, c *testutil.Cluster, tag string, inputs map[int]bool) map[int]bool {
 	t.Helper()
-	ch := make(chan decision, len(inputs)*2)
-	insts := make(map[int]*aba.ABA, len(inputs))
-	for i := range inputs {
-		i := i
-		c.Routers[i].DoSync(func() {
-			insts[i] = aba.New(aba.Config{
-				Router:   c.Routers[i],
-				Struct:   c.Struct,
-				Instance: tag,
-				Coin:     c.Pub.Coin,
-				CoinKey:  c.Secrets[i].Coin,
-				Decide:   func(v bool) { ch <- decision{party: i, value: v} },
-			})
-		})
-	}
-	for i, v := range inputs {
-		if err := insts[i].Start(v); err != nil {
-			t.Fatal(err)
-		}
-	}
+	decided, _ := launch(t, c, tag, inputs)
 	got := make(map[int]bool, len(inputs))
 	deadline := time.After(60 * time.Second)
 	for len(got) < len(inputs) {
 		select {
-		case d := <-ch:
+		case d := <-decided:
 			if _, dup := got[d.party]; dup {
 				t.Fatalf("party %d decided twice", d.party)
 			}
@@ -177,27 +159,8 @@ func TestByzantineDoubleVoter(t *testing.T) {
 	// agree regardless.
 	st := adversary.MustThreshold(4, 1)
 	c := testutil.NewCluster(t, st, testutil.Options{Seed: 19, Corrupted: []int{0}})
-	ep := c.Net.Endpoint(0)
 	tag := "byz"
-	sendAll := func(msgType string, body any) {
-		for to := 1; to < 4; to++ {
-			ep.Send(wire.Message{
-				To: to, Protocol: aba.Protocol, Instance: tag,
-				Type: msgType, Payload: wire.MustMarshalBody(body),
-			})
-		}
-	}
-	type boolRound struct {
-		Round int
-		Value bool
-	}
-	type decidedB struct {
-		Value bool
-	}
-	sendAll("BVAL", boolRound{Round: 1, Value: true})
-	sendAll("BVAL", boolRound{Round: 1, Value: false})
-	sendAll("AUX", boolRound{Round: 1, Value: true})
-	sendAll("DECIDED", decidedB{Value: true})
+	doubleVote(c, tag)
 
 	inputs := map[int]bool{1: false, 2: false, 3: true}
 	got := runAgreement(t, c, tag, inputs)
@@ -226,29 +189,21 @@ func TestByzantineCoinShareFlood(t *testing.T) {
 	c := testutil.NewCluster(t, st, testutil.Options{Seed: 41, Corrupted: []int{0}})
 	ep := c.Net.Endpoint(0)
 	tag := "coinflood"
-	type coinB struct {
-		Round  int
-		Shares []coin.Share
-	}
 	g := c.Pub.Coin.Group()
 	for r := 1; r <= 3; r++ {
 		for to := 1; to < 4; to++ {
 			forged := []coin.Share{{Party: 0, ID: 0, Value: g.Generator(), Proof: nil}}
 			ep.Send(wire.Message{
 				To: to, Protocol: aba.Protocol, Instance: tag,
-				Type: "COIN", Payload: wire.MustMarshalBody(coinB{Round: r, Shares: forged}),
+				Type: "COIN", Payload: wire.MustMarshalBody(coinRoundBody{Round: r, Shares: forged}),
 			})
 		}
 	}
 	// Also flood BVALs for absurd rounds to probe state growth handling.
-	type boolRound struct {
-		Round int
-		Value bool
-	}
 	for to := 1; to < 4; to++ {
 		ep.Send(wire.Message{
 			To: to, Protocol: aba.Protocol, Instance: tag,
-			Type: "BVAL", Payload: wire.MustMarshalBody(boolRound{Round: 1 << 20, Value: true}),
+			Type: "BVAL", Payload: wire.MustMarshalBody(roundBody{Round: 1 << 20, Value: true}),
 		})
 	}
 	inputs := map[int]bool{1: true, 2: false, 3: false}

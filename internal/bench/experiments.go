@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -21,6 +22,7 @@ type ABARow struct {
 	T          int
 	Trials     int
 	MeanRounds float64
+	SERounds   float64 // standard error of MeanRounds
 	MaxRounds  int
 	MeanMsgs   float64
 }
@@ -39,7 +41,7 @@ func RunABARounds(ns []int, trials int) ([]ABARow, error) {
 		if err != nil {
 			return nil, err
 		}
-		totalRounds, maxRounds := 0, 0
+		totalRounds, sumSquares, maxRounds := 0, 0, 0
 		var totalMsgs float64
 		for trial := 0; trial < trials; trial++ {
 			tag := fmt.Sprintf("trial%d", trial)
@@ -77,15 +79,19 @@ func RunABARounds(ns []int, trials int) ([]ABARow, error) {
 			after, _ := c.net.Stats().Total()
 			r := int(rounds.Load())
 			totalRounds += r
+			sumSquares += r * r
 			if r > maxRounds {
 				maxRounds = r
 			}
 			totalMsgs += float64(after - before)
 		}
 		c.stop()
+		mean := float64(totalRounds) / float64(trials)
+		variance := (float64(sumSquares) - float64(trials)*mean*mean) / math.Max(1, float64(trials-1))
 		rows = append(rows, ABARow{
 			N: n, T: t, Trials: trials,
-			MeanRounds: float64(totalRounds) / float64(trials),
+			MeanRounds: mean,
+			SERounds:   math.Sqrt(variance / float64(trials)),
 			MaxRounds:  maxRounds,
 			MeanMsgs:   totalMsgs / float64(trials),
 		})

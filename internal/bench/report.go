@@ -65,10 +65,10 @@ func PrintStack(w io.Writer, rows []StackRow) {
 // PrintABARounds renders the expected-constant-rounds table (experiment A8).
 func PrintABARounds(w io.Writer, rows []ABARow) {
 	fmt.Fprintf(w, "A8 — randomized binary agreement, split inputs (group=%s)\n", GroupName())
-	fmt.Fprintf(w, "%4s %3s %7s %12s %11s %12s\n", "n", "t", "trials", "mean rounds", "max rounds", "mean msgs")
+	fmt.Fprintf(w, "%4s %3s %7s %12s %6s %11s %12s\n", "n", "t", "trials", "mean rounds", "s.e.", "max rounds", "mean msgs")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%4d %3d %7d %12.2f %11d %12.1f\n",
-			r.N, r.T, r.Trials, r.MeanRounds, r.MaxRounds, r.MeanMsgs)
+		fmt.Fprintf(w, "%4d %3d %7d %12.2f %6.2f %11d %12.1f\n",
+			r.N, r.T, r.Trials, r.MeanRounds, r.SERounds, r.MaxRounds, r.MeanMsgs)
 	}
 	fmt.Fprintln(w, "paper claim: expected constant rounds, independent of n")
 }

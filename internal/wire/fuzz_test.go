@@ -47,6 +47,29 @@ func (s *recordingScheduler) recorded() []wire.Message {
 	return append([]wire.Message(nil), s.messages...)
 }
 
+// awaitCount waits until at least n envelopes of the given protocol and
+// type have been delivered, so the recorded corpus does not depend on how
+// soon the caller stops the network.
+func (s *recordingScheduler) awaitCount(tb testing.TB, protocol, typ string, n int) {
+	tb.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		got := 0
+		for _, m := range s.recorded() {
+			if m.Protocol == protocol && m.Type == typ {
+				got++
+			}
+		}
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			tb.Fatalf("seed traffic delivered %d %s %s, want %d", got, protocol, typ, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // liveTraffic runs a real four-party reliable broadcast on the simulator
 // and returns every envelope the network delivered — SEND, ECHO, and READY
 // messages with genuine encoded payloads — followed by the atomic-broadcast
@@ -107,6 +130,8 @@ func cbcFetchTraffic(tb testing.TB) []wire.Message {
 	wait(3)
 	c.Routers[3].DoSync(func() { insts[3].Fetch() })
 	wait(1)
+	// Party 3 delivers on the first answer; the other holders answer too.
+	rec.awaitCount(tb, cbc.Protocol, "ANS", c.N()-1)
 	c.Stop()
 	return requireTypes(tb, rec.recorded(), cbc.Protocol, "SEND", "SHARE", "FINAL", "REQ", "ANS")
 }
@@ -374,9 +399,11 @@ func FuzzUnmarshalBody(f *testing.F) {
 // panicking.
 func FuzzMessageDecode(f *testing.F) {
 	traffic := liveTraffic(f)
+	var frame []byte
 	for _, m := range uniqueByType(traffic) {
 		m := m
-		frame, err := wire.EncodeMessage(&m)
+		var err error
+		frame, err = wire.EncodeMessage(&m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -384,6 +411,9 @@ func FuzzMessageDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
+	// A real frame with one trailing byte, and one cut a byte short.
+	f.Add(append(append([]byte(nil), frame...), 0x00))
+	f.Add(frame[:len(frame)-1])
 	for _, blob := range burstSeeds(f, traffic) {
 		f.Add(blob)
 	}

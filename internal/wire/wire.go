@@ -11,12 +11,13 @@ package wire
 
 import "fmt"
 
-// Format numbers the codec layout and the agreement value (1 was
-// encoding/gob; 2 this codec with atomic broadcast agreeing on whole signed
-// proposals; 3 on their digests). A replica refuses a peer whose transport
+// Format numbers the codec layout, the agreement value and the
+// binary-agreement coin rule (1 was encoding/gob; 2 this codec with atomic
+// broadcast agreeing on whole signed proposals; 3 on their digests; 4 with
+// a round-1 coin fixed to 1). A replica refuses a peer whose transport
 // hello, or a journal directory whose marker (wal.OpenJournal), names
 // another format: neither decodes nor agrees across formats.
-const Format = 3
+const Format = 4
 
 // Message is the envelope routed between parties. Payload bytes must be
 // treated as immutable once sent.

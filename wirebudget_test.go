@@ -38,9 +38,18 @@ func (s *sendOrderTally) Next(pending []wire.Message) int {
 // certificate; only PROPOSAL, which moves the payloads, may be large;
 // nothing is fetched on the fault-free path; and a message carries its
 // values, not a schema: an agreement message — a round number and a bit —
-// stays under 64 B with its envelope, and the whole request under 36 KiB
-// (with whole proposals in the value: ≈ 500 B per SEND and START, 42 KiB;
-// with gob's type descriptors besides: 83–96 B and 76 KiB).
+// stays under 64 B with its envelope. Binary agreement on unanimous input
+// decides in round 1 on the fixed first coin, and its decided parties
+// open no later round: ≈ 52 aba messages, 164–178 in all and 24–26 KiB
+// per request on an idle machine. Send order does not fix how fast each
+// replica drains its inbox, so on a loaded one more MVBA iterations elect
+// a leader some parties have not yet delivered, and each costs a second
+// agreement that decides 0: up to 92, 211 and 28.6. The bounds, 110
+// aba messages, 225 in all and 30 KiB, sit above that and below a
+// tossed coin from round 1 on with eager rounds (119–152, 233–265 and
+// 32–35 KiB idle; with whole proposals in the value besides: ≈ 500 B per
+// SEND and START, 42 KiB; with gob's type descriptors too: 83–96 B and
+// 76 KiB).
 func TestWireBudget(t *testing.T) {
 	tally := &sendOrderTally{msgs: map[[2]string]int{}, bytes: map[[2]string]int{}}
 	c := newChainCluster(t, 4, 1, sintra.WithSeed(7), sintra.WithScheduler(tally))
@@ -68,10 +77,22 @@ func TestWireBudget(t *testing.T) {
 		t.Logf("%-10s %-9s %6d msgs %8d B  avg %5d B  %4.1f%%", k[0], k[1], tally.msgs[k], tally.bytes[k],
 			tally.bytes[k]/tally.msgs[k], 100*float64(tally.bytes[k])/float64(total))
 	}
-	kib := float64(total) / 1024 / requests
-	t.Logf("%.1f KiB and %.1f messages per request", kib, float64(count)/requests)
-	if kib > 36 {
-		t.Errorf("%.1f KiB per request, want ≤ 36", kib)
+	kib, msgs := float64(total)/1024/requests, float64(count)/requests
+	t.Logf("%.1f KiB and %.1f messages per request", kib, msgs)
+	if kib > 30 {
+		t.Errorf("%.1f KiB per request, want ≤ 30", kib)
+	}
+	if msgs > 225 {
+		t.Errorf("%.1f messages per request, want ≤ 225", msgs)
+	}
+	aba := 0
+	for k, n := range tally.msgs {
+		if k[0] == "aba" {
+			aba += n
+		}
+	}
+	if per := float64(aba) / requests; per > 110 {
+		t.Errorf("%.1f aba messages per request, want ≤ 110", per)
 	}
 	for _, typ := range []string{"BVAL", "AUX", "DECIDED", "START"} {
 		k := [2]string{"aba", typ}
