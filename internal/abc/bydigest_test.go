@@ -14,10 +14,26 @@ import (
 // The agreement value names proposals by the digest of their encoding;
 // these tests pin how a party resolves a name it cannot resolve yet.
 
-// sendOrder delivers messages in the order they were sent.
-type sendOrder struct{}
+// sendOrder delivers messages in the order they were sent, but holds them
+// all until hold PROPOSALs from party 3 are pending: a proposal it sends
+// to several parties reaches each of them before any answer to it can.
+type sendOrder struct{ hold int }
 
-func (sendOrder) Next([]wire.Message) int { return 0 }
+func (s *sendOrder) Next(pending []wire.Message) int {
+	if s.hold > 0 {
+		n := 0
+		for i := range pending {
+			if pending[i].From == 3 && pending[i].Type == "PROPOSAL" {
+				n++
+			}
+		}
+		if n < s.hold {
+			return -1
+		}
+		s.hold = 0
+	}
+	return 0
+}
 
 // signInline is party 3's signed round proposal carrying payload inline.
 func (b *byzantineProposer) signInline(round int64, payload string) abc.SignedProposal {
@@ -80,7 +96,7 @@ func TestListOutrunsProposal(t *testing.T) {
 // one version is delivered, at the same place everywhere.
 func TestEquivocatingProposerOneOrder(t *testing.T) {
 	st := adversary.MustThreshold(4, 1)
-	c := testutil.NewCluster(t, st, testutil.Options{Scheduler: sendOrder{}, Observe: true, Corrupted: []int{3}})
+	c := testutil.NewCluster(t, st, testutil.Options{Scheduler: &sendOrder{hold: 3}, Observe: true, Corrupted: []int{3}})
 	honest := []int{0, 1, 2}
 	h := newHarness(t, c, honest)
 	b := newByzantineProposer(t, c, h.insts[0])

@@ -73,12 +73,6 @@ type clusterOptions struct {
 	// byzantine routes the listed parties' traffic through faultsim attack
 	// behaviors — active corruption instead of the silence of a crash.
 	byzantine map[int][]faultsim.Behavior
-	// verifyBatch is the routers' verify-coalescing cap: 0 keeps the
-	// engine default, negative disables batch verification.
-	verifyBatch int
-	// verifyWorkers sizes the routers' verify pools (0 keeps the engine
-	// default).
-	verifyWorkers int
 }
 
 // newCluster deals keys and starts routers for every non-crashed party.
@@ -121,10 +115,6 @@ func newCluster(st *adversary.Structure, o clusterOptions) (*cluster, error) {
 		}
 		r := engine.NewRouter(tr)
 		r.SetObserver(c.reg)
-		r.SetVerifyBatch(o.verifyBatch)
-		if o.verifyWorkers != 0 {
-			r.SetVerifyWorkers(o.verifyWorkers)
-		}
 		c.routers[i] = r
 		c.wg.Add(1)
 		go func() {

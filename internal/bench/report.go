@@ -110,25 +110,6 @@ func PrintBatchAblation(w io.Writer, rows []BatchRow) {
 	fmt.Fprintln(w, "larger batches amortize one agreement over many requests (§6 optimizations)")
 }
 
-// PrintBatchVerifySweep renders the batch-verification sweep: the same
-// atomic-broadcast load with coalesced share verification on and off.
-func PrintBatchVerifySweep(w io.Writer, rows []BatchVerifyRow) {
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "AB3 — batch-verification sweep (atomic broadcast, n=%d, group=%s)\n", rows[0].N, GroupName())
-	fmt.Fprintf(w, "%-10s %9s %12s %9s %13s %11s\n", "mode", "requests", "total time", "batches", "batched msgs", "mean batch")
-	for _, r := range rows {
-		mean := 0.0
-		if r.Batches > 0 {
-			mean = float64(r.BatchedMsgs) / float64(r.Batches)
-		}
-		fmt.Fprintf(w, "%-10s %9d %12v %9d %13d %11.1f\n",
-			r.Mode, r.Requests, r.LatencyAll.Round(10*1000), r.Batches, r.BatchedMsgs, mean)
-	}
-	fmt.Fprintln(w, "one random-linear-combination multi-exp checks a whole share burst; culprits isolated by binary split")
-}
-
 // PrintSigSchemeAblation renders the signature-scheme ablation.
 func PrintSigSchemeAblation(w io.Writer, rows []SigSchemeRow) {
 	fmt.Fprintln(w, "AB2 — threshold-signature ablation (same atomic-broadcast workload)")
@@ -138,18 +119,4 @@ func PrintSigSchemeAblation(w io.Writer, rows []SigSchemeRow) {
 			r.Scheme, r.N, r.Requests, r.MsgsPerReq, r.BytesPer, r.LatencyAll.Round(10*1000))
 	}
 	fmt.Fprintln(w, "Shoup RSA: constant-size signatures, heavy arithmetic; certificates: linear size, cheap ops")
-}
-
-// PrintStackScaling renders the GOMAXPROCS scaling table: the S3 stack
-// rerun per CPU count, with speedup relative to the first count.
-func PrintStackScaling(w io.Writer, n int, rows []ScalingRow) {
-	fmt.Fprintf(w, "S3 scaling — latency per delivered payload vs GOMAXPROCS (n=%d, group=%s)\n", n, GroupName())
-	fmt.Fprintf(w, "%-7s %5s %12s %9s\n", "layer", "cpus", "latency/op", "scaling")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-7s %5d %12v %8.2fx\n",
-			r.Layer, r.CPUs, r.LatencyPer.Round(10*1000), r.Scaling)
-	}
-	fmt.Fprintln(w, "scaling = first-row latency / row latency, per layer; the verify")
-	fmt.Fprintln(w, "pool moves signature/proof checks off the dispatch goroutine, so")
-	fmt.Fprintln(w, "headroom appears only when cpus > 1")
 }

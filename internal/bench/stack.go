@@ -32,8 +32,8 @@ type StackRow struct {
 	DispatchP99 time.Duration
 }
 
-// StackLayers lists the measured layers, bottom to top.
-var StackLayers = []string{"rbc", "cbc", "aba", "mvba", "abc", "scabc"}
+// stackLayers lists the measured layers, bottom to top.
+var stackLayers = []string{"rbc", "cbc", "aba", "mvba", "abc", "scabc"}
 
 // layerHist names the latency histogram that characterizes each layer:
 // deliver for the broadcasts, decide for the agreements, submit-to-order
@@ -58,7 +58,7 @@ func RunStack(ns []int, ops int) ([]StackRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, layer := range StackLayers {
+		for _, layer := range stackLayers {
 			row, err := runStackLayer(st, layer, ops)
 			if err != nil {
 				return nil, fmt.Errorf("layer %s n=%d: %w", layer, n, err)

@@ -199,11 +199,8 @@ type Router struct {
 	// verifyWorkers is the Verify-stage pool size; 0 disables the pool.
 	// Set before Run (SetVerifyWorkers); read only by Run.
 	verifyWorkers int
-	// verifyBatch is the coalescing cap of one verify-worker drain
-	// (SetVerifyBatch); immutable once the workers start.
-	verifyBatch int
-	verifyCh    chan *applyCell
-	workerWg    sync.WaitGroup
+	verifyCh      chan *applyCell
+	workerWg      sync.WaitGroup
 
 	mx *routerMetrics // nil when observability is off
 
@@ -386,36 +383,12 @@ func (r *Router) SetVerifyWorkers(n int) {
 	r.verifyWorkers = n
 }
 
-// defaultVerifyBatch caps one verify-worker drain. Under queue pressure
-// a worker coalesces up to this many pending messages into one pass;
+// verifyBatch caps one verify-worker drain. Under queue pressure a
+// worker coalesces up to this many pending messages into one pass;
 // bursts in the protocols here are share floods of n-party instances,
-// so the default comfortably covers realistic n while bounding how much
+// so the cap comfortably covers realistic n while bounding how much
 // work one batch holds back from the other workers.
-const defaultVerifyBatch = 16
-
-// SetVerifyBatch sets how many queued messages one verify worker may
-// coalesce into a single BatchVerify call: 0 selects the default,
-// a negative value disables coalescing (every message verifies
-// individually — the always-correct fallback path), and a positive
-// value caps the batch. Call before Run.
-func (r *Router) SetVerifyBatch(n int) {
-	switch {
-	case n == 0:
-		r.verifyBatch = 0
-	case n < 0:
-		r.verifyBatch = 1
-	default:
-		r.verifyBatch = n
-	}
-}
-
-// verifyBatchCap resolves the knob at Run time.
-func (r *Router) verifyBatchCap() int {
-	if r.verifyBatch == 0 {
-		return defaultVerifyBatch
-	}
-	return r.verifyBatch
-}
+const verifyBatch = 16
 
 // Self returns the local party index.
 func (r *Router) Self() int { return r.tr.Self() }
@@ -907,22 +880,17 @@ func (r *Router) applyNow(bh *boundHandler, m *wire.Message, verdict any, start 
 	}
 }
 
-// verifyWorker drains the verify queue until shutdown. With coalescing
-// enabled, a worker that finds a backlog pulls up to verifyBatch more
-// cells without blocking — batching is purely adaptive: an idle system
-// verifies every message individually at minimum latency, while queue
-// pressure grows the drained bursts toward the cap, exactly when the
-// per-batch saving matters.
+// verifyWorker drains the verify queue until shutdown. A worker that
+// finds a backlog pulls cells without blocking, up to verifyBatch in
+// all — batching is purely adaptive: an idle system verifies every
+// message individually at minimum latency, while queue pressure grows
+// the drained bursts toward the cap, exactly when the per-batch saving
+// matters.
 func (r *Router) verifyWorker() {
 	defer r.workerWg.Done()
-	limit := r.verifyBatchCap()
 	for c := range r.verifyCh {
-		if limit <= 1 {
-			r.runVerify(c)
-			continue
-		}
 		cells := []*applyCell{c}
-		for len(cells) < limit {
+		for len(cells) < verifyBatch {
 			var c2 *applyCell
 			var ok bool
 			select {

@@ -888,15 +888,14 @@ func TestSplitPipelineMetrics(t *testing.T) {
 }
 
 // batchPair builds a two-party network whose receiving router runs one
-// verify worker with the given coalescing cap — a single worker makes
-// the backlog (and therefore the batch drain) controllable from tests.
-func batchPair(t *testing.T, batch int) (*engine.Router, *engine.Router, *obs.Registry) {
+// verify worker — a single worker makes the backlog (and therefore the
+// batch drain) controllable from tests.
+func batchPair(t *testing.T) (*engine.Router, *engine.Router, *obs.Registry) {
 	t.Helper()
 	nw := netsim.New(2, 0, netsim.NewRandomScheduler(1))
 	r0 := engine.NewRouter(nw.Endpoint(0))
 	r1 := engine.NewRouter(nw.Endpoint(1))
 	r1.SetVerifyWorkers(1)
-	r1.SetVerifyBatch(batch)
 	reg := obs.NewRegistry()
 	r1.SetObserver(reg)
 	var wg sync.WaitGroup
@@ -930,13 +929,14 @@ func waitCounter(t *testing.T, reg *obs.Registry, name string, want int64) {
 	}
 }
 
-// TestBatchVerifyCoalescesBacklog: while the single verify worker is
-// stuck in message 0's Verify, the following same-type messages pile up
-// and must drain as one BatchVerify call, with the batch metrics
-// accounting for every coalesced message and reported culprit.
+// TestBatchVerifyCoalescesBacklog: message 0 arrives alone and takes the
+// per-message Verify; while the single verify worker is stuck there, the
+// following same-type messages pile up and must drain as one BatchVerify
+// call, with the batch metrics accounting for every coalesced message
+// and reported culprit.
 func TestBatchVerifyCoalescesBacklog(t *testing.T) {
-	r0, r1, reg := batchPair(t, 0)
-	release := make(chan struct{})
+	r0, r1, reg := batchPair(t)
+	entered, release := make(chan struct{}), make(chan struct{})
 	type seen struct {
 		k       int
 		verdict any
@@ -952,6 +952,7 @@ func TestBatchVerifyCoalescesBacklog(t *testing.T) {
 					return nil
 				}
 				if b.K == 0 {
+					close(entered)
 					<-release
 				}
 				return fmt.Sprintf("single:%d", b.K)
@@ -982,7 +983,11 @@ func TestBatchVerifyCoalescesBacklog(t *testing.T) {
 	})
 	const sends = 7
 	r0.Send(1, "p", "i", "V", batchBody{K: 0})
-	waitCounter(t, reg, "engine.verify.messages", 0) // r1 running
+	select {
+	case <-entered: // the worker is blocked inside message 0's Verify
+	case <-time.After(5 * time.Second):
+		t.Fatal("message 0 never reached Verify")
+	}
 	for k := 1; k < sends; k++ {
 		r0.Send(1, "p", "i", "V", batchBody{K: k})
 	}
@@ -996,6 +1001,9 @@ func TestBatchVerifyCoalescesBacklog(t *testing.T) {
 		case s := <-got:
 			single := fmt.Sprintf("single:%d", s.k)
 			batched := fmt.Sprintf("batch:%d", s.k)
+			if s.k == 0 && s.verdict != single {
+				t.Fatalf("message 0: verdict %v, want %s (drained alone)", s.verdict, single)
+			}
 			if s.verdict != single && s.verdict != batched {
 				t.Fatalf("message %d: verdict %v", s.k, s.verdict)
 			}
@@ -1027,62 +1035,12 @@ func TestBatchVerifyCoalescesBacklog(t *testing.T) {
 	}
 }
 
-// TestBatchVerifyDisabledKnob: SetVerifyBatch(-1) must route every
-// message through per-message Verify even under a backlog.
-func TestBatchVerifyDisabledKnob(t *testing.T) {
-	r0, r1, reg := batchPair(t, -1)
-	release := make(chan struct{})
-	got := make(chan any, 16)
-	r1.DoSync(func() {
-		r1.RegisterSplit("p", "i", engine.SplitHandler{
-			Verify: func(_ int, _ string, payload []byte) any {
-				var b batchBody
-				if !r1.Decode(payload, &b) {
-					return nil
-				}
-				if b.K == 0 {
-					<-release
-				}
-				return b.K
-			},
-			BatchVerify: func(msgs []*wire.Message) ([]any, int) {
-				t.Error("BatchVerify ran with batching disabled")
-				return make([]any, len(msgs)), 0
-			},
-			Apply: func(_ int, _ string, _ []byte, verdict any) {
-				got <- verdict
-			},
-			VerifyTypes: []string{"V"},
-		})
-	})
-	const sends = 5
-	for k := 0; k < sends; k++ {
-		r0.Send(1, "p", "i", "V", batchBody{K: k})
-	}
-	waitCounter(t, reg, "router.dispatched", sends)
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	for k := 0; k < sends; k++ {
-		select {
-		case v := <-got:
-			if v == nil {
-				t.Fatal("nil verdict on the per-message path")
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("message never applied")
-		}
-	}
-	if n := reg.Snapshot().Counter("engine.verify.batch.batches"); n != 0 {
-		t.Fatalf("engine.verify.batch.batches = %d, want 0", n)
-	}
-}
-
 // TestBatchVerifyPanicFallsBack: a panic inside BatchVerify must leave
 // the router alive and every coalesced message applying with a nil
 // verdict (the inline-verification fallback), counted like a verify
 // panic — router.panics stays 0.
 func TestBatchVerifyPanicFallsBack(t *testing.T) {
-	r0, r1, reg := batchPair(t, 0)
+	r0, r1, reg := batchPair(t)
 	release := make(chan struct{})
 	type seen struct {
 		k       int
@@ -1148,7 +1106,7 @@ func TestBatchVerifyPanicFallsBack(t *testing.T) {
 // number of verdicts must degrade every message of the batch to the
 // nil-verdict fallback rather than misassigning verdicts.
 func TestBatchVerifyWrongVerdictCount(t *testing.T) {
-	r0, r1, reg := batchPair(t, 0)
+	r0, r1, reg := batchPair(t)
 	release := make(chan struct{})
 	got := make(chan any, 16)
 	var batched int64

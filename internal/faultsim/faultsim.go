@@ -327,8 +327,8 @@ func (b duplicate) Apply(ctx *Context, m wire.Message) []wire.Message {
 
 // drop withholds outbound messages.
 type drop struct {
-	rate   float64
-	to     map[int]bool // nil means every recipient
+	rate float64
+	to   map[int]bool // nil means every recipient
 }
 
 // Drop silences the party's outbound traffic with the given probability.

@@ -6,27 +6,24 @@ import (
 	"sintra/internal/modexp"
 )
 
-// FixedBase holds a windowed precomputation table for one fixed base
+// fixedBase holds a windowed precomputation table for one fixed base
 // (see internal/modexp). Exponentiations with a fixed base — the
 // generator, a dealt verification key — then cost ~|Q|/w table
 // multiplications and no squarings. The table is built lazily on
-// first use and immutable afterwards, so a FixedBase is safe for
+// first use and immutable afterwards, so a fixedBase is safe for
 // concurrent use — the engine's verify workers hammer these tables
 // from many goroutines.
-type FixedBase struct {
-	g   *ZpGroup
+type fixedBase struct {
+	g   *zpGroup
 	tab *modexp.Table
 }
 
-func newFixedBase(g *ZpGroup, base *big.Int) *FixedBase {
-	return &FixedBase{g: g, tab: modexp.NewTable(base, g.P, g.Q.BitLen())}
+func newFixedBase(g *zpGroup, base *big.Int) *fixedBase {
+	return &fixedBase{g: g, tab: modexp.NewTable(base, g.P, g.Q.BitLen())}
 }
 
-// Base returns a copy of the base this table was built for.
-func (t *FixedBase) Base() *big.Int { return t.tab.Base() }
-
 // Exp returns base^exp mod P using the precomputed table.
-func (t *FixedBase) Exp(exp *big.Int) *big.Int { return t.tab.Exp(exp) }
+func (t *fixedBase) Exp(exp *big.Int) *big.Int { return t.tab.Exp(exp) }
 
 // Precompute registers a windowed precomputation table for base, used
 // transparently by Exp and MulExp whenever the *same *big.Int pointer*
@@ -39,9 +36,7 @@ func (t *FixedBase) Exp(exp *big.Int) *big.Int { return t.tab.Exp(exp) }
 // ephemeral value leaks a table slot, so callers should only register
 // keys with deployment lifetime. The registered value must never be
 // mutated (see TestNoArgumentMutation).
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) Precompute(base *big.Int) {
+func (g *zpGroup) Precompute(base *big.Int) {
 	if base == nil || base.Sign() <= 0 || base == g.G {
 		return // G has its own always-on table; see BaseExp.
 	}
@@ -52,7 +47,7 @@ func (g *ZpGroup) Precompute(base *big.Int) {
 
 // fixed returns the precomputation table registered for base, if any.
 // The generator always has one (built on first use).
-func (g *ZpGroup) fixed(base *big.Int) *FixedBase {
+func (g *zpGroup) fixed(base *big.Int) *fixedBase {
 	if base == g.G {
 		g.baseOnce.Do(func() { g.baseTab = newFixedBase(g, g.G) })
 		return g.baseTab
@@ -61,7 +56,7 @@ func (g *ZpGroup) fixed(base *big.Int) *FixedBase {
 		return nil
 	}
 	if t, ok := g.precomp.Load(base); ok {
-		return t.(*FixedBase)
+		return t.(*fixedBase)
 	}
 	return nil
 }
@@ -75,16 +70,12 @@ func (g *ZpGroup) fixed(base *big.Int) *FixedBase {
 // beats any externally-reduced shared squaring chain on amd64, so the
 // simultaneous win comes from the tables eliminating squarings
 // altogether, not from sharing them.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) MulExp(a, x, b, y *big.Int) *big.Int {
+func (g *zpGroup) MulExp(a, x, b, y *big.Int) *big.Int {
 	return g.Mul(g.Exp(a, x), g.Exp(b, y))
 }
 
-// BigTerm is one base^exp factor of a legacy big.Int MultiExp product.
-//
-// Deprecated: use Term with the Scalar/Point Group API.
-type BigTerm struct {
+// bigTerm is one base^exp factor of a legacy big.Int MultiExp product.
+type bigTerm struct {
 	Base, Exp *big.Int
 }
 
@@ -96,9 +87,7 @@ type BigTerm struct {
 // chain (modexp.MultiExp), so k transient bases cost max|e| squarings
 // once instead of k times. Exponents must be non-negative; callers
 // reduce mod Q first.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) MultiExp(terms []BigTerm) *big.Int {
+func (g *zpGroup) MultiExp(terms []bigTerm) *big.Int {
 	acc := big.NewInt(1)
 	tmp := new(big.Int)
 	var bases, exps []*big.Int

@@ -110,11 +110,11 @@ func TestMultiExpMatchesGeneric(t *testing.T) {
 		g.HashToElement("multiexp-test", []byte("c")),
 	}
 	for trial := 0; trial < 8; trial++ {
-		var terms []BigTerm
+		var terms []bigTerm
 		want := big.NewInt(1)
 		add := func(base *big.Int, bits uint) {
 			e, _ := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), bits))
-			terms = append(terms, BigTerm{Base: base, Exp: e})
+			terms = append(terms, bigTerm{Base: base, Exp: e})
 			want = g.Mul(want, g.expGeneric(base, e))
 		}
 		add(g.G, 256)
@@ -123,7 +123,7 @@ func TestMultiExpMatchesGeneric(t *testing.T) {
 			add(b, 128) // small batch randomizers
 			add(b, 256)
 		}
-		terms = append(terms, BigTerm{Base: adhoc[0], Exp: big.NewInt(0)}) // zero exp skipped
+		terms = append(terms, bigTerm{Base: adhoc[0], Exp: big.NewInt(0)}) // zero exp skipped
 		if got := g.MultiExp(terms); got.Cmp(want) != 0 {
 			t.Fatalf("trial %d: MultiExp diverges from generic product", trial)
 		}
@@ -182,7 +182,7 @@ func TestNoArgumentMutation(t *testing.T) {
 		"Exp":           func() { g.Exp(x, a) },
 		"ExpPrecomp":    func() { g.Exp(y, a) },
 		"BaseExp":       func() { g.BaseExp(a) },
-		"FixedBase.Exp": func() { fb.Exp(a) },
+		"fixedBase.Exp": func() { fb.Exp(a) },
 		"MulExp":        func() { g.MulExp(x, a, y, b) },
 		"MulExpFixed":   func() { g.MulExp(g.G, a, y, b) },
 		"Mul":           func() { g.Mul(x, y) },
@@ -238,7 +238,7 @@ func TestConcurrentSharedOperands(t *testing.T) {
 // fixed-base windowed table for the generator (EXPERIMENTS.md
 // "Verification pipeline" records the numbers).
 func BenchmarkBaseExp(b *testing.B) {
-	for _, g := range []*ZpGroup{zpTest256, zpModp2048} {
+	for _, g := range []*zpGroup{zpTest256, zpModp2048} {
 		s, _ := g.RandomScalar(rand.Reader)
 		b.Run(fmt.Sprintf("%s/generic", g.Name), func(b *testing.B) {
 			b.ReportAllocs()

@@ -12,17 +12,12 @@ import (
 	"sync/atomic"
 )
 
-// ZpGroup is the raw *big.Int arithmetic engine of the Z_p* backend: the
+// zpGroup is the raw *big.Int arithmetic engine of the Z_p* backend: the
 // unique subgroup of quadratic residues of Z_p* for a safe prime
 // p = 2q + 1, generated by G. The Group interface implementation
 // (modpGroup) wraps it; points are *big.Int values in [1, p-1] that are
 // quadratic residues, scalars are *big.Int values in [0, q-1].
-//
-// Deprecated: the exported *big.Int methods remain for one release as
-// thin migration wrappers. New code uses the opaque Scalar/Point API
-// behind the Group interface; no caller outside internal/group should
-// touch *big.Int group elements.
-type ZpGroup struct {
+type zpGroup struct {
 	// Name identifies the parameter set (e.g. "modp2048", "test256").
 	Name string
 	// P is the safe prime modulus.
@@ -40,13 +35,13 @@ type ZpGroup struct {
 	// lookup entirely when nothing was registered. All of it is
 	// concurrency-safe: the verify worker pool shares one group.
 	baseOnce sync.Once
-	baseTab  *FixedBase
+	baseTab  *fixedBase
 	precomp  sync.Map
 	nPrecomp atomic.Int32
 }
 
-// newZpGroup assembles a ZpGroup from hex-encoded p and q, with generator g.
-func newZpGroup(name, pHex, qHex string, g int64) *ZpGroup {
+// newZpGroup assembles a zpGroup from hex-encoded p and q, with generator g.
+func newZpGroup(name, pHex, qHex string, g int64) *zpGroup {
 	p, ok := new(big.Int).SetString(pHex, 16)
 	if !ok {
 		panic("group: bad prime constant " + name)
@@ -55,7 +50,7 @@ func newZpGroup(name, pHex, qHex string, g int64) *ZpGroup {
 	if !ok {
 		panic("group: bad order constant " + name)
 	}
-	return &ZpGroup{
+	return &zpGroup{
 		Name:    name,
 		P:       p,
 		Q:       q,
@@ -65,17 +60,15 @@ func newZpGroup(name, pHex, qHex string, g int64) *ZpGroup {
 }
 
 // ElementLen reports the fixed byte length of an encoded group element.
-func (g *ZpGroup) ElementLen() int { return g.byteLen }
+func (g *zpGroup) ElementLen() int { return g.byteLen }
 
 // ScalarLen reports the fixed byte length of an encoded scalar.
-func (g *ZpGroup) ScalarLen() int { return (g.Q.BitLen() + 7) / 8 }
+func (g *zpGroup) ScalarLen() int { return (g.Q.BitLen() + 7) / 8 }
 
 // Exp returns base^exp mod P. If base is the generator or a value
 // registered with Precompute (pointer identity), the fixed-base
 // windowed table is used instead of a generic exponentiation.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) Exp(base, exp *big.Int) *big.Int {
+func (g *zpGroup) Exp(base, exp *big.Int) *big.Int {
 	if t := g.fixed(base); t != nil {
 		return t.Exp(exp)
 	}
@@ -84,37 +77,29 @@ func (g *ZpGroup) Exp(base, exp *big.Int) *big.Int {
 
 // BaseExp returns G^exp mod P via the generator's windowed
 // precomputation table (built once, on first use).
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) BaseExp(exp *big.Int) *big.Int {
+func (g *zpGroup) BaseExp(exp *big.Int) *big.Int {
 	g.baseOnce.Do(func() { g.baseTab = newFixedBase(g, g.G) })
 	return g.baseTab.Exp(exp)
 }
 
 // expGeneric is the plain square-and-multiply path, kept for the
 // before/after micro-benchmarks and as a cross-check oracle in tests.
-func (g *ZpGroup) expGeneric(base, exp *big.Int) *big.Int {
+func (g *zpGroup) expGeneric(base, exp *big.Int) *big.Int {
 	return new(big.Int).Exp(base, exp, g.P)
 }
 
 // Mul returns a*b mod P.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) Mul(a, b *big.Int) *big.Int {
+func (g *zpGroup) Mul(a, b *big.Int) *big.Int {
 	return new(big.Int).Mod(new(big.Int).Mul(a, b), g.P)
 }
 
 // Inv returns the multiplicative inverse of a mod P.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) Inv(a *big.Int) *big.Int {
+func (g *zpGroup) Inv(a *big.Int) *big.Int {
 	return new(big.Int).ModInverse(a, g.P)
 }
 
 // Div returns a * b^-1 mod P.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) Div(a, b *big.Int) *big.Int {
+func (g *zpGroup) Div(a, b *big.Int) *big.Int {
 	return g.Mul(a, g.Inv(b))
 }
 
@@ -124,9 +109,7 @@ func (g *ZpGroup) Div(a, b *big.Int) *big.Int {
 // times cheaper than the full x^q mod p exponentiation it replaces, and
 // the reason certificate-share and DLEQ verification no longer pay four
 // hidden exponentiations per message.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) IsElement(x *big.Int) bool {
+func (g *zpGroup) IsElement(x *big.Int) bool {
 	if x == nil || x.Sign() <= 0 || x.Cmp(g.P) >= 0 {
 		return false
 	}
@@ -135,7 +118,7 @@ func (g *ZpGroup) IsElement(x *big.Int) bool {
 
 // isElementExp is the original x^Q ≡ 1 membership test, kept as the
 // oracle the Jacobi fast path is cross-checked against in tests.
-func (g *ZpGroup) isElementExp(x *big.Int) bool {
+func (g *zpGroup) isElementExp(x *big.Int) bool {
 	if x == nil || x.Sign() <= 0 || x.Cmp(g.P) >= 0 {
 		return false
 	}
@@ -143,9 +126,7 @@ func (g *ZpGroup) isElementExp(x *big.Int) bool {
 }
 
 // RandomScalar draws a uniform scalar in [0, Q) from r.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) RandomScalar(r io.Reader) (*big.Int, error) {
+func (g *zpGroup) RandomScalar(r io.Reader) (*big.Int, error) {
 	s, err := rand.Int(r, g.Q)
 	if err != nil {
 		return nil, fmt.Errorf("group: random scalar: %w", err)
@@ -154,9 +135,7 @@ func (g *ZpGroup) RandomScalar(r io.Reader) (*big.Int, error) {
 }
 
 // RandomElement draws a uniform non-identity subgroup element from r.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) RandomElement(r io.Reader) (*big.Int, error) {
+func (g *zpGroup) RandomElement(r io.Reader) (*big.Int, error) {
 	for {
 		s, err := g.RandomScalar(r)
 		if err != nil {
@@ -170,31 +149,23 @@ func (g *ZpGroup) RandomElement(r io.Reader) (*big.Int, error) {
 }
 
 // AddScalar returns a+b mod Q.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) AddScalar(a, b *big.Int) *big.Int {
+func (g *zpGroup) AddScalar(a, b *big.Int) *big.Int {
 	return new(big.Int).Mod(new(big.Int).Add(a, b), g.Q)
 }
 
 // SubScalar returns a-b mod Q.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) SubScalar(a, b *big.Int) *big.Int {
+func (g *zpGroup) SubScalar(a, b *big.Int) *big.Int {
 	s := new(big.Int).Sub(a, b)
 	return s.Mod(s, g.Q)
 }
 
 // MulScalar returns a*b mod Q.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) MulScalar(a, b *big.Int) *big.Int {
+func (g *zpGroup) MulScalar(a, b *big.Int) *big.Int {
 	return new(big.Int).Mod(new(big.Int).Mul(a, b), g.Q)
 }
 
 // InvScalar returns the inverse of a mod Q.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) InvScalar(a *big.Int) *big.Int {
+func (g *zpGroup) InvScalar(a *big.Int) *big.Int {
 	return new(big.Int).ModInverse(a, g.Q)
 }
 
@@ -202,9 +173,7 @@ func (g *ZpGroup) InvScalar(a *big.Int) *big.Int {
 // the random oracle H' used by the coin-tossing scheme. It expands the
 // input with SHA-256 counters to cover the width of P, reduces mod P, and
 // squares the result so it lands in the quadratic-residue subgroup.
-//
-// Deprecated: use the Scalar/Point Group API (HashToPoint).
-func (g *ZpGroup) HashToElement(domain string, data ...[]byte) *big.Int {
+func (g *zpGroup) HashToElement(domain string, data ...[]byte) *big.Int {
 	x := g.hashWide(domain, data)
 	x.Mod(x, g.P)
 	// Square into the QR subgroup; re-derive on the (negligible) chance of 0.
@@ -219,16 +188,14 @@ func (g *ZpGroup) HashToElement(domain string, data ...[]byte) *big.Int {
 
 // HashToScalar hashes arbitrary data to a scalar mod Q, standing in for the
 // random oracles used by the Fiat-Shamir proofs.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) HashToScalar(domain string, data ...[]byte) *big.Int {
+func (g *zpGroup) HashToScalar(domain string, data ...[]byte) *big.Int {
 	x := g.hashWide(domain, data)
 	return x.Mod(x, g.Q)
 }
 
 // hashWide expands SHA-256 over (domain, data...) to byteLen+16 bytes so
 // the subsequent modular reduction has negligible bias.
-func (g *ZpGroup) hashWide(domain string, data [][]byte) *big.Int {
+func (g *zpGroup) hashWide(domain string, data [][]byte) *big.Int {
 	return hashWide(domain, data, g.byteLen+16)
 }
 
@@ -257,16 +224,12 @@ func hashWide(domain string, data [][]byte, want int) *big.Int {
 }
 
 // EncodeElement serializes a group element into fixed-width big-endian bytes.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) EncodeElement(x *big.Int) []byte {
+func (g *zpGroup) EncodeElement(x *big.Int) []byte {
 	return x.FillBytes(make([]byte, g.byteLen))
 }
 
 // DecodeElement parses and validates a fixed-width group element.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) DecodeElement(b []byte) (*big.Int, error) {
+func (g *zpGroup) DecodeElement(b []byte) (*big.Int, error) {
 	if len(b) != g.byteLen {
 		return nil, ErrBadLength
 	}
@@ -278,16 +241,12 @@ func (g *ZpGroup) DecodeElement(b []byte) (*big.Int, error) {
 }
 
 // EncodeScalar serializes a scalar into fixed-width big-endian bytes.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) EncodeScalar(s *big.Int) []byte {
+func (g *zpGroup) EncodeScalar(s *big.Int) []byte {
 	return new(big.Int).Mod(s, g.Q).FillBytes(make([]byte, g.ScalarLen()))
 }
 
 // DecodeScalar parses a fixed-width scalar.
-//
-// Deprecated: use the Scalar/Point Group API.
-func (g *ZpGroup) DecodeScalar(b []byte) (*big.Int, error) {
+func (g *zpGroup) DecodeScalar(b []byte) (*big.Int, error) {
 	if len(b) != g.ScalarLen() {
 		return nil, ErrBadLength
 	}

@@ -10,12 +10,12 @@ import (
 
 // testGroups returns the legacy Z_p* engines; the Scalar/Point Group
 // interface has its own cross-backend suite in conformance_test.go.
-func testGroups() []*ZpGroup {
-	return []*ZpGroup{zpTest256, zpTest512}
+func testGroups() []*zpGroup {
+	return []*zpGroup{zpTest256, zpTest512}
 }
 
 func TestParamsAreSafePrimes(t *testing.T) {
-	for _, g := range []*ZpGroup{zpTest256, zpTest512, zpModp2048} {
+	for _, g := range []*zpGroup{zpTest256, zpTest512, zpModp2048} {
 		g := g
 		t.Run(g.Name, func(t *testing.T) {
 			if !g.P.ProbablyPrime(32) {

@@ -6,19 +6,19 @@ import (
 	"math/big"
 )
 
-// modpGroup adapts the legacy Z_p* arithmetic engine (ZpGroup) to the
+// modpGroup adapts the legacy Z_p* arithmetic engine (zpGroup) to the
 // opaque Scalar/Point Group interface. It is the compatibility backend:
 // canonical element encodings are byte-identical to the pre-interface
 // wire format, so Fiat-Shamir transcripts and dealt key files keep
 // their meaning across the redesign.
 type modpGroup struct {
 	id  GroupID
-	zp  *ZpGroup
+	zp  *zpGroup
 	gen *Point
 	one *Point
 }
 
-func newModpGroup(id GroupID, zp *ZpGroup) *modpGroup {
+func newModpGroup(id GroupID, zp *zpGroup) *modpGroup {
 	g := &modpGroup{id: id, zp: zp}
 	// The generator Point wraps the same *big.Int the fixed-base table
 	// registry keys on, so Exp through the interface still hits it.
@@ -27,10 +27,10 @@ func newModpGroup(id GroupID, zp *ZpGroup) *modpGroup {
 	return g
 }
 
-func (g *modpGroup) Name() string     { return g.zp.Name }
-func (g *modpGroup) ID() GroupID      { return g.id }
-func (g *modpGroup) ElementLen() int  { return g.zp.ElementLen() }
-func (g *modpGroup) ScalarLen() int   { return g.zp.ScalarLen() }
+func (g *modpGroup) Name() string      { return g.zp.Name }
+func (g *modpGroup) ID() GroupID       { return g.id }
+func (g *modpGroup) ElementLen() int   { return g.zp.ElementLen() }
+func (g *modpGroup) ScalarLen() int    { return g.zp.ScalarLen() }
 func (g *modpGroup) Generator() *Point { return g.gen }
 func (g *modpGroup) Identity() *Point  { return g.one }
 
@@ -73,10 +73,16 @@ func (g *modpGroup) ScalarFromBytes(b []byte) *Scalar {
 	return g.scalar(new(big.Int).Mod(new(big.Int).SetBytes(b), g.zp.Q))
 }
 
-func (g *modpGroup) AddScalar(a, b *Scalar) *Scalar { return g.scalar(g.zp.AddScalar(g.sv(a), g.sv(b))) }
-func (g *modpGroup) SubScalar(a, b *Scalar) *Scalar { return g.scalar(g.zp.SubScalar(g.sv(a), g.sv(b))) }
-func (g *modpGroup) MulScalar(a, b *Scalar) *Scalar { return g.scalar(g.zp.MulScalar(g.sv(a), g.sv(b))) }
-func (g *modpGroup) InvScalar(a *Scalar) *Scalar    { return g.scalar(g.zp.InvScalar(g.sv(a))) }
+func (g *modpGroup) AddScalar(a, b *Scalar) *Scalar {
+	return g.scalar(g.zp.AddScalar(g.sv(a), g.sv(b)))
+}
+func (g *modpGroup) SubScalar(a, b *Scalar) *Scalar {
+	return g.scalar(g.zp.SubScalar(g.sv(a), g.sv(b)))
+}
+func (g *modpGroup) MulScalar(a, b *Scalar) *Scalar {
+	return g.scalar(g.zp.MulScalar(g.sv(a), g.sv(b)))
+}
+func (g *modpGroup) InvScalar(a *Scalar) *Scalar { return g.scalar(g.zp.InvScalar(g.sv(a))) }
 
 func (g *modpGroup) NegScalar(a *Scalar) *Scalar {
 	v := g.sv(a)
@@ -119,9 +125,9 @@ func (g *modpGroup) MulExp(a *Point, x *Scalar, b *Point, y *Scalar) *Point {
 }
 
 func (g *modpGroup) MultiExp(terms []Term) *Point {
-	bts := make([]BigTerm, len(terms))
+	bts := make([]bigTerm, len(terms))
 	for i, t := range terms {
-		bts[i] = BigTerm{Base: t.Base.v, Exp: g.sv(t.Exp)}
+		bts[i] = bigTerm{Base: t.Base.v, Exp: g.sv(t.Exp)}
 	}
 	return g.point(g.zp.MultiExp(bts))
 }

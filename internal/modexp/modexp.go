@@ -71,9 +71,6 @@ func NewTable(base, mod *big.Int, expBits int) *Table {
 	}
 }
 
-// Base returns a copy of the base the table was built for.
-func (t *Table) Base() *big.Int { return new(big.Int).Set(t.base) }
-
 func (t *Table) build() {
 	w := t.window
 	windows := t.maxBits / w

@@ -289,21 +289,24 @@ func burstSeeds(tb testing.TB, msgs []wire.Message) [][]byte {
 	return [][]byte{pair, triple, triple[:len(triple)-len(frames[2])/2]}
 }
 
+// uniqueByType picks up to seedLimit/8 envelopes of each protocol and type,
+// then tops the corpus up to seedLimit from the rest in recorded order: how
+// many envelopes of each type a live run delivers varies with the
+// interleaving, and the corpus size, which numbers the seeds, must not.
 func uniqueByType(msgs []wire.Message) []wire.Message {
 	seen := map[string]int{}
-	var out []wire.Message
+	var out, rest []wire.Message
 	for _, m := range msgs {
 		key := m.Protocol + "/" + m.Type
 		if seen[key] >= seedLimit/8 {
+			rest = append(rest, m)
 			continue
 		}
 		seen[key]++
 		out = append(out, m)
-		if len(out) == seedLimit {
-			break
-		}
 	}
-	return out
+	out = append(out, rest...)
+	return out[:min(len(out), seedLimit)]
 }
 
 // bodyShapes returns fresh decode targets in the layouts of the hot
