@@ -57,7 +57,6 @@ func tuningFlags(fs *flag.FlagSet) *sintra.Tuning {
 	t := new(sintra.Tuning)
 	fs.Int64Var(&t.CheckpointInterval, "checkpoint-interval", 0, "checkpoint/GC period in delivered requests (0: default, negative: disabled; atomic mode)")
 	fs.IntVar(&t.CodedThreshold, "coded-threshold", 0, "request size in bytes from which proposals reference a request by digest instead of embedding it (0: default 4096, negative: always embed)")
-	fs.IntVar(&t.ChunkSize, "chunk-size", 0, "payload size in bytes above which client requests split into frames reassembled after ordering (0: default 65536, negative: disabled; atomic mode, identical on every replica)")
 	return t
 }
 

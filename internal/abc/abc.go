@@ -150,9 +150,10 @@ type Config struct {
 	// by the embedded consistent broadcasts.
 	Scheme thresig.Scheme
 	Key    *thresig.SecretKey
-	// Deliver is called with a monotonically increasing sequence number
-	// for every a-delivered payload, in the same order on every honest
-	// party.
+	// Deliver is called for every a-delivered payload, exactly as it was
+	// submitted, in the same order on every honest party. Sequence numbers
+	// are consecutive from 0 (or from an installed checkpoint's base), and
+	// each one reaches Deliver.
 	Deliver func(seq int64, payload []byte)
 	// BatchSize bounds proposal batches (default DefaultBatchSize). It
 	// is the floor of the adaptive bound: a backlog grows the bound
@@ -180,12 +181,6 @@ type Config struct {
 	// 0 selects DefaultCodedThreshold; negative embeds every payload.
 	// Local: proposals are self-describing, receivers need not agree.
 	CodedThreshold int
-	// ChunkSize splits submitted payloads larger than this many bytes
-	// into deterministic frames that reassemble after delivery, so one
-	// huge payload cannot wedge a round. 0 selects DefaultChunkSize;
-	// negative disables chunking. Must be configured identically on
-	// every replica.
-	ChunkSize int
 }
 
 // ABC is one atomic-broadcast instance; dispatch-goroutine only, except
@@ -215,12 +210,6 @@ type ABC struct {
 	codedThreshold int
 	store          map[[32]byte]*held
 	parked         []byte
-
-	// Chunking state: resolved frame size (0 = disabled) and the
-	// reassembly groups in first-frame delivery order.
-	chunkSize   int
-	chunkGroups map[chunkKey]*chunkGroup
-	chunkOrder  []chunkKey
 
 	// queue lists the digests of the locally submitted payloads awaiting
 	// delivery, in proposal order; the bytes are in the store.
@@ -252,16 +241,12 @@ type ABC struct {
 	deliveredSize *obs.Gauge
 	horizonGauge  *obs.Gauge
 
-	codedProposals  *obs.Counter
-	codedDeferred   *obs.Counter
-	fetchSent       *obs.Counter
-	fetchServed     *obs.Counter
-	fetchRejected   *obs.Counter
-	storeSize       *obs.Gauge
-	chunksSplit     *obs.Counter
-	chunksAssembled *obs.Counter
-	chunksDropped   *obs.Counter
-	chunkGauge      *obs.Gauge
+	codedProposals *obs.Counter
+	codedDeferred  *obs.Counter
+	fetchSent      *obs.Counter
+	fetchServed    *obs.Counter
+	fetchRejected  *obs.Counter
+	storeSize      *obs.Gauge
 }
 
 type recentEntry struct {
@@ -280,26 +265,22 @@ func New(cfg Config) *ABC {
 	cfg.BatchSize = min(cfg.BatchSize, maxProposalEntries)
 	cfg.MaxBatchSize = min(max(cfg.MaxBatchSize, cfg.BatchSize), maxProposalEntries)
 	a := &ABC{
-		cfg:         cfg,
-		trust:       cfg.Trust,
-		self:        cfg.Router.Self(),
-		curBatch:    cfg.BatchSize,
-		proposals:   make(map[int64]map[int]*accepted),
-		checked:     make(map[[32]byte]*accepted),
-		mvbas:       make(map[int64]*mvba.MVBA),
-		delivered:   make(map[[32]byte]int64),
-		store:       make(map[[32]byte]*held),
-		chunkGroups: make(map[chunkKey]*chunkGroup),
-		span:        obs.StartSpan(cfg.Router.Observer(), cfg.Router.Self(), Protocol, cfg.Instance),
+		cfg:       cfg,
+		trust:     cfg.Trust,
+		self:      cfg.Router.Self(),
+		curBatch:  cfg.BatchSize,
+		proposals: make(map[int64]map[int]*accepted),
+		checked:   make(map[[32]byte]*accepted),
+		mvbas:     make(map[int64]*mvba.MVBA),
+		delivered: make(map[[32]byte]int64),
+		store:     make(map[[32]byte]*held),
+		span:      obs.StartSpan(cfg.Router.Observer(), cfg.Router.Self(), Protocol, cfg.Instance),
 	}
 	if a.trust == nil {
 		a.trust = trust.NewSymmetric(cfg.Struct)
 	}
 	if a.codedThreshold = max(cfg.CodedThreshold, 0); cfg.CodedThreshold == 0 {
 		a.codedThreshold = DefaultCodedThreshold
-	}
-	if a.chunkSize = max(cfg.ChunkSize, 0); cfg.ChunkSize == 0 {
-		a.chunkSize = DefaultChunkSize
 	}
 	a.round.Store(1)
 	if reg := a.span.Registry(); reg != nil {
@@ -316,10 +297,6 @@ func New(cfg Config) *ABC {
 		a.fetchServed = reg.Counter(Protocol + ".fetch.served")
 		a.fetchRejected = reg.Counter(Protocol + ".fetch.rejected")
 		a.storeSize = reg.Gauge(Protocol + ".store.size")
-		a.chunksSplit = reg.Counter(Protocol + ".chunks.split")
-		a.chunksAssembled = reg.Counter(Protocol + ".chunks.assembled")
-		a.chunksDropped = reg.Counter(Protocol + ".chunks.dropped")
-		a.chunkGauge = reg.Gauge(Protocol + ".chunks.groups")
 	}
 	cfg.Router.RegisterSplit(Protocol, cfg.Instance, engine.SplitHandler{
 		Verify:      a.verifyMsg,
@@ -334,29 +311,12 @@ func New(cfg Config) *ABC {
 // (it crosses to the dispatch goroutine as a loopback message); callers
 // already on it use Submit.
 func (a *ABC) Broadcast(payload []byte) error {
-	if err := a.checkSize(payload); err != nil {
-		return err
-	}
 	return a.cfg.Router.Loopback(Protocol, a.cfg.Instance, typeSubmit, payloadBody{Payload: payload})
 }
 
 // Submit is Broadcast for callers on the dispatch goroutine: the payload
 // is queued in place, without a trip through the codec and the network.
-func (a *ABC) Submit(payload []byte) error {
-	err := a.checkSize(payload)
-	if err == nil {
-		a.onSubmit(payload)
-	}
-	return err
-}
-
-func (a *ABC) checkSize(payload []byte) error {
-	if a.chunkSize > 0 && chunkCount(len(payload), a.chunkSize) > maxChunksPerPayload {
-		return fmt.Errorf("abc: payload of %d bytes exceeds %d chunks of %d bytes",
-			len(payload), maxChunksPerPayload, a.chunkSize)
-	}
-	return nil
-}
+func (a *ABC) Submit(payload []byte) { a.enqueue(payload) }
 
 // Seq returns the number of payloads delivered so far (progress metric).
 // Safe from any goroutine.
@@ -456,7 +416,7 @@ func (a *ABC) apply(from int, msgType string, payload []byte, verdict any) {
 		if from != a.self || !a.cfg.Router.Decode(payload, &body) {
 			return
 		}
-		a.onSubmit(body.Payload)
+		a.enqueue(body.Payload)
 	case typeProposal:
 		if ac, ok := verdict.(*accepted); ok {
 			if ac != nil {
@@ -482,20 +442,6 @@ func (a *ABC) apply(from int, msgType string, payload []byte, verdict any) {
 			a.onPayload(body.Payload)
 		}
 	}
-}
-
-func (a *ABC) onSubmit(payload []byte) {
-	if a.chunkSize > 0 && len(payload) > a.chunkSize {
-		// Split into deterministic frames: every replica submitting the
-		// same payload produces identical frames, so they dedup to one
-		// delivery each just like whole payloads do.
-		for _, f := range chunkFrames(payload, a.chunkSize) {
-			a.enqueue(f)
-		}
-		a.chunksSplit.Inc()
-		return
-	}
-	a.enqueue(payload)
 }
 
 // enqueue hashes a submitted payload — the one time it is hashed here —
@@ -855,21 +801,9 @@ func (a *ABC) deliverPayload(digest [32]byte, payload []byte) {
 		}
 	}
 	a.deliveredSize.Set(int64(len(a.delivered)))
-	if a.cfg.Deliver == nil {
-		return
+	if a.cfg.Deliver != nil {
+		a.cfg.Deliver(seq, payload)
 	}
-	if a.chunkSize > 0 {
-		if id, idx, total, chunk, ok := parseFrame(payload); ok {
-			// A chunk frame feeds the reassembler instead of the app; the
-			// assembled payload delivers at the completing frame's seq.
-			if assembled, done := a.feedFrame(id, idx, total, chunk); done {
-				a.chunksAssembled.Inc()
-				a.cfg.Deliver(seq, assembled)
-			}
-			return
-		}
-	}
-	a.cfg.Deliver(seq, payload)
 }
 
 // pruneBelow advances the GC horizon, dropping delivered-digest history

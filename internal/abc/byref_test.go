@@ -3,6 +3,7 @@ package abc_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -143,65 +144,56 @@ func TestReferencedMixedSubmitters(t *testing.T) {
 	h.assertSameOrder(t, parties, total)
 }
 
-// TestChunkedSubmitReassembles: a payload far above the chunk size is
-// split into frames — each above the reference threshold, so the other
-// parties pull them — ordered, and reassembled into the original bytes at
-// every party.
-func TestChunkedSubmitReassembles(t *testing.T) {
+// TestByzantineReplicaCannotCensorLargeRequest: a corrupted replica sees
+// every client request, so it can have bytes of its choosing ordered ahead
+// of one. Here party 3 submits 132 bytes laid out as the first of ten
+// 1 KiB frames of the 10 000-byte request party 0 submits next; a replica
+// that reassembled frames after ordering would hold these bytes back and
+// then drop the request. An ordered payload is never interpreted: both are
+// applied verbatim everywhere, at consecutive sequence numbers.
+func TestByzantineReplicaCannotCensorLargeRequest(t *testing.T) {
 	st := adversary.MustThreshold(4, 1)
-	c := testutil.NewCluster(t, st, testutil.Options{Seed: 22, Observe: true})
+	c := testutil.NewCluster(t, st, testutil.Options{Seed: 22})
 	parties := []int{0, 1, 2, 3}
-	var mu sync.Mutex
-	got := make(map[int][][]byte)
-	h := newHarnessCfg(t, c, parties, func(cfg *abc.Config) {
-		cfg.ChunkSize = 1024
-		cfg.CodedThreshold = 512
-		i := cfg.Router.Self()
-		// Frames consume sequence numbers without reaching the app, so
-		// the harness's seq==len(log) Deliver cannot be used here.
-		cfg.Deliver = func(seq int64, payload []byte) {
-			mu.Lock()
-			defer mu.Unlock()
-			got[i] = append(got[i], payload)
+	h := newHarness(t, c, parties)
+	request := randomPayload(42, 10_000)
+	id := sha256.Sum256(request)
+	forged := append([]byte("sntrCHK1"), id[:16]...)
+	forged = binary.BigEndian.AppendUint32(forged, 0)  // frame index
+	forged = binary.BigEndian.AppendUint32(forged, 10) // frame count
+	forged = append(forged, request[:100]...)
+
+	ordered := func(want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(90 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			done := true
+			for _, p := range parties {
+				done = done && h.insts[p].Seq() >= want
+			}
+			if done {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timeout waiting for %d ordered payloads", want)
+			}
 		}
-	})
-	msg := randomPayload(42, 10_000)
-	if err := h.insts[0].Broadcast(msg); err != nil {
+	}
+	if err := h.insts[3].Broadcast(forged); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(90 * time.Second)
-	for {
-		mu.Lock()
-		done := true
-		for _, p := range parties {
-			done = done && len(got[p]) > 0
-		}
-		mu.Unlock()
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timeout waiting for reassembled deliveries")
-		}
-		time.Sleep(20 * time.Millisecond)
+	ordered(1)
+	if err := h.insts[0].Broadcast(request); err != nil {
+		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	ordered(2)
+	h.waitLogs(t, parties, 2, 30*time.Second)
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	for _, p := range parties {
-		if len(got[p]) != 1 || !bytes.Equal(got[p][0], msg) {
-			t.Fatalf("party %d did not deliver the reassembled payload", p)
+		log := h.logs[p]
+		if len(log) != 2 || !bytes.Equal(log[0], forged) || !bytes.Equal(log[1], request) {
+			t.Fatalf("party %d applied %d payloads, want the %d-byte one and then the request", p, len(log), len(forged))
 		}
-	}
-	if v := c.Regs[0].Counter("abc.chunks.split").Value(); v < 1 {
-		t.Fatal("submitter never chunked")
-	}
-	for _, p := range parties {
-		if v := c.Regs[p].Counter("abc.chunks.assembled").Value(); v != 1 {
-			t.Fatalf("party %d assembled %d payloads", p, v)
-		}
-	}
-	if v := counterSum(c, parties, "abc.fetch.served"); v < 3*10 {
-		t.Fatalf("the ten frames were served %d times, want at least 30", v)
 	}
 }
 

@@ -3,7 +3,7 @@
 // proposal mentions them. A signed proposal embeds only the payloads below
 // the proposer's CodedThreshold and names every larger one by its SHA-256
 // digest; the bytes come from each replica's own digest-keyed store,
-// filled by the client's copy (chunk framing is deterministic). The same
+// filled by the client's copy of the request, byte for byte. The same
 // store keeps every accepted proposal's encoding under its digest, the
 // name an agreement value gives it, so proposals and payloads are fetched
 // alike.

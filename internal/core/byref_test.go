@@ -38,8 +38,7 @@ func (s *recordingService) history() [][]byte {
 }
 
 // byRefCluster starts four replicas whose proposals reference anything
-// over 512 bytes and whose chunk frames are 1 KiB, each with its own
-// registry.
+// over 512 bytes, each with its own registry.
 func byRefCluster(t *testing.T, seed int64, mode core.Mode) (*testutil.Cluster, []*recordingService, []*obs.Registry) {
 	t.Helper()
 	c := coreCluster(t, adversary.MustThreshold(4, 1), testutil.Options{Seed: seed})
@@ -56,7 +55,7 @@ func byRefCluster(t *testing.T, seed int64, mode core.Mode) (*testutil.Cluster, 
 			Service:     services[i],
 			Mode:        mode,
 			Observer:    regs[i],
-			Tuning:      core.Tuning{CodedThreshold: 512, ChunkSize: 1024},
+			Tuning:      core.Tuning{CodedThreshold: 512},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -101,14 +100,13 @@ func waitApplied(t *testing.T, services []*recordingService, want int) [][]byte 
 	return ref
 }
 
-// TestLargeRequestsReferencedAndChunked drives requests on both sides of
-// the chunk size through the full stack in both modes, with a reference
-// threshold below either: atomic mode splits the big one into frames
-// that are each proposed by digest, secure-causal mode (which never
-// chunks) proposes the whole ciphertexts by digest. The client gets a
-// threshold-signed answer over the intact bytes and all replicas apply
-// the same requests in the same order.
-func TestLargeRequestsReferencedAndChunked(t *testing.T) {
+// TestLargeRequestsReferenced drives a request of 100 000 bytes and one of
+// 900 through the full stack in both modes, with a reference threshold
+// below either: every proposal names the request, or its ciphertext, by
+// digest, whatever its size. The client gets a threshold-signed answer
+// over the intact bytes and all replicas apply the same requests in the
+// same order.
+func TestLargeRequestsReferenced(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeAtomic, core.ModeSecureCausal} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
@@ -117,7 +115,7 @@ func TestLargeRequestsReferencedAndChunked(t *testing.T) {
 			client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", mode)
 			defer client.Close()
 			rng := rand.New(rand.NewSource(62))
-			for _, size := range []int{10_000, 900} {
+			for _, size := range []int{100_000, 900} {
 				req := make([]byte, size)
 				rng.Read(req)
 				ans, err := invokeWithin(client, req, 120*time.Second)
@@ -144,12 +142,12 @@ func TestLargeRequestsReferencedAndChunked(t *testing.T) {
 }
 
 // TestRequestSentToOneServerIsPulled: a client that reaches one server
-// only — the paper's client sends to all — still gets its 48 KiB request
-// applied by every replica: the one holder proposes it by digest and the
-// other three pull it from there.
+// only — the paper's client sends to all — still gets its request applied
+// by every replica: the one holder proposes it by digest and the other
+// three pull it from there.
 func TestRequestSentToOneServerIsPulled(t *testing.T) {
 	c, services, regs := byRefCluster(t, 63, core.ModeAtomic)
-	body := make([]byte, 900) // over the reference threshold, under the chunk size
+	body := make([]byte, 900) // over the reference threshold
 	rand.New(rand.NewSource(64)).Read(body)
 	reqID := [16]byte{1, 2, 3}
 	type envelope struct {

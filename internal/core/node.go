@@ -92,7 +92,7 @@ type Node struct {
 
 	// submit is the ordering layer's in-place entry point (dispatch
 	// goroutine only), in either mode.
-	submit func(payload []byte) error
+	submit func(payload []byte)
 
 	// Atomic-mode checkpointing (nil when disabled or not applicable).
 	abc     *abc.ABC
@@ -202,7 +202,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			BatchSize:      cfg.BatchSize,
 			MaxBatchSize:   cfg.MaxBatchSize,
 			CodedThreshold: cfg.CodedThreshold,
-			ChunkSize:      cfg.ChunkSize,
 			Deliver:        n.onDeliver,
 			RoundEnd:       n.onRoundEnd,
 		}
@@ -233,7 +232,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 				Scheme:     cfg.Public.AnswerSig(),
 				Key:        cfg.Secret.SigAnswer,
 				Interval:   cfg.CheckpointInterval,
-				Snapshot:   n.checkpointSnapshot,
+				Snapshot:   snapper.Snapshot,
 				CurrentSeq: n.abc.Seq,
 				Suffix:     n.abc.SuffixSince,
 				Install:    n.installCheckpoint,
@@ -346,7 +345,7 @@ func (n *Node) onClientMessage(from int, msgType string, payload []byte) {
 			e.clients = append(e.clients, from)
 		}
 	}
-	_ = n.submit(req.Payload)
+	n.submit(req.Payload)
 }
 
 // sweepRequests bounds the request bookkeeping on the insert path: a
@@ -422,28 +421,6 @@ func (n *Node) onRoundEnd(seq, nextRound, horizon int64) {
 	}
 }
 
-// snapWrap is the checkpointed state: the service snapshot plus the
-// ordering layer's in-flight chunk-reassembly state. Both inputs are
-// deterministic at a given sequence number, so the wrapped bytes are
-// identical across honest replicas and certify as before. Without the
-// chunk state, a replica installing a snapshot mid-group would replay
-// only the suffix frames, never complete the payload, and diverge from
-// replicas that were live for the whole group.
-type snapWrap struct {
-	Svc    []byte
-	Chunks []byte
-}
-
-// checkpointSnapshot produces the wrapped checkpoint state. Dispatch
-// goroutine only (called by the tracker at round boundaries).
-func (n *Node) checkpointSnapshot() []byte {
-	enc, err := wire.MarshalBody(snapWrap{Svc: n.snapper.Snapshot(), Chunks: n.abc.ChunkState()})
-	if err != nil {
-		return nil
-	}
-	return enc
-}
-
 // installCheckpoint adopts a certified checkpoint fetched from a peer:
 // restore the service snapshot when it is ahead of the local frontier,
 // then replay the delivery suffix through the ordering layer so dedup
@@ -452,16 +429,7 @@ func (n *Node) checkpointSnapshot() []byte {
 func (n *Node) installCheckpoint(cp checkpoint.Checkpoint, snapshot []byte, suffix [][]byte, liveRound int64) bool {
 	var install func() bool
 	if cp.Seq >= n.abc.Seq() {
-		install = func() bool {
-			var w snapWrap
-			if wire.UnmarshalBody(snapshot, &w) != nil {
-				return false
-			}
-			if n.snapper.Restore(w.Svc) != nil {
-				return false
-			}
-			return n.abc.RestoreChunkState(w.Chunks) == nil
-		}
+		install = func() bool { return n.snapper.Restore(snapshot) == nil }
 	}
 	return n.abc.Install(cp.Seq, install, suffix, liveRound)
 }

@@ -51,12 +51,6 @@ type Tuning struct {
 	// does not pulls them once. Default 4096; off embeds every payload.
 	// Local: proposals say per entry which form they use.
 	CodedThreshold int
-	// ChunkSize is the payload size in bytes above which a client request
-	// is split into deterministic frames reassembled after ordering, so
-	// one huge request cannot wedge a round. Default 65536; off never
-	// splits. ModeAtomic only (the secure-causal pipeline needs dense
-	// sequence numbers and pins it off). Must match.
-	ChunkSize int
 	// NoFsync stops the journal under DataDir from calling fsync: records
 	// count as committed once written. For tests and benchmarks on
 	// throwaway data; a real deployment must leave it false. Local.
@@ -87,6 +81,5 @@ func (t Tuning) resolved() Tuning {
 	t.MaxBatchSize = max(knob(t.MaxBatchSize, abc.DefaultMaxBatchFactor*t.BatchSize), t.BatchSize)
 	t.CheckpointInterval = knob(t.CheckpointInterval, DefaultCheckpointInterval)
 	t.CodedThreshold = knob(t.CodedThreshold, abc.DefaultCodedThreshold)
-	t.ChunkSize = knob(t.ChunkSize, abc.DefaultChunkSize)
 	return t
 }

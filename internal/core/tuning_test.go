@@ -83,7 +83,6 @@ func TestTuningDeclaredOnce(t *testing.T) {
 		MaxBatchSize:       64,
 		CheckpointInterval: 256,
 		CodedThreshold:     4096,
-		ChunkSize:          64 << 10,
 		NoFsync:            false,
 	}
 	zero, zeroReg := tunedNode(t, Tuning{})
@@ -105,7 +104,6 @@ func TestTuningDeclaredOnce(t *testing.T) {
 		MaxBatchSize:       -1,
 		CheckpointInterval: -1,
 		CodedThreshold:     -2,
-		ChunkSize:          -1,
 		NoFsync:            true,
 	}
 	node, reg := tunedNode(t, off)
@@ -119,8 +117,8 @@ func TestTuningDeclaredOnce(t *testing.T) {
 	if got.CheckpointInterval != -1 || node.ckpt != nil {
 		t.Errorf("CheckpointInterval off resolved to %d (tracker built: %v)", got.CheckpointInterval, node.ckpt != nil)
 	}
-	if got.CodedThreshold != -1 || got.ChunkSize != -1 {
-		t.Errorf("CodedThreshold/ChunkSize off resolved to %d/%d, want -1/-1", got.CodedThreshold, got.ChunkSize)
+	if got.CodedThreshold != -1 {
+		t.Errorf("CodedThreshold off resolved to %d, want -1", got.CodedThreshold)
 	}
 	if n := fsyncsAfterCommit(t, node, reg); n != 0 {
 		t.Errorf("NoFsync: %d fsyncs", n)

@@ -869,6 +869,9 @@ func TestSplitPipelineMetrics(t *testing.T) {
 			t.Fatal("message never applied")
 		}
 	}
+	// Apply signals before it returns, and the latencies are observed
+	// after: a turn of the dispatch goroutine waits the last one out.
+	r1.DoSync(func() {})
 	snap := reg.Snapshot()
 	if n := snap.Counter("engine.verify.messages"); n != sends {
 		t.Fatalf("engine.verify.messages = %d, want %d", n, sends)

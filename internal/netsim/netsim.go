@@ -5,9 +5,16 @@
 // delivery. It is strictly stronger than any real WAN, so liveness and
 // safety observed here transfer to deployments.
 //
-// The simulator is deterministic under a seed, collects per-protocol
-// traffic metrics for the experiment harness, and hands each party (and
-// each client) a wire.Transport endpoint.
+// The simulator collects per-protocol traffic metrics for the experiment
+// harness and hands each party (and each client) a wire.Transport endpoint.
+//
+// Only the scheduler's choices are deterministic under a seed: given the
+// same pending pool, a seeded scheduler picks the same message. A run is
+// not. pump chooses as soon as the pool is non-empty, while the parties'
+// dispatch goroutines race to add to it, so which pool a choice is made
+// from depends on goroutine timing, and a failing run does not replay from
+// its seed. Quiescent delivery, which would make it replay, is ROADMAP
+// item 1.
 package netsim
 
 import (

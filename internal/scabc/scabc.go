@@ -87,9 +87,7 @@ type Config struct {
 	MaxBatchSize int
 	// CodedThreshold is passed to the embedded atomic broadcast (the
 	// ciphertext size from which proposals reference instead of embed);
-	// see abc.Config.CodedThreshold. Chunking, by contrast, is always off
-	// in secure-causal mode: the decryption pipeline flushes by dense ABC
-	// sequence numbers, and chunk frames would leave gaps.
+	// see abc.Config.CodedThreshold.
 	CodedThreshold int
 }
 
@@ -156,7 +154,6 @@ func New(cfg Config) *SCABC {
 		BatchSize:      cfg.BatchSize,
 		MaxBatchSize:   cfg.MaxBatchSize,
 		CodedThreshold: cfg.CodedThreshold,
-		ChunkSize:      -1, // frames would break the dense-seq flush
 		Deliver:        s.onOrdered,
 	})
 	cfg.Router.RegisterSplit(Protocol, cfg.Instance, engine.SplitHandler{
@@ -186,9 +183,7 @@ func (s *SCABC) Submit(ciphertext []byte) error {
 }
 
 // SubmitLocal is Submit in place, for callers on the dispatch goroutine.
-func (s *SCABC) SubmitLocal(ciphertext []byte) error {
-	return s.abc.Submit(ciphertext)
-}
+func (s *SCABC) SubmitLocal(ciphertext []byte) { s.abc.Submit(ciphertext) }
 
 // Seq returns the number of plaintexts delivered so far.
 func (s *SCABC) Seq() int64 { return s.outSeq }

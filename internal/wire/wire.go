@@ -11,13 +11,16 @@ package wire
 
 import "fmt"
 
-// Format numbers the codec layout, the agreement value and the
-// binary-agreement coin rule (1 was encoding/gob; 2 this codec with atomic
-// broadcast agreeing on whole signed proposals; 3 on their digests; 4 with
-// a round-1 coin fixed to 1). A replica refuses a peer whose transport
-// hello, or a journal directory whose marker (wal.OpenJournal), names
-// another format: neither decodes nor agrees across formats.
-const Format = 4
+// Format numbers the codec layout, the agreement value, the
+// binary-agreement coin rule and the checkpointed bytes (1 was
+// encoding/gob; 2 this codec with atomic broadcast agreeing on whole
+// signed proposals; 3 on their digests; 4 with a round-1 coin fixed to 1;
+// 5: no request split into frames, so a checkpoint is the service snapshot
+// alone).
+// A replica refuses a peer whose transport hello, or a journal directory
+// whose marker (wal.OpenJournal), names another format: neither decodes
+// nor agrees across formats.
+const Format = 5
 
 // Message is the envelope routed between parties. Payload bytes must be
 // treated as immutable once sent.
