@@ -183,13 +183,18 @@ func allInputs(n int, v bool) map[int]bool {
 // TestUnanimousOneCostsOneRound: round 1's coin is fixed to 1, so a
 // unanimous-1 agreement decides in round 1 without a coin, and a decided
 // party opens no later round: START, BVAL, AUX and DECIDED, nothing else.
+// A party's traffic waits for its own START: one that adopted DECIDED
+// before its input was applied would report deciding in round 0.
 func TestUnanimousOneCostsOneRound(t *testing.T) {
 	for _, n := range []int{4, 7} {
 		s := newHoldScheduler(int64(n))
 		delivered := map[string]int{}
+		started := map[int]bool{}
+		s.hold = func(m *wire.Message) bool { return m.Type != "START" && !started[m.To] }
 		s.deliver = func(m *wire.Message) {
 			if m.Protocol == aba.Protocol {
 				delivered[m.Type]++
+				started[m.To] = started[m.To] || m.Type == "START"
 			}
 		}
 		c := testutil.NewCluster(t, adversary.MustThreshold(n, (n-1)/3), testutil.Options{Scheduler: s, Clients: 1})

@@ -611,6 +611,7 @@ func (a *ABC) maybeAgree() {
 		Struct:    a.cfg.Struct,
 		Trust:     a.trust,
 		Instance:  fmt.Sprintf("%s/r%d", a.cfg.Instance, round),
+		Leader:    int(round % int64(a.cfg.Router.N())),
 		Coin:      a.cfg.Coin,
 		CoinKey:   a.cfg.CoinKey,
 		Scheme:    a.cfg.Scheme,

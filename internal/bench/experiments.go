@@ -148,8 +148,10 @@ func RunF1(window time.Duration) (F1Result, error) {
 	}
 
 	// Part 2: the randomized stack under an adversary that starves one
-	// party's traffic completely (a strictly stronger single-target attack
-	// than delaying a leader: there is no leader to protect).
+	// party's traffic completely. Party 0 is the public first leader of
+	// every fourth round's agreement, so the attack also starves that
+	// leader: the round costs at most one extra trial, whose leader the
+	// coin draws.
 	run := func(sched netsim.Scheduler) (int64, error) {
 		c, err := newCluster(st, clusterOptions{sched: sched})
 		if err != nil {

@@ -37,16 +37,21 @@ type (
 		Payload []byte
 		Cert    []byte
 	}
+	leadCoinBody struct {
+		Trial  int
+		Shares []coin.Share
+	}
 )
 
 // TestByzantineProposerAndVoter drives an actively malicious party 0
 // against three honest parties: it equivocates in its consistent
-// broadcast, floods garbage votes with forged certificates, and sends
-// requests and answers with forged certificates into the honest parties'
-// broadcasts. The honest parties must still agree on an honest proposal.
+// broadcast, floods garbage votes with forged certificates, sends a
+// LEADCOIN for trial 1, which has no coin, and sends requests and answers
+// with forged certificates into the honest parties' broadcasts. The honest
+// parties must still agree on an honest proposal, and drop the LEADCOIN.
 func TestByzantineProposerAndVoter(t *testing.T) {
 	st := adversary.MustThreshold(4, 1)
-	c := testutil.NewCluster(t, st, testutil.Options{Seed: 21, Corrupted: []int{0}})
+	c := testutil.NewCluster(t, st, testutil.Options{Seed: 21, Corrupted: []int{0}, Observe: true})
 	ep := c.Net.Endpoint(0)
 
 	// The adversary's raw sender.
@@ -76,13 +81,15 @@ func TestByzantineProposerAndVoter(t *testing.T) {
 			})
 		}
 	}
-	// Bogus coin shares (must be rejected by the DLEQ proofs).
-	type leadCoinBody struct {
-		Trial  int
-		Shares []coin.Share
+	// Coin shares for trial 1, whose leader is public: party 0's own, valid
+	// for the name mvba gives a trial's leader coin. An honest party that
+	// took them would feed a combiner trial 1 does not have.
+	shares, err := c.Pub.Coin.ReleaseShares(c.Secrets[0].Coin, "mvba|"+tag+"|lead|1", rand.Reader)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for to := 1; to < 4; to++ {
-		sendRaw(to, mvba.Protocol, tag, "LEADCOIN", leadCoinBody{Trial: 1})
+		sendRaw(to, mvba.Protocol, tag, "LEADCOIN", leadCoinBody{Trial: 1, Shares: shares})
 	}
 	// Requests and answers with forged certificates, into the honest
 	// parties' broadcasts and its own.
@@ -102,6 +109,11 @@ func TestByzantineProposerAndVoter(t *testing.T) {
 	got := runMVBA(t, c, tag, proposals, nil)
 	decided := assertAgreementOnProposal(t, got, proposals)
 	t.Logf("decided %q despite the byzantine party", decided)
+	for i := 1; i < 4; i++ {
+		if n := c.Regs[i].Snapshot().Counter("router.panics"); n != 0 {
+			t.Errorf("party %d: router.panics = %d, want the trial-1 LEADCOIN dropped", i, n)
+		}
+	}
 }
 
 // TestByzantineCannotForgeDecision checks that a flood of malformed
@@ -205,8 +217,7 @@ func (s *holdScheduler) sawNow(match func(m *wire.Message) bool) bool {
 	return s.saw(match)
 }
 
-// byzantineLeader drives corrupted party 0, which the leader coin of
-// trial 1 elects: the instance tag is chosen so.
+// byzantineLeader drives corrupted party 0, the public leader of trial 1.
 type byzantineLeader struct {
 	t        *testing.T
 	c        *testutil.Cluster
@@ -217,36 +228,10 @@ type byzantineLeader struct {
 	backlog  []wire.Message // received, not yet awaited
 }
 
-// leaderOf combines the trial's leader coin from the dealt keys.
-func leaderOf(t *testing.T, c *testutil.Cluster, tag string, trial int) int {
+func newByzantineLeader(t *testing.T, c *testutil.Cluster, tag string) *byzantineLeader {
 	t.Helper()
-	name := mvba.LeaderCoinName(tag, trial)
-	comb := coin.NewCombiner(c.Pub.Coin, name)
-	for i := 0; !comb.Ready(); i++ {
-		shares, err := c.Pub.Coin.ReleaseShares(c.Secrets[i].Coin, name, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sh := range shares {
-			comb.AddVerified(sh)
-		}
-	}
-	v, err := comb.Value()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v.Index(c.N())
-}
-
-func newByzantineLeader(t *testing.T, c *testutil.Cluster, name string) *byzantineLeader {
-	t.Helper()
-	b := &byzantineLeader{t: t, c: c, proposal: []byte("the leader's proposal"), inbox: make(chan wire.Message, 4096)}
-	for k := 0; ; k++ {
-		if b.tag = fmt.Sprintf("%s-%d", name, k); leaderOf(t, c, b.tag, 1) == 0 {
-			break
-		}
-	}
-	b.slot = cbc.InstanceID(0, "m/"+b.tag)
+	b := &byzantineLeader{t: t, c: c, tag: tag, proposal: []byte("the leader's proposal"), inbox: make(chan wire.Message, 4096)}
+	b.slot = cbc.InstanceID(0, "m/"+tag)
 	go func() {
 		for {
 			m, ok := c.Net.Endpoint(0).Recv()
@@ -261,8 +246,8 @@ func newByzantineLeader(t *testing.T, c *testutil.Cluster, name string) *byzanti
 
 // await returns the first message to the corrupted party that match
 // accepts, from the backlog or as it arrives. What it passes over stays in
-// the backlog: collecting shares must not eat the FINAL a later step of the
-// test waits for.
+// the backlog: collecting signature shares must not eat the FINAL a later
+// step of the test waits for.
 func (b *byzantineLeader) await(what string, match func(m *wire.Message) bool) wire.Message {
 	b.t.Helper()
 	for i := range b.backlog {
@@ -337,7 +322,7 @@ func (b *byzantineLeader) startHonest() (proposals map[int][]byte, decisions cha
 		var inst *mvba.MVBA
 		b.c.Routers[i].DoSync(func() {
 			inst = mvba.New(mvba.Config{
-				Router: b.c.Routers[i], Struct: b.c.Struct, Instance: b.tag,
+				Router: b.c.Routers[i], Struct: b.c.Struct, Instance: b.tag, Leader: 0,
 				Coin: b.c.Pub.Coin, CoinKey: b.c.Secrets[i].Coin,
 				Scheme: b.c.Pub.QuorumSig(), Key: b.c.Secrets[i].SigQuorum,
 				Decide: func(v []byte) { decisions <- decision{party: i, value: v} },
@@ -378,15 +363,16 @@ func counterSum(c *testutil.Cluster, name string) (n int64) {
 	return n
 }
 
-// TestByzantineLeaderSendsToBareQuorum: the elected leader SENDs its
+// TestByzantineLeaderSendsToBareQuorum: trial 1's leader SENDs its
 // proposal to parties 1 and 2 only — with its own share a bare quorum —
 // and FINALs to everyone. Party 3 is certified without the payload: it
 // enters phase 2, votes yes and inputs 1 like the others, and at the
 // 1-decision fetches the proposal with a REQ that carries the certificate.
-// The honest parties run while the leader collects its shares, so their
+// The leader is known before anything is sent, so the honest parties can
+// vote before the test has combined the leader's certificate: their
 // trial-1 votes are held until the leader's FINAL has reached their
-// recipient: a party that saw a quorum of votes first would input 0, and
-// trial 1 could decide against a leader that did nothing wrong yet.
+// recipient, because a party that saw a quorum of votes first would input
+// 0, and trial 1 could decide against a leader that did nothing wrong yet.
 func TestByzantineLeaderSendsToBareQuorum(t *testing.T) {
 	sched := &holdScheduler{rng: mrand.New(mrand.NewSource(27))}
 	sched.hold = func(s *holdScheduler, m *wire.Message) bool {
@@ -416,7 +402,7 @@ func TestByzantineLeaderSendsToBareQuorum(t *testing.T) {
 	}
 }
 
-// TestByzantineLeaderShowsCertificateToOne: the elected leader SENDs to
+// TestByzantineLeaderShowsCertificateToOne: trial 1's leader SENDs to
 // parties 2 and 3, withholds FINAL, and shows the certificate to party 1
 // only — which never got the payload — in its own yes-vote; parties 2 and
 // 3 get votes whose certificates are for another instance and another
@@ -453,7 +439,8 @@ func TestByzantineLeaderShowsCertificateToOne(t *testing.T) {
 	digest, cert := b.certify(2, 3)
 
 	// A certificate of another instance: party 1's own broadcast, FINALed
-	// to everyone — possibly while certify was still collecting shares.
+	// to everyone — possibly while certify was still collecting the
+	// leader's signature shares.
 	var elsewhere certBody
 	m := b.await("party 1 never finished its broadcast", func(m *wire.Message) bool {
 		return m.Protocol == cbc.Protocol && m.Type == "FINAL" && m.From == 1

@@ -11,7 +11,8 @@
 //  1. Every party consistent-broadcasts its (externally valid) proposal;
 //     the CBC certificate is transferable evidence of the proposal.
 //  2. Once a quorum of proposals is certified here, parties run trials:
-//     the threshold coin elects a random leader; everybody votes whether
+//     trial 1 is led by the public Config.Leader, every later trial by a
+//     random leader the threshold coin elects; everybody votes whether
 //     the leader's proposal is certified at it (a yes-vote is the
 //     certificate, never the proposal: every party was sent that); a
 //     binary agreement decides whether to adopt the leader.
@@ -25,9 +26,11 @@
 // Per proposer the instance keeps one fact, "its broadcast is certified
 // here"; the bytes are needed in exactly one place, the decide.
 //
-// Because the leader is drawn after the proposals are fixed, a constant
-// expected number of trials suffices, giving constant expected rounds
-// overall.
+// Safety never reads the coin. The adversary knows trial 1's leader in
+// advance and can starve it, which costs at most that one trial: from
+// trial 2 on the leader is drawn after the proposals are fixed, so a
+// constant expected number of trials suffices, giving constant expected
+// rounds overall.
 package mvba
 
 import (
@@ -86,7 +89,11 @@ type Config struct {
 	Trust trust.Quorums
 	// Instance is the instance identifier.
 	Instance string
-	// Coin is the threshold coin; CoinKey the party's shares.
+	// Leader leads trial 1, without a coin: a protocol input every party
+	// sets alike (atomic broadcast's round r is led by r mod n).
+	Leader int
+	// Coin is the threshold coin, which elects the leaders of trials 2 on;
+	// CoinKey the party's shares.
 	Coin    *coin.Params
 	CoinKey *coin.SecretKey
 	// Scheme is the quorum-rule threshold signature scheme (for CBC
@@ -219,8 +226,13 @@ func (m *MVBA) Halt() {
 func (m *MVBA) trialState(a int) *trialState {
 	ts, ok := m.trials[a]
 	if !ok {
-		ts = &trialState{coinCombiner: coin.NewCombiner(m.cfg.Coin, m.coinName(a))}
-		ts.coinCombiner.SetGate(trust.CoinGate(m.trust, m.self))
+		ts = &trialState{}
+		if a == 1 {
+			ts.leader, ts.leaderKnown = m.cfg.Leader, true
+		} else {
+			ts.coinCombiner = coin.NewCombiner(m.cfg.Coin, m.coinName(a))
+			ts.coinCombiner.SetGate(trust.CoinGate(m.trust, m.self))
+		}
 		m.trials[a] = ts
 	}
 	return ts
@@ -248,7 +260,7 @@ func (m *MVBA) verifyMsg(from int, msgType string, payload []byte) any {
 	var body leadCoinBody
 	// Plain unmarshal, not Router.Decode: the nil-verdict fallback would
 	// decode again and double-count router.malformed.
-	if wire.UnmarshalBody(payload, &body) != nil || body.Trial < 1 {
+	if wire.UnmarshalBody(payload, &body) != nil || body.Trial < 2 {
 		return nil
 	}
 	name := m.coinName(body.Trial)
@@ -271,7 +283,7 @@ func (m *MVBA) batchVerify(msgs []*wire.Message) ([]any, int) {
 	bv := m.cfg.Coin.NewBatchVerifier()
 	for i, msg := range msgs {
 		var body leadCoinBody
-		if wire.UnmarshalBody(msg.Payload, &body) != nil || body.Trial < 1 {
+		if wire.UnmarshalBody(msg.Payload, &body) != nil || body.Trial < 2 {
 			continue
 		}
 		bodies[i] = &body
@@ -319,7 +331,8 @@ func (m *MVBA) apply(from int, msgType string, payload []byte, verdict any) {
 			return
 		}
 		var body leadCoinBody
-		if !m.cfg.Router.Decode(payload, &body) || body.Trial < 1 {
+		// Trial 1 has no coin: its LEADCOIN is a corrupted party's.
+		if !m.cfg.Router.Decode(payload, &body) || body.Trial < 2 {
 			return
 		}
 		m.onLeadCoin(body.Trial, body.Shares)
@@ -376,7 +389,7 @@ func (m *MVBA) checkPhase2() {
 func (m *MVBA) startTrial(a int) {
 	m.trial = a
 	ts := m.trialState(a)
-	if !ts.coinShared {
+	if a > 1 && !ts.coinShared {
 		ts.coinShared = true
 		shares, err := m.cfg.Coin.ReleaseShares(m.cfg.CoinKey, m.coinName(a), rand.Reader)
 		if err == nil {
@@ -385,9 +398,10 @@ func (m *MVBA) startTrial(a int) {
 		}
 	}
 	// Earlier-arrived coin shares may already complete the coin — and the
-	// leader may even be known already (fast peers revealed it while we
-	// were still collecting proposals), in which case maybeElect's
-	// idempotence guard would skip the vote: cast it explicitly.
+	// leader may even be known already (trial 1's always is; a later
+	// trial's when fast peers revealed it while we were still collecting
+	// proposals), in which case maybeElect's idempotence guard would skip
+	// the vote: cast it explicitly.
 	m.maybeElect(a)
 	m.sendVote(a)
 	m.evalVotes(a)

@@ -3,10 +3,13 @@ package mvba_test
 import (
 	"bytes"
 	"fmt"
+	mrand "math/rand"
 	"testing"
 	"time"
 
+	"sintra/internal/aba"
 	"sintra/internal/adversary"
+	"sintra/internal/cbc"
 	"sintra/internal/mvba"
 	"sintra/internal/netsim"
 	"sintra/internal/testutil"
@@ -18,9 +21,15 @@ type decision struct {
 	value []byte
 }
 
-// runMVBA spawns instances on the given parties with per-party proposals
-// and waits for all of them to decide.
+// runMVBA spawns instances on the given parties with per-party proposals,
+// trial 1 led by party 0, and waits for all of them to decide.
 func runMVBA(t *testing.T, c *testutil.Cluster, tag string, proposals map[int][]byte, pred func([]byte, int) bool) map[int][]byte {
+	t.Helper()
+	return runLedMVBA(t, c, tag, 0, proposals, pred)
+}
+
+// runLedMVBA is runMVBA with trial 1 led by leader.
+func runLedMVBA(t *testing.T, c *testutil.Cluster, tag string, leader int, proposals map[int][]byte, pred func([]byte, int) bool) map[int][]byte {
 	t.Helper()
 	ch := make(chan decision, len(proposals)*2)
 	insts := make(map[int]*mvba.MVBA, len(proposals))
@@ -31,6 +40,7 @@ func runMVBA(t *testing.T, c *testutil.Cluster, tag string, proposals map[int][]
 				Router:    c.Routers[i],
 				Struct:    c.Struct,
 				Instance:  tag,
+				Leader:    leader,
 				Coin:      c.Pub.Coin,
 				CoinKey:   c.Secrets[i].Coin,
 				Scheme:    c.Pub.QuorumSig(),
@@ -179,4 +189,76 @@ func TestAdversarialSchedulerProgress(t *testing.T) {
 	}
 	got := runMVBA(t, c, "starved", proposals, nil)
 	assertAgreementOnProposal(t, got, proposals)
+}
+
+// TestTrialOneElectsNoCoin: trial 1's leader is public. With every VOTE
+// held until the leader's FINAL has reached its recipient, each party holds
+// the leader's certificate before it can count a quorum of votes, so all
+// input 1 and trial 1 decides the leader's proposal: no LEADCOIN is on the
+// wire and no binary agreement runs but trial 1's.
+func TestTrialOneElectsNoCoin(t *testing.T) {
+	const leader, tag = 2, "public"
+	final := cbc.InstanceID(leader, "m/"+tag)
+	sched := &holdScheduler{rng: mrand.New(mrand.NewSource(31))}
+	sched.hold = func(s *holdScheduler, m *wire.Message) bool {
+		return m.Protocol == mvba.Protocol && m.Type == "VOTE" && !s.saw(func(f *wire.Message) bool {
+			return f.Instance == final && f.Type == "FINAL" && f.To == m.To
+		})
+	}
+	c := testutil.NewCluster(t, adversary.MustThreshold(4, 1), testutil.Options{Scheduler: sched})
+	proposals := map[int][]byte{}
+	for i := 0; i < 4; i++ {
+		proposals[i] = []byte(fmt.Sprintf("proposal-of-%d", i))
+	}
+	for p, v := range runLedMVBA(t, c, tag, leader, proposals, nil) {
+		if !bytes.Equal(v, proposals[leader]) {
+			t.Errorf("party %d decided %q, want the leader's %q", p, v, proposals[leader])
+		}
+	}
+	sched.mu.Lock()
+	defer sched.mu.Unlock()
+	for _, m := range sched.delivered {
+		if m.Protocol == mvba.Protocol && m.Type == "LEADCOIN" {
+			t.Errorf("LEADCOIN from %d to %d delivered", m.From, m.To)
+		}
+		if m.Protocol == aba.Protocol && m.Instance != tag+"/t1" {
+			t.Errorf("aba %s for instance %s delivered, want only %s/t1", m.Type, m.Instance, tag)
+		}
+	}
+}
+
+// TestStarvedDesignatedLeader: the adversary knows trial 1's leader before
+// the run and holds all of its traffic until a trial-2 LEADCOIN has been
+// delivered. The other three, a quorum, vote against the leader they have
+// not certified, decide 0 in trial 1 without a leader coin, and toss one
+// for trial 2; every party, the starved one included, decides the same
+// proposal.
+func TestStarvedDesignatedLeader(t *testing.T) {
+	const leader = 1
+	sched := &holdScheduler{rng: mrand.New(mrand.NewSource(33))}
+	sched.hold = func(s *holdScheduler, m *wire.Message) bool {
+		return (m.From == leader || m.To == leader) && !s.saw(func(f *wire.Message) bool { return leadCoinTrial(f) == 2 })
+	}
+	c := testutil.NewCluster(t, adversary.MustThreshold(4, 1), testutil.Options{Scheduler: sched})
+	proposals := map[int][]byte{}
+	for i := 0; i < 4; i++ {
+		proposals[i] = []byte(fmt.Sprintf("starved-%d", i))
+	}
+	assertAgreementOnProposal(t, runLedMVBA(t, c, "starved-leader", leader, proposals, nil), proposals)
+	if sched.sawNow(func(m *wire.Message) bool { return leadCoinTrial(m) == 1 }) {
+		t.Error("a trial-1 LEADCOIN was delivered")
+	}
+	if !sched.sawNow(func(m *wire.Message) bool { return leadCoinTrial(m) == 2 }) {
+		t.Error("no trial-2 LEADCOIN was delivered")
+	}
+}
+
+// leadCoinTrial returns the trial an mvba LEADCOIN is for, and 0 for any
+// other message.
+func leadCoinTrial(m *wire.Message) int {
+	var body leadCoinBody
+	if m.Protocol != mvba.Protocol || m.Type != "LEADCOIN" || wire.UnmarshalBody(m.Payload, &body) != nil {
+		return 0
+	}
+	return body.Trial
 }

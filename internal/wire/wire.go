@@ -16,11 +16,12 @@ import "fmt"
 // encoding/gob; 2 this codec with atomic broadcast agreeing on whole
 // signed proposals; 3 on their digests; 4 with a round-1 coin fixed to 1;
 // 5: no request split into frames, so a checkpoint is the service snapshot
-// alone).
+// alone; 6: trial 1's leader is public, so multi-valued agreement tosses
+// no coin and journals no leadcoin/1 slot in it).
 // A replica refuses a peer whose transport hello, or a journal directory
 // whose marker (wal.OpenJournal), names another format: neither decodes
 // nor agrees across formats.
-const Format = 5
+const Format = 6
 
 // Message is the envelope routed between parties. Payload bytes must be
 // treated as immutable once sent.

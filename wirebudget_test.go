@@ -40,16 +40,20 @@ func (s *sendOrderTally) Next(pending []wire.Message) int {
 // values, not a schema: an agreement message — a round number and a bit —
 // stays under 64 B with its envelope. Binary agreement on unanimous input
 // decides in round 1 on the fixed first coin, and its decided parties
-// open no later round: ≈ 52 aba messages, 164–178 in all and 24–26 KiB
-// per request on an idle machine. Send order does not fix how fast each
-// replica drains its inbox, so on a loaded one more MVBA iterations elect
-// a leader some parties have not yet delivered, and each costs a second
-// agreement that decides 0: up to 92, 211 and 28.6. The bounds, 110
-// aba messages, 225 in all and 30 KiB, sit above that and below a
-// tossed coin from round 1 on with eager rounds (119–152, 233–265 and
-// 32–35 KiB idle; with whole proposals in the value besides: ≈ 500 B per
-// SEND and START, 42 KiB; with gob's type descriptors too: 83–96 B and
-// 76 KiB).
+// open no later round. Trial 1 of multi-valued agreement is led by the
+// round's public leader and tosses no coin, so a LEADCOIN (n² per trial)
+// is sent only in a round whose trial 1 decided 0: at most n²/2 = 8 per
+// request. Without the coin hop the leader's broadcast is sometimes not
+// certified yet when a quorum has voted, and send order does not fix how
+// fast each replica drains its inbox: 4–13 of the 50 rounds reach trial
+// 2, each with a second binary agreement that decides 0, for 1.3–4.2
+// LEADCOIN, 66–101 aba messages, 165–202 in all and 22–26 KiB per
+// request (with a leader coin in every trial: 16 LEADCOIN, ≈ 52 aba and
+// 164–211 in all). The bounds, 110 aba messages, 225 in all and 30 KiB,
+// sit above that and below a tossed coin from round 1 on with eager
+// rounds (119–152, 233–265 and 32–35 KiB idle; with whole proposals in
+// the value besides: ≈ 500 B per SEND and START, 42 KiB; with gob's type
+// descriptors too: 83–96 B and 76 KiB).
 func TestWireBudget(t *testing.T) {
 	tally := &sendOrderTally{msgs: map[[2]string]int{}, bytes: map[[2]string]int{}}
 	c := newChainCluster(t, 4, 1, sintra.WithSeed(7), sintra.WithScheduler(tally))
@@ -93,6 +97,9 @@ func TestWireBudget(t *testing.T) {
 	}
 	if per := float64(aba) / requests; per > 110 {
 		t.Errorf("%.1f aba messages per request, want ≤ 110", per)
+	}
+	if per := float64(tally.msgs[[2]string{"mvba", "LEADCOIN"}]) / requests; per > 4*4/2 {
+		t.Errorf("%.1f mvba LEADCOIN per request, want ≤ n²/2 = 8: trial 1 tosses no coin", per)
 	}
 	for _, typ := range []string{"BVAL", "AUX", "DECIDED", "START"} {
 		k := [2]string{"aba", typ}
