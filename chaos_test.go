@@ -309,12 +309,16 @@ func TestChaosBeyondToleranceBoundary(t *testing.T) {
 // coalesced batch-verification stage: one verify worker per replica forces
 // a verification backlog (so share bursts genuinely coalesce), while a
 // corrupted party tampers the tails of its payloads — messages that mostly
-// still decode but carry cryptographically wrong shares, landing inside
-// batches next to honest ones. The random-linear-combination check must
-// reject the batch, the binary split must isolate the culprits, and the
-// honest remainder must still combine: every request completes with a
-// verifying threshold answer, no replica panics, and honest replicas stay
-// consistent. Run under -race by the chaos CI job.
+// still decode but carry cryptographically wrong shares. The batch stage
+// sees only coin shares here, landing in batches next to honest ones: the
+// random-linear-combination check must reject the batch, the binary split
+// must isolate the culprits, and the honest remainder must still combine.
+// Signature shares (consistent broadcast, answers, checkpoints) skip the
+// verify stage and are checked at combine time instead: a combine that
+// fails names the tampered shares and the honest ones still certify.
+// Every request completes with a verifying threshold answer, no replica
+// panics, and honest replicas stay consistent. Run under -race by the
+// chaos CI job.
 func TestChaosByzantineSharesInBatch(t *testing.T) {
 	c := newChainCluster(t, 4, 1,
 		sintra.WithSeed(31),

@@ -62,6 +62,16 @@ type decidedBody struct {
 	Value bool
 }
 
+// lookAhead bounds the rounds a party keeps state for: a BVAL, AUX or
+// COIN for round lookAhead or more past its own is dropped and counted
+// (aba.ahead.dropped). A laggard that dropped a round's messages is still
+// decided by DECIDED, which names no round and is never dropped: the
+// others ran lookAhead rounds past it as a quorum with at least t+1
+// honest parties, undecided only with probability about 2^-(lookAhead/2)
+// (every two rounds need a coin against them), and once they decide,
+// their t+1 DECIDEDs, a set with an honest member, reach the laggard.
+const lookAhead = 64
+
 // Config wires one binary-agreement instance.
 type Config struct {
 	// Router is the party's protocol router.
@@ -243,6 +253,15 @@ func (a *ABA) state(r int) *roundState {
 	return st
 }
 
+// ahead reports, and counts, a round outside the look-ahead window.
+func (a *ABA) ahead(r int) bool {
+	if r < a.round+lookAhead {
+		return false
+	}
+	a.span.Event("ahead.dropped", int64(r), "")
+	return true
+}
+
 // quiet reports whether round r is one this party counts but sends nothing in.
 func (a *ABA) quiet(r int) bool { return a.decided && r > a.opened }
 
@@ -271,28 +290,28 @@ func (a *ABA) apply(from int, msgType string, payload []byte, verdict any) {
 			return
 		}
 		a.onStart(body.Value)
-	case typeBval:
+	case typeBval, typeAux:
 		var body boolRoundBody
-		if !a.cfg.Router.Decode(payload, &body) || body.Round < 1 {
+		if !a.cfg.Router.Decode(payload, &body) || body.Round < 1 || a.ahead(body.Round) {
 			return
 		}
-		a.onBval(from, body.Round, body.Value)
-	case typeAux:
-		var body boolRoundBody
-		if !a.cfg.Router.Decode(payload, &body) || body.Round < 1 {
-			return
+		if msgType == typeBval {
+			a.onBval(from, body.Round, body.Value)
+		} else {
+			a.onAux(from, body.Round, body.Value)
 		}
-		a.onAux(from, body.Round, body.Value)
 	case typeCoin:
-		if v, ok := verdict.(*coinVerdict); ok {
-			a.onCoinVerified(v.round, v.shares)
-			return
+		v, verified := verdict.(*coinVerdict)
+		if !verified {
+			var body coinBody
+			if !a.cfg.Router.Decode(payload, &body) || body.Round < 1 {
+				return
+			}
+			v = &coinVerdict{round: body.Round, shares: body.Shares}
 		}
-		var body coinBody
-		if !a.cfg.Router.Decode(payload, &body) || body.Round < 1 {
-			return
+		if !a.ahead(v.round) {
+			a.onCoin(v.round, v.shares, verified)
 		}
-		a.onCoin(body.Round, body.Shares)
 	case typeDecided:
 		var body decidedBody
 		if !a.cfg.Router.Decode(payload, &body) {
@@ -425,26 +444,19 @@ func (a *ABA) tryBarrier(r int) {
 	a.tryAdvance(r)
 }
 
-func (a *ABA) onCoin(r int, shares []coin.Share) {
+// onCoin adds round r's coin shares; verified ones passed the Verify
+// stage and skip re-verification on the dispatch goroutine.
+func (a *ABA) onCoin(r int, shares []coin.Share, verified bool) {
 	st := a.state(r)
 	if st.coinDone {
 		return
 	}
 	for _, sh := range shares {
-		_ = st.coinCombiner.Add(sh) // invalid shares are rejected inside
-	}
-	a.finishCoin(r, st)
-}
-
-// onCoinVerified consumes shares whose proofs the Verify stage already
-// checked, skipping re-verification on the dispatch goroutine.
-func (a *ABA) onCoinVerified(r int, shares []coin.Share) {
-	st := a.state(r)
-	if st.coinDone {
-		return
-	}
-	for _, sh := range shares {
-		st.coinCombiner.AddVerified(sh)
+		if verified {
+			st.coinCombiner.AddVerified(sh)
+		} else {
+			_ = st.coinCombiner.Add(sh) // invalid shares are rejected inside
+		}
 	}
 	a.finishCoin(r, st)
 }

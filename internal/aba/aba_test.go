@@ -251,3 +251,71 @@ func TestClientIdsAreNotParties(t *testing.T) {
 		}
 	}
 }
+
+// TestByzantineRoundFlood: corrupted party 0 names every round up to 10⁵
+// in a BVAL to party 1, which sits in round 1 (nobody else runs the
+// instance). Party 1 keeps state for at most LookAhead rounds and counts
+// every other BVAL as dropped.
+func TestByzantineRoundFlood(t *testing.T) {
+	const victim, last = 1, 100000
+	c := testutil.NewCluster(t, adversary.MustThreshold(4, 1),
+		testutil.Options{Seed: 47, Observe: true, Corrupted: []int{0, 2, 3}})
+	var inst *aba.ABA
+	c.Routers[victim].DoSync(func() {
+		inst = aba.New(aba.Config{Router: c.Routers[victim], Struct: c.Struct, Instance: "flood",
+			Coin: c.Pub.Coin, CoinKey: c.Secrets[victim].Coin})
+	})
+	if err := inst.Start(true); err != nil {
+		t.Fatal(err)
+	}
+	round := func() (r int) {
+		c.Routers[victim].DoSync(func() { r = inst.Round() })
+		return r
+	}
+	for deadline := time.Now().Add(30 * time.Second); round() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("party 1 never started")
+		}
+	}
+	flood(t, c, victim, last, func(k int) wire.Message {
+		return wire.Message{Protocol: aba.Protocol, Instance: "flood", Type: "BVAL",
+			Payload: wire.MustMarshalBody(roundBody{Round: k, Value: true})}
+	}, "aba.ahead.dropped", last-aba.LookAhead)
+	var states int
+	c.Routers[victim].DoSync(func() { states = inst.RoundStates() })
+	if states > aba.LookAhead || round() != 1 {
+		t.Fatalf("party 1 holds %d rounds in round %d, want at most %d in round 1", states, round(), aba.LookAhead)
+	}
+}
+
+// flood has corrupted party 0 send msg(k) to the victim for k = 1…last,
+// paced so the simulator's pending pool stays small, and waits until the
+// victim's counter reaches want.
+func flood(t *testing.T, c *testutil.Cluster, victim, last int, msg func(k int) wire.Message, counter string, want int) {
+	t.Helper()
+	const pace = 500
+	ep := c.Net.Endpoint(0)
+	deadline := time.Now().Add(120 * time.Second)
+	dispatched := func() int64 { return c.Regs[victim].Snapshot().Histograms["router.dispatch.latency"].Count }
+	base := dispatched()
+	for k := 1; k <= last; k++ {
+		m := msg(k)
+		m.To = victim
+		ep.Send(m)
+		for k%pace == 0 && dispatched() < base+int64(k)-pace {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d flood messages dispatched", dispatched()-base, k)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for c.Regs[victim].Snapshot().Counter(counter) < int64(want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d", counter, c.Regs[victim].Snapshot().Counter(counter), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := c.Regs[victim].Snapshot().Counter(counter); n != int64(want) {
+		t.Fatalf("%s = %d, want %d", counter, n, want)
+	}
+}

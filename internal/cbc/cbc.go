@@ -13,7 +13,10 @@
 // quorum of shares into a certificate and FINALs (digest, certificate) —
 // the payload does not travel twice. Since two quorums intersect in an
 // honest party and honest parties sign at most one digest per instance, at
-// most one digest can ever carry a valid certificate: uniqueness.
+// most one digest can ever carry a valid certificate: uniqueness. The
+// sender checks no share proof before it combines: a combined signature
+// that verifies is a certificate whoever contributed, and only a failed
+// combine verifies the shares, drops the invalid ones and waits for more.
 //
 // Delivery is one rule, whatever brought the two halves: a verified
 // certificate and a payload whose SHA-256 is the certified digest are both
@@ -175,9 +178,10 @@ type CBC struct {
 	delivered bool
 
 	// Sender-side state. stmt is the signed statement of the payload this
-	// party broadcasts: written once by START's apply, read by verify
-	// workers checking SHARE messages; nil everywhere else.
-	stmt       atomic.Pointer[[]byte]
+	// party broadcasts, nil everywhere else. shares are the signature
+	// shares on it, unverified; shareFrom are their senders and those of
+	// the shares a failed combine found invalid and dropped.
+	stmt       []byte
 	sentDigest [32]byte
 	shares     []thresig.Share
 	shareFrom  adversary.Set
@@ -203,18 +207,10 @@ func New(cfg Config) *CBC {
 	}
 	cfg.Router.RegisterSplit(Protocol, cfg.Instance, engine.SplitHandler{
 		Verify:      c.verifyMsg,
-		BatchVerify: c.batchVerify,
 		Apply:       c.apply,
-		VerifyTypes: []string{typeShare, typeFinal, typeReq, typeAns},
+		VerifyTypes: []string{typeFinal, typeReq, typeAns},
 	})
 	return c
-}
-
-// shareVerdict is the Verify-stage result for a SHARE message, checked
-// against the statement snapshot published by the sender's START.
-type shareVerdict struct {
-	share thresig.Share
-	valid bool
 }
 
 // certVerdict is the decoded body of a FINAL, REQ or ANS: the digest its
@@ -266,73 +262,14 @@ func (c *CBC) verify(v *certVerdict) {
 // router.malformed count the nil-verdict fallback in Apply would double.
 func plainDecode(payload []byte, v any) bool { return wire.UnmarshalBody(payload, v) == nil }
 
-// verifyMsg is the parallel Verify stage: signature-share checks (SHARE)
-// and certificate checks (FINAL/REQ/ANS) — the instance's dominant
-// public-key costs — run here, off the dispatch goroutine.
+// verifyMsg is the parallel Verify stage: certificate checks
+// (FINAL/REQ/ANS), the instance's dominant public-key cost at every party
+// but the sender, run here, off the dispatch goroutine.
 func (c *CBC) verifyMsg(from int, msgType string, payload []byte) any {
-	switch msgType {
-	case typeShare:
-		stmt := c.stmt.Load()
-		if stmt == nil {
-			// The local START has not applied yet; defer to inline
-			// verification (the share would be dropped anyway).
-			return nil
-		}
-		var body shareBody
-		if !plainDecode(payload, &body) {
-			return nil
-		}
-		return &shareVerdict{
-			share: body.Share,
-			valid: c.cfg.Scheme.VerifyShare(*stmt, body.Share) == nil,
-		}
-	case typeFinal, typeReq, typeAns:
-		if v := c.checkCert(msgType, payload, plainDecode); v != nil {
-			return v
-		}
+	if v := c.checkCert(msgType, payload, plainDecode); v != nil {
+		return v
 	}
 	return nil
-}
-
-// batchVerify is the coalescing Verify stage. A SHARE burst — the
-// sender collecting one signature share from every party — folds into
-// one thresig batch check against the published statement. Certificates
-// have no share structure to fold and are verified per message.
-func (c *CBC) batchVerify(msgs []*wire.Message) ([]any, int) {
-	if msgs[0].Type != typeShare {
-		verdicts := make([]any, len(msgs))
-		for i, m := range msgs {
-			verdicts[i] = c.verifyMsg(m.From, m.Type, m.Payload)
-		}
-		return verdicts, 0
-	}
-	stmt := c.stmt.Load()
-	if stmt == nil {
-		// The local START has not applied yet; defer to inline
-		// verification (the shares would be dropped anyway).
-		return make([]any, len(msgs)), 0
-	}
-	verdicts := make([]any, len(msgs))
-	shares := make([]thresig.Share, 0, len(msgs))
-	slots := make([]int, 0, len(msgs))
-	for i, m := range msgs {
-		var body shareBody
-		if !plainDecode(m.Payload, &body) {
-			continue
-		}
-		verdicts[i] = &shareVerdict{share: body.Share}
-		slots = append(slots, i)
-		shares = append(shares, body.Share)
-	}
-	bad := thresig.BatchVerify(c.cfg.Scheme, *stmt, shares)
-	badSet := make(map[int]bool, len(bad))
-	for _, j := range bad {
-		badSet[j] = true
-	}
-	for j, i := range slots {
-		verdicts[i].(*shareVerdict).valid = !badSet[j]
-	}
-	return verdicts, len(bad)
 }
 
 // Start c-broadcasts the payload; sender only. Safe from any goroutine
@@ -354,12 +291,11 @@ func (c *CBC) apply(from int, msgType string, payload []byte, verdict any) {
 	switch msgType {
 	case "START":
 		var body sendBody
-		if from != c.cfg.Router.Self() || c.stmt.Load() != nil || !c.cfg.Router.Decode(payload, &body) {
+		if from != c.cfg.Router.Self() || c.stmt != nil || !c.cfg.Router.Decode(payload, &body) {
 			return
 		}
 		c.sentDigest = sha256.Sum256(body.Payload)
-		stmt := signedStatement(c.cfg.Instance, c.sentDigest)
-		c.stmt.Store(&stmt) // expose the statement to verify workers
+		c.stmt = signedStatement(c.cfg.Instance, c.sentDigest)
 		_ = c.cfg.Router.BroadcastJournaled("send", Protocol, c.cfg.Instance, typeSend, sendBody{Payload: body.Payload})
 		// The sender's own copy arrives here, hashed once; its SEND to
 		// itself is then a second one and ignored.
@@ -371,17 +307,10 @@ func (c *CBC) apply(from int, msgType string, payload []byte, verdict any) {
 		}
 		c.keep(body.Payload, sha256.Sum256(body.Payload))
 	case typeShare:
-		if v, ok := verdict.(*shareVerdict); ok {
-			if v.valid {
-				c.onShare(from, v.share, true)
-			}
-			return
-		}
 		var body shareBody
-		if !c.cfg.Router.Decode(payload, &body) {
-			return
+		if c.cfg.Router.Decode(payload, &body) {
+			c.onShare(from, body.Share)
 		}
-		c.onShare(from, body.Share, false)
 	case typeFinal, typeReq, typeAns:
 		if !c.delivered {
 			v, ok := verdict.(*certVerdict)
@@ -431,28 +360,39 @@ func (c *CBC) Reeval() {
 	_ = c.cfg.Router.SendJournaled("share", c.cfg.Sender, Protocol, c.cfg.Instance, typeShare, shareBody{Share: share})
 }
 
-// onShare: sender collects shares until the quorum rule is met.
-// preVerified shares passed the Verify stage against the published
-// statement and skip re-verification.
-func (c *CBC) onShare(from int, share thresig.Share, preVerified bool) {
-	stmt := c.stmt.Load() // non-nil only at the sender, once started
-	if stmt == nil || c.finalSent || share.Party != from || c.shareFrom.Has(from) {
-		return
-	}
-	if !preVerified && c.cfg.Scheme.VerifyShare(*stmt, share) != nil {
+// onShare: the sender collects shares, one per party and unverified,
+// and combines them once they meet the quorum rule. The combined
+// signature is checked, not the shares: a failed combine names the
+// invalid shares, which are dropped while their senders stay counted,
+// and the sender waits for more.
+func (c *CBC) onShare(from int, share thresig.Share) {
+	if c.stmt == nil || c.finalSent || share.Party != from || c.shareFrom.Has(from) {
 		return
 	}
 	c.shareFrom = c.shareFrom.Add(from)
 	c.shares = append(c.shares, share)
-	if !c.cfg.Scheme.Sufficient(c.shareFrom) || !c.trust.IsQuorum(c.cfg.Sender, c.shareFrom) {
+	if !c.quorum() {
 		return
 	}
-	cert, err := c.cfg.Scheme.Combine(*stmt, c.shares)
-	if err != nil {
+	cert, bad, err := thresig.Combine(c.cfg.Scheme, c.stmt, c.shares)
+	if bad != nil {
+		c.shares = thresig.Without(c.shares, bad)
+	}
+	if err != nil || !c.quorum() {
 		return
 	}
 	c.finalSent = true
 	_ = c.cfg.Router.Broadcast(Protocol, c.cfg.Instance, typeFinal, certBody{Digest: c.sentDigest, Cert: cert})
+}
+
+// quorum reports whether the shares held meet the scheme's rule and are
+// a quorum in this party's view.
+func (c *CBC) quorum() bool {
+	var parties adversary.Set
+	for _, sh := range c.shares {
+		parties = parties.Add(sh.Party)
+	}
+	return c.cfg.Scheme.Sufficient(parties) && c.trust.IsQuorum(c.cfg.Sender, parties)
 }
 
 // Certify presents a certificate learned by other means — a vote of the

@@ -416,6 +416,54 @@ func TestBareReqAnsweredAfterCertification(t *testing.T) {
 	}
 }
 
+// TestByzantineShareBeforeHonestOnes: the sender checks no share proof
+// before it combines. Corrupted party 3's share — a valid share on
+// another statement, well-formed with a consistent proof — reaches the
+// sender before any honest peer's, so the first combine includes it and
+// fails. The sender drops it and certifies from honest shares, and the
+// FINAL verifies at every honest party.
+func TestByzantineShareBeforeHonestOnes(t *testing.T) {
+	sched := newHoldScheduler(29, func(s *holdScheduler, m *wire.Message) bool {
+		return m.Type == "SHARE" && m.To == 0 && (m.From == 1 || m.From == 2) && s.saw("SHARE", 0) < 2
+	})
+	c := testutil.NewCluster(t, adversary.MustThreshold(4, 1),
+		testutil.Options{Scheduler: sched, Corrupted: []int{3}})
+	ch := make(chan delivery, 16)
+	insts := spawnAll(c, 0, "byz-share", []int{0, 1, 2}, ch, nil)
+	instance := cbc.InstanceID(0, "byz-share")
+	msg := []byte("certified from honest shares")
+	if err := insts[0].Start(msg); err != nil {
+		t.Fatal(err)
+	}
+	// The sender's own share is the first SHARE it sees; the corrupted one
+	// goes out once the START has applied (its SEND is on the wire).
+	deadline := time.Now().Add(30 * time.Second)
+	for sched.count("SEND", 1)+sched.count("SEND", 2) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the sender never sent its SEND")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	wrong, err := c.Pub.QuorumSig().SignShare(c.Secrets[3].SigQuorum,
+		cbc.SignedStatement(instance, sha256.Sum256([]byte("another payload"))), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Net.Endpoint(3).Send(wire.Message{To: 0, Protocol: cbc.Protocol, Instance: instance,
+		Type: "SHARE", Payload: wire.MustMarshalBody(struct{ Share thresig.Share }{wrong})})
+	for _, d := range waitDeliveries(t, ch, 3) {
+		if !bytes.Equal(d.payload, msg) {
+			t.Fatalf("party %d delivered %q", d.party, d.payload)
+		}
+		if err := cbc.VerifyCertificate(c.Pub.QuorumSig(), instance, d.payload, d.cert); err != nil {
+			t.Fatalf("party %d: %v", d.party, err)
+		}
+	}
+	if n := sched.count("FINAL", 1) + sched.count("FINAL", 2); n != 2 {
+		t.Fatalf("%d FINALs reached the honest peers, want 2", n)
+	}
+}
+
 // TestReqFromClientIdUnanswered: a client endpoint is not a party of the
 // broadcast; its REQ never reaches the instance.
 func TestReqFromClientIdUnanswered(t *testing.T) {

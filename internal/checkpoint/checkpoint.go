@@ -160,11 +160,16 @@ const defaultRetryInterval = 2 * time.Second
 // turn retries into a snapshot flood.
 const maxServesPerCheckpoint = 3
 
-// trustedAnswer applies the optional trust-backend gate to the senders
-// behind a candidate certificate; a nil backend keeps the scheme's
-// opening rule as the only condition.
-func (t *Tracker) trustedAnswer(parties adversary.Set) bool {
-	return t.cfg.Trust == nil || t.cfg.Trust.HasHonest(t.cfg.Router.Self(), parties)
+// enough reports whether the signers of the shares meet the scheme's
+// opening rule and the optional trust-backend gate; a nil backend keeps
+// the opening rule as the only condition.
+func (t *Tracker) enough(shares []thresig.Share) bool {
+	var parties adversary.Set
+	for _, sh := range shares {
+		parties = parties.Add(sh.Party)
+	}
+	return t.cfg.Scheme.Sufficient(parties) &&
+		(t.cfg.Trust == nil || t.cfg.Trust.HasHonest(t.cfg.Router.Self(), parties))
 }
 
 // pendKey identifies one uncertified checkpoint candidate.
@@ -174,9 +179,11 @@ type pendKey struct {
 	hash  [32]byte
 }
 
+// pendShares are the unverified shares on one candidate; from are their
+// senders and those of shares a failed combine dropped.
 type pendShares struct {
-	parties adversary.Set
-	shares  []thresig.Share
+	from   adversary.Set
+	shares []thresig.Share
 }
 
 // Tracker runs the checkpoint protocol for one service instance. All
@@ -438,11 +445,8 @@ func (t *Tracker) handle(from int, msgType string, payload []byte) {
 }
 
 func (t *Tracker) onShare(from int, body shareBody) {
+	// Shares are combined unverified; the transport authenticates from.
 	if body.Seq <= t.stable.Seq || body.Share.Party != from {
-		return
-	}
-	stmt := Statement(t.cfg.Instance, body.Seq, body.Round, body.Hash)
-	if t.cfg.Scheme.VerifyShare(stmt, body.Share) != nil {
 		return
 	}
 	if t.sharesRecv != nil {
@@ -455,14 +459,18 @@ func (t *Tracker) onShare(from int, body shareBody) {
 		ps = &pendShares{}
 		t.pend[key] = ps
 	}
-	if ps.parties.Has(from) {
+	if ps.from.Has(from) {
 		return
 	}
-	ps.parties = ps.parties.Add(from)
+	ps.from = ps.from.Add(from)
 	ps.shares = append(ps.shares, body.Share)
-	if t.cfg.Scheme.Sufficient(ps.parties) && t.trustedAnswer(ps.parties) {
-		cert, err := t.cfg.Scheme.Combine(stmt, ps.shares)
-		if err != nil {
+	if t.enough(ps.shares) {
+		stmt := Statement(t.cfg.Instance, body.Seq, body.Round, body.Hash)
+		cert, bad, err := thresig.Combine(t.cfg.Scheme, stmt, ps.shares)
+		if bad != nil {
+			ps.shares = thresig.Without(ps.shares, bad)
+		}
+		if err != nil || !t.enough(ps.shares) {
 			return
 		}
 		t.setStable(Checkpoint{Seq: body.Seq, Round: body.Round, Hash: body.Hash, Cert: cert}, nil)

@@ -2,8 +2,10 @@ package checkpoint_test
 
 import (
 	"bytes"
+	crand "crypto/rand"
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"sintra/internal/engine"
 	"sintra/internal/obs"
 	"sintra/internal/testutil"
+	"sintra/internal/thresig"
 	"sintra/internal/wire"
 )
 
@@ -175,6 +178,70 @@ func TestCertificateFormation(t *testing.T) {
 			t.Error("VerifyEncoded accepted a tampered encoding")
 		}
 	})
+}
+
+// badShareFirst delivers a random pending message, holding every honest
+// checkpoint SHARE to a replica until corrupted party 3's has reached it.
+type badShareFirst struct {
+	rng  *rand.Rand
+	seen adversary.Set
+}
+
+func (s *badShareFirst) Next(pending []wire.Message) int {
+	var free []int
+	for i, m := range pending {
+		if m.Type != "SHARE" || m.From == 3 || s.seen.Has(m.To) {
+			free = append(free, i)
+		}
+	}
+	if len(free) == 0 {
+		return -1
+	}
+	i := free[s.rng.Intn(len(free))]
+	if m := pending[i]; m.Type == "SHARE" && m.From == 3 {
+		s.seen = s.seen.Add(m.To)
+	}
+	return i
+}
+
+// TestByzantineCheckpointShare: shares are combined unverified. Corrupted
+// party 3's SHARE names the honest checkpoint but carries its share on
+// another statement, and reaches every honest replica first, so each
+// one's first combine includes it and fails. The culprit is dropped and
+// the honest shares still certify the checkpoint.
+func TestByzantineCheckpointShare(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	c := testutil.NewCluster(t, st, testutil.Options{
+		Scheduler: &badShareFirst{rng: rand.New(rand.NewSource(37))}, Corrupted: []int{3}})
+	hs := newHarnesses(t, c, 4)
+	deliverInterval(c, hs, 3, "payload-", 2)
+	hash := sha256.Sum256(hs[0].state)
+	wrong, err := c.Pub.AnswerSig().SignShare(c.Secrets[3].SigAnswer,
+		checkpoint.Statement("svc/test", 4, 2, sha256.Sum256([]byte("another state"))), crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for to := 0; to < 3; to++ {
+		c.Net.Endpoint(3).Send(wire.Message{To: to, Protocol: checkpoint.Protocol, Instance: "svc/test",
+			Type: "SHARE", Payload: wire.MustMarshalBody(struct {
+				Seq, Round int64
+				Hash       [32]byte
+				Share      thresig.Share
+			}{4, 2, hash, wrong})})
+	}
+	for i := 0; i < 3; i++ {
+		h := hs[i]
+		c.Routers[i].DoSync(func() { h.tracker.RoundEnd(h.seq, h.round) })
+	}
+	for i := 0; i < 3; i++ {
+		cp := waitStable(t, c, hs, i, 4)
+		if cp.Hash != hash {
+			t.Fatalf("replica %d certified another hash", i)
+		}
+		if err := c.Pub.AnswerSig().Verify(checkpoint.Statement("svc/test", cp.Seq, cp.Round, cp.Hash), cp.Cert); err != nil {
+			t.Fatalf("replica %d: certificate does not verify: %v", i, err)
+		}
+	}
 }
 
 // TestCatchUpInstall lets three replicas certify a checkpoint while the

@@ -74,7 +74,9 @@ type Client struct {
 }
 
 type call struct {
-	responses map[int]responseBody // by responding server
+	responses map[int]responseBody // by responding server, culprits dropped
+	from      adversary.Set        // every server that responded
+	answered  bool
 	ch        chan Answer
 }
 
@@ -262,30 +264,17 @@ func (c *Client) onResponse(from int, resp responseBody) {
 	if from < 0 || from >= c.tr.N() || resp.Share.Party != from {
 		return
 	}
-	stmt := answerStatement(c.service, resp.ReqID, resp.Result)
-	scheme := c.pub.AnswerSig()
-	if scheme.VerifyShare(stmt, resp.Share) != nil {
-		// Corrupted server: invalid share. The counter is the client-side
-		// view of server misbehavior.
-		c.badShares.Inc()
-		c.obsReg.Trace(obs.Event{Party: from, Protocol: clientProtocol,
-			Instance: c.service, Stage: obs.StageDrop, Seq: -1,
-			Note: "invalid response share"})
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cl, ok := c.pending[resp.ReqID]
-	if !ok {
+	if !ok || cl.answered || cl.from.Has(from) {
 		return
 	}
-	if _, dup := cl.responses[from]; dup {
-		return
-	}
+	cl.from = cl.from.Add(from)
 	cl.responses[from] = resp
 
-	// Group responders by identical result; accept once a group that
-	// cannot be entirely corrupted agrees.
+	// Group responders by identical result; once a group that cannot be
+	// entirely corrupted agrees, combine its shares, unverified.
 	var agreeing adversary.Set
 	shares := make([]thresig.Share, 0, len(cl.responses))
 	for s, r := range cl.responses {
@@ -294,15 +283,26 @@ func (c *Client) onResponse(from int, resp responseBody) {
 			shares = append(shares, r.Share)
 		}
 	}
+	scheme := c.pub.AnswerSig()
 	if !c.trust.HasHonest(c.trustObs, agreeing) || !scheme.Sufficient(agreeing) {
 		return
 	}
-	sig, err := scheme.Combine(stmt, shares)
-	if err != nil {
+	stmt := answerStatement(c.service, resp.ReqID, resp.Result)
+	sig, bad, err := thresig.Combine(scheme, stmt, shares)
+	for _, i := range bad {
+		// Corrupted server: invalid share. The counter is the client-side
+		// view of server misbehavior; its later responses stay ignored.
+		bp := shares[i].Party
+		delete(cl.responses, bp)
+		agreeing = agreeing.Remove(bp)
+		c.badShares.Inc()
+		c.obsReg.Trace(obs.Event{Party: bp, Protocol: clientProtocol,
+			Instance: c.service, Stage: obs.StageDrop, Seq: -1,
+			Note: "invalid response share"})
+	}
+	if err != nil || !c.trust.HasHonest(c.trustObs, agreeing) {
 		return // wait for more shares
 	}
-	select {
-	case cl.ch <- Answer{ReqID: resp.ReqID, Result: resp.Result, Seq: resp.Seq, Signature: sig}:
-	default:
-	}
+	cl.answered = true // the one send into cl.ch, which has room for it
+	cl.ch <- Answer{ReqID: resp.ReqID, Result: resp.Result, Seq: resp.Seq, Signature: sig}
 }

@@ -3,9 +3,11 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	mrand "math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"sintra/internal/netsim"
 	"sintra/internal/obs"
 	"sintra/internal/testutil"
+	"sintra/internal/thresig"
 	"sintra/internal/wire"
 )
 
@@ -272,6 +275,89 @@ func TestByzantineResponderCannotFoolClient(t *testing.T) {
 	}
 	if bytes.Contains(ans.Result, []byte("LIES")) {
 		t.Fatal("client accepted the liar's answer")
+	}
+}
+
+// tamperShares is a replica's endpoint that replaces the share of every
+// RESPONSE it sends with the replica's share on another statement:
+// well-formed, with a consistent proof, and wrong for the answer.
+type tamperShares struct {
+	wire.Transport
+	scheme thresig.Scheme
+	key    *thresig.SecretKey
+}
+
+func (t *tamperShares) Send(m wire.Message) {
+	var resp struct {
+		ReqID  [16]byte
+		Seq    int64
+		Result []byte
+		Share  thresig.Share
+	}
+	if m.Type == "RESPONSE" && wire.UnmarshalBody(m.Payload, &resp) == nil {
+		if sh, err := t.scheme.SignShare(t.key, []byte("another statement"), rand.Reader); err == nil {
+			resp.Share = sh
+			m.Payload = wire.MustMarshalBody(resp)
+		}
+	}
+	t.Transport.Send(m)
+}
+
+// holdResponses delivers a random pending message, holding the honest
+// replicas' RESPONSEs until the tampered one has reached the client.
+type holdResponses struct {
+	rng      *mrand.Rand
+	liar     int
+	liarSeen bool
+}
+
+func (s *holdResponses) Next(pending []wire.Message) int {
+	var free []int
+	for i, m := range pending {
+		if s.liarSeen || m.Type != "RESPONSE" || m.From == s.liar {
+			free = append(free, i)
+		}
+	}
+	if len(free) == 0 {
+		return -1
+	}
+	i := free[s.rng.Intn(len(free))]
+	s.liarSeen = s.liarSeen || pending[i].Type == "RESPONSE" && pending[i].From == s.liar
+	return i
+}
+
+// TestByzantineAnswerShare: the client combines answer shares without
+// checking their proofs. Replica 3 answers the right result with a wrong
+// share, which reaches the client first, so the first combine includes
+// it and fails: the client names the culprit, drops it and answers from
+// honest shares with a signature VerifyAnswer accepts.
+func TestByzantineAnswerShare(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	c := coreCluster(t, st, testutil.Options{Scheduler: &holdResponses{rng: mrand.New(mrand.NewSource(31)), liar: 3}})
+	liar, err := core.NewNode(core.NodeConfig{
+		Public: c.Pub, Secret: c.Secrets[3], ServiceName: "test",
+		Transport: &tamperShares{Transport: c.Net.Endpoint(3), scheme: c.Pub.AnswerSig(), key: c.Secrets[3].SigAnswer},
+		Service:   &echoService{}, Mode: core.ModeAtomic,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go liar.Run()
+	t.Cleanup(func() { c.Net.Stop(); liar.Stop() }) // runs after nodesFor's
+	nodesFor(t, c, []int{0, 1, 2}, core.ModeAtomic, func() core.StateMachine { return &echoService{} })
+
+	reg := obs.NewRegistry()
+	client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", core.ModeAtomic, core.WithObserver(reg))
+	defer client.Close()
+	ans, err := invokeWithin(client, []byte("answered from honest shares"), 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.VerifyAnswer(c.Pub, "test", ans.ReqID, ans.Result, ans.Signature); err != nil {
+		t.Fatalf("answer does not verify: %v", err)
+	}
+	if n := reg.Snapshot().Counter("client.responses.badshare"); n != 1 {
+		t.Fatalf("client.responses.badshare = %d, want 1", n)
 	}
 }
 

@@ -298,7 +298,7 @@ func (b *byzantineLeader) certify(to ...int) (digest [32]byte, cert []byte) {
 		var body struct{ Share thresig.Share }
 		b.await("collecting shares", func(m *wire.Message) bool {
 			return m.Protocol == cbc.Protocol && m.Instance == b.slot && m.Type == "SHARE" &&
-				wire.UnmarshalBody(m.Payload, &body) == nil && scheme.VerifyShare(stmt, body.Share) == nil
+				wire.UnmarshalBody(m.Payload, &body) == nil
 		})
 		shares = append(shares, body.Share)
 	}
@@ -477,5 +477,41 @@ func TestByzantineLeaderShowsCertificateToOne(t *testing.T) {
 	}
 	if n := counterSum(c, "cbc.fetch.served"); n < 1 {
 		t.Fatal("nobody answered a REQ")
+	}
+}
+
+// TestByzantineTrialFlood: corrupted party 0 names every trial up to 10⁵
+// in a VOTE to party 1, whose instance has not reached trial 1 (nobody
+// else runs it). Party 1 keeps state for at most LookAhead trials and
+// counts every other VOTE as dropped.
+func TestByzantineTrialFlood(t *testing.T) {
+	const victim, last = 1, 100000
+	c := testutil.NewCluster(t, adversary.MustThreshold(4, 1),
+		testutil.Options{Seed: 53, Observe: true, Corrupted: []int{0, 2, 3}})
+	var inst *mvba.MVBA
+	c.Routers[victim].DoSync(func() {
+		inst = mvba.New(mvba.Config{Router: c.Routers[victim], Struct: c.Struct, Instance: "flood",
+			Coin: c.Pub.Coin, CoinKey: c.Secrets[victim].Coin,
+			Scheme: c.Pub.QuorumSig(), Key: c.Secrets[victim].SigQuorum})
+	})
+	ep := c.Net.Endpoint(0)
+	dispatched := func() int64 { return c.Regs[victim].Snapshot().Histograms["router.dispatch.latency"].Count }
+	deadline := time.Now().Add(120 * time.Second)
+	for k := 1; k <= last; k++ {
+		ep.Send(wire.Message{To: victim, Protocol: mvba.Protocol, Instance: "flood", Type: "VOTE",
+			Payload: wire.MustMarshalBody(voteBody{Trial: k})})
+		// Paced, so the simulator's pending pool stays small.
+		for k%500 == 0 && dispatched() < int64(k)-500 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d flood messages dispatched", dispatched(), k)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitCounter(t, c, victim, "mvba.ahead.dropped", last-mvba.LookAhead+1)
+	var states int
+	c.Routers[victim].DoSync(func() { states = inst.TrialStates() })
+	if states > mvba.LookAhead {
+		t.Fatalf("party 1 holds %d trials, want at most %d", states, mvba.LookAhead)
 	}
 }

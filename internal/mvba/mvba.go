@@ -109,6 +109,13 @@ type Config struct {
 	Decide func(value []byte)
 }
 
+// lookAhead bounds the trials a party keeps state for: a LEADCOIN or VOTE
+// for trial lookAhead or more past its own is dropped and counted
+// (mvba.ahead.dropped). The others run lookAhead trials past an honest
+// laggard only by deciding 0 in each, while from trial 2 on each decides
+// 1 with constant probability (CKPS01).
+const lookAhead = 64
+
 type trialState struct {
 	coinCombiner *coin.Combiner
 	coinShared   bool
@@ -326,23 +333,34 @@ func (m *MVBA) apply(from int, msgType string, payload []byte, verdict any) {
 		}
 		m.onStart(body.Proposal)
 	case typeLeadCoin:
-		if v, ok := verdict.(*leadCoinVerdict); ok {
-			m.onLeadCoinVerified(v.trial, v.shares)
-			return
+		v, verified := verdict.(*leadCoinVerdict)
+		if !verified {
+			var body leadCoinBody
+			// Trial 1 has no coin: its LEADCOIN is a corrupted party's.
+			if !m.cfg.Router.Decode(payload, &body) || body.Trial < 2 {
+				return
+			}
+			v = &leadCoinVerdict{trial: body.Trial, shares: body.Shares}
 		}
-		var body leadCoinBody
-		// Trial 1 has no coin: its LEADCOIN is a corrupted party's.
-		if !m.cfg.Router.Decode(payload, &body) || body.Trial < 2 {
-			return
+		if !m.ahead(v.trial) {
+			m.onLeadCoin(v.trial, v.shares, verified)
 		}
-		m.onLeadCoin(body.Trial, body.Shares)
 	case typeVote:
 		var body voteBody
-		if !m.cfg.Router.Decode(payload, &body) || body.Trial < 1 {
+		if !m.cfg.Router.Decode(payload, &body) || body.Trial < 1 || m.ahead(body.Trial) {
 			return
 		}
 		m.onVote(from, body)
 	}
+}
+
+// ahead reports, and counts, a trial outside the look-ahead window.
+func (m *MVBA) ahead(a int) bool {
+	if a < m.trial+lookAhead {
+		return false
+	}
+	m.span.Event("ahead.dropped", int64(a), "")
+	return true
 }
 
 func (m *MVBA) onStart(proposal []byte) {
@@ -407,20 +425,16 @@ func (m *MVBA) startTrial(a int) {
 	m.evalVotes(a)
 }
 
-func (m *MVBA) onLeadCoin(a int, shares []coin.Share) {
+// onLeadCoin adds trial a's coin shares; verified ones passed the Verify
+// stage and skip re-verification on the dispatch goroutine.
+func (m *MVBA) onLeadCoin(a int, shares []coin.Share, verified bool) {
 	ts := m.trialState(a)
 	for _, sh := range shares {
-		_ = ts.coinCombiner.Add(sh)
-	}
-	m.maybeElect(a)
-}
-
-// onLeadCoinVerified consumes shares whose proofs the Verify stage
-// already checked, skipping re-verification on the dispatch goroutine.
-func (m *MVBA) onLeadCoinVerified(a int, shares []coin.Share) {
-	ts := m.trialState(a)
-	for _, sh := range shares {
-		ts.coinCombiner.AddVerified(sh)
+		if verified {
+			ts.coinCombiner.AddVerified(sh)
+		} else {
+			_ = ts.coinCombiner.Add(sh)
+		}
 	}
 	m.maybeElect(a)
 }

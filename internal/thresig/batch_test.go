@@ -161,21 +161,6 @@ func TestRSABatchSharesStillCombine(t *testing.T) {
 	}
 }
 
-// TestBatchVerifyHelperFallsBack drives the scheme-generic helper over
-// a CertScheme, which has no batch path.
-func TestBatchVerifyHelperFallsBack(t *testing.T) {
-	msg := []byte("batch message")
-	scheme, shares := batchScheme(t, msg)
-	if bad := BatchVerify(scheme, msg, shares); bad != nil {
-		t.Fatalf("helper flagged %v", bad)
-	}
-	shares[3].Data = shares[3].Data[:len(shares[3].Data)-1]
-	shares[3].Aux = nil
-	if bad := BatchVerify(scheme, msg, shares); !reflect.DeepEqual(bad, []int{3}) {
-		t.Fatalf("helper flagged %v", bad)
-	}
-}
-
 // BenchmarkRSABatchVerify compares k per-share verifications against
 // one folded batch check (EXPERIMENTS.md).
 func BenchmarkRSABatchVerify(b *testing.B) {

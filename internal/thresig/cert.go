@@ -109,8 +109,8 @@ func (s *CertScheme) VerifyShare(msg []byte, sh Share) error {
 	return nil
 }
 
-// ruleSatisfied evaluates the opening rule on a party set.
-func (s *CertScheme) ruleSatisfied(parties adversary.Set) bool {
+// Sufficient reports whether the parties satisfy the opening rule.
+func (s *CertScheme) Sufficient(parties adversary.Set) bool {
 	switch s.OpenRule {
 	case RuleQuorum:
 		return s.Structure.IsQuorum(parties)
@@ -125,35 +125,38 @@ func (s *CertScheme) ruleSatisfied(parties adversary.Set) bool {
 	}
 }
 
-// Sufficient reports whether the parties satisfy the opening rule.
-func (s *CertScheme) Sufficient(parties adversary.Set) bool {
-	return s.ruleSatisfied(parties)
-}
-
-// Combine concatenates verified shares into a certificate once the opening
-// rule is met. The certificate layout is:
+// Combine concatenates the valid shares into a certificate once the
+// opening rule is met, skipping invalid ones (combine also returns their
+// indexes). The certificate layout is:
 //
 //	count:uint16, then count × (party:uint16, sig:64 bytes)
 //
 // sorted by party for a canonical encoding.
 func (s *CertScheme) Combine(msg []byte, shares []Share) ([]byte, error) {
+	sig, _, err := s.combine(msg, shares)
+	return sig, err
+}
+
+func (s *CertScheme) combine(msg []byte, shares []Share) ([]byte, []int, error) {
 	byParty := make(map[int][]byte, len(shares))
 	var parties adversary.Set
-	for _, sh := range shares {
+	var bad []int
+	for i, sh := range shares {
 		if _, ok := byParty[sh.Party]; ok {
 			continue
 		}
 		if err := s.VerifyShare(msg, sh); err != nil {
-			continue // robustness: skip invalid shares
+			bad = append(bad, i) // robustness: skip invalid shares
+			continue
 		}
 		byParty[sh.Party] = sh.Data
 		parties = parties.Add(sh.Party)
-		if s.ruleSatisfied(parties) {
+		if s.Sufficient(parties) {
 			break
 		}
 	}
-	if !s.ruleSatisfied(parties) {
-		return nil, ErrInsufficient
+	if !s.Sufficient(parties) {
+		return nil, bad, ErrInsufficient
 	}
 	members := parties.Members()
 	sort.Ints(members)
@@ -165,7 +168,7 @@ func (s *CertScheme) Combine(msg []byte, shares []Share) ([]byte, error) {
 		out = append(out, pb[:]...)
 		out = append(out, byParty[p]...)
 	}
-	return out, nil
+	return out, bad, nil
 }
 
 // Verify checks a certificate: every signature valid, parties distinct,
@@ -193,7 +196,7 @@ func (s *CertScheme) Verify(msg []byte, sig []byte) error {
 		}
 		parties = parties.Add(p)
 	}
-	if !s.ruleSatisfied(parties) {
+	if !s.Sufficient(parties) {
 		return ErrInvalidSignature
 	}
 	return nil

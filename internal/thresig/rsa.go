@@ -295,7 +295,8 @@ func (s *RSAScheme) Sufficient(parties adversary.Set) bool {
 	return parties.Count() >= s.K
 }
 
-// Combine assembles a standard RSA signature from K verified shares:
+// Combine assembles a standard RSA signature from the first K shares of
+// distinct parties, verified or not (a wrong one fails the final check):
 // w = Π x_i^{2λ_i} with integer Lagrange coefficients λ_i = Δ·Π j/(j−i),
 // then y = w^a · x̂^b for ea + 4Δ²b = 1, so that y^E = x̂ mod N.
 func (s *RSAScheme) Combine(msg []byte, shares []Share) ([]byte, error) {

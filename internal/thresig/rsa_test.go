@@ -246,16 +246,3 @@ func BenchmarkRSAVerifyShare(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkRSACombine(b *testing.B) {
-	s, keys := newTestRSA(b, 4, 3)
-	msg := []byte("bench")
-	shares := signAll(b, s, keys, msg, []int{0, 1, 2})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Combine(msg, shares); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -19,6 +19,11 @@
 //
 // Both schemes domain-separate instances with a Tag, so a share released
 // for one protocol role can never be replayed in another.
+//
+// Consumers combine shares before checking any proof (the package-level
+// Combine): a combined RSA signature that verifies under the public key
+// is a valid signature whoever contributed, so the share proofs are
+// checked only when a combine fails, to name the culprits.
 package thresig
 
 import (
@@ -56,27 +61,39 @@ type Share struct {
 	Aux []byte
 }
 
-// BatchVerifier is implemented by schemes that can check many shares
-// on one message with a single folded product test, returning the
-// indexes of the invalid shares (nil when all verify).
-type BatchVerifier interface {
-	BatchVerifyShares(msg []byte, shares []Share) []int
+// Combine assembles a signature on msg from shares nobody has verified
+// and returns the indexes of the invalid shares it found; a signature it
+// returns verifies, whoever contributed. CertScheme checks each share as
+// it combines. RSAScheme combines first and, only when that fails,
+// batch-verifies the shares and combines the rest if they still suffice.
+func Combine(s Scheme, msg []byte, shares []Share) (sig []byte, bad []int, err error) {
+	if cs, ok := s.(*CertScheme); ok {
+		return cs.combine(msg, shares)
+	}
+	sig, err = s.Combine(msg, shares)
+	rs, ok := s.(*RSAScheme)
+	if err == nil || !ok {
+		return sig, nil, err
+	}
+	if bad = rs.BatchVerifyShares(msg, shares); bad == nil {
+		return nil, nil, err
+	}
+	sig, err = s.Combine(msg, Without(shares, bad))
+	return sig, bad, err
 }
 
-// BatchVerify checks every share on msg, taking the scheme's batch
-// path when it has one and falling back to per-share verification
-// otherwise, so callers can batch unconditionally.
-func BatchVerify(s Scheme, msg []byte, shares []Share) []int {
-	if bv, ok := s.(BatchVerifier); ok {
-		return bv.BatchVerifyShares(msg, shares)
-	}
-	var bad []int
+// Without returns a new slice of the shares whose indexes are not in
+// bad, which is ascending (as Combine returns it).
+func Without(shares []Share, bad []int) []Share {
+	rest := make([]Share, 0, len(shares))
 	for i, sh := range shares {
-		if s.VerifyShare(msg, sh) != nil {
-			bad = append(bad, i)
+		if len(bad) > 0 && bad[0] == i {
+			bad = bad[1:]
+			continue
 		}
+		rest = append(rest, sh)
 	}
-	return bad
+	return rest
 }
 
 // SecretKey is a party's signing key for either scheme. Exactly one of the
@@ -103,8 +120,9 @@ type Scheme interface {
 	// Sufficient reports whether shares from the given parties meet the
 	// opening rule.
 	Sufficient(parties adversary.Set) bool
-	// Combine assembles a full signature from verified shares; shares
-	// from duplicate parties are ignored.
+	// Combine assembles a full signature from shares that need not be
+	// verified and returns only one Verify accepts (RSAScheme checks the
+	// result, CertScheme skips invalid shares); duplicates are ignored.
 	Combine(msg []byte, shares []Share) ([]byte, error)
 	// Verify checks a combined signature.
 	Verify(msg []byte, sig []byte) error
