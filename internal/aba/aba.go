@@ -33,7 +33,6 @@ import (
 	"sintra/internal/engine"
 	"sintra/internal/obs"
 	"sintra/internal/trust"
-	"sintra/internal/wire"
 )
 
 // Protocol is the wire protocol name of binary agreement.
@@ -149,84 +148,8 @@ func New(cfg Config) *ABA {
 	if a.trust == nil {
 		a.trust = trust.NewSymmetric(cfg.Struct)
 	}
-	cfg.Router.RegisterSplit(Protocol, cfg.Instance, engine.SplitHandler{
-		Verify:      a.verifyMsg,
-		BatchVerify: a.batchVerify,
-		Apply:       a.apply,
-		VerifyTypes: []string{typeCoin},
-	})
+	cfg.Router.Register(Protocol, cfg.Instance, a.handle)
 	return a
-}
-
-// coinVerdict is the Verify-stage result for COIN messages: the decoded
-// round and the subset of shares whose DLEQ proofs checked out. It is
-// computed on a worker goroutine from the immutable coin parameters only.
-type coinVerdict struct {
-	round  int
-	shares []coin.Share
-}
-
-// verifyMsg is the parallel Verify stage: it checks COIN share proofs —
-// the instance's dominant public-key cost — without touching state.
-func (a *ABA) verifyMsg(from int, msgType string, payload []byte) any {
-	if msgType != typeCoin {
-		return nil
-	}
-	var body coinBody
-	// Plain unmarshal, not Router.Decode: the nil-verdict fallback would
-	// decode again and double-count router.malformed.
-	if wire.UnmarshalBody(payload, &body) != nil || body.Round < 1 {
-		return nil
-	}
-	name := a.coinName(body.Round)
-	valid := make([]coin.Share, 0, len(body.Shares))
-	for _, sh := range body.Shares {
-		if a.cfg.Coin.VerifyShare(name, sh) == nil {
-			valid = append(valid, sh)
-		}
-	}
-	return &coinVerdict{round: body.Round, shares: valid}
-}
-
-// batchVerify is the coalescing Verify stage for COIN bursts: the
-// shares of all drained messages fold into one DLEQ batch — a single
-// random-linear-combination multi-exponentiation instead of one
-// four-exponentiation proof check per share — with each round's coin
-// base derived once. Messages that fail to decode keep a nil verdict
-// and fall back to inline apply-time handling, exactly like verifyMsg.
-func (a *ABA) batchVerify(msgs []*wire.Message) ([]any, int) {
-	verdicts := make([]any, len(msgs))
-	bodies := make([]*coinBody, len(msgs))
-	bv := a.cfg.Coin.NewBatchVerifier()
-	for i, m := range msgs {
-		var body coinBody
-		if wire.UnmarshalBody(m.Payload, &body) != nil || body.Round < 1 {
-			continue
-		}
-		bodies[i] = &body
-		name := a.coinName(body.Round)
-		for _, sh := range body.Shares {
-			bv.Add(name, sh)
-		}
-	}
-	ok := bv.Verify()
-	culprits, k := 0, 0
-	for i, body := range bodies {
-		if body == nil {
-			continue
-		}
-		valid := make([]coin.Share, 0, len(body.Shares))
-		for _, sh := range body.Shares {
-			if ok[k] {
-				valid = append(valid, sh)
-			} else {
-				culprits++
-			}
-			k++
-		}
-		verdicts[i] = &coinVerdict{round: body.Round, shares: valid}
-	}
-	return verdicts, culprits
 }
 
 // Start proposes the initial value. Safe from any goroutine (loopback).
@@ -276,10 +199,8 @@ func b2i(v bool) int {
 	return 0
 }
 
-// apply is the serialized Apply stage. A non-nil verdict carries the
-// Verify stage's result for COIN messages; a nil verdict means the shares
-// were not pre-verified and are checked inline.
-func (a *ABA) apply(from int, msgType string, payload []byte, verdict any) {
+// handle processes one message on the dispatch goroutine.
+func (a *ABA) handle(from int, msgType string, payload []byte) {
 	if a.terminated {
 		return
 	}
@@ -301,17 +222,11 @@ func (a *ABA) apply(from int, msgType string, payload []byte, verdict any) {
 			a.onAux(from, body.Round, body.Value)
 		}
 	case typeCoin:
-		v, verified := verdict.(*coinVerdict)
-		if !verified {
-			var body coinBody
-			if !a.cfg.Router.Decode(payload, &body) || body.Round < 1 {
-				return
-			}
-			v = &coinVerdict{round: body.Round, shares: body.Shares}
+		var body coinBody
+		if !a.cfg.Router.Decode(payload, &body) || body.Round < 1 || a.ahead(body.Round) {
+			return
 		}
-		if !a.ahead(v.round) {
-			a.onCoin(v.round, v.shares, verified)
-		}
+		a.onCoin(from, body.Round, body.Shares)
 	case typeDecided:
 		var body decidedBody
 		if !a.cfg.Router.Decode(payload, &body) {
@@ -444,19 +359,14 @@ func (a *ABA) tryBarrier(r int) {
 	a.tryAdvance(r)
 }
 
-// onCoin adds round r's coin shares; verified ones passed the Verify
-// stage and skip re-verification on the dispatch goroutine.
-func (a *ABA) onCoin(r int, shares []coin.Share, verified bool) {
+// onCoin adds the round-r coin shares that party from sent.
+func (a *ABA) onCoin(from, r int, shares []coin.Share) {
 	st := a.state(r)
 	if st.coinDone {
 		return
 	}
-	for _, sh := range shares {
-		if verified {
-			st.coinCombiner.AddVerified(sh)
-		} else {
-			_ = st.coinCombiner.Add(sh) // invalid shares are rejected inside
-		}
+	if st.coinCombiner.AddFrom(from, shares) {
+		a.span.Event("coin.rejected", int64(r), fmt.Sprint("from ", from))
 	}
 	a.finishCoin(r, st)
 }

@@ -1,6 +1,7 @@
 package aba_test
 
 import (
+	"crypto/rand"
 	"fmt"
 	"testing"
 	"time"
@@ -209,6 +210,53 @@ func TestByzantineCoinShareFlood(t *testing.T) {
 	inputs := map[int]bool{1: true, 2: false, 3: false}
 	got := runAgreement(t, c, tag, inputs)
 	assertAgreement(t, got)
+}
+
+// TestForgedCoinSharesCostNoProofCheck: corrupted party 0 sends every
+// honest party one COIN message carrying 999 shares that name the honest
+// parties and their share IDs, each with a sound proof for another coin,
+// then one carrying such a share of its own. A share naming another party
+// than its sender is skipped unchecked, so each honest party checks, and
+// rejects, the last share alone — and agreement holds.
+func TestForgedCoinSharesCostNoProofCheck(t *testing.T) {
+	c := testutil.NewCluster(t, adversary.MustThreshold(4, 1),
+		testutil.Options{Seed: 53, Observe: true, Corrupted: []int{0}})
+	const tag = "forged-coin"
+	round := aba.LookAhead - 1 // never reached, so its coin stays open
+	sharesOf := func(party int) []coin.Share {
+		shares, err := c.Pub.Coin.ReleaseShares(c.Secrets[party].Coin, "another coin", rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shares
+	}
+	honest := [][]coin.Share{sharesOf(1), sharesOf(2), sharesOf(3)}
+	var forged []coin.Share
+	for k := 0; k < 999; k++ {
+		forged = append(forged, honest[k%3]...)
+	}
+	ep := c.Net.Endpoint(0)
+	for to := 1; to < 4; to++ {
+		for _, shares := range [][]coin.Share{forged, sharesOf(0)} {
+			ep.Send(wire.Message{To: to, Protocol: aba.Protocol, Instance: tag, Type: "COIN",
+				Payload: wire.MustMarshalBody(coinRoundBody{Round: round, Shares: shares})})
+		}
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for to := 1; to < 4; to++ {
+		for c.Regs[to].Snapshot().Counter("router.recv.aba.COIN") < 2 {
+			if time.Now().After(deadline) {
+				t.Fatalf("party %d never received both COIN messages", to)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	assertAgreement(t, runAgreement(t, c, tag, map[int]bool{1: true, 2: false, 3: false}))
+	for to := 1; to < 4; to++ {
+		if n := c.Regs[to].Snapshot().Counter("aba.coin.rejected"); n != 1 {
+			t.Errorf("party %d: aba.coin.rejected = %d, want 1: only party 0's own share is checked", to, n)
+		}
+	}
 }
 
 func TestAgreementWithForceCertScheme(t *testing.T) {

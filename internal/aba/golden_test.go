@@ -25,8 +25,8 @@ func TestWireGolden(t *testing.T) {
 		{coinBody{Round: 2, Shares: []coin.Share{share}}, "0401" + "0204" +
 			// Value: the generator, compressed
 			"01" + "2204" + "03" + "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296" +
-			// Proof: C = 3, Z = 4, no commitments
-			"01" + "012104" + strings.Repeat("00", 31) + "03" + "012104" + strings.Repeat("00", 31) + "04" + "0000"},
+			// Proof: C = 3, Z = 4
+			"01" + "012104" + strings.Repeat("00", 31) + "03" + "012104" + strings.Repeat("00", 31) + "04"},
 		{decidedBody{Value: true}, "01"},
 	} {
 		if got := hex.EncodeToString(wire.MustMarshalBody(c.v)); got != c.hex {

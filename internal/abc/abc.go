@@ -298,11 +298,7 @@ func New(cfg Config) *ABC {
 		a.fetchRejected = reg.Counter(Protocol + ".fetch.rejected")
 		a.storeSize = reg.Gauge(Protocol + ".store.size")
 	}
-	cfg.Router.RegisterSplit(Protocol, cfg.Instance, engine.SplitHandler{
-		Verify:      a.verifyMsg,
-		Apply:       a.apply,
-		VerifyTypes: []string{typeProposal},
-	})
+	cfg.Router.Register(Protocol, cfg.Instance, a.handle)
 	return a
 }
 
@@ -343,9 +339,7 @@ func (a *ABC) signStatement(p *SignedProposal, digests [][32]byte) []byte {
 
 // check hashes a received proposal, decoded from raw, and its inline
 // payloads and verifies the proposer's signature over them and the
-// referenced digests; nil for a malformed proposal or a bad signature. It
-// only reads the immutable identity registry and the instance name, so it
-// is safe off the dispatch goroutine.
+// referenced digests; nil for a malformed proposal or a bad signature.
 func (a *ABC) check(p SignedProposal, raw []byte) *accepted {
 	n := len(p.Batch) + len(p.Refs)/sha256.Size
 	if len(p.Refs)%sha256.Size != 0 || n > maxProposalEntries || p.Party < 0 || p.Party >= a.cfg.Router.N() {
@@ -387,29 +381,8 @@ func (a *ABC) resolve(round int64, d [32]byte) (ac *accepted, held bool) {
 	return ac, true
 }
 
-// verifyMsg is the parallel Verify stage for PROPOSAL messages: its
-// verdict is the checked proposal, a nil *accepted when it is malformed or
-// its signature failed. The round-window and duplicate checks are
-// stateful and stay in Apply.
-func (a *ABC) verifyMsg(from int, msgType string, payload []byte) any {
-	if msgType != typeProposal {
-		return nil
-	}
-	var p SignedProposal
-	// Plain unmarshal, not Router.Decode: the nil-verdict fallback would
-	// decode again and double-count router.malformed.
-	if wire.UnmarshalBody(payload, &p) != nil {
-		return nil
-	}
-	if p.Party != from {
-		return (*accepted)(nil)
-	}
-	return a.check(p, payload)
-}
-
-// apply is the serialized Apply stage; a non-nil verdict carries a
-// proposal the Verify stage already checked.
-func (a *ABC) apply(from int, msgType string, payload []byte, verdict any) {
+// handle processes one message on the dispatch goroutine.
+func (a *ABC) handle(from int, msgType string, payload []byte) {
 	switch msgType {
 	case typeSubmit:
 		var body payloadBody
@@ -418,12 +391,6 @@ func (a *ABC) apply(from int, msgType string, payload []byte, verdict any) {
 		}
 		a.enqueue(body.Payload)
 	case typeProposal:
-		if ac, ok := verdict.(*accepted); ok {
-			if ac != nil {
-				a.acceptProposal(from, ac, payload)
-			}
-			return
-		}
 		var p SignedProposal
 		if !a.cfg.Router.Decode(payload, &p) || p.Party != from || !a.fresh(p.Round, from) {
 			return
@@ -537,13 +504,10 @@ func (a *ABC) fresh(round int64, from int) bool {
 	return round >= cur && round <= cur+roundWindow && a.proposals[round][from] == nil
 }
 
-// acceptProposal records a checked proposal, and keeps its encoding raw in
-// the store, where lists resolve it and peers that lack it fetch it.
+// acceptProposal records a fresh, checked proposal, and keeps its encoding
+// raw in the store, where lists resolve it and peers that lack it fetch it.
 func (a *ABC) acceptProposal(from int, ac *accepted, raw []byte) {
 	round := ac.p.Round
-	if !a.fresh(round, from) {
-		return
-	}
 	if a.proposals[round] == nil {
 		a.proposals[round] = make(map[int]*accepted)
 	}

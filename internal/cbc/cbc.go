@@ -36,14 +36,12 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"sintra/internal/adversary"
 	"sintra/internal/engine"
 	"sintra/internal/obs"
 	"sintra/internal/thresig"
 	"sintra/internal/trust"
-	"sintra/internal/wire"
 )
 
 // Protocol is the wire protocol name of consistent broadcast.
@@ -169,11 +167,11 @@ type CBC struct {
 	held    bool
 	signed  bool // this party returned its share on digest: never a second one
 
-	// The certificate half: the first certificate that verified. certified
-	// is read by the verify workers, which check no further one.
+	// The certificate half: the first certificate that verified. Once
+	// certified, no message makes this party check another one.
 	cert       []byte
 	certDigest [32]byte
-	certified  atomic.Bool
+	certified  bool
 
 	delivered bool
 
@@ -205,71 +203,37 @@ func New(cfg Config) *CBC {
 	if c.trust = cfg.Trust; c.trust == nil {
 		c.trust = trust.NewSymmetric(cfg.Struct)
 	}
-	cfg.Router.RegisterSplit(Protocol, cfg.Instance, engine.SplitHandler{
-		Verify:      c.verifyMsg,
-		Apply:       c.apply,
-		VerifyTypes: []string{typeFinal, typeReq, typeAns},
-	})
+	cfg.Router.Register(Protocol, cfg.Instance, c.handle)
 	return c
 }
 
-// certVerdict is the decoded body of a FINAL, REQ or ANS: the digest its
-// certificate speaks for (an ANS is hashed where it arrives) and — when
-// the instance held no certificate yet at the time of the check — whether
-// the certificate verifies. Verification needs no protocol state beyond
-// that one bit, so the verdict is authoritative.
-type certVerdict struct {
-	digest         [32]byte
-	cert           []byte
-	payload        []byte // with ans
-	ans            bool
-	checked, valid bool
+// certMsg is a decoded FINAL, REQ or ANS: the digest its certificate
+// speaks for (an ANS is hashed where it arrives), the certificate and,
+// with an ANS, the payload.
+type certMsg struct {
+	digest  [32]byte
+	cert    []byte
+	payload []byte // with ans
+	ans     bool
 }
 
-// checkCert decodes a FINAL, REQ or ANS and verifies the certificate it
-// carries, unless the instance already holds one: once certified, no
-// message makes this party spend another public-key operation.
-func (c *CBC) checkCert(msgType string, payload []byte, decode func([]byte, any) bool) *certVerdict {
-	v := &certVerdict{ans: msgType == typeAns}
+// decodeCert decodes a FINAL, REQ or ANS; nil when it is malformed.
+func (c *CBC) decodeCert(msgType string, payload []byte) *certMsg {
+	v := &certMsg{ans: msgType == typeAns}
 	if v.ans {
 		var body ansBody
-		if !decode(payload, &body) {
+		if !c.cfg.Router.Decode(payload, &body) {
 			return nil
 		}
 		v.payload, v.cert, v.digest = body.Payload, body.Cert, sha256.Sum256(body.Payload)
 	} else {
 		var body certBody
-		if !decode(payload, &body) {
+		if !c.cfg.Router.Decode(payload, &body) {
 			return nil
 		}
 		v.digest, v.cert = body.Digest, body.Cert
 	}
-	if len(v.cert) > 0 {
-		c.verify(v)
-	}
 	return v
-}
-
-// verify checks v's certificate if the instance holds none.
-func (c *CBC) verify(v *certVerdict) {
-	if !c.certified.Load() {
-		v.checked = true
-		v.valid = verifyCertificate(c.cfg.Scheme, c.cfg.Instance, v.digest, v.cert) == nil
-	}
-}
-
-// plainDecode is the Verify stage's decoder: not Router.Decode, whose
-// router.malformed count the nil-verdict fallback in Apply would double.
-func plainDecode(payload []byte, v any) bool { return wire.UnmarshalBody(payload, v) == nil }
-
-// verifyMsg is the parallel Verify stage: certificate checks
-// (FINAL/REQ/ANS), the instance's dominant public-key cost at every party
-// but the sender, run here, off the dispatch goroutine.
-func (c *CBC) verifyMsg(from int, msgType string, payload []byte) any {
-	if v := c.checkCert(msgType, payload, plainDecode); v != nil {
-		return v
-	}
-	return nil
 }
 
 // Start c-broadcasts the payload; sender only. Safe from any goroutine
@@ -285,9 +249,8 @@ func (c *CBC) valid(payload []byte) bool {
 	return c.cfg.Predicate == nil || c.cfg.Predicate(payload)
 }
 
-// apply is the serialized Apply stage; a non-nil verdict carries the
-// Verify stage's result and skips re-verification.
-func (c *CBC) apply(from int, msgType string, payload []byte, verdict any) {
+// handle processes one message on the dispatch goroutine.
+func (c *CBC) handle(from int, msgType string, payload []byte) {
 	switch msgType {
 	case "START":
 		var body sendBody
@@ -313,11 +276,9 @@ func (c *CBC) apply(from int, msgType string, payload []byte, verdict any) {
 		}
 	case typeFinal, typeReq, typeAns:
 		if !c.delivered {
-			v, ok := verdict.(*certVerdict)
-			if !ok {
-				if v = c.checkCert(msgType, payload, c.cfg.Router.Decode); v == nil {
-					return
-				}
+			v := c.decodeCert(msgType, payload)
+			if v == nil {
+				return
 			}
 			c.accept(v)
 		}
@@ -346,7 +307,7 @@ func (c *CBC) keep(payload []byte, digest [32]byte) {
 // dispatch goroutine whenever local state the predicate depends on has
 // changed. Once a certificate exists a share is of no use to anyone.
 func (c *CBC) Reeval() {
-	if !c.held || c.signed || c.certified.Load() || !c.valid(c.payload) {
+	if !c.held || c.signed || c.certified || !c.valid(c.payload) {
 		return
 	}
 	// The signature share is the commitment CBC's consistency rests on:
@@ -398,27 +359,24 @@ func (c *CBC) quorum() bool {
 // Certify presents a certificate learned by other means — a vote of the
 // agreement above. Dispatch goroutine only.
 func (c *CBC) Certify(digest [32]byte, cert []byte) {
-	v := &certVerdict{digest: digest, cert: cert}
-	c.verify(v)
-	c.accept(v)
+	c.accept(&certMsg{digest: digest, cert: cert})
 }
 
-// accept applies the delivery rule to what one message brought: the
-// outcome of a certificate check made while the instance held none (a
-// failing one is counted and changes nothing) and, from an ANS, a payload,
-// taken only for the certified digest — an equivocating sender's second
+// accept applies the delivery rule to what one message brought: a
+// certificate, checked only while the instance holds none (a failing one
+// is counted and changes nothing), and, from an ANS, a payload, taken
+// only for the certified digest — an equivocating sender's second
 // payload never delivers, whoever forwards it.
-func (c *CBC) accept(v *certVerdict) {
+func (c *CBC) accept(v *certMsg) {
 	fresh := false
-	if v.checked && !c.certified.Load() { // else two checks crossed in the Verify stage; the first stands
-		if fresh = v.valid; fresh {
-			c.certDigest, c.cert = v.digest, v.cert
-			c.certified.Store(true)
+	if len(v.cert) > 0 && !c.certified {
+		if fresh = verifyCertificate(c.cfg.Scheme, c.cfg.Instance, v.digest, v.cert) == nil; fresh {
+			c.certDigest, c.cert, c.certified = v.digest, v.cert, true
 		} else {
 			c.span.Event(stageCertRejected, -1, "")
 		}
 	}
-	if v.ans && c.certified.Load() && !c.complete() {
+	if v.ans && c.certified && !c.complete() {
 		if v.digest == c.certDigest {
 			c.payload, c.digest, c.held = v.payload, v.digest, true
 		} else {
@@ -439,7 +397,7 @@ func (c *CBC) accept(v *certVerdict) {
 // complete is the delivery rule: a verified certificate and a payload
 // whose SHA-256 is the certified digest are both here.
 func (c *CBC) complete() bool {
-	return c.certified.Load() && c.held && c.digest == c.certDigest
+	return c.certified && c.held && c.digest == c.certDigest
 }
 
 // deliverIfComplete delivers, once, and serves every REQ remembered.
@@ -476,7 +434,7 @@ func (c *CBC) onReq(from int) {
 // Certificate returns the certified digest and its certificate, once the
 // instance holds one.
 func (c *CBC) Certificate() (digest [32]byte, cert []byte, ok bool) {
-	return c.certDigest, c.cert, c.certified.Load()
+	return c.certDigest, c.cert, c.certified
 }
 
 // Delivered returns the delivered payload.

@@ -137,7 +137,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		router:     engine.NewRouter(cfg.Transport),
 		reqClients: make(map[[16]byte]*reqEntry),
 	}
-	n.router.SetVerifyWorkers(cfg.VerifyWorkers)
 	if cfg.Observer != nil {
 		n.router.SetObserver(cfg.Observer)
 		n.appliedCount = cfg.Observer.Counter("node.applied")

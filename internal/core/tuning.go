@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sintra/internal/abc"
-	"sintra/internal/engine"
-)
+import "sintra/internal/abc"
 
 // DefaultCheckpointInterval is the checkpoint period, in delivered
 // payloads, under Tuning.CheckpointInterval 0.
@@ -22,12 +19,6 @@ const DefaultCheckpointInterval = 256
 // prune, so every replica of a deployment has to run the same value; the
 // others are local to one replica.
 type Tuning struct {
-	// VerifyWorkers sizes the router's parallel message-verification
-	// pool. Default GOMAXPROCS (off on a single CPU); off runs every
-	// signature and proof check inline on the dispatch goroutine. Share
-	// bursts coalesce into batch checks when a backlog forms, so fewer
-	// workers see larger batches. Local.
-	VerifyWorkers int
 	// BatchSize is the floor of atomic broadcast's adaptive proposal
 	// batch: the cut doubles under queue pressure and halves when the
 	// queue drains. Default 8; off means one payload per proposal. Local.
@@ -76,7 +67,6 @@ func knob[T int | int64](v, def T) T {
 // positive). Two Tunings configure a replica identically exactly when
 // their resolved forms are equal.
 func (t Tuning) resolved() Tuning {
-	t.VerifyWorkers = knob(t.VerifyWorkers, engine.DefaultVerifyWorkers())
 	t.BatchSize = max(knob(t.BatchSize, abc.DefaultBatchSize), 1) // off: one payload per proposal
 	t.MaxBatchSize = max(knob(t.MaxBatchSize, abc.DefaultMaxBatchFactor*t.BatchSize), t.BatchSize)
 	t.CheckpointInterval = knob(t.CheckpointInterval, DefaultCheckpointInterval)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sintra/internal/adversary"
-	"sintra/internal/engine"
 	"sintra/internal/obs"
 	"sintra/internal/testutil"
 )
@@ -73,12 +72,7 @@ func fsyncsAfterCommit(t *testing.T, n *Node, reg *obs.Registry) int64 {
 // from the documented defaults written out are configured identically,
 // and every "negative = off" entry really is off.
 func TestTuningDeclaredOnce(t *testing.T) {
-	workers := engine.DefaultVerifyWorkers() // GOMAXPROCS; no pool on one CPU
-	if workers == 0 {
-		workers = -1
-	}
 	documented := Tuning{
-		VerifyWorkers:      workers,
 		BatchSize:          8,
 		MaxBatchSize:       64,
 		CheckpointInterval: 256,
@@ -99,7 +93,6 @@ func TestTuningDeclaredOnce(t *testing.T) {
 	}
 
 	off := Tuning{
-		VerifyWorkers:      -3,
 		BatchSize:          -1,
 		MaxBatchSize:       -1,
 		CheckpointInterval: -1,
@@ -108,9 +101,6 @@ func TestTuningDeclaredOnce(t *testing.T) {
 	}
 	node, reg := tunedNode(t, off)
 	got := node.cfg.Tuning
-	if got.VerifyWorkers != -1 {
-		t.Errorf("VerifyWorkers off resolved to %d, want -1 (inline verification)", got.VerifyWorkers)
-	}
 	if got.BatchSize != 1 || got.MaxBatchSize != 1 {
 		t.Errorf("batching off resolved to floor %d ceiling %d, want one payload per proposal, pinned", got.BatchSize, got.MaxBatchSize)
 	}

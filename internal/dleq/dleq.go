@@ -25,19 +25,12 @@ import (
 // ErrInvalidProof is returned by Verify for proofs that do not check out.
 var ErrInvalidProof = errors.New("dleq: invalid proof")
 
-// Proof is a (challenge, response) Chaum-Pedersen proof, optionally
-// carrying the prover's commitments for batch verification.
+// Proof is a (challenge, response) Chaum-Pedersen proof.
 type Proof struct {
 	// C is the Fiat-Shamir challenge.
 	C *group.Scalar
 	// Z is the prover's response.
 	Z *group.Scalar
-	// A1, A2 are the prover's commitments g1^w, g2^w. Verify
-	// recomputes them from (C, Z) and ignores these fields, so the
-	// compact form stays sufficient; BatchVerify needs them to fold
-	// many proofs into one product check and falls back to per-proof
-	// verification when they are absent (nil).
-	A1, A2 *group.Point
 }
 
 // Statement captures the public values of a DLEQ claim:
@@ -68,7 +61,7 @@ func Prove(g group.Group, st Statement, x *group.Scalar, context string, rnd io.
 	c := challenge(g, st, a1, a2, context)
 	// z = w + c*x mod q
 	z := g.AddScalar(w, g.MulScalar(c, x))
-	return &Proof{C: c, Z: z, A1: a1, A2: a2}, nil
+	return &Proof{C: c, Z: z}, nil
 }
 
 // Verify checks a proof against the statement and context. Bases with
@@ -98,7 +91,7 @@ func Verify(g group.Group, st Statement, p *Proof, context string) error {
 	return nil
 }
 
-// verifySlow is the pre-pipeline verification path — strict re-decode
+// verifySlow is the unoptimised verification path — strict re-decode
 // membership checks, two divisions, four independent exponentiations —
 // kept as the before/after baseline for BenchmarkDLEQVerify and as a
 // cross-check oracle in tests.

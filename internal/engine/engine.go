@@ -10,22 +10,9 @@
 // plain single-threaded state machines with no internal locking. Outbound
 // sends go through the thread-safe transport.
 //
-// # Verification pipeline
-//
-// Message processing is split into two stages. The Verify stage is a pure
-// function of the message bytes and public key material — decode, check a
-// DLEQ proof, a threshold signature share, a ciphertext consistency proof
-// — and runs on a pool of worker goroutines, so the expensive public-key
-// operations of concurrent protocol instances overlap on multicore
-// hardware. The Apply stage consumes the Verify stage's verdict and
-// mutates protocol state; it runs on the single dispatch goroutine, in
-// arrival order, preserving the single-threaded state machine model.
-// Handlers registered through Register are single-stage (Apply only);
-// RegisterSplit installs a two-stage handler for the message types whose
-// verification dominates. When the pool is disabled (SetVerifyWorkers(0))
-// every message is applied with a nil verdict and split handlers fall
-// back to verifying inline — the two paths are behaviorally identical,
-// which the equivalence tests at the repository root assert.
+// There is one kind of handler: it decodes, checks and applies a message
+// on the dispatch goroutine, so a protocol asks whether its state still
+// needs a message before it spends a proof or signature check on it.
 //
 // External goroutines (clients, tests) interact with protocol state only
 // through Do/DoSync, which run a closure on the dispatch goroutine.
@@ -37,7 +24,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -62,54 +48,9 @@ const maxBufferedPerInstance = 4096
 // sidestep the per-instance quota by spamming fresh instance names.
 const maxBufferedPerSenderTotal = 4 * maxBufferedPerInstance
 
-// verifyQueueCap bounds the number of messages waiting for a verify
-// worker. When the pool falls this far behind, further messages degrade
-// to apply-time verification instead of blocking the dispatch goroutine
-// (counted by engine.verify.degraded).
-const verifyQueueCap = 1024
-
 // Handler processes one inbound message of an instance, on the dispatch
 // goroutine.
 type Handler func(from int, msgType string, payload []byte)
-
-// VerifyFunc is the parallel first stage of a split handler. It must be a
-// pure function of the message and immutable key material: it runs on a
-// worker goroutine, concurrently with the dispatch goroutine and with
-// other verifications, and must not touch protocol state. It returns an
-// opaque verdict for the Apply stage; returning nil means "no verdict"
-// and obliges Apply to verify the message itself.
-type VerifyFunc func(from int, msgType string, payload []byte) any
-
-// ApplyFunc is the serialized second stage: it consumes the verdict and
-// mutates protocol state on the dispatch goroutine, in arrival order.
-// verdict is nil whenever the Verify stage did not run — replayed
-// early-arrival messages, a disabled or saturated worker pool, a panic in
-// Verify — so Apply must treat nil as "verify inline", never as valid.
-type ApplyFunc func(from int, msgType string, payload []byte, verdict any)
-
-// BatchVerifyFunc is the coalescing variant of VerifyFunc: it checks a
-// burst of same-type messages of one instance in a single call — e.g.
-// one folded product test over k coin shares instead of k independent
-// proof verifications. It returns one verdict per message (parallel to
-// msgs, nil = "no verdict, Apply verifies inline") plus the number of
-// invalid messages found, which feeds the engine.verify.batch.culprits
-// metric. The same purity rules as VerifyFunc apply.
-type BatchVerifyFunc func(msgs []*wire.Message) ([]any, int)
-
-// SplitHandler is a two-stage handler: Verify runs in parallel for the
-// message types listed in VerifyTypes, Apply runs serialized for every
-// message of the instance. Types not in VerifyTypes skip straight to
-// Apply with a nil verdict. An optional BatchVerify lets a verify
-// worker coalesce a backlog burst of one type into a single call;
-// handlers must remain correct without it (single messages and
-// saturated or disabled batching still go through Verify or inline
-// apply-time verification).
-type SplitHandler struct {
-	Verify      VerifyFunc
-	BatchVerify BatchVerifyFunc
-	Apply       ApplyFunc
-	VerifyTypes []string
-}
 
 // Factory creates a handler on demand for an instance that receives its
 // first message before being registered explicitly. Factories run on the
@@ -121,18 +62,9 @@ type instanceKey struct {
 	instance string
 }
 
-// boundHandler is the installed form of a handler: single-stage handlers
-// have only apply; split handlers add verify and the type set.
-type boundHandler struct {
-	apply       ApplyFunc
-	verify      VerifyFunc
-	batchVerify BatchVerifyFunc
-	verifyTypes map[string]bool
-}
-
 // instanceState is the per-instance bookkeeping (dispatch goroutine only).
 type instanceState struct {
-	handler  *boundHandler
+	handler  Handler
 	buffered []wire.Message
 	// perSender counts buffered messages by sender, enforcing the
 	// per-sender share of maxBufferedPerInstance.
@@ -144,26 +76,6 @@ type instanceState struct {
 // merely re-enters the early-arrival buffer under its sender's quota, so
 // eviction trades a little buffered memory for a hard bound here.
 const maxTombstones = 4096
-
-// applyCell is one admitted message waiting for its serialized apply.
-// done is closed when the verdict is available; cells that skip the
-// Verify stage share a pre-closed channel and allocate nothing extra.
-type applyCell struct {
-	m       wire.Message
-	key     instanceKey
-	verify  VerifyFunc
-	bh      *boundHandler // for batch grouping by (handler, type)
-	verdict any
-	done    chan struct{}
-	start   time.Time
-}
-
-// closedCh is the shared done channel of cells with no Verify stage.
-var closedCh = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // Router multiplexes a party's transport among protocol instances.
 type Router struct {
@@ -180,10 +92,6 @@ type Router struct {
 	// bufferedBySender counts buffered early-arrival messages per sender
 	// across all instances (the maxBufferedPerSenderTotal guard).
 	bufferedBySender map[int]int
-	// applyQ is the FIFO of admitted messages whose apply is pending;
-	// the head is applied as soon as its verdict is ready, so arrival
-	// order is preserved no matter how verifications reorder.
-	applyQ []*applyCell
 
 	factoryMu sync.Mutex
 	factories map[string]Factory
@@ -195,12 +103,6 @@ type Router struct {
 	tasks chan func()
 	inCh  chan wire.Message
 	done  chan struct{}
-
-	// verifyWorkers is the Verify-stage pool size; 0 disables the pool.
-	// Set before Run (SetVerifyWorkers); read only by Run.
-	verifyWorkers int
-	verifyCh      chan *applyCell
-	workerWg      sync.WaitGroup
 
 	mx *routerMetrics // nil when observability is off
 
@@ -253,16 +155,8 @@ type gated struct {
 type routerMetrics struct {
 	reg             *obs.Registry
 	dispatchLatency *obs.Histogram
-	verifyLatency   *obs.Histogram
 	applyLatency    *obs.Histogram
-	parallelism     *obs.Gauge
 	dispatched      *obs.Counter
-	verified        *obs.Counter
-	degraded        *obs.Counter
-	verifyPanics    *obs.Counter
-	batchBatches    *obs.Counter
-	batchMessages   *obs.Counter
-	batchCulprits   *obs.Counter
 	taskDepth       *obs.Gauge
 	bufferDepth     *obs.Gauge
 	bufferDrops     *obs.Counter
@@ -294,11 +188,9 @@ func (m *routerMetrics) count(protocol, msgType string) {
 // SetObserver wires the router's metrics into reg. Call before Run (a nil
 // registry leaves observability off).
 //
-// router.dispatch.latency spans admission to apply-completion of one
-// message; engine.verify.latency and engine.apply.latency time the two
-// pipeline stages separately, and the high-water mark of the
-// engine.verify.parallelism gauge records how many verifications actually
-// overlapped.
+// router.dispatch.latency spans admission to handler-completion of one
+// message; engine.apply.latency times the handler alone, proof checks
+// included.
 func (r *Router) SetObserver(reg *obs.Registry) {
 	if reg == nil {
 		r.mx = nil
@@ -307,16 +199,8 @@ func (r *Router) SetObserver(reg *obs.Registry) {
 	r.mx = &routerMetrics{
 		reg:             reg,
 		dispatchLatency: reg.Histogram("router.dispatch.latency"),
-		verifyLatency:   reg.Histogram("engine.verify.latency"),
 		applyLatency:    reg.Histogram("engine.apply.latency"),
-		parallelism:     reg.Gauge("engine.verify.parallelism"),
 		dispatched:      reg.Counter("router.dispatched"),
-		verified:        reg.Counter("engine.verify.messages"),
-		degraded:        reg.Counter("engine.verify.degraded"),
-		verifyPanics:    reg.Counter("engine.verify.panics"),
-		batchBatches:    reg.Counter("engine.verify.batch.batches"),
-		batchMessages:   reg.Counter("engine.verify.batch.messages"),
-		batchCulprits:   reg.Counter("engine.verify.batch.culprits"),
 		taskDepth:       reg.Gauge("router.tasks.depth"),
 		bufferDepth:     reg.Gauge("router.buffered.depth"),
 		bufferDrops:     reg.Counter("router.buffered.drops"),
@@ -345,10 +229,7 @@ func (r *Router) AcceptClients(protocol string) { r.clientFacing[protocol] = tru
 func (r *Router) SetJournal(j Journal) { r.journal = j }
 
 // NewRouter wraps a transport. Call Run (usually in a goroutine) to start
-// dispatching. The Verify-stage worker pool defaults to GOMAXPROCS when
-// at least two processors are available; on a single processor the pool
-// cannot run verifications in parallel with dispatch, so its handoff
-// overhead buys nothing and the default is the inline (disabled) path.
+// dispatching.
 func NewRouter(tr wire.Transport) *Router {
 	return &Router{
 		tr:               tr,
@@ -360,35 +241,9 @@ func NewRouter(tr wire.Transport) *Router {
 		tasks:            make(chan func(), 256),
 		inCh:             make(chan wire.Message, 1),
 		done:             make(chan struct{}),
-		verifyWorkers:    DefaultVerifyWorkers(),
 		out:              outbox{wake: make(chan struct{}, 1), quit: make(chan struct{}), done: make(chan struct{})},
 	}
 }
-
-// DefaultVerifyWorkers sizes the pool off the available parallelism: one
-// worker per processor, and no pool (0) on a single one.
-func DefaultVerifyWorkers() int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 0
-}
-
-// SetVerifyWorkers sizes the Verify-stage worker pool; 0 disables it, in
-// which case split handlers verify inline during Apply. Call before Run.
-func (r *Router) SetVerifyWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.verifyWorkers = n
-}
-
-// verifyBatch caps one verify-worker drain. Under queue pressure a
-// worker coalesces up to this many pending messages into one pass;
-// bursts in the protocols here are share floods of n-party instances,
-// so the cap comfortably covers realistic n while bounding how much
-// work one batch holds back from the other workers.
-const verifyBatch = 16
 
 // Self returns the local party index.
 func (r *Router) Self() int { return r.tr.Self() }
@@ -417,44 +272,21 @@ func (r *Router) state(key instanceKey) *instanceState {
 	return st
 }
 
-// Register installs a single-stage handler for one instance and replays
-// any buffered messages for it. It must run on the dispatch goroutine
-// (inside a handler, a factory, or a Do task) or before Run starts.
+// Register installs the handler of one instance and replays any buffered
+// messages for it. It must run on the dispatch goroutine (inside a
+// handler, a factory, or a Do task) or before Run starts.
 func (r *Router) Register(protocol, instance string, h Handler) {
-	r.register(protocol, instance, &boundHandler{
-		apply: func(from int, msgType string, payload []byte, _ any) {
-			h(from, msgType, payload)
-		},
-	})
-}
-
-// RegisterSplit installs a two-stage handler: h.Verify runs on the worker
-// pool for the message types in h.VerifyTypes, h.Apply runs serialized on
-// the dispatch goroutine for every message. Buffered messages replay
-// through Apply with a nil verdict. Same calling rules as Register.
-func (r *Router) RegisterSplit(protocol, instance string, h SplitHandler) {
-	bh := &boundHandler{apply: h.Apply, verify: h.Verify, batchVerify: h.BatchVerify}
-	if h.Verify != nil && len(h.VerifyTypes) > 0 {
-		bh.verifyTypes = make(map[string]bool, len(h.VerifyTypes))
-		for _, t := range h.VerifyTypes {
-			bh.verifyTypes[t] = true
-		}
-	}
-	r.register(protocol, instance, bh)
-}
-
-func (r *Router) register(protocol, instance string, bh *boundHandler) {
 	key := instanceKey{protocol, instance}
 	if _, dead := r.tombstones[key]; dead {
 		return
 	}
 	st := r.state(key)
-	st.handler = bh
+	st.handler = h
 	replay := st.buffered
 	r.releaseBuffered(st)
 	for i := range replay {
 		m := &replay[i]
-		bh.apply(m.From, m.Type, m.Payload, nil)
+		h(m.From, m.Type, m.Payload)
 	}
 }
 
@@ -777,15 +609,6 @@ func (r *Router) Run() {
 			<-r.out.done
 		}()
 	}
-	if r.verifyWorkers > 0 {
-		r.verifyCh = make(chan *applyCell, verifyQueueCap)
-		for i := 0; i < r.verifyWorkers; i++ {
-			r.workerWg.Add(1)
-			go r.verifyWorker()
-		}
-		defer r.workerWg.Wait()
-		defer close(r.verifyCh)
-	}
 	go func() {
 		defer close(r.inCh)
 		for {
@@ -797,232 +620,18 @@ func (r *Router) Run() {
 		}
 	}()
 	for {
-		// The apply queue's head gates the select: the moment its verdict
-		// is ready the message is applied, while later arrivals keep
-		// being admitted (and verified) behind it.
-		var headDone chan struct{}
-		if len(r.applyQ) > 0 {
-			headDone = r.applyQ[0].done
-		}
 		select {
 		case m, ok := <-r.inCh:
 			if !ok {
-				r.drainApplyQueue()
 				return
 			}
 			r.safely(func() { r.admit(m) })
-			r.applyReady()
 		case f := <-r.tasks:
 			if r.mx != nil {
 				r.mx.taskDepth.Set(int64(len(r.tasks)) + 1)
 			}
 			r.safely(f)
-			r.applyReady()
-		case <-headDone:
-			r.applyReady()
 		}
-	}
-}
-
-// applyReady applies queued messages from the head while their verdicts
-// are ready, preserving arrival order. Dispatch goroutine only.
-func (r *Router) applyReady() {
-	for len(r.applyQ) > 0 {
-		c := r.applyQ[0]
-		select {
-		case <-c.done:
-		default:
-			return
-		}
-		r.popApply(c)
-	}
-}
-
-// drainApplyQueue waits out and applies every pending message; it runs at
-// shutdown so no admitted message is silently lost mid-pipeline.
-func (r *Router) drainApplyQueue() {
-	for len(r.applyQ) > 0 {
-		c := r.applyQ[0]
-		<-c.done
-		r.popApply(c)
-	}
-}
-
-func (r *Router) popApply(c *applyCell) {
-	if len(r.applyQ) == 1 {
-		r.applyQ = nil // release the backing array between bursts
-	} else {
-		r.applyQ = r.applyQ[1:]
-	}
-	// Re-resolve the instance: it may have been tombstoned while the
-	// message waited for its verdict.
-	st, ok := r.instances[c.key]
-	if !ok || st.handler == nil {
-		if r.mx != nil {
-			r.mx.dispatchLatency.ObserveSince(c.start)
-		}
-		return
-	}
-	r.applyNow(st.handler, &c.m, c.verdict, c.start)
-}
-
-// applyNow runs the Apply stage of one message and closes out its
-// metrics. Dispatch goroutine only.
-func (r *Router) applyNow(bh *boundHandler, m *wire.Message, verdict any, start time.Time) {
-	var t0 time.Time
-	if r.mx != nil {
-		t0 = time.Now()
-	}
-	r.safely(func() { bh.apply(m.From, m.Type, m.Payload, verdict) })
-	if r.mx != nil {
-		r.mx.applyLatency.ObserveSince(t0)
-		r.mx.dispatchLatency.ObserveSince(start)
-	}
-}
-
-// verifyWorker drains the verify queue until shutdown. A worker that
-// finds a backlog pulls cells without blocking, up to verifyBatch in
-// all — batching is purely adaptive: an idle system verifies every
-// message individually at minimum latency, while queue pressure grows
-// the drained bursts toward the cap, exactly when the per-batch saving
-// matters.
-func (r *Router) verifyWorker() {
-	defer r.workerWg.Done()
-	for c := range r.verifyCh {
-		cells := []*applyCell{c}
-		for len(cells) < verifyBatch {
-			var c2 *applyCell
-			var ok bool
-			select {
-			case c2, ok = <-r.verifyCh:
-			default:
-			}
-			if !ok || c2 == nil {
-				break
-			}
-			cells = append(cells, c2)
-		}
-		r.verifyGroups(cells)
-	}
-}
-
-// verifyGroups partitions one drained burst by (handler, message type)
-// and runs each group of 2+ same-kind messages through the handler's
-// BatchVerify; everything else takes the per-message path. Verdict
-// completion order is irrelevant — the apply queue replays in arrival
-// order regardless.
-func (r *Router) verifyGroups(cells []*applyCell) {
-	if len(cells) == 1 {
-		r.runVerify(cells[0])
-		return
-	}
-	type groupKey struct {
-		bh  *boundHandler
-		typ string
-	}
-	var groups map[groupKey][]*applyCell
-	for _, c := range cells {
-		if c.bh == nil || c.bh.batchVerify == nil {
-			r.runVerify(c)
-			continue
-		}
-		if groups == nil {
-			groups = make(map[groupKey][]*applyCell, 4)
-		}
-		k := groupKey{c.bh, c.m.Type}
-		groups[k] = append(groups[k], c)
-	}
-	for _, g := range groups {
-		if len(g) == 1 {
-			r.runVerify(g[0])
-		} else {
-			r.runVerifyBatch(g)
-		}
-	}
-}
-
-// runVerifyBatch executes one coalesced BatchVerify call on a worker
-// goroutine. Panics and malformed results (wrong verdict count) leave
-// every verdict nil, so Apply falls back to inline verification — the
-// same containment contract as runVerify, batched.
-func (r *Router) runVerifyBatch(cells []*applyCell) {
-	var verdicts []any
-	culprits := 0
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				verdicts = nil
-				if r.mx != nil {
-					r.mx.verifyPanics.Inc()
-					r.mx.reg.Trace(obs.Event{
-						Party: r.Self(), Protocol: cells[0].key.protocol, Instance: cells[0].key.instance,
-						Stage: obs.StageDrop, Seq: -1,
-						Note: fmt.Sprint("recovered batch-verify panic: ", p),
-					})
-				}
-			}
-		}()
-		var t0 time.Time
-		if r.mx != nil {
-			t0 = time.Now()
-			r.mx.parallelism.Add(1)
-			defer func() {
-				r.mx.parallelism.Add(-1)
-				r.mx.verifyLatency.ObserveSince(t0)
-			}()
-		}
-		msgs := make([]*wire.Message, len(cells))
-		for i, c := range cells {
-			msgs[i] = &c.m
-		}
-		verdicts, culprits = cells[0].bh.batchVerify(msgs)
-	}()
-	if len(verdicts) != len(cells) {
-		verdicts, culprits = nil, 0
-	}
-	for i, c := range cells {
-		if verdicts != nil {
-			c.verdict = verdicts[i]
-		}
-		close(c.done)
-	}
-	if r.mx != nil {
-		r.mx.verified.Add(int64(len(cells)))
-		r.mx.batchBatches.Inc()
-		r.mx.batchMessages.Add(int64(len(cells)))
-		r.mx.batchCulprits.Add(int64(culprits))
-	}
-}
-
-// runVerify executes one cell's Verify stage on a worker goroutine. A
-// panic — attacker bytes slipping past a decode guard — leaves the
-// verdict nil, so Apply falls back to inline verification and the replica
-// stays alive.
-func (r *Router) runVerify(c *applyCell) {
-	defer close(c.done)
-	defer func() {
-		if p := recover(); p != nil {
-			c.verdict = nil
-			if r.mx != nil {
-				r.mx.verifyPanics.Inc()
-				r.mx.reg.Trace(obs.Event{
-					Party: r.Self(), Protocol: c.key.protocol, Instance: c.key.instance,
-					Stage: obs.StageDrop, Seq: -1,
-					Note: fmt.Sprint("recovered verify panic: ", p),
-				})
-			}
-		}
-	}()
-	var t0 time.Time
-	if r.mx != nil {
-		t0 = time.Now()
-		r.mx.parallelism.Add(1)
-	}
-	c.verdict = c.verify(c.m.From, c.m.Type, c.m.Payload)
-	if r.mx != nil {
-		r.mx.parallelism.Add(-1)
-		r.mx.verifyLatency.ObserveSince(t0)
-		r.mx.verified.Inc()
 	}
 }
 
@@ -1063,8 +672,7 @@ func (r *Router) Decode(payload []byte, v any) bool {
 // Done is closed when Run returns.
 func (r *Router) Done() <-chan struct{} { return r.done }
 
-// admit routes one inbound message: straight to Apply when possible,
-// through the verify pipeline when its handler asks for it, into the
+// admit routes one inbound message: to its instance's handler, into the
 // early-arrival buffer when no handler exists yet — and nowhere when a
 // non-server sends it to a protocol not declared client-facing. Dispatch
 // goroutine only.
@@ -1106,32 +714,15 @@ func (r *Router) admit(m wire.Message) {
 		}
 		return
 	}
-	bh := st.handler
-	needsVerify := r.verifyCh != nil && bh.verifyTypes != nil && bh.verifyTypes[m.Type]
-	if !needsVerify && len(r.applyQ) == 0 {
-		// Fast path: nothing queued ahead, nothing to verify — apply in
-		// place with no cell allocation (the pre-pipeline hot path).
-		r.applyNow(bh, &m, nil, start)
-		return
+	var t0 time.Time
+	if r.mx != nil {
+		t0 = time.Now()
 	}
-	c := &applyCell{m: m, key: key, start: start, done: closedCh}
-	if needsVerify {
-		c.verify = bh.verify
-		c.bh = bh
-		c.done = make(chan struct{})
-		select {
-		case r.verifyCh <- c:
-		default:
-			// Pool saturated: degrade this message to apply-time inline
-			// verification rather than blocking admission.
-			c.verify = nil
-			c.done = closedCh
-			if r.mx != nil {
-				r.mx.degraded.Inc()
-			}
-		}
+	st.handler(m.From, m.Type, m.Payload)
+	if r.mx != nil {
+		r.mx.applyLatency.ObserveSince(t0)
+		r.mx.dispatchLatency.ObserveSince(start)
 	}
-	r.applyQ = append(r.applyQ, c)
 }
 
 // buffer queues one early-arrival message under the per-sender quotas.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -625,539 +624,6 @@ func benchmarkDispatch(b *testing.B, reg *obs.Registry) {
 func BenchmarkRouterDispatch(b *testing.B) {
 	b.Run("Off", func(b *testing.B) { benchmarkDispatch(b, nil) })
 	b.Run("On", func(b *testing.B) { benchmarkDispatch(b, obs.NewRegistry()) })
-}
-
-// splitPair is pair() with explicit verify-pool sizing on r1.
-func splitPair(t *testing.T, workers int) (*netsim.Network, *engine.Router, *engine.Router) {
-	t.Helper()
-	nw := netsim.New(2, 0, netsim.NewRandomScheduler(1))
-	r0 := engine.NewRouter(nw.Endpoint(0))
-	r1 := engine.NewRouter(nw.Endpoint(1))
-	r1.SetVerifyWorkers(workers)
-	var wg sync.WaitGroup
-	for _, r := range []*engine.Router{r0, r1} {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.Run()
-		}()
-	}
-	t.Cleanup(func() {
-		nw.Stop()
-		wg.Wait()
-	})
-	return nw, r0, r1
-}
-
-// TestSplitHandlerVerdictFlows: the Verify stage's verdict must reach
-// Apply for listed types, and unlisted types must skip Verify with a nil
-// verdict.
-func TestSplitHandlerVerdictFlows(t *testing.T) {
-	_, r0, r1 := splitPair(t, 2)
-	type seen struct {
-		msgType string
-		verdict any
-	}
-	got := make(chan seen, 8)
-	r1.DoSync(func() {
-		r1.RegisterSplit("p", "i", engine.SplitHandler{
-			Verify: func(from int, msgType string, payload []byte) any {
-				return "verified:" + msgType
-			},
-			Apply: func(from int, msgType string, payload []byte, verdict any) {
-				got <- seen{msgType, verdict}
-			},
-			VerifyTypes: []string{"HEAVY"},
-		})
-	})
-	r0.Send(1, "p", "i", "HEAVY", struct{}{})
-	r0.Send(1, "p", "i", "LIGHT", struct{}{})
-	want := map[string]any{"HEAVY": "verified:HEAVY", "LIGHT": nil}
-	for len(want) > 0 {
-		select {
-		case s := <-got:
-			w, ok := want[s.msgType]
-			if !ok {
-				t.Fatalf("unexpected type %q", s.msgType)
-			}
-			if s.verdict != w {
-				t.Fatalf("%s: verdict %v, want %v", s.msgType, s.verdict, w)
-			}
-			delete(want, s.msgType)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("still waiting for %v", want)
-		}
-	}
-}
-
-// TestSplitHandlerDisabledPoolNilVerdict: with the pool off, Verify must
-// never run and Apply sees nil verdicts (the inline-verification path).
-func TestSplitHandlerDisabledPoolNilVerdict(t *testing.T) {
-	_, r0, r1 := splitPair(t, 0)
-	got := make(chan any, 4)
-	r1.DoSync(func() {
-		r1.RegisterSplit("p", "i", engine.SplitHandler{
-			Verify: func(int, string, []byte) any {
-				t.Error("Verify ran with pool disabled")
-				return "bad"
-			},
-			Apply: func(_ int, _ string, _ []byte, verdict any) {
-				got <- verdict
-			},
-			VerifyTypes: []string{"HEAVY"},
-		})
-	})
-	r0.Send(1, "p", "i", "HEAVY", struct{}{})
-	select {
-	case v := <-got:
-		if v != nil {
-			t.Fatalf("verdict %v, want nil", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("message never applied")
-	}
-}
-
-// seqFeedTransport hands the router `count` numbered messages in strict
-// sequence — a deterministic arrival order, unlike the randomized netsim
-// schedulers.
-type seqFeedTransport struct {
-	next, count int
-}
-
-func (f *seqFeedTransport) Self() int         { return 0 }
-func (f *seqFeedTransport) N() int            { return 4 }
-func (f *seqFeedTransport) Send(wire.Message) {}
-func (f *seqFeedTransport) Recv() (wire.Message, bool) {
-	if f.next == f.count {
-		return wire.Message{}, false
-	}
-	k := f.next
-	f.next++
-	return wire.Message{From: 1, To: 0, Protocol: "p", Instance: "i", Type: "M",
-		Payload: wire.MustMarshalBody(struct{ K int }{k})}, true
-}
-func (f *seqFeedTransport) Close() error { return nil }
-
-// TestSplitApplyPreservesArrivalOrder: slow verifications must not
-// reorder applies — the pipeline's core ordering contract. The feed
-// closes after the last message, so this also covers the shutdown drain.
-func TestSplitApplyPreservesArrivalOrder(t *testing.T) {
-	const msgs = 64
-	r := engine.NewRouter(&seqFeedTransport{count: msgs})
-	r.SetVerifyWorkers(4)
-	var order []int
-	r.RegisterSplit("p", "i", engine.SplitHandler{
-		Verify: func(from int, msgType string, payload []byte) any {
-			var b struct{ K int }
-			if !r.Decode(payload, &b) {
-				return nil
-			}
-			// Early messages verify slowest: without the ordered apply
-			// queue they would finish (and apply) last.
-			time.Sleep(time.Duration(msgs-b.K) * 100 * time.Microsecond)
-			return b.K
-		},
-		Apply: func(_ int, _ string, _ []byte, verdict any) {
-			order = append(order, verdict.(int))
-		},
-		VerifyTypes: []string{"M"},
-	})
-	r.Run() // returns after draining every admitted message
-	if len(order) != msgs {
-		t.Fatalf("applied %d messages, want %d", len(order), msgs)
-	}
-	for i, k := range order {
-		if i != k {
-			t.Fatalf("apply order %v diverges from arrival order at %d", order[:i+1], i)
-		}
-	}
-}
-
-// TestSplitVerifyPanicFallsBack: a panic in Verify must leave the router
-// alive and hand Apply a nil verdict.
-func TestSplitVerifyPanicFallsBack(t *testing.T) {
-	_, r0, r1 := splitPair(t, 2)
-	reg := obs.NewRegistry()
-	r1.DoSync(func() { r1.SetObserver(reg) })
-	got := make(chan any, 4)
-	r1.DoSync(func() {
-		r1.RegisterSplit("p", "i", engine.SplitHandler{
-			Verify: func(int, string, []byte) any { panic("attacker bytes") },
-			Apply: func(_ int, _ string, _ []byte, verdict any) {
-				got <- verdict
-			},
-			VerifyTypes: []string{"BOOM"},
-		})
-	})
-	r0.Send(1, "p", "i", "BOOM", struct{}{})
-	select {
-	case v := <-got:
-		if v != nil {
-			t.Fatalf("verdict %v after verify panic, want nil", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("message lost after verify panic")
-	}
-	snap := reg.Snapshot()
-	if n := snap.Counter("engine.verify.panics"); n != 1 {
-		t.Fatalf("engine.verify.panics = %d, want 1", n)
-	}
-	if n := snap.Counter("router.panics"); n != 0 {
-		t.Fatalf("router.panics = %d, want 0 (verify panics are counted separately)", n)
-	}
-}
-
-// TestSplitUnregisterDropsPending: tombstoning an instance while messages
-// wait for verdicts must drop those applies.
-func TestSplitUnregisterDropsPending(t *testing.T) {
-	_, r0, r1 := splitPair(t, 1)
-	release := make(chan struct{})
-	applied := make(chan string, 8)
-	r1.DoSync(func() {
-		r1.RegisterSplit("p", "i", engine.SplitHandler{
-			Verify: func(_ int, msgType string, _ []byte) any {
-				<-release
-				return msgType
-			},
-			Apply: func(_ int, msgType string, _ []byte, _ any) {
-				applied <- msgType
-			},
-			VerifyTypes: []string{"SLOW"},
-		})
-	})
-	r0.Send(1, "p", "i", "SLOW", struct{}{})
-	time.Sleep(50 * time.Millisecond) // let the message reach the verify stage
-	r1.DoSync(func() { r1.Unregister("p", "i") })
-	close(release)
-	select {
-	case mt := <-applied:
-		t.Fatalf("tombstoned instance applied %q", mt)
-	case <-time.After(300 * time.Millisecond):
-	}
-}
-
-// TestSplitPipelineMetrics: the engine.verify.* instruments must account
-// for every verified message, and dispatch latency must still be observed
-// exactly once per message.
-func TestSplitPipelineMetrics(t *testing.T) {
-	_, r0, r1 := splitPair(t, 2)
-	reg := obs.NewRegistry()
-	r1.DoSync(func() { r1.SetObserver(reg) })
-	got := make(chan struct{}, 16)
-	r1.DoSync(func() {
-		r1.RegisterSplit("p", "i", engine.SplitHandler{
-			Verify: func(int, string, []byte) any {
-				time.Sleep(2 * time.Millisecond)
-				return true
-			},
-			Apply:       func(int, string, []byte, any) { got <- struct{}{} },
-			VerifyTypes: []string{"V"},
-		})
-	})
-	const sends = 10
-	for k := 0; k < sends; k++ {
-		if err := r0.Send(1, "p", "i", "V", struct{}{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 0; k < sends; k++ {
-		select {
-		case <-got:
-		case <-time.After(5 * time.Second):
-			t.Fatal("message never applied")
-		}
-	}
-	// Apply signals before it returns, and the latencies are observed
-	// after: a turn of the dispatch goroutine waits the last one out.
-	r1.DoSync(func() {})
-	snap := reg.Snapshot()
-	if n := snap.Counter("engine.verify.messages"); n != sends {
-		t.Fatalf("engine.verify.messages = %d, want %d", n, sends)
-	}
-	if h := snap.Histograms["engine.verify.latency"]; h.Count != sends {
-		t.Fatalf("verify latency observations = %d, want %d", h.Count, sends)
-	}
-	if h := snap.Histograms["engine.apply.latency"]; h.Count != sends {
-		t.Fatalf("apply latency observations = %d, want %d", h.Count, sends)
-	}
-	if h := snap.Histograms["router.dispatch.latency"]; h.Count != sends {
-		t.Fatalf("dispatch latency observations = %d, want %d", h.Count, sends)
-	}
-	if g := snap.Gauges["engine.verify.parallelism"]; g.Max < 1 {
-		t.Fatalf("engine.verify.parallelism high-water = %d, want >= 1", g.Max)
-	}
-}
-
-// batchPair builds a two-party network whose receiving router runs one
-// verify worker — a single worker makes the backlog (and therefore the
-// batch drain) controllable from tests.
-func batchPair(t *testing.T) (*engine.Router, *engine.Router, *obs.Registry) {
-	t.Helper()
-	nw := netsim.New(2, 0, netsim.NewRandomScheduler(1))
-	r0 := engine.NewRouter(nw.Endpoint(0))
-	r1 := engine.NewRouter(nw.Endpoint(1))
-	r1.SetVerifyWorkers(1)
-	reg := obs.NewRegistry()
-	r1.SetObserver(reg)
-	var wg sync.WaitGroup
-	for _, r := range []*engine.Router{r0, r1} {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.Run()
-		}()
-	}
-	t.Cleanup(func() {
-		nw.Stop()
-		wg.Wait()
-	})
-	return r0, r1, reg
-}
-
-// batchBody is the payload of the coalescing tests.
-type batchBody struct{ K int }
-
-// waitCounter polls a registry counter until it reaches want.
-func waitCounter(t *testing.T, reg *obs.Registry, name string, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counter(name) < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s = %d, want >= %d", name, reg.Snapshot().Counter(name), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestBatchVerifyCoalescesBacklog: message 0 arrives alone and takes the
-// per-message Verify; while the single verify worker is stuck there, the
-// following same-type messages pile up and must drain as one BatchVerify
-// call, with the batch metrics accounting for every coalesced message
-// and reported culprit.
-func TestBatchVerifyCoalescesBacklog(t *testing.T) {
-	r0, r1, reg := batchPair(t)
-	entered, release := make(chan struct{}), make(chan struct{})
-	type seen struct {
-		k       int
-		verdict any
-	}
-	got := make(chan seen, 16)
-	var mu sync.Mutex
-	var batchSizes []int
-	r1.DoSync(func() {
-		r1.RegisterSplit("p", "i", engine.SplitHandler{
-			Verify: func(_ int, _ string, payload []byte) any {
-				var b batchBody
-				if !r1.Decode(payload, &b) {
-					return nil
-				}
-				if b.K == 0 {
-					close(entered)
-					<-release
-				}
-				return fmt.Sprintf("single:%d", b.K)
-			},
-			BatchVerify: func(msgs []*wire.Message) ([]any, int) {
-				mu.Lock()
-				batchSizes = append(batchSizes, len(msgs))
-				mu.Unlock()
-				verdicts := make([]any, len(msgs))
-				for i, m := range msgs {
-					var b batchBody
-					if !r1.Decode(m.Payload, &b) {
-						continue
-					}
-					verdicts[i] = fmt.Sprintf("batch:%d", b.K)
-				}
-				return verdicts, 1 // one pretend culprit per call
-			},
-			Apply: func(_ int, _ string, payload []byte, verdict any) {
-				var b batchBody
-				if !r1.Decode(payload, &b) {
-					return
-				}
-				got <- seen{b.K, verdict}
-			},
-			VerifyTypes: []string{"V"},
-		})
-	})
-	const sends = 7
-	r0.Send(1, "p", "i", "V", batchBody{K: 0})
-	select {
-	case <-entered: // the worker is blocked inside message 0's Verify
-	case <-time.After(5 * time.Second):
-		t.Fatal("message 0 never reached Verify")
-	}
-	for k := 1; k < sends; k++ {
-		r0.Send(1, "p", "i", "V", batchBody{K: k})
-	}
-	// All trailing sends must be admitted (queued behind the blocked
-	// worker) before it wakes up and drains them in one pass.
-	waitCounter(t, reg, "router.dispatched", sends)
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	for k := 0; k < sends; k++ {
-		select {
-		case s := <-got:
-			single := fmt.Sprintf("single:%d", s.k)
-			batched := fmt.Sprintf("batch:%d", s.k)
-			if s.k == 0 && s.verdict != single {
-				t.Fatalf("message 0: verdict %v, want %s (drained alone)", s.verdict, single)
-			}
-			if s.verdict != single && s.verdict != batched {
-				t.Fatalf("message %d: verdict %v", s.k, s.verdict)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("message never applied")
-		}
-	}
-	mu.Lock()
-	calls, total := len(batchSizes), 0
-	for _, n := range batchSizes {
-		total += n
-	}
-	mu.Unlock()
-	if calls == 0 {
-		t.Fatal("backlog never coalesced into a BatchVerify call")
-	}
-	snap := reg.Snapshot()
-	if n := snap.Counter("engine.verify.batch.batches"); n != int64(calls) {
-		t.Fatalf("engine.verify.batch.batches = %d, want %d", n, calls)
-	}
-	if n := snap.Counter("engine.verify.batch.messages"); n != int64(total) {
-		t.Fatalf("engine.verify.batch.messages = %d, want %d", n, total)
-	}
-	if n := snap.Counter("engine.verify.batch.culprits"); n != int64(calls) {
-		t.Fatalf("engine.verify.batch.culprits = %d, want %d", n, calls)
-	}
-	if n := snap.Counter("engine.verify.messages"); n != sends {
-		t.Fatalf("engine.verify.messages = %d, want %d", n, sends)
-	}
-}
-
-// TestBatchVerifyPanicFallsBack: a panic inside BatchVerify must leave
-// the router alive and every coalesced message applying with a nil
-// verdict (the inline-verification fallback), counted like a verify
-// panic — router.panics stays 0.
-func TestBatchVerifyPanicFallsBack(t *testing.T) {
-	r0, r1, reg := batchPair(t)
-	release := make(chan struct{})
-	type seen struct {
-		k       int
-		verdict any
-	}
-	got := make(chan seen, 16)
-	r1.DoSync(func() {
-		r1.RegisterSplit("p", "i", engine.SplitHandler{
-			Verify: func(_ int, _ string, payload []byte) any {
-				var b batchBody
-				if !r1.Decode(payload, &b) {
-					return nil
-				}
-				if b.K == 0 {
-					<-release
-				}
-				return fmt.Sprintf("single:%d", b.K)
-			},
-			BatchVerify: func(msgs []*wire.Message) ([]any, int) {
-				panic("attacker bytes in a batch")
-			},
-			Apply: func(_ int, _ string, payload []byte, verdict any) {
-				var b batchBody
-				if !r1.Decode(payload, &b) {
-					return
-				}
-				got <- seen{b.K, verdict}
-			},
-			VerifyTypes: []string{"V"},
-		})
-	})
-	const sends = 6
-	r0.Send(1, "p", "i", "V", batchBody{K: 0})
-	for k := 1; k < sends; k++ {
-		r0.Send(1, "p", "i", "V", batchBody{K: k})
-	}
-	waitCounter(t, reg, "router.dispatched", sends)
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	sawNil := false
-	for k := 0; k < sends; k++ {
-		select {
-		case s := <-got:
-			if s.verdict == nil {
-				sawNil = true
-			} else if s.verdict != fmt.Sprintf("single:%d", s.k) {
-				t.Fatalf("message %d: verdict %v", s.k, s.verdict)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("message lost after batch-verify panic")
-		}
-	}
-	snap := reg.Snapshot()
-	if snap.Counter("engine.verify.panics") >= 1 && !sawNil {
-		t.Fatal("batch panicked but no message fell back to a nil verdict")
-	}
-	if n := snap.Counter("router.panics"); n != 0 {
-		t.Fatalf("router.panics = %d, want 0", n)
-	}
-}
-
-// TestBatchVerifyWrongVerdictCount: a BatchVerify returning the wrong
-// number of verdicts must degrade every message of the batch to the
-// nil-verdict fallback rather than misassigning verdicts.
-func TestBatchVerifyWrongVerdictCount(t *testing.T) {
-	r0, r1, reg := batchPair(t)
-	release := make(chan struct{})
-	got := make(chan any, 16)
-	var batched int64
-	r1.DoSync(func() {
-		r1.RegisterSplit("p", "i", engine.SplitHandler{
-			Verify: func(_ int, _ string, payload []byte) any {
-				var b batchBody
-				if !r1.Decode(payload, &b) {
-					return nil
-				}
-				if b.K == 0 {
-					<-release
-				}
-				return "single"
-			},
-			BatchVerify: func(msgs []*wire.Message) ([]any, int) {
-				atomic.AddInt64(&batched, 1)
-				return []any{"only-one"}, 0 // wrong length on purpose
-			},
-			Apply: func(_ int, _ string, _ []byte, verdict any) {
-				got <- verdict
-			},
-			VerifyTypes: []string{"V"},
-		})
-	})
-	const sends = 6
-	r0.Send(1, "p", "i", "V", batchBody{K: 0})
-	for k := 1; k < sends; k++ {
-		r0.Send(1, "p", "i", "V", batchBody{K: k})
-	}
-	waitCounter(t, reg, "router.dispatched", sends)
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	for k := 0; k < sends; k++ {
-		select {
-		case v := <-got:
-			if v != nil && v != "single" {
-				t.Fatalf("verdict %v leaked from a mismatched batch", v)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("message never applied")
-		}
-	}
-	if atomic.LoadInt64(&batched) > 0 {
-		if n := reg.Snapshot().Counter("engine.verify.batch.culprits"); n != 0 {
-			t.Fatalf("culprits = %d from a discarded batch result", n)
-		}
-	}
 }
 
 // TestTombstonesBounded is the regression test for the unbounded

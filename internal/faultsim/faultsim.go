@@ -265,12 +265,11 @@ type tamperTail struct{ rate float64 }
 
 // TamperTail corrupts each outbound payload with the given probability by
 // flipping a single bit in its final quarter — in a share burst, the last
-// share's proof (the batch-verification commitments end every share).
+// share's proof.
 // Unlike Mutate's byte inversion anywhere (which usually breaks a length,
 // count or 0/1 flag and fails to decode), a tail bit-flip tends to survive
 // decoding: the recipient sees a structurally valid share whose proof is
-// cryptographically wrong, the input that coalesced batch verification
-// must isolate by binary split rather than let poison the whole batch.
+// cryptographically wrong, the input a proof check must reject.
 func TamperTail(rate float64) Behavior { return tamperTail{rate: rate} }
 
 func (tamperTail) Name() string { return "tamper-tail" }

@@ -153,9 +153,7 @@ func (s *Scalar) GobDecode(data []byte) error { return s.UnmarshalBinary(data) }
 // A Point decoded from the network with UnmarshalBinary is structurally
 // validated (length, range, on-curve) but — for the Z_p* backend — not
 // necessarily subgroup-checked: IsElement performs the (memoization-free)
-// membership test, exactly as the batch verifiers require (their folded
-// product check deliberately skips per-commitment membership; see
-// internal/dleq).
+// membership test, which verifiers run on every value they use.
 type Point struct {
 	id GroupID
 	// v is the Z_p* representation: a residue in [1, p-1].
@@ -211,7 +209,7 @@ func (p *Point) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a self-describing point. Structural validation
 // (length, range, on-curve) always happens here; Z_p* subgroup membership
-// is deferred to IsElement, matching the batch verifiers' cost model.
+// is deferred to IsElement, which verifiers call on every value they use.
 func (p *Point) UnmarshalBinary(data []byte) error {
 	if len(data) < 1 {
 		return ErrBadLength
@@ -243,12 +241,12 @@ type Term struct {
 
 // Group is a prime-order group with the operations the DL-based
 // primitives need: exponentiation (with fixed-base precomputation and
-// multi-exponentiation for batch verification), scalar-field arithmetic,
+// multi-exponentiation for interpolation), scalar-field arithmetic,
 // hashing onto the group and the scalar field (the random oracles of the
 // paper's proofs), and canonical encodings.
 //
-// All implementations are safe for concurrent use: the engine's verify
-// worker pool shares one Group, and no method mutates its arguments.
+// All implementations are safe for concurrent use: the routers of one
+// process share one Group, and no method mutates its arguments.
 type Group interface {
 	// Name identifies the parameter set (e.g. "modp2048", "p256").
 	Name() string
@@ -260,8 +258,7 @@ type Group interface {
 	// ScalarLen reports the fixed byte length of an encoded scalar.
 	ScalarLen() int
 	// Generator returns the group's generator. The returned pointer is
-	// stable for the lifetime of the group, so batch verifiers may
-	// aggregate exponents on it by pointer identity.
+	// stable for the lifetime of the group.
 	Generator() *Point
 	// Identity returns the neutral element.
 	Identity() *Point
@@ -311,7 +308,7 @@ type Group interface {
 	// of Chaum-Pedersen verification.
 	MulExp(a *Point, x *Scalar, b *Point, y *Scalar) *Point
 	// MultiExp returns Π base^exp over the terms, the workhorse of
-	// random-linear-combination batch verification. Zero exponents are
+	// interpolation in the exponent. Zero exponents are
 	// skipped; an empty product is the identity.
 	MultiExp(terms []Term) *Point
 	// Precompute registers a fixed-base table for a long-lived base

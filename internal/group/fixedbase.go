@@ -11,8 +11,7 @@ import (
 // generator, a dealt verification key — then cost ~|Q|/w table
 // multiplications and no squarings. The table is built lazily on
 // first use and immutable afterwards, so a fixedBase is safe for
-// concurrent use — the engine's verify workers hammer these tables
-// from many goroutines.
+// concurrent use — the routers of one process share these tables.
 type fixedBase struct {
 	g   *zpGroup
 	tab *modexp.Table
@@ -80,7 +79,7 @@ type bigTerm struct {
 }
 
 // MultiExp returns Π base^exp mod P over the given terms, the workhorse
-// of random-linear-combination batch verification (internal/dleq).
+// of interpolation in the exponent (internal/sharing).
 // Terms whose base has a precomputation table — the generator, dealt
 // verification keys — are evaluated through their tables (no squarings
 // at all); the remaining terms share a single interleaved squaring

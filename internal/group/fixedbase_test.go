@@ -160,8 +160,8 @@ func TestIsElementMatchesExpOracle(t *testing.T) {
 	}
 }
 
-// TestNoArgumentMutation is the aliasing audit demanded by the verify
-// pipeline: worker goroutines share *big.Int public keys, so no Group
+// TestNoArgumentMutation is the aliasing audit demanded by shared
+// groups: the routers of one process share *big.Int public keys, so no Group
 // method may mutate its arguments. Every arithmetic entry point is
 // called and the operands compared against pristine copies.
 func TestNoArgumentMutation(t *testing.T) {
@@ -207,8 +207,8 @@ func TestNoArgumentMutation(t *testing.T) {
 	}
 }
 
-// TestConcurrentSharedOperands exercises the exact sharing pattern of
-// the verify pool — many goroutines exponentiating with the same
+// TestConcurrentSharedOperands exercises the sharing pattern of the
+// routers of one process — many goroutines exponentiating with the same
 // *big.Int bases and exponents — under the race detector.
 func TestConcurrentSharedOperands(t *testing.T) {
 	g := zpTest256

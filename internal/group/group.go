@@ -33,7 +33,7 @@ type zpGroup struct {
 	// windowed table for G; precomp maps registered long-lived bases
 	// (pointer-keyed) to their tables. nPrecomp lets Exp skip the map
 	// lookup entirely when nothing was registered. All of it is
-	// concurrency-safe: the verify worker pool shares one group.
+	// concurrency-safe: the routers of one process share one group.
 	baseOnce sync.Once
 	baseTab  *fixedBase
 	precomp  sync.Map

@@ -164,10 +164,9 @@ func (g *modpGroup) DecodeElement(b []byte) (*Point, error) {
 }
 
 // decodeElementLax range-checks a wire element without the Jacobi
-// membership test: the DLEQ batch verifiers fold laxly decoded
-// commitments into a sign-blind product and would otherwise pay a
-// Jacobi symbol per commitment (see dleq.BatchVerify). IsElement
-// performs the deferred test for callers that need full membership.
+// membership test, so a decode pays for no Jacobi symbol. IsElement
+// performs the deferred test for callers that need full membership, as
+// the coin and TDH2 share checks do for every value they accept.
 func (g *modpGroup) decodeElementLax(b []byte) (*Point, error) {
 	if len(b) != g.zp.byteLen {
 		return nil, ErrBadLength

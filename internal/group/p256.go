@@ -262,7 +262,7 @@ func (g *p256Backend) DecodeElement(b []byte) (*Point, error) {
 
 // decodeElementLax is identical to DecodeElement: decompression already
 // proves on-curve, and cofactor 1 makes that full membership — there is
-// no cheaper lax variant to offer the batch verifiers.
+// no cheaper lax variant to offer.
 func (g *p256Backend) decodeElementLax(b []byte) (*Point, error) { return g.DecodeElement(b) }
 
 var _ backend = (*p256Backend)(nil)

@@ -19,7 +19,7 @@
 //
 // Tables are built lazily on first use and immutable afterwards;
 // Table is safe for concurrent use and never mutates its operands,
-// which the engine's parallel verify workers rely on.
+// which the routers of one process, sharing one group, rely on.
 package modexp
 
 import (

@@ -45,7 +45,6 @@ import (
 	"sintra/internal/obs"
 	"sintra/internal/thresig"
 	"sintra/internal/trust"
-	"sintra/internal/wire"
 )
 
 // Protocol is the wire protocol name of multi-valued agreement.
@@ -186,12 +185,7 @@ func New(cfg Config) *MVBA {
 			Deliver:   func([]byte, []byte) { m.onCBCDeliver(j) },
 		})
 	}
-	cfg.Router.RegisterSplit(Protocol, cfg.Instance, engine.SplitHandler{
-		Verify:      m.verifyMsg,
-		BatchVerify: m.batchVerify,
-		Apply:       m.apply,
-		VerifyTypes: []string{typeLeadCoin},
-	})
+	cfg.Router.Register(Protocol, cfg.Instance, m.handle)
 	return m
 }
 
@@ -249,79 +243,8 @@ func (m *MVBA) valid(payload []byte, from int) bool {
 	return m.cfg.Predicate == nil || m.cfg.Predicate(payload, from)
 }
 
-// leadCoinVerdict is the Verify-stage result for LEADCOIN messages: the
-// decoded trial and the subset of shares whose DLEQ proofs checked out.
-type leadCoinVerdict struct {
-	trial  int
-	shares []coin.Share
-}
-
-// verifyMsg is the parallel Verify stage: leader-election coin shares —
-// the instance's own dominant public-key cost (vote certificates depend
-// on the elected leader and stay inline) — are checked off the dispatch
-// goroutine.
-func (m *MVBA) verifyMsg(from int, msgType string, payload []byte) any {
-	if msgType != typeLeadCoin {
-		return nil
-	}
-	var body leadCoinBody
-	// Plain unmarshal, not Router.Decode: the nil-verdict fallback would
-	// decode again and double-count router.malformed.
-	if wire.UnmarshalBody(payload, &body) != nil || body.Trial < 2 {
-		return nil
-	}
-	name := m.coinName(body.Trial)
-	valid := make([]coin.Share, 0, len(body.Shares))
-	for _, sh := range body.Shares {
-		if m.cfg.Coin.VerifyShare(name, sh) == nil {
-			valid = append(valid, sh)
-		}
-	}
-	return &leadCoinVerdict{trial: body.Trial, shares: valid}
-}
-
-// batchVerify is the coalescing Verify stage for LEADCOIN bursts: the
-// shares of all drained messages fold into one DLEQ batch, with each
-// trial's coin base derived once. Messages that fail to decode keep a
-// nil verdict and fall back to inline apply-time handling.
-func (m *MVBA) batchVerify(msgs []*wire.Message) ([]any, int) {
-	verdicts := make([]any, len(msgs))
-	bodies := make([]*leadCoinBody, len(msgs))
-	bv := m.cfg.Coin.NewBatchVerifier()
-	for i, msg := range msgs {
-		var body leadCoinBody
-		if wire.UnmarshalBody(msg.Payload, &body) != nil || body.Trial < 2 {
-			continue
-		}
-		bodies[i] = &body
-		name := m.coinName(body.Trial)
-		for _, sh := range body.Shares {
-			bv.Add(name, sh)
-		}
-	}
-	ok := bv.Verify()
-	culprits, k := 0, 0
-	for i, body := range bodies {
-		if body == nil {
-			continue
-		}
-		valid := make([]coin.Share, 0, len(body.Shares))
-		for _, sh := range body.Shares {
-			if ok[k] {
-				valid = append(valid, sh)
-			} else {
-				culprits++
-			}
-			k++
-		}
-		verdicts[i] = &leadCoinVerdict{trial: body.Trial, shares: valid}
-	}
-	return verdicts, culprits
-}
-
-// apply is the serialized Apply stage; a non-nil verdict carries
-// pre-verified coin shares for LEADCOIN messages.
-func (m *MVBA) apply(from int, msgType string, payload []byte, verdict any) {
+// handle processes one message on the dispatch goroutine.
+func (m *MVBA) handle(from int, msgType string, payload []byte) {
 	if m.halted {
 		return
 	}
@@ -333,18 +256,12 @@ func (m *MVBA) apply(from int, msgType string, payload []byte, verdict any) {
 		}
 		m.onStart(body.Proposal)
 	case typeLeadCoin:
-		v, verified := verdict.(*leadCoinVerdict)
-		if !verified {
-			var body leadCoinBody
-			// Trial 1 has no coin: its LEADCOIN is a corrupted party's.
-			if !m.cfg.Router.Decode(payload, &body) || body.Trial < 2 {
-				return
-			}
-			v = &leadCoinVerdict{trial: body.Trial, shares: body.Shares}
+		var body leadCoinBody
+		// Trial 1 has no coin: its LEADCOIN is a corrupted party's.
+		if !m.cfg.Router.Decode(payload, &body) || body.Trial < 2 || m.ahead(body.Trial) {
+			return
 		}
-		if !m.ahead(v.trial) {
-			m.onLeadCoin(v.trial, v.shares, verified)
-		}
+		m.onLeadCoin(from, body.Trial, body.Shares)
 	case typeVote:
 		var body voteBody
 		if !m.cfg.Router.Decode(payload, &body) || body.Trial < 1 || m.ahead(body.Trial) {
@@ -425,16 +342,15 @@ func (m *MVBA) startTrial(a int) {
 	m.evalVotes(a)
 }
 
-// onLeadCoin adds trial a's coin shares; verified ones passed the Verify
-// stage and skip re-verification on the dispatch goroutine.
-func (m *MVBA) onLeadCoin(a int, shares []coin.Share, verified bool) {
+// onLeadCoin adds the trial-a coin shares that party from sent, until
+// the trial's leader is known.
+func (m *MVBA) onLeadCoin(from, a int, shares []coin.Share) {
 	ts := m.trialState(a)
-	for _, sh := range shares {
-		if verified {
-			ts.coinCombiner.AddVerified(sh)
-		} else {
-			_ = ts.coinCombiner.Add(sh)
-		}
+	if ts.leaderKnown {
+		return
+	}
+	if ts.coinCombiner.AddFrom(from, shares) {
+		m.span.Event("coin.rejected", int64(a), fmt.Sprint("from ", from))
 	}
 	m.maybeElect(a)
 }

@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"crypto/rand"
 	"fmt"
-	"sync"
 	"time"
 
 	"sintra/internal/abc"
@@ -93,14 +92,16 @@ type Config struct {
 
 // pending tracks one ordered ciphertext awaiting decryption.
 type pending struct {
-	ct       *threnc.Ciphertext
 	combiner *threnc.Combiner
-	early    []threnc.Share
-	sent     bool
-	plain    []byte
-	done     bool
-	invalid  bool
-	ordered  time.Time // when the position was fixed (observer on only)
+	// early holds, by sender, the first SHARES message that arrived before
+	// the ciphertext was ordered here: at most n of them, however many a
+	// corrupted party sends.
+	early   [][]threnc.Share
+	sent    bool
+	plain   []byte
+	done    bool
+	invalid bool
+	ordered time.Time // when the position was fixed (observer on only)
 }
 
 // SCABC is one secure-causal instance; dispatch-goroutine only.
@@ -111,13 +112,6 @@ type SCABC struct {
 	byABCSeq map[int64]*pending
 	nextABC  int64 // next ABC sequence to flush
 	outSeq   int64 // next plaintext sequence to assign
-
-	// cts publishes ordered, validated ciphertexts (ABC seq -> immutable
-	// *threnc.Ciphertext) for the parallel Verify stage: share proofs can
-	// only be checked against the ciphertext they decrypt, which becomes
-	// known at apply time. Written on the dispatch goroutine, read by
-	// verify workers.
-	cts sync.Map
 
 	span *obs.Span
 	// decryptLat measures order-fixed to plaintext-delivered: the cost of
@@ -156,12 +150,7 @@ func New(cfg Config) *SCABC {
 		CodedThreshold: cfg.CodedThreshold,
 		Deliver:        s.onOrdered,
 	})
-	cfg.Router.RegisterSplit(Protocol, cfg.Instance, engine.SplitHandler{
-		Verify:      s.verifyMsg,
-		BatchVerify: s.batchVerify,
-		Apply:       s.apply,
-		VerifyTypes: []string{typeShares},
-	})
+	cfg.Router.Register(Protocol, cfg.Instance, s.handle)
 	return s
 }
 
@@ -205,7 +194,6 @@ func (s *SCABC) onOrdered(seq int64, payload []byte) {
 		s.flush()
 		return
 	}
-	p.ct = &ct
 	combiner, err := threnc.NewCombiner(s.cfg.Enc, &ct)
 	if err != nil {
 		p.invalid = true
@@ -214,7 +202,6 @@ func (s *SCABC) onOrdered(seq int64, payload []byte) {
 		return
 	}
 	p.combiner = combiner
-	s.cts.Store(seq, p.ct)
 	// Release our decryption shares only now — after the position is
 	// fixed — and feed any early-arrived shares from faster parties.
 	if !p.sent {
@@ -225,8 +212,8 @@ func (s *SCABC) onOrdered(seq int64, payload []byte) {
 				Protocol, s.cfg.Instance, typeShares, sharesBody{Seq: seq, Shares: shares})
 		}
 	}
-	for _, sh := range p.early {
-		_ = p.combiner.Add(sh)
+	for from, shares := range p.early {
+		s.addShares(p, seq, from, shares)
 	}
 	p.early = nil
 	s.tryDecrypt(seq)
@@ -241,96 +228,9 @@ func (s *SCABC) pendingFor(seq int64) *pending {
 	return p
 }
 
-// sharesVerdict is the Verify-stage result for SHARES messages: the
-// sequence number and the subset of decryption shares whose proofs
-// checked out against the published ciphertext.
-type sharesVerdict struct {
-	seq    int64
-	shares []threnc.Share
-}
-
-// verifyMsg is the parallel Verify stage: decryption-share proofs are
-// checked against the ciphertext snapshot published when the position
-// was fixed. A share arriving before its ciphertext is ordered locally
-// defers (nil verdict) and is buffered by Apply as before.
-func (s *SCABC) verifyMsg(from int, msgType string, payload []byte) any {
+// handle processes one message on the dispatch goroutine.
+func (s *SCABC) handle(from int, msgType string, payload []byte) {
 	if msgType != typeShares {
-		return nil
-	}
-	var body sharesBody
-	// Plain unmarshal, not Router.Decode: the nil-verdict fallback would
-	// decode again and double-count router.malformed.
-	if wire.UnmarshalBody(payload, &body) != nil {
-		return nil
-	}
-	ctv, ok := s.cts.Load(body.Seq)
-	if !ok {
-		return nil
-	}
-	ct := ctv.(*threnc.Ciphertext)
-	valid := make([]threnc.Share, 0, len(body.Shares))
-	for _, sh := range body.Shares {
-		if s.cfg.Enc.VerifyShare(ct, sh) == nil {
-			valid = append(valid, sh)
-		}
-	}
-	return &sharesVerdict{seq: body.Seq, shares: valid}
-}
-
-// batchVerify is the coalescing Verify stage for SHARES bursts: the
-// decryption shares of all drained messages — possibly for several
-// ordered ciphertexts — fold into one DLEQ batch, with each
-// ciphertext's context digest computed once. Messages whose ciphertext
-// is not ordered locally yet keep a nil verdict and are buffered by
-// Apply as before.
-func (s *SCABC) batchVerify(msgs []*wire.Message) ([]any, int) {
-	verdicts := make([]any, len(msgs))
-	bodies := make([]*sharesBody, len(msgs))
-	cts := make([]*threnc.Ciphertext, len(msgs))
-	bv := s.cfg.Enc.NewBatchVerifier()
-	for i, m := range msgs {
-		var body sharesBody
-		if wire.UnmarshalBody(m.Payload, &body) != nil {
-			continue
-		}
-		ctv, ok := s.cts.Load(body.Seq)
-		if !ok {
-			continue
-		}
-		bodies[i] = &body
-		cts[i] = ctv.(*threnc.Ciphertext)
-		for _, sh := range body.Shares {
-			bv.Add(cts[i], sh)
-		}
-	}
-	ok := bv.Verify()
-	culprits, k := 0, 0
-	for i, body := range bodies {
-		if body == nil {
-			continue
-		}
-		valid := make([]threnc.Share, 0, len(body.Shares))
-		for _, sh := range body.Shares {
-			if ok[k] {
-				valid = append(valid, sh)
-			} else {
-				culprits++
-			}
-			k++
-		}
-		verdicts[i] = &sharesVerdict{seq: body.Seq, shares: valid}
-	}
-	return verdicts, culprits
-}
-
-// apply is the serialized Apply stage; a non-nil verdict carries shares
-// already checked against the ordered ciphertext.
-func (s *SCABC) apply(from int, msgType string, payload []byte, verdict any) {
-	if msgType != typeShares {
-		return
-	}
-	if v, ok := verdict.(*sharesVerdict); ok {
-		s.onSharesVerified(v.seq, v.shares)
 		return
 	}
 	var body sharesBody
@@ -345,41 +245,24 @@ func (s *SCABC) apply(from int, msgType string, payload []byte, verdict any) {
 		return
 	}
 	if p.combiner == nil {
-		// Ciphertext not ordered locally yet; buffer a bounded number.
-		if len(p.early) < 4*s.cfg.Router.N() {
-			p.early = append(p.early, body.Shares...)
+		// Ciphertext not ordered locally yet: keep the sender's first message.
+		if p.early == nil {
+			p.early = make([][]threnc.Share, s.cfg.Router.N())
+		}
+		if p.early[from] == nil {
+			p.early[from] = body.Shares
 		}
 		return
 	}
-	for _, sh := range body.Shares {
-		_ = p.combiner.Add(sh) // invalid shares rejected inside
-	}
+	s.addShares(p, body.Seq, from, body.Shares)
 	s.tryDecrypt(body.Seq)
 }
 
-// onSharesVerified consumes shares the Verify stage already checked.
-// Because the ciphertext snapshot is published at apply time and applies
-// are serialized, a verdict implies onOrdered already ran for this seq;
-// the defensive combiner-nil path re-buffers (shares are then re-checked
-// by Combiner.Add).
-func (s *SCABC) onSharesVerified(seq int64, shares []threnc.Share) {
-	if seq < s.nextABC || seq > s.nextABC+maxPendingWindow {
-		return
+// addShares adds the decryption shares that party from sent for seq.
+func (s *SCABC) addShares(p *pending, seq int64, from int, shares []threnc.Share) {
+	if p.combiner.AddFrom(from, shares) {
+		s.span.Event("shares.rejected", seq, fmt.Sprint("from ", from))
 	}
-	p := s.pendingFor(seq)
-	if p.done {
-		return
-	}
-	if p.combiner == nil {
-		if len(p.early) < 4*s.cfg.Router.N() {
-			p.early = append(p.early, shares...)
-		}
-		return
-	}
-	for _, sh := range shares {
-		p.combiner.AddVerified(sh)
-	}
-	s.tryDecrypt(seq)
 }
 
 func (s *SCABC) tryDecrypt(seq int64) {
@@ -419,7 +302,6 @@ func (s *SCABC) flush() {
 			}
 		}
 		delete(s.byABCSeq, s.nextABC)
-		s.cts.Delete(s.nextABC)
 		s.nextABC++
 	}
 }

@@ -3,13 +3,18 @@ package scabc_test
 import (
 	"bytes"
 	"fmt"
+	mrand "math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sintra/internal/adversary"
+	"sintra/internal/netsim"
 	"sintra/internal/scabc"
 	"sintra/internal/testutil"
+	"sintra/internal/threnc"
+	"sintra/internal/wire"
 )
 
 type harness struct {
@@ -302,4 +307,89 @@ func TestPipelinedConfidentialRequests(t *testing.T) {
 	if len(seen) != total {
 		t.Fatalf("delivered %d distinct, want %d", len(seen), total)
 	}
+}
+
+// holdToScheduler delivers a random pending message, keeping back those
+// to party victim of every protocol but the share exchange while hold is
+// set.
+type holdToScheduler struct {
+	mu     sync.Mutex
+	rng    *mrand.Rand
+	victim int
+	hold   atomic.Bool
+}
+
+func (s *holdToScheduler) Next(pending []wire.Message) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var free []int
+	for i := range pending {
+		m := &pending[i]
+		if !s.hold.Load() || m.To != s.victim || m.Protocol == scabc.Protocol {
+			free = append(free, i)
+		}
+	}
+	if len(free) == 0 {
+		return -1
+	}
+	return free[s.rng.Intn(len(free))]
+}
+
+var _ netsim.Scheduler = (*holdToScheduler)(nil)
+
+// TestEarlySharesBufferedPerSender: party 0 falls behind in ordering, so
+// every decryption share for the first ciphertext reaches it early.
+// Party 3, corrupted, first sends it 4n forged shares in one message;
+// then parties 1, 2 and 3 order the ciphertext and send their real
+// shares, once each. The early buffer keeps one message per sender, so
+// the forgeries cost party 3 its own slot only, and party 0 decrypts once
+// it orders the ciphertext. A buffer shared by all senders and capped at
+// 4n shares was full before the honest shares arrived, and party 0 never
+// decrypted.
+func TestEarlySharesBufferedPerSender(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	sched := &holdToScheduler{rng: mrand.New(mrand.NewSource(61)), victim: 0}
+	sched.hold.Store(true)
+	c := testutil.NewCluster(t, st, testutil.Options{Scheduler: sched, Observe: true})
+	parties := []int{0, 1, 2, 3}
+	h := newHarness(t, c, parties)
+	received := func(want int64) {
+		t.Helper()
+		deadline := time.Now().Add(60 * time.Second)
+		for c.Regs[0].Snapshot().Counter("router.recv.scabc.SHARES") < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("party 0 received %d SHARES messages, want %d",
+					c.Regs[0].Snapshot().Counter("router.recv.scabc.SHARES"), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	g := c.Pub.Enc.Group()
+	forged := make([]threnc.Share, 4*c.N())
+	for k := range forged {
+		forged[k] = threnc.Share{Party: 3, ID: k % c.N(), Value: g.Generator()}
+	}
+	c.Net.Endpoint(3).Send(wire.Message{To: 0, Protocol: scabc.Protocol, Instance: "notary", Type: "SHARES",
+		Payload: wire.MustMarshalBody(struct {
+			Seq    int64
+			Shares []threnc.Share
+		}{0, forged})})
+	received(1)
+
+	ct, err := scabc.Encrypt(c.Pub.Enc, "notary", []byte("late but whole"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.insts[1].Submit(ct); err != nil {
+		t.Fatal(err)
+	}
+	h.wait(t, []int{1, 2, 3}, 1, 60*time.Second)
+	received(4)
+
+	sched.hold.Store(false)
+	// Wake the network: the scheduler may be waiting for new traffic.
+	c.Net.Endpoint(3).Send(wire.Message{To: 0, Protocol: "wake"})
+	h.wait(t, parties, 1, 30*time.Second)
+	h.assertSameOrder(t, parties)
 }

@@ -347,9 +347,23 @@ func (c *Combiner) Add(sh Share) error {
 	return nil
 }
 
+// AddFrom adds the shares that party from sent and reports whether one
+// failed its check. A share naming another party is skipped unchecked,
+// and the first failure ends the list: an honest party sends neither, so
+// one message costs at most one failed proof.
+func (c *Combiner) AddFrom(from int, shares []Share) (rejected bool) {
+	for _, sh := range shares {
+		if sh.Party == from && c.Add(sh) != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // AddVerified stores a decryption share the caller has already checked
-// with VerifyShare — the engine's parallel Verify stage does exactly
-// that — skipping re-verification. Duplicates are ignored.
+// with VerifyShare, skipping re-verification; the protocols use AddFrom, and
+// AddVerified lets a benchmark time the combine alone. Duplicates are
+// ignored.
 func (c *Combiner) AddVerified(sh Share) {
 	if _, ok := c.values[sh.ID]; ok {
 		return

@@ -192,6 +192,45 @@ func TestCombinerRobustToBadShares(t *testing.T) {
 	}
 }
 
+// TestAddFromBindsSharesToSender: AddFrom takes only the shares that name
+// their sender, and stops at the first one that fails its check.
+func TestAddFromBindsSharesToSender(t *testing.T) {
+	p, keys := dealTest(t, adversary.MustThreshold(4, 1))
+	msg := []byte("bound to its sender")
+	ct, err := p.Encrypt(msg, nil, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharesOf := func(i int) []Share {
+		shares, err := p.DecryptShares(keys[i], ct, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shares
+	}
+	c, err := NewCombiner(p, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.AddFrom(3, append(sharesOf(0), sharesOf(1)...)) || c.Ready() {
+		t.Fatal("party 3 relayed parties 0 and 1's shares and they counted")
+	}
+	bad := sharesOf(2)[0]
+	bad.Value = p.g.Generator()
+	if !c.AddFrom(2, []Share{bad, sharesOf(2)[0]}) {
+		t.Fatal("a bad share from its own party was not reported")
+	}
+	if c.AddFrom(0, sharesOf(0)) || c.Ready() {
+		t.Fatal("party 2's good share after its bad one counted")
+	}
+	if c.AddFrom(1, sharesOf(1)) || !c.Ready() {
+		t.Fatal("two parties' own shares do not suffice")
+	}
+	if got, err := c.Decrypt(); err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("decrypted %q (%v), want %q", got, err, msg)
+	}
+}
+
 func TestGeneralStructureDecryption(t *testing.T) {
 	st := adversary.Example2()
 	p, keys := dealTest(t, st)

@@ -310,7 +310,7 @@ func TestHelloOfAnotherFormatRefused(t *testing.T) {
 		name  string
 		frame []byte
 	}{
-		{"old-magic", wire.MustMarshalBody(hello{Magic: "sintra5", From: 1, Nonce: make([]byte, 16)})},
+		{"old-magic", wire.MustMarshalBody(hello{Magic: "sintra6", From: 1, Nonce: make([]byte, 16)})},
 		{"gob", gobHello.Bytes()},
 	} {
 		conn, err := net.Dial("tcp", tr.Addr())
@@ -333,7 +333,7 @@ func TestHelloOfAnotherFormatRefused(t *testing.T) {
 	}
 	var noted bool
 	for _, ev := range events.Events() {
-		noted = noted || strings.Contains(ev.Note, `"sintra5"`)
+		noted = noted || strings.Contains(ev.Note, `"sintra6"`)
 	}
 	if !noted {
 		t.Fatal("the refused magic was not traced")

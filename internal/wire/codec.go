@@ -10,8 +10,8 @@ import (
 )
 
 // plan codes one Go type in the layout of DESIGN §4.8. It is built once per
-// type and published to plans only when complete: the verify workers decode
-// in parallel.
+// type and published to plans only when complete: the routers of one
+// process decode concurrently.
 type plan struct {
 	kind   reflect.Kind // Int64 for every signed, Uint64 for every unsigned kind
 	typ    reflect.Type // Slice: the slice; Pointer: the element

@@ -17,11 +17,13 @@ import "fmt"
 // signed proposals; 3 on their digests; 4 with a round-1 coin fixed to 1;
 // 5: no request split into frames, so a checkpoint is the service snapshot
 // alone; 6: trial 1's leader is public, so multi-valued agreement tosses
-// no coin and journals no leadcoin/1 slot in it).
+// no coin and journals no leadcoin/1 slot in it; 7: a DLEQ proof is its
+// challenge and response alone, so coin shares, decryption shares and
+// TDH2 ciphertexts no longer carry the prover's two commitments).
 // A replica refuses a peer whose transport hello, or a journal directory
 // whose marker (wal.OpenJournal), names another format: neither decodes
 // nor agrees across formats.
-const Format = 6
+const Format = 7
 
 // Message is the envelope routed between parties. Payload bytes must be
 // treated as immutable once sent.
