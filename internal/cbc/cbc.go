@@ -79,10 +79,11 @@ type ansBody struct {
 
 // Stages counted through the instance span, so the slow path is visible.
 const (
-	stageCertEarly    = "cert.early"    // a certificate had to wait for its payload
-	stageCertRejected = "cert.rejected" // a certificate (or an ANS payload) that does not check out
-	stageFetchSent    = "fetch.sent"    // this party asked for the payload
-	stageFetchServed  = "fetch.served"  // this party answered a REQ
+	stageCertEarly     = "cert.early"     // a certificate had to wait for its payload
+	stageCertRejected  = "cert.rejected"  // a certificate (or an ANS payload) that does not check out
+	stageShareRejected = "share.rejected" // a SHARE a failed combine named invalid
+	stageFetchSent     = "fetch.sent"     // this party asked for the payload
+	stageFetchServed   = "fetch.served"   // this party answered a REQ
 )
 
 // InstanceID builds the canonical instance identifier, binding the sender.
@@ -337,6 +338,9 @@ func (c *CBC) onShare(from int, share thresig.Share) {
 	}
 	cert, bad, err := thresig.Combine(c.cfg.Scheme, c.stmt, c.shares)
 	if bad != nil {
+		for _, i := range bad {
+			c.span.Event(stageShareRejected, -1, fmt.Sprint("from ", c.shares[i].Party))
+		}
 		c.shares = thresig.Without(c.shares, bad)
 	}
 	if err != nil || !c.quorum() {

@@ -420,14 +420,15 @@ func TestBareReqAnsweredAfterCertification(t *testing.T) {
 // before it combines. Corrupted party 3's share — a valid share on
 // another statement, well-formed with a consistent proof — reaches the
 // sender before any honest peer's, so the first combine includes it and
-// fails. The sender drops it and certifies from honest shares, and the
-// FINAL verifies at every honest party.
+// fails. The sender drops it, counting one cbc.share.rejected, and
+// certifies from honest shares, and the FINAL verifies at every honest
+// party.
 func TestByzantineShareBeforeHonestOnes(t *testing.T) {
 	sched := newHoldScheduler(29, func(s *holdScheduler, m *wire.Message) bool {
 		return m.Type == "SHARE" && m.To == 0 && (m.From == 1 || m.From == 2) && s.saw("SHARE", 0) < 2
 	})
 	c := testutil.NewCluster(t, adversary.MustThreshold(4, 1),
-		testutil.Options{Scheduler: sched, Corrupted: []int{3}})
+		testutil.Options{Scheduler: sched, Corrupted: []int{3}, Observe: true})
 	ch := make(chan delivery, 16)
 	insts := spawnAll(c, 0, "byz-share", []int{0, 1, 2}, ch, nil)
 	instance := cbc.InstanceID(0, "byz-share")
@@ -461,6 +462,9 @@ func TestByzantineShareBeforeHonestOnes(t *testing.T) {
 	}
 	if n := sched.count("FINAL", 1) + sched.count("FINAL", 2); n != 2 {
 		t.Fatalf("%d FINALs reached the honest peers, want 2", n)
+	}
+	if n := counter(c, 0, "cbc.share.rejected"); n != 1 {
+		t.Fatalf("cbc.share.rejected = %d, want 1", n)
 	}
 }
 

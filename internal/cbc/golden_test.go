@@ -18,7 +18,7 @@ func TestWireGolden(t *testing.T) {
 		hex string
 	}{
 		{certBody{Digest: [32]byte{0xd1, 0xd2}, Cert: []byte("cert")}, "d1d2" + strings.Repeat("00", 30) + "0463657274"},
-		{shareBody{Share: thresig.Share{Party: 2, Data: []byte{0xaa, 0xbb}, Aux: []byte{0xcc}}}, "0402aabb01cc"},
+		{shareBody{Share: thresig.Share{Party: 2, Data: []byte{0xaa, 0xbb}}}, "0402aabb"},
 	} {
 		if got := hex.EncodeToString(wire.MustMarshalBody(c.v)); got != c.hex {
 			t.Errorf("%T encodes as %s, want %s", c.v, got, c.hex)

@@ -232,6 +232,9 @@ type Tracker struct {
 	verified      map[[32]byte]int64
 	verifiedOrder [][32]byte
 
+	// span counts "ckpt.share.rejected", one per share a failed combine
+	// names invalid.
+	span       *obs.Span
 	stableSeq  *obs.Gauge
 	certs      *obs.Counter
 	sharesSent *obs.Counter
@@ -263,6 +266,7 @@ func New(cfg Config) *Tracker {
 		lastInstallFrom: -1,
 		distrust:        -1,
 		retryPeer:       cfg.Router.Self(),
+		span:            obs.StartSpan(cfg.Router.Observer(), cfg.Router.Self(), Protocol, cfg.Instance),
 	}
 	if reg := cfg.Router.Observer(); reg != nil {
 		t.stableSeq = reg.Gauge("checkpoint.stable.seq")
@@ -468,6 +472,9 @@ func (t *Tracker) onShare(from int, body shareBody) {
 		stmt := Statement(t.cfg.Instance, body.Seq, body.Round, body.Hash)
 		cert, bad, err := thresig.Combine(t.cfg.Scheme, stmt, ps.shares)
 		if bad != nil {
+			for _, i := range bad {
+				t.span.Event("share.rejected", body.Seq, fmt.Sprint("from ", ps.shares[i].Party))
+			}
 			ps.shares = thresig.Without(ps.shares, bad)
 		}
 		if err != nil || !t.enough(ps.shares) {

@@ -207,12 +207,13 @@ func (s *badShareFirst) Next(pending []wire.Message) int {
 // TestByzantineCheckpointShare: shares are combined unverified. Corrupted
 // party 3's SHARE names the honest checkpoint but carries its share on
 // another statement, and reaches every honest replica first, so each
-// one's first combine includes it and fails. The culprit is dropped and
-// the honest shares still certify the checkpoint.
+// one's first combine includes it and fails. The culprit is dropped,
+// counted once per replica as ckpt.share.rejected, and the honest shares
+// still certify the checkpoint.
 func TestByzantineCheckpointShare(t *testing.T) {
 	st := adversary.MustThreshold(4, 1)
 	c := testutil.NewCluster(t, st, testutil.Options{
-		Scheduler: &badShareFirst{rng: rand.New(rand.NewSource(37))}, Corrupted: []int{3}})
+		Scheduler: &badShareFirst{rng: rand.New(rand.NewSource(37))}, Corrupted: []int{3}, Observe: true})
 	hs := newHarnesses(t, c, 4)
 	deliverInterval(c, hs, 3, "payload-", 2)
 	hash := sha256.Sum256(hs[0].state)
@@ -240,6 +241,9 @@ func TestByzantineCheckpointShare(t *testing.T) {
 		}
 		if err := c.Pub.AnswerSig().Verify(checkpoint.Statement("svc/test", cp.Seq, cp.Round, cp.Hash), cp.Cert); err != nil {
 			t.Fatalf("replica %d: certificate does not verify: %v", i, err)
+		}
+		if n := c.Regs[i].Snapshot().Counter("ckpt.share.rejected"); n != 1 {
+			t.Fatalf("replica %d: ckpt.share.rejected = %d, want 1", i, n)
 		}
 	}
 }

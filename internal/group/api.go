@@ -269,9 +269,6 @@ type Group interface {
 	RandomElement(rnd io.Reader) (*Point, error)
 	// NewScalar returns the scalar v mod order (v may be negative).
 	NewScalar(v int64) *Scalar
-	// ScalarFromBytes interprets b as a big-endian integer and reduces
-	// it mod order (for batch randomizers and wide hash outputs).
-	ScalarFromBytes(b []byte) *Scalar
 	// AddScalar returns a+b mod order.
 	AddScalar(a, b *Scalar) *Scalar
 	// SubScalar returns a-b mod order.

@@ -70,11 +70,11 @@ func groupConformance(t *testing.T, g Group) {
 		if !g.IsScalar(a) || g.IsScalar(nil) {
 			t.Error("IsScalar misclassifies")
 		}
-		// Wide-input reduction: 2*len bytes of 0xFF is in range after
-		// ScalarFromBytes.
-		wide := bytes.Repeat([]byte{0xFF}, 2*g.ScalarLen())
-		if !g.IsScalar(g.ScalarFromBytes(wide)) {
-			t.Error("ScalarFromBytes result out of range")
+		// RandomScalar stays in [0, order) draw after draw.
+		for i := 0; i < 32; i++ {
+			if !g.IsScalar(r()) {
+				t.Fatal("RandomScalar result out of range")
+			}
 		}
 	})
 

@@ -69,10 +69,6 @@ func (g *modpGroup) NewScalar(v int64) *Scalar {
 	return g.scalar(new(big.Int).Mod(big.NewInt(v), g.zp.Q))
 }
 
-func (g *modpGroup) ScalarFromBytes(b []byte) *Scalar {
-	return g.scalar(new(big.Int).Mod(new(big.Int).SetBytes(b), g.zp.Q))
-}
-
 func (g *modpGroup) AddScalar(a, b *Scalar) *Scalar {
 	return g.scalar(g.zp.AddScalar(g.sv(a), g.sv(b)))
 }

@@ -99,10 +99,6 @@ func (g *p256Backend) NewScalar(v int64) *Scalar {
 	return g.scalar(new(big.Int).Mod(big.NewInt(v), g.order))
 }
 
-func (g *p256Backend) ScalarFromBytes(b []byte) *Scalar {
-	return g.scalar(new(big.Int).Mod(new(big.Int).SetBytes(b), g.order))
-}
-
 func (g *p256Backend) AddScalar(a, b *Scalar) *Scalar {
 	v := new(big.Int).Add(g.sv(a), g.sv(b))
 	return g.scalar(v.Mod(v, g.order))

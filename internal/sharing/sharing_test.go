@@ -14,9 +14,8 @@ import (
 // randScalar derives a deterministic scalar from a seeded source, for
 // the property-based tests.
 func randScalar(g group.Group, rng *mrand.Rand) *group.Scalar {
-	buf := make([]byte, g.ScalarLen()+16)
-	rng.Read(buf)
-	return g.ScalarFromBytes(buf)
+	s, _ := g.RandomScalar(rng) // a math/rand source never fails
+	return s
 }
 
 func dealRandom(t *testing.T, s *Scheme) (*group.Scalar, []Share) {

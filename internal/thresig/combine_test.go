@@ -1,9 +1,11 @@
 package thresig
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math/big"
 	"reflect"
 	"testing"
 
@@ -45,6 +47,20 @@ func TestCombineHelper(t *testing.T) {
 			name: "invalid share among the first K",
 			build: func(good, wrong []Share, k int) []Share {
 				return append([]Share{good[0], wrong[1]}, good[2:k+1]...)
+			},
+			wantBad: []int{1},
+		},
+		{
+			name: "t = 2 wrong shares arrive first",
+			build: func(good, wrong []Share, k int) []Share {
+				return append([]Share{wrong[0], wrong[1]}, good[2:k+2]...)
+			},
+			wantBad: []int{0, 1},
+		},
+		{
+			name: "a wrong x_i with a 128 KiB challenge among the first K",
+			build: func(good, wrong []Share, k int) []Share {
+				return append([]Share{good[0], hugeChallenge(wrong[1])}, good[2:k+1]...)
 			},
 			wantBad: []int{1},
 		},
@@ -117,9 +133,21 @@ func TestCombineHelper(t *testing.T) {
 	}
 }
 
+// hugeChallenge returns sh with its proof challenge widened to 128 KiB
+// (an RSA share) or, when its data is no RSA share, with 128 KiB appended.
+func hugeChallenge(sh Share) Share {
+	huge := new(big.Int).SetBytes(bytes.Repeat([]byte{0xff}, 128<<10))
+	if parts, err := decodeBigs(sh.Data, 3); err == nil {
+		return Share{Party: sh.Party, Data: encodeBigs(parts[0], huge, parts[2])}
+	}
+	return Share{Party: sh.Party, Data: append(append([]byte(nil), sh.Data...), huge.Bytes()...)}
+}
+
 // BenchmarkRSACombine compares the two ways to turn k honest shares into
 // a signature: verify every share's proof and then combine, or combine
-// first and rely on the check of the combined signature (Combine).
+// first and rely on the check of the combined signature (Combine). The
+// one-culprit case prices an attack: a wrong share first, then k honest
+// ones, so the combine fails and every share's proof is checked.
 func BenchmarkRSACombine(b *testing.B) {
 	msg := []byte("benchmark message")
 	p, q := TestSafePrimes256()
@@ -130,7 +158,7 @@ func BenchmarkRSACombine(b *testing.B) {
 		}
 		parties := make([]int, k)
 		for i := range parties {
-			parties[i] = i
+			parties[i] = i + 1
 		}
 		shares := signAll(b, s, keys, msg, parties)
 		b.Run(fmt.Sprintf("k=%d/verify-then-combine", k), func(b *testing.B) {
@@ -150,6 +178,15 @@ func BenchmarkRSACombine(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, bad, err := Combine(s, msg, shares); err != nil || bad != nil {
+					b.Fatal(err, bad)
+				}
+			}
+		})
+		culprit := append([]Share{signAll(b, s, keys, []byte("another message"), []int{0})[0]}, shares...)
+		b.Run(fmt.Sprintf("k=%d/one-culprit", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, bad, err := Combine(s, msg, culprit); err != nil || len(bad) != 1 {
 					b.Fatal(err, bad)
 				}
 			}

@@ -57,16 +57,12 @@ const rsaProofHashBits = 128
 func (s *RSAScheme) zBits() int { return s.N.BitLen() + 2*rsaProofHashBits + 65 }
 
 // precompute builds the fixed-base tables (idempotent, concurrency-safe).
-// The tables are sized past the per-share exponent widths so the batch
-// path's aggregated exponents (Σ 2δ_j z_j over up to 2^8 shares, and
-// doubled c·δ products) stay on the fixed-base fast path; the window
-// choice, and with it the per-share cost, is unchanged.
 func (s *RSAScheme) precompute() {
 	s.precompOnce.Do(func() {
-		s.vTab = modexp.NewTable(s.V, s.N, s.zBits()+rsaProofHashBits+10)
+		s.vTab = modexp.NewTable(s.V, s.N, s.zBits())
 		s.vkTabs = make([]*modexp.Table, len(s.VKeys))
 		for i, vk := range s.VKeys {
-			s.vkTabs[i] = modexp.NewTable(vk, s.N, 2*rsaProofHashBits+2)
+			s.vkTabs[i] = modexp.NewTable(vk, s.N, rsaProofHashBits)
 		}
 	})
 }
@@ -235,18 +231,12 @@ func (s *RSAScheme) SignShare(sk *SecretKey, msg []byte, rnd io.Reader) (Share, 
 	c := s.challenge(s.VKeys[sk.Party], xTilde, xi2, vPrime, xPrime)
 	z := new(big.Int).Mul(si, c)
 	z.Add(z, r)
-
-	// Aux ships the commitments so BatchVerifyShares can fold many
-	// proofs into one product check; VerifyShare recomputes them from
-	// (c, z) and never reads Aux, keeping Data's legacy encoding.
-	return Share{
-		Party: sk.Party,
-		Data:  encodeBigs(xi, c, z),
-		Aux:   encodeBigs(vPrime, xPrime),
-	}, nil
+	return Share{Party: sk.Party, Data: encodeBigs(xi, c, z)}, nil
 }
 
-// VerifyShare checks a signature share's proof of correctness.
+// VerifyShare checks a signature share's proof of correctness. It
+// bounds c and z before any exponentiation, so a share's cost does not
+// grow with its encoded size.
 func (s *RSAScheme) VerifyShare(msg []byte, sh Share) error {
 	if sh.Party < 0 || sh.Party >= s.NParties {
 		return ErrInvalidShare
@@ -259,7 +249,7 @@ func (s *RSAScheme) VerifyShare(msg []byte, sh Share) error {
 	if xi.Sign() <= 0 || xi.Cmp(s.N) >= 0 {
 		return ErrInvalidShare
 	}
-	if z.Sign() < 0 || z.BitLen() > s.zBits() {
+	if c.BitLen() > rsaProofHashBits || z.Sign() < 0 || z.BitLen() > s.zBits() {
 		return ErrInvalidShare
 	}
 	s.precompute()

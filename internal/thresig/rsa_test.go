@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/gob"
+	"errors"
 	"testing"
+	"time"
 
 	"sintra/internal/adversary"
 )
@@ -115,6 +117,16 @@ func TestRSAVerifyShareRejectsForgery(t *testing.T) {
 	bad.Party = 99
 	if err := s.VerifyShare(msg, bad); err == nil {
 		t.Fatal("out-of-range party verified")
+	}
+	// A 128 KiB challenge is refused before any exponentiation (which
+	// would take about half a second at this modulus).
+	bad = hugeChallenge(signAll(t, s, keys, []byte("n"), []int{1})[0])
+	start := time.Now()
+	if err := s.VerifyShare(msg, bad); !errors.Is(err, ErrInvalidShare) {
+		t.Fatalf("128 KiB challenge: %v, want ErrInvalidShare", err)
+	}
+	if d := time.Since(start); d > 10*time.Millisecond {
+		t.Fatalf("128 KiB challenge took %v to reject, want < 10ms", d)
 	}
 }
 

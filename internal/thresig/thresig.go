@@ -23,7 +23,9 @@
 // Consumers combine shares before checking any proof (the package-level
 // Combine): a combined RSA signature that verifies under the public key
 // is a valid signature whoever contributed, so the share proofs are
-// checked only when a combine fails, to name the culprits.
+// checked only when a combine fails, one share at a time with
+// VerifyShare, to name the culprits. An RSA share is its value x_i and
+// the proof (c, z); the check recomputes the proof's commitments.
 package thresig
 
 import (
@@ -51,31 +53,30 @@ var (
 type Share struct {
 	// Party is the signer.
 	Party int
-	// Data is the scheme-specific share encoding.
+	// Data is the scheme-specific share encoding: for RSAScheme the
+	// share x_i and its proof (c, z).
 	Data []byte
-	// Aux carries optional batch-verification material — for RSAScheme
-	// the proof commitments (v', x') that VerifyShare otherwise
-	// recomputes. Per-share verification and Combine ignore it, and
-	// Data keeps its exact legacy encoding; an empty Aux makes the batch
-	// check fall back to per-share verification.
-	Aux []byte
 }
 
 // Combine assembles a signature on msg from shares nobody has verified
 // and returns the indexes of the invalid shares it found; a signature it
 // returns verifies, whoever contributed. CertScheme checks each share as
 // it combines. RSAScheme combines first and, only when that fails,
-// batch-verifies the shares and combines the rest if they still suffice.
+// checks every share with VerifyShare and combines the rest if they
+// still suffice.
 func Combine(s Scheme, msg []byte, shares []Share) (sig []byte, bad []int, err error) {
 	if cs, ok := s.(*CertScheme); ok {
 		return cs.combine(msg, shares)
 	}
-	sig, err = s.Combine(msg, shares)
-	rs, ok := s.(*RSAScheme)
-	if err == nil || !ok {
-		return sig, nil, err
+	if sig, err = s.Combine(msg, shares); err == nil {
+		return sig, nil, nil
 	}
-	if bad = rs.BatchVerifyShares(msg, shares); bad == nil {
+	for i, sh := range shares {
+		if s.VerifyShare(msg, sh) != nil {
+			bad = append(bad, i)
+		}
+	}
+	if bad == nil {
 		return nil, nil, err
 	}
 	sig, err = s.Combine(msg, Without(shares, bad))

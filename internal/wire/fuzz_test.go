@@ -371,7 +371,7 @@ func FuzzUnmarshalBody(f *testing.F) {
 		Round  int
 		Shares []coin.Share
 	}{3, []coin.Share{sampleShare()}}))
-	f.Add(wire.MustMarshalBody(struct{ Share thresig.Share }{thresig.Share{Party: 2, Data: []byte{1}, Aux: []byte{2}}}))
+	f.Add(wire.MustMarshalBody(struct{ Share thresig.Share }{thresig.Share{Party: 2, Data: []byte{1}}}))
 	f.Add(wire.MustMarshalBody(abc.SignedProposal{Party: 2, Round: 4, Batch: [][]byte{[]byte("req")}, Refs: make([]byte, 32), Sig: []byte("sig")}))
 	f.Add(wire.MustMarshalBody(struct{ Proposals [][32]byte }{[][32]byte{{1}, {2}, {3}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -19,11 +19,13 @@ import "fmt"
 // alone; 6: trial 1's leader is public, so multi-valued agreement tosses
 // no coin and journals no leadcoin/1 slot in it; 7: a DLEQ proof is its
 // challenge and response alone, so coin shares, decryption shares and
-// TDH2 ciphertexts no longer carry the prover's two commitments).
+// TDH2 ciphertexts no longer carry the prover's two commitments; 8: a
+// threshold-RSA signature share is its value, challenge and response,
+// without the two batch commitments).
 // A replica refuses a peer whose transport hello, or a journal directory
 // whose marker (wal.OpenJournal), names another format: neither decodes
 // nor agrees across formats.
-const Format = 7
+const Format = 8
 
 // Message is the envelope routed between parties. Payload bytes must be
 // treated as immutable once sent.

@@ -47,13 +47,16 @@ func (s *sendOrderTally) Next(pending []wire.Message) int {
 // certified yet when a quorum has voted, and send order does not fix how
 // fast each replica drains its inbox: 4–13 of the 50 rounds reach trial
 // 2, each with a second binary agreement that decides 0, for 1.3–4.2
-// LEADCOIN, 66–101 aba messages, 165–202 in all and 22–26 KiB per
-// request (with a leader coin in every trial: 16 LEADCOIN, ≈ 52 aba and
-// 164–211 in all). The bounds, 110 aba messages, 225 in all and 30 KiB,
+// LEADCOIN, 66–101 aba messages, 157–202 in all and 18.6–19.7 KiB per
+// request (22–26 KiB with the share commitments below; with a leader
+// coin in every trial: 16 LEADCOIN, ≈ 52 aba and 164–211 in all). The bounds, 110 aba messages, 225 in all and 30 KiB,
 // sit above that and below a tossed coin from round 1 on with eager
 // rounds (119–152, 233–265 and 32–35 KiB idle; with whole proposals in
 // the value besides: ≈ 500 B per SEND and START, 42 KiB; with gob's type
-// descriptors too: 83–96 B and 76 KiB).
+// descriptors too: 83–96 B and 76 KiB). A threshold-RSA signature share
+// carries its value and its proof, not the prover's commitments: a cbc
+// SHARE stays under 300 B and a client RESPONSE under 340 B (379 and
+// 423 B with the commitments).
 func TestWireBudget(t *testing.T) {
 	tally := &sendOrderTally{msgs: map[[2]string]int{}, bytes: map[[2]string]int{}}
 	c := newChainCluster(t, 4, 1, sintra.WithSeed(7), sintra.WithScheduler(tally))
@@ -130,6 +133,14 @@ func TestWireBudget(t *testing.T) {
 		}
 		if avg := tally.bytes[k] / tally.msgs[k]; avg >= 400 {
 			t.Errorf("%s %s averages %d B, want a certificate without its payload (< 400 B)", k[0], k[1], avg)
+		}
+	}
+	for k, limit := range map[[2]string]int{{"cbc", "SHARE"}: 300, {"client", "RESPONSE"}: 340} {
+		if tally.msgs[k] == 0 {
+			t.Fatalf("no %s %s was delivered", k[0], k[1])
+		}
+		if avg := tally.bytes[k] / tally.msgs[k]; avg >= limit {
+			t.Errorf("%s %s averages %d B, want a share without commitments (< %d B)", k[0], k[1], avg, limit)
 		}
 	}
 	for _, k := range [][2]string{{"cbc", "REQ"}, {"cbc", "ANS"}, {"abc", "FETCH"}, {"abc", "PAYLOAD"}} {
