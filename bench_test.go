@@ -38,9 +38,7 @@ func BenchmarkS3AtomicBroadcast(b *testing.B)      { benchLayer(b, "abc") }
 func BenchmarkS3SecureCausalABC(b *testing.B)      { benchLayer(b, "scabc") }
 
 // BenchmarkABC is the headline per-delivery latency number: atomic
-// broadcast at n=7 (t=2), the paper's mid-size deployment. It is the
-// benchmark the verification-pipeline work is measured against (see
-// EXPERIMENTS.md "Verification pipeline").
+// broadcast at n=7 (t=2), the paper's mid-size deployment.
 func BenchmarkABC(b *testing.B) {
 	row, err := bench.RunLayer(7, "abc", b.N)
 	if err != nil {

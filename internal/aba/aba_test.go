@@ -310,8 +310,9 @@ func TestByzantineRoundFlood(t *testing.T) {
 		testutil.Options{Seed: 47, Observe: true, Corrupted: []int{0, 2, 3}})
 	var inst *aba.ABA
 	c.Routers[victim].DoSync(func() {
-		inst = aba.New(aba.Config{Router: c.Routers[victim], Struct: c.Struct, Instance: "flood",
-			Coin: c.Pub.Coin, CoinKey: c.Secrets[victim].Coin})
+		cfg := c.ABA(victim)
+		cfg.Instance = "flood"
+		inst = aba.New(cfg)
 	})
 	if err := inst.Start(true); err != nil {
 		t.Fatal(err)

@@ -125,13 +125,12 @@ func launch(t *testing.T, c *testutil.Cluster, tag string, inputs map[int]bool) 
 		i := i
 		c.Routers[i].DoSync(func() {
 			var inst *aba.ABA
-			inst = aba.New(aba.Config{
-				Router: c.Routers[i], Struct: c.Struct, Instance: tag,
-				Coin: c.Pub.Coin, CoinKey: c.Secrets[i].Coin,
-				// Decide runs on the dispatch goroutine: Round() is safe.
-				Decide:      func(v bool) { decided <- decision{party: i, value: v, round: inst.Round()} },
-				OnTerminate: func() { halted <- i },
-			})
+			cfg := c.ABA(i)
+			cfg.Instance = tag
+			// Decide runs on the dispatch goroutine: Round() is safe.
+			cfg.Decide = func(v bool) { decided <- decision{party: i, value: v, round: inst.Round()} }
+			cfg.OnTerminate = func() { halted <- i }
+			inst = aba.New(cfg)
 			insts[i] = inst
 		})
 	}

@@ -42,25 +42,16 @@ func newHarnessCfg(t *testing.T, c *testutil.Cluster, parties []int, adjust func
 	for _, i := range parties {
 		i := i
 		c.Routers[i].DoSync(func() {
-			cfg := abc.Config{
-				Router:   c.Routers[i],
-				Struct:   c.Struct,
-				Instance: "svc",
-				Identity: c.Pub.Identity,
-				IDKey:    c.Secrets[i].Identity,
-				Coin:     c.Pub.Coin,
-				CoinKey:  c.Secrets[i].Coin,
-				Scheme:   c.Pub.QuorumSig(),
-				Key:      c.Secrets[i].SigQuorum,
-				Deliver: func(seq int64, payload []byte) {
-					h.mu.Lock()
-					defer h.mu.Unlock()
-					if int64(len(h.logs[i])) != seq {
-						t.Errorf("party %d: seq %d but log has %d entries", i, seq, len(h.logs[i]))
-					}
-					h.logs[i] = append(h.logs[i], payload)
-					h.cond.Broadcast()
-				},
+			cfg := c.ABC(i)
+			cfg.Instance = "svc"
+			cfg.Deliver = func(seq int64, payload []byte) {
+				h.mu.Lock()
+				defer h.mu.Unlock()
+				if int64(len(h.logs[i])) != seq {
+					t.Errorf("party %d: seq %d but log has %d entries", i, seq, len(h.logs[i]))
+				}
+				h.logs[i] = append(h.logs[i], payload)
+				h.cond.Broadcast()
 			}
 			if adjust != nil {
 				adjust(&cfg)

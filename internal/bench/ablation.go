@@ -7,7 +7,7 @@ import (
 
 	"sintra/internal/abc"
 	"sintra/internal/adversary"
-	"sintra/internal/netsim"
+	"sintra/internal/testutil"
 )
 
 // BatchRow is one measurement of the batching ablation: atomic-broadcast
@@ -28,46 +28,35 @@ func RunBatchAblation(batchSizes []int, requests int) ([]BatchRow, error) {
 	var rows []BatchRow
 	st := adversary.MustThreshold(4, 1)
 	for _, bs := range batchSizes {
-		c, err := newCluster(st, clusterOptions{sched: netsim.NewRandomScheduler(17)})
+		c, err := testutil.New(st, testutil.Options{Group: benchGroup, Seed: 17})
 		if err != nil {
 			return nil, err
 		}
 		var delivered atomic.Int64
-		insts := make(map[int]*abc.ABC, 4)
-		for _, i := range c.alive() {
-			i := i
-			c.routers[i].DoSync(func() {
-				insts[i] = abc.New(abc.Config{
-					Router: c.routers[i], Struct: st, Instance: "batch",
-					Identity: c.pub.Identity, IDKey: c.secrets[i].Identity,
-					Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-					Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-					// Ceiling = floor pins the batch: with adaptive growth
-					// on, "batch 1" climbs to 8 under this backlog and the
-					// rows measure the same thing.
-					BatchSize: bs, MaxBatchSize: bs,
-					Deliver: func(int64, []byte) { delivered.Add(1) },
-				})
-			})
-		}
+		insts := startABC(c, "batch", &delivered, func(_ int, cfg *abc.Config) {
+			// Ceiling = floor pins the batch: with adaptive growth on,
+			// "batch 1" climbs to 8 under this backlog and the rows
+			// measure the same thing.
+			cfg.BatchSize, cfg.MaxBatchSize = bs, bs
+		})
 		start := time.Now()
 		// Submit the whole load up front, spread over the parties, so
 		// batching has something to batch.
 		for k := 0; k < requests; k++ {
 			if err := insts[k%4].Broadcast([]byte(fmt.Sprintf("req-%03d", k))); err != nil {
-				c.stop()
+				c.Stop()
 				return nil, err
 			}
 		}
-		if err := waitCount(func() int { return int(delivered.Load()) }, 4*requests, defaultTimeout); err != nil {
-			c.stop()
+		if err := waitCount(&delivered, 4*requests); err != nil {
+			c.Stop()
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		msgs, _ := c.net.Stats().Total()
+		msgs, _ := c.Net.Stats().Total()
 		var rounds int64
-		c.routers[0].DoSync(func() { rounds = insts[0].Round() - 1 })
-		c.stop()
+		c.Routers[0].DoSync(func() { rounds = insts[0].Round() - 1 })
+		c.Stop()
 		rows = append(rows, BatchRow{
 			BatchSize:  bs,
 			Requests:   requests,
@@ -101,38 +90,26 @@ func RunSigSchemeAblation(n, requests int) ([]SigSchemeRow, error) {
 	}
 	var rows []SigSchemeRow
 	for _, scheme := range []string{"shoup-rsa", "ed25519-cert"} {
-		c, err := newCluster(st, clusterOptions{sched: netsim.NewRandomScheduler(19), forceCert: scheme == "ed25519-cert"})
+		c, err := testutil.New(st, testutil.Options{Group: benchGroup, Seed: 19, ForceCert: scheme == "ed25519-cert"})
 		if err != nil {
 			return nil, err
 		}
 		var delivered atomic.Int64
-		insts := make(map[int]*abc.ABC, n)
-		for _, i := range c.alive() {
-			i := i
-			c.routers[i].DoSync(func() {
-				insts[i] = abc.New(abc.Config{
-					Router: c.routers[i], Struct: st, Instance: "sig",
-					Identity: c.pub.Identity, IDKey: c.secrets[i].Identity,
-					Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-					Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-					Deliver: func(int64, []byte) { delivered.Add(1) },
-				})
-			})
-		}
+		insts := startABC(c, "sig", &delivered, nil)
 		start := time.Now()
 		for k := 0; k < requests; k++ {
 			if err := insts[k%n].Broadcast([]byte(fmt.Sprintf("req-%03d", k))); err != nil {
-				c.stop()
+				c.Stop()
 				return nil, err
 			}
-			if err := waitCount(func() int { return int(delivered.Load()) }, n*(k+1), defaultTimeout); err != nil {
-				c.stop()
+			if err := waitCount(&delivered, n*(k+1)); err != nil {
+				c.Stop()
 				return nil, err
 			}
 		}
 		elapsed := time.Since(start)
-		msgs, bytes := c.net.Stats().Total()
-		c.stop()
+		msgs, bytes := c.Net.Stats().Total()
+		c.Stop()
 		rows = append(rows, SigSchemeRow{
 			Scheme:     scheme,
 			N:          n,

@@ -11,7 +11,7 @@ import (
 // assert the headline claims on minimal parameters.
 
 func TestRunLayerSmoke(t *testing.T) {
-	for _, layer := range []string{"rbc", "cbc"} {
+	for _, layer := range stackLayers {
 		row, err := RunLayer(4, layer, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", layer, err)

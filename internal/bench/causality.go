@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/netsim"
 	"sintra/internal/scabc"
+	"sintra/internal/testutil"
 	"sintra/internal/wire"
 )
 
@@ -75,41 +74,29 @@ func RunCausality() (CausalityResult, error) {
 	// Plain atomic broadcast.
 	{
 		snoop := &snoopScheduler{inner: netsim.NewRandomScheduler(3), pattern: secret}
-		c, err := newCluster(st, clusterOptions{sched: snoop})
+		c, err := testutil.New(st, testutil.Options{Group: benchGroup, Scheduler: snoop})
 		if err != nil {
 			return res, err
 		}
 		var delivered atomic.Int64
-		insts := make(map[int]*abc.ABC)
-		for _, i := range c.alive() {
-			i := i
-			c.routers[i].DoSync(func() {
-				insts[i] = abc.New(abc.Config{
-					Router: c.routers[i], Struct: st, Instance: "leak",
-					Identity: c.pub.Identity, IDKey: c.secrets[i].Identity,
-					Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-					Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-					Deliver: func(int64, []byte) { delivered.Add(1) },
-				})
-			})
-		}
+		insts := startABC(c, "leak", &delivered, nil)
 		if err := insts[0].Broadcast(secret); err != nil {
-			c.stop()
+			c.Stop()
 			return res, err
 		}
-		if err := waitCount(func() int { return int(delivered.Load()) }, 4, defaultTimeout); err != nil {
-			c.stop()
+		if err := waitCount(&delivered, 4); err != nil {
+			c.Stop()
 			return res, err
 		}
 		snoop.stop()
 		res.PlainLeaks = snoop.sawPattern()
-		c.stop()
+		c.Stop()
 	}
 
 	// Secure causal atomic broadcast.
 	{
 		snoop := &snoopScheduler{inner: netsim.NewRandomScheduler(3), pattern: secret}
-		c, err := newCluster(st, clusterOptions{sched: snoop})
+		c, err := testutil.New(st, testutil.Options{Group: benchGroup, Scheduler: snoop})
 		if err != nil {
 			return res, err
 		}
@@ -117,35 +104,28 @@ func RunCausality() (CausalityResult, error) {
 		var got []byte
 		var gotMu sync.Mutex
 		insts := make(map[int]*scabc.SCABC)
-		for _, i := range c.alive() {
-			i := i
-			c.routers[i].DoSync(func() {
-				insts[i] = scabc.New(scabc.Config{
-					Router: c.routers[i], Struct: st, Instance: "leak",
-					Identity: c.pub.Identity, IDKey: c.secrets[i].Identity,
-					Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-					Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-					Enc: c.pub.Enc, EncKey: c.secrets[i].Enc,
-					Deliver: func(_ int64, req []byte) {
-						gotMu.Lock()
-						got = append([]byte(nil), req...)
-						gotMu.Unlock()
-						delivered.Add(1)
-					},
-				})
-			})
-		}
-		ct, err := scabc.Encrypt(c.pub.Enc, "leak", secret)
+		c.Each(func(i int) {
+			cfg := c.SCABC(i)
+			cfg.Instance = "leak"
+			cfg.Deliver = func(_ int64, req []byte) {
+				gotMu.Lock()
+				got = append([]byte(nil), req...)
+				gotMu.Unlock()
+				delivered.Add(1)
+			}
+			insts[i] = scabc.New(cfg)
+		})
+		ct, err := scabc.Encrypt(c.Pub.Enc, "leak", secret)
 		if err != nil {
-			c.stop()
+			c.Stop()
 			return res, err
 		}
 		if err := insts[0].Submit(ct); err != nil {
-			c.stop()
+			c.Stop()
 			return res, err
 		}
-		if err := waitCount(func() int { return int(delivered.Load()) }, 4, defaultTimeout); err != nil {
-			c.stop()
+		if err := waitCount(&delivered, 4); err != nil {
+			c.Stop()
 			return res, err
 		}
 		// Note: decryption shares circulate only after ordering; the snoop
@@ -161,12 +141,11 @@ func RunCausality() (CausalityResult, error) {
 		gotMu.Lock()
 		ok := bytes.Equal(got, secret)
 		gotMu.Unlock()
-		c.stop()
+		c.Stop()
 		if !ok {
 			return res, errDeliveredWrongPlaintext
 		}
 	}
-	_ = time.Now
 	return res, nil
 }
 

@@ -1,3 +1,8 @@
+// Package bench is the experiment harness: it regenerates every table and
+// figure of the paper from the implementation (see DESIGN.md §3 for the
+// experiment index). Every runner deals its cluster with
+// internal/testutil; the cmd/sintra-bench command prints the paper-style
+// tables, and the repository-root benchmarks reuse the same runners.
 package bench
 
 import (
@@ -10,9 +15,66 @@ import (
 	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/baseline"
+	"sintra/internal/group"
 	"sintra/internal/netsim"
+	"sintra/internal/testutil"
 	"sintra/internal/wire"
 )
+
+// defaultTimeout bounds each measured operation.
+const defaultTimeout = 120 * time.Second
+
+// benchGroup is the discrete-log group backend every dealt cluster uses.
+// SetGroupName threads the sintra-bench -group flag here; the default
+// follows the SINTRA_GROUP environment variable (test256 otherwise), so
+// the harness and the test matrix agree. Bench runners execute
+// sequentially, so a package variable is safe.
+var benchGroup = group.TestDefault()
+
+// SetGroupName selects the group backend for all subsequent experiment
+// runs (modp2048 | p256 | test256 | test512).
+func SetGroupName(name string) error {
+	g, err := group.ByName(name)
+	if err != nil {
+		return err
+	}
+	benchGroup = g
+	return nil
+}
+
+// GroupName reports the backend experiments currently run over — the
+// group tag of the printed tables.
+func GroupName() string { return benchGroup.Name() }
+
+// waitCount blocks until the counter reaches want, or defaultTimeout
+// expires.
+func waitCount(counter *atomic.Int64, want int) error {
+	deadline := time.Now().Add(defaultTimeout)
+	for counter.Load() < int64(want) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("bench: timeout: %d of %d events", counter.Load(), want)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	return nil
+}
+
+// startABC creates an atomic-broadcast instance on every live party of c.
+// Each delivery at any party adds one to delivered; edit, when not nil,
+// adjusts party i's Config before the instance is created.
+func startABC(c *testutil.Cluster, instance string, delivered *atomic.Int64, edit func(i int, cfg *abc.Config)) map[int]*abc.ABC {
+	insts := make(map[int]*abc.ABC, c.N())
+	c.Each(func(i int) {
+		cfg := c.ABC(i)
+		cfg.Instance = instance
+		cfg.Deliver = func(int64, []byte) { delivered.Add(1) }
+		if edit != nil {
+			edit(i, &cfg)
+		}
+		insts[i] = abc.New(cfg)
+	})
+	return insts
+}
 
 // ABARow is one measurement of experiment A8: binary-agreement round
 // counts at one system size (paper claim: expected CONSTANT rounds,
@@ -37,7 +99,7 @@ func RunABARounds(ns []int, trials int) ([]ABARow, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := newCluster(st, clusterOptions{sched: netsim.NewRandomScheduler(7)})
+		c, err := testutil.New(st, testutil.Options{Group: benchGroup, Seed: 7})
 		if err != nil {
 			return nil, err
 		}
@@ -48,35 +110,31 @@ func RunABARounds(ns []int, trials int) ([]ABARow, error) {
 			var decided atomic.Int64
 			var rounds atomic.Int64
 			insts := make(map[int]*aba.ABA, n)
-			for _, i := range c.alive() {
-				i := i
-				c.routers[i].DoSync(func() {
-					var inst *aba.ABA
-					inst = aba.New(aba.Config{
-						Router: c.routers[i], Struct: st, Instance: tag,
-						Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-						Decide: func(bool) {
-							// Round() is safe here: Decide runs on the
-							// dispatch goroutine.
-							if r := int64(inst.Round()); r > rounds.Load() {
-								rounds.Store(r)
-							}
-							decided.Add(1)
-						},
-					})
-					insts[i] = inst
-				})
-			}
-			before, _ := c.net.Stats().Total()
+			c.Each(func(i int) {
+				var inst *aba.ABA
+				cfg := c.ABA(i)
+				cfg.Instance = tag
+				cfg.Decide = func(bool) {
+					// Round() is safe here: Decide runs on the dispatch
+					// goroutine.
+					if r := int64(inst.Round()); r > rounds.Load() {
+						rounds.Store(r)
+					}
+					decided.Add(1)
+				}
+				inst = aba.New(cfg)
+				insts[i] = inst
+			})
+			before, _ := c.Net.Stats().Total()
 			for i, inst := range insts {
 				if err := inst.Start(i%2 == 0); err != nil {
 					return nil, err
 				}
 			}
-			if err := waitCount(func() int { return int(decided.Load()) }, n, defaultTimeout); err != nil {
+			if err := waitCount(&decided, n); err != nil {
 				return nil, err
 			}
-			after, _ := c.net.Stats().Total()
+			after, _ := c.Net.Stats().Total()
 			r := int(rounds.Load())
 			totalRounds += r
 			sumSquares += r * r
@@ -85,7 +143,7 @@ func RunABARounds(ns []int, trials int) ([]ABARow, error) {
 			}
 			totalMsgs += float64(after - before)
 		}
-		c.stop()
+		c.Stop()
 		mean := float64(totalRounds) / float64(trials)
 		variance := (float64(sumSquares) - float64(trials)*mean*mean) / math.Max(1, float64(trials-1))
 		rows = append(rows, ABARow{
@@ -121,14 +179,14 @@ func RunF1(window time.Duration) (F1Result, error) {
 	// Part 1: the deterministic baseline under the paper's §2.2 attack.
 	{
 		sched := baseline.NewLeaderStalker(st, netsim.NewRandomScheduler(3))
-		c, err := newCluster(st, clusterOptions{sched: sched})
+		c, err := testutil.New(st, testutil.Options{Group: benchGroup, Scheduler: sched})
 		if err != nil {
 			return res, err
 		}
 		nodes := make([]*baseline.Node, 0, 4)
-		for _, i := range c.alive() {
+		for _, r := range c.Routers {
 			nodes = append(nodes, baseline.New(baseline.Config{
-				Router: c.routers[i], Struct: st, Instance: "f1",
+				Router: r, Struct: st, Instance: "f1",
 				Timeout: 20 * time.Millisecond,
 			}))
 		}
@@ -144,7 +202,7 @@ func RunF1(window time.Duration) (F1Result, error) {
 		for _, nd := range nodes {
 			nd.Stop()
 		}
-		c.stop()
+		c.Stop()
 	}
 
 	// Part 2: the randomized stack under an adversary that starves one
@@ -153,25 +211,13 @@ func RunF1(window time.Duration) (F1Result, error) {
 	// leader: the round costs at most one extra trial, whose leader the
 	// coin draws.
 	run := func(sched netsim.Scheduler) (int64, error) {
-		c, err := newCluster(st, clusterOptions{sched: sched})
+		c, err := testutil.New(st, testutil.Options{Group: benchGroup, Scheduler: sched})
 		if err != nil {
 			return 0, err
 		}
-		defer c.stop()
+		defer c.Stop()
 		var delivered atomic.Int64
-		insts := make(map[int]*abc.ABC, 4)
-		for _, i := range c.alive() {
-			i := i
-			c.routers[i].DoSync(func() {
-				insts[i] = abc.New(abc.Config{
-					Router: c.routers[i], Struct: st, Instance: "f1",
-					Identity: c.pub.Identity, IDKey: c.secrets[i].Identity,
-					Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-					Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-					Deliver: func(int64, []byte) { delivered.Add(1) },
-				})
-			})
-		}
+		insts := startABC(c, "f1", &delivered, nil)
 		deadline := time.Now().Add(window)
 		for k := 0; time.Now().Before(deadline); k++ {
 			if err := insts[1].Broadcast([]byte(fmt.Sprintf("req-%d", k))); err != nil {

@@ -6,10 +6,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/group"
 	"sintra/internal/sharing"
+	"sintra/internal/testutil"
 )
 
 // ExampleResult is the outcome of experiments E1 / E2 — the paper's §4.3
@@ -107,33 +107,21 @@ func runExample(name string, st *adversary.Structure, crashed []int, ops int) (E
 	}
 
 	// Live run with the claimed corruption crashed.
-	c, err := newCluster(st, clusterOptions{crashed: crashed})
+	c, err := testutil.New(st, testutil.Options{Group: benchGroup, Corrupted: crashed})
 	if err != nil {
 		return res, err
 	}
-	defer c.stop()
+	defer c.Stop()
 	var delivered atomic.Int64
-	insts := make(map[int]*abc.ABC)
-	for _, i := range c.alive() {
-		i := i
-		c.routers[i].DoSync(func() {
-			insts[i] = abc.New(abc.Config{
-				Router: c.routers[i], Struct: st, Instance: "ex",
-				Identity: c.pub.Identity, IDKey: c.secrets[i].Identity,
-				Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-				Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-				Deliver: func(int64, []byte) { delivered.Add(1) },
-			})
-		})
-	}
-	alive := c.alive()
+	insts := startABC(c, "ex", &delivered, nil)
+	alive := c.Live()
 	start := time.Now()
 	for op := 0; op < ops; op++ {
 		sender := insts[alive[op%len(alive)]]
 		if err := sender.Broadcast([]byte(fmt.Sprintf("op-%d", op))); err != nil {
 			return res, err
 		}
-		if err := waitCount(func() int { return int(delivered.Load()) }, (op+1)*len(alive), defaultTimeout); err != nil {
+		if err := waitCount(&delivered, (op+1)*len(alive)); err != nil {
 			return res, err
 		}
 	}

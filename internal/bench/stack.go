@@ -6,12 +6,13 @@ import (
 	"time"
 
 	"sintra/internal/aba"
-	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/cbc"
 	"sintra/internal/mvba"
+	"sintra/internal/obs"
 	"sintra/internal/rbc"
 	"sintra/internal/scabc"
+	"sintra/internal/testutil"
 )
 
 // StackRow is one measurement of experiment S3 (the §3 protocol-stack
@@ -79,13 +80,17 @@ func RunLayer(n int, layer string, ops int) (StackRow, error) {
 	return runStackLayer(st, layer, ops)
 }
 
-// runStackLayer measures one layer on a fresh cluster.
+// runStackLayer measures one layer on a fresh cluster: ops operations,
+// each timed until every party has delivered or decided. The atomic
+// broadcasts' instances are created once, inside the timed window; the
+// lower layers run one instance per operation.
 func runStackLayer(st *adversary.Structure, layer string, ops int) (StackRow, error) {
-	c, err := newCluster(st, clusterOptions{})
+	reg := obs.NewRegistry()
+	c, err := testutil.New(st, testutil.Options{Group: benchGroup, Registry: reg})
 	if err != nil {
 		return StackRow{}, err
 	}
-	defer c.stop()
+	defer c.Stop()
 
 	payload := make([]byte, 256)
 	for i := range payload {
@@ -94,160 +99,101 @@ func runStackLayer(st *adversary.Structure, layer string, ops int) (StackRow, er
 	n := st.N()
 	var delivered atomic.Int64
 
+	// op starts operation k.
+	var op func(k int) error
 	start := time.Now()
 	switch layer {
 	case "rbc":
-		for op := 0; op < ops; op++ {
-			tag := fmt.Sprintf("op%d", op)
-			var insts []*rbc.RBC
-			for _, i := range c.alive() {
-				i := i
-				c.routers[i].DoSync(func() {
-					inst := rbc.New(rbc.Config{
-						Router: c.routers[i], Struct: st,
-						Instance: rbc.InstanceID(0, tag), Sender: 0,
-						Deliver: func([]byte) { delivered.Add(1) },
-					})
-					if i == 0 {
-						insts = append(insts, inst)
-					}
-				})
-			}
-			if err := insts[0].Start(payload); err != nil {
-				return StackRow{}, err
-			}
-			if err := waitCount(func() int { return int(delivered.Load()) }, (op+1)*n, defaultTimeout); err != nil {
-				return StackRow{}, err
-			}
+		op = func(k int) error {
+			var sender *rbc.RBC
+			c.Each(func(i int) {
+				cfg := c.RBC(i)
+				cfg.Instance, cfg.Sender = rbc.InstanceID(0, fmt.Sprintf("op%d", k)), 0
+				cfg.Deliver = func([]byte) { delivered.Add(1) }
+				if inst := rbc.New(cfg); i == 0 {
+					sender = inst
+				}
+			})
+			return sender.Start(payload)
 		}
 	case "cbc":
-		for op := 0; op < ops; op++ {
-			tag := fmt.Sprintf("op%d", op)
+		op = func(k int) error {
 			var sender *cbc.CBC
-			for _, i := range c.alive() {
-				i := i
-				c.routers[i].DoSync(func() {
-					inst := cbc.New(cbc.Config{
-						Router: c.routers[i], Struct: st,
-						Instance: cbc.InstanceID(0, tag), Sender: 0,
-						Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-						Deliver: func([]byte, []byte) { delivered.Add(1) },
-					})
-					if i == 0 {
-						sender = inst
-					}
-				})
-			}
-			if err := sender.Start(payload); err != nil {
-				return StackRow{}, err
-			}
-			if err := waitCount(func() int { return int(delivered.Load()) }, (op+1)*n, defaultTimeout); err != nil {
-				return StackRow{}, err
-			}
+			c.Each(func(i int) {
+				cfg := c.CBC(i)
+				cfg.Instance, cfg.Sender = cbc.InstanceID(0, fmt.Sprintf("op%d", k)), 0
+				cfg.Deliver = func([]byte, []byte) { delivered.Add(1) }
+				if inst := cbc.New(cfg); i == 0 {
+					sender = inst
+				}
+			})
+			return sender.Start(payload)
 		}
 	case "aba":
-		for op := 0; op < ops; op++ {
-			tag := fmt.Sprintf("op%d", op)
+		op = func(k int) error {
 			insts := make(map[int]*aba.ABA, n)
-			for _, i := range c.alive() {
-				i := i
-				c.routers[i].DoSync(func() {
-					insts[i] = aba.New(aba.Config{
-						Router: c.routers[i], Struct: st, Instance: tag,
-						Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-						Decide: func(bool) { delivered.Add(1) },
-					})
-				})
-			}
+			c.Each(func(i int) {
+				cfg := c.ABA(i)
+				cfg.Instance = fmt.Sprintf("op%d", k)
+				cfg.Decide = func(bool) { delivered.Add(1) }
+				insts[i] = aba.New(cfg)
+			})
 			for i, inst := range insts {
 				if err := inst.Start(i%2 == 0); err != nil {
-					return StackRow{}, err
+					return err
 				}
 			}
-			if err := waitCount(func() int { return int(delivered.Load()) }, (op+1)*n, defaultTimeout); err != nil {
-				return StackRow{}, err
-			}
+			return nil
 		}
 	case "mvba":
-		for op := 0; op < ops; op++ {
-			tag := fmt.Sprintf("op%d", op)
+		op = func(k int) error {
 			insts := make(map[int]*mvba.MVBA, n)
-			for _, i := range c.alive() {
-				i := i
-				c.routers[i].DoSync(func() {
-					insts[i] = mvba.New(mvba.Config{
-						Router: c.routers[i], Struct: st, Instance: tag,
-						Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-						Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-						Decide: func([]byte) { delivered.Add(1) },
-					})
-				})
-			}
+			c.Each(func(i int) {
+				cfg := c.MVBA(i)
+				cfg.Instance = fmt.Sprintf("op%d", k)
+				cfg.Decide = func([]byte) { delivered.Add(1) }
+				insts[i] = mvba.New(cfg)
+			})
 			for i, inst := range insts {
 				if err := inst.Start(append(payload, byte(i))); err != nil {
-					return StackRow{}, err
+					return err
 				}
 			}
-			if err := waitCount(func() int { return int(delivered.Load()) }, (op+1)*n, defaultTimeout); err != nil {
-				return StackRow{}, err
-			}
+			return nil
 		}
 	case "abc":
-		insts := make(map[int]*abc.ABC, n)
-		for _, i := range c.alive() {
-			i := i
-			c.routers[i].DoSync(func() {
-				insts[i] = abc.New(abc.Config{
-					Router: c.routers[i], Struct: st, Instance: "bench",
-					Identity: c.pub.Identity, IDKey: c.secrets[i].Identity,
-					Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-					Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-					Deliver: func(int64, []byte) { delivered.Add(1) },
-				})
-			})
-		}
-		for op := 0; op < ops; op++ {
-			if err := insts[0].Broadcast(append(payload, byte(op))); err != nil {
-				return StackRow{}, err
-			}
-			if err := waitCount(func() int { return int(delivered.Load()) }, (op+1)*n, defaultTimeout); err != nil {
-				return StackRow{}, err
-			}
-		}
+		insts := startABC(c, "bench", &delivered, nil)
+		op = func(k int) error { return insts[0].Broadcast(append(payload, byte(k))) }
 	case "scabc":
 		insts := make(map[int]*scabc.SCABC, n)
-		for _, i := range c.alive() {
-			i := i
-			c.routers[i].DoSync(func() {
-				insts[i] = scabc.New(scabc.Config{
-					Router: c.routers[i], Struct: st, Instance: "bench",
-					Identity: c.pub.Identity, IDKey: c.secrets[i].Identity,
-					Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-					Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-					Enc: c.pub.Enc, EncKey: c.secrets[i].Enc,
-					Deliver: func(int64, []byte) { delivered.Add(1) },
-				})
-			})
-		}
-		for op := 0; op < ops; op++ {
-			ct, err := scabc.Encrypt(c.pub.Enc, "bench", append(payload, byte(op)))
+		c.Each(func(i int) {
+			cfg := c.SCABC(i)
+			cfg.Instance = "bench"
+			cfg.Deliver = func(int64, []byte) { delivered.Add(1) }
+			insts[i] = scabc.New(cfg)
+		})
+		op = func(k int) error {
+			ct, err := scabc.Encrypt(c.Pub.Enc, "bench", append(payload, byte(k)))
 			if err != nil {
-				return StackRow{}, err
+				return err
 			}
-			if err := insts[0].Submit(ct); err != nil {
-				return StackRow{}, err
-			}
-			if err := waitCount(func() int { return int(delivered.Load()) }, (op+1)*n, defaultTimeout); err != nil {
-				return StackRow{}, err
-			}
+			return insts[0].Submit(ct)
 		}
 	default:
 		return StackRow{}, fmt.Errorf("bench: unknown layer %q", layer)
 	}
+	for k := 0; k < ops; k++ {
+		if err := op(k); err != nil {
+			return StackRow{}, err
+		}
+		if err := waitCount(&delivered, (k+1)*n); err != nil {
+			return StackRow{}, err
+		}
+	}
 	elapsed := time.Since(start)
 
-	msgs, bytes := c.net.Stats().Total()
-	snap := c.reg.Snapshot()
+	msgs, bytes := c.Net.Stats().Total()
+	snap := reg.Snapshot()
 	lh := snap.Histograms[layerHist[layer]]
 	dh := snap.Histograms["router.dispatch.latency"]
 	return StackRow{

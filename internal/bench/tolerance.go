@@ -8,7 +8,7 @@ import (
 	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/faultsim"
-	"sintra/internal/netsim"
+	"sintra/internal/testutil"
 )
 
 // ToleranceRow is one point of the resilience sweep: atomic broadcast on
@@ -62,56 +62,42 @@ func RunToleranceSweep(n, t, ops int, window time.Duration) ([]ToleranceRow, err
 // (a Byzantine party's own view is corrupted by its lying transport).
 func runTolerancePoint(st *adversary.Structure, fault string, faulty, ops int, window time.Duration) (ToleranceRow, error) {
 	n, t := st.N(), st.Thresh
-	var c *cluster
-	var err error
+	opts := testutil.Options{Group: benchGroup}
 	honest := make(map[int]bool, n)
 	for i := 0; i < n; i++ {
 		honest[i] = true
 	}
 	switch fault {
 	case "crash":
-		var down []int
+		opts.Seed = int64(29 + faulty)
 		for i := 0; i < faulty; i++ {
-			down = append(down, n-1-i)
+			opts.Corrupted = append(opts.Corrupted, n-1-i)
 			honest[n-1-i] = false
 		}
-		c, err = newCluster(st, clusterOptions{sched: netsim.NewRandomScheduler(int64(29 + faulty)), crashed: down})
 	case "byzantine":
-		byz := make(map[int][]faultsim.Behavior, faulty)
+		opts.Seed = int64(59 + faulty)
+		opts.Byzantine = make(map[int][]faultsim.Behavior, faulty)
 		for i := 0; i < faulty; i++ {
-			byz[n-1-i] = []faultsim.Behavior{faultsim.Equivocate()}
+			opts.Byzantine[n-1-i] = []faultsim.Behavior{faultsim.Equivocate()}
 			honest[n-1-i] = false
 		}
-		c, err = newCluster(st, clusterOptions{sched: netsim.NewRandomScheduler(int64(59 + faulty)), byzantine: byz})
 	default:
 		return ToleranceRow{}, fmt.Errorf("bench: unknown fault kind %q", fault)
 	}
+	c, err := testutil.New(st, opts)
 	if err != nil {
 		return ToleranceRow{}, err
 	}
-	defer c.stop()
+	defer c.Stop()
 
 	var delivered atomic.Int64
-	insts := make(map[int]*abc.ABC)
-	for _, i := range c.alive() {
-		i := i
-		countHere := honest[i]
-		c.routers[i].DoSync(func() {
-			insts[i] = abc.New(abc.Config{
-				Router: c.routers[i], Struct: st, Instance: "tol",
-				Identity: c.pub.Identity, IDKey: c.secrets[i].Identity,
-				Coin: c.pub.Coin, CoinKey: c.secrets[i].Coin,
-				Scheme: c.pub.QuorumSig(), Key: c.secrets[i].SigQuorum,
-				Deliver: func(int64, []byte) {
-					if countHere {
-						delivered.Add(1)
-					}
-				},
-			})
-		})
-	}
+	insts := startABC(c, "tol", &delivered, func(i int, cfg *abc.Config) {
+		if !honest[i] {
+			cfg.Deliver = func(int64, []byte) {}
+		}
+	})
 	nHonest := 0
-	for _, i := range c.alive() {
+	for _, i := range c.Live() {
 		if honest[i] {
 			nHonest++
 		}
@@ -123,7 +109,7 @@ func runTolerancePoint(st *adversary.Structure, fault string, faulty, ops int, w
 	row := ToleranceRow{N: n, T: t, Fault: fault, Faulty: faulty}
 	if faulty <= t {
 		// Every honest party must deliver everything.
-		err := waitCount(func() int { return int(delivered.Load()) }, nHonest*ops, defaultTimeout)
+		err := waitCount(&delivered, nHonest*ops)
 		row.Live = err == nil
 		row.Delivered = int(delivered.Load()) / nHonest
 	} else {

@@ -28,18 +28,12 @@ func spawnAll(c *testutil.Cluster, sender int, tag string, parties []int, ch cha
 	out := make(map[int]*cbc.CBC, len(parties))
 	for _, i := range parties {
 		i := i
-		out[i] = newCBC(cbc.Config{
-			Router:    c.Routers[i],
-			Struct:    c.Struct,
-			Instance:  cbc.InstanceID(sender, tag),
-			Sender:    sender,
-			Scheme:    c.Pub.QuorumSig(),
-			Key:       c.Secrets[i].SigQuorum,
-			Predicate: pred,
-			Deliver: func(p, cert []byte) {
-				ch <- delivery{party: i, payload: p, cert: cert}
-			},
-		})
+		cfg := c.CBC(i)
+		cfg.Instance, cfg.Sender, cfg.Predicate = cbc.InstanceID(sender, tag), sender, pred
+		cfg.Deliver = func(p, cert []byte) {
+			ch <- delivery{party: i, payload: p, cert: cert}
+		}
+		out[i] = newCBC(cfg)
 	}
 	return out
 }
@@ -220,14 +214,9 @@ func TestCBCWithCertScheme(t *testing.T) {
 func TestNonSenderCannotStart(t *testing.T) {
 	st := adversary.MustThreshold(4, 1)
 	c := testutil.NewCluster(t, st, testutil.Options{})
-	inst := newCBC(cbc.Config{
-		Router:   c.Routers[1],
-		Struct:   c.Struct,
-		Instance: cbc.InstanceID(0, "m"),
-		Sender:   0,
-		Scheme:   c.Pub.QuorumSig(),
-		Key:      c.Secrets[1].SigQuorum,
-	})
+	cfg := c.CBC(1)
+	cfg.Instance, cfg.Sender = cbc.InstanceID(0, "m"), 0
+	inst := newCBC(cfg)
 	if err := inst.Start([]byte("x")); err == nil {
 		t.Fatal("non-sender started")
 	}

@@ -198,8 +198,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			CoinKey:        cfg.Secret.Coin,
 			Scheme:         cfg.Public.QuorumSig(),
 			Key:            cfg.Secret.SigQuorum,
-			BatchSize:      cfg.BatchSize,
-			MaxBatchSize:   cfg.MaxBatchSize,
 			CodedThreshold: cfg.CodedThreshold,
 			Deliver:        n.onDeliver,
 			RoundEnd:       n.onRoundEnd,
@@ -252,8 +250,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			Key:            cfg.Secret.SigQuorum,
 			Enc:            cfg.Public.Enc,
 			EncKey:         cfg.Secret.Enc,
-			BatchSize:      cfg.BatchSize,
-			MaxBatchSize:   cfg.MaxBatchSize,
 			CodedThreshold: cfg.CodedThreshold,
 			Deliver:        n.onDeliver,
 		}).SubmitLocal

@@ -19,14 +19,6 @@ const DefaultCheckpointInterval = 256
 // prune, so every replica of a deployment has to run the same value; the
 // others are local to one replica.
 type Tuning struct {
-	// BatchSize is the floor of atomic broadcast's adaptive proposal
-	// batch: the cut doubles under queue pressure and halves when the
-	// queue drains. Default 8; off means one payload per proposal. Local.
-	BatchSize int
-	// MaxBatchSize is the ceiling of that adaptation. Default 8×BatchSize;
-	// off (or any value below BatchSize) pins the batch at BatchSize.
-	// Local.
-	MaxBatchSize int
 	// CheckpointInterval is the checkpoint/GC period in delivered
 	// payloads: every interval the replicas threshold-sign a digest of
 	// the service state, and the stable checkpoint garbage-collects
@@ -63,12 +55,9 @@ func knob[T int | int64](v, def T) T {
 
 // resolved writes every default out, so that NewNode and the layers under
 // it see explicit values only: each numeric field comes back positive, or
-// -1 for off (the two batch bounds, whose "off" is a value, always
-// positive). Two Tunings configure a replica identically exactly when
+// -1 for off. Two Tunings configure a replica identically exactly when
 // their resolved forms are equal.
 func (t Tuning) resolved() Tuning {
-	t.BatchSize = max(knob(t.BatchSize, abc.DefaultBatchSize), 1) // off: one payload per proposal
-	t.MaxBatchSize = max(knob(t.MaxBatchSize, abc.DefaultMaxBatchFactor*t.BatchSize), t.BatchSize)
 	t.CheckpointInterval = knob(t.CheckpointInterval, DefaultCheckpointInterval)
 	t.CodedThreshold = knob(t.CodedThreshold, abc.DefaultCodedThreshold)
 	return t

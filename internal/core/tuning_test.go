@@ -73,8 +73,6 @@ func fsyncsAfterCommit(t *testing.T, n *Node, reg *obs.Registry) int64 {
 // and every "negative = off" entry really is off.
 func TestTuningDeclaredOnce(t *testing.T) {
 	documented := Tuning{
-		BatchSize:          8,
-		MaxBatchSize:       64,
 		CheckpointInterval: 256,
 		CodedThreshold:     4096,
 		NoFsync:            false,
@@ -93,17 +91,12 @@ func TestTuningDeclaredOnce(t *testing.T) {
 	}
 
 	off := Tuning{
-		BatchSize:          -1,
-		MaxBatchSize:       -1,
 		CheckpointInterval: -1,
 		CodedThreshold:     -2,
 		NoFsync:            true,
 	}
 	node, reg := tunedNode(t, off)
 	got := node.cfg.Tuning
-	if got.BatchSize != 1 || got.MaxBatchSize != 1 {
-		t.Errorf("batching off resolved to floor %d ceiling %d, want one payload per proposal, pinned", got.BatchSize, got.MaxBatchSize)
-	}
 	if got.CheckpointInterval != -1 || node.ckpt != nil {
 		t.Errorf("CheckpointInterval off resolved to %d (tracker built: %v)", got.CheckpointInterval, node.ckpt != nil)
 	}
@@ -114,18 +107,6 @@ func TestTuningDeclaredOnce(t *testing.T) {
 		t.Errorf("NoFsync: %d fsyncs", n)
 	}
 
-	// Adaptation alone off: the ceiling follows the floor. A ceiling below
-	// the floor clamps to it.
-	for _, tc := range []struct{ in, want Tuning }{
-		{Tuning{MaxBatchSize: -1}, Tuning{BatchSize: 8, MaxBatchSize: 8}},
-		{Tuning{BatchSize: 4}, Tuning{BatchSize: 4, MaxBatchSize: 32}},
-		{Tuning{BatchSize: 16, MaxBatchSize: 2}, Tuning{BatchSize: 16, MaxBatchSize: 16}},
-	} {
-		got := tc.in.resolved()
-		if got.BatchSize != tc.want.BatchSize || got.MaxBatchSize != tc.want.MaxBatchSize {
-			t.Errorf("%+v resolved to floor %d ceiling %d, want %d/%d", tc.in, got.BatchSize, got.MaxBatchSize, tc.want.BatchSize, tc.want.MaxBatchSize)
-		}
-	}
 	// Resolving is idempotent: a resolved Tuning is its own written-out form.
 	if again := got.resolved(); again != got {
 		t.Errorf("resolved() is not idempotent: %+v then %+v", got, again)

@@ -321,12 +321,10 @@ func (b *byzantineLeader) startHonest() (proposals map[int][]byte, decisions cha
 		i, p := i, p
 		var inst *mvba.MVBA
 		b.c.Routers[i].DoSync(func() {
-			inst = mvba.New(mvba.Config{
-				Router: b.c.Routers[i], Struct: b.c.Struct, Instance: b.tag, Leader: 0,
-				Coin: b.c.Pub.Coin, CoinKey: b.c.Secrets[i].Coin,
-				Scheme: b.c.Pub.QuorumSig(), Key: b.c.Secrets[i].SigQuorum,
-				Decide: func(v []byte) { decisions <- decision{party: i, value: v} },
-			})
+			cfg := b.c.MVBA(i)
+			cfg.Instance, cfg.Leader = b.tag, 0
+			cfg.Decide = func(v []byte) { decisions <- decision{party: i, value: v} }
+			inst = mvba.New(cfg)
 		})
 		if err := inst.Start(p); err != nil {
 			b.t.Fatal(err)
@@ -490,9 +488,9 @@ func TestByzantineTrialFlood(t *testing.T) {
 		testutil.Options{Seed: 53, Observe: true, Corrupted: []int{0, 2, 3}})
 	var inst *mvba.MVBA
 	c.Routers[victim].DoSync(func() {
-		inst = mvba.New(mvba.Config{Router: c.Routers[victim], Struct: c.Struct, Instance: "flood",
-			Coin: c.Pub.Coin, CoinKey: c.Secrets[victim].Coin,
-			Scheme: c.Pub.QuorumSig(), Key: c.Secrets[victim].SigQuorum})
+		cfg := c.MVBA(victim)
+		cfg.Instance = "flood"
+		inst = mvba.New(cfg)
 	})
 	ep := c.Net.Endpoint(0)
 	dispatched := func() int64 { return c.Regs[victim].Snapshot().Histograms["router.dispatch.latency"].Count }

@@ -36,18 +36,10 @@ func runLedMVBA(t *testing.T, c *testutil.Cluster, tag string, leader int, propo
 	for i := range proposals {
 		i := i
 		c.Routers[i].DoSync(func() {
-			insts[i] = mvba.New(mvba.Config{
-				Router:    c.Routers[i],
-				Struct:    c.Struct,
-				Instance:  tag,
-				Leader:    leader,
-				Coin:      c.Pub.Coin,
-				CoinKey:   c.Secrets[i].Coin,
-				Scheme:    c.Pub.QuorumSig(),
-				Key:       c.Secrets[i].SigQuorum,
-				Predicate: pred,
-				Decide:    func(v []byte) { ch <- decision{party: i, value: v} },
-			})
+			cfg := c.MVBA(i)
+			cfg.Instance, cfg.Leader, cfg.Predicate = tag, leader, pred
+			cfg.Decide = func(v []byte) { ch <- decision{party: i, value: v} }
+			insts[i] = mvba.New(cfg)
 		})
 	}
 	for i, p := range proposals {

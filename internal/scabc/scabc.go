@@ -79,11 +79,6 @@ type Config struct {
 	// OnInvalid is called (optionally) when an ordered ciphertext is
 	// skipped as invalid.
 	OnInvalid func(abcSeq int64)
-	// BatchSize is passed to the embedded atomic broadcast.
-	BatchSize int
-	// MaxBatchSize is passed to the embedded atomic broadcast as the
-	// adaptive batching ceiling; see abc.Config.MaxBatchSize.
-	MaxBatchSize int
 	// CodedThreshold is passed to the embedded atomic broadcast (the
 	// ciphertext size from which proposals reference instead of embed);
 	// see abc.Config.CodedThreshold.
@@ -145,8 +140,6 @@ func New(cfg Config) *SCABC {
 		CoinKey:        cfg.CoinKey,
 		Scheme:         cfg.Scheme,
 		Key:            cfg.Key,
-		BatchSize:      cfg.BatchSize,
-		MaxBatchSize:   cfg.MaxBatchSize,
 		CodedThreshold: cfg.CodedThreshold,
 		Deliver:        s.onOrdered,
 	})

@@ -39,34 +39,24 @@ func newHarness(t *testing.T, c *testutil.Cluster, parties []int) *harness {
 	for _, i := range parties {
 		i := i
 		c.Routers[i].DoSync(func() {
-			h.insts[i] = scabc.New(scabc.Config{
-				Router:   c.Routers[i],
-				Struct:   c.Struct,
-				Instance: "notary",
-				Identity: c.Pub.Identity,
-				IDKey:    c.Secrets[i].Identity,
-				Coin:     c.Pub.Coin,
-				CoinKey:  c.Secrets[i].Coin,
-				Scheme:   c.Pub.QuorumSig(),
-				Key:      c.Secrets[i].SigQuorum,
-				Enc:      c.Pub.Enc,
-				EncKey:   c.Secrets[i].Enc,
-				Deliver: func(seq int64, req []byte) {
-					h.mu.Lock()
-					defer h.mu.Unlock()
-					if int64(len(h.logs[i])) != seq {
-						t.Errorf("party %d: plaintext seq %d but log has %d", i, seq, len(h.logs[i]))
-					}
-					h.logs[i] = append(h.logs[i], req)
-					h.cond.Broadcast()
-				},
-				OnInvalid: func(int64) {
-					h.mu.Lock()
-					defer h.mu.Unlock()
-					h.invalid[i]++
-					h.cond.Broadcast()
-				},
-			})
+			cfg := c.SCABC(i)
+			cfg.Instance = "notary"
+			cfg.Deliver = func(seq int64, req []byte) {
+				h.mu.Lock()
+				defer h.mu.Unlock()
+				if int64(len(h.logs[i])) != seq {
+					t.Errorf("party %d: plaintext seq %d but log has %d", i, seq, len(h.logs[i]))
+				}
+				h.logs[i] = append(h.logs[i], req)
+				h.cond.Broadcast()
+			}
+			cfg.OnInvalid = func(int64) {
+				h.mu.Lock()
+				defer h.mu.Unlock()
+				h.invalid[i]++
+				h.cond.Broadcast()
+			}
+			h.insts[i] = scabc.New(cfg)
 		})
 	}
 	return h

@@ -1,22 +1,34 @@
-// Package testutil provides the in-process cluster harness used by the
-// protocol integration tests and the experiment harness: it runs the
+// Package testutil deals and runs a simulated cluster: it runs the
 // trusted dealer, builds a simulated asynchronous network, and starts one
-// router per party.
+// router per party. The protocol integration tests and the experiment
+// harness (internal/bench) both build their clusters here, and the
+// per-protocol helpers (RBC, CBC, ABA, MVBA, ABC, SCABC) are the one place
+// outside the protocols and core that fills a protocol's keys.
 package testutil
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"sintra/internal/aba"
+	"sintra/internal/abc"
 	"sintra/internal/adversary"
+	"sintra/internal/cbc"
 	"sintra/internal/deal"
 	"sintra/internal/engine"
+	"sintra/internal/faultsim"
 	"sintra/internal/group"
+	"sintra/internal/mvba"
 	"sintra/internal/netsim"
 	"sintra/internal/obs"
+	"sintra/internal/rbc"
+	"sintra/internal/scabc"
+	"sintra/internal/wire"
 )
 
-// Options configures a test cluster.
+// Options configures a cluster; the zero value is a full, honest cluster
+// under the fair random schedule of seed 1.
 type Options struct {
 	// Scheduler overrides the default fair random scheduler.
 	Scheduler netsim.Scheduler
@@ -34,17 +46,24 @@ type Options struct {
 	// drives their endpoints directly (byzantine behaviour) or leaves
 	// them silent (crash).
 	Corrupted []int
+	// Byzantine routes the listed parties' traffic through faultsim
+	// attack behaviors: they run the honest code over a lying transport.
+	Byzantine map[int][]faultsim.Behavior
 	// Observe installs a fresh obs.Registry per router (exposed as
 	// Cluster.Regs) so tests can assert on protocol counters.
 	Observe bool
+	// Registry, when set, observes the network, every faultsim proxy and
+	// every router that Observe does not give a registry of its own: one
+	// aggregate across the cluster.
+	Registry *obs.Registry
 }
 
 // Cluster is a dealt, running set of parties over a simulated network.
 type Cluster struct {
 	Struct  *adversary.Structure
 	Net     *netsim.Network
-	Routers []*engine.Router
-	Regs    []*obs.Registry // per-party registries when Options.Observe
+	Routers []*engine.Router // nil for Corrupted parties
+	Regs    []*obs.Registry  // per-party registries when Options.Observe
 	Pub     *deal.Public
 	Secrets []*deal.PartySecret
 
@@ -52,10 +71,9 @@ type Cluster struct {
 	wg       sync.WaitGroup
 }
 
-// NewCluster deals keys for the structure and starts n routers. The
-// cluster is stopped automatically at test cleanup.
-func NewCluster(tb testing.TB, st *adversary.Structure, opts Options) *Cluster {
-	tb.Helper()
+// New deals keys for the structure and starts a router for every party
+// not listed in opts.Corrupted. The caller stops the cluster.
+func New(st *adversary.Structure, opts Options) (*Cluster, error) {
 	g := opts.Group
 	if g == nil {
 		g = group.TestDefault()
@@ -67,7 +85,7 @@ func NewCluster(tb testing.TB, st *adversary.Structure, opts Options) *Cluster {
 		ForceCert: opts.ForceCert,
 	})
 	if err != nil {
-		tb.Fatalf("dealer: %v", err)
+		return nil, fmt.Errorf("dealer: %w", err)
 	}
 	sched := opts.Scheduler
 	if sched == nil {
@@ -83,6 +101,9 @@ func NewCluster(tb testing.TB, st *adversary.Structure, opts Options) *Cluster {
 		Pub:     pub,
 		Secrets: secrets,
 	}
+	if opts.Registry != nil {
+		c.Net.SetObserver(opts.Registry)
+	}
 	corrupted := make(map[int]bool, len(opts.Corrupted))
 	for _, i := range opts.Corrupted {
 		corrupted[i] = true
@@ -95,10 +116,18 @@ func NewCluster(tb testing.TB, st *adversary.Structure, opts Options) *Cluster {
 		if corrupted[i] {
 			continue
 		}
-		r := engine.NewRouter(c.Net.Endpoint(i))
+		var tr wire.Transport = c.Net.Endpoint(i)
+		if bs := opts.Byzantine[i]; len(bs) > 0 {
+			p := faultsim.Wrap(tr, int64(1000003*(i+1)), bs...)
+			p.SetObserver(opts.Registry)
+			tr = p
+		}
+		r := engine.NewRouter(tr)
 		if opts.Observe {
 			c.Regs[i] = obs.NewRegistry()
 			r.SetObserver(c.Regs[i])
+		} else if opts.Registry != nil {
+			r.SetObserver(opts.Registry)
 		}
 		c.Routers[i] = r
 		c.wg.Add(1)
@@ -107,12 +136,89 @@ func NewCluster(tb testing.TB, st *adversary.Structure, opts Options) *Cluster {
 			r.Run()
 		}()
 	}
+	return c, nil
+}
+
+// NewCluster is New for tests: a dealer failure fails the test, and the
+// cluster is stopped automatically at test cleanup.
+func NewCluster(tb testing.TB, st *adversary.Structure, opts Options) *Cluster {
+	tb.Helper()
+	c, err := New(st, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	tb.Cleanup(c.Stop)
 	return c
 }
 
 // N returns the number of parties.
 func (c *Cluster) N() int { return c.Struct.N() }
+
+// Live returns the indices of the parties that run a router.
+func (c *Cluster) Live() []int {
+	var out []int
+	for i, r := range c.Routers {
+		if r != nil {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// Each runs fn(i) on each live party's dispatch goroutine, one party
+// after another, and returns when all have run.
+func (c *Cluster) Each(fn func(i int)) {
+	for _, i := range c.Live() {
+		c.Routers[i].DoSync(func() { fn(i) })
+	}
+}
+
+// RBC returns party i's reliable-broadcast Config with its router and
+// structure filled in.
+func (c *Cluster) RBC(i int) rbc.Config {
+	return rbc.Config{Router: c.Routers[i], Struct: c.Struct}
+}
+
+// CBC returns party i's consistent-broadcast Config with its router,
+// structure and signing key filled in.
+func (c *Cluster) CBC(i int) cbc.Config {
+	return cbc.Config{Router: c.Routers[i], Struct: c.Struct,
+		Scheme: c.Pub.QuorumSig(), Key: c.Secrets[i].SigQuorum}
+}
+
+// ABA returns party i's binary-agreement Config with its router,
+// structure and coin key filled in.
+func (c *Cluster) ABA(i int) aba.Config {
+	return aba.Config{Router: c.Routers[i], Struct: c.Struct,
+		Coin: c.Pub.Coin, CoinKey: c.Secrets[i].Coin}
+}
+
+// MVBA returns party i's multi-valued-agreement Config with its router,
+// structure, coin key and signing key filled in.
+func (c *Cluster) MVBA(i int) mvba.Config {
+	return mvba.Config{Router: c.Routers[i], Struct: c.Struct,
+		Coin: c.Pub.Coin, CoinKey: c.Secrets[i].Coin,
+		Scheme: c.Pub.QuorumSig(), Key: c.Secrets[i].SigQuorum}
+}
+
+// ABC returns party i's atomic-broadcast Config with its router,
+// structure, identity key, coin key and signing key filled in.
+func (c *Cluster) ABC(i int) abc.Config {
+	return abc.Config{Router: c.Routers[i], Struct: c.Struct,
+		Identity: c.Pub.Identity, IDKey: c.Secrets[i].Identity,
+		Coin: c.Pub.Coin, CoinKey: c.Secrets[i].Coin,
+		Scheme: c.Pub.QuorumSig(), Key: c.Secrets[i].SigQuorum}
+}
+
+// SCABC returns party i's secure-causal-atomic-broadcast Config with the
+// keys of ABC(i) plus its decryption key filled in.
+func (c *Cluster) SCABC(i int) scabc.Config {
+	return scabc.Config{Router: c.Routers[i], Struct: c.Struct,
+		Identity: c.Pub.Identity, IDKey: c.Secrets[i].Identity,
+		Coin: c.Pub.Coin, CoinKey: c.Secrets[i].Coin,
+		Scheme: c.Pub.QuorumSig(), Key: c.Secrets[i].SigQuorum,
+		Enc: c.Pub.Enc, EncKey: c.Secrets[i].Enc}
+}
 
 // Stop shuts the network down and waits for every router to exit.
 func (c *Cluster) Stop() {

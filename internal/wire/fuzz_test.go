@@ -105,16 +105,12 @@ func cbcFetchTraffic(tb testing.TB) []wire.Message {
 	c := testutil.NewCluster(tb, adversary.MustThreshold(4, 1), testutil.Options{Scheduler: rec})
 	delivered := make(chan struct{}, c.N())
 	insts := make([]*cbc.CBC, c.N())
-	for i, r := range c.Routers {
-		i, r := i, r
-		r.DoSync(func() {
-			insts[i] = cbc.New(cbc.Config{
-				Router: r, Struct: c.Struct, Instance: cbc.InstanceID(0, "fuzz-seed"), Sender: 0,
-				Scheme: c.Pub.QuorumSig(), Key: c.Secrets[i].SigQuorum,
-				Deliver: func([]byte, []byte) { delivered <- struct{}{} },
-			})
-		})
-	}
+	c.Each(func(i int) {
+		cfg := c.CBC(i)
+		cfg.Instance, cfg.Sender = cbc.InstanceID(0, "fuzz-seed"), 0
+		cfg.Deliver = func([]byte, []byte) { delivered <- struct{}{} }
+		insts[i] = cbc.New(cfg)
+	})
 	wait := func(n int) {
 		for ; n > 0; n-- {
 			select {
@@ -171,19 +167,12 @@ func fetchTraffic(tb testing.TB) []wire.Message {
 	c := testutil.NewCluster(tb, adversary.MustThreshold(4, 1), testutil.Options{Scheduler: rec})
 	delivered := make(chan struct{}, c.N())
 	insts := make([]*abc.ABC, c.N())
-	for i, r := range c.Routers {
-		i, r := i, r
-		r.DoSync(func() {
-			insts[i] = abc.New(abc.Config{
-				Router: r, Struct: c.Struct, Instance: "fuzz-seed",
-				Identity: c.Pub.Identity, IDKey: c.Secrets[i].Identity,
-				Coin: c.Pub.Coin, CoinKey: c.Secrets[i].Coin,
-				Scheme: c.Pub.QuorumSig(), Key: c.Secrets[i].SigQuorum,
-				CodedThreshold: 64,
-				Deliver:        func(int64, []byte) { delivered <- struct{}{} },
-			})
-		})
-	}
+	c.Each(func(i int) {
+		cfg := c.ABC(i)
+		cfg.Instance, cfg.CodedThreshold = "fuzz-seed", 64
+		cfg.Deliver = func(int64, []byte) { delivered <- struct{}{} }
+		insts[i] = abc.New(cfg)
+	})
 	if err := insts[0].Broadcast(bytes.Repeat([]byte("fuzz corpus payload "), 10)); err != nil {
 		tb.Fatal(err)
 	}

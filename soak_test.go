@@ -74,7 +74,7 @@ func TestSoakBoundedMemory(t *testing.T) {
 		mustThreshold(t, 4, 1),
 		func() sintra.StateMachine { return &soakMachine{} },
 		sintra.WithSeed(97),
-		sintra.WithTuning(sintra.Tuning{CheckpointInterval: interval, BatchSize: 8, MaxBatchSize: 64}),
+		sintra.WithTuning(sintra.Tuning{CheckpointInterval: interval}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestSoakWALBounded(t *testing.T) {
 		func() sintra.StateMachine { return &soakMachine{} },
 		sintra.WithSeed(101),
 		// NoFsync: the data is throwaway — size, not fsync, is under test.
-		sintra.WithTuning(sintra.Tuning{CheckpointInterval: interval, BatchSize: 8, MaxBatchSize: 64, NoFsync: true}),
+		sintra.WithTuning(sintra.Tuning{CheckpointInterval: interval, NoFsync: true}),
 		sintra.WithDataDir(t.TempDir()),
 	)
 	if err != nil {
