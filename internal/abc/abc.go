@@ -176,6 +176,12 @@ type Config struct {
 	// frontier, the round about to open, and the GC horizon — the hook
 	// the checkpoint tracker and request bookkeeping hang off.
 	RoundEnd func(seq, nextRound, horizon int64)
+	// BatchEnd, if set, fires after the deliveries of each round that
+	// delivered a payload, both those a decide makes here and those Install
+	// replays from a peer's suffix, so the payloads Deliver saw since the
+	// last call are exactly one round's on every honest party: the
+	// service's answer batches close on it.
+	BatchEnd func()
 	// CodedThreshold is the payload size in bytes from which this party's
 	// proposals reference a payload by digest instead of embedding it.
 	// 0 selects DefaultCodedThreshold; negative embeds every payload.
@@ -250,8 +256,8 @@ type ABC struct {
 }
 
 type recentEntry struct {
-	seq     int64
-	payload []byte
+	seq, round int64
+	payload    []byte
 }
 
 // New creates and registers an instance (dispatch goroutine or pre-Run).
@@ -698,7 +704,7 @@ func (a *ABC) onDecide(round int64, value []byte) {
 		return bytes.Compare(items[i].digest[:], items[j].digest[:]) < 0
 	})
 	for _, it := range items {
-		a.deliverPayload(it.digest, it.payload)
+		a.deliverPayload(round, it.digest, it.payload)
 	}
 	// Advance the GC horizon: the maximum certified checkpoint carried by
 	// the decided proposals, floored by the dedup-history bound. Both inputs
@@ -724,6 +730,9 @@ func (a *ABC) onDecide(round int64, value []byte) {
 	if a.submitted != nil {
 		a.sweepSubmitted(time.Now())
 	}
+	if len(items) > 0 {
+		a.endBatch()
+	}
 	// Garbage-collect an old round's agreement and the payloads whose lag
 	// has run out, then open the next round if there is anything to do.
 	a.forget(round + 1)
@@ -742,9 +751,17 @@ func (a *ABC) onDecide(round int64, value []byte) {
 	a.enterRound()
 }
 
-// deliverPayload hands one payload to the application at the next
-// sequence number, maintaining the dedup and suffix bookkeeping.
-func (a *ABC) deliverPayload(digest [32]byte, payload []byte) {
+// endBatch closes the round's deliveries for the layer above (BatchEnd).
+func (a *ABC) endBatch() {
+	if a.cfg.BatchEnd != nil {
+		a.cfg.BatchEnd()
+	}
+}
+
+// deliverPayload hands one payload, ordered in round, to the application
+// at the next sequence number, maintaining the dedup and suffix
+// bookkeeping.
+func (a *ABC) deliverPayload(round int64, digest [32]byte, payload []byte) {
 	seq := a.seq.Add(1) - 1
 	a.delivered[digest] = seq
 	if e := a.store[digest]; e != nil {
@@ -753,7 +770,7 @@ func (a *ABC) deliverPayload(digest [32]byte, payload []byte) {
 		e.expire = a.round.Load() + storeLag
 	}
 	if a.cfg.VerifyCheckpoint != nil {
-		a.recent = append(a.recent, recentEntry{seq: seq, payload: payload})
+		a.recent = append(a.recent, recentEntry{seq: seq, round: round, payload: payload})
 		if len(a.recent) > maxRecent {
 			a.recent = a.recent[len(a.recent)-maxRecent:]
 		}
@@ -795,32 +812,36 @@ func (a *ABC) pruneBelow(horizon int64) {
 }
 
 // SuffixSince returns the retained payloads delivered at sequences
-// [from, Seq()) and the current round, or nil when the retention log no
-// longer reaches back to from. Dispatch goroutine only.
-func (a *ABC) SuffixSince(from int64) ([][]byte, int64) {
-	round := a.round.Load()
-	if from >= a.seq.Load() {
-		return nil, round
+// [from, Seq()), the round that ordered each, and the current round; no
+// payloads when the retention log no longer reaches back to from.
+// Dispatch goroutine only.
+func (a *ABC) SuffixSince(from int64) (payloads [][]byte, rounds []int64, liveRound int64) {
+	liveRound = a.round.Load()
+	if from >= a.seq.Load() || len(a.recent) == 0 || a.recent[0].seq > from {
+		return nil, nil, liveRound
 	}
-	if len(a.recent) == 0 || a.recent[0].seq > from {
-		return nil, round
-	}
-	var payloads [][]byte
 	for _, e := range a.recent {
 		if e.seq >= from {
 			payloads = append(payloads, e.payload)
+			rounds = append(rounds, e.round)
 		}
 	}
-	return payloads, round
+	return payloads, rounds, liveRound
 }
 
 // Install adopts a certified checkpoint fetched from a peer: install (if
 // non-nil) replaces the application state at sequence base, the suffix
-// payloads then re-deliver in order through the normal Deliver path, and
-// the round jumps forward to liveRound. A nil install means the local
-// state already covers base and only the missing suffix tail replays.
-// Returns false when nothing advanced. Dispatch goroutine only.
-func (a *ABC) Install(base int64, install func() bool, suffix [][]byte, liveRound int64) bool {
+// payloads then re-deliver in order through the normal Deliver path,
+// closing a batch (BatchEnd) wherever their rounds change, and the round
+// jumps forward to liveRound. Replayed rounds do not fire RoundEnd: they
+// are past. rounds names the round that ordered each suffix payload and
+// must not decrease. A nil install means the local state already covers
+// base and only the missing suffix tail replays. Returns false when
+// nothing advanced. Dispatch goroutine only.
+func (a *ABC) Install(base int64, install func() bool, suffix [][]byte, rounds []int64, liveRound int64) bool {
+	if len(rounds) != len(suffix) || !slices.IsSorted(rounds) {
+		return false
+	}
 	cur := a.seq.Load()
 	live := base + int64(len(suffix))
 	if live <= cur && liveRound <= a.round.Load() {
@@ -851,12 +872,20 @@ func (a *ABC) Install(base int64, install func() bool, suffix [][]byte, liveRoun
 			return false
 		}
 	}
-	for _, payload := range suffix[min(skip, int64(len(suffix))):] {
-		d := sha256.Sum256(payload)
+	open, batch := false, int64(0) // the replayed round awaiting its BatchEnd
+	for k := min(skip, int64(len(suffix))); k < int64(len(suffix)); k++ {
+		d := sha256.Sum256(suffix[k])
 		if _, done := a.delivered[d]; done {
 			continue
 		}
-		a.deliverPayload(d, payload)
+		if open && rounds[k] != batch {
+			a.endBatch()
+		}
+		a.deliverPayload(rounds[k], d, suffix[k])
+		open, batch = true, rounds[k]
+	}
+	if open {
+		a.endBatch()
 	}
 	a.settleQueue()
 	a.adoptRound(liveRound)

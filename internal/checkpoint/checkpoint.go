@@ -100,6 +100,9 @@ type stateBody struct {
 	// checkpoint to the peer's live frontier. Empty when the peer's
 	// retained suffix no longer reaches back to Seq.
 	Suffix [][]byte
+	// Rounds names the round that ordered each Suffix payload, so the
+	// fetcher replays the suffix round by round.
+	Rounds []int64
 	// LiveRound is the peer's current round at serve time.
 	LiveRound int64
 }
@@ -130,14 +133,15 @@ type Config struct {
 	// CurrentSeq reports the local delivery frontier.
 	CurrentSeq func() int64
 	// Suffix returns the retained payloads delivered at sequences
-	// [from, liveSeq) together with the current round, or nil when the
-	// retention log no longer reaches back to from.
-	Suffix func(from int64) (payloads [][]byte, liveRound int64)
+	// [from, liveSeq), the round that ordered each, and the current round;
+	// no payloads when the retention log no longer reaches back to from.
+	Suffix func(from int64) (payloads [][]byte, rounds []int64, liveRound int64)
 	// Install adopts a fetched checkpoint: certified snapshot, the
-	// (tentative) delivery suffix, and the serving peer's round. It
-	// returns false when the local state is already ahead. Nil disables
-	// catch-up (the tracker still certifies and serves checkpoints).
-	Install func(cp Checkpoint, snapshot []byte, suffix [][]byte, liveRound int64) bool
+	// (tentative) delivery suffix with its rounds, and the serving peer's
+	// round. It returns false when the local state is already ahead. Nil
+	// disables catch-up (the tracker still certifies and serves
+	// checkpoints).
+	Install func(cp Checkpoint, snapshot []byte, suffix [][]byte, rounds []int64, liveRound int64) bool
 	// OnStable fires whenever the stable checkpoint advances — the GC
 	// hook for the layers above.
 	OnStable func(cp Checkpoint)
@@ -538,7 +542,7 @@ func (t *Tracker) serveState(from int) {
 		Cert: t.stable.Cert, Snapshot: t.snap,
 	}
 	if t.cfg.Suffix != nil {
-		reply.Suffix, reply.LiveRound = t.cfg.Suffix(t.stable.Seq)
+		reply.Suffix, reply.Rounds, reply.LiveRound = t.cfg.Suffix(t.stable.Seq)
 	}
 	if reply.LiveRound == 0 {
 		reply.LiveRound = t.stable.Round
@@ -570,7 +574,7 @@ func (t *Tracker) onState(from int, body stateBody) {
 		return
 	}
 	cp := Checkpoint{Seq: body.Seq, Round: body.Round, Hash: body.Hash, Cert: body.Cert}
-	if !t.cfg.Install(cp, body.Snapshot, body.Suffix, body.LiveRound) {
+	if !t.cfg.Install(cp, body.Snapshot, body.Suffix, body.Rounds, body.LiveRound) {
 		return
 	}
 	if t.installs != nil {

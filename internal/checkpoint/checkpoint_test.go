@@ -57,13 +57,13 @@ func newHarnesses(t *testing.T, c *testutil.Cluster, interval int64) []*harness 
 				Interval:   interval,
 				Snapshot:   func() []byte { return append([]byte(nil), h.state...) },
 				CurrentSeq: func() int64 { return h.seq },
-				Suffix: func(from int64) ([][]byte, int64) {
+				Suffix: func(from int64) ([][]byte, []int64, int64) {
 					if from < h.base || from > h.seq {
-						return nil, h.round
+						return nil, nil, h.round
 					}
-					return append([][]byte(nil), h.suffix[from-h.base:]...), h.round
+					return append([][]byte(nil), h.suffix[from-h.base:]...), nil, h.round
 				},
-				Install: func(cp checkpoint.Checkpoint, snapshot []byte, suffix [][]byte, liveRound int64) bool {
+				Install: func(cp checkpoint.Checkpoint, snapshot []byte, suffix [][]byte, _ []int64, liveRound int64) bool {
 					if cp.Seq < h.seq {
 						return false
 					}
@@ -440,8 +440,8 @@ func lossyLaggard(t *testing.T, retry time.Duration) (*testutil.Cluster, []*harn
 			RetryInterval: retry,
 			Snapshot:      func() []byte { return append([]byte(nil), h3.state...) },
 			CurrentSeq:    func() int64 { return h3.seq },
-			Suffix:        func(int64) ([][]byte, int64) { return nil, h3.round },
-			Install: func(cp checkpoint.Checkpoint, snapshot []byte, suffix [][]byte, liveRound int64) bool {
+			Suffix:        func(int64) ([][]byte, []int64, int64) { return nil, nil, h3.round },
+			Install: func(cp checkpoint.Checkpoint, snapshot []byte, suffix [][]byte, _ []int64, liveRound int64) bool {
 				h3.state = append([]byte(nil), snapshot...)
 				h3.seq = cp.Seq + int64(len(suffix))
 				h3.round = liveRound

@@ -11,6 +11,7 @@ import (
 
 	"sintra/internal/adversary"
 	"sintra/internal/deal"
+	"sintra/internal/merkle"
 	"sintra/internal/obs"
 	"sintra/internal/scabc"
 	"sintra/internal/thresig"
@@ -38,9 +39,11 @@ type Answer struct {
 	Result []byte
 	// Seq is the request's position in the service's total order.
 	Seq int64
-	// Signature is the service's threshold signature over the answer;
-	// verify with VerifyAnswer. It proves the answer to third parties —
-	// a certificate, a notary receipt.
+	// Signature is opaque: the service's threshold signature on the root
+	// of the answers of the round that ordered this request, with this
+	// answer's leaf index, the leaf count and its Merkle branch. Verify it
+	// with VerifyAnswer. It proves the answer to third parties — a
+	// certificate, a notary receipt.
 	Signature []byte
 }
 
@@ -74,10 +77,16 @@ type Client struct {
 }
 
 type call struct {
-	responses map[int]responseBody // by responding server, culprits dropped
-	from      adversary.Set        // every server that responded
+	responses map[int]rooted // by responding server, culprits dropped
+	from      adversary.Set  // every server that responded
 	answered  bool
 	ch        chan Answer
+}
+
+// rooted is a response with the root its branch folds to.
+type rooted struct {
+	responseBody
+	root [32]byte
 }
 
 // Option configures a Client.
@@ -186,7 +195,7 @@ func (c *Client) invoke(ctx context.Context, body []byte) (Answer, error) {
 		}
 	}
 
-	cl := &call{responses: make(map[int]responseBody), ch: make(chan Answer, 1)}
+	cl := &call{responses: make(map[int]rooted), ch: make(chan Answer, 1)}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -264,6 +273,8 @@ func (c *Client) onResponse(from int, resp responseBody) {
 	if from < 0 || from >= c.tr.N() || resp.Share.Party != from {
 		return
 	}
+	root, folds := merkle.BranchRoot(resp.Index, resp.Count,
+		answerStatement(c.service, resp.ReqID, resp.Result), resp.Branch)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cl, ok := c.pending[resp.ReqID]
@@ -271,14 +282,20 @@ func (c *Client) onResponse(from int, resp responseBody) {
 		return
 	}
 	cl.from = cl.from.Add(from)
-	cl.responses[from] = resp
+	if !folds {
+		// A corrupted server's branch; its later responses stay ignored.
+		c.malformed.Inc()
+		return
+	}
+	cl.responses[from] = rooted{resp, root}
 
-	// Group responders by identical result; once a group that cannot be
-	// entirely corrupted agrees, combine its shares, unverified.
+	// Group responders by identical result under an identical root; once
+	// a group that cannot be entirely corrupted agrees, combine its shares
+	// on the root, unverified.
 	var agreeing adversary.Set
 	shares := make([]thresig.Share, 0, len(cl.responses))
 	for s, r := range cl.responses {
-		if bytes.Equal(r.Result, resp.Result) {
+		if r.root == root && r.Count == resp.Count && bytes.Equal(r.Result, resp.Result) {
 			agreeing = agreeing.Add(s)
 			shares = append(shares, r.Share)
 		}
@@ -287,7 +304,7 @@ func (c *Client) onResponse(from int, resp responseBody) {
 	if !c.trust.HasHonest(c.trustObs, agreeing) || !scheme.Sufficient(agreeing) {
 		return
 	}
-	stmt := answerStatement(c.service, resp.ReqID, resp.Result)
+	stmt := rootStatement(c.service, resp.Count, root)
 	sig, bad, err := thresig.Combine(scheme, stmt, shares)
 	for _, i := range bad {
 		// Corrupted server: invalid share. The counter is the client-side
@@ -303,6 +320,10 @@ func (c *Client) onResponse(from int, resp responseBody) {
 	if err != nil || !c.trust.HasHonest(c.trustObs, agreeing) {
 		return // wait for more shares
 	}
+	proof, err := wire.MarshalBody(answerProof{Sig: sig, Index: resp.Index, Count: resp.Count, Branch: resp.Branch})
+	if err != nil {
+		return
+	}
 	cl.answered = true // the one send into cl.ch, which has room for it
-	cl.ch <- Answer{ReqID: resp.ReqID, Result: resp.Result, Seq: resp.Seq, Signature: sig}
+	cl.ch <- Answer{ReqID: resp.ReqID, Result: resp.Result, Seq: resp.Seq, Signature: proof}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sintra/internal/adversary"
+	"sintra/internal/merkle"
 	"sintra/internal/testutil"
 	"sintra/internal/trust"
 )
@@ -32,16 +33,18 @@ func TestClientTrustObserver(t *testing.T) {
 
 	reqID := [16]byte{1}
 	result := []byte("the answer")
+	// A round that ordered this request alone: a one-leaf tree.
+	root := merkle.NewTree([][]byte{answerStatement("test", reqID, result)}).Root()
 	// answered feeds the client one honest server's RESPONSE and reports
 	// whether the client has accepted an answer by then.
 	answered := func(cl *Client, pending *call, server int) bool {
 		t.Helper()
 		share, err := c.Pub.AnswerSig().SignShare(c.Secrets[server].SigAnswer,
-			answerStatement("test", reqID, result), rand.Reader)
+			rootStatement("test", 1, root), rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.onResponse(server, responseBody{ReqID: reqID, Seq: 1, Result: result, Share: share})
+		cl.onResponse(server, responseBody{ReqID: reqID, Seq: 1, Result: result, Share: share, Count: 1})
 		select {
 		case a := <-pending.ch:
 			if err := VerifyAnswer(c.Pub, "test", a.ReqID, a.Result, a.Signature); err != nil {
@@ -53,7 +56,7 @@ func TestClientTrustObserver(t *testing.T) {
 		}
 	}
 	expect := func(cl *Client) *call {
-		pending := &call{responses: make(map[int]responseBody), ch: make(chan Answer, 1)}
+		pending := &call{responses: make(map[int]rooted), ch: make(chan Answer, 1)}
 		cl.mu.Lock()
 		cl.pending[reqID] = pending
 		cl.mu.Unlock()

@@ -8,11 +8,12 @@
 // Clients send a request to all servers and accept an answer once servers
 // that cannot all be corrupted (a set outside the adversary structure)
 // returned the same result — the generalized form of the paper's
-// "wait for 2t+1 values and take the majority". If the application's
-// answers are signed, each response carries a threshold-signature share
-// and the client recovers the service's single signature from them, so a
-// certificate or notary receipt looks exactly like one from a centralized
-// service.
+// "wait for 2t+1 values and take the majority". Each replica signs the
+// answers of one ordered round at once: it threshold-signs the root of a
+// Merkle tree over them, and each response carries that share plus the
+// answer's branch. The client recovers the service's single signature on
+// the root from the shares, so with the branch a certificate or notary
+// receipt checks as one from a centralized service would.
 package core
 
 import (
@@ -83,11 +84,26 @@ type requestBody struct {
 	Payload []byte
 }
 
+// responseBody answers one request: the result, and the replica's share
+// on the root of its round's answers with the answer's leaf Index among
+// Count leaves and the Branch from the leaf to the root.
 type responseBody struct {
 	ReqID  [16]byte
 	Seq    int64
 	Result []byte
 	Share  thresig.Share
+	Index  int
+	Count  int
+	Branch [][32]byte
+}
+
+// answerProof is the encoding of Answer.Signature: the service's
+// signature on a round's root statement and the answer's place under it.
+type answerProof struct {
+	Sig    []byte
+	Index  int
+	Count  int
+	Branch [][32]byte
 }
 
 // clientProtocol is the wire protocol between clients and servers.
@@ -99,8 +115,7 @@ const (
 	typeResponse = "RESPONSE"
 )
 
-// answerStatement is the byte string whose threshold signature certifies a
-// service answer.
+// answerStatement is the Merkle leaf of one service answer.
 func answerStatement(service string, reqID [16]byte, result []byte) []byte {
 	out := make([]byte, 0, len(service)+len(result)+32)
 	out = append(out, "svcresp|"...)
@@ -109,4 +124,12 @@ func answerStatement(service string, reqID [16]byte, result []byte) []byte {
 	out = append(out, reqID[:]...)
 	out = append(out, '|')
 	return append(out, result...)
+}
+
+// rootStatement is the byte string a replica threshold-signs once per
+// ordered round: the root of the Merkle tree over the round's count answer
+// statements. The "svcroot|" prefix separates it from checkpoint
+// statements ("ckpt|"), which the same keys sign.
+func rootStatement(service string, count int, root [32]byte) []byte {
+	return fmt.Appendf(nil, "svcroot|%s|%d|%x", service, count, root)
 }

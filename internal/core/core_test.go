@@ -15,6 +15,7 @@ import (
 
 	"sintra/internal/adversary"
 	"sintra/internal/core"
+	"sintra/internal/merkle"
 	"sintra/internal/netsim"
 	"sintra/internal/obs"
 	"sintra/internal/testutil"
@@ -257,7 +258,9 @@ func TestByzantineResponderCannotFoolClient(t *testing.T) {
 					Party int
 					Data  []byte
 				}
-			}{ReqID: req.ReqID, Result: []byte("LIES")}
+				Index, Count int
+				Branch       [][32]byte
+			}{ReqID: req.ReqID, Result: []byte("LIES"), Count: 1}
 			resp.Share.Party = 3
 			resp.Share.Data = []byte("garbage")
 			liar.Send(wire.Message{
@@ -280,7 +283,8 @@ func TestByzantineResponderCannotFoolClient(t *testing.T) {
 
 // tamperShares is a replica's endpoint that replaces the share of every
 // RESPONSE it sends with the replica's share on another statement:
-// well-formed, with a consistent proof, and wrong for the answer.
+// well-formed, with a consistent proof, and wrong for the answer. The
+// branch is left alone, so the response claims the honest replicas' root.
 type tamperShares struct {
 	wire.Transport
 	scheme thresig.Scheme
@@ -289,10 +293,12 @@ type tamperShares struct {
 
 func (t *tamperShares) Send(m wire.Message) {
 	var resp struct {
-		ReqID  [16]byte
-		Seq    int64
-		Result []byte
-		Share  thresig.Share
+		ReqID        [16]byte
+		Seq          int64
+		Result       []byte
+		Share        thresig.Share
+		Index, Count int
+		Branch       [][32]byte
 	}
 	if m.Type == "RESPONSE" && wire.UnmarshalBody(m.Payload, &resp) == nil {
 		if sh, err := t.scheme.SignShare(t.key, []byte("another statement"), rand.Reader); err == nil {
@@ -358,6 +364,162 @@ func TestByzantineAnswerShare(t *testing.T) {
 	}
 	if n := reg.Snapshot().Counter("client.responses.badshare"); n != 1 {
 		t.Fatalf("client.responses.badshare = %d, want 1", n)
+	}
+}
+
+// misroute is a replica's endpoint that sends every RESPONSE with the
+// right result but a wrong claim about its root: with branch set, an extra
+// hash, so the branch does not fold; otherwise a valid share on another
+// root, a two-leaf tree no honest replica built.
+type misroute struct {
+	wire.Transport
+	scheme thresig.Scheme
+	key    *thresig.SecretKey
+	branch bool
+}
+
+func (t *misroute) Send(m wire.Message) {
+	var resp struct {
+		ReqID        [16]byte
+		Seq          int64
+		Result       []byte
+		Share        thresig.Share
+		Index, Count int
+		Branch       [][32]byte
+	}
+	if m.Type == "RESPONSE" && wire.UnmarshalBody(m.Payload, &resp) == nil {
+		if t.branch {
+			resp.Branch = append(resp.Branch, [32]byte{0xde, 0xad})
+		} else {
+			tree := merkle.NewTree([][]byte{core.AnswerStatement("test", resp.ReqID, resp.Result), []byte("no such answer")})
+			resp.Index, resp.Count, resp.Branch = 0, 2, tree.Branch(0)
+			if sh, err := t.scheme.SignShare(t.key, core.RootStatement("test", 2, tree.Root()), rand.Reader); err == nil {
+				resp.Share = sh
+			}
+		}
+		m.Payload = wire.MustMarshalBody(resp)
+	}
+	t.Transport.Send(m)
+}
+
+// TestByzantineAnswerRoot: replica 3 answers the right result but claims
+// another root, and its RESPONSE reaches the client first. A branch that
+// does not fold is dropped and counted as malformed; a valid share on
+// another root forms a group of its own and never enters the honest
+// combine. Either way the client answers from honest shares.
+func TestByzantineAnswerRoot(t *testing.T) {
+	for _, branch := range []bool{true, false} {
+		t.Run(fmt.Sprintf("branch=%v", branch), func(t *testing.T) {
+			st := adversary.MustThreshold(4, 1)
+			c := coreCluster(t, st, testutil.Options{Scheduler: &holdResponses{rng: mrand.New(mrand.NewSource(41)), liar: 3}})
+			liar, err := core.NewNode(core.NodeConfig{
+				Public: c.Pub, Secret: c.Secrets[3], ServiceName: "test",
+				Transport: &misroute{Transport: c.Net.Endpoint(3), scheme: c.Pub.AnswerSig(), key: c.Secrets[3].SigAnswer, branch: branch},
+				Service:   &echoService{}, Mode: core.ModeAtomic,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			go liar.Run()
+			t.Cleanup(func() { c.Net.Stop(); liar.Stop() })
+			nodesFor(t, c, []int{0, 1, 2}, core.ModeAtomic, func() core.StateMachine { return &echoService{} })
+
+			reg := obs.NewRegistry()
+			client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", core.ModeAtomic, core.WithObserver(reg))
+			defer client.Close()
+			ans, err := invokeWithin(client, []byte("answered from honest shares"), 30*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.VerifyAnswer(c.Pub, "test", ans.ReqID, ans.Result, ans.Signature); err != nil {
+				t.Fatalf("answer does not verify: %v", err)
+			}
+			snap := reg.Snapshot()
+			if n, want := snap.Counter("client.malformed"), map[bool]int64{true: 1, false: 0}[branch]; n != want {
+				t.Fatalf("client.malformed = %d, want %d", n, want)
+			}
+			if n := snap.Counter("client.responses.badshare"); n != 0 {
+				t.Fatalf("client.responses.badshare = %d: the liar's share entered an honest combine", n)
+			}
+		})
+	}
+}
+
+// TestOneAnswerSignaturePerRound: under eight concurrent clients rounds
+// order several requests each, and every replica signs at most once per
+// round that delivered anything — strictly fewer signatures than answers.
+func TestOneAnswerSignaturePerRound(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	const clients, each = 8, 3
+	c := coreCluster(t, st, testutil.Options{Seed: 43, Clients: clients})
+	regs := make([]*obs.Registry, 4)
+	tracers := make([]*obs.CollectTracer, 4)
+	nodes := make([]*core.Node, 4)
+	for i := range nodes {
+		regs[i], tracers[i] = obs.NewRegistry(), obs.NewCollectTracer()
+		regs[i].SetTracer(tracers[i])
+		n, err := core.NewNode(core.NodeConfig{
+			Public: c.Pub, Secret: c.Secrets[i], Transport: c.Net.Endpoint(i),
+			ServiceName: "test", Service: &echoService{}, Mode: core.ModeAtomic, Observer: regs[i],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+		go n.Run()
+	}
+	t.Cleanup(func() {
+		c.Net.Stop()
+		for _, n := range nodes {
+			n.Stop()
+		}
+	})
+
+	var wg sync.WaitGroup
+	errs := make(chan error, clients*each)
+	for k := 0; k < clients; k++ {
+		cl := core.NewClient(c.Pub, c.Net.Endpoint(4+k), "test", core.ModeAtomic)
+		defer cl.Close()
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				ans, err := invokeWithin(cl, []byte(fmt.Sprintf("client-%d-%d", k, j)), 90*time.Second)
+				if err == nil {
+					err = core.VerifyAnswer(c.Pub, "test", ans.ReqID, ans.Result, ans.Signature)
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i, n := range nodes {
+		var signed, applied int64
+		n.Router().DoSync(func() {
+			snap := regs[i].Snapshot()
+			signed, applied = snap.Counter("node.answer.signed"), snap.Counter("node.applied")
+		})
+		// Rounds that delivered anything: each agreement decide followed by
+		// at least one delivery, in this replica's dispatch order.
+		rounds, decided := 0, false
+		for _, ev := range tracers[i].Events() {
+			switch {
+			case ev.Protocol == "mvba" && ev.Stage == obs.StageDecide:
+				decided = true
+			case ev.Protocol == "abc" && ev.Stage == obs.StageDeliver && decided:
+				rounds, decided = rounds+1, false
+			}
+		}
+		t.Logf("replica %d: %d answers, %d signatures, %d delivering rounds", i, applied, signed, rounds)
+		if signed > int64(rounds) || signed >= applied {
+			t.Fatalf("replica %d signed %d times for %d answers in %d delivering rounds", i, signed, applied, rounds)
+		}
 	}
 }
 

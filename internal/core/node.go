@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"sintra/internal/checkpoint"
 	"sintra/internal/deal"
 	"sintra/internal/engine"
+	"sintra/internal/merkle"
 	"sintra/internal/obs"
 	"sintra/internal/scabc"
 	"sintra/internal/trust"
@@ -90,6 +92,11 @@ type Node struct {
 	reqHead      int
 	reqSinceScan int
 
+	// answers lists what the ordered round in progress has applied, in
+	// sequence order; its round boundary signs them all at once
+	// (flushAnswers). Dispatch goroutine only.
+	answers []responseBody
+
 	// submit is the ordering layer's in-place entry point (dispatch
 	// goroutine only), in either mode.
 	submit func(payload []byte)
@@ -106,6 +113,7 @@ type Node struct {
 	walSize *obs.Gauge
 
 	appliedCount *obs.Counter
+	signedCount  *obs.Counter
 	applyLat     *obs.Histogram
 	reqSize      *obs.Gauge
 
@@ -140,6 +148,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Observer != nil {
 		n.router.SetObserver(cfg.Observer)
 		n.appliedCount = cfg.Observer.Counter("node.applied")
+		n.signedCount = cfg.Observer.Counter("node.answer.signed")
 		n.applyLat = cfg.Observer.Histogram("node.apply.latency")
 		n.reqSize = cfg.Observer.Gauge("node.reqclients.size")
 	}
@@ -201,6 +210,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			CodedThreshold: cfg.CodedThreshold,
 			Deliver:        n.onDeliver,
 			RoundEnd:       n.onRoundEnd,
+			BatchEnd:       n.flushAnswers,
 		}
 		if useCkpt {
 			// Late binding through the node fields: the tracker needs the
@@ -252,6 +262,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			EncKey:         cfg.Secret.Enc,
 			CodedThreshold: cfg.CodedThreshold,
 			Deliver:        n.onDeliver,
+			RoundEnd:       n.flushAnswers,
 		}).SubmitLocal
 	}
 	n.router.AcceptClients(clientProtocol)
@@ -421,12 +432,12 @@ func (n *Node) onRoundEnd(seq, nextRound, horizon int64) {
 // then replay the delivery suffix through the ordering layer so dedup
 // bookkeeping, sequence numbers, and client answers all take the normal
 // path. Dispatch goroutine only (called by the tracker's STATE handler).
-func (n *Node) installCheckpoint(cp checkpoint.Checkpoint, snapshot []byte, suffix [][]byte, liveRound int64) bool {
+func (n *Node) installCheckpoint(cp checkpoint.Checkpoint, snapshot []byte, suffix [][]byte, rounds []int64, liveRound int64) bool {
 	var install func() bool
 	if cp.Seq >= n.abc.Seq() {
 		install = func() bool { return n.snapper.Restore(snapshot) == nil }
 	}
-	return n.abc.Install(cp.Seq, install, suffix, liveRound)
+	return n.abc.Install(cp.Seq, install, suffix, rounds, liveRound)
 }
 
 // onStableCheckpoint reacts to a newly certified checkpoint: tombstoned
@@ -512,7 +523,7 @@ func (n *Node) onDeliver(seq int64, request []byte) {
 	n.apply(seq, env)
 }
 
-// apply runs the state machine and answers the requesting clients.
+// apply runs the state machine and adds the answer to the round's batch.
 func (n *Node) apply(seq int64, env envelope) {
 	var start time.Time
 	if n.applyLat != nil {
@@ -522,39 +533,69 @@ func (n *Node) apply(seq int64, env envelope) {
 	n.appliedCount.Inc()
 	n.applyLat.ObserveSince(start)
 	if n.journal != nil {
-		// Log the delivery frontier at apply time (no wait; the answer
-		// below is held back until the commit covering it completes).
+		// Log the delivery frontier at apply time (no wait; the answer is
+		// held back until the commit covering it completes).
 		d := sha256.Sum256(env.Body)
 		_ = n.journal.RecordDeliver(seq, d[:])
 		n.walSize.Set(n.journal.Size())
 	}
+	n.answers = append(n.answers, responseBody{ReqID: env.ReqID, Seq: seq, Result: result})
+}
 
-	scheme := n.cfg.Public.AnswerSig()
-	share, err := scheme.SignShare(n.cfg.Secret.SigAnswer,
-		answerStatement(n.cfg.ServiceName, env.ReqID, result), rand.Reader)
+// flushAnswers is the ordering layer's round boundary for answers: one
+// threshold-signature share on the root of a Merkle tree over every answer
+// the round delivered, then each waiting client gets its answer with that
+// share and its branch. The batch is a function of the total order alone,
+// so every honest replica signs the same root and the client combines the
+// shares. A round nobody here waits on is not signed. Dispatch goroutine
+// only.
+func (n *Node) flushAnswers() {
+	batch := n.answers
+	n.answers = nil
+	if !slices.ContainsFunc(batch, func(r responseBody) bool { return n.reqClients[r.ReqID] != nil }) {
+		return
+	}
+	leaves := make([][]byte, len(batch))
+	for i, r := range batch {
+		leaves[i] = answerStatement(n.cfg.ServiceName, r.ReqID, r.Result)
+	}
+	tree := merkle.NewTree(leaves)
+	share, err := n.cfg.Public.AnswerSig().SignShare(n.cfg.Secret.SigAnswer,
+		rootStatement(n.cfg.ServiceName, len(batch), tree.Root()), rand.Reader)
 	if err != nil {
 		return
 	}
-	resp := responseBody{
-		ReqID:  env.ReqID,
-		Seq:    seq,
-		Result: result,
-		Share:  share,
-	}
-	if e := n.reqClients[env.ReqID]; e != nil {
+	n.signedCount.Inc()
+	for i, r := range batch {
+		e := n.reqClients[r.ReqID]
+		if e == nil {
+			continue
+		}
+		r.Share, r.Index, r.Count, r.Branch = share, i, len(batch), tree.Branch(i)
 		for _, client := range e.clients {
-			_ = n.router.Send(client, clientProtocol, n.cfg.ServiceName, typeResponse, resp)
+			_ = n.router.Send(client, clientProtocol, n.cfg.ServiceName, typeResponse, r)
 		}
-		delete(n.reqClients, env.ReqID)
-		if n.reqSize != nil {
-			n.reqSize.Set(int64(len(n.reqClients)))
-		}
+		delete(n.reqClients, r.ReqID)
+	}
+	if n.reqSize != nil {
+		n.reqSize.Set(int64(len(n.reqClients)))
 	}
 }
 
-// VerifyAnswer lets anyone check a service's threshold-signed answer: the
-// signature proves that servers beyond the adversary structure's reach
-// attested the result for this request ID.
+// VerifyAnswer lets anyone check a service's threshold-signed answer: sig
+// (Answer.Signature) holds the service's signature on the root of one
+// ordered round's answers and this answer's Merkle branch, and together
+// they prove that servers beyond the adversary structure's reach attested
+// the result for this request ID. A malformed sig costs at most
+// merkle.MaxBranch hashes before it is refused.
 func VerifyAnswer(pub *deal.Public, service string, reqID [16]byte, result, sig []byte) error {
-	return pub.AnswerSig().Verify(answerStatement(service, reqID, result), sig)
+	var p answerProof
+	if wire.UnmarshalBody(sig, &p) != nil {
+		return errors.New("core: malformed answer signature")
+	}
+	root, ok := merkle.BranchRoot(p.Index, p.Count, answerStatement(service, reqID, result), p.Branch)
+	if !ok {
+		return errors.New("core: answer branch does not fold")
+	}
+	return pub.AnswerSig().Verify(rootStatement(service, p.Count, root), p.Sig)
 }

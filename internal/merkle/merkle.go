@@ -1,17 +1,20 @@
-// Merkle-tree commitments over erasure-coded fragments: the sender
-// commits to one consistent encoding by the root hash, and each party
-// verifies its fragment against the root with a logarithmic branch.
-// Leaf and interior hashes are domain-separated so an interior node can
-// never be replayed as a leaf.
-
-package rs
+// Package merkle is the one Merkle tree of the stack: the coded broadcast
+// commits to its fragments with it (rbc), and a replica commits to a
+// round's service answers with it (core), so one threshold signature on
+// the root covers every answer and each client checks its own with a
+// logarithmic branch. Leaf and interior hashes are domain-separated so an
+// interior node can never be replayed as a leaf.
+package merkle
 
 import "crypto/sha256"
 
+// MaxBranch caps the branch a verifier folds: no tree this stack builds is
+// that deep, and the cap bounds the hashing an adversarial branch costs.
+const MaxBranch = 64
+
 // Tree is a Merkle tree over a fixed ordered leaf set. A level with an
 // odd number of nodes promotes its last node unchanged; with the leaf
-// count fixed by the protocol (one fragment per party), the shape is
-// unambiguous to every verifier.
+// count fixed by the protocol, the shape is unambiguous to every verifier.
 type Tree struct {
 	levels [][][32]byte // levels[0] = leaf hashes, last level = root
 }
@@ -78,19 +81,19 @@ func (t *Tree) Branch(i int) [][32]byte {
 	return branch
 }
 
-// VerifyBranch checks that leaf sits at index i of an n-leaf tree with
-// the given root, using the authentication branch.
-func VerifyBranch(root [32]byte, i, n int, leaf []byte, branch [][32]byte) bool {
-	if i < 0 || i >= n || n < 1 {
-		return false
+// BranchRoot folds leaf at index i of an n-leaf tree up its branch and
+// returns the root it implies. It fails when i is out of range or the
+// branch has not exactly one hash per level at which the node has a
+// sibling; a branch longer than MaxBranch fails before any hashing.
+func BranchRoot(i, n int, leaf []byte, branch [][32]byte) ([32]byte, bool) {
+	if i < 0 || i >= n || len(branch) > MaxBranch {
+		return [32]byte{}, false
 	}
 	h := leafHash(leaf)
-	width := n
-	for width > 1 {
-		sib := i ^ 1
-		if sib < width {
+	for width := n; width > 1; width = (width + 1) / 2 {
+		if sib := i ^ 1; sib < width {
 			if len(branch) == 0 {
-				return false
+				return [32]byte{}, false
 			}
 			if i&1 == 0 {
 				h = nodeHash(h, branch[0])
@@ -100,7 +103,13 @@ func VerifyBranch(root [32]byte, i, n int, leaf []byte, branch [][32]byte) bool 
 			branch = branch[1:]
 		}
 		i /= 2
-		width = (width + 1) / 2
 	}
-	return len(branch) == 0 && h == root
+	return h, len(branch) == 0
+}
+
+// VerifyBranch checks that leaf sits at index i of an n-leaf tree with
+// the given root, using the authentication branch.
+func VerifyBranch(root [32]byte, i, n int, leaf []byte, branch [][32]byte) bool {
+	h, ok := BranchRoot(i, n, leaf, branch)
+	return ok && h == root
 }

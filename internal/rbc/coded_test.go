@@ -11,8 +11,8 @@ import (
 	"sintra/internal/adversary"
 	"sintra/internal/engine"
 	"sintra/internal/faultsim"
+	"sintra/internal/merkle"
 	"sintra/internal/rbc"
-	"sintra/internal/rs"
 	"sintra/internal/testutil"
 	"sintra/internal/wire"
 )
@@ -130,7 +130,7 @@ func TestCodedInconsistentSenderNoDelivery(t *testing.T) {
 		rng.Read(shards[i])
 		leaves[i] = fragLeafForTest(payLen, i, shards[i])
 	}
-	tree := rs.NewTree(leaves)
+	tree := merkle.NewTree(leaves)
 	instance := rbc.InstanceID(0, "byz")
 	for j := 1; j < 4; j++ {
 		c.Net.Endpoint(0).Send(wire.Message{

@@ -45,6 +45,7 @@ import (
 
 	"sintra/internal/adversary"
 	"sintra/internal/engine"
+	"sintra/internal/merkle"
 	"sintra/internal/obs"
 	"sintra/internal/rs"
 	"sintra/internal/trust"
@@ -315,7 +316,7 @@ func (r *RBC) startCoded(cdc *rs.Codec, payload []byte) error {
 		return fmt.Errorf("rbc: coded start: %w", err)
 	}
 	r.rsEncodes.Inc()
-	tree := rs.NewTree(fragLeaves(shards, len(payload)))
+	tree := merkle.NewTree(fragLeaves(shards, len(payload)))
 	root := tree.Root()
 	// Journal the root commitment before the first fragment leaves: a
 	// recovered sender either repeats the identical encoding or goes
@@ -436,7 +437,7 @@ func (r *RBC) fragValid(b *fragBody) bool {
 	if len(b.Shard) != want {
 		return false
 	}
-	return rs.VerifyBranch(b.Root, b.Index, n, fragLeaf(b.PayLen, b.Index, b.Shard), b.Branch)
+	return merkle.VerifyBranch(b.Root, b.Index, n, fragLeaf(b.PayLen, b.Index, b.Shard), b.Branch)
 }
 
 func (r *RBC) onEcho(from int, payload []byte) {
@@ -579,7 +580,7 @@ func (r *RBC) tryReconstruct(d [32]byte) ([]byte, bool) {
 		r.markBadRoot(d)
 		return nil, false
 	}
-	if rs.NewTree(fragLeaves(full, rf.payLen)).Root() != d {
+	if merkle.NewTree(fragLeaves(full, rf.payLen)).Root() != d {
 		r.markBadRoot(d)
 		return nil, false
 	}
@@ -696,7 +697,7 @@ func (r *RBC) codedMatchesRoot(payload []byte, root [32]byte) bool {
 		return false
 	}
 	r.rsEncodes.Inc()
-	return rs.NewTree(fragLeaves(shards, len(payload))).Root() == root
+	return merkle.NewTree(fragLeaves(shards, len(payload))).Root() == root
 }
 
 // storeSpeculative retains an undelivered payload buffer subject to the

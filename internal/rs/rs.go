@@ -1,11 +1,11 @@
 // Package rs implements a systematic Reed–Solomon erasure code over
-// GF(2^8) together with Merkle-tree fragment commitments — the coding
-// substrate of bandwidth-optimal dissemination (AVID-style coded
-// reliable broadcast, after Cachin–Tessaro). A payload split into k data
-// shards and extended with m parity shards can be reconstructed from any
-// k of the n = k+m shards; the Merkle tree over the shards commits the
-// sender to one consistent encoding, and a per-shard branch lets every
-// party verify its fragment against the root without seeing the payload.
+// GF(2^8) — the coding substrate of bandwidth-optimal dissemination
+// (AVID-style coded reliable broadcast, after Cachin–Tessaro). A payload
+// split into k data shards and extended with m parity shards can be
+// reconstructed from any k of the n = k+m shards; a Merkle tree over the
+// shards (package merkle) commits the sender to one consistent encoding,
+// and a per-shard branch lets every party verify its fragment against the
+// root without seeing the payload.
 //
 // The codec is self-contained (no dependencies beyond the standard
 // library): GF(2^8) arithmetic uses log/exp tables over the AES field
@@ -14,10 +14,18 @@
 // is invertible and reconstruction is a small Gaussian elimination.
 package rs
 
-import "fmt"
+import (
+	"fmt"
+
+	"sintra/internal/merkle"
+)
 
 // fieldPoly is the reducing polynomial of GF(2^8).
 const fieldPoly = 0x11d
+
+// NewTree commits to shards with package merkle's tree; the benchmark
+// module's rs.merkle_64k_us row still reaches the tree through here.
+func NewTree(shards [][]byte) *merkle.Tree { return merkle.NewTree(shards) }
 
 // MaxShards bounds k+m: the field has 255 distinct non-zero evaluation
 // points.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"sintra/internal/merkle"
 )
 
 // subsets enumerates all k-element subsets of 0..n-1.
@@ -103,51 +105,23 @@ func TestCorruptedShardDetected(t *testing.T) {
 	payload := make([]byte, 700)
 	rand.New(rand.NewSource(3)).Read(payload)
 	shards, _ := c.Encode(c.Split(payload))
-	tree := NewTree(shards)
+	tree := merkle.NewTree(shards)
 	root := tree.Root()
 	for i, s := range shards {
-		if !VerifyBranch(root, i, len(shards), s, tree.Branch(i)) {
+		if !merkle.VerifyBranch(root, i, len(shards), s, tree.Branch(i)) {
 			t.Fatalf("honest branch %d rejected", i)
 		}
 		for _, pos := range []int{0, len(s) / 2, len(s) - 1} {
 			bad := append([]byte(nil), s...)
 			bad[pos] ^= 0x40
-			if VerifyBranch(root, i, len(shards), bad, tree.Branch(i)) {
+			if merkle.VerifyBranch(root, i, len(shards), bad, tree.Branch(i)) {
 				t.Fatalf("corrupted shard %d (byte %d) accepted", i, pos)
 			}
 		}
 		// A valid fragment presented at the wrong index must also fail.
 		wrong := (i + 1) % len(shards)
-		if VerifyBranch(root, wrong, len(shards), s, tree.Branch(i)) {
+		if merkle.VerifyBranch(root, wrong, len(shards), s, tree.Branch(i)) {
 			t.Fatalf("shard %d accepted at index %d", i, wrong)
-		}
-	}
-}
-
-// TestMerkleShapes covers odd leaf counts, single leaves, and branch
-// length truncation.
-func TestMerkleShapes(t *testing.T) {
-	for n := 1; n <= 12; n++ {
-		leaves := make([][]byte, n)
-		for i := range leaves {
-			leaves[i] = []byte{byte(i), byte(n)}
-		}
-		tree := NewTree(leaves)
-		root := tree.Root()
-		for i := range leaves {
-			br := tree.Branch(i)
-			if !VerifyBranch(root, i, n, leaves[i], br) {
-				t.Fatalf("n=%d leaf %d rejected", n, i)
-			}
-			if len(br) > 0 && VerifyBranch(root, i, n, leaves[i], br[:len(br)-1]) {
-				t.Fatalf("n=%d leaf %d accepted with truncated branch", n, i)
-			}
-			if VerifyBranch(root, i, n, leaves[i], append(append([][32]byte(nil), br...), [32]byte{})) {
-				t.Fatalf("n=%d leaf %d accepted with extended branch", n, i)
-			}
-		}
-		if VerifyBranch(root, n, n, leaves[0], tree.Branch(0)) {
-			t.Fatalf("n=%d out-of-range index accepted", n)
 		}
 	}
 }

@@ -79,6 +79,11 @@ type Config struct {
 	// OnInvalid is called (optionally) when an ordered ciphertext is
 	// skipped as invalid.
 	OnInvalid func(abcSeq int64)
+	// RoundEnd, if set, fires once per atomic-broadcast round that ordered
+	// a ciphertext, as soon as every ciphertext of the round has been
+	// delivered or skipped as invalid: the requests Deliver saw since the
+	// last call are exactly one round's on every honest party.
+	RoundEnd func()
 	// CodedThreshold is passed to the embedded atomic broadcast (the
 	// ciphertext size from which proposals reference instead of embed);
 	// see abc.Config.CodedThreshold.
@@ -107,6 +112,11 @@ type SCABC struct {
 	byABCSeq map[int64]*pending
 	nextABC  int64 // next ABC sequence to flush
 	outSeq   int64 // next plaintext sequence to assign
+	// marks holds, oldest first, the ABC sequence that ends each ordered
+	// round not yet flushed past: one per round that ordered a ciphertext,
+	// so never more than the ordered ciphertexts byABCSeq still holds.
+	marks   []int64
+	ordered int64 // ABC frontier at the last round end
 
 	span *obs.Span
 	// decryptLat measures order-fixed to plaintext-delivered: the cost of
@@ -142,6 +152,7 @@ func New(cfg Config) *SCABC {
 		Key:            cfg.Key,
 		CodedThreshold: cfg.CodedThreshold,
 		Deliver:        s.onOrdered,
+		RoundEnd:       s.onRoundEnd,
 	})
 	cfg.Router.Register(Protocol, cfg.Instance, s.handle)
 	return s
@@ -212,6 +223,16 @@ func (s *SCABC) onOrdered(seq int64, payload []byte) {
 	s.tryDecrypt(seq)
 }
 
+// onRoundEnd marks where the embedded atomic broadcast's round ended, and
+// flushes in case the round's last ciphertext is settled already.
+func (s *SCABC) onRoundEnd(seq, _, _ int64) {
+	if seq > s.ordered {
+		s.ordered = seq
+		s.marks = append(s.marks, seq)
+		s.flush()
+	}
+}
+
 func (s *SCABC) pendingFor(seq int64) *pending {
 	p, ok := s.byABCSeq[seq]
 	if !ok {
@@ -272,9 +293,16 @@ func (s *SCABC) tryDecrypt(seq int64) {
 	s.flush()
 }
 
-// flush delivers decrypted requests strictly in order.
+// flush delivers decrypted requests strictly in order, ending each round
+// once it is past the round's last ciphertext.
 func (s *SCABC) flush() {
 	for {
+		for len(s.marks) > 0 && s.marks[0] <= s.nextABC {
+			s.marks = s.marks[1:]
+			if s.cfg.RoundEnd != nil {
+				s.cfg.RoundEnd()
+			}
+		}
 		p, ok := s.byABCSeq[s.nextABC]
 		if !ok || !p.done {
 			return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	mrand "math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,7 +25,10 @@ type harness struct {
 	mu      sync.Mutex
 	logs    map[int][][]byte
 	invalid map[int]int
-	cond    *sync.Cond
+	// ends holds, per party, how many ordered ciphertexts had been
+	// delivered or skipped at each RoundEnd.
+	ends map[int][]int
+	cond *sync.Cond
 }
 
 func newHarness(t *testing.T, c *testutil.Cluster, parties []int) *harness {
@@ -34,6 +38,7 @@ func newHarness(t *testing.T, c *testutil.Cluster, parties []int) *harness {
 		insts:   make(map[int]*scabc.SCABC, len(parties)),
 		logs:    make(map[int][][]byte, len(parties)),
 		invalid: make(map[int]int, len(parties)),
+		ends:    make(map[int][]int, len(parties)),
 	}
 	h.cond = sync.NewCond(&h.mu)
 	for _, i := range parties {
@@ -54,6 +59,12 @@ func newHarness(t *testing.T, c *testutil.Cluster, parties []int) *harness {
 				h.mu.Lock()
 				defer h.mu.Unlock()
 				h.invalid[i]++
+				h.cond.Broadcast()
+			}
+			cfg.RoundEnd = func() {
+				h.mu.Lock()
+				defer h.mu.Unlock()
+				h.ends[i] = append(h.ends[i], len(h.logs[i])+h.invalid[i])
 				h.cond.Broadcast()
 			}
 			h.insts[i] = scabc.New(cfg)
@@ -165,6 +176,7 @@ func TestInvalidCiphertextSkippedDeterministically(t *testing.T) {
 	h.wait(t, parties, 1, 90*time.Second)
 	h.waitInvalid(t, parties, 1, 90*time.Second)
 	h.assertSameOrder(t, parties)
+	h.assertSameRounds(t, parties, 30*time.Second)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, p := range parties {
@@ -173,6 +185,44 @@ func TestInvalidCiphertextSkippedDeterministically(t *testing.T) {
 		}
 		if !bytes.Equal(h.logs[p][0], []byte("valid request")) {
 			t.Fatalf("party %d delivered %q", p, h.logs[p][0])
+		}
+	}
+}
+
+// assertSameRounds waits until every listed party has ended the round of
+// its last settled ciphertext, then checks that all ended the same rounds
+// at the same points, each one after at least one ciphertext.
+func (h *harness) assertSameRounds(t *testing.T, parties []int, timeout time.Duration) {
+	t.Helper()
+	closed := func() bool {
+		for _, p := range parties {
+			e := h.ends[p]
+			if len(e) == 0 || e[len(e)-1] != len(h.logs[p])+h.invalid[p] {
+				return false
+			}
+		}
+		return true
+	}
+	deadline := time.AfterFunc(timeout, func() { h.cond.Broadcast() })
+	defer deadline.Stop()
+	start := time.Now()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for !closed() {
+		if time.Since(start) > timeout {
+			t.Fatalf("rounds not closed: ends %v", h.ends)
+		}
+		h.cond.Wait()
+	}
+	ref := h.ends[parties[0]]
+	for k, e := range ref {
+		if k > 0 && e <= ref[k-1] || k == 0 && e == 0 {
+			t.Fatalf("party %d ended an empty round: %v", parties[0], ref)
+		}
+	}
+	for _, p := range parties[1:] {
+		if !slices.Equal(h.ends[p], ref) {
+			t.Fatalf("rounds differ: party %d ended %v, party %d %v", parties[0], ref, p, h.ends[p])
 		}
 	}
 }
@@ -285,6 +335,7 @@ func TestPipelinedConfidentialRequests(t *testing.T) {
 	}
 	h.wait(t, parties, total, 180*time.Second)
 	h.assertSameOrder(t, parties)
+	h.assertSameRounds(t, parties, 30*time.Second)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	seen := map[string]bool{}

@@ -217,11 +217,11 @@ func TestJournalRefusesOtherFormats(t *testing.T) {
 	before, _ := os.ReadFile(filepath.Join(old, segments[0]))
 
 	other := t.TempDir()
-	if err := os.WriteFile(filepath.Join(other, "FORMAT"), []byte("7"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(other, "FORMAT"), []byte("8"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	this := fmt.Sprint("format ", wire.Format)
-	for dir, names := range map[string][]string{old: {"format 1", this}, other: {`"7"`, this}} {
+	for dir, names := range map[string][]string{old: {"format 1", this}, other: {`"8"`, this}} {
 		j, err := OpenJournal(dir, testOpts())
 		if !errors.Is(err, ErrFormat) {
 			if j != nil {

@@ -21,11 +21,14 @@ import "fmt"
 // challenge and response alone, so coin shares, decryption shares and
 // TDH2 ciphertexts no longer carry the prover's two commitments; 8: a
 // threshold-RSA signature share is its value, challenge and response,
-// without the two batch commitments).
+// without the two batch commitments; 9: a replica signs the Merkle root of
+// an ordered round's answers once, so a client RESPONSE carries the
+// answer's leaf index, leaf count and branch, and a checkpoint STATE the
+// round of each suffix payload).
 // A replica refuses a peer whose transport hello, or a journal directory
 // whose marker (wal.OpenJournal), names another format: neither decodes
 // nor agrees across formats.
-const Format = 8
+const Format = 9
 
 // Message is the envelope routed between parties. Payload bytes must be
 // treated as immutable once sent.
