@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/rand"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"sintra/internal/adversary"
@@ -97,7 +98,7 @@ func FuzzVerifyAnswer(f *testing.F) {
 	for k := range sigs {
 		f.Add(uint8(k), results[k], sigs[k])
 	}
-	f.Add(uint8(0), results[0], wire.MustMarshalBody(answerProof{Count: 1 << 62, Branch: make([][32]byte, merkle.MaxBranch+1)}))
+	f.Add(uint8(0), results[0], wire.MustMarshalBody(answerProof{Count: 1 << (bits.UintSize - 2), Branch: make([][32]byte, merkle.MaxBranch+1)}))
 	f.Fuzz(func(t *testing.T, which uint8, result, sig []byte) {
 		k := int(which) % len(ids)
 		if VerifyAnswer(pub, "test", ids[k], result, sig) == nil && string(result) != string(results[k]) {

@@ -23,6 +23,8 @@
 package group
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -442,4 +444,28 @@ func TestDefault() Group {
 		panic(err) // unreachable: TestDefaultName returns known names
 	}
 	return g
+}
+
+// hashWide expands SHA-256 over (domain, data...) to want bytes with a
+// counter construction; inputs are length-framed so concatenation is
+// unambiguous. Both backends' hash-to-scalar / hash-to-point build on it.
+func hashWide(domain string, data [][]byte, want int) *big.Int {
+	out := make([]byte, 0, want+sha256.Size)
+	var ctr uint32
+	for len(out) < want {
+		h := sha256.New()
+		var cb [4]byte
+		binary.BigEndian.PutUint32(cb[:], ctr)
+		h.Write(cb[:])
+		h.Write([]byte(domain))
+		for _, d := range data {
+			var lb [8]byte
+			binary.BigEndian.PutUint64(lb[:], uint64(len(d)))
+			h.Write(lb[:])
+			h.Write(d)
+		}
+		out = h.Sum(out)
+		ctr++
+	}
+	return new(big.Int).SetBytes(out[:want])
 }

@@ -1,36 +1,63 @@
 package group
 
 import (
+	"crypto/rand"
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
+	"sync/atomic"
+
+	"sintra/internal/modexp"
 )
 
-// modpGroup adapts the legacy Z_p* arithmetic engine (zpGroup) to the
-// opaque Scalar/Point Group interface. It is the compatibility backend:
-// canonical element encodings are byte-identical to the pre-interface
-// wire format, so Fiat-Shamir transcripts and dealt key files keep
-// their meaning across the redesign.
+// modpGroup is the Z_p* backend: the unique subgroup of quadratic
+// residues of Z_p* for a safe prime p = 2q + 1, generated by 4 = 2². Points hold *big.Int values in [1, p-1], scalars *big.Int
+// values in [0, q-1]. Canonical element encodings are byte-identical to
+// the pre-interface wire format, so Fiat-Shamir transcripts and dealt
+// key files keep their meaning.
 type modpGroup struct {
-	id  GroupID
-	zp  *zpGroup
-	gen *Point
-	one *Point
+	id      GroupID
+	name    string
+	p, q    *big.Int
+	byteLen int // encoding width of elements
+	gen     *Point
+	one     *Point
+
+	// Fixed-base tables (internal/modexp): base^e then costs ~|q|/w
+	// table multiplications and no squarings. genTab serves the
+	// generator; precomp maps bases registered with Precompute, keyed
+	// by *big.Int pointer, to theirs, and nPrecomp lets exponentiations
+	// skip the map lookup while nothing is registered. Tables are built
+	// on first use and immutable afterwards: the routers of one process
+	// share one group.
+	genTab   *modexp.Table
+	precomp  sync.Map
+	nPrecomp atomic.Int32
 }
 
-func newModpGroup(id GroupID, zp *zpGroup) *modpGroup {
-	g := &modpGroup{id: id, zp: zp}
-	// The generator Point wraps the same *big.Int the fixed-base table
-	// registry keys on, so Exp through the interface still hits it.
-	g.gen = &Point{id: id, v: zp.G, member: true}
-	g.one = &Point{id: id, v: big.NewInt(1), member: true}
+// newModpGroup assembles a parameter set from hex-encoded p and q.
+func newModpGroup(id GroupID, name, pHex, qHex string) *modpGroup {
+	p, ok := new(big.Int).SetString(pHex, 16)
+	if !ok {
+		panic("group: bad prime constant " + name)
+	}
+	q, ok := new(big.Int).SetString(qHex, 16)
+	if !ok {
+		panic("group: bad order constant " + name)
+	}
+	g := &modpGroup{id: id, name: name, p: p, q: q, byteLen: (p.BitLen() + 7) / 8}
+	g.gen = g.point(big.NewInt(4))
+	g.one = g.point(big.NewInt(1))
+	g.genTab = modexp.NewTable(g.gen.v, p, q.BitLen())
 	return g
 }
 
-func (g *modpGroup) Name() string      { return g.zp.Name }
+func (g *modpGroup) Name() string      { return g.name }
 func (g *modpGroup) ID() GroupID       { return g.id }
-func (g *modpGroup) ElementLen() int   { return g.zp.ElementLen() }
-func (g *modpGroup) ScalarLen() int    { return g.zp.ScalarLen() }
+func (g *modpGroup) ElementLen() int   { return g.byteLen }
+func (g *modpGroup) ScalarLen() int    { return (g.q.BitLen() + 7) / 8 }
 func (g *modpGroup) Generator() *Point { return g.gen }
 func (g *modpGroup) Identity() *Point  { return g.one }
 
@@ -43,120 +70,218 @@ func (g *modpGroup) scalar(v *big.Int) *Scalar { return &Scalar{id: g.id, v: v} 
 // into this group's field so arithmetic never sees an out-of-range
 // exponent (misuse across groups is a programmer error, not UB).
 func (g *modpGroup) sv(s *Scalar) *big.Int {
-	if s.id == g.id && s.v.Sign() >= 0 && s.v.Cmp(g.zp.Q) < 0 {
+	if s.id == g.id && s.v.Sign() >= 0 && s.v.Cmp(g.q) < 0 {
 		return s.v
 	}
-	return new(big.Int).Mod(s.v, g.zp.Q)
+	return new(big.Int).Mod(s.v, g.q)
 }
 
 func (g *modpGroup) RandomScalar(rnd io.Reader) (*Scalar, error) {
-	v, err := g.zp.RandomScalar(rnd)
+	v, err := rand.Int(rnd, g.q)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("group: random scalar: %w", err)
 	}
 	return g.scalar(v), nil
 }
 
 func (g *modpGroup) RandomElement(rnd io.Reader) (*Point, error) {
-	v, err := g.zp.RandomElement(rnd)
-	if err != nil {
-		return nil, err
+	for {
+		s, err := g.RandomScalar(rnd)
+		if err != nil {
+			return nil, err
+		}
+		if !s.IsZero() {
+			return g.BaseExp(s), nil
+		}
 	}
-	return g.point(v), nil
 }
 
 func (g *modpGroup) NewScalar(v int64) *Scalar {
-	return g.scalar(new(big.Int).Mod(big.NewInt(v), g.zp.Q))
+	return g.scalar(new(big.Int).Mod(big.NewInt(v), g.q))
 }
 
 func (g *modpGroup) AddScalar(a, b *Scalar) *Scalar {
-	return g.scalar(g.zp.AddScalar(g.sv(a), g.sv(b)))
+	return g.scalar(new(big.Int).Mod(new(big.Int).Add(g.sv(a), g.sv(b)), g.q))
 }
+
 func (g *modpGroup) SubScalar(a, b *Scalar) *Scalar {
-	return g.scalar(g.zp.SubScalar(g.sv(a), g.sv(b)))
+	s := new(big.Int).Sub(g.sv(a), g.sv(b))
+	return g.scalar(s.Mod(s, g.q))
 }
+
 func (g *modpGroup) MulScalar(a, b *Scalar) *Scalar {
-	return g.scalar(g.zp.MulScalar(g.sv(a), g.sv(b)))
+	return g.scalar(new(big.Int).Mod(new(big.Int).Mul(g.sv(a), g.sv(b)), g.q))
 }
-func (g *modpGroup) InvScalar(a *Scalar) *Scalar { return g.scalar(g.zp.InvScalar(g.sv(a))) }
+
+func (g *modpGroup) InvScalar(a *Scalar) *Scalar {
+	return g.scalar(new(big.Int).ModInverse(g.sv(a), g.q))
+}
 
 func (g *modpGroup) NegScalar(a *Scalar) *Scalar {
 	v := g.sv(a)
 	if v.Sign() == 0 {
 		return g.scalar(new(big.Int))
 	}
-	return g.scalar(new(big.Int).Sub(g.zp.Q, v))
+	return g.scalar(new(big.Int).Sub(g.q, v))
 }
 
 func (g *modpGroup) IsScalar(s *Scalar) bool {
-	return s != nil && s.id == g.id && s.v != nil && s.v.Sign() >= 0 && s.v.Cmp(g.zp.Q) < 0
+	return s != nil && s.id == g.id && s.v != nil && s.v.Sign() >= 0 && s.v.Cmp(g.q) < 0
 }
 
+// HashToScalar expands the input to the width of p plus 16 bytes, so
+// the reduction mod q has negligible bias.
 func (g *modpGroup) HashToScalar(domain string, data ...[]byte) *Scalar {
-	return g.scalar(g.zp.HashToScalar(domain, data...))
+	x := hashWide(domain, data, g.byteLen+16)
+	return g.scalar(x.Mod(x, g.q))
 }
 
-func (g *modpGroup) EncodeScalar(s *Scalar) []byte { return g.zp.EncodeScalar(g.sv(s)) }
+func (g *modpGroup) EncodeScalar(s *Scalar) []byte {
+	return g.sv(s).FillBytes(make([]byte, g.ScalarLen()))
+}
 
 func (g *modpGroup) DecodeScalar(b []byte) (*Scalar, error) {
-	v, err := g.zp.DecodeScalar(b)
-	if err != nil {
-		return nil, err
+	if len(b) != g.ScalarLen() {
+		return nil, ErrBadLength
+	}
+	v := new(big.Int).SetBytes(b)
+	if v.Cmp(g.q) >= 0 {
+		return nil, errors.New("group: scalar out of range")
 	}
 	return g.scalar(v), nil
 }
 
-func (g *modpGroup) BaseExp(e *Scalar) *Point { return g.point(g.zp.BaseExp(g.sv(e))) }
+// table returns the fixed-base table for base: the generator's, or one
+// registered with Precompute for this very *big.Int.
+func (g *modpGroup) table(base *big.Int) *modexp.Table {
+	if base == g.gen.v {
+		return g.genTab
+	}
+	if g.nPrecomp.Load() == 0 {
+		return nil
+	}
+	if t, ok := g.precomp.Load(base); ok {
+		return t.(*modexp.Table)
+	}
+	return nil
+}
+
+// exp returns base^e mod p, through base's fixed-base table if it has one.
+func (g *modpGroup) exp(base, e *big.Int) *big.Int {
+	if t := g.table(base); t != nil {
+		return t.Exp(e)
+	}
+	return new(big.Int).Exp(base, e, g.p)
+}
+
+// mul returns a·b mod p.
+func (g *modpGroup) mul(a, b *big.Int) *big.Int {
+	return new(big.Int).Mod(new(big.Int).Mul(a, b), g.p)
+}
+
+func (g *modpGroup) BaseExp(e *Scalar) *Point { return g.point(g.genTab.Exp(g.sv(e))) }
 
 func (g *modpGroup) Exp(base *Point, e *Scalar) *Point {
-	return g.point(g.zp.Exp(base.v, g.sv(e)))
+	return g.point(g.exp(base.v, g.sv(e)))
 }
 
-func (g *modpGroup) Mul(a, b *Point) *Point { return g.point(g.zp.Mul(a.v, b.v)) }
-func (g *modpGroup) Inv(a *Point) *Point    { return g.point(g.zp.Inv(a.v)) }
-func (g *modpGroup) Div(a, b *Point) *Point { return g.point(g.zp.Div(a.v, b.v)) }
+func (g *modpGroup) Mul(a, b *Point) *Point { return g.point(g.mul(a.v, b.v)) }
+func (g *modpGroup) Inv(a *Point) *Point    { return g.point(new(big.Int).ModInverse(a.v, g.p)) }
+func (g *modpGroup) Div(a, b *Point) *Point {
+	return g.point(g.mul(a.v, new(big.Int).ModInverse(b.v, g.p)))
+}
 
+// MulExp computes a^x and b^y separately, each through its base's table
+// where there is one. A joint-window Shamir variant was measured and
+// rejected: math/big's internal Montgomery ladder beats any
+// externally-reduced shared squaring chain on amd64, so the win comes
+// from the tables dropping squarings altogether, not from sharing them.
 func (g *modpGroup) MulExp(a *Point, x *Scalar, b *Point, y *Scalar) *Point {
-	return g.point(g.zp.MulExp(a.v, g.sv(x), b.v, g.sv(y)))
+	return g.point(g.mul(g.exp(a.v, g.sv(x)), g.exp(b.v, g.sv(y))))
 }
 
+// MultiExp evaluates terms whose base has a table through it (no
+// squarings at all); the remaining terms share a single interleaved
+// squaring chain (modexp.MultiExp), so k transient bases cost max|e|
+// squarings once instead of k times.
 func (g *modpGroup) MultiExp(terms []Term) *Point {
-	bts := make([]bigTerm, len(terms))
-	for i, t := range terms {
-		bts[i] = bigTerm{Base: t.Base.v, Exp: g.sv(t.Exp)}
+	acc := big.NewInt(1)
+	tmp := new(big.Int)
+	var bases, exps []*big.Int
+	for _, t := range terms {
+		e := g.sv(t.Exp)
+		if e.Sign() == 0 {
+			continue
+		}
+		if tab := g.table(t.Base.v); tab != nil {
+			acc.Mod(tmp.Mul(acc, tab.Exp(e)), g.p)
+			continue
+		}
+		bases = append(bases, t.Base.v)
+		exps = append(exps, e)
 	}
-	return g.point(g.zp.MultiExp(bts))
+	if len(bases) > 0 {
+		acc.Mod(tmp.Mul(acc, modexp.MultiExp(g.p, bases, exps)), g.p)
+	}
+	return g.point(acc)
 }
 
+// Precompute registers a table for base.v, used whenever the same
+// *big.Int pointer is an exponentiation base: the registry is keyed by
+// pointer identity, not value, so only values with deployment lifetime
+// (dealt keys) should be registered, and they must never be mutated.
+// Registration is cheap; the table is built on first use.
 func (g *modpGroup) Precompute(base *Point) {
-	if base == nil || base.v == nil {
+	if base == nil || base.v == nil || base.v.Sign() <= 0 || base.v == g.gen.v {
 		return
 	}
-	g.zp.Precompute(base.v)
+	if _, loaded := g.precomp.LoadOrStore(base.v, modexp.NewTable(base.v, g.p, g.q.BitLen())); !loaded {
+		g.nPrecomp.Add(1)
+	}
 }
 
+// IsElement trusts the member flag of points that group arithmetic or a
+// strict decode made. Otherwise, p being a safe prime, the order-q
+// subgroup is exactly the quadratic residues, so membership is a Jacobi
+// symbol: thousands of times cheaper than the x^q ≡ 1 exponentiation.
 func (g *modpGroup) IsElement(p *Point) bool {
 	if p == nil || p.id != g.id || p.v == nil {
 		return false
 	}
-	if p.member {
-		return true
-	}
-	return g.zp.IsElement(p.v)
+	return p.member || g.inRange(p.v) && big.Jacobi(p.v, g.p) == 1
 }
 
+// inRange reports whether x lies in [1, p-1].
+func (g *modpGroup) inRange(x *big.Int) bool { return x.Sign() > 0 && x.Cmp(g.p) < 0 }
+
+// HashToPoint stands in for the random oracle H' of the coin-tossing
+// scheme: it expands the input with SHA-256 counters to cover the width
+// of p, reduces mod p, and squares the result into the quadratic
+// residues, re-deriving on the negligible chance of 0.
 func (g *modpGroup) HashToPoint(domain string, data ...[]byte) *Point {
-	return g.point(g.zp.HashToElement(domain, data...))
+	for d := domain; ; d = domain + "#retry" {
+		x := hashWide(d, data, g.byteLen+16)
+		x.Mod(x, g.p)
+		if x.Mul(x, x).Mod(x, g.p).Sign() != 0 {
+			return g.point(x)
+		}
+	}
 }
 
-func (g *modpGroup) EncodeElement(p *Point) []byte { return g.zp.EncodeElement(p.v) }
+func (g *modpGroup) EncodeElement(p *Point) []byte {
+	return p.v.FillBytes(make([]byte, g.byteLen))
+}
 
 func (g *modpGroup) DecodeElement(b []byte) (*Point, error) {
-	v, err := g.zp.DecodeElement(b)
+	p, err := g.decodeElementLax(b)
 	if err != nil {
 		return nil, err
 	}
-	return g.point(v), nil
+	if big.Jacobi(p.v, g.p) != 1 {
+		return nil, ErrNotInGroup
+	}
+	p.member = true
+	return p, nil
 }
 
 // decodeElementLax range-checks a wire element without the Jacobi
@@ -164,11 +289,11 @@ func (g *modpGroup) DecodeElement(b []byte) (*Point, error) {
 // performs the deferred test for callers that need full membership, as
 // the coin and TDH2 share checks do for every value they accept.
 func (g *modpGroup) decodeElementLax(b []byte) (*Point, error) {
-	if len(b) != g.zp.byteLen {
+	if len(b) != g.byteLen {
 		return nil, ErrBadLength
 	}
 	v := new(big.Int).SetBytes(b)
-	if v.Sign() <= 0 || v.Cmp(g.zp.P) >= 0 {
+	if !g.inRange(v) {
 		return nil, ErrNotInGroup
 	}
 	return &Point{id: g.id, v: v}, nil
@@ -177,4 +302,4 @@ func (g *modpGroup) decodeElementLax(b []byte) (*Point, error) {
 var _ backend = (*modpGroup)(nil)
 
 // String aids debugging in test failures.
-func (g *modpGroup) String() string { return fmt.Sprintf("group(%s)", g.zp.Name) }
+func (g *modpGroup) String() string { return fmt.Sprintf("group(%s)", g.name) }

@@ -1,6 +1,9 @@
 package merkle
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 // TestMerkleShapes covers odd leaf counts, single leaves, and branch
 // length truncation.
@@ -45,10 +48,11 @@ func TestBranchRootBounded(t *testing.T) {
 		}
 	}
 	long := make([][32]byte, MaxBranch+1)
-	if _, ok := BranchRoot(0, 1<<62, leaves[0], long); ok {
+	const depth = bits.UintSize - 2 // the deepest tree an int leaf count spans
+	if _, ok := BranchRoot(0, 1<<depth, leaves[0], long); ok {
 		t.Fatal("a branch over MaxBranch folded")
 	}
-	if _, ok := BranchRoot(0, 1<<62, leaves[0], long[:62]); !ok {
-		t.Fatal("a 2^62-leaf branch of 62 hashes did not fold")
+	if _, ok := BranchRoot(0, 1<<depth, leaves[0], long[:depth]); !ok {
+		t.Fatalf("a 2^%d-leaf branch of %d hashes did not fold", depth, depth)
 	}
 }

@@ -11,6 +11,7 @@ func TestTableMatchesGenericLadder(t *testing.T) {
 	mods := []string{
 		"f9dd6f1cb24a78a4ee9083323dd56189b2c5b0d4cabe82493b01bb22301345a3", // 256-bit prime
 		"e3a1b2c5d4f60789", // small odd modulus
+		"f9dd6f1cb24a78a4ee9083323dd56189b2c5b0d4cabe82493b01bb22301345a4", // even: math/big fallback
 	}
 	for _, mh := range mods {
 		m, _ := new(big.Int).SetString(mh, 16)
@@ -37,22 +38,28 @@ func TestTableMatchesGenericLadder(t *testing.T) {
 }
 
 func TestMultiExpMatchesSequential(t *testing.T) {
-	m, _ := new(big.Int).SetString("f9dd6f1cb24a78a4ee9083323dd56189b2c5b0d4cabe82493b01bb22301345a3", 16)
-	for _, k := range []int{0, 1, 2, 3, 7, 14} {
-		for _, bits := range []int{1, 64, 128, 256, 700} {
-			bases := make([]*big.Int, k)
-			exps := make([]*big.Int, k)
-			want := big.NewInt(1)
-			for i := 0; i < k; i++ {
-				bases[i], _ = rand.Int(rand.Reader, m)
-				exps[i], _ = rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
-				if i == 0 {
-					exps[i].SetInt64(0) // exercise the zero-exponent skip
+	mods := []string{
+		"f9dd6f1cb24a78a4ee9083323dd56189b2c5b0d4cabe82493b01bb22301345a3", // 256-bit prime
+		"f9dd6f1cb24a78a4ee9083323dd56189b2c5b0d4cabe82493b01bb22301345a4", // even: math/big fallback
+	}
+	for _, mh := range mods {
+		m, _ := new(big.Int).SetString(mh, 16)
+		for _, k := range []int{0, 1, 2, 3, 7, 14} {
+			for _, bits := range []int{1, 64, 128, 256, 700} {
+				bases := make([]*big.Int, k)
+				exps := make([]*big.Int, k)
+				want := big.NewInt(1)
+				for i := 0; i < k; i++ {
+					bases[i], _ = rand.Int(rand.Reader, m)
+					exps[i], _ = rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
+					if i == 0 {
+						exps[i].SetInt64(0) // exercise the zero-exponent skip
+					}
+					want.Mul(want, new(big.Int).Exp(bases[i], exps[i], m)).Mod(want, m)
 				}
-				want.Mul(want, new(big.Int).Exp(bases[i], exps[i], m)).Mod(want, m)
-			}
-			if got := MultiExp(m, bases, exps); got.Cmp(want) != 0 {
-				t.Fatalf("k=%d bits=%d: MultiExp mismatch", k, bits)
+				if got := MultiExp(m, bases, exps); got.Cmp(want) != 0 {
+					t.Fatalf("k=%d bits=%d: MultiExp mod %s mismatch", k, bits, mh)
+				}
 			}
 		}
 	}

@@ -10,10 +10,9 @@ import (
 // internally but does not export it, and every externally-structured
 // algorithm in this package — windowed fixed-base tables, the
 // interleaved multi-exponentiation — otherwise pays for a full
-// reduction (division or Barrett) per step, several times the cost of
-// the multiplication itself. Operating on raw little-endian uint64
-// words keeps each chain step at ~2·n² word multiplications with no
-// allocation.
+// division per step, several times the cost of the multiplication
+// itself. Operating on raw little-endian uint64 words keeps each chain
+// step at ~2·n² word multiplications with no allocation.
 //
 // The struct is immutable after construction; callers supply scratch,
 // so one mont may be shared by concurrent goroutines.
@@ -46,7 +45,7 @@ func newMont(mod *big.Int) *mont {
 		inv *= 2 - mt.m[0]*inv
 	}
 	mt.k0 = -inv
-	r := new(big.Int).Lsh(bigOne, uint(64*n))
+	r := new(big.Int).Lsh(big.NewInt(1), uint(64*n))
 	mt.one = mt.words(new(big.Int).Mod(r, mod))
 	mt.rr = mt.words(new(big.Int).Mod(new(big.Int).Mul(r, r), mod))
 	mt.unit = make([]uint64, n)

@@ -189,19 +189,15 @@ func (s *SCABC) onOrdered(seq int64, payload []byte) {
 		p.ordered = time.Now()
 	}
 	var ct threnc.Ciphertext
-	if !s.cfg.Router.Decode(payload, &ct) ||
-		!bytes.Equal(ct.Label, []byte(s.cfg.Instance)) ||
-		s.cfg.Enc.VerifyCiphertext(&ct) != nil {
+	var combiner *threnc.Combiner
+	if s.cfg.Router.Decode(payload, &ct) && bytes.Equal(ct.Label, []byte(s.cfg.Instance)) {
+		// NewCombiner verifies the ciphertext's proof; nil if it fails.
+		combiner, _ = threnc.NewCombiner(s.cfg.Enc, &ct)
+	}
+	if combiner == nil {
 		p.invalid = true
 		p.done = true
 		s.span.Event(obs.StageDrop, seq, "invalid ciphertext")
-		s.flush()
-		return
-	}
-	combiner, err := threnc.NewCombiner(s.cfg.Enc, &ct)
-	if err != nil {
-		p.invalid = true
-		p.done = true
 		s.flush()
 		return
 	}

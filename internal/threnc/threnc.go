@@ -325,7 +325,7 @@ type Combiner struct {
 	parties adversary.Set
 }
 
-// NewCombiner starts collecting shares for a (pre-verified) ciphertext.
+// NewCombiner verifies a ciphertext and starts collecting shares for it.
 func NewCombiner(p *Params, ct *Ciphertext) (*Combiner, error) {
 	if err := p.VerifyCiphertext(ct); err != nil {
 		return nil, err
