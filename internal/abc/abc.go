@@ -126,6 +126,30 @@ type proposalList struct {
 	Proposals [][32]byte
 }
 
+// Round is one ordered round as the layer above sees it, the unit a
+// replica's answers are batched in: its payloads reached Deliver at the
+// sequence numbers [First, End).
+type Round struct {
+	// Number is the atomic-broadcast round.
+	Number     int64
+	First, End int64
+	// Horizon is the GC horizon after the round, 0 where the layer keeps
+	// none.
+	Horizon int64
+	// Replayed marks a round Install replayed from a checkpoint suffix.
+	Replayed bool
+	// Skipped counts the payloads the round ordered but the layer above
+	// did not deliver: secure causal broadcast's invalid ciphertexts.
+	Skipped int
+}
+
+// SuffixRound is one round of a checkpoint suffix: its number and the
+// payloads it delivered, in order.
+type SuffixRound struct {
+	Round    int64
+	Payloads [][]byte
+}
+
 // Config wires one atomic-broadcast instance.
 type Config struct {
 	// Router is the party's protocol router.
@@ -172,16 +196,11 @@ type Config struct {
 	// bytes alone; the maximum over a decided round's valid certificates
 	// advances the GC horizon identically on every honest replica.
 	VerifyCheckpoint func(enc []byte) (seq int64, ok bool)
-	// RoundEnd, if set, fires after each round's deliveries with the new
-	// frontier, the round about to open, and the GC horizon — the hook
-	// the checkpoint tracker and request bookkeeping hang off.
-	RoundEnd func(seq, nextRound, horizon int64)
-	// BatchEnd, if set, fires after the deliveries of each round that
-	// delivered a payload, both those a decide makes here and those Install
-	// replays from a peer's suffix, so the payloads Deliver saw since the
-	// last call are exactly one round's on every honest party: the
-	// service's answer batches close on it.
-	BatchEnd func()
+	// EndRound, if set, fires after every decided round, once the round's
+	// payloads have reached Deliver, and after every round Install replays
+	// from a checkpoint suffix: the payloads Deliver saw since the last
+	// call are exactly one round's on every honest party.
+	EndRound func(Round)
 	// CodedThreshold is the payload size in bytes from which this party's
 	// proposals reference a payload by digest instead of embedding it.
 	// 0 selects DefaultCodedThreshold; negative embeds every payload.
@@ -703,6 +722,7 @@ func (a *ABC) onDecide(round int64, value []byte) {
 	sort.Slice(items, func(i, j int) bool {
 		return bytes.Compare(items[i].digest[:], items[j].digest[:]) < 0
 	})
+	first := a.seq.Load()
 	for _, it := range items {
 		a.deliverPayload(round, it.digest, it.payload)
 	}
@@ -730,9 +750,6 @@ func (a *ABC) onDecide(round int64, value []byte) {
 	if a.submitted != nil {
 		a.sweepSubmitted(time.Now())
 	}
-	if len(items) > 0 {
-		a.endBatch()
-	}
 	// Garbage-collect an old round's agreement and the payloads whose lag
 	// has run out, then open the next round if there is anything to do.
 	a.forget(round + 1)
@@ -745,16 +762,15 @@ func (a *ABC) onDecide(round int64, value []byte) {
 	// Payloads left over from this round (submitted but not in the decided
 	// union) are re-proposed next round.
 	a.settleQueue()
-	if a.cfg.RoundEnd != nil {
-		a.cfg.RoundEnd(a.seq.Load(), round+1, a.gcHorizon)
-	}
+	a.endRound(Round{Number: round, First: first, End: a.seq.Load(), Horizon: a.gcHorizon})
 	a.enterRound()
 }
 
-// endBatch closes the round's deliveries for the layer above (BatchEnd).
-func (a *ABC) endBatch() {
-	if a.cfg.BatchEnd != nil {
-		a.cfg.BatchEnd()
+// endRound tells the layer above that a round's payloads have all reached
+// Deliver (EndRound).
+func (a *ABC) endRound(r Round) {
+	if a.cfg.EndRound != nil {
+		a.cfg.EndRound(r)
 	}
 }
 
@@ -811,50 +827,51 @@ func (a *ABC) pruneBelow(horizon int64) {
 	a.horizonGauge.Set(horizon)
 }
 
-// SuffixSince returns the retained payloads delivered at sequences
-// [from, Seq()), the round that ordered each, and the current round; no
-// payloads when the retention log no longer reaches back to from.
-// Dispatch goroutine only.
-func (a *ABC) SuffixSince(from int64) (payloads [][]byte, rounds []int64, liveRound int64) {
+// SuffixSince returns, round by round, the retained payloads delivered at
+// sequences [from, Seq()), and the current round; no rounds when the
+// retention log no longer reaches back to from. Dispatch goroutine only.
+func (a *ABC) SuffixSince(from int64) (suffix []SuffixRound, liveRound int64) {
 	liveRound = a.round.Load()
 	if from >= a.seq.Load() || len(a.recent) == 0 || a.recent[0].seq > from {
-		return nil, nil, liveRound
+		return nil, liveRound
 	}
 	for _, e := range a.recent {
-		if e.seq >= from {
-			payloads = append(payloads, e.payload)
-			rounds = append(rounds, e.round)
+		if e.seq < from {
+			continue
 		}
+		if n := len(suffix); n == 0 || suffix[n-1].Round != e.round {
+			suffix = append(suffix, SuffixRound{Round: e.round})
+		}
+		last := &suffix[len(suffix)-1]
+		last.Payloads = append(last.Payloads, e.payload)
 	}
-	return payloads, rounds, liveRound
+	return suffix, liveRound
 }
 
 // Install adopts a certified checkpoint fetched from a peer: install (if
 // non-nil) replaces the application state at sequence base, the suffix
-// payloads then re-deliver in order through the normal Deliver path,
-// closing a batch (BatchEnd) wherever their rounds change, and the round
-// jumps forward to liveRound. Replayed rounds do not fire RoundEnd: they
-// are past. rounds names the round that ordered each suffix payload and
-// must not decrease. A nil install means the local state already covers
-// base and only the missing suffix tail replays. Returns false when
-// nothing advanced. Dispatch goroutine only.
-func (a *ABC) Install(base int64, install func() bool, suffix [][]byte, rounds []int64, liveRound int64) bool {
-	if len(rounds) != len(suffix) || !slices.IsSorted(rounds) {
-		return false
-	}
-	cur := a.seq.Load()
-	live := base + int64(len(suffix))
-	if live <= cur && liveRound <= a.round.Load() {
-		return false
-	}
-	skip := int64(0)
-	if install != nil {
-		if base < cur {
-			return false // would rewind state
-		}
-		if !install() {
+// rounds then re-deliver in order through the normal Deliver path, each
+// ended by EndRound marked Replayed, and the round jumps forward to
+// liveRound. The suffix rounds must be non-empty and strictly increasing.
+// A nil install means the local state already covers base and only the
+// missing suffix tail replays. Returns false when nothing advanced.
+// Dispatch goroutine only.
+func (a *ABC) Install(base int64, install func() bool, suffix []SuffixRound, liveRound int64) bool {
+	cur, live := a.seq.Load(), base
+	for k, r := range suffix {
+		if len(r.Payloads) == 0 || k > 0 && r.Round <= suffix[k-1].Round {
 			return false
 		}
+		live += int64(len(r.Payloads))
+	}
+	switch {
+	case live <= cur && liveRound <= a.round.Load():
+		return false
+	case install == nil && base > cur:
+		return false // gap: suffix does not reach our frontier
+	case install != nil && (base < cur || !install()):
+		return false // would rewind state, or the snapshot is refused
+	case install != nil:
 		// The snapshot subsumes all history below base: reset the dedup
 		// and suffix bookkeeping wholesale.
 		a.delivered = make(map[[32]byte]int64)
@@ -863,29 +880,22 @@ func (a *ABC) Install(base int64, install func() bool, suffix [][]byte, rounds [
 		a.gcHorizon = base
 		a.horizonGauge.Set(base)
 		a.deliveredSize.Set(0)
-	} else {
-		if base > cur {
-			return false // gap: suffix does not reach our frontier
-		}
-		skip = cur - base
-		if skip >= int64(len(suffix)) && liveRound <= a.round.Load() {
-			return false
-		}
 	}
-	open, batch := false, int64(0) // the replayed round awaiting its BatchEnd
-	for k := min(skip, int64(len(suffix))); k < int64(len(suffix)); k++ {
-		d := sha256.Sum256(suffix[k])
-		if _, done := a.delivered[d]; done {
+	skip := a.seq.Load() - base
+	for _, r := range suffix {
+		if skip >= int64(len(r.Payloads)) {
+			skip -= int64(len(r.Payloads))
 			continue
 		}
-		if open && rounds[k] != batch {
-			a.endBatch()
+		first := a.seq.Load()
+		for _, payload := range r.Payloads[skip:] {
+			d := sha256.Sum256(payload)
+			if _, done := a.delivered[d]; !done {
+				a.deliverPayload(r.Round, d, payload)
+			}
 		}
-		a.deliverPayload(rounds[k], d, suffix[k])
-		open, batch = true, rounds[k]
-	}
-	if open {
-		a.endBatch()
+		skip = 0
+		a.endRound(Round{Number: r.Round, First: first, End: a.seq.Load(), Horizon: a.gcHorizon, Replayed: true})
 	}
 	a.settleQueue()
 	a.adoptRound(liveRound)

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/engine"
 	"sintra/internal/obs"
@@ -53,9 +54,9 @@ const (
 	// (VerifyEncoded is called for every piggybacked proposal, usually
 	// with the same bytes).
 	maxVerifiedCache = 128
-	// maxRoundSlack bounds how far beyond what the suffix length can
-	// explain a peer may claim the live round has advanced (empty rounds
-	// deliver nothing but still advance the round counter).
+	// maxRoundSlack bounds how far beyond the suffix's rounds a peer may
+	// claim the live round has advanced (empty rounds deliver nothing but
+	// still advance the round counter).
 	maxRoundSlack = 64
 )
 
@@ -95,14 +96,11 @@ type stateBody struct {
 	Hash     [32]byte
 	Cert     []byte
 	Snapshot []byte
-	// Suffix holds the payloads a-delivered at sequences
-	// [Seq, Seq+len(Suffix)), letting the fetcher catch up past the
-	// checkpoint to the peer's live frontier. Empty when the peer's
-	// retained suffix no longer reaches back to Seq.
-	Suffix [][]byte
-	// Rounds names the round that ordered each Suffix payload, so the
-	// fetcher replays the suffix round by round.
-	Rounds []int64
+	// Suffix holds, round by round, the payloads a-delivered from
+	// sequence Seq on, letting the fetcher catch up past the checkpoint to
+	// the peer's live frontier. Empty when the peer's retained suffix no
+	// longer reaches back to Seq.
+	Suffix []abc.SuffixRound
 	// LiveRound is the peer's current round at serve time.
 	LiveRound int64
 }
@@ -132,16 +130,15 @@ type Config struct {
 	Snapshot func() []byte
 	// CurrentSeq reports the local delivery frontier.
 	CurrentSeq func() int64
-	// Suffix returns the retained payloads delivered at sequences
-	// [from, liveSeq), the round that ordered each, and the current round;
-	// no payloads when the retention log no longer reaches back to from.
-	Suffix func(from int64) (payloads [][]byte, rounds []int64, liveRound int64)
+	// Suffix returns, round by round, the retained payloads delivered at
+	// sequences [from, liveSeq), and the current round; no rounds when the
+	// retention log no longer reaches back to from.
+	Suffix func(from int64) (suffix []abc.SuffixRound, liveRound int64)
 	// Install adopts a fetched checkpoint: certified snapshot, the
-	// (tentative) delivery suffix with its rounds, and the serving peer's
-	// round. It returns false when the local state is already ahead. Nil
-	// disables catch-up (the tracker still certifies and serves
-	// checkpoints).
-	Install func(cp Checkpoint, snapshot []byte, suffix [][]byte, rounds []int64, liveRound int64) bool
+	// (tentative) delivery suffix, and the serving peer's round. It returns
+	// false when the local state is already ahead. Nil disables catch-up
+	// (the tracker still certifies and serves checkpoints).
+	Install func(cp Checkpoint, snapshot []byte, suffix []abc.SuffixRound, liveRound int64) bool
 	// OnStable fires whenever the stable checkpoint advances — the GC
 	// hook for the layers above.
 	OnStable func(cp Checkpoint)
@@ -355,9 +352,7 @@ func (t *Tracker) RoundEnd(seq, round int64) {
 	if err != nil {
 		return
 	}
-	if t.sharesSent != nil {
-		t.sharesSent.Inc()
-	}
+	t.sharesSent.Inc()
 	// One signed share per checkpoint seq: two different hashes for the
 	// same seq from one replica would poison certificate assembly.
 	_ = t.cfg.Router.BroadcastJournaled(fmt.Sprintf("share/%d", seq),
@@ -376,9 +371,7 @@ func (t *Tracker) RequestCatchUp() {
 }
 
 func (t *Tracker) broadcastFetch() {
-	if t.fetches != nil {
-		t.fetches.Inc()
-	}
+	t.fetches.Inc()
 	body := fetchBody{HaveSeq: t.cfg.CurrentSeq()}
 	self := t.cfg.Router.Self()
 	for j := 0; j < t.cfg.Router.N(); j++ {
@@ -413,9 +406,7 @@ func (t *Tracker) retryFetch() {
 	if t.cfg.Interval <= 0 || t.lastFetch < t.cfg.CurrentSeq()+t.cfg.Interval {
 		return // caught up (or nothing observed): stand down
 	}
-	if t.retries != nil {
-		t.retries.Inc()
-	}
+	t.retries.Inc()
 	self := t.cfg.Router.Self()
 	n := t.cfg.Router.N()
 	for i := 0; i < n; i++ {
@@ -457,9 +448,7 @@ func (t *Tracker) onShare(from int, body shareBody) {
 	if body.Seq <= t.stable.Seq || body.Share.Party != from {
 		return
 	}
-	if t.sharesRecv != nil {
-		t.sharesRecv.Inc()
-	}
+	t.sharesRecv.Inc()
 	key := pendKey{body.Seq, body.Round, body.Hash}
 	ps := t.pend[key]
 	if ps == nil {
@@ -542,7 +531,7 @@ func (t *Tracker) serveState(from int) {
 		Cert: t.stable.Cert, Snapshot: t.snap,
 	}
 	if t.cfg.Suffix != nil {
-		reply.Suffix, reply.Rounds, reply.LiveRound = t.cfg.Suffix(t.stable.Seq)
+		reply.Suffix, reply.LiveRound = t.cfg.Suffix(t.stable.Seq)
 	}
 	if reply.LiveRound == 0 {
 		reply.LiveRound = t.stable.Round
@@ -560,7 +549,10 @@ func (t *Tracker) onState(from int, body stateBody) {
 		t.distrust = -1
 		return
 	}
-	live := body.Seq + int64(len(body.Suffix))
+	live := body.Seq
+	for _, r := range body.Suffix {
+		live += int64(len(r.Payloads))
+	}
 	if live <= t.cfg.CurrentSeq() {
 		return
 	}
@@ -574,12 +566,10 @@ func (t *Tracker) onState(from int, body stateBody) {
 		return
 	}
 	cp := Checkpoint{Seq: body.Seq, Round: body.Round, Hash: body.Hash, Cert: body.Cert}
-	if !t.cfg.Install(cp, body.Snapshot, body.Suffix, body.Rounds, body.LiveRound) {
+	if !t.cfg.Install(cp, body.Snapshot, body.Suffix, body.LiveRound) {
 		return
 	}
-	if t.installs != nil {
-		t.installs.Inc()
-	}
+	t.installs.Inc()
 	t.lastInstallFrom = from
 	if len(body.Suffix) > 0 {
 		t.tentative = true
@@ -613,9 +603,7 @@ func (t *Tracker) setStable(cp Checkpoint, snapshot []byte) {
 		if t.ownHash == cp.Hash {
 			audited = true
 		} else {
-			if t.diverged != nil {
-				t.diverged.Inc()
-			}
+			t.diverged.Inc()
 			t.tentative = true
 			t.distrust = t.lastInstallFrom
 			t.ownSnap = nil
@@ -651,10 +639,8 @@ func (t *Tracker) setStable(cp Checkpoint, snapshot []byte) {
 			delete(t.pend, k)
 		}
 	}
-	if t.certs != nil {
-		t.certs.Inc()
-		t.stableSeq.Set(cp.Seq)
-	}
+	t.certs.Inc()
+	t.stableSeq.Set(cp.Seq)
 	if t.cfg.OnStable != nil {
 		t.cfg.OnStable(cp)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/checkpoint"
 	"sintra/internal/engine"
@@ -57,16 +58,17 @@ func newHarnesses(t *testing.T, c *testutil.Cluster, interval int64) []*harness 
 				Interval:   interval,
 				Snapshot:   func() []byte { return append([]byte(nil), h.state...) },
 				CurrentSeq: func() int64 { return h.seq },
-				Suffix: func(from int64) ([][]byte, []int64, int64) {
-					if from < h.base || from > h.seq {
-						return nil, nil, h.round
+				Suffix: func(from int64) ([]abc.SuffixRound, int64) {
+					if from < h.base || from >= h.seq {
+						return nil, h.round
 					}
-					return append([][]byte(nil), h.suffix[from-h.base:]...), nil, h.round
+					return []abc.SuffixRound{{Round: h.round, Payloads: append([][]byte(nil), h.suffix[from-h.base:]...)}}, h.round
 				},
-				Install: func(cp checkpoint.Checkpoint, snapshot []byte, suffix [][]byte, _ []int64, liveRound int64) bool {
+				Install: func(cp checkpoint.Checkpoint, snapshot []byte, rounds []abc.SuffixRound, liveRound int64) bool {
 					if cp.Seq < h.seq {
 						return false
 					}
+					suffix := payloadsOf(rounds)
 					h.state = append([]byte(nil), snapshot...)
 					h.seq = cp.Seq + int64(len(suffix))
 					h.round = liveRound
@@ -86,6 +88,15 @@ func newHarnesses(t *testing.T, c *testutil.Cluster, interval int64) []*harness 
 		}
 	}
 	return hs
+}
+
+// payloadsOf lists a suffix's payloads in order.
+func payloadsOf(suffix []abc.SuffixRound) [][]byte {
+	var out [][]byte
+	for _, r := range suffix {
+		out = append(out, r.Payloads...)
+	}
+	return out
 }
 
 // deliver advances one replica's fake service by a payload.
@@ -440,8 +451,9 @@ func lossyLaggard(t *testing.T, retry time.Duration) (*testutil.Cluster, []*harn
 			RetryInterval: retry,
 			Snapshot:      func() []byte { return append([]byte(nil), h3.state...) },
 			CurrentSeq:    func() int64 { return h3.seq },
-			Suffix:        func(int64) ([][]byte, []int64, int64) { return nil, nil, h3.round },
-			Install: func(cp checkpoint.Checkpoint, snapshot []byte, suffix [][]byte, _ []int64, liveRound int64) bool {
+			Suffix:        func(int64) ([]abc.SuffixRound, int64) { return nil, h3.round },
+			Install: func(cp checkpoint.Checkpoint, snapshot []byte, rounds []abc.SuffixRound, liveRound int64) bool {
+				suffix := payloadsOf(rounds)
 				h3.state = append([]byte(nil), snapshot...)
 				h3.seq = cp.Seq + int64(len(suffix))
 				h3.round = liveRound

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/core"
 	"sintra/internal/merkle"
@@ -446,18 +447,18 @@ func TestByzantineAnswerRoot(t *testing.T) {
 }
 
 // TestOneAnswerSignaturePerRound: under eight concurrent clients rounds
-// order several requests each, and every replica signs at most once per
-// round that delivered anything — strictly fewer signatures than answers.
+// order several requests each. Every answer's signature names its Round,
+// the sequence numbers [First, End) of the answers under the signed root;
+// these Rounds tile the total order, and every replica signs at most once
+// per Round, strictly fewer times than it answers.
 func TestOneAnswerSignaturePerRound(t *testing.T) {
 	st := adversary.MustThreshold(4, 1)
 	const clients, each = 8, 3
 	c := coreCluster(t, st, testutil.Options{Seed: 43, Clients: clients})
 	regs := make([]*obs.Registry, 4)
-	tracers := make([]*obs.CollectTracer, 4)
 	nodes := make([]*core.Node, 4)
 	for i := range nodes {
-		regs[i], tracers[i] = obs.NewRegistry(), obs.NewCollectTracer()
-		regs[i].SetTracer(tracers[i])
+		regs[i] = obs.NewRegistry()
 		n, err := core.NewNode(core.NodeConfig{
 			Public: c.Pub, Secret: c.Secrets[i], Transport: c.Net.Endpoint(i),
 			ServiceName: "test", Service: &echoService{}, Mode: core.ModeAtomic, Observer: regs[i],
@@ -476,6 +477,8 @@ func TestOneAnswerSignaturePerRound(t *testing.T) {
 	})
 
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	rounds := map[int64]abc.Round{} // by First
 	errs := make(chan error, clients*each)
 	for k := 0; k < clients; k++ {
 		cl := core.NewClient(c.Pub, c.Net.Endpoint(4+k), "test", core.ModeAtomic)
@@ -490,7 +493,15 @@ func TestOneAnswerSignaturePerRound(t *testing.T) {
 				}
 				if err != nil {
 					errs <- err
+					continue
 				}
+				r := core.AnswerRound(ans.Seq, ans.Signature)
+				mu.Lock()
+				if prev, ok := rounds[r.First]; ok && prev != r {
+					errs <- fmt.Errorf("answers name rounds %v and %v", prev, r)
+				}
+				rounds[r.First] = r
+				mu.Unlock()
 			}
 		}(k)
 	}
@@ -499,26 +510,22 @@ func TestOneAnswerSignaturePerRound(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	for seq := int64(0); seq < clients*each; {
+		r, ok := rounds[seq]
+		if !ok || r.End <= seq {
+			t.Fatalf("no round starts at %d: %v", seq, rounds)
+		}
+		seq = r.End
+	}
 	for i, n := range nodes {
 		var signed, applied int64
 		n.Router().DoSync(func() {
 			snap := regs[i].Snapshot()
 			signed, applied = snap.Counter("node.answer.signed"), snap.Counter("node.applied")
 		})
-		// Rounds that delivered anything: each agreement decide followed by
-		// at least one delivery, in this replica's dispatch order.
-		rounds, decided := 0, false
-		for _, ev := range tracers[i].Events() {
-			switch {
-			case ev.Protocol == "mvba" && ev.Stage == obs.StageDecide:
-				decided = true
-			case ev.Protocol == "abc" && ev.Stage == obs.StageDeliver && decided:
-				rounds, decided = rounds+1, false
-			}
-		}
-		t.Logf("replica %d: %d answers, %d signatures, %d delivering rounds", i, applied, signed, rounds)
-		if signed > int64(rounds) || signed >= applied {
-			t.Fatalf("replica %d signed %d times for %d answers in %d delivering rounds", i, signed, applied, rounds)
+		t.Logf("replica %d: %d answers, %d signatures, %d rounds", i, applied, signed, len(rounds))
+		if signed > int64(len(rounds)) || signed >= applied {
+			t.Fatalf("replica %d signed %d times for %d answers in %d rounds", i, signed, applied, len(rounds))
 		}
 	}
 }

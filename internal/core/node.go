@@ -209,8 +209,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			Key:            cfg.Secret.SigQuorum,
 			CodedThreshold: cfg.CodedThreshold,
 			Deliver:        n.onDeliver,
-			RoundEnd:       n.onRoundEnd,
-			BatchEnd:       n.flushAnswers,
+			EndRound:       n.endRound,
 		}
 		if useCkpt {
 			// Late binding through the node fields: the tracker needs the
@@ -262,7 +261,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			EncKey:         cfg.Secret.Enc,
 			CodedThreshold: cfg.CodedThreshold,
 			Deliver:        n.onDeliver,
-			RoundEnd:       n.flushAnswers,
+			EndRound:       n.endRound,
 		}).SubmitLocal
 	}
 	n.router.AcceptClients(clientProtocol)
@@ -336,9 +335,7 @@ func (n *Node) onClientMessage(from int, msgType string, payload []byte) {
 			e = &reqEntry{seq: n.Seq(), at: time.Now()}
 			n.reqClients[req.ReqID] = e
 			n.reqOrder = append(n.reqOrder, req.ReqID)
-			if n.reqSize != nil {
-				n.reqSize.Set(int64(len(n.reqClients)))
-			}
+			n.reqSize.Set(int64(len(n.reqClients)))
 		}
 		seen := false
 		for _, c := range e.clients {
@@ -393,14 +390,19 @@ func (n *Node) compactReqOrder() {
 	}
 }
 
-// onRoundEnd is the ordering layer's round-boundary hook: it drives the
-// checkpoint tracker and expires request bookkeeping below the GC
-// horizon. Dispatch goroutine only.
-func (n *Node) onRoundEnd(seq, nextRound, horizon int64) {
-	if n.ckpt != nil {
-		n.ckpt.RoundEnd(seq, nextRound)
+// endRound is the ordering layer's round boundary: the round's answers
+// are signed and sent, and a live round, not one replayed from a
+// checkpoint suffix, drives the checkpoint tracker and expires request
+// bookkeeping below the GC horizon. Dispatch goroutine only.
+func (n *Node) endRound(r abc.Round) {
+	n.flushAnswers()
+	if r.Replayed {
+		return
 	}
-	if horizon <= 0 {
+	if n.ckpt != nil {
+		n.ckpt.RoundEnd(r.End, r.Number+1)
+	}
+	if r.Horizon <= 0 {
 		return
 	}
 	// Entries whose request was first seen a full interval below the
@@ -414,16 +416,14 @@ func (n *Node) onRoundEnd(seq, nextRound, horizon int64) {
 	now := time.Now()
 	removed := false
 	for id, e := range n.reqClients {
-		if e.seq+grace <= horizon && now.Sub(e.at) > 5*time.Second {
+		if e.seq+grace <= r.Horizon && now.Sub(e.at) > 5*time.Second {
 			delete(n.reqClients, id)
 			removed = true
 		}
 	}
 	if removed {
 		n.compactReqOrder()
-		if n.reqSize != nil {
-			n.reqSize.Set(int64(len(n.reqClients)))
-		}
+		n.reqSize.Set(int64(len(n.reqClients)))
 	}
 }
 
@@ -432,12 +432,12 @@ func (n *Node) onRoundEnd(seq, nextRound, horizon int64) {
 // then replay the delivery suffix through the ordering layer so dedup
 // bookkeeping, sequence numbers, and client answers all take the normal
 // path. Dispatch goroutine only (called by the tracker's STATE handler).
-func (n *Node) installCheckpoint(cp checkpoint.Checkpoint, snapshot []byte, suffix [][]byte, rounds []int64, liveRound int64) bool {
+func (n *Node) installCheckpoint(cp checkpoint.Checkpoint, snapshot []byte, suffix []abc.SuffixRound, liveRound int64) bool {
 	var install func() bool
 	if cp.Seq >= n.abc.Seq() {
 		install = func() bool { return n.snapper.Restore(snapshot) == nil }
 	}
-	return n.abc.Install(cp.Seq, install, suffix, rounds, liveRound)
+	return n.abc.Install(cp.Seq, install, suffix, liveRound)
 }
 
 // onStableCheckpoint reacts to a newly certified checkpoint: tombstoned
@@ -484,33 +484,19 @@ func (n *Node) onStableCheckpoint(cp checkpoint.Checkpoint) {
 // slotSuffix parses the numeric tail of a journal slot name such as
 // "prop/<round>" or "share/<seq>".
 func slotSuffix(slot, prefix string) (int64, bool) {
-	if !strings.HasPrefix(slot, prefix) {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(slot[len(prefix):], 10, 64)
-	return v, err == nil
+	rest, ok := strings.CutPrefix(slot, prefix)
+	v, err := strconv.ParseInt(rest, 10, 64)
+	return v, ok && err == nil
 }
 
 // roundIn finds the round marker anywhere in the instance name, covering
 // sub-protocol instances whose name embeds the per-round parent (e.g.
 // MVBA's "<sender>/m/svc/<name>/r<round>" CBC instances).
 func roundIn(instance, prefix string) (int64, bool) {
-	i := strings.Index(instance, prefix)
-	if i < 0 {
-		return 0, false
-	}
-	return roundAfter(instance[i+len(prefix):])
-}
-
-func roundAfter(rest string) (int64, bool) {
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
+	_, rest, ok := strings.Cut(instance, prefix)
+	rest, _, _ = strings.Cut(rest, "/")
 	r, err := strconv.ParseInt(rest, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return r, true
+	return r, ok && err == nil
 }
 
 // onDeliver executes an envelope delivered by the ordering layer: as
@@ -542,8 +528,7 @@ func (n *Node) apply(seq int64, env envelope) {
 	n.answers = append(n.answers, responseBody{ReqID: env.ReqID, Seq: seq, Result: result})
 }
 
-// flushAnswers is the ordering layer's round boundary for answers: one
-// threshold-signature share on the root of a Merkle tree over every answer
+// flushAnswers closes the answers of a round: one threshold-signature share on the root of a Merkle tree over every answer
 // the round delivered, then each waiting client gets its answer with that
 // share and its branch. The batch is a function of the total order alone,
 // so every honest replica signs the same root and the client combines the
@@ -577,9 +562,7 @@ func (n *Node) flushAnswers() {
 		}
 		delete(n.reqClients, r.ReqID)
 	}
-	if n.reqSize != nil {
-		n.reqSize.Set(int64(len(n.reqClients)))
-	}
+	n.reqSize.Set(int64(len(n.reqClients)))
 }
 
 // VerifyAnswer lets anyone check a service's threshold-signed answer: sig

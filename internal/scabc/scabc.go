@@ -10,8 +10,8 @@
 // chosen-ciphertext attacks: a corrupted server that sees a ciphertext in
 // flight can neither read it nor construct a *related* ciphertext of its
 // own, so it cannot front-run the request (the paper's notary scenario,
-// §5.2). Invalid ciphertexts — including replays under a wrong label —
-// are skipped deterministically by every honest party.
+// §5.2). Invalid ciphertexts — including replays under a wrong label, and
+// payloads that do not open — are skipped alike by every honest party.
 package scabc
 
 import (
@@ -35,16 +35,19 @@ import (
 // Protocol is the wire protocol name of the decryption-share exchange.
 const Protocol = "scabc"
 
-// typeShares carries decryption shares for one sequence number.
+// typeShares carries one party's decryption shares for one ordered round.
 const typeShares = "SHARES"
 
-// maxPendingWindow bounds how far ahead of the delivery frontier share
+// maxPendingRounds bounds how far past the last round ended here share
 // messages are buffered.
-const maxPendingWindow = 4096
+const maxPendingRounds = 1024
 
+// sharesBody is one party's decryption shares for one round: a list per
+// ciphertext the round ordered, in order, and an empty one for each
+// ciphertext skipped as invalid.
 type sharesBody struct {
-	Seq    int64
-	Shares []threnc.Share
+	Round  int64
+	Shares [][]threnc.Share
 }
 
 // Config wires one secure-causal-atomic-broadcast instance.
@@ -76,32 +79,40 @@ type Config struct {
 	// Deliver is called with dense sequence numbers and decrypted
 	// requests, in the same order on every honest party.
 	Deliver func(seq int64, request []byte)
-	// OnInvalid is called (optionally) when an ordered ciphertext is
-	// skipped as invalid.
-	OnInvalid func(abcSeq int64)
-	// RoundEnd, if set, fires once per atomic-broadcast round that ordered
+	// EndRound, if set, fires once per atomic-broadcast round that ordered
 	// a ciphertext, as soon as every ciphertext of the round has been
 	// delivered or skipped as invalid: the requests Deliver saw since the
-	// last call are exactly one round's on every honest party.
-	RoundEnd func()
+	// last call are exactly one round's on every honest party. The Round's
+	// First and End are plaintext sequence numbers, Skipped counts the
+	// invalid ciphertexts, and Horizon is 0.
+	EndRound func(abc.Round)
 	// CodedThreshold is passed to the embedded atomic broadcast (the
 	// ciphertext size from which proposals reference instead of embed);
 	// see abc.Config.CodedThreshold.
 	CodedThreshold int
 }
 
-// pending tracks one ordered ciphertext awaiting decryption.
-type pending struct {
-	combiner *threnc.Combiner
-	// early holds, by sender, the first SHARES message that arrived before
-	// the ciphertext was ordered here: at most n of them, however many a
-	// corrupted party sends.
-	early   [][]threnc.Share
-	sent    bool
-	plain   []byte
-	done    bool
-	invalid bool
-	ordered time.Time // when the position was fixed (observer on only)
+// ciphertext is one ordered ciphertext: its combiner, nil when it was
+// skipped as invalid, and, once done, its plaintext or skip set.
+type ciphertext struct {
+	combiner   *threnc.Combiner
+	plain      []byte
+	done, skip bool
+}
+
+// round is one atomic-broadcast round's ciphertexts on their way to
+// delivery; until the round ends here it only buffers early shares.
+type round struct {
+	number int64
+	// cts holds the ciphertexts the round ordered, in order, from when the
+	// round ends here; left counts those not yet decrypted or skipped.
+	cts  []ciphertext
+	left int
+	// early holds, by sender, the share lists of the first SHARES message
+	// that arrived before the round ended here: at most n of them, however
+	// many a corrupted party sends.
+	early   [][][]threnc.Share
+	ordered time.Time // when the round ended here
 }
 
 // SCABC is one secure-causal instance; dispatch-goroutine only.
@@ -109,14 +120,15 @@ type SCABC struct {
 	cfg Config
 	abc *abc.ABC
 
-	byABCSeq map[int64]*pending
-	nextABC  int64 // next ABC sequence to flush
-	outSeq   int64 // next plaintext sequence to assign
-	// marks holds, oldest first, the ABC sequence that ends each ordered
-	// round not yet flushed past: one per round that ordered a ciphertext,
-	// so never more than the ordered ciphertexts byABCSeq still holds.
-	marks   []int64
-	ordered int64 // ABC frontier at the last round end
+	// open collects the ciphertexts of the round being ordered.
+	open []ciphertext
+	// rounds holds by number the rounds ended here and not yet delivered,
+	// and the early shares for up to maxPendingRounds past ended; queue
+	// lists the former, oldest first.
+	rounds map[int64]*round
+	queue  []*round
+	ended  int64 // the last round ended here
+	outSeq int64 // next plaintext sequence to assign
 
 	span *obs.Span
 	// decryptLat measures order-fixed to plaintext-delivered: the cost of
@@ -128,9 +140,9 @@ type SCABC struct {
 // broadcast (dispatch goroutine or pre-Run).
 func New(cfg Config) *SCABC {
 	s := &SCABC{
-		cfg:      cfg,
-		byABCSeq: make(map[int64]*pending),
-		span:     obs.StartSpan(cfg.Router.Observer(), cfg.Router.Self(), Protocol, cfg.Instance),
+		cfg:    cfg,
+		rounds: make(map[int64]*round),
+		span:   obs.StartSpan(cfg.Router.Observer(), cfg.Router.Self(), Protocol, cfg.Instance),
 	}
 	if reg := s.span.Registry(); reg != nil {
 		s.decryptLat = reg.Histogram(Protocol + ".latency.decrypt")
@@ -152,7 +164,7 @@ func New(cfg Config) *SCABC {
 		Key:            cfg.Key,
 		CodedThreshold: cfg.CodedThreshold,
 		Deliver:        s.onOrdered,
-		RoundEnd:       s.onRoundEnd,
+		EndRound:       s.onRoundEnd,
 	})
 	cfg.Router.Register(Protocol, cfg.Instance, s.handle)
 	return s
@@ -178,147 +190,139 @@ func (s *SCABC) Submit(ciphertext []byte) error {
 // SubmitLocal is Submit in place, for callers on the dispatch goroutine.
 func (s *SCABC) SubmitLocal(ciphertext []byte) { s.abc.Submit(ciphertext) }
 
-// Seq returns the number of plaintexts delivered so far.
-func (s *SCABC) Seq() int64 { return s.outSeq }
-
 // onOrdered runs when the embedded atomic broadcast fixes a ciphertext's
-// position.
+// position: it joins the round being ordered.
 func (s *SCABC) onOrdered(seq int64, payload []byte) {
-	p := s.pendingFor(seq)
-	if s.decryptLat != nil {
-		p.ordered = time.Now()
-	}
 	var ct threnc.Ciphertext
-	var combiner *threnc.Combiner
+	var c ciphertext
 	if s.cfg.Router.Decode(payload, &ct) && bytes.Equal(ct.Label, []byte(s.cfg.Instance)) {
 		// NewCombiner verifies the ciphertext's proof; nil if it fails.
-		combiner, _ = threnc.NewCombiner(s.cfg.Enc, &ct)
+		c.combiner, _ = threnc.NewCombiner(s.cfg.Enc, &ct)
 	}
-	if combiner == nil {
-		p.invalid = true
-		p.done = true
+	if c.combiner == nil {
+		c.done, c.skip = true, true
 		s.span.Event(obs.StageDrop, seq, "invalid ciphertext")
-		s.flush()
+	}
+	s.open = append(s.open, c)
+}
+
+// onRoundEnd runs when the embedded atomic broadcast ends a round. One that
+// ordered ciphertexts releases this party's decryption shares for all of
+// them in one message — only now, after their positions are fixed — and
+// takes the shares that faster parties sent early.
+func (s *SCABC) onRoundEnd(r abc.Round) {
+	s.ended = r.Number
+	rd := s.rounds[r.Number]
+	if len(s.open) == 0 {
+		delete(s.rounds, r.Number)
 		return
 	}
-	p.combiner = combiner
-	// Release our decryption shares only now — after the position is
-	// fixed — and feed any early-arrived shares from faster parties.
-	if !p.sent {
-		p.sent = true
-		shares, err := s.cfg.Enc.DecryptShares(s.cfg.EncKey, &ct, rand.Reader)
-		if err == nil {
-			_ = s.cfg.Router.BroadcastJournaled(fmt.Sprintf("shares/%d", seq),
-				Protocol, s.cfg.Instance, typeShares, sharesBody{Seq: seq, Shares: shares})
+	if rd == nil {
+		rd = &round{}
+		s.rounds[r.Number] = rd
+	}
+	rd.number, rd.cts, rd.ordered, s.open = r.Number, s.open, time.Now(), nil
+	lists := make([][]threnc.Share, len(rd.cts))
+	var err error
+	for k, c := range rd.cts {
+		if !c.done {
+			rd.left++
+			if err == nil {
+				lists[k], err = c.combiner.Shares(s.cfg.EncKey, rand.Reader)
+			}
 		}
 	}
-	for from, shares := range p.early {
-		s.addShares(p, seq, from, shares)
+	if err == nil && rd.left > 0 {
+		_ = s.cfg.Router.BroadcastJournaled(fmt.Sprintf("shares/%d", r.Number),
+			Protocol, s.cfg.Instance, typeShares, sharesBody{Round: r.Number, Shares: lists})
 	}
-	p.early = nil
-	s.tryDecrypt(seq)
-}
-
-// onRoundEnd marks where the embedded atomic broadcast's round ended, and
-// flushes in case the round's last ciphertext is settled already.
-func (s *SCABC) onRoundEnd(seq, _, _ int64) {
-	if seq > s.ordered {
-		s.ordered = seq
-		s.marks = append(s.marks, seq)
-		s.flush()
+	s.queue = append(s.queue, rd)
+	for from, lists := range rd.early {
+		if lists != nil {
+			s.addShares(rd, from, lists)
+		}
 	}
-}
-
-func (s *SCABC) pendingFor(seq int64) *pending {
-	p, ok := s.byABCSeq[seq]
-	if !ok {
-		p = &pending{}
-		s.byABCSeq[seq] = p
-	}
-	return p
+	rd.early = nil
+	s.flush()
 }
 
 // handle processes one message on the dispatch goroutine.
 func (s *SCABC) handle(from int, msgType string, payload []byte) {
-	if msgType != typeShares {
-		return
-	}
 	var body sharesBody
-	if !s.cfg.Router.Decode(payload, &body) {
+	if msgType != typeShares || !s.cfg.Router.Decode(payload, &body) || body.Round > s.ended+maxPendingRounds {
 		return
 	}
-	if body.Seq < s.nextABC || body.Seq > s.nextABC+maxPendingWindow {
-		return
-	}
-	p := s.pendingFor(body.Seq)
-	if p.done {
-		return
-	}
-	if p.combiner == nil {
-		// Ciphertext not ordered locally yet: keep the sender's first message.
-		if p.early == nil {
-			p.early = make([][]threnc.Share, s.cfg.Router.N())
+	rd := s.rounds[body.Round]
+	switch {
+	case body.Round <= s.ended && rd != nil:
+		s.addShares(rd, from, body.Shares)
+		s.flush()
+	case body.Round > s.ended:
+		// Round not ended here yet: keep the sender's first message.
+		if rd == nil {
+			rd = &round{early: make([][][]threnc.Share, s.cfg.Router.N())}
+			s.rounds[body.Round] = rd
 		}
-		if p.early[from] == nil {
-			p.early[from] = body.Shares
+		if rd.early[from] == nil {
+			rd.early[from] = body.Shares
 		}
-		return
-	}
-	s.addShares(p, body.Seq, from, body.Shares)
-	s.tryDecrypt(body.Seq)
-}
-
-// addShares adds the decryption shares that party from sent for seq.
-func (s *SCABC) addShares(p *pending, seq int64, from int, shares []threnc.Share) {
-	if p.combiner.AddFrom(from, shares) {
-		s.span.Event("shares.rejected", seq, fmt.Sprint("from ", from))
 	}
 }
 
-func (s *SCABC) tryDecrypt(seq int64) {
-	p := s.pendingFor(seq)
-	if p.done || p.combiner == nil || !p.combiner.Ready() {
-		return
+// addShares adds the decryption shares that party from sent for rd and
+// decrypts each ciphertext that has enough. A message without exactly one
+// list per ciphertext, an empty one for each skipped, is rejected before
+// any proof is checked, and the first list that fails its check ends the
+// message; either is counted.
+func (s *SCABC) addShares(rd *round, from int, lists [][]threnc.Share) {
+	bad := len(lists) != len(rd.cts)
+	for k := 0; !bad && k < len(lists); k++ {
+		bad = rd.cts[k].combiner == nil && len(lists[k]) > 0
 	}
-	plain, err := p.combiner.Decrypt()
-	if err != nil {
-		return
+	for k := 0; !bad && k < len(lists); k++ {
+		c := &rd.cts[k]
+		if c.done {
+			continue
+		}
+		if bad = c.combiner.AddFrom(from, lists[k]); bad || !c.combiner.Ready() {
+			continue
+		}
+		// A payload that does not open under the combined key, whose proof
+		// held, fails alike on every honest party: it is skipped.
+		plain, err := c.combiner.Decrypt()
+		c.plain, c.done, c.skip = plain, true, err != nil
+		rd.left--
 	}
-	p.plain = plain
-	p.done = true
-	s.flush()
+	if bad {
+		s.span.Event("shares.rejected", rd.number, fmt.Sprint("from ", from))
+	}
 }
 
-// flush delivers decrypted requests strictly in order, ending each round
-// once it is past the round's last ciphertext.
+// flush delivers the ended rounds strictly in order, each once every
+// ciphertext of it is decrypted or skipped, and ends each after its last
+// request.
 func (s *SCABC) flush() {
-	for {
-		for len(s.marks) > 0 && s.marks[0] <= s.nextABC {
-			s.marks = s.marks[1:]
-			if s.cfg.RoundEnd != nil {
-				s.cfg.RoundEnd()
+	for len(s.queue) > 0 && s.queue[0].left == 0 {
+		rd := s.queue[0]
+		s.queue = s.queue[1:]
+		delete(s.rounds, rd.number)
+		r := abc.Round{Number: rd.number, First: s.outSeq}
+		for _, c := range rd.cts {
+			if c.skip {
+				r.Skipped++
+				continue
 			}
-		}
-		p, ok := s.byABCSeq[s.nextABC]
-		if !ok || !p.done {
-			return
-		}
-		if p.invalid {
-			if s.cfg.OnInvalid != nil {
-				s.cfg.OnInvalid(s.nextABC)
-			}
-		} else {
 			seq := s.outSeq
 			s.outSeq++
 			s.span.Event(obs.StageDeliver, seq, "")
-			if s.decryptLat != nil && !p.ordered.IsZero() {
-				s.decryptLat.ObserveSince(p.ordered)
-			}
+			s.decryptLat.ObserveSince(rd.ordered)
 			if s.cfg.Deliver != nil {
-				s.cfg.Deliver(seq, p.plain)
+				s.cfg.Deliver(seq, c.plain)
 			}
 		}
-		delete(s.byABCSeq, s.nextABC)
-		s.nextABC++
+		r.End = s.outSeq
+		if s.cfg.EndRound != nil {
+			s.cfg.EndRound(r)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/netsim"
 	"sintra/internal/scabc"
@@ -26,7 +27,7 @@ type harness struct {
 	logs    map[int][][]byte
 	invalid map[int]int
 	// ends holds, per party, how many ordered ciphertexts had been
-	// delivered or skipped at each RoundEnd.
+	// delivered or skipped at each EndRound; invalid counts the skipped.
 	ends map[int][]int
 	cond *sync.Cond
 }
@@ -55,15 +56,13 @@ func newHarness(t *testing.T, c *testutil.Cluster, parties []int) *harness {
 				h.logs[i] = append(h.logs[i], req)
 				h.cond.Broadcast()
 			}
-			cfg.OnInvalid = func(int64) {
+			cfg.EndRound = func(r abc.Round) {
 				h.mu.Lock()
 				defer h.mu.Unlock()
-				h.invalid[i]++
-				h.cond.Broadcast()
-			}
-			cfg.RoundEnd = func() {
-				h.mu.Lock()
-				defer h.mu.Unlock()
+				if n := len(h.ends[i]); r.End != int64(len(h.logs[i])) || n > 0 && r.First != int64(h.ends[i][n-1]-h.invalid[i]) {
+					t.Errorf("party %d: round %d ends plaintexts [%d, %d) after %d", i, r.Number, r.First, r.End, len(h.logs[i]))
+				}
+				h.invalid[i] += r.Skipped
 				h.ends[i] = append(h.ends[i], len(h.logs[i])+h.invalid[i])
 				h.cond.Broadcast()
 			}
@@ -350,6 +349,44 @@ func TestPipelinedConfidentialRequests(t *testing.T) {
 	}
 }
 
+// TestOneSharesMessagePerRound: under a burst, rounds order several
+// ciphertexts each, and every party receives exactly one SHARES message
+// from each party per round: shares travel per round, not per ciphertext.
+func TestOneSharesMessagePerRound(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	c := testutil.NewCluster(t, st, testutil.Options{Seed: 53, Observe: true})
+	parties := []int{0, 1, 2, 3}
+	h := newHarness(t, c, parties)
+	const total = 12
+	for k := 0; k < total; k++ {
+		ct, err := scabc.Encrypt(c.Pub.Enc, "notary", []byte(fmt.Sprintf("burst-%02d", k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.insts[k%4].Submit(ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.wait(t, parties, total, 180*time.Second)
+	h.assertSameRounds(t, parties, 30*time.Second)
+	h.mu.Lock()
+	rounds := len(h.ends[0])
+	h.mu.Unlock()
+	if rounds >= total {
+		t.Fatalf("%d rounds ordered %d ciphertexts: none ordered two", rounds, total)
+	}
+	want := int64(c.N() * rounds)
+	for _, p := range parties {
+		recv := func() int64 { return c.Regs[p].Snapshot().Counter("router.recv.scabc.SHARES") }
+		for deadline := time.Now().Add(30 * time.Second); recv() < want && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if got := recv(); got != want {
+			t.Fatalf("party %d received %d SHARES messages for %d rounds of %d ciphertexts, want %d", p, got, rounds, total, want)
+		}
+	}
+}
+
 // holdToScheduler delivers a random pending message, keeping back those
 // to party victim of every protocol but the share exchange while hold is
 // set.
@@ -379,14 +416,14 @@ func (s *holdToScheduler) Next(pending []wire.Message) int {
 var _ netsim.Scheduler = (*holdToScheduler)(nil)
 
 // TestEarlySharesBufferedPerSender: party 0 falls behind in ordering, so
-// every decryption share for the first ciphertext reaches it early.
-// Party 3, corrupted, first sends it 4n forged shares in one message;
-// then parties 1, 2 and 3 order the ciphertext and send their real
-// shares, once each. The early buffer keeps one message per sender, so
-// the forgeries cost party 3 its own slot only, and party 0 decrypts once
-// it orders the ciphertext. A buffer shared by all senders and capped at
-// 4n shares was full before the honest shares arrived, and party 0 never
-// decrypted.
+// every decryption share for round 1, which orders one ciphertext,
+// reaches it early. Party 3, corrupted, first sends it 4n forged shares
+// for the round in one message; then parties 1, 2 and 3 end the round and
+// send their real shares, once each. The early buffer keeps one message
+// per sender and round, so the forgeries cost party 3 its own slot only,
+// and party 0 decrypts once it ends the round. A buffer shared by all
+// senders and capped at 4n shares was full before the honest shares
+// arrived, and party 0 never decrypted.
 func TestEarlySharesBufferedPerSender(t *testing.T) {
 	st := adversary.MustThreshold(4, 1)
 	sched := &holdToScheduler{rng: mrand.New(mrand.NewSource(61)), victim: 0}
@@ -413,9 +450,9 @@ func TestEarlySharesBufferedPerSender(t *testing.T) {
 	}
 	c.Net.Endpoint(3).Send(wire.Message{To: 0, Protocol: scabc.Protocol, Instance: "notary", Type: "SHARES",
 		Payload: wire.MustMarshalBody(struct {
-			Seq    int64
-			Shares []threnc.Share
-		}{0, forged})})
+			Round  int64
+			Shares [][]threnc.Share
+		}{1, [][]threnc.Share{forged}})})
 	received(1)
 
 	ct, err := scabc.Encrypt(c.Pub.Enc, "notary", []byte("late but whole"))

@@ -275,6 +275,11 @@ func (p *Params) DecryptShares(sk *SecretKey, ct *Ciphertext, rnd io.Reader) ([]
 	if err := p.VerifyCiphertext(ct); err != nil {
 		return nil, err
 	}
+	return p.decryptShares(sk, ct, rnd)
+}
+
+// decryptShares is DecryptShares for a ciphertext already verified.
+func (p *Params) decryptShares(sk *SecretKey, ct *Ciphertext, rnd io.Reader) ([]Share, error) {
 	out := make([]Share, 0, len(sk.Shares))
 	for _, sh := range sk.Shares {
 		value := p.g.Exp(ct.U, sh.Value)
@@ -331,6 +336,12 @@ func NewCombiner(p *Params, ct *Ciphertext) (*Combiner, error) {
 		return nil, err
 	}
 	return &Combiner{params: p, ct: ct, values: make(map[int]*group.Point)}, nil
+}
+
+// Shares produces the owner's decryption shares for the combiner's
+// ciphertext, which NewCombiner verified.
+func (c *Combiner) Shares(sk *SecretKey, rnd io.Reader) ([]Share, error) {
+	return c.params.decryptShares(sk, c.ct, rnd)
 }
 
 // Add verifies and stores a decryption share; invalid shares are rejected

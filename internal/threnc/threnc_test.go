@@ -231,6 +231,38 @@ func TestAddFromBindsSharesToSender(t *testing.T) {
 	}
 }
 
+// TestCombinerShares: the shares a combiner makes for its verified
+// ciphertext pass VerifyShare, and two parties' decrypt it.
+func TestCombinerShares(t *testing.T) {
+	p, keys := dealTest(t, adversary.MustThreshold(4, 1))
+	msg := []byte("verified once")
+	ct, err := p.Encrypt(msg, nil, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCombiner(p, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		shares, err := c.Shares(keys[i], rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shares {
+			if err := p.VerifyShare(ct, sh); err != nil {
+				t.Fatalf("party %d: own share rejected: %v", i, err)
+			}
+		}
+		if c.AddFrom(i, shares) {
+			t.Fatalf("party %d: own shares rejected", i)
+		}
+	}
+	if got, err := c.Decrypt(); err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("decrypted %q (%v), want %q", got, err, msg)
+	}
+}
+
 func TestGeneralStructureDecryption(t *testing.T) {
 	st := adversary.Example2()
 	p, keys := dealTest(t, st)

@@ -24,11 +24,13 @@ import "fmt"
 // without the two batch commitments; 9: a replica signs the Merkle root of
 // an ordered round's answers once, so a client RESPONSE carries the
 // answer's leaf index, leaf count and branch, and a checkpoint STATE the
-// round of each suffix payload).
+// round of each suffix payload; 10: a checkpoint suffix is a list of
+// rounds, and a party sends one SHARES message per ordered round, not per
+// ciphertext).
 // A replica refuses a peer whose transport hello, or a journal directory
 // whose marker (wal.OpenJournal), names another format: neither decodes
 // nor agrees across formats.
-const Format = 9
+const Format = 10
 
 // Message is the envelope routed between parties. Payload bytes must be
 // treated as immutable once sent.
