@@ -133,9 +133,6 @@ type Round struct {
 	// Number is the atomic-broadcast round.
 	Number     int64
 	First, End int64
-	// Horizon is the GC horizon after the round, 0 where the layer keeps
-	// none.
-	Horizon int64
 	// Replayed marks a round Install replayed from a checkpoint suffix.
 	Replayed bool
 	// Skipped counts the payloads the round ordered but the layer above
@@ -762,7 +759,7 @@ func (a *ABC) onDecide(round int64, value []byte) {
 	// Payloads left over from this round (submitted but not in the decided
 	// union) are re-proposed next round.
 	a.settleQueue()
-	a.endRound(Round{Number: round, First: first, End: a.seq.Load(), Horizon: a.gcHorizon})
+	a.endRound(Round{Number: round, First: first, End: a.seq.Load()})
 	a.enterRound()
 }
 
@@ -895,7 +892,7 @@ func (a *ABC) Install(base int64, install func() bool, suffix []SuffixRound, liv
 			}
 		}
 		skip = 0
-		a.endRound(Round{Number: r.Round, First: first, End: a.seq.Load(), Horizon: a.gcHorizon, Replayed: true})
+		a.endRound(Round{Number: r.Round, First: first, End: a.seq.Load(), Replayed: true})
 	}
 	a.settleQueue()
 	a.adoptRound(liveRound)

@@ -151,16 +151,13 @@ func TestRequestSentToOneServerIsPulled(t *testing.T) {
 	rand.New(rand.NewSource(64)).Read(body)
 	reqID := [16]byte{1, 2, 3}
 	type envelope struct {
-		ReqID [16]byte
-		Body  []byte
-	}
-	type request struct {
-		ReqID   [16]byte
-		Payload []byte
+		ReqID  [16]byte
+		Client int
+		Body   []byte
 	}
 	c.Net.Endpoint(4).Send(wire.Message{
 		To: 2, Protocol: "client", Instance: "test", Type: "REQUEST",
-		Payload: wire.MustMarshalBody(request{reqID, wire.MustMarshalBody(envelope{reqID, body})}),
+		Payload: wire.MustMarshalBody(envelope{reqID, 4, body}),
 	})
 	applied := waitApplied(t, services, 1)
 	if !bytes.Equal(applied[0], body) {

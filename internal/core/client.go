@@ -180,7 +180,7 @@ func (c *Client) invoke(ctx context.Context, body []byte) (Answer, error) {
 	if _, err := rand.Read(reqID[:]); err != nil {
 		return Answer{}, fmt.Errorf("core: %w", err)
 	}
-	env := envelope{ReqID: reqID, Body: body}
+	env := envelope{ReqID: reqID, Client: c.tr.Self(), Body: body}
 	plain, err := wire.MarshalBody(env)
 	if err != nil {
 		return Answer{}, err
@@ -211,17 +211,13 @@ func (c *Client) invoke(ctx context.Context, body []byte) (Answer, error) {
 
 	// Send to all servers: corrupted servers could ignore the request, so
 	// more than a corruptible set must receive it (paper §5).
-	req, err := wire.MarshalBody(requestBody{ReqID: reqID, Payload: payload})
-	if err != nil {
-		return Answer{}, err
-	}
 	for s := 0; s < c.tr.N(); s++ {
 		c.tr.Send(wire.Message{
 			To:       s,
 			Protocol: clientProtocol,
 			Instance: c.service,
 			Type:     typeRequest,
-			Payload:  req,
+			Payload:  payload,
 		})
 	}
 
@@ -273,8 +269,8 @@ func (c *Client) onResponse(from int, resp responseBody) {
 	if from < 0 || from >= c.tr.N() || resp.Share.Party != from {
 		return
 	}
-	root, folds := merkle.BranchRoot(resp.Index, resp.Count,
-		answerStatement(c.service, resp.ReqID, resp.Result), resp.Branch)
+	// Look the call up before folding the branch: an answer nobody here
+	// waits for costs no hashing.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cl, ok := c.pending[resp.ReqID]
@@ -282,6 +278,8 @@ func (c *Client) onResponse(from int, resp responseBody) {
 		return
 	}
 	cl.from = cl.from.Add(from)
+	root, folds := merkle.BranchRoot(resp.Index, resp.Count,
+		answerStatement(c.service, resp.ReqID, resp.Result), resp.Branch)
 	if !folds {
 		// A corrupted server's branch; its later responses stay ignored.
 		c.malformed.Inc()

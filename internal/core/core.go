@@ -70,18 +70,15 @@ type Snapshotter interface {
 	Restore(snapshot []byte) error
 }
 
-// envelope is the unit a client submits: a request body plus the client's
-// correlation ID. It travels in plaintext for ModeAtomic and inside a
-// TDH2 ciphertext for ModeSecureCausal.
+// envelope is the unit a client submits and the replicas order: a
+// request body, the client's correlation ID, and the client's own
+// endpoint index, which every replica that applies the request answers.
+// It is the body of a REQUEST message in plaintext for ModeAtomic, and
+// inside a TDH2 ciphertext for ModeSecureCausal.
 type envelope struct {
-	ReqID [16]byte
-	Body  []byte
-}
-
-// Client/server message bodies for the "client" wire protocol.
-type requestBody struct {
-	ReqID   [16]byte
-	Payload []byte
+	ReqID  [16]byte
+	Client int
+	Body   []byte
 }
 
 // responseBody answers one request: the result, and the replica's share

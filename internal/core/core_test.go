@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	mrand "math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,8 +233,11 @@ func TestByzantineResponderCannotFoolClient(t *testing.T) {
 	c := coreCluster(t, st, testutil.Options{Seed: 13})
 	nodesFor(t, c, []int{0, 1, 2}, core.ModeAtomic, func() core.StateMachine { return &echoService{} })
 
-	// The liar listens on endpoint 3 and answers any REQUEST at once.
+	// The liar listens on endpoint 3 and answers any REQUEST at once. It
+	// counts its answers, so a change of the REQUEST body that stops it
+	// from decoding one fails the test instead of silencing the liar.
 	liar := c.Net.Endpoint(3)
+	var lies atomic.Int64
 	go func() {
 		for {
 			m, ok := liar.Recv()
@@ -245,8 +248,9 @@ func TestByzantineResponderCannotFoolClient(t *testing.T) {
 				continue
 			}
 			var req struct {
-				ReqID   [16]byte
-				Payload []byte
+				ReqID  [16]byte
+				Client int
+				Body   []byte
 			}
 			if wire.UnmarshalBody(m.Payload, &req) != nil {
 				continue
@@ -264,6 +268,7 @@ func TestByzantineResponderCannotFoolClient(t *testing.T) {
 			}{ReqID: req.ReqID, Result: []byte("LIES"), Count: 1}
 			resp.Share.Party = 3
 			resp.Share.Data = []byte("garbage")
+			lies.Add(1)
 			liar.Send(wire.Message{
 				To: m.From, Protocol: "client", Instance: "test",
 				Type: "RESPONSE", Payload: wire.MustMarshalBody(resp),
@@ -276,6 +281,9 @@ func TestByzantineResponderCannotFoolClient(t *testing.T) {
 	ans, err := invokeWithin(client, []byte("truth"), 90*time.Second)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if lies.Load() == 0 {
+		t.Fatal("the liar never answered the REQUEST")
 	}
 	if bytes.Contains(ans.Result, []byte("LIES")) {
 		t.Fatal("client accepted the liar's answer")
@@ -670,51 +678,143 @@ func TestVerifyAnswerRejectsForgery(t *testing.T) {
 	}
 }
 
-func TestRequestFloodBounded(t *testing.T) {
-	// A single replica (no quorum, so nothing ever delivers or answers)
-	// is flooded with distinct undeliverable requests. Before the
-	// bounded-memory work, every request grew reqClients forever; now the
-	// bookkeeping must cap at the hard pending-request bound, evicting
-	// oldest entries.
-	st := adversary.MustThreshold(4, 1)
-	c := coreCluster(t, st, testutil.Options{Seed: 21})
-	nodes := nodesFor(t, c, []int{0}, core.ModeAtomic, func() core.StateMachine { return &echoService{} })
-	node := nodes[0]
+// onlyTo is a client endpoint whose messages reach one server only.
+type onlyTo struct {
+	wire.Transport
+	server int
+}
 
-	const flood = 6000
-	ep := c.Net.Endpoint(4)
-	for i := 0; i < flood; i++ {
-		var reqID [16]byte
-		binary.BigEndian.PutUint64(reqID[:8], uint64(i)+1)
-		ep.Send(wire.Message{
-			To: 0, Protocol: "client", Instance: "test", Type: "REQUEST",
-			Payload: wire.MustMarshalBody(struct {
-				ReqID   [16]byte
-				Payload []byte
-			}{ReqID: reqID, Payload: []byte("flood")}),
+func (t *onlyTo) Send(m wire.Message) {
+	if m.To == t.server {
+		t.Transport.Send(m)
+	}
+}
+
+// TestRequestToOneReplicaAnswered: a request that reaches one replica
+// only is ordered through that replica's proposal, and every replica that
+// applies it answers the client its envelope names, so the client
+// collects shares beyond the adversary structure and a signature that
+// verifies — in both modes.
+func TestRequestToOneReplicaAnswered(t *testing.T) {
+	for _, mode := range []core.Mode{core.ModeAtomic, core.ModeSecureCausal} {
+		t.Run(mode.String(), func(t *testing.T) {
+			st := adversary.MustThreshold(4, 1)
+			c := coreCluster(t, st, testutil.Options{Seed: 47})
+			nodesFor(t, c, []int{0, 1, 2, 3}, mode, func() core.StateMachine { return &echoService{} })
+			client := core.NewClient(c.Pub, &onlyTo{Transport: c.Net.Endpoint(4), server: 2}, "test", mode)
+			defer client.Close()
+			for k := 0; k < 2; k++ {
+				body := []byte(fmt.Sprintf("seen by one replica %d", k))
+				ans, err := invokeWithin(client, body, 60*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.HasSuffix(ans.Result, body) {
+					t.Fatalf("Result = %q", ans.Result)
+				}
+				if err := core.VerifyAnswer(c.Pub, "test", ans.ReqID, ans.Result, ans.Signature); err != nil {
+					t.Fatalf("answer does not verify: %v", err)
+				}
+			}
 		})
 	}
+}
 
-	// Wait until the node has chewed through the flood (pending plateaus),
-	// then assert the cap held.
-	var pending, last int
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		pending = node.PendingRequests()
-		if pending == last && pending > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("flood never settled: %d pending", pending)
-		}
-		last = pending
-		time.Sleep(100 * time.Millisecond)
+// responseLog is a replica's endpoint that counts its RESPONSEs by
+// destination.
+type responseLog struct {
+	wire.Transport
+	mu *sync.Mutex
+	to map[int]int
+}
+
+func (t *responseLog) Send(m wire.Message) {
+	if m.Type == "RESPONSE" {
+		t.mu.Lock()
+		t.to[m.To]++
+		t.mu.Unlock()
 	}
-	if pending > 4096 {
-		t.Fatalf("pending requests = %d, hard bound is 4096", pending)
+	t.Transport.Send(m)
+}
+
+// TestEnvelopeNamingNoClientAnsweredToNobody: requests whose envelopes
+// name a server, a negative index or an endpoint nobody holds are ordered
+// and applied by every replica and reach nobody, without a panic in any
+// handler, while a genuine client's requests around them complete.
+func TestEnvelopeNamingNoClientAnsweredToNobody(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	c := coreCluster(t, st, testutil.Options{Seed: 53})
+	reg := obs.NewRegistry()
+	var mu sync.Mutex
+	sent := make(map[int]int)
+	services := make([]*echoService, 4)
+	nodes := make([]*core.Node, 4)
+	for i := range nodes {
+		services[i] = &echoService{}
+		n, err := core.NewNode(core.NodeConfig{
+			Public: c.Pub, Secret: c.Secrets[i], ServiceName: "test",
+			Transport: &responseLog{Transport: c.Net.Endpoint(i), mu: &mu, to: sent},
+			Service:   services[i], Mode: core.ModeAtomic, Observer: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+		go n.Run()
 	}
-	if pending < 1000 {
-		t.Fatalf("pending requests = %d: the flood never reached the node", pending)
+	t.Cleanup(func() {
+		c.Net.Stop()
+		for _, n := range nodes {
+			n.Stop()
+		}
+	})
+	client := core.NewClient(c.Pub, c.Net.Endpoint(4), "test", core.ModeAtomic)
+	defer client.Close()
+	if _, err := invokeWithin(client, []byte("before"), 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for k, to := range []int{1, -1, 1 << 30} {
+		env := wire.MustMarshalBody(struct {
+			ReqID  [16]byte
+			Client int
+			Body   []byte
+		}{ReqID: [16]byte{byte(k + 1)}, Client: to, Body: []byte(fmt.Sprintf("names %d", to))})
+		for s := 0; s < 4; s++ {
+			c.Net.Endpoint(5).Send(wire.Message{To: s, Protocol: "client", Instance: "test", Type: "REQUEST", Payload: env})
+		}
+	}
+	if _, err := invokeWithin(client, []byte("after"), 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for i, svc := range services {
+		for {
+			svc.mu.Lock()
+			applied := len(svc.applied)
+			svc.mu.Unlock()
+			if applied == 5 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d applied %d requests, want 5", i, applied)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	for _, n := range nodes {
+		n.Router().DoSync(func() {}) // every answer of the applied rounds is sent
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	// The unheld endpoint's answers leave the replica and are dropped by
+	// the network; no server and no negative index is ever answered.
+	for to, count := range sent {
+		if to != 4 && to != 1<<30 {
+			t.Errorf("%d RESPONSEs sent to endpoint %d", count, to)
+		}
+	}
+	if n := reg.Snapshot().Counter("router.panics"); n != 0 {
+		t.Fatalf("router.panics = %d", n)
 	}
 }
 

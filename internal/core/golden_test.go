@@ -9,15 +9,15 @@ import (
 	"sintra/internal/wire"
 )
 
-// TestWireGolden pins the byte layout of the client request and response,
-// and of the proof a client hands out as Answer.Signature: a reordered or
-// re-typed field changes wire.Format and must fail here.
+// TestWireGolden pins the byte layout of the ordered request envelope, of
+// the response, and of the proof a client hands out as Answer.Signature: a
+// reordered or re-typed field changes wire.Format and must fail here.
 func TestWireGolden(t *testing.T) {
 	for _, c := range []struct {
 		v   any
 		hex string
 	}{
-		{requestBody{ReqID: [16]byte{0x01}, Payload: []byte("op")}, "01" + strings.Repeat("00", 15) + "026f70"},
+		{envelope{ReqID: [16]byte{0x01}, Client: 5, Body: []byte("op")}, "01" + strings.Repeat("00", 15) + "0a" + "026f70"},
 		{responseBody{ReqID: [16]byte{0x01}, Seq: 9, Result: []byte("ok"),
 			Share: thresig.Share{Party: 3, Data: []byte{0xaa}}, Index: 1, Count: 3, Branch: [][32]byte{{0xbb}}},
 			"01" + strings.Repeat("00", 15) + "12" + "026f6b" + "0601aa" + "02" + "06" + "01" + "bb" + strings.Repeat("00", 31)},

@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/rand"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -23,16 +22,6 @@ import (
 	"sintra/internal/wal"
 	"sintra/internal/wire"
 )
-
-// requestTTL is the fallback expiry for request bookkeeping of
-// payloads that never a-deliver; the stable-checkpoint horizon usually
-// clears them first.
-const requestTTL = 2 * time.Minute
-
-// maxPendingRequests hard-caps the request-bookkeeping map; beyond it
-// the oldest entries are evicted (a flood of undeliverable requests
-// costs the flooder its own response routing, never memory).
-const maxPendingRequests = 4096
 
 // NodeConfig configures one replica.
 type NodeConfig struct {
@@ -63,10 +52,9 @@ type NodeConfig struct {
 	// DataDir, when non-empty, enables the durable write-ahead log under
 	// this directory: every protocol-critical outbound message (RBC
 	// echoes, ABA votes, coin shares, signed proposals, ...) is journaled
-	// and held back until the journal is durable, and the delivery
-	// frontier is logged at apply time, so a crash-restarted replica
-	// re-sends byte-identical messages — never conflicting ones. Empty keeps the
-	// replica memoryless (a restart is amnesiac, as before this knob).
+	// and held back until the journal is durable, so a crash-restarted
+	// replica re-sends byte-identical messages — never conflicting ones.
+	// Empty keeps the replica memoryless (a restart is amnesiac).
 	DataDir string
 	// WALFailAppend is a crash-injection hook forwarded to the WAL: the
 	// first append whose LSN it accepts fails and wedges the journal,
@@ -82,20 +70,10 @@ type Node struct {
 	cfg    NodeConfig // Tuning resolved: every default written out
 	router *engine.Router
 
-	// reqClients maps a request correlation ID to the client endpoints
-	// that asked for it, plus enough position/age bookkeeping to expire
-	// entries whose request never delivers (dispatch goroutine only).
-	reqClients map[[16]byte]*reqEntry
-	// reqOrder is the FIFO of live correlation IDs (head-indexed), the
-	// eviction order of the maxPendingRequests cap.
-	reqOrder     [][16]byte
-	reqHead      int
-	reqSinceScan int
-
 	// answers lists what the ordered round in progress has applied, in
 	// sequence order; its round boundary signs them all at once
 	// (flushAnswers). Dispatch goroutine only.
-	answers []responseBody
+	answers []answer
 
 	// submit is the ordering layer's in-place entry point (dispatch
 	// goroutine only), in either mode.
@@ -115,17 +93,16 @@ type Node struct {
 	appliedCount *obs.Counter
 	signedCount  *obs.Counter
 	applyLat     *obs.Histogram
-	reqSize      *obs.Gauge
 
 	runOnce  sync.Once
 	stopOnce sync.Once
 }
 
-// reqEntry records who to answer for one in-flight request.
-type reqEntry struct {
-	clients []int
-	seq     int64 // delivery frontier when the request was first seen
-	at      time.Time
+// answer is one applied request's response and the endpoint its
+// envelope names.
+type answer struct {
+	client int
+	responseBody
 }
 
 // NewNode builds a replica. Call Run to start serving; Stop to shut down.
@@ -140,17 +117,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
 	}
 	cfg.Tuning = cfg.Tuning.resolved()
-	n := &Node{
-		cfg:        cfg,
-		router:     engine.NewRouter(cfg.Transport),
-		reqClients: make(map[[16]byte]*reqEntry),
-	}
+	n := &Node{cfg: cfg, router: engine.NewRouter(cfg.Transport)}
 	if cfg.Observer != nil {
 		n.router.SetObserver(cfg.Observer)
 		n.appliedCount = cfg.Observer.Counter("node.applied")
 		n.signedCount = cfg.Observer.Counter("node.answer.signed")
 		n.applyLat = cfg.Observer.Histogram("node.apply.latency")
-		n.reqSize = cfg.Observer.Gauge("node.reqclients.size")
 	}
 
 	// Durability journal: open (and replay) before any protocol instance
@@ -309,121 +281,26 @@ func (n *Node) Seq() int64 {
 	return n.abc.Seq()
 }
 
-// PendingRequests reports the request-bookkeeping map size (blocking
-// DoSync; tests and the soak harness assert it stays bounded).
-func (n *Node) PendingRequests() int {
-	var size int
-	n.router.DoSync(func() { size = len(n.reqClients) })
-	return size
-}
-
-// onClientMessage handles REQUEST messages from clients (and ignores
-// stray RESPONSE echoes).
-func (n *Node) onClientMessage(from int, msgType string, payload []byte) {
-	if msgType != typeRequest {
-		return
-	}
-	var req requestBody
-	if !n.router.Decode(payload, &req) {
-		return
-	}
-	if from >= n.cfg.Transport.N() {
-		// Remember which client endpoint to answer (bounded fan-in).
-		e := n.reqClients[req.ReqID]
-		if e == nil {
-			n.sweepRequests()
-			e = &reqEntry{seq: n.Seq(), at: time.Now()}
-			n.reqClients[req.ReqID] = e
-			n.reqOrder = append(n.reqOrder, req.ReqID)
-			n.reqSize.Set(int64(len(n.reqClients)))
-		}
-		seen := false
-		for _, c := range e.clients {
-			if c == from {
-				seen = true
-				break
-			}
-		}
-		if !seen && len(e.clients) < 8 {
-			e.clients = append(e.clients, from)
-		}
-	}
-	n.submit(req.Payload)
-}
-
-// sweepRequests bounds the request bookkeeping on the insert path: a
-// periodic TTL scan expires entries whose request never delivered (the
-// checkpoint horizon usually clears them first, but a flood of
-// undeliverable requests sees no round progress), and a hard cap evicts
-// oldest-first. Dispatch goroutine only.
-func (n *Node) sweepRequests() {
-	if n.reqSinceScan++; n.reqSinceScan >= 256 {
-		n.reqSinceScan = 0
-		now := time.Now()
-		for id, e := range n.reqClients {
-			if now.Sub(e.at) > requestTTL {
-				delete(n.reqClients, id)
-			}
-		}
-	}
-	for len(n.reqClients) >= maxPendingRequests && n.reqHead < len(n.reqOrder) {
-		id := n.reqOrder[n.reqHead]
-		n.reqHead++
-		delete(n.reqClients, id) // no-op when already answered
-	}
-	n.compactReqOrder()
-}
-
-// compactReqOrder rebuilds the eviction FIFO once its consumed-or-dead
-// prefix dominates, keeping the backing array bounded. Dispatch
-// goroutine only.
-func (n *Node) compactReqOrder() {
-	if len(n.reqOrder)-n.reqHead > 2*len(n.reqClients)+1024 || (n.reqHead > 1024 && n.reqHead*2 >= len(n.reqOrder)) {
-		kept := n.reqOrder[:0]
-		for _, id := range n.reqOrder[n.reqHead:] {
-			if _, live := n.reqClients[id]; live {
-				kept = append(kept, id)
-			}
-		}
-		n.reqOrder = kept
-		n.reqHead = 0
+// onClientMessage hands a client's REQUEST payload to the ordering layer
+// (and ignores stray RESPONSE echoes). The payload names the client its
+// answer goes to, so nothing about the sender is kept here.
+func (n *Node) onClientMessage(_ int, msgType string, payload []byte) {
+	if msgType == typeRequest {
+		n.submit(payload)
 	}
 }
 
 // endRound is the ordering layer's round boundary: the round's answers
-// are signed and sent, and a live round, not one replayed from a
-// checkpoint suffix, drives the checkpoint tracker and expires request
-// bookkeeping below the GC horizon. Dispatch goroutine only.
+// are signed and sent, the journal's size is sampled, and a live round,
+// not one replayed from a checkpoint suffix, drives the checkpoint
+// tracker. Dispatch goroutine only.
 func (n *Node) endRound(r abc.Round) {
 	n.flushAnswers()
-	if r.Replayed {
-		return
+	if n.journal != nil {
+		n.walSize.Set(n.journal.Size())
 	}
-	if n.ckpt != nil {
+	if !r.Replayed && n.ckpt != nil {
 		n.ckpt.RoundEnd(r.End, r.Number+1)
-	}
-	if r.Horizon <= 0 {
-		return
-	}
-	// Entries whose request was first seen a full interval below the
-	// horizon have had every chance to deliver; expire them. The age
-	// guard keeps a just-inserted entry alive when the horizon races
-	// right up to the frontier.
-	grace := n.cfg.CheckpointInterval
-	if grace <= 0 {
-		grace = DefaultCheckpointInterval
-	}
-	now := time.Now()
-	removed := false
-	for id, e := range n.reqClients {
-		if e.seq+grace <= r.Horizon && now.Sub(e.at) > 5*time.Second {
-			delete(n.reqClients, id)
-			removed = true
-		}
-	}
-	if removed {
-		n.compactReqOrder()
-		n.reqSize.Set(int64(len(n.reqClients)))
 	}
 }
 
@@ -440,24 +317,16 @@ func (n *Node) installCheckpoint(cp checkpoint.Checkpoint, snapshot []byte, suff
 	return n.abc.Install(cp.Seq, install, suffix, liveRound)
 }
 
-// onStableCheckpoint reacts to a newly certified checkpoint: tombstoned
-// protocol instances of rounds entirely below the certified round are
-// compacted away. Dispatch goroutine only.
+// onStableCheckpoint reacts to a newly certified checkpoint: it bounds
+// the journal. Commitments of rounds (or checkpoint sequences) entirely
+// below the certified horizon can never be re-sent meaningfully, so they
+// are dropped and the live ledger is rewritten into a fresh segment,
+// truncating everything older. Dispatch goroutine only.
 func (n *Node) onStableCheckpoint(cp checkpoint.Checkpoint) {
-	prefix := "svc/" + n.cfg.ServiceName + "/r"
-	n.router.CompactTombstones(func(protocol, instance string) bool {
-		// roundIn, not roundOf: sub-protocol instances embed the round
-		// marker mid-name (MVBA's "<sender>/m/svc/<name>/r<round>" CBCs).
-		r, ok := roundIn(instance, prefix)
-		return ok && r < cp.Round
-	})
 	if n.journal == nil {
 		return
 	}
-	// Checkpoint stability bounds the journal: commitments of rounds (or
-	// checkpoint sequences) entirely below the certified horizon can never
-	// be re-sent meaningfully, so drop them and rewrite the live ledger
-	// into a fresh segment, truncating everything older.
+	prefix := "svc/" + n.cfg.ServiceName + "/r"
 	n.journal.Forget(func(protocol, instance, slot string) bool {
 		// The round marker can sit mid-name: MVBA's per-proposer CBC
 		// instances look like "<sender>/m/svc/<name>/r<round>".
@@ -476,7 +345,7 @@ func (n *Node) onStableCheckpoint(cp checkpoint.Checkpoint) {
 		}
 		return false
 	})
-	if err := n.journal.Compact(); err == nil && n.walSize != nil {
+	if err := n.journal.Compact(); err == nil {
 		n.walSize.Set(n.journal.Size())
 	}
 }
@@ -518,31 +387,28 @@ func (n *Node) apply(seq int64, env envelope) {
 	result := n.cfg.Service.Apply(seq, env.Body)
 	n.appliedCount.Inc()
 	n.applyLat.ObserveSince(start)
-	if n.journal != nil {
-		// Log the delivery frontier at apply time (no wait; the answer is
-		// held back until the commit covering it completes).
-		d := sha256.Sum256(env.Body)
-		_ = n.journal.RecordDeliver(seq, d[:])
-		n.walSize.Set(n.journal.Size())
-	}
-	n.answers = append(n.answers, responseBody{ReqID: env.ReqID, Seq: seq, Result: result})
+	n.answers = append(n.answers, answer{env.Client, responseBody{ReqID: env.ReqID, Seq: seq, Result: result}})
 }
 
-// flushAnswers closes the answers of a round: one threshold-signature share on the root of a Merkle tree over every answer
-// the round delivered, then each waiting client gets its answer with that
-// share and its branch. The batch is a function of the total order alone,
-// so every honest replica signs the same root and the client combines the
-// shares. A round nobody here waits on is not signed. Dispatch goroutine
-// only.
+// flushAnswers closes the answers of a round: one threshold-signature
+// share on the root of a Merkle tree over every answer the round
+// delivered, then each answer goes, with that share and its branch, to the
+// client endpoint its envelope names. The batch is a function of the total
+// order alone, so every honest replica signs the same root and sends the
+// same answers, and the client combines the shares. A round whose
+// envelopes name no client endpoint (an index below the server count) is
+// not signed; an index no endpoint holds is dropped by the transport.
+// Dispatch goroutine only.
 func (n *Node) flushAnswers() {
 	batch := n.answers
 	n.answers = nil
-	if !slices.ContainsFunc(batch, func(r responseBody) bool { return n.reqClients[r.ReqID] != nil }) {
+	servers := n.cfg.Transport.N()
+	if !slices.ContainsFunc(batch, func(a answer) bool { return a.client >= servers }) {
 		return
 	}
 	leaves := make([][]byte, len(batch))
-	for i, r := range batch {
-		leaves[i] = answerStatement(n.cfg.ServiceName, r.ReqID, r.Result)
+	for i, a := range batch {
+		leaves[i] = answerStatement(n.cfg.ServiceName, a.ReqID, a.Result)
 	}
 	tree := merkle.NewTree(leaves)
 	share, err := n.cfg.Public.AnswerSig().SignShare(n.cfg.Secret.SigAnswer,
@@ -551,18 +417,14 @@ func (n *Node) flushAnswers() {
 		return
 	}
 	n.signedCount.Inc()
-	for i, r := range batch {
-		e := n.reqClients[r.ReqID]
-		if e == nil {
+	for i, a := range batch {
+		if a.client < servers {
 			continue
 		}
+		r := a.responseBody
 		r.Share, r.Index, r.Count, r.Branch = share, i, len(batch), tree.Branch(i)
-		for _, client := range e.clients {
-			_ = n.router.Send(client, clientProtocol, n.cfg.ServiceName, typeResponse, r)
-		}
-		delete(n.reqClients, r.ReqID)
+		_ = n.router.Send(a.client, clientProtocol, n.cfg.ServiceName, typeResponse, r)
 	}
-	n.reqSize.Set(int64(len(n.reqClients)))
 }
 
 // VerifyAnswer lets anyone check a service's threshold-signed answer: sig

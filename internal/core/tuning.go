@@ -22,11 +22,10 @@ type Tuning struct {
 	// CheckpointInterval is the checkpoint/GC period in delivered
 	// payloads: every interval the replicas threshold-sign a digest of
 	// the service state, and the stable checkpoint garbage-collects
-	// ordering history, router tombstones, request bookkeeping and the
-	// journal — and is what a restarted replica catches up from. Default
-	// 256; off leaves memory to the ordering layer's fixed dedup-history
-	// bound. Effective in ModeAtomic with a Snapshotter service. Must
-	// match.
+	// ordering history and the journal — and is what a restarted replica
+	// catches up from. Default 256; off leaves memory to the ordering
+	// layer's fixed dedup-history bound. Effective in ModeAtomic with a
+	// Snapshotter service. Must match.
 	CheckpointInterval int64
 	// CodedThreshold is the per-payload size in bytes from which a
 	// proposal references a request by digest instead of embedding it:

@@ -46,7 +46,7 @@ func tunedNode(t *testing.T, tuning Tuning) (*Node, *obs.Registry) {
 // it durable, and returns how many fsyncs that took.
 func fsyncsAfterCommit(t *testing.T, n *Node, reg *obs.Registry) int64 {
 	t.Helper()
-	if err := n.journal.RecordDeliver(1, []byte("digest")); err != nil {
+	if _, _, err := n.journal.RecordOutbound("test", "tuning", "PROBE", "probe", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(10 * time.Second)

@@ -81,8 +81,8 @@ type Options struct {
 	// Structure is the adversary structure (required).
 	Structure *adversary.Structure
 	// RSAPrimes supplies the safe primes for threshold RSA; nil generates
-	// fresh 1024-bit primes (slow). Ignored when ForceCert is set or the
-	// structure is generalized.
+	// two fresh 512-bit safe primes, a 1024-bit modulus (slow). Ignored
+	// when ForceCert is set or the structure is generalized.
 	RSAPrimes func() (p, q *big.Int, err error)
 	// ForceCert selects certificate signatures even for threshold
 	// structures (useful to compare the two schemes).

@@ -327,32 +327,6 @@ func (r *Router) addTombstone(key instanceKey) {
 	}
 }
 
-// CompactTombstones drops every tombstone the caller proves obsolete —
-// typically instances of rounds entirely below a checkpointed GC horizon,
-// whose traffic can no longer arrive from honest parties (a straggler
-// merely re-buffers under its sender's quota). Dispatch goroutine only.
-func (r *Router) CompactTombstones(obsolete func(protocol, instance string) bool) {
-	if obsolete == nil {
-		return
-	}
-	kept := r.tombOrder[:0]
-	for _, key := range r.tombOrder[r.tombHead:] {
-		if _, live := r.tombstones[key]; !live {
-			continue
-		}
-		if obsolete(key.protocol, key.instance) {
-			delete(r.tombstones, key)
-		} else {
-			kept = append(kept, key)
-		}
-	}
-	r.tombOrder = kept
-	r.tombHead = 0
-	if r.mx != nil {
-		r.mx.tombstones.Set(int64(len(r.tombstones)))
-	}
-}
-
 // Sizes reports the live-instance and tombstone map sizes (dispatch
 // goroutine or pre-Run; regression tests assert both stay bounded).
 func (r *Router) Sizes() (instances, tombstones int) {

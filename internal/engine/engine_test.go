@@ -646,16 +646,8 @@ func TestTombstonesBounded(t *testing.T) {
 	if instances != 0 {
 		t.Fatalf("instance map holds %d entries after unregistering all", instances)
 	}
-	if tombstones > 4096 {
-		t.Fatalf("tombstone set grew to %d entries (want bounded)", tombstones)
-	}
-	// Compaction below a GC horizon empties the set entirely.
-	r1.DoSync(func() {
-		r1.CompactTombstones(func(protocol, instance string) bool { return true })
-		_, tombstones = r1.Sizes()
-	})
-	if tombstones != 0 {
-		t.Fatalf("tombstones after full compaction: %d", tombstones)
+	if tombstones != 4096 {
+		t.Fatalf("tombstone set holds %d entries after %d cycles, want the 4096 cap", tombstones, cycles)
 	}
 }
 

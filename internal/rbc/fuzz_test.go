@@ -75,8 +75,5 @@ func FuzzFragmentDecode(f *testing.F) {
 			t.Fatalf("retention cap breached: %d buffers", inst.PayloadsHeld())
 		}
 		router.Unregister(rbc.Protocol, instance)
-		if iter%1024 == 0 {
-			router.CompactTombstones(func(string, string) bool { return true })
-		}
 	})
 }

@@ -83,8 +83,8 @@ type Config struct {
 	// a ciphertext, as soon as every ciphertext of the round has been
 	// delivered or skipped as invalid: the requests Deliver saw since the
 	// last call are exactly one round's on every honest party. The Round's
-	// First and End are plaintext sequence numbers, Skipped counts the
-	// invalid ciphertexts, and Horizon is 0.
+	// First and End are plaintext sequence numbers, and Skipped counts the
+	// invalid ciphertexts.
 	EndRound func(abc.Round)
 	// CodedThreshold is passed to the embedded atomic broadcast (the
 	// ciphertext size from which proposals reference instead of embed);

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -106,14 +105,13 @@ func TestRedialAttemptsUnderBackoff(t *testing.T) {
 }
 
 // TestRedialGiveUpReportsUnreachablePeer points a writer at a dead port
-// with compressed backoff and a low give-up threshold: once the backoff
-// has sat at its ceiling for GiveUpAfter consecutive failed dials, the
-// "transport.redial.giveup" counter must tick and OnPeerUnreachable must
-// fire — exactly once for the whole outage, no matter how many batches
-// keep failing afterwards.
+// with the backoff pinned at its ceiling: only after giveUpAfter
+// consecutive failed dials may the "transport.redial.giveup" counter
+// tick, and then exactly once for the whole outage, no matter how many
+// batches keep failing afterwards.
 func TestRedialGiveUpReportsUnreachablePeer(t *testing.T) {
 	savedBase, savedMax := redialBase, redialMax
-	redialBase, redialMax = time.Millisecond, 4*time.Millisecond
+	redialBase, redialMax = 10*time.Millisecond, 10*time.Millisecond
 	defer func() { redialBase, redialMax = savedBase, savedMax }()
 
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
@@ -123,22 +121,13 @@ func TestRedialGiveUpReportsUnreachablePeer(t *testing.T) {
 	deadAddr := dead.Addr().String()
 	dead.Close()
 
-	var mu sync.Mutex
-	type report struct{ peer, failures int }
-	var reports []report
 	keys := [][]byte{[]byte("k0"), []byte("k1")}
 	tr, err := NewServer(Config{
-		Self:        0,
-		N:           2,
-		Addrs:       []string{"127.0.0.1:0", deadAddr},
-		ListenAddr:  "127.0.0.1:0",
-		LinkKeys:    keys,
-		GiveUpAfter: 2,
-		OnPeerUnreachable: func(peer, failures int) {
-			mu.Lock()
-			reports = append(reports, report{peer, failures})
-			mu.Unlock()
-		},
+		Self:       0,
+		N:          2,
+		Addrs:      []string{"127.0.0.1:0", deadAddr},
+		ListenAddr: "127.0.0.1:0",
+		LinkKeys:   keys,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,57 +136,30 @@ func TestRedialGiveUpReportsUnreachablePeer(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr.SetObserver(reg)
 
-	tr.Send(wire.Message{To: 1, Protocol: "p", Type: "T"})
+	// A batch is dropped after dialAttempts failed dials, well past the
+	// giveUpAfter dials at the ceiling, so the drop implies the report.
+	// While it fails, the report must not come early: the dial counter is
+	// read after the give-up counter, so a report seen with fewer than
+	// giveUpAfter dials behind it came too soon. Pauses of 5-10ms leave
+	// several polls between dials.
 	deadline := time.Now().Add(30 * time.Second)
-	for reg.Snapshot().Counter("transport.dropped") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("message to dead peer never dropped")
+	for batch := int64(1); batch <= 2; batch++ {
+		tr.Send(wire.Message{To: 1, Protocol: "p", Type: "T"})
+		for reg.Snapshot().Counter("transport.dropped") < batch {
+			if time.Now().After(deadline) {
+				t.Fatalf("message %d to dead peer never dropped", batch)
+			}
+			giveups := reg.Snapshot().Counter("transport.redial.giveup")
+			if dials := reg.Snapshot().Counter("transport.redials"); giveups > 0 && dials < giveUpAfter {
+				t.Fatalf("transport.redial.giveup ticked after %d failed dials, want >= %d", dials, giveUpAfter)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The callback runs on its own goroutine; give it a moment to land.
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(reports)
-		mu.Unlock()
-		if n > 0 {
-			break
+		// The second batch against the same outage keeps probing (and
+		// dropping) but must not re-report: the give-up latch holds until
+		// a dial succeeds.
+		if n := reg.Snapshot().Counter("transport.redial.giveup"); n != 1 {
+			t.Fatalf("transport.redial.giveup = %d after batch %d, want 1", n, batch)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	if n := reg.Snapshot().Counter("transport.redial.giveup"); n != 1 {
-		t.Fatalf("transport.redial.giveup = %d after first dropped batch, want 1", n)
-	}
-	mu.Lock()
-	if len(reports) != 1 {
-		t.Fatalf("OnPeerUnreachable fired %d times, want once per outage", len(reports))
-	}
-	if reports[0].peer != 1 {
-		t.Fatalf("unreachable peer reported as %d, want 1", reports[0].peer)
-	}
-	// With base=1ms, max=4ms the ceiling is reached at the third failure,
-	// so the threshold of 2 ceiling-level failures trips on the fourth.
-	if reports[0].failures < 4 {
-		t.Fatalf("reported after %d consecutive failures, want >= 4", reports[0].failures)
-	}
-	mu.Unlock()
-
-	// A second batch against the same outage keeps probing (and dropping)
-	// but must not re-report: the give-up latch holds until a dial succeeds.
-	tr.Send(wire.Message{To: 1, Protocol: "p", Type: "T"})
-	for reg.Snapshot().Counter("transport.dropped") < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("second message to dead peer never dropped")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := reg.Snapshot().Counter("transport.redial.giveup"); n != 1 {
-		t.Fatalf("transport.redial.giveup = %d after second batch, want still 1", n)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reports) != 1 {
-		t.Fatalf("OnPeerUnreachable fired %d times across the outage, want 1", len(reports))
 	}
 }

@@ -48,10 +48,12 @@ var (
 // message loss to crashed peers; protocols retransmit by design).
 const dialAttempts = 25
 
-// defaultGiveUpAfter is how many consecutive failed dials at the
-// backoff ceiling mark a peer as unreachable (Config.GiveUpAfter
-// overrides).
-const defaultGiveUpAfter = 5
+// giveUpAfter is how many consecutive failed dials at the backoff
+// ceiling mark a peer as unreachable: the link has been down long past
+// transient-blip territory, and "transport.redial.giveup" counts it once
+// per outage. Backoff itself never stops: the peer keeps being probed and
+// the streak resets on the first successful dial.
+const giveUpAfter = 5
 
 // maxCoalesce caps how many queued messages one flush drains. A slow link
 // accumulates a backlog while a write is in flight; draining it in one
@@ -129,19 +131,6 @@ type Config struct {
 	ListenAddr string
 	// LinkKeys[j] authenticates the link to server j (servers only).
 	LinkKeys [][]byte
-	// GiveUpAfter reports a peer as unreachable once this many
-	// consecutive dials have failed *after* the redial backoff reached
-	// its ceiling — i.e. the link has been down long past transient-blip
-	// territory. Zero selects the default (5); negative disables the
-	// report. Backoff itself never stops: the peer keeps being probed
-	// and the streak resets on the first successful dial.
-	GiveUpAfter int
-	// OnPeerUnreachable, when set, is called (once per outage, from a
-	// fresh goroutine) when a peer crosses the GiveUpAfter threshold,
-	// with the peer index and the consecutive-failure count so far.
-	// Operators hook alerting here; the "transport.redial.giveup"
-	// counter records the same events.
-	OnPeerUnreachable func(peer, failures int)
 }
 
 // Transport is a TCP implementation of wire.Transport.
@@ -655,10 +644,6 @@ func (w *peerWriter) run() {
 	failures := 0     // consecutive failed dials, across batches
 	atCeiling := 0    // consecutive failed dials with backoff at its cap
 	reported := false // give-up already reported for this outage
-	giveUpAfter := w.t.cfg.GiveUpAfter
-	if giveUpAfter == 0 {
-		giveUpAfter = defaultGiveUpAfter
-	}
 	defer func() {
 		if conn != nil {
 			conn.Close()
@@ -686,12 +671,9 @@ func (w *peerWriter) run() {
 					// successful dial clears the outage.
 					if redialBackoff(failures) >= redialMax {
 						atCeiling++
-						if !reported && giveUpAfter > 0 && atCeiling >= giveUpAfter {
+						if !reported && atCeiling >= giveUpAfter {
 							reported = true
 							w.mx.giveup()
-							if cb := w.t.cfg.OnPeerUnreachable; cb != nil {
-								go cb(w.dest, failures)
-							}
 						}
 					}
 					if attempt >= dialAttempts {

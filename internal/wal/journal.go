@@ -24,8 +24,7 @@ import (
 // Record kinds (first byte of a WAL record payload).
 const (
 	kindOutbound = 'O' // slot-keyed outbound message
-	kindDeliver  = 'D' // delivered-sequence state at apply time
-	kindSnap     = 'S' // compacted ledger + delivery frontier
+	kindSnap     = 'S' // compacted ledger
 )
 
 // ErrCorruptRecord is returned when a record payload does not parse.
@@ -40,9 +39,6 @@ type Rec struct {
 	// Outbound fields (kindOutbound, and each snapshot entry).
 	Protocol, Instance, MsgType, Slot string
 	Payload                           []byte
-	// Deliver fields (kindDeliver, and the snapshot frontier).
-	Seq    int64
-	Digest []byte
 	// Snapshot ledger (kindSnap).
 	Entries []Rec
 }
@@ -54,10 +50,9 @@ type ledgerEntry struct {
 
 // Journal is the durable vote ledger. Safe for concurrent use.
 type Journal struct {
-	mu        sync.Mutex
-	log       *Log
-	ledger    map[string]ledgerEntry
-	delivered int64 // highest seq recorded as applied; -1 when none
+	mu     sync.Mutex
+	log    *Log
+	ledger map[string]ledgerEntry
 
 	recovered int // outbound records restored at open (diagnostics, tests)
 }
@@ -117,7 +112,7 @@ func OpenJournal(dir string, opts Options) (*Journal, error) {
 		log.Close()
 		return nil, err
 	}
-	j := &Journal{log: log, ledger: make(map[string]ledgerEntry), delivered: -1}
+	j := &Journal{log: log, ledger: make(map[string]ledgerEntry)}
 	for _, r := range records {
 		rec, err := DecodeRecord(r.Payload)
 		if err != nil {
@@ -133,18 +128,11 @@ func (j *Journal) applyRec(rec Rec) {
 	case kindOutbound:
 		j.ledger[journalKey(rec.Protocol, rec.Instance, rec.Slot)] = ledgerEntry{msgType: rec.MsgType, payload: rec.Payload}
 		j.recovered++
-	case kindDeliver:
-		if rec.Seq > j.delivered {
-			j.delivered = rec.Seq
-		}
 	case kindSnap:
 		// A snapshot supersedes everything before it.
 		j.ledger = make(map[string]ledgerEntry, len(rec.Entries))
 		for _, e := range rec.Entries {
 			j.ledger[journalKey(e.Protocol, e.Instance, e.Slot)] = ledgerEntry{msgType: e.MsgType, payload: e.Payload}
-		}
-		if rec.Seq > j.delivered {
-			j.delivered = rec.Seq
 		}
 	}
 }
@@ -182,28 +170,6 @@ func (j *Journal) Progress() (appended, durable uint64, changed <-chan struct{},
 	return j.log.Progress()
 }
 
-// RecordDeliver logs the delivered-sequence state at apply time. It
-// does not wait for the commit: delivery state is independently
-// recoverable from checkpoint catch-up, so the record only needs to
-// reach the log ordering, not stable storage, before the next step.
-func (j *Journal) RecordDeliver(seq int64, digest []byte) error {
-	j.mu.Lock()
-	if seq > j.delivered {
-		j.delivered = seq
-	}
-	j.mu.Unlock()
-	_, err := j.log.Append(encodeDeliver(seq, digest))
-	return err
-}
-
-// LastDelivered returns the highest delivered sequence the journal has
-// seen (from this run or replay), or -1.
-func (j *Journal) LastDelivered() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.delivered
-}
-
 // Forget drops ledger entries the caller proves obsolete (instances or
 // slots retired below the stable checkpoint). Memory-only; the disk
 // copy disappears at the next Compact.
@@ -235,8 +201,8 @@ func splitKey(key string) (protocol, instance, slot string) {
 	return key, "", ""
 }
 
-// Compact writes a snapshot of the live ledger and the delivery
-// frontier into a fresh segment, then deletes every earlier segment.
+// Compact writes a snapshot of the live ledger into a fresh segment,
+// then deletes every earlier segment.
 // Driven by checkpoint stability: state below the stable checkpoint is
 // recoverable via catch-up, so only the live ledger needs to survive.
 func (j *Journal) Compact() error {
@@ -246,13 +212,12 @@ func (j *Journal) Compact() error {
 		proto, inst, slot := splitKey(key)
 		entries = append(entries, Rec{Protocol: proto, Instance: inst, MsgType: e.msgType, Slot: slot, Payload: e.payload})
 	}
-	delivered := j.delivered
 	j.mu.Unlock()
 
 	if err := j.log.Rotate(); err != nil {
 		return err
 	}
-	lsn, err := j.log.AppendDurable(encodeSnap(delivered, entries))
+	lsn, err := j.log.AppendDurable(encodeSnap(entries))
 	if err != nil {
 		return err
 	}
@@ -341,15 +306,8 @@ func encodeOutbound(protocol, instance, msgType, slot string, payload []byte) []
 	return encodeOutboundBody([]byte{kindOutbound}, protocol, instance, msgType, slot, payload)
 }
 
-func encodeDeliver(seq int64, digest []byte) []byte {
-	b := []byte{kindDeliver}
-	b = binary.LittleEndian.AppendUint64(b, uint64(seq))
-	return appendBytes(b, digest)
-}
-
-func encodeSnap(delivered int64, entries []Rec) []byte {
+func encodeSnap(entries []Rec) []byte {
 	b := []byte{kindSnap}
-	b = binary.LittleEndian.AppendUint64(b, uint64(delivered))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
 	for _, e := range entries {
 		b = encodeOutboundBody(b, e.Protocol, e.Instance, e.MsgType, e.Slot, e.Payload)
@@ -393,23 +351,12 @@ func DecodeRecord(b []byte) (Rec, error) {
 			return Rec{}, ErrCorruptRecord
 		}
 		return rec, nil
-	case kindDeliver:
-		if len(body) < 8 {
-			return Rec{}, ErrCorruptRecord
-		}
-		seq := int64(binary.LittleEndian.Uint64(body))
-		digest, rest, ok := readBytes(body[8:])
-		if !ok || len(rest) != 0 {
-			return Rec{}, ErrCorruptRecord
-		}
-		return Rec{Kind: kindDeliver, Seq: seq, Digest: digest}, nil
 	case kindSnap:
-		if len(body) < 12 {
+		if len(body) < 4 {
 			return Rec{}, ErrCorruptRecord
 		}
-		seq := int64(binary.LittleEndian.Uint64(body))
-		count := binary.LittleEndian.Uint32(body[8:])
-		body = body[12:]
+		count := binary.LittleEndian.Uint32(body)
+		body = body[4:]
 		// Each entry needs at least 4 string headers + payload header.
 		if count > uint32(len(body)/12+1) {
 			return Rec{}, ErrCorruptRecord
@@ -426,7 +373,7 @@ func DecodeRecord(b []byte) (Rec, error) {
 		if len(body) != 0 {
 			return Rec{}, ErrCorruptRecord
 		}
-		return Rec{Kind: kindSnap, Seq: seq, Entries: entries}, nil
+		return Rec{Kind: kindSnap, Entries: entries}, nil
 	default:
 		return Rec{}, ErrCorruptRecord
 	}

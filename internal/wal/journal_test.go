@@ -49,31 +49,6 @@ func TestJournalSlotSubstitution(t *testing.T) {
 	}
 }
 
-func TestJournalDeliverFrontier(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.LastDelivered() != -1 {
-		t.Fatalf("fresh journal frontier = %d", j.LastDelivered())
-	}
-	for seq := int64(0); seq < 20; seq++ {
-		if err := j.RecordDeliver(seq, []byte{byte(seq)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
-	j2, err := OpenJournal(dir, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.LastDelivered() != 19 {
-		t.Fatalf("replayed frontier = %d, want 19", j2.LastDelivered())
-	}
-}
-
 func TestJournalCompactBoundsDisk(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOpts()
@@ -82,8 +57,8 @@ func TestJournalCompactBoundsDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate rounds: outbound records + delivers, then checkpoint
-	// compactions that retire old instances.
+	// Simulate rounds: outbound records, then checkpoint compactions
+	// that retire old instances.
 	for round := 0; round < 30; round++ {
 		inst := fmt.Sprintf("svc/dir/r%d", round)
 		for s := 0; s < 4; s++ {
@@ -91,7 +66,6 @@ func TestJournalCompactBoundsDisk(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		j.RecordDeliver(int64(round), nil)
 		if round%10 == 9 {
 			stable := round - 5
 			j.Forget(func(_, instance, _ string) bool {
@@ -122,9 +96,6 @@ func TestJournalCompactBoundsDisk(t *testing.T) {
 	defer j2.Close()
 	if j2.Entries() != live {
 		t.Fatalf("replay restored %d entries, want %d", j2.Entries(), live)
-	}
-	if j2.LastDelivered() != 29 {
-		t.Fatalf("replay frontier = %d, want 29", j2.LastDelivered())
 	}
 	// Live slots still substitute after compaction + restart.
 	out, replayed, err := j2.RecordOutbound("rbc", "svc/dir/r29", "ECHO", "echo/1", []byte("conflict"))
@@ -165,29 +136,20 @@ func TestRecordEncodingRoundTrip(t *testing.T) {
 	recs := []Rec{
 		{Kind: kindOutbound, Protocol: "rbc", Instance: "svc/dir/r3/p1", MsgType: "ECHO", Slot: "echo", Payload: []byte{1, 2, 3}},
 		{Kind: kindOutbound, Protocol: "", Instance: "", MsgType: "", Slot: "", Payload: nil},
-		{Kind: kindDeliver, Seq: 1 << 40, Digest: []byte("digest")},
-		{Kind: kindDeliver, Seq: -1, Digest: nil},
 	}
 	for _, want := range recs {
-		var enc []byte
-		switch want.Kind {
-		case kindOutbound:
-			enc = encodeOutbound(want.Protocol, want.Instance, want.MsgType, want.Slot, want.Payload)
-		case kindDeliver:
-			enc = encodeDeliver(want.Seq, want.Digest)
-		}
+		enc := encodeOutbound(want.Protocol, want.Instance, want.MsgType, want.Slot, want.Payload)
 		got, err := DecodeRecord(enc)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
 		if got.Kind != want.Kind || got.Protocol != want.Protocol || got.Instance != want.Instance ||
-			got.MsgType != want.MsgType || got.Slot != want.Slot || !bytes.Equal(got.Payload, want.Payload) ||
-			got.Seq != want.Seq || !bytes.Equal(got.Digest, want.Digest) {
+			got.MsgType != want.MsgType || got.Slot != want.Slot || !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("round trip: got %+v want %+v", got, want)
 		}
 	}
 
-	snap := encodeSnap(41, []Rec{
+	snap := encodeSnap([]Rec{
 		{Protocol: "aba", Instance: "i", MsgType: "BVAL", Slot: "bval/1/0", Payload: []byte("x")},
 		{Protocol: "abc", Instance: "j", MsgType: "PROPOSAL", Slot: "prop/7", Payload: []byte("y")},
 	})
@@ -195,7 +157,7 @@ func TestRecordEncodingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != kindSnap || got.Seq != 41 || len(got.Entries) != 2 || got.Entries[1].Slot != "prop/7" {
+	if got.Kind != kindSnap || len(got.Entries) != 2 || got.Entries[1].Slot != "prop/7" {
 		t.Fatalf("snap round trip: %+v", got)
 	}
 }

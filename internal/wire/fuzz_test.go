@@ -327,14 +327,17 @@ func bodyShapes() []any {
 		&abc.SignedProposal{},
 		&struct{ Proposals [][32]byte }{},
 		&struct {
-			ReqID   [16]byte
-			Payload []byte
+			ReqID  [16]byte
+			Client int
+			Body   []byte
 		}{},
 		&struct {
-			ReqID  [16]byte
-			Seq    int64
-			Result []byte
-			Share  thresig.Share
+			ReqID        [16]byte
+			Seq          int64
+			Result       []byte
+			Share        thresig.Share
+			Index, Count int
+			Branch       [][32]byte
 		}{},
 		&wire.Message{},
 		&struct{ Payload []byte }{},

@@ -26,11 +26,13 @@ import "fmt"
 // answer's leaf index, leaf count and branch, and a checkpoint STATE the
 // round of each suffix payload; 10: a checkpoint suffix is a list of
 // rounds, and a party sends one SHARES message per ordered round, not per
-// ciphertext).
+// ciphertext; 11: an ordered request names the client endpoint its answer
+// goes to, a REQUEST is the ordered payload itself, and the journal keeps
+// no delivery record).
 // A replica refuses a peer whose transport hello, or a journal directory
 // whose marker (wal.OpenJournal), names another format: neither decodes
 // nor agrees across formats.
-const Format = 10
+const Format = 11
 
 // Message is the envelope routed between parties. Payload bytes must be
 // treated as immutable once sent.

@@ -35,8 +35,7 @@ type simConfig struct {
 	dataDir     string
 	walCrash    map[int]func(lsn uint64) bool
 
-	Tuning                   // every replica's knobs ...
-	tuningFor map[int]Tuning // ... unless the server has its own
+	Tuning // every replica's knobs
 }
 
 // SimOption is a functional option for NewDeployment.
@@ -131,19 +130,6 @@ func WithTracer(t Tracer) SimOption {
 // the deployment-wide Tuning as a whole, so a later WithTuning wins.
 func WithTuning(t Tuning) SimOption {
 	return func(o *simConfig) { o.Tuning = t }
-}
-
-// WithTuningFor gives one server its own Tuning in place of the
-// deployment-wide one, for mixed fleets: replicas that differ in local
-// knobs (say, with and without the verification pool) are
-// protocol-compatible by construction.
-func WithTuningFor(server int, t Tuning) SimOption {
-	return func(o *simConfig) {
-		if o.tuningFor == nil {
-			o.tuningFor = make(map[int]Tuning)
-		}
-		o.tuningFor[server] = t
-	}
 }
 
 // WithDataDir enables durable write-ahead logging: each replica journals
@@ -294,9 +280,6 @@ func (d *SimulatedDeployment) startNode(i int) error {
 		Observer:    d.reg,
 		Tuning:      d.cfg.Tuning,
 	}
-	if t, ok := d.cfg.tuningFor[i]; ok {
-		cfg.Tuning = t
-	}
 	if d.cfg.dataDir != "" {
 		cfg.DataDir = d.serverDir(i)
 		d.mu.Lock()
@@ -367,9 +350,9 @@ func (d *SimulatedDeployment) RestartServer(i int) error {
 // RestartServerDurable revives a killed replica from its write-ahead
 // log: the journal replays, recovered commitments (votes, echoes, signed
 // proposals) are re-sent byte-identically instead of being re-decided,
-// the delivery frontier is restored, and the replica then catches the
-// cluster up via checkpoint fetch. Any WithWALCrashPoint hook on the
-// server is cleared — the crash already happened. Requires WithDataDir.
+// and the replica then recovers its service state and delivery frontier
+// by checkpoint fetch. Any WithWALCrashPoint hook on the server is
+// cleared — the crash already happened. Requires WithDataDir.
 func (d *SimulatedDeployment) RestartServerDurable(i int) error {
 	if d.cfg.dataDir == "" {
 		return errors.New("sintra: RestartServerDurable requires WithDataDir")

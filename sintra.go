@@ -227,8 +227,8 @@ type DealOptions struct {
 	// Z_p* wire format. See DESIGN.md for the comparison.
 	GroupName string
 	// RSAPrimes optionally supplies safe primes for threshold RSA; nil
-	// generates fresh 1024-bit primes (slow). Use TestRSAPrimes for
-	// experiments.
+	// generates two fresh 512-bit safe primes, a 1024-bit modulus (slow).
+	// Use TestRSAPrimes for experiments.
 	RSAPrimes func() (p, q *big.Int, err error)
 	// ForceCert selects certificate signatures even for threshold
 	// structures.

@@ -59,11 +59,10 @@ func heapInUse() uint64 {
 // TestSoakBoundedMemory drives thousands of deliveries through an n=4
 // cluster with checkpointing on and asserts that every map the
 // checkpoint/GC subsystem is responsible for stays bounded: the
-// delivered-digest dedup set, the router tombstone set, and the request
-// bookkeeping all plateau instead of growing with the run, and the heap
-// itself levels off. This is the regression test for the unbounded-growth
-// leaks: before checkpointing, delivered/tombstones/reqClients all grew
-// linearly forever.
+// delivered-digest dedup set and the router tombstone set plateau instead
+// of growing with the run, and the heap itself levels off. This is the
+// regression test for the unbounded-growth leaks: before checkpointing,
+// the delivered set and the tombstones grew linearly forever.
 func TestSoakBoundedMemory(t *testing.T) {
 	total := 5000
 	if testing.Short() {
@@ -141,9 +140,6 @@ func TestSoakBoundedMemory(t *testing.T) {
 	if hw := snap.Gauges["engine.tombstones"].Max; hw > 4096 {
 		t.Errorf("router tombstones peaked at %d (> 4096 hard bound)", hw)
 	}
-	if hw := snap.Gauges["node.reqclients.size"].Max; hw > 4096 {
-		t.Errorf("request bookkeeping peaked at %d entries (> 4096 hard bound)", hw)
-	}
 	if n := snap.Counter("router.panics"); n != 0 {
 		t.Fatalf("router recovered %d handler panics during the soak", n)
 	}
@@ -154,11 +150,10 @@ func TestSoakBoundedMemory(t *testing.T) {
 	if heapEnd > heapMid+slack {
 		t.Errorf("heap grew from %d to %d bytes across the second half: unbounded growth", heapMid, heapEnd)
 	}
-	t.Logf("seq=%d stable=%d freed=%d delivered.max=%d tombstones.max=%d reqclients.max=%d heap mid=%dKiB end=%dKiB",
+	t.Logf("seq=%d stable=%d freed=%d delivered.max=%d tombstones.max=%d heap mid=%dKiB end=%dKiB",
 		seq, stable, snap.Counter("checkpoint.gc.freed"),
 		snap.Gauges["abc.delivered.size"].Max,
 		snap.Gauges["engine.tombstones"].Max,
-		snap.Gauges["node.reqclients.size"].Max,
 		heapMid>>10, heapEnd>>10)
 }
 
