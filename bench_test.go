@@ -156,16 +156,16 @@ func BenchmarkAB1Batch1(b *testing.B)  { benchBatch(b, 1) }
 func BenchmarkAB1Batch8(b *testing.B)  { benchBatch(b, 8) }
 func BenchmarkAB1Batch32(b *testing.B) { benchBatch(b, 32) }
 
-// Ablation AB2 — Shoup threshold RSA versus Ed25519 certificates driving
-// the same atomic-broadcast workload.
+// Ablation AB2 — the dealer's default (quorum certificate, RSA answer)
+// versus ForceCert driving the same atomic-broadcast workload.
 func BenchmarkAB2SignatureSchemes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.RunSigSchemeAblation(4, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(rows[0].BytesPer, "rsa-bytes/req")
-		b.ReportMetric(rows[1].BytesPer, "cert-bytes/req")
+		b.ReportMetric(rows[0].BytesPer, "default-bytes/req")
+		b.ReportMetric(rows[1].BytesPer, "forcecert-bytes/req")
 	}
 }
 

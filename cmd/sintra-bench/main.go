@@ -41,7 +41,7 @@ func run() error {
 	var (
 		ops    = flag.Int("ops", 3, "operations per measured configuration")
 		trials = flag.Int("trials", 10, "agreement trials per system size (aba)")
-		sizes  = flag.String("sizes", "4,7,10,13,16", "system sizes for stack/aba sweeps")
+		sizes  = flag.String("sizes", "4,7,10,13,16", "system sizes for stack/aba/ablate sweeps")
 		window = flag.Duration("window", 1500*time.Millisecond, "observation window for the f1 liveness attack")
 		groups = flag.String("group", "", "comma list of group backends (modp2048 | p256 | test256 | test512): rerun the selected experiments per backend (default: SINTRA_GROUP or test256)")
 	)
@@ -151,9 +151,13 @@ func runExperiments(want map[string]bool, ns []int, ops, trials int, window time
 			return err
 		}
 		bench.PrintBatchAblation(out, rows)
-		sig, err := bench.RunSigSchemeAblation(4, ops)
-		if err != nil {
-			return err
+		var sig []bench.SigSchemeRow
+		for _, n := range ns {
+			rows, err := bench.RunSigSchemeAblation(n, ops)
+			if err != nil {
+				return err
+			}
+			sig = append(sig, rows...)
 		}
 		bench.PrintSigSchemeAblation(out, sig)
 		bench.Separator(out)

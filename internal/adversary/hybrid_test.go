@@ -31,9 +31,8 @@ func TestHybridThresholdPredicates(t *testing.T) {
 	if err != nil || tol != 2 {
 		t.Fatalf("MaxTolerated = %d, %v", tol, err)
 	}
-	q, a, ok := st.SigSizes()
-	if !ok || q != 4 || a != 2 {
-		t.Fatalf("SigSizes = %d,%d,%v", q, a, ok)
+	if a, ok := st.HonestCount(); !ok || a != 2 {
+		t.Fatalf("HonestCount = %d,%v", a, ok)
 	}
 	if st.String() != "hybrid(n=6,byzantine=1,crash=1)" {
 		t.Fatalf("String = %q", st.String())

@@ -340,18 +340,17 @@ func (st *Structure) MaxTolerated() (int, error) {
 	return maxCount(st.MaxSets), nil
 }
 
-// SigSizes reports count-based signature thresholds when the structure's
-// rules are pure counts: the quorum-rule size (n−t) and the honest-rule
-// size (t+1). ok is false for generalized structures, which use the
-// certificate scheme instead.
-func (st *Structure) SigSizes() (quorum, answer int, ok bool) {
+// HonestCount reports the size of the smallest set the honest rule
+// accepts when the rule is a pure count: t+1, or tb+1 for a hybrid
+// structure. ok is false for generalized structures.
+func (st *Structure) HonestCount() (k int, ok bool) {
 	switch {
 	case st.IsThreshold():
-		return st.NParties - st.Thresh, st.Thresh + 1, true
+		return st.Thresh + 1, true
 	case st.Hybrid:
-		return st.NParties - st.TB - st.TC, st.TB + 1, true
+		return st.TB + 1, true
 	default:
-		return 0, 0, false
+		return 0, false
 	}
 }
 

@@ -68,10 +68,10 @@ func RunBatchAblation(batchSizes []int, requests int) ([]BatchRow, error) {
 	return rows, nil
 }
 
-// SigSchemeRow is one measurement of the signature-scheme ablation:
-// Shoup threshold RSA (constant-size signatures, heavy arithmetic) versus
-// the Ed25519 certificate scheme (linear-size, cheap), both driving the
-// same atomic broadcast.
+// SigSchemeRow is one measurement of the signature-scheme ablation: the
+// dealer's default (a quorum certificate of Ed25519 signatures and a
+// Shoup threshold-RSA answer key) versus ForceCert (certificates for both
+// keys), both driving the same atomic broadcast.
 type SigSchemeRow struct {
 	Scheme     string
 	N          int
@@ -81,16 +81,16 @@ type SigSchemeRow struct {
 	LatencyAll time.Duration
 }
 
-// RunSigSchemeAblation compares the two threshold-signature realizations
-// (DESIGN.md substitution 2) on the same atomic-broadcast workload.
+// RunSigSchemeAblation compares the two dealings (DESIGN.md substitutions
+// 2 and 8) on the same atomic-broadcast workload at n = 3t+1.
 func RunSigSchemeAblation(n, requests int) ([]SigSchemeRow, error) {
 	st, err := adversary.NewThreshold(n, (n-1)/3)
 	if err != nil {
 		return nil, err
 	}
 	var rows []SigSchemeRow
-	for _, scheme := range []string{"shoup-rsa", "ed25519-cert"} {
-		c, err := testutil.New(st, testutil.Options{Group: benchGroup, Seed: 19, ForceCert: scheme == "ed25519-cert"})
+	for _, scheme := range []string{"deal default (quorum certificate, RSA answer)", "ForceCert"} {
+		c, err := testutil.New(st, testutil.Options{Group: benchGroup, Seed: 19, ForceCert: scheme == "ForceCert"})
 		if err != nil {
 			return nil, err
 		}

@@ -102,7 +102,7 @@ func TestPrinters(t *testing.T) {
 	PrintExample(&buf, ExampleResult{Name: "x"})
 	PrintCausality(&buf, CausalityResult{PlainLeaks: true})
 	PrintBatchAblation(&buf, []BatchRow{{BatchSize: 1}})
-	PrintSigSchemeAblation(&buf, []SigSchemeRow{{Scheme: "rsa"}})
+	PrintSigSchemeAblation(&buf, []SigSchemeRow{{Scheme: "ForceCert"}})
 	Separator(&buf)
 	if buf.Len() == 0 {
 		t.Fatal("printers produced nothing")

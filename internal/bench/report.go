@@ -113,10 +113,10 @@ func PrintBatchAblation(w io.Writer, rows []BatchRow) {
 // PrintSigSchemeAblation renders the signature-scheme ablation.
 func PrintSigSchemeAblation(w io.Writer, rows []SigSchemeRow) {
 	fmt.Fprintln(w, "AB2 — threshold-signature ablation (same atomic-broadcast workload)")
-	fmt.Fprintf(w, "%-14s %4s %9s %12s %14s %12s\n", "scheme", "n", "requests", "msgs/req", "bytes/req", "total time")
+	fmt.Fprintf(w, "%-46s %4s %9s %12s %14s %12s\n", "dealing", "n", "requests", "msgs/req", "bytes/req", "total time")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %4d %9d %12.1f %14.0f %12v\n",
+		fmt.Fprintf(w, "%-46s %4d %9d %12.1f %14.0f %12v\n",
 			r.Scheme, r.N, r.Requests, r.MsgsPerReq, r.BytesPer, r.LatencyAll.Round(10*1000))
 	}
-	fmt.Fprintln(w, "Shoup RSA: constant-size signatures, heavy arithmetic; certificates: linear size, cheap ops")
+	fmt.Fprintln(w, "the quorum key is a certificate in both; ForceCert makes the answer key one too")
 }

@@ -2,6 +2,7 @@ package cbc_test
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
 	mrand "math/rand"
@@ -416,13 +417,13 @@ func TestBareReqAnsweredAfterCertification(t *testing.T) {
 	}
 }
 
-// TestByzantineShareBeforeHonestOnes: the sender checks no share proof
-// before it combines. Corrupted party 3's share — a valid share on
-// another statement, well-formed with a consistent proof — reaches the
-// sender before any honest peer's, so the first combine includes it and
-// fails. The sender drops it, counting one cbc.share.rejected, and
-// certifies from honest shares, and the FINAL verifies at every honest
-// party.
+// TestByzantineShareBeforeHonestOnes: the quorum key is a certificate of
+// Ed25519 signatures, checked one at a time as the sender combines.
+// Corrupted party 3's share — a valid signature on another statement —
+// reaches the sender before any honest peer's, so the first combine
+// includes it and falls short. The sender drops it, counting one
+// cbc.share.rejected, and certifies from the three honest shares, and the
+// FINAL verifies at every honest party.
 func TestByzantineShareBeforeHonestOnes(t *testing.T) {
 	sched := newHoldScheduler(29, func(s *holdScheduler, m *wire.Message) bool {
 		return m.Type == "SHARE" && m.To == 0 && (m.From == 1 || m.From == 2) && s.saw("SHARE", 0) < 2
@@ -445,10 +446,13 @@ func TestByzantineShareBeforeHonestOnes(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if _, ok := c.Pub.QuorumSig().(*thresig.CertScheme); !ok {
+		t.Fatalf("quorum key is a %T, want a certificate", c.Pub.QuorumSig())
+	}
 	wrong, err := c.Pub.QuorumSig().SignShare(c.Secrets[3].SigQuorum,
 		cbc.SignedStatement(instance, sha256.Sum256([]byte("another payload"))), rand.Reader)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(wrong.Data) != ed25519.SignatureSize {
+		t.Fatalf("corrupted share: %d B, %v", len(wrong.Data), err)
 	}
 	c.Net.Endpoint(3).Send(wire.Message{To: 0, Protocol: cbc.Protocol, Instance: instance,
 		Type: "SHARE", Payload: wire.MustMarshalBody(struct{ Share thresig.Share }{wrong})})
@@ -459,6 +463,9 @@ func TestByzantineShareBeforeHonestOnes(t *testing.T) {
 		if err := cbc.VerifyCertificate(c.Pub.QuorumSig(), instance, d.payload, d.cert); err != nil {
 			t.Fatalf("party %d: %v", d.party, err)
 		}
+		if signers := certSigners(d.cert); signers != adversary.SetOf(0, 1, 2) {
+			t.Fatalf("party %d delivered a certificate signed by %v, want the honest three", d.party, signers)
+		}
 	}
 	if n := sched.count("FINAL", 1) + sched.count("FINAL", 2); n != 2 {
 		t.Fatalf("%d FINALs reached the honest peers, want 2", n)
@@ -467,6 +474,10 @@ func TestByzantineShareBeforeHonestOnes(t *testing.T) {
 		t.Fatalf("cbc.share.rejected = %d, want 1", n)
 	}
 }
+
+// certSigners reads the signer set of a certificate at n ≤ 8: its first
+// byte is the signer bitmap.
+func certSigners(cert []byte) adversary.Set { return adversary.Set(cert[0]) }
 
 // TestReqFromClientIdUnanswered: a client endpoint is not a party of the
 // broadcast; its REQ never reaches the instance.

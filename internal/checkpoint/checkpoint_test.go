@@ -220,11 +220,26 @@ func (s *badShareFirst) Next(pending []wire.Message) int {
 // another statement, and reaches every honest replica first, so each
 // one's first combine includes it and fails. The culprit is dropped,
 // counted once per replica as ckpt.share.rejected, and the honest shares
-// still certify the checkpoint.
+// still certify the checkpoint. Checkpoints are signed with the answer
+// key: Shoup RSA by default, where a combine is checked before any share
+// is, and a certificate under ForceCert, where the wrong share is an
+// Ed25519 signature that the combine checks as it goes.
 func TestByzantineCheckpointShare(t *testing.T) {
+	for _, arm := range []struct {
+		name      string
+		forceCert bool
+	}{{"rsa", false}, {"cert", true}} {
+		t.Run(arm.name, func(t *testing.T) { byzantineCheckpointShare(t, arm.forceCert) })
+	}
+}
+
+func byzantineCheckpointShare(t *testing.T, forceCert bool) {
 	st := adversary.MustThreshold(4, 1)
-	c := testutil.NewCluster(t, st, testutil.Options{
+	c := testutil.NewCluster(t, st, testutil.Options{ForceCert: forceCert,
 		Scheduler: &badShareFirst{rng: rand.New(rand.NewSource(37))}, Corrupted: []int{3}, Observe: true})
+	if _, isCert := c.Pub.AnswerSig().(*thresig.CertScheme); isCert != forceCert {
+		t.Fatalf("answer key is a %T", c.Pub.AnswerSig())
+	}
 	hs := newHarnesses(t, c, 4)
 	deliverInterval(c, hs, 3, "payload-", 2)
 	hash := sha256.Sum256(hs[0].state)

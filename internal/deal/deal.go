@@ -47,11 +47,12 @@ type Public struct {
 	// Identity registers every party's individual signature key.
 	Identity *identity.Registry
 
-	// Exactly one of each RSA/Cert pair is non-nil, depending on whether
-	// the deployment uses Shoup threshold RSA (threshold structures) or
-	// certificate signatures (generalized structures).
-	QuorumRSA  *thresig.RSAScheme
+	// QuorumCert is the quorum key: a certificate of n−t (in general, a
+	// quorum's) Ed25519 signatures.
 	QuorumCert *thresig.CertScheme
+	// Exactly one of the answer pair is non-nil: Shoup threshold RSA when
+	// the honest rule is a count (threshold and hybrid structures), a
+	// certificate otherwise or under ForceCert.
 	AnswerRSA  *thresig.RSAScheme
 	AnswerCert *thresig.CertScheme
 }
@@ -80,12 +81,12 @@ type Options struct {
 	Group group.Group
 	// Structure is the adversary structure (required).
 	Structure *adversary.Structure
-	// RSAPrimes supplies the safe primes for threshold RSA; nil generates
-	// two fresh 512-bit safe primes, a 1024-bit modulus (slow). Ignored
-	// when ForceCert is set or the structure is generalized.
+	// RSAPrimes supplies the safe primes for the answer key only; nil
+	// generates two fresh 512-bit safe primes, a 1024-bit modulus (slow).
+	// Ignored when ForceCert is set or the structure is generalized.
 	RSAPrimes func() (p, q *big.Int, err error)
-	// ForceCert selects certificate signatures even for threshold
-	// structures (useful to compare the two schemes).
+	// ForceCert makes the answer key a certificate too, even for
+	// threshold structures (useful to compare the two schemes).
 	ForceCert bool
 	// Rand is the randomness source; nil means crypto/rand.
 	Rand io.Reader
@@ -143,49 +144,32 @@ func New(opts Options) (*Public, []*PartySecret, error) {
 		secrets[i].Identity = k
 	}
 
-	sigQuorum, sigAnswer, countBased := st.SigSizes()
-	useRSA := countBased && !opts.ForceCert
-	if useRSA {
+	// The quorum key, which only replicas check, is a certificate of
+	// individual signatures; the answer key, which clients check, is
+	// Shoup threshold RSA wherever the honest rule is a count.
+	var qKeys, aKeys []*thresig.SecretKey
+	if pub.QuorumCert, qKeys, err = thresig.NewCertScheme(tagQuorum, st, thresig.RuleQuorum, rnd); err != nil {
+		return nil, nil, fmt.Errorf("deal: %w", err)
+	}
+	if k, countBased := st.HonestCount(); countBased && !opts.ForceCert {
 		var p, q *big.Int
 		if opts.RSAPrimes != nil {
-			if p, q, err = opts.RSAPrimes(); err != nil {
-				return nil, nil, fmt.Errorf("deal: rsa primes: %w", err)
-			}
-		} else {
-			if p, err = thresig.GenerateSafePrime(512, rnd); err != nil {
-				return nil, nil, fmt.Errorf("deal: %w", err)
-			}
-			if q, err = thresig.GenerateSafePrime(512, rnd); err != nil {
-				return nil, nil, fmt.Errorf("deal: %w", err)
-			}
+			p, q, err = opts.RSAPrimes()
+		} else if p, err = thresig.GenerateSafePrime(512, rnd); err == nil {
+			q, err = thresig.GenerateSafePrime(512, rnd)
 		}
-		quorum, qKeys, err := thresig.NewRSAScheme(tagQuorum, p, q, n, sigQuorum, rnd)
 		if err != nil {
+			return nil, nil, fmt.Errorf("deal: rsa primes: %w", err)
+		}
+		if pub.AnswerRSA, aKeys, err = thresig.NewRSAScheme(tagAnswer, p, q, n, k, rnd); err != nil {
 			return nil, nil, fmt.Errorf("deal: %w", err)
 		}
-		answer, aKeys, err := thresig.NewRSAScheme(tagAnswer, p, q, n, sigAnswer, rnd)
-		if err != nil {
-			return nil, nil, fmt.Errorf("deal: %w", err)
-		}
-		pub.QuorumRSA, pub.AnswerRSA = quorum, answer
-		for i := range secrets {
-			secrets[i].SigQuorum = qKeys[i]
-			secrets[i].SigAnswer = aKeys[i]
-		}
-	} else {
-		quorum, qKeys, err := thresig.NewCertScheme(tagQuorum, st, thresig.RuleQuorum, rnd)
-		if err != nil {
-			return nil, nil, fmt.Errorf("deal: %w", err)
-		}
-		answer, aKeys, err := thresig.NewCertScheme(tagAnswer, st, thresig.RuleHasHonest, rnd)
-		if err != nil {
-			return nil, nil, fmt.Errorf("deal: %w", err)
-		}
-		pub.QuorumCert, pub.AnswerCert = quorum, answer
-		for i := range secrets {
-			secrets[i].SigQuorum = qKeys[i]
-			secrets[i].SigAnswer = aKeys[i]
-		}
+	} else if pub.AnswerCert, aKeys, err = thresig.NewCertScheme(tagAnswer, st, thresig.RuleHasHonest, rnd); err != nil {
+		return nil, nil, fmt.Errorf("deal: %w", err)
+	}
+	for i := range secrets {
+		secrets[i].SigQuorum = qKeys[i]
+		secrets[i].SigAnswer = aKeys[i]
 	}
 
 	// Pairwise symmetric link keys for transport authentication.
@@ -206,9 +190,6 @@ func New(opts Options) (*Public, []*PartySecret, error) {
 // QuorumSig returns the quorum-rule threshold signature scheme, or nil if
 // the material is incomplete (avoid the typed-nil interface trap).
 func (p *Public) QuorumSig() thresig.Scheme {
-	if p.QuorumRSA != nil {
-		return p.QuorumRSA
-	}
 	if p.QuorumCert != nil {
 		return p.QuorumCert
 	}
@@ -238,19 +219,15 @@ func (p *Public) Init() error {
 		return fmt.Errorf("deal: %w", err)
 	}
 	if p.QuorumSig() == nil || p.AnswerSig() == nil {
-		return errors.New("deal: missing signature schemes")
+		// A dealing from before the quorum certificate has a quorum RSA key.
+		return errors.New("deal: missing signature schemes (a dealing older than the quorum certificate?): deal again")
 	}
 	return nil
 }
 
 // TestPrimes256 adapts the embedded 256-bit safe primes to Options.RSAPrimes
 // for fast tests and examples.
-func TestPrimes256() func() (*big.Int, *big.Int, error) {
-	return func() (*big.Int, *big.Int, error) {
-		p, q := thresig.TestSafePrimes256()
-		return p, q, nil
-	}
-}
+func TestPrimes256() func() (*big.Int, *big.Int, error) { return thresig.TestSafePrimes256 }
 
 // File names inside a configuration directory.
 const (

@@ -2,11 +2,18 @@ package deal_test
 
 import (
 	"crypto/rand"
+	"encoding/gob"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"sintra/internal/adversary"
+	"sintra/internal/coin"
 	"sintra/internal/deal"
 	"sintra/internal/group"
+	"sintra/internal/identity"
+	"sintra/internal/threnc"
 	"sintra/internal/thresig"
 )
 
@@ -28,33 +35,80 @@ func dealThreshold(t *testing.T, n, tt int, force bool) (*deal.Public, []*deal.P
 	return pub, secrets
 }
 
-func TestDealThresholdUsesRSA(t *testing.T) {
+// TestDealThresholdQuorumCertAnswerRSA: a threshold dealing makes the
+// quorum key a certificate under the quorum rule and the answer key Shoup
+// threshold RSA with K = t+1, and both sign end to end.
+func TestDealThresholdQuorumCertAnswerRSA(t *testing.T) {
 	pub, secrets := dealThreshold(t, 4, 1, false)
-	if pub.QuorumRSA == nil || pub.AnswerRSA == nil {
-		t.Fatal("threshold deployment should use Shoup RSA")
+	if pub.QuorumCert == nil || pub.QuorumCert.OpenRule != thresig.RuleQuorum {
+		t.Fatalf("quorum key %+v, want a RuleQuorum certificate", pub.QuorumCert)
 	}
-	if pub.QuorumCert != nil || pub.AnswerCert != nil {
-		t.Fatal("unexpected cert schemes")
+	if pub.AnswerRSA == nil || pub.AnswerCert != nil {
+		t.Fatal("threshold deployment should answer with Shoup RSA")
 	}
-	if pub.QuorumRSA.K != 3 || pub.AnswerRSA.K != 2 {
-		t.Fatalf("rsa thresholds: quorum K=%d answer K=%d", pub.QuorumRSA.K, pub.AnswerRSA.K)
+	if pub.AnswerRSA.K != 2 {
+		t.Fatalf("answer K=%d, want t+1 = 2", pub.AnswerRSA.K)
 	}
-	// Keys are usable end to end.
 	msg := []byte("statement")
-	var shares []thresig.Share
-	for i := 0; i < 3; i++ {
-		sh, err := pub.QuorumSig().SignShare(secrets[i].SigQuorum, msg, rand.Reader)
+	for _, c := range []struct {
+		scheme  thresig.Scheme
+		key     func(*deal.PartySecret) *thresig.SecretKey
+		signers int
+	}{
+		{pub.QuorumSig(), func(s *deal.PartySecret) *thresig.SecretKey { return s.SigQuorum }, 3},
+		{pub.AnswerSig(), func(s *deal.PartySecret) *thresig.SecretKey { return s.SigAnswer }, 2},
+	} {
+		var shares []thresig.Share
+		for i := 0; i < c.signers; i++ {
+			sh, err := c.scheme.SignShare(c.key(secrets[i]), msg, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares = append(shares, sh)
+		}
+		if _, err := c.scheme.Combine(msg, shares[:c.signers-1]); err == nil {
+			t.Fatalf("%s combined from %d shares", c.scheme.Tag(), c.signers-1)
+		}
+		sig, err := c.scheme.Combine(msg, shares)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shares = append(shares, sh)
+		if err := c.scheme.Verify(msg, sig); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sig, err := pub.QuorumSig().Combine(msg, shares)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestQuorumCertMatchesRSAThreshold: under the quorum rule a certificate
+// opens for exactly the signer sets that the quorum RSA key of the same
+// structure opened for, K = n−t (n−tb−tc for hybrid structures), so
+// replacing that key changes which statements certify nowhere.
+func TestQuorumCertMatchesRSAThreshold(t *testing.T) {
+	var structs []*adversary.Structure
+	for _, nt := range [][2]int{{4, 1}, {7, 2}, {10, 3}, {16, 5}} {
+		structs = append(structs, adversary.MustThreshold(nt[0], nt[1]))
 	}
-	if err := pub.QuorumSig().Verify(msg, sig); err != nil {
-		t.Fatal(err)
+	for _, h := range [][3]int{{6, 1, 1}, {8, 1, 2}, {9, 2, 1}, {7, 2, 0}} {
+		st, err := adversary.NewHybridThreshold(h[0], h[1], h[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		structs = append(structs, st)
+	}
+	for _, st := range structs {
+		k := st.NParties - st.Thresh
+		if st.Hybrid {
+			k = st.NParties - st.TB - st.TC
+		}
+		pub, _, err := deal.New(deal.Options{Group: group.Test256(), Structure: st, RSAPrimes: deal.TestPrimes256()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := adversary.Set(0); v <= adversary.FullSet(st.NParties); v++ {
+			if got := pub.QuorumCert.Sufficient(v); got != (v.Count() >= k) {
+				t.Fatalf("%s: Sufficient(%v) = %v, want %v (K = %d)", st, v, got, !got, k)
+			}
+		}
 	}
 }
 
@@ -63,7 +117,7 @@ func TestDealForceCert(t *testing.T) {
 	if pub.QuorumCert == nil || pub.AnswerCert == nil {
 		t.Fatal("ForceCert ignored")
 	}
-	if pub.QuorumRSA != nil {
+	if pub.AnswerRSA != nil {
 		t.Fatal("RSA dealt despite ForceCert")
 	}
 }
@@ -181,8 +235,42 @@ func TestInitDetectsIncompleteness(t *testing.T) {
 		t.Fatal("missing coin accepted")
 	}
 	bad = *pub
-	bad.QuorumRSA = nil
+	bad.QuorumCert = nil
+	if err := bad.Init(); err == nil || !strings.Contains(err.Error(), "deal again") {
+		t.Fatalf("missing quorum certificate: %v, want a call to deal again", err)
+	}
+	bad = *pub
+	bad.AnswerRSA = nil
 	if err := bad.Init(); err == nil {
-		t.Fatal("missing signature scheme accepted")
+		t.Fatal("missing answer scheme accepted")
+	}
+}
+
+// TestLoadPublicRefusesDealingWithoutQuorumCert: a public.gob written
+// before the quorum key became a certificate holds an RSA quorum key under
+// a field this version does not have, and no QuorumCert. Gob skips the
+// unknown field, so the file decodes, and Init refuses it with a call to
+// deal again.
+func TestLoadPublicRefusesDealingWithoutQuorumCert(t *testing.T) {
+	pub, _ := dealThreshold(t, 4, 1, false)
+	old := struct {
+		GroupName            string
+		Structure            *adversary.Structure
+		Coin                 *coin.Params
+		Enc                  *threnc.Params
+		Identity             *identity.Registry
+		OldQuorum, AnswerRSA *thresig.RSAScheme
+	}{pub.GroupName, pub.Structure, pub.Coin, pub.Enc, pub.Identity, pub.AnswerRSA, pub.AnswerRSA}
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "public.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := deal.LoadPublic(dir); err == nil || !strings.Contains(err.Error(), "deal again") {
+		t.Fatalf("LoadPublic of a dealing without a quorum certificate: %v, want a call to deal again", err)
 	}
 }

@@ -8,10 +8,12 @@
 package identity
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // Errors reported by the registry.
@@ -35,6 +37,7 @@ type Key struct {
 	Party int
 	// Seed is the Ed25519 private seed.
 	Seed []byte
+	priv atomic.Pointer[ed25519.PrivateKey] // derived from Seed on first use
 }
 
 // Generate creates identity keys for n parties.
@@ -63,10 +66,16 @@ func frame(domain string, msg []byte) []byte {
 	return append(out, msg...)
 }
 
-// Sign produces the party's signature on msg under the given domain.
+// Sign produces the party's signature on msg under the given domain. The
+// private key is derived from the seed on first use and kept.
 func (k *Key) Sign(domain string, msg []byte) []byte {
-	priv := ed25519.NewKeyFromSeed(k.Seed)
-	return ed25519.Sign(priv, frame(domain, msg))
+	p := k.priv.Load()
+	if p == nil || !bytes.Equal((*p)[:ed25519.SeedSize], k.Seed) {
+		priv := ed25519.NewKeyFromSeed(k.Seed)
+		k.priv.Store(&priv)
+		p = &priv
+	}
+	return ed25519.Sign(*p, frame(domain, msg))
 }
 
 // Verify checks a party's signature on msg under the given domain.

@@ -2,6 +2,7 @@ package identity_test
 
 import (
 	"crypto/rand"
+	"sync"
 	"testing"
 
 	"sintra/internal/identity"
@@ -70,5 +71,30 @@ func TestKeysAreDistinct(t *testing.T) {
 		if err := reg.Verify(i, "d", msg, sig); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSignKeepsKey: the private key derived on first use is kept, is safe
+// to share between goroutines, and follows a replaced seed.
+func TestSignKeepsKey(t *testing.T) {
+	reg, keys, err := identity.Generate(2, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("m")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := reg.Verify(0, "d", msg, keys[0].Sign("d", msg)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	keys[0].Seed = keys[1].Seed
+	if err := reg.Verify(1, "d", msg, keys[0].Sign("d", msg)); err != nil {
+		t.Fatalf("a replaced seed signed with the kept key: %v", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"sintra/internal/adversary"
 )
@@ -33,7 +32,7 @@ const (
 // individual Ed25519 signatures from enough parties to satisfy the opening
 // rule under the adversary structure. It supports arbitrary generalized
 // structures, trading the constant signature size of RSAScheme for full
-// generality (see DESIGN.md, substitution 2).
+// generality (see DESIGN.md, substitutions 2 and 8).
 type CertScheme struct {
 	// InstanceTag domain-separates this instance.
 	InstanceTag string
@@ -88,14 +87,24 @@ func (s *CertScheme) frame(msg []byte) []byte {
 
 // SignShare signs msg with the party's Ed25519 key.
 func (s *CertScheme) SignShare(sk *SecretKey, msg []byte, _ io.Reader) (Share, error) {
-	if sk == nil || len(sk.Ed25519Seed) != ed25519.SeedSize || sk.Party < 0 || sk.Party >= len(s.PubKeys) {
+	if sk == nil || sk.Party < 0 || sk.Party >= len(s.PubKeys) {
 		return Share{}, ErrWrongKey
 	}
-	priv := ed25519.NewKeyFromSeed(sk.Ed25519Seed)
-	if !bytes.Equal(priv.Public().(ed25519.PublicKey), s.PubKeys[sk.Party]) {
+	// The private key is derived from the seed once and kept: a derivation
+	// costs a SHA-512 and a base-point multiplication.
+	priv := sk.ed25519.Load()
+	if priv == nil || !bytes.Equal((*priv)[:ed25519.SeedSize], sk.Ed25519Seed) {
+		if len(sk.Ed25519Seed) != ed25519.SeedSize {
+			return Share{}, ErrWrongKey
+		}
+		k := ed25519.NewKeyFromSeed(sk.Ed25519Seed)
+		priv = &k
+		sk.ed25519.Store(priv)
+	}
+	if !bytes.Equal((*priv)[ed25519.SeedSize:], s.PubKeys[sk.Party]) {
 		return Share{}, ErrWrongKey
 	}
-	return Share{Party: sk.Party, Data: ed25519.Sign(priv, s.frame(msg))}, nil
+	return Share{Party: sk.Party, Data: ed25519.Sign(*priv, s.frame(msg))}, nil
 }
 
 // VerifyShare checks one party's signature.
@@ -129,9 +138,10 @@ func (s *CertScheme) Sufficient(parties adversary.Set) bool {
 // opening rule is met, skipping invalid ones (combine also returns their
 // indexes). The certificate layout is:
 //
-//	count:uint16, then count × (party:uint16, sig:64 bytes)
+//	signers: ⌈n/8⌉ bytes, bit i%8 of byte i/8 set for party i
+//	then one 64-byte signature per signer, in party order
 //
-// sorted by party for a canonical encoding.
+// a canonical encoding of ⌈n/8⌉ bytes plus 64 per signer.
 func (s *CertScheme) Combine(msg []byte, shares []Share) ([]byte, error) {
 	sig, _, err := s.combine(msg, shares)
 	return sig, err
@@ -158,46 +168,39 @@ func (s *CertScheme) combine(msg []byte, shares []Share) ([]byte, []int, error) 
 	if !s.Sufficient(parties) {
 		return nil, bad, ErrInsufficient
 	}
-	members := parties.Members()
-	sort.Ints(members)
-	out := make([]byte, 2, 2+len(members)*(2+ed25519.SignatureSize))
-	binary.BigEndian.PutUint16(out, uint16(len(members)))
-	for _, p := range members {
-		var pb [2]byte
-		binary.BigEndian.PutUint16(pb[:], uint16(p))
-		out = append(out, pb[:]...)
+	nb := s.signerBytes()
+	var signers [8]byte
+	binary.LittleEndian.PutUint64(signers[:], uint64(parties))
+	out := append(make([]byte, 0, nb+parties.Count()*ed25519.SignatureSize), signers[:nb]...)
+	for _, p := range parties.Members() {
 		out = append(out, byParty[p]...)
 	}
 	return out, bad, nil
 }
 
-// Verify checks a certificate: every signature valid, parties distinct,
-// and the signer set satisfies the opening rule.
+// signerBytes is the length of a certificate's signer bitmap.
+func (s *CertScheme) signerBytes() int { return (len(s.PubKeys) + 7) / 8 }
+
+// Verify checks a certificate: the signer set satisfies the opening rule
+// and every signature is valid.
 func (s *CertScheme) Verify(msg []byte, sig []byte) error {
-	if len(sig) < 2 {
+	nb := s.signerBytes()
+	if len(sig) < nb {
 		return ErrInvalidSignature
 	}
-	count := int(binary.BigEndian.Uint16(sig[:2]))
-	rest := sig[2:]
-	if len(rest) != count*(2+ed25519.SignatureSize) {
+	var signers [8]byte
+	copy(signers[:], sig[:nb])
+	parties := adversary.Set(binary.LittleEndian.Uint64(signers[:]))
+	if parties.Minus(adversary.FullSet(len(s.PubKeys))) != adversary.EmptySet ||
+		len(sig) != nb+parties.Count()*ed25519.SignatureSize || !s.Sufficient(parties) {
 		return ErrInvalidSignature
 	}
 	framed := s.frame(msg)
-	var parties adversary.Set
-	for i := 0; i < count; i++ {
-		off := i * (2 + ed25519.SignatureSize)
-		p := int(binary.BigEndian.Uint16(rest[off : off+2]))
-		if p >= len(s.PubKeys) || parties.Has(p) {
+	for i, p := range parties.Members() {
+		off := nb + i*ed25519.SignatureSize
+		if !ed25519.Verify(s.PubKeys[p], framed, sig[off:off+ed25519.SignatureSize]) {
 			return ErrInvalidSignature
 		}
-		sigBytes := rest[off+2 : off+2+ed25519.SignatureSize]
-		if !ed25519.Verify(s.PubKeys[p], framed, sigBytes) {
-			return ErrInvalidSignature
-		}
-		parties = parties.Add(p)
-	}
-	if !s.Sufficient(parties) {
-		return ErrInvalidSignature
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/gob"
+	"sync"
 	"testing"
 
 	"sintra/internal/adversary"
@@ -116,16 +117,21 @@ func TestCertVerifyRejectsForgery(t *testing.T) {
 	if err := s.Verify(msg, nil); err == nil {
 		t.Fatal("nil certificate verified")
 	}
-	// A certificate claiming duplicate parties must be rejected: craft one
-	// by repeating the first entry.
-	entry := sig[2 : 2+2+64]
-	forged := make([]byte, 2)
-	forged[1] = 3
-	forged = append(forged, entry...)
-	forged = append(forged, entry...)
-	forged = append(forged, entry...)
-	if err := s.Verify(msg, forged); err == nil {
-		t.Fatal("duplicate-party certificate verified")
+	// The signer bitmap (one byte at n=4) must name exactly the parties
+	// whose signatures follow, in party order, and only parties that exist.
+	if len(sig) != 1+3*64 || sig[0] != 0b0111 {
+		t.Fatalf("certificate of %d B with signers %08b, want 193 B naming {0,1,2}", len(sig), sig[0])
+	}
+	for name, forged := range map[string][]byte{
+		"a fourth signer without a signature": append([]byte{0b1111}, sig[1:]...),
+		"a signer beyond n":                   append(append([]byte{0b10111}, sig[1:]...), sig[1:1+64]...),
+		"a signer left out":                   append([]byte{0b0011}, sig[1:1+2*64]...),
+		"signatures out of party order":       append(append([]byte{0b0111}, sig[1+64:1+3*64]...), sig[1:1+64]...),
+		"the same signature twice":            append(append([]byte{0b0111}, sig[1:1+64]...), sig[1:1+2*64]...),
+	} {
+		if err := s.Verify(msg, forged); err == nil {
+			t.Fatalf("certificate with %s verified", name)
+		}
 	}
 }
 
@@ -178,6 +184,57 @@ func TestCertCombineSkipsInvalidShares(t *testing.T) {
 	}
 	if err := s.Verify(msg, sig); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCertKeptKey: SignShare derives a key's Ed25519 key once and keeps
+// it, but still refuses a key that does not match the scheme, follows a
+// replaced seed, is safe to call concurrently on a fresh key, and gob
+// ships the seed only.
+func TestCertKeptKey(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	s, keys := newTestCert(t, st, RuleQuorum)
+	other, otherKeys := newTestCert(t, st, RuleQuorum)
+	msg := []byte("m")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh, err := s.SignShare(keys[0], msg, nil)
+			if err != nil || s.VerifyShare(msg, sh) != nil {
+				t.Errorf("concurrent sign: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := other.SignShare(keys[0], msg, nil); err != ErrWrongKey {
+		t.Fatalf("a kept key signed for another scheme: %v", err)
+	}
+	for _, sk := range []*SecretKey{nil, {Party: 0}, {Party: 0, Ed25519Seed: []byte{1}},
+		{Party: 4, Ed25519Seed: keys[0].Ed25519Seed}, {Party: 1, Ed25519Seed: keys[0].Ed25519Seed}} {
+		if _, err := s.SignShare(sk, msg, nil); err != ErrWrongKey {
+			t.Fatalf("key %+v: %v, want ErrWrongKey", sk, err)
+		}
+	}
+	keys[0].Ed25519Seed = otherKeys[0].Ed25519Seed
+	if _, err := s.SignShare(keys[0], msg, nil); err != ErrWrongKey {
+		t.Fatalf("a replaced seed signed with the kept key: %v", err)
+	}
+	sh, err := other.SignShare(keys[0], msg, nil)
+	if err != nil || other.VerifyShare(msg, sh) != nil {
+		t.Fatalf("the replaced seed does not sign: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(keys[1]); err != nil {
+		t.Fatal(err)
+	}
+	var back SecretKey
+	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+		t.Fatal(err)
+	}
+	if sh, err := s.SignShare(&back, msg, nil); err != nil || s.VerifyShare(msg, sh) != nil {
+		t.Fatalf("a decoded key does not sign: %v", err)
 	}
 }
 

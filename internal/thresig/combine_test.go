@@ -24,7 +24,7 @@ func TestCombineHelper(t *testing.T) {
 		deal func(t *testing.T) (Scheme, []*SecretKey)
 	}{
 		{"rsa", 4, func(t *testing.T) (Scheme, []*SecretKey) {
-			p, q := TestSafePrimes256()
+			p, q, _ := TestSafePrimes256()
 			s, keys, err := NewRSAScheme("combine-test", p, q, 7, 4, rand.Reader)
 			if err != nil {
 				t.Fatal(err)
@@ -150,7 +150,7 @@ func hugeChallenge(sh Share) Share {
 // ones, so the combine fails and every share's proof is checked.
 func BenchmarkRSACombine(b *testing.B) {
 	msg := []byte("benchmark message")
-	p, q := TestSafePrimes256()
+	p, q, _ := TestSafePrimes256()
 	for _, k := range []int{2, 3, 5} {
 		s, keys, err := NewRSAScheme("bench", p, q, 7, k, rand.Reader)
 		if err != nil {

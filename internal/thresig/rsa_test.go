@@ -13,7 +13,7 @@ import (
 
 func newTestRSA(t testing.TB, n, k int) (*RSAScheme, []*SecretKey) {
 	t.Helper()
-	p, q := TestSafePrimes256()
+	p, q, _ := TestSafePrimes256()
 	s, keys, err := NewRSAScheme("test", p, q, n, k, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestRSAVerifyRejectsGarbage(t *testing.T) {
 }
 
 func TestRSADomainSeparationByTag(t *testing.T) {
-	p, q := TestSafePrimes256()
+	p, q, _ := TestSafePrimes256()
 	s1, keys, err := NewRSAScheme("tag-one", p, q, 4, 2, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestRSAGobRoundTrip(t *testing.T) {
 }
 
 func TestNewRSASchemeRejectsBadParams(t *testing.T) {
-	p, q := TestSafePrimes256()
+	p, q, _ := TestSafePrimes256()
 	if _, _, err := NewRSAScheme("t", p, q, 4, 0, rand.Reader); err == nil {
 		t.Fatal("k=0 accepted")
 	}

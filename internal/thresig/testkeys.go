@@ -20,7 +20,7 @@ func mustHex(s string) *big.Int {
 }
 
 // TestSafePrimes256 returns two embedded 256-bit safe primes (a 512-bit
-// RSA modulus) for fast tests.
-func TestSafePrimes256() (*big.Int, *big.Int) {
-	return mustHex(testSafePrimeA256), mustHex(testSafePrimeB256)
+// RSA modulus) for fast tests; err is always nil.
+func TestSafePrimes256() (p, q *big.Int, err error) {
+	return mustHex(testSafePrimeA256), mustHex(testSafePrimeB256), nil
 }

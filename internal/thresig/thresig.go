@@ -8,14 +8,14 @@
 //   - RSAScheme — Shoup's practical threshold RSA signatures
 //     (EUROCRYPT 2000): non-interactive, robust (shares carry validity
 //     proofs), with constant-size combined signatures. It requires a plain
-//     k-out-of-n opening rule, so it serves threshold deployments.
+//     k-out-of-n opening rule: the answer key a client checks (t+1).
 //
 //   - CertScheme — a qualified-set certificate of Ed25519 signatures,
 //     validated against an arbitrary generalized adversary structure. It
 //     has the same unforgeability and robustness semantics (a certificate
 //     exists iff a rule-satisfying set signed) at the cost of non-constant
-//     signature size. It serves generalized-structure deployments, as
-//     documented in DESIGN.md.
+//     signature size. It is every deployment's quorum key, which only
+//     replicas check, and the answer key of generalized structures.
 //
 // Both schemes domain-separate instances with a Tag, so a share released
 // for one protocol role can never be replayed in another.
@@ -29,8 +29,10 @@
 package thresig
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"io"
+	"sync/atomic"
 
 	"sintra/internal/adversary"
 )
@@ -107,6 +109,7 @@ type SecretKey struct {
 	RSAShare []byte
 	// Ed25519Seed is the Ed25519 private seed (CertScheme only).
 	Ed25519Seed []byte
+	ed25519     atomic.Pointer[ed25519.PrivateKey] // derived from Ed25519Seed on first use
 }
 
 // Scheme is the public side of a threshold signature scheme, identical on

@@ -226,12 +226,12 @@ type DealOptions struct {
 	// verify and a fraction of the wire size; modp2048 keeps the original
 	// Z_p* wire format. See DESIGN.md for the comparison.
 	GroupName string
-	// RSAPrimes optionally supplies safe primes for threshold RSA; nil
-	// generates two fresh 512-bit safe primes, a 1024-bit modulus (slow).
-	// Use TestRSAPrimes for experiments.
+	// RSAPrimes optionally supplies safe primes for the answer key only;
+	// nil generates two fresh 512-bit safe primes, a 1024-bit modulus
+	// (slow). Use TestRSAPrimes for experiments.
 	RSAPrimes func() (p, q *big.Int, err error)
-	// ForceCert selects certificate signatures even for threshold
-	// structures.
+	// ForceCert makes the answer key a certificate too, even for
+	// threshold structures.
 	ForceCert bool
 	// Rand overrides the randomness source (tests only).
 	Rand io.Reader
@@ -239,10 +239,7 @@ type DealOptions struct {
 
 // TestRSAPrimes returns embedded 256-bit safe primes for fast experiments;
 // never use them in real deployments.
-func TestRSAPrimes() (p, q *big.Int, err error) {
-	pp, qq := thresig.TestSafePrimes256()
-	return pp, qq, nil
-}
+func TestRSAPrimes() (p, q *big.Int, err error) { return thresig.TestSafePrimes256() }
 
 // Deal runs the trusted dealer: it generates every secret of the
 // deployment (coin shares, signature shares, decryption shares, identity

@@ -53,10 +53,12 @@ func (s *sendOrderTally) Next(pending []wire.Message) int {
 // sit above that and below a tossed coin from round 1 on with eager
 // rounds (119–152, 233–265 and 32–35 KiB idle; with whole proposals in
 // the value besides: ≈ 500 B per SEND and START, 42 KiB; with gob's type
-// descriptors too: 83–96 B and 76 KiB). A threshold-RSA signature share
-// carries its value and its proof, not the prover's commitments: a cbc
-// SHARE stays under 300 B and a client RESPONSE under 340 B (379 and
-// 423 B with the commitments).
+// descriptors too: 83–96 B and 76 KiB). A quorum-key share is one
+// Ed25519 signature: a cbc SHARE stays under 160 B (≈ 108 B; 241 B as a
+// threshold-RSA share with its proof), and a FINAL (≈ 270 B) or a
+// yes-VOTE carries n−t of them under a signer bitmap as a certificate. An answer share carries
+// its value and its proof, not the prover's commitments: a client
+// RESPONSE stays under 340 B (423 B with the commitments).
 func TestWireBudget(t *testing.T) {
 	tally := &sendOrderTally{msgs: map[[2]string]int{}, bytes: map[[2]string]int{}}
 	c := newChainCluster(t, 4, 1, sintra.WithSeed(7), sintra.WithScheduler(tally))
@@ -135,12 +137,12 @@ func TestWireBudget(t *testing.T) {
 			t.Errorf("%s %s averages %d B, want a certificate without its payload (< 400 B)", k[0], k[1], avg)
 		}
 	}
-	for k, limit := range map[[2]string]int{{"cbc", "SHARE"}: 300, {"client", "RESPONSE"}: 340} {
+	for k, limit := range map[[2]string]int{{"cbc", "SHARE"}: 160, {"client", "RESPONSE"}: 340} {
 		if tally.msgs[k] == 0 {
 			t.Fatalf("no %s %s was delivered", k[0], k[1])
 		}
 		if avg := tally.bytes[k] / tally.msgs[k]; avg >= limit {
-			t.Errorf("%s %s averages %d B, want a share without commitments (< %d B)", k[0], k[1], avg, limit)
+			t.Errorf("%s %s averages %d B, want a share without a proof or its commitments (< %d B)", k[0], k[1], avg, limit)
 		}
 	}
 	for _, k := range [][2]string{{"cbc", "REQ"}, {"cbc", "ANS"}, {"abc", "FETCH"}, {"abc", "PAYLOAD"}} {
