@@ -9,9 +9,14 @@
 // each leaf hands the arriving value to its party. A party may therefore
 // hold several atomic shares, one per leaf labelled with its index. Because
 // the scheme is linear, a secret can be reconstructed either in the field
-// (from scalar shares) or "in the exponent" (from group elements g^share),
-// which is exactly what the threshold coin-tossing scheme and the TDH2
-// threshold cryptosystem require. All arithmetic goes through the opaque
+// (from scalar shares) or "in the exponent" (from group elements g^share).
+//
+// Exponent is that second use as one primitive, the one the threshold
+// coin (internal/coin) and the TDH2 cryptosystem (internal/threnc) are
+// both built from: a dealer shares s and publishes verification keys
+// g^{s_id}; a party releases base^{s_id} with a DLEQ proof bound to a
+// caller's context; a Collector verifies shares and interpolates base^s
+// from a qualified set. All arithmetic goes through the opaque
 // Scalar/Point API, so the scheme works unchanged over every group backend.
 package sharing
 

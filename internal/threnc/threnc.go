@@ -11,18 +11,22 @@
 // and violate input causality (the notary front-running attack).
 //
 // The implementation is hybrid: TDH2 transports a KEM key h^r whose hash
-// keys an AES-GCM payload encryption; the ciphertext carries a Fiat-Shamir
-// proof of knowledge (the û/ē/f̄ components of TDH2) binding it to its
-// label, and decryption shares carry DLEQ validity proofs (robustness).
-// Key shares are dealt with the linear secret sharing scheme of the
-// deployment's adversary structure, so generalized Q³ structures are
-// supported exactly as the paper's §4.2 prescribes.
+// keys an AES-GCM payload encryption, and the ciphertext carries a
+// Fiat-Shamir proof of knowledge (the û/ē/f̄ components of TDH2) binding it
+// to its label. Decryption is the threshold-exponent step of
+// internal/sharing with base U = g^r under the proof context
+// "tdh2share|<ciphertext digest>": a qualified set of verified shares
+// U^{x_id} interpolates h^r = U^x. Key shares are dealt with the linear
+// secret sharing scheme of the deployment's adversary structure, so
+// generalized Q³ structures are supported exactly as the paper's §4.2
+// prescribes.
 package threnc
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -38,14 +42,9 @@ var (
 	// ErrInvalidCiphertext is returned for ciphertexts whose consistency
 	// proof fails (chosen-ciphertext rejection).
 	ErrInvalidCiphertext = errors.New("threnc: invalid ciphertext")
-	// ErrInvalidShare is returned for decryption shares that fail to verify.
-	ErrInvalidShare = errors.New("threnc: invalid decryption share")
 	// ErrNotReady is returned when decrypting before a qualified share set
 	// is available.
-	ErrNotReady = errors.New("threnc: not enough verified decryption shares")
-	// ErrWrongParty is returned when a share is presented for an ID the
-	// sender does not own.
-	ErrWrongParty = errors.New("threnc: share id not owned by sender")
+	ErrNotReady = sharing.ErrNotReady
 )
 
 // Params is the public key material, identical on every party and client.
@@ -59,18 +58,13 @@ type Params struct {
 	// VerifyKeys holds g^{x_id} for every share ID of the access formula.
 	VerifyKeys []*group.Point
 
-	g      group.Group
-	gbar   *group.Point
-	scheme *sharing.Scheme
+	g    group.Group
+	gbar *group.Point
+	exp  *sharing.Exponent
 }
 
 // SecretKey is a party's shares of the decryption exponent.
-type SecretKey struct {
-	// Party is the owner's index.
-	Party int
-	// Shares are the owner's atomic key shares.
-	Shares []sharing.Share
-}
+type SecretKey = sharing.PartyKey
 
 // Ciphertext is a TDH2 ciphertext.
 type Ciphertext struct {
@@ -84,83 +78,38 @@ type Ciphertext struct {
 	Proof *dleq.Proof
 }
 
-// Share is a decryption share with its validity proof.
-type Share struct {
-	// Party is the sender.
-	Party int
-	// ID is the key-share ID.
-	ID int
-	// Value is U^{x_ID}.
-	Value *group.Point
-	// Proof shows log_g VerifyKeys[ID] = log_U Value.
-	Proof *dleq.Proof
-}
+// Share is a decryption share U^{x_ID} with its validity proof.
+type Share = sharing.ExponentShare
 
 // Deal generates a fresh key pair for the structure, returning the public
 // parameters and each party's secret key.
 func Deal(g group.Group, st *adversary.Structure, rnd io.Reader) (*Params, []*SecretKey, error) {
-	scheme, err := sharing.ForStructure(g, st)
+	exp, pub, keys, err := sharing.DealExponent(g, st, rnd)
 	if err != nil {
 		return nil, nil, fmt.Errorf("threnc: %w", err)
 	}
-	x, err := g.RandomScalar(rnd)
-	if err != nil {
-		return nil, nil, fmt.Errorf("threnc: %w", err)
-	}
-	shares, err := scheme.Deal(x, rnd)
-	if err != nil {
-		return nil, nil, fmt.Errorf("threnc: %w", err)
-	}
-	p := &Params{
-		GroupName:  g.Name(),
-		Structure:  st,
-		PubKey:     g.BaseExp(x),
-		VerifyKeys: scheme.VerificationKeys(shares),
-		g:          g,
-		gbar:       gbarOf(g),
-		scheme:     scheme,
-	}
-	keys := make([]*SecretKey, st.N())
-	for i := range keys {
-		keys[i] = &SecretKey{Party: i}
-	}
-	for _, sh := range shares {
-		keys[sh.Party].Shares = append(keys[sh.Party].Shares, sh)
-	}
+	p := &Params{GroupName: g.Name(), Structure: st, PubKey: pub, VerifyKeys: exp.Keys()}
+	p.g, p.gbar, p.exp = g, gbarOf(g), exp
 	return p, keys, nil
 }
 
-// Init rebuilds the runtime caches after deserialization.
+// Init rebuilds the runtime caches after deserialization and registers
+// fixed-base exponentiation tables for the bases every TDH2 operation
+// exponentiates: the second generator ḡ (ciphertext consistency checks),
+// the public key (encryption) and the verification keys (share checks).
 func (p *Params) Init() error {
 	g, err := group.ByName(p.GroupName)
 	if err != nil {
 		return err
 	}
-	scheme, err := sharing.ForStructure(g, p.Structure)
-	if err != nil {
-		return err
+	if p.exp, err = sharing.NewExponent(g, p.Structure, p.VerifyKeys); err != nil {
+		return fmt.Errorf("threnc: %w", err)
 	}
-	if len(p.VerifyKeys) != scheme.NumShares() {
-		return errors.New("threnc: verification key count mismatch")
-	}
-	p.g = g
-	p.gbar = gbarOf(g)
-	p.scheme = scheme
-	p.Precompute()
+	p.g, p.gbar = g, gbarOf(g)
+	g.Precompute(p.gbar)
+	g.Precompute(p.PubKey)
+	p.exp.Precompute()
 	return nil
-}
-
-// Precompute registers fixed-base exponentiation tables for the bases
-// every TDH2 operation exponentiates: the second generator ḡ (ciphertext
-// consistency checks), the public key (encryption), and the dealt
-// verification keys (decryption-share DLEQ checks). Init calls this;
-// Deal-created params may call it explicitly.
-func (p *Params) Precompute() {
-	p.g.Precompute(p.gbar)
-	p.g.Precompute(p.PubKey)
-	for _, vk := range p.VerifyKeys {
-		p.g.Precompute(vk)
-	}
 }
 
 // Group returns the group of the dealing.
@@ -175,12 +124,8 @@ func gbarOf(g group.Group) *group.Point {
 func ctxDigest(payload, label []byte) string {
 	h := sha256.New()
 	h.Write([]byte("sintra/threnc/ctx"))
-	var lb [8]byte
 	for _, part := range [][]byte{payload, label} {
-		for i := 0; i < 8; i++ {
-			lb[i] = byte(uint64(len(part)) >> (8 * (7 - i)))
-		}
-		h.Write(lb[:])
+		h.Write(binary.BigEndian.AppendUint64(nil, uint64(len(part))))
 		h.Write(part)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
@@ -265,8 +210,9 @@ func (p *Params) VerifyCiphertext(ct *Ciphertext) error {
 	return nil
 }
 
-func shareContext(ct *Ciphertext, id int) string {
-	return fmt.Sprintf("tdh2share|%s|%d", ctxDigest(ct.Payload, ct.Label), id)
+// shareContext binds a decryption share's proof to the ciphertext.
+func shareContext(ct *Ciphertext) string {
+	return "tdh2share|" + ctxDigest(ct.Payload, ct.Label)
 }
 
 // DecryptShares produces the owner's decryption shares for a ciphertext,
@@ -275,59 +221,22 @@ func (p *Params) DecryptShares(sk *SecretKey, ct *Ciphertext, rnd io.Reader) ([]
 	if err := p.VerifyCiphertext(ct); err != nil {
 		return nil, err
 	}
-	return p.decryptShares(sk, ct, rnd)
+	return p.exp.Release(sk, ct.U, shareContext(ct), rnd)
 }
 
-// decryptShares is DecryptShares for a ciphertext already verified.
-func (p *Params) decryptShares(sk *SecretKey, ct *Ciphertext, rnd io.Reader) ([]Share, error) {
-	out := make([]Share, 0, len(sk.Shares))
-	for _, sh := range sk.Shares {
-		value := p.g.Exp(ct.U, sh.Value)
-		st := dleq.Statement{
-			G1: p.g.Generator(), H1: p.VerifyKeys[sh.ID],
-			G2: ct.U, H2: value,
-		}
-		proof, err := dleq.Prove(p.g, st, sh.Value, shareContext(ct, sh.ID), rnd)
-		if err != nil {
-			return nil, fmt.Errorf("threnc: %w", err)
-		}
-		out = append(out, Share{Party: sk.Party, ID: sh.ID, Value: value, Proof: proof})
-	}
-	return out, nil
-}
-
-// VerifyShare checks one decryption share against a ciphertext.
+// VerifyShare checks one decryption share against a ciphertext that
+// passed VerifyCiphertext.
 func (p *Params) VerifyShare(ct *Ciphertext, sh Share) error {
-	if sh.ID < 0 || sh.ID >= len(p.VerifyKeys) {
-		return ErrInvalidShare
-	}
-	owner, err := p.scheme.PartyOf(sh.ID)
-	if err != nil || owner != sh.Party {
-		return ErrWrongParty
-	}
-	// The share value is the only statement element not already
-	// validated: the verification key is dealt, and ct.U passed
-	// VerifyCiphertext before any share of it is checked.
-	if !p.g.IsElement(sh.Value) {
-		return ErrInvalidShare
-	}
-	st := dleq.Statement{
-		G1: p.g.Generator(), H1: p.VerifyKeys[sh.ID],
-		G2: ct.U, H2: sh.Value,
-		Trusted: true,
-	}
-	if err := dleq.Verify(p.g, st, sh.Proof, shareContext(ct, sh.ID)); err != nil {
-		return ErrInvalidShare
-	}
-	return nil
+	return p.exp.Verify(ct.U, shareContext(ct), sh)
 }
 
 // Combiner accumulates verified decryption shares for one ciphertext.
+// Add, AddFrom, AddVerified and Ready are the collector's.
 type Combiner struct {
+	*sharing.Collector
 	params  *Params
 	ct      *Ciphertext
-	values  map[int]*group.Point
-	parties adversary.Set
+	context string
 }
 
 // NewCombiner verifies a ciphertext and starts collecting shares for it.
@@ -335,83 +244,19 @@ func NewCombiner(p *Params, ct *Ciphertext) (*Combiner, error) {
 	if err := p.VerifyCiphertext(ct); err != nil {
 		return nil, err
 	}
-	return &Combiner{params: p, ct: ct, values: make(map[int]*group.Point)}, nil
+	context := shareContext(ct)
+	return &Combiner{Collector: p.exp.Collector(ct.U, context), params: p, ct: ct, context: context}, nil
 }
 
 // Shares produces the owner's decryption shares for the combiner's
 // ciphertext, which NewCombiner verified.
 func (c *Combiner) Shares(sk *SecretKey, rnd io.Reader) ([]Share, error) {
-	return c.params.decryptShares(sk, c.ct, rnd)
-}
-
-// Add verifies and stores a decryption share; invalid shares are rejected
-// and duplicates ignored.
-func (c *Combiner) Add(sh Share) error {
-	if _, ok := c.values[sh.ID]; ok {
-		return nil
-	}
-	if err := c.params.VerifyShare(c.ct, sh); err != nil {
-		return err
-	}
-	c.values[sh.ID] = sh.Value
-	c.parties = c.parties.Add(sh.Party)
-	return nil
-}
-
-// AddFrom adds the shares that party from sent and reports whether one
-// failed its check. A share naming another party is skipped unchecked,
-// and the first failure ends the list: an honest party sends neither, so
-// one message costs at most one failed proof.
-func (c *Combiner) AddFrom(from int, shares []Share) (rejected bool) {
-	for _, sh := range shares {
-		if sh.Party == from && c.Add(sh) != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// AddVerified stores a decryption share the caller has already checked
-// with VerifyShare, skipping re-verification; the protocols use AddFrom, and
-// AddVerified lets a benchmark time the combine alone. Duplicates are
-// ignored.
-func (c *Combiner) AddVerified(sh Share) {
-	if _, ok := c.values[sh.ID]; ok {
-		return
-	}
-	c.values[sh.ID] = sh.Value
-	c.parties = c.parties.Add(sh.Party)
-}
-
-func (c *Combiner) partiesWithAllShares() adversary.Set {
-	var out adversary.Set
-	for _, party := range c.parties.Members() {
-		complete := true
-		for _, id := range c.params.scheme.SharesOf(party) {
-			if _, ok := c.values[id]; !ok {
-				complete = false
-				break
-			}
-		}
-		if complete {
-			out = out.Add(party)
-		}
-	}
-	return out
-}
-
-// Ready reports whether a qualified set of shares has been collected.
-func (c *Combiner) Ready() bool {
-	return c.params.scheme.Qualified(c.partiesWithAllShares())
+	return c.params.exp.Release(sk, c.ct.U, c.context, rnd)
 }
 
 // Decrypt reconstructs h^r in the exponent and opens the payload.
 func (c *Combiner) Decrypt() ([]byte, error) {
-	parties := c.partiesWithAllShares()
-	if !c.params.scheme.Qualified(parties) {
-		return nil, ErrNotReady
-	}
-	hr, err := c.params.scheme.ReconstructExponent(parties, c.values)
+	hr, err := c.Combine()
 	if err != nil {
 		return nil, fmt.Errorf("threnc: %w", err)
 	}
