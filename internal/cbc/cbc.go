@@ -210,12 +210,14 @@ func New(cfg Config) *CBC {
 
 // certMsg is a decoded FINAL, REQ or ANS: the digest its certificate
 // speaks for (an ANS is hashed where it arrives), the certificate and,
-// with an ANS, the payload.
+// with an ANS, the payload. combined marks the sender's own certificate,
+// which thresig.Combine has just checked.
 type certMsg struct {
-	digest  [32]byte
-	cert    []byte
-	payload []byte // with ans
-	ans     bool
+	digest   [32]byte
+	cert     []byte
+	payload  []byte // with ans
+	ans      bool
+	combined bool
 }
 
 // decodeCert decodes a FINAL, REQ or ANS; nil when it is malformed.
@@ -326,7 +328,9 @@ func (c *CBC) Reeval() {
 // and combines them once they meet the quorum rule. The combined
 // signature is checked, not the shares: a failed combine names the
 // invalid shares, which are dropped while their senders stay counted,
-// and the sender waits for more.
+// and the sender waits for more. A certificate that combines is the
+// sender's without a second check: its own FINAL, broadcast to every
+// party like the others, finds the instance certified.
 func (c *CBC) onShare(from int, share thresig.Share) {
 	if c.stmt == nil || c.finalSent || share.Party != from || c.shareFrom.Has(from) {
 		return
@@ -348,6 +352,7 @@ func (c *CBC) onShare(from int, share thresig.Share) {
 	}
 	c.finalSent = true
 	_ = c.cfg.Router.Broadcast(Protocol, c.cfg.Instance, typeFinal, certBody{Digest: c.sentDigest, Cert: cert})
+	c.accept(&certMsg{digest: c.sentDigest, cert: cert, combined: true})
 }
 
 // quorum reports whether the shares held meet the scheme's rule and are
@@ -374,7 +379,7 @@ func (c *CBC) Certify(digest [32]byte, cert []byte) {
 func (c *CBC) accept(v *certMsg) {
 	fresh := false
 	if len(v.cert) > 0 && !c.certified {
-		if fresh = verifyCertificate(c.cfg.Scheme, c.cfg.Instance, v.digest, v.cert) == nil; fresh {
+		if fresh = v.combined || verifyCertificate(c.cfg.Scheme, c.cfg.Instance, v.digest, v.cert) == nil; fresh {
 			c.certDigest, c.cert, c.certified = v.digest, v.cert, true
 		} else {
 			c.span.Event(stageCertRejected, -1, "")

@@ -232,3 +232,38 @@ func TestInstanceIDRoundTrip(t *testing.T) {
 		t.Fatal("malformed accepted")
 	}
 }
+
+// TestSenderTrustsItsCombinedCertificate: the sender keeps the certificate
+// it combined, and its own FINAL costs it no second check; every other
+// party checks the certificate once.
+func TestSenderTrustsItsCombinedCertificate(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	c := testutil.NewCluster(t, st, testutil.Options{})
+	ch := make(chan delivery, 16)
+	schemes := make(map[int]*countingScheme)
+	insts := make(map[int]*cbc.CBC)
+	for i := 0; i < 4; i++ {
+		i := i
+		cfg := c.CBC(i)
+		schemes[i] = &countingScheme{Scheme: cfg.Scheme}
+		cfg.Instance, cfg.Sender, cfg.Scheme = cbc.InstanceID(0, "own"), 0, schemes[i]
+		cfg.Deliver = func(p, cert []byte) { ch <- delivery{party: i, payload: p, cert: cert} }
+		insts[i] = newCBC(cfg)
+	}
+	if err := insts[0].Start([]byte("certified once")); err != nil {
+		t.Fatal(err)
+	}
+	waitDeliveries(t, ch, 4)
+	c.Each(func(int) {}) // every dispatch loop past the deliveries
+	if n := schemes[0].verifies.Load(); n != 0 {
+		t.Fatalf("the sender checked its own certificate %d times", n)
+	}
+	for i := 1; i < 4; i++ {
+		if n := schemes[i].verifies.Load(); n != 1 {
+			t.Fatalf("party %d checked the certificate %d times, want 1", i, n)
+		}
+	}
+	if _, _, ok := insts[0].Certificate(); !ok {
+		t.Fatal("the sender holds no certificate")
+	}
+}
