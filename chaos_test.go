@@ -17,7 +17,7 @@ import (
 // state: a hash chain over every (seq, request) applied so far. Replicas
 // that diverge at any point return different answers forever after, and
 // the machine keeps its full (seq, state) history so the suite can compare
-// honest replicas' executions position by position.
+// honest replicas' executions sequence number by sequence number.
 type chainMachine struct {
 	mu    sync.Mutex
 	state [32]byte
@@ -158,36 +158,35 @@ func (c *chainCluster) run(t *testing.T, requests int) {
 }
 
 // assertReplicasConsistent compares every honest pair of replicas'
-// (seq, state) histories over their common prefix: the total order must
-// have driven them through identical states. Corrupted parties are
-// excluded — their own transport lies to them, so their local state may
-// legitimately diverge. Replicas advance at different speeds, so only the
-// shared prefix is compared.
+// (seq, state) histories over the sequence numbers both applied: the total
+// order must have driven them through identical states. Corrupted parties
+// are excluded — their own transport lies to them, so their local state
+// may legitimately diverge. Replicas advance at different speeds, and one
+// that installs a checkpoint starts its history there, so histories are
+// matched by sequence number, not by position.
 func (c *chainCluster) assertReplicasConsistent(t *testing.T, corrupted ...int) {
 	t.Helper()
 	bad := make(map[int]bool, len(corrupted))
 	for _, i := range corrupted {
 		bad[i] = true
 	}
-	refIdx := -1
-	var ref []chainState
+	hists := make([][]chainState, len(c.machines))
+	states := make([]map[int64][32]byte, len(c.machines))
 	for i, m := range c.machines {
 		if bad[i] {
 			continue
 		}
-		h := m.history()
-		if refIdx < 0 {
-			refIdx, ref = i, h
-			continue
+		hists[i], states[i] = m.history(), make(map[int64][32]byte)
+		for _, s := range hists[i] {
+			states[i][s.seq] = s.state
 		}
-		n := len(h)
-		if len(ref) < n {
-			n = len(ref)
-		}
-		for k := 0; k < n; k++ {
-			if h[k] != ref[k] {
-				t.Fatalf("replica %d diverged from replica %d at position %d: seq %d/%d",
-					i, refIdx, k, h[k].seq, ref[k].seq)
+	}
+	for i := range hists {
+		for j := range states[:i] {
+			for _, s := range hists[i] {
+				if state, ok := states[j][s.seq]; ok && state != s.state {
+					t.Fatalf("replica %d diverged from replica %d at seq %d", i, j, s.seq)
+				}
 			}
 		}
 	}
