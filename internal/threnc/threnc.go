@@ -37,15 +37,9 @@ import (
 	"sintra/internal/sharing"
 )
 
-// Errors reported by the cryptosystem.
-var (
-	// ErrInvalidCiphertext is returned for ciphertexts whose consistency
-	// proof fails (chosen-ciphertext rejection).
-	ErrInvalidCiphertext = errors.New("threnc: invalid ciphertext")
-	// ErrNotReady is returned when decrypting before a qualified share set
-	// is available.
-	ErrNotReady = sharing.ErrNotReady
-)
+// ErrInvalidCiphertext is returned for ciphertexts whose consistency proof
+// fails (chosen-ciphertext rejection).
+var ErrInvalidCiphertext = errors.New("threnc: invalid ciphertext")
 
 // Params is the public key material, identical on every party and client.
 type Params struct {
