@@ -86,7 +86,7 @@ func (p *Params) base(name string) *group.Point {
 	return p.Group().HashToPoint("sintra/coin/base", []byte(name))
 }
 
-// context binds a coin share's proof to the coin's name.
+// shareContext binds a coin share's proof to the coin's name.
 func shareContext(name string) string { return "coin|" + name }
 
 // ReleaseShares produces the owner's coin shares for the named coin.
