@@ -362,7 +362,9 @@ func (a *ABC) signStatement(p *SignedProposal, digests [][32]byte) []byte {
 // check hashes a received proposal, decoded from raw, and its inline
 // payloads and verifies the proposer's signature over them and the
 // referenced digests; nil for a malformed proposal or a bad signature.
-func (a *ABC) check(p SignedProposal, raw []byte) *accepted {
+// own marks this party's PROPOSAL looped back to it: its signature is not
+// checked.
+func (a *ABC) check(p SignedProposal, raw []byte, own bool) *accepted {
 	n := len(p.Batch) + len(p.Refs)/sha256.Size
 	if len(p.Refs)%sha256.Size != 0 || n > maxProposalEntries || p.Party < 0 || p.Party >= a.cfg.Router.N() {
 		return nil
@@ -374,7 +376,7 @@ func (a *ABC) check(p SignedProposal, raw []byte) *accepted {
 	for i := 0; i < len(p.Refs); i += sha256.Size {
 		ac.digests = append(ac.digests, [32]byte(p.Refs[i:]))
 	}
-	if a.cfg.Identity.Verify(p.Party, "abc-prop", a.signStatement(&p, ac.digests), p.Sig) != nil {
+	if !own && a.cfg.Identity.Verify(p.Party, "abc-prop", a.signStatement(&p, ac.digests), p.Sig) != nil {
 		return nil
 	}
 	return ac
@@ -392,7 +394,7 @@ func (a *ABC) resolve(round int64, d [32]byte) (ac *accepted, held bool) {
 		}
 		var p SignedProposal
 		if wire.UnmarshalBody(e.payload, &p) == nil && p.Round == round {
-			if ac = a.check(p, e.payload); ac != nil {
+			if ac = a.check(p, e.payload, false); ac != nil {
 				a.checked[d] = ac
 			}
 		}
@@ -417,7 +419,7 @@ func (a *ABC) handle(from int, msgType string, payload []byte) {
 		if !a.cfg.Router.Decode(payload, &p) || p.Party != from || !a.fresh(p.Round, from) {
 			return
 		}
-		if ac := a.check(p, payload); ac != nil {
+		if ac := a.check(p, payload, from == a.self); ac != nil {
 			a.acceptProposal(from, ac, payload)
 		}
 	case typeFetch:

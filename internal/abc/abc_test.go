@@ -9,6 +9,7 @@ import (
 
 	"sintra/internal/abc"
 	"sintra/internal/adversary"
+	"sintra/internal/identity"
 	"sintra/internal/netsim"
 	"sintra/internal/testutil"
 	"sintra/internal/wire"
@@ -348,4 +349,31 @@ func TestAdaptiveBatchBurst(t *testing.T) {
 			t.Fatalf("party %d still at round %d: batch bound did not grow", i, r)
 		}
 	}
+}
+
+// TestOwnProposalTakenUnchecked: a party takes its own PROPOSAL, which
+// the router loops back to it, without an Identity.Verify call. Party 0's
+// registry holds party 1's key in party 0's place, so any check of party
+// 0's own signature there fails; with party 3 crashed, every round needs
+// party 0's own proposal at party 0, and the requests are still ordered.
+// Parties 1 and 2 check it under the right key.
+func TestOwnProposalTakenUnchecked(t *testing.T) {
+	st := adversary.MustThreshold(4, 1)
+	c := testutil.NewCluster(t, st, testutil.Options{Seed: 7, Corrupted: []int{3}})
+	parties := []int{0, 1, 2}
+	h := newHarnessCfg(t, c, parties, func(cfg *abc.Config) {
+		if cfg.Router.Self() == 0 {
+			keys := append([][]byte(nil), cfg.Identity.PubKeys...)
+			keys[0] = keys[1]
+			cfg.Identity = &identity.Registry{PubKeys: keys}
+		}
+	})
+	const total = 4
+	for k := 0; k < total; k++ {
+		if err := h.insts[k%3].Broadcast([]byte(fmt.Sprintf("own-%d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.waitLogs(t, parties, total, 30*time.Second)
+	h.assertSameOrder(t, parties, total)
 }

@@ -68,7 +68,7 @@ func (a *ABC) PayloadEntries() int {
 	n := 0
 	for _, e := range a.store {
 		var p SignedProposal
-		if wire.UnmarshalBody(e.payload, &p) != nil || a.check(p, e.payload) == nil {
+		if wire.UnmarshalBody(e.payload, &p) != nil || a.check(p, e.payload, false) == nil {
 			n++
 		}
 	}

@@ -13,10 +13,10 @@
 // quorum of shares into a certificate and FINALs (digest, certificate) —
 // the payload does not travel twice. Since two quorums intersect in an
 // honest party and honest parties sign at most one digest per instance, at
-// most one digest can ever carry a valid certificate: uniqueness. The
-// sender checks no share proof before it combines: a combined signature
-// that verifies is a certificate whoever contributed, and only a failed
-// combine verifies the shares, drops the invalid ones and waits for more.
+// most one digest can ever carry a valid certificate: uniqueness. Each
+// share and certificate entry is checked, but a party's own share (the
+// sender's in its combine, everyone's when byte for byte what it returned
+// for the certified digest) is taken unchecked.
 //
 // Delivery is one rule, whatever brought the two halves: a verified
 // certificate and a payload whose SHA-256 is the certified digest are both
@@ -113,13 +113,13 @@ func signedStatement(instance string, digest [32]byte) []byte {
 // VerifyCertificate checks a transferable delivery certificate for the
 // given instance and payload.
 func VerifyCertificate(scheme thresig.Scheme, instance string, payload, cert []byte) error {
-	return verifyCertificate(scheme, instance, sha256.Sum256(payload), cert)
+	return verifyCertificate(scheme, instance, sha256.Sum256(payload), cert, thresig.Own{})
 }
 
 // verifyCertificate checks a certificate against the digest it speaks for;
-// no payload is needed, or hashed, to check one.
-func verifyCertificate(scheme thresig.Scheme, instance string, digest [32]byte, cert []byte) error {
-	if err := scheme.Verify(signedStatement(instance, digest), cert); err != nil {
+// no payload is needed, or hashed, to check one, nor the entry that is own.
+func verifyCertificate(scheme thresig.Scheme, instance string, digest [32]byte, cert []byte, own thresig.Own) error {
+	if err := thresig.VerifyOwn(scheme, signedStatement(instance, digest), cert, own); err != nil {
 		return fmt.Errorf("cbc: certificate: %w", err)
 	}
 	return nil
@@ -166,7 +166,8 @@ type CBC struct {
 	payload []byte
 	digest  [32]byte
 	held    bool
-	signed  bool // this party returned its share on digest: never a second one
+	signed  bool        // this party returned its share on digest: never a second one
+	own     thresig.Own // that share and its statement
 
 	// The certificate half: the first certificate that verified. Once
 	// certified, no message makes this party check another one.
@@ -317,20 +318,22 @@ func (c *CBC) Reeval() {
 	// a recovered replica must never sign a second digest for this
 	// instance.
 	c.signed = true
-	share, err := c.cfg.Scheme.SignShare(c.cfg.Key, signedStatement(c.cfg.Instance, c.digest), rand.Reader)
+	stmt := signedStatement(c.cfg.Instance, c.digest)
+	share, err := c.cfg.Scheme.SignShare(c.cfg.Key, stmt, rand.Reader)
 	if err != nil {
 		return
 	}
+	c.own = thresig.Own{Msg: stmt, Share: share}
 	_ = c.cfg.Router.SendJournaled("share", c.cfg.Sender, Protocol, c.cfg.Instance, typeShare, shareBody{Share: share})
 }
 
 // onShare: the sender collects shares, one per party and unverified,
-// and combines them once they meet the quorum rule. The combined
-// signature is checked, not the shares: a failed combine names the
-// invalid shares, which are dropped while their senders stay counted,
-// and the sender waits for more. A certificate that combines is the
-// sender's without a second check: its own FINAL, broadcast to every
-// party like the others, finds the instance certified.
+// and combines them once they meet the quorum rule, checking each but
+// its own: a failed combine names the invalid shares, which are dropped
+// while their senders stay counted, and the sender waits for more. A
+// certificate that combines is the sender's without a second check: its
+// own FINAL, broadcast to every party like the others, finds the
+// instance certified.
 func (c *CBC) onShare(from int, share thresig.Share) {
 	if c.stmt == nil || c.finalSent || share.Party != from || c.shareFrom.Has(from) {
 		return
@@ -340,7 +343,7 @@ func (c *CBC) onShare(from int, share thresig.Share) {
 	if !c.quorum() {
 		return
 	}
-	cert, bad, err := thresig.Combine(c.cfg.Scheme, c.stmt, c.shares)
+	cert, bad, err := thresig.CombineOwn(c.cfg.Scheme, c.stmt, c.shares, c.own)
 	if bad != nil {
 		for _, i := range bad {
 			c.span.Event(stageShareRejected, -1, fmt.Sprint("from ", c.shares[i].Party))
@@ -379,7 +382,7 @@ func (c *CBC) Certify(digest [32]byte, cert []byte) {
 func (c *CBC) accept(v *certMsg) {
 	fresh := false
 	if len(v.cert) > 0 && !c.certified {
-		if fresh = v.combined || verifyCertificate(c.cfg.Scheme, c.cfg.Instance, v.digest, v.cert) == nil; fresh {
+		if fresh = v.combined || verifyCertificate(c.cfg.Scheme, c.cfg.Instance, v.digest, v.cert, c.own) == nil; fresh {
 			c.certDigest, c.cert, c.certified = v.digest, v.cert, true
 		} else {
 			c.span.Event(stageCertRejected, -1, "")

@@ -498,3 +498,61 @@ func TestReqFromClientIdUnanswered(t *testing.T) {
 		t.Fatalf("party 0 answered a client's REQ")
 	}
 }
+
+// TestOwnShareBytesOnlyForTheirDigest: a party takes the certificate
+// entry at its own index unchecked only for the digest it signed.
+// Corrupted sender 0 c-broadcasts A to party 3 and B to party 1, then
+// sends party 3 a FINAL for B whose certificate holds its own and party
+// 1's signatures on B and, at index 3, party 3's share bytes on A. Party 3
+// checks that entry, rejects the certificate and holds none; a FINAL for
+// A with the same bytes at index 3 then certifies A, and party 3
+// delivers it.
+func TestOwnShareBytesOnlyForTheirDigest(t *testing.T) {
+	c := testutil.NewCluster(t, adversary.MustThreshold(4, 1),
+		testutil.Options{Seed: 23, Observe: true, Corrupted: []int{0}})
+	ch := make(chan delivery, 16)
+	insts := spawnAll(c, 0, "own-bytes", []int{1, 2, 3}, ch, nil)
+	instance := cbc.InstanceID(0, "own-bytes")
+	b := newByzantine(t, c)
+	scheme := c.Pub.QuorumSig()
+	shareOf := func(to int, payload []byte) []byte {
+		b.send(to, instance, "SEND", struct{ Payload []byte }{payload})
+		for {
+			m := b.next("SHARE")
+			var body struct{ Share thresig.Share }
+			if err := wire.UnmarshalBody(m.Payload, &body); err != nil {
+				t.Fatal(err)
+			}
+			if m.From == to {
+				return body.Share.Data
+			}
+		}
+	}
+	sign0 := func(digest [32]byte) []byte {
+		sh, err := scheme.SignShare(c.Secrets[0].SigQuorum, cbc.SignedStatement(instance, digest), rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sh.Data
+	}
+	a, other := []byte("payload-A"), []byte("payload-B")
+	digestA, digestB := sha256.Sum256(a), sha256.Sum256(other)
+	own := shareOf(3, a)
+	forged := append(append(append([]byte{0b1011}, sign0(digestB)...), shareOf(1, other)...), own...)
+	b.send(3, instance, "FINAL", cbc.CertBody{Digest: digestB, Cert: forged})
+	waitCounter(t, c, 3, "cbc.cert.rejected", 1)
+	c.Routers[3].DoSync(func() {
+		if _, _, ok := insts[3].Certificate(); ok {
+			t.Error("party 3 holds a certificate for B")
+		}
+	})
+
+	cert := append(append(append([]byte{0b1101}, sign0(digestA)...), shareOf(2, a)...), own...)
+	b.send(3, instance, "FINAL", cbc.CertBody{Digest: digestA, Cert: cert})
+	if d := waitDeliveries(t, ch, 1)[0]; d.party != 3 || !bytes.Equal(d.payload, a) {
+		t.Fatalf("party %d delivered %q", d.party, d.payload)
+	}
+	if n := counter(c, 3, "cbc.cert.rejected"); n != 1 {
+		t.Fatalf("cbc.cert.rejected = %d, want 1", n)
+	}
+}

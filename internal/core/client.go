@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -77,8 +78,8 @@ type Client struct {
 }
 
 type call struct {
-	responses map[int]rooted // by responding server, culprits dropped
-	from      adversary.Set  // every server that responded
+	responses []rooted      // in arrival order, culprits dropped
+	from      adversary.Set // every server that responded
 	answered  bool
 	ch        chan Answer
 }
@@ -195,7 +196,7 @@ func (c *Client) invoke(ctx context.Context, body []byte) (Answer, error) {
 		}
 	}
 
-	cl := &call{responses: make(map[int]rooted), ch: make(chan Answer, 1)}
+	cl := &call{ch: make(chan Answer, 1)}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -285,16 +286,16 @@ func (c *Client) onResponse(from int, resp responseBody) {
 		c.malformed.Inc()
 		return
 	}
-	cl.responses[from] = rooted{resp, root}
+	cl.responses = append(cl.responses, rooted{resp, root})
 
 	// Group responders by identical result under an identical root; once
 	// a group that cannot be entirely corrupted agrees, combine its shares
-	// on the root, unverified.
+	// on the root, unverified, in the order they arrived.
 	var agreeing adversary.Set
 	shares := make([]thresig.Share, 0, len(cl.responses))
-	for s, r := range cl.responses {
+	for _, r := range cl.responses {
 		if r.root == root && r.Count == resp.Count && bytes.Equal(r.Result, resp.Result) {
-			agreeing = agreeing.Add(s)
+			agreeing = agreeing.Add(r.Share.Party)
 			shares = append(shares, r.Share)
 		}
 	}
@@ -308,7 +309,7 @@ func (c *Client) onResponse(from int, resp responseBody) {
 		// Corrupted server: invalid share. The counter is the client-side
 		// view of server misbehavior; its later responses stay ignored.
 		bp := shares[i].Party
-		delete(cl.responses, bp)
+		cl.responses = slices.DeleteFunc(cl.responses, func(r rooted) bool { return r.Share.Party == bp })
 		agreeing = agreeing.Remove(bp)
 		c.badShares.Inc()
 		c.obsReg.Trace(obs.Event{Party: bp, Protocol: clientProtocol,

@@ -56,7 +56,7 @@ func TestClientTrustObserver(t *testing.T) {
 		}
 	}
 	expect := func(cl *Client) *call {
-		pending := &call{responses: make(map[int]rooted), ch: make(chan Answer, 1)}
+		pending := &call{ch: make(chan Answer, 1)}
 		cl.mu.Lock()
 		cl.pending[reqID] = pending
 		cl.mu.Unlock()

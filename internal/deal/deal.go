@@ -184,6 +184,10 @@ func New(opts Options) (*Public, []*PartySecret, error) {
 		}
 	}
 
+	// Set up as a loaded dealing: Init registers the fixed-base tables.
+	if err := pub.Init(); err != nil {
+		return nil, nil, err
+	}
 	return pub, secrets, nil
 }
 
@@ -207,7 +211,8 @@ func (p *Public) AnswerSig() thresig.Scheme {
 	return nil
 }
 
-// Init rebuilds runtime caches after deserialization.
+// Init rebuilds runtime caches after deserialization and registers the
+// fixed-base tables of the coin and TDH2 keys; New calls it too.
 func (p *Public) Init() error {
 	if p.Structure == nil || p.Coin == nil || p.Enc == nil || p.Identity == nil {
 		return errors.New("deal: incomplete public material")

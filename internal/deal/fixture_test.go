@@ -12,15 +12,19 @@ import (
 	"sintra/internal/coin"
 	"sintra/internal/deal"
 	"sintra/internal/threnc"
+	"sintra/internal/thresig"
 	"sintra/internal/wire"
 )
 
 // TestDealingFixture loads a dealing that deal.SaveDir wrote at wire
 // format 12 (n = 4, t = 1, the test256 group, the embedded test RSA
 // primes), tosses the coin recorded beside it from a qualified set of
-// released shares and decrypts the recorded ciphertext. The files under
-// testdata/dealing are never regenerated: they pin the gob layout of the
-// dealing and the coin and TDH2 arithmetic across refactors.
+// released shares, decrypts the recorded ciphertext, and signs with the
+// answer key, whose file still holds the verification base and keys of
+// Shoup's share proofs: gob skips them now that shares carry no proof.
+// The files under testdata/dealing are never regenerated: they pin the
+// gob layout of the dealing and the coin and TDH2 arithmetic across
+// refactors.
 func TestDealingFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "dealing")
 	pub, err := deal.LoadPublic(dir)
@@ -96,5 +100,23 @@ func TestDealingFixture(t *testing.T) {
 	}
 	if !bytes.Equal(plain, []byte(rec.Plaintext)) {
 		t.Fatalf("decrypted %q, recorded %q", plain, rec.Plaintext)
+	}
+
+	// Two answer-key shares combine to a signature that verifies.
+	stmt := []byte("fixture answer")
+	var shares []thresig.Share
+	for _, i := range []int{0, 3} {
+		sh, err := pub.AnswerRSA.SignShare(party(i).SigAnswer, stmt, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shares = append(shares, sh)
+	}
+	sig, bad, err := thresig.Combine(pub.AnswerSig(), stmt, shares)
+	if err != nil || bad != nil {
+		t.Fatalf("answer shares: culprits %v, %v", bad, err)
+	}
+	if err := pub.AnswerSig().Verify(stmt, sig); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"runtime"
 	"sync"
-	"sync/atomic"
+	"unsafe"
 
 	"sintra/internal/modexp"
 )
@@ -28,13 +29,12 @@ type modpGroup struct {
 	// Fixed-base tables (internal/modexp): base^e then costs ~|q|/w
 	// table multiplications and no squarings. genTab serves the
 	// generator; precomp maps bases registered with Precompute, keyed
-	// by *big.Int pointer, to theirs, and nPrecomp lets exponentiations
-	// skip the map lookup while nothing is registered. Tables are built
-	// on first use and immutable afterwards: the routers of one process
-	// share one group.
-	genTab   *modexp.Table
-	precomp  sync.Map
-	nPrecomp atomic.Int32
+	// by the address of their *big.Int, to theirs. Tables are built on
+	// first use and immutable afterwards: the routers of one process
+	// share one group. A finalizer on the base drops its entry, so the
+	// registry keeps no dealing alive.
+	genTab  *modexp.Table
+	precomp sync.Map // uintptr → *modexp.Table
 }
 
 // newModpGroup assembles a parameter set from hex-encoded p and q.
@@ -157,10 +157,7 @@ func (g *modpGroup) table(base *big.Int) *modexp.Table {
 	if base == g.gen.v {
 		return g.genTab
 	}
-	if g.nPrecomp.Load() == 0 {
-		return nil
-	}
-	if t, ok := g.precomp.Load(base); ok {
+	if t, ok := g.precomp.Load(uintptr(unsafe.Pointer(base))); ok {
 		return t.(*modexp.Table)
 	}
 	return nil
@@ -230,13 +227,15 @@ func (g *modpGroup) MultiExp(terms []Term) *Point {
 // *big.Int pointer is an exponentiation base: the registry is keyed by
 // pointer identity, not value, so only values with deployment lifetime
 // (dealt keys) should be registered, and they must never be mutated.
-// Registration is cheap; the table is built on first use.
+// Registration is cheap; the table is built on first use and dropped
+// once base.v is unreachable.
 func (g *modpGroup) Precompute(base *Point) {
-	if base == nil || base.v == nil || base.v.Sign() <= 0 || base.v == g.gen.v {
+	if base == nil || base.id != g.id || base.v == nil || base.v.Sign() <= 0 || base.v == g.gen.v {
 		return
 	}
-	if _, loaded := g.precomp.LoadOrStore(base.v, modexp.NewTable(base.v, g.p, g.q.BitLen())); !loaded {
-		g.nPrecomp.Add(1)
+	key := uintptr(unsafe.Pointer(base.v))
+	if _, loaded := g.precomp.LoadOrStore(key, modexp.NewTable(base.v, g.p, g.q.BitLen())); !loaded {
+		runtime.SetFinalizer(base.v, func(*big.Int) { g.precomp.Delete(key) })
 	}
 }
 

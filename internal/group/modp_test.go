@@ -5,9 +5,11 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // Tests of the Z_p* backend's own machinery: fixed-base tables and
@@ -248,6 +250,32 @@ func TestPrecomputeRoutesExp(t *testing.T) {
 	// A different pointer with the same value must not hit the table.
 	if g.table(new(big.Int).Set(base.v)) != nil {
 		t.Fatal("precomp table matched by value, want pointer identity")
+	}
+}
+
+// TestPrecomputeDropsUnreachableBases: the registry does not keep a base
+// alive, so the tables of bases nobody holds are dropped, and a process
+// that deals many times does not keep every dealing's tables.
+func TestPrecomputeDropsUnreachableBases(t *testing.T) {
+	g := test512Group
+	tables := func() (n int) {
+		g.precomp.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	before := tables()
+	for i := 0; i < 8; i++ {
+		g.Precompute(randomPoint(t, g))
+	}
+	if n := tables(); n != before+8 {
+		t.Fatalf("%d tables registered, want %d", n, before+8)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for tables() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d tables of unreachable bases kept", tables()-before)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package modexp provides fixed-base windowed precomputation and
 // interleaved multi-exponentiation for modular exponentiation. It
-// backs the fast paths in internal/group (Schnorr-group elements mod P)
-// and internal/thresig (RSA share verification mod N): any base that is
-// fixed for the lifetime of a deployment — a generator, a dealt
-// verification key — trades memory for dropping every squaring from
-// the exponentiation ladder.
+// backs the fast paths of internal/group's Z_p* backend (Schnorr-group
+// elements mod P): any base that is fixed for the lifetime of a
+// deployment — a generator, a dealt verification key — trades memory
+// for dropping every squaring from the exponentiation ladder.
 //
 // The representation is table[i][j] = base^(j·2^(i·w)) mod M for j in
 // [1, 2^w), so base^e is one table multiply per w-bit window of e:

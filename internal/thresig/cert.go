@@ -143,11 +143,11 @@ func (s *CertScheme) Sufficient(parties adversary.Set) bool {
 //
 // a canonical encoding of ⌈n/8⌉ bytes plus 64 per signer.
 func (s *CertScheme) Combine(msg []byte, shares []Share) ([]byte, error) {
-	sig, _, err := s.combine(msg, shares)
+	sig, _, err := s.combine(msg, shares, Own{})
 	return sig, err
 }
 
-func (s *CertScheme) combine(msg []byte, shares []Share) ([]byte, []int, error) {
+func (s *CertScheme) combine(msg []byte, shares []Share, own Own) ([]byte, []int, error) {
 	byParty := make(map[int][]byte, len(shares))
 	var parties adversary.Set
 	var bad []int
@@ -155,7 +155,7 @@ func (s *CertScheme) combine(msg []byte, shares []Share) ([]byte, []int, error) 
 		if _, ok := byParty[sh.Party]; ok {
 			continue
 		}
-		if err := s.VerifyShare(msg, sh); err != nil {
+		if !own.covers(sh.Party, msg, sh.Data) && s.VerifyShare(msg, sh) != nil {
 			bad = append(bad, i) // robustness: skip invalid shares
 			continue
 		}
@@ -183,7 +183,10 @@ func (s *CertScheme) signerBytes() int { return (len(s.PubKeys) + 7) / 8 }
 
 // Verify checks a certificate: the signer set satisfies the opening rule
 // and every signature is valid.
-func (s *CertScheme) Verify(msg []byte, sig []byte) error {
+func (s *CertScheme) Verify(msg []byte, sig []byte) error { return s.verify(msg, sig, Own{}) }
+
+// verify is Verify, taking the entry that is own unchecked (VerifyOwn).
+func (s *CertScheme) verify(msg, sig []byte, own Own) error {
 	nb := s.signerBytes()
 	if len(sig) < nb {
 		return ErrInvalidSignature
@@ -197,8 +200,8 @@ func (s *CertScheme) Verify(msg []byte, sig []byte) error {
 	}
 	framed := s.frame(msg)
 	for i, p := range parties.Members() {
-		off := nb + i*ed25519.SignatureSize
-		if !ed25519.Verify(s.PubKeys[p], framed, sig[off:off+ed25519.SignatureSize]) {
+		entry := sig[nb+i*ed25519.SignatureSize:][:ed25519.SignatureSize]
+		if !own.covers(p, msg, entry) && !ed25519.Verify(s.PubKeys[p], framed, entry) {
 			return ErrInvalidSignature
 		}
 	}

@@ -295,3 +295,57 @@ func BenchmarkCertVerify(b *testing.B) {
 		}
 	}
 }
+
+// TestCertOwnShareTakenUnchecked: CombineOwn and VerifyOwn take party 0's
+// own entry without a check, and only when it is byte for byte the share
+// party 0 made, on the message being combined or verified. In view, party
+// 0's place holds party 1's key, so any check of party 0's signature
+// there fails; a certificate on another message that carries party 0's
+// share bytes is checked in full, under the right keys, and refused.
+func TestCertOwnShareTakenUnchecked(t *testing.T) {
+	s, keys := newTestCert(t, adversary.MustThreshold(4, 1), RuleQuorum)
+	msg, other := []byte("the statement party 0 signed"), []byte("another statement")
+	shares := signAll(t, s, keys, msg, []int{0, 1, 2})
+	own := Own{Msg: msg, Share: shares[0]}
+	view := &CertScheme{InstanceTag: s.InstanceTag, Structure: s.Structure, OpenRule: s.OpenRule,
+		PubKeys: append([][]byte{s.PubKeys[1]}, s.PubKeys[1:]...)}
+
+	cert, bad, err := CombineOwn(view, msg, shares, own)
+	if err != nil || bad != nil {
+		t.Fatalf("CombineOwn: culprits %v, %v", bad, err)
+	}
+	if err := VerifyOwn(view, msg, cert, own); err != nil {
+		t.Fatalf("VerifyOwn: %v", err)
+	}
+	if view.Verify(msg, cert) == nil || VerifyOwn(view, msg, cert, Own{}) == nil {
+		t.Fatal("without the own share, party 0's entry was not checked")
+	}
+	if err := s.Verify(msg, cert); err != nil {
+		t.Fatalf("the certificate does not verify under the right keys: %v", err)
+	}
+	mine := signAll(t, s, keys, other, []int{0})[0]
+	for name, o := range map[string]Own{
+		"another signature by party 0": {Msg: msg, Share: mine},
+		"the same bytes as party 1's":  {Msg: msg, Share: Share{Party: 1, Data: shares[0].Data}},
+		"another message":              {Msg: other, Share: shares[0]},
+	} {
+		if VerifyOwn(view, msg, cert, o) == nil {
+			t.Errorf("%s: VerifyOwn took party 0's entry unchecked", name)
+		}
+		if _, bad, _ := CombineOwn(view, msg, shares, o); len(bad) != 1 || bad[0] != 0 {
+			t.Errorf("%s: CombineOwn culprits %v, want [0]", name, bad)
+		}
+	}
+
+	// A certificate on another message with party 0's share bytes on msg
+	// at its index, and valid signatures of parties 1 and 2.
+	onOther := signAll(t, s, keys, other, []int{1, 2})
+	forged := append([]byte{0b0111}, shares[0].Data...)
+	forged = append(append(forged, onOther[0].Data...), onOther[1].Data...)
+	if VerifyOwn(s, other, forged, own) == nil {
+		t.Fatal("a certificate on another message with the own share bytes verified")
+	}
+	if s.Verify(other, forged) == nil {
+		t.Fatal("forged certificate verified")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"math/big"
 	"reflect"
 	"testing"
 
@@ -40,6 +39,10 @@ func TestCombineHelper(t *testing.T) {
 		build   func(good, wrong []Share, k int) []Share
 		wantErr error
 		wantBad []int
+		// unnamed: RSA names no culprit here. K shares, one of them
+		// wrong, and no proof: any K−1 of them fit some sharing of the
+		// key, so no combination singles the wrong one out.
+		unnamed bool
 	}{
 		{
 			// The second share is a valid share on another message:
@@ -77,6 +80,7 @@ func TestCombineHelper(t *testing.T) {
 			},
 			wantErr: ErrInsufficient,
 			wantBad: []int{1},
+			unnamed: true,
 		},
 		{
 			name: "duplicate parties are ignored",
@@ -113,8 +117,12 @@ func TestCombineHelper(t *testing.T) {
 		for _, c := range cases {
 			t.Run(sc.name+"/"+c.name, func(t *testing.T) {
 				sig, bad, err := Combine(s, msg, c.build(good, wrong, sc.k))
-				if !reflect.DeepEqual(bad, c.wantBad) {
-					t.Errorf("culprits %v, want %v", bad, c.wantBad)
+				want := c.wantBad
+				if c.unnamed && sc.name == "rsa" {
+					want = nil
+				}
+				if !reflect.DeepEqual(bad, want) {
+					t.Errorf("culprits %v, want %v", bad, want)
 				}
 				if c.wantErr != nil {
 					if !errors.Is(err, c.wantErr) || sig != nil {
@@ -133,60 +141,42 @@ func TestCombineHelper(t *testing.T) {
 	}
 }
 
-// hugeChallenge returns sh with its proof challenge widened to 128 KiB
-// (an RSA share) or, when its data is no RSA share, with 128 KiB appended.
+// hugeChallenge returns sh with 128 KiB appended to its data, which is
+// then neither one encoded value (RSA) nor one signature (certificate).
 func hugeChallenge(sh Share) Share {
-	huge := new(big.Int).SetBytes(bytes.Repeat([]byte{0xff}, 128<<10))
-	if parts, err := decodeBigs(sh.Data, 3); err == nil {
-		return Share{Party: sh.Party, Data: encodeBigs(parts[0], huge, parts[2])}
-	}
-	return Share{Party: sh.Party, Data: append(append([]byte(nil), sh.Data...), huge.Bytes()...)}
+	return Share{Party: sh.Party, Data: append(append([]byte(nil), sh.Data...), bytes.Repeat([]byte{0xff}, 128<<10)...)}
 }
 
-// BenchmarkRSACombine compares the two ways to turn k honest shares into
-// a signature: verify every share's proof and then combine, or combine
-// first and rely on the check of the combined signature (Combine). The
-// one-culprit case prices an attack: a wrong share first, then k honest
-// ones, so the combine fails and every share's proof is checked.
+// BenchmarkRSACombine prices Combine on k honest shares (one combine)
+// and on t = k−1 wrong shares first, then k honest ones: the first
+// combine fails, the K-subsets of the first 2k−1 are tried until the
+// honest one verifies, and each wrong share is tested once more.
 func BenchmarkRSACombine(b *testing.B) {
 	msg := []byte("benchmark message")
 	p, q, _ := TestSafePrimes256()
 	for _, k := range []int{2, 3, 5} {
-		s, keys, err := NewRSAScheme("bench", p, q, 7, k, rand.Reader)
+		s, keys, err := NewRSAScheme("bench", p, q, 2*k-1, k, rand.Reader)
 		if err != nil {
 			b.Fatal(err)
 		}
-		parties := make([]int, k)
-		for i := range parties {
-			parties[i] = i + 1
+		all := make([]int, 2*k-1)
+		for i := range all {
+			all[i] = i
 		}
-		shares := signAll(b, s, keys, msg, parties)
-		b.Run(fmt.Sprintf("k=%d/verify-then-combine", k), func(b *testing.B) {
+		shares := signAll(b, s, keys, msg, all)
+		b.Run(fmt.Sprintf("k=%d/honest", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, sh := range shares {
-					if err := s.VerifyShare(msg, sh); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := s.Combine(msg, shares); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("k=%d/combine-first", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, bad, err := Combine(s, msg, shares); err != nil || bad != nil {
+				if _, bad, err := Combine(s, msg, shares[k-1:]); err != nil || bad != nil {
 					b.Fatal(err, bad)
 				}
 			}
 		})
-		culprit := append([]Share{signAll(b, s, keys, []byte("another message"), []int{0})[0]}, shares...)
-		b.Run(fmt.Sprintf("k=%d/one-culprit", k), func(b *testing.B) {
+		culprits := append(signAll(b, s, keys, []byte("another message"), all[:k-1]), shares[k-1:]...)
+		b.Run(fmt.Sprintf("k=%d/t-culprits-first", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, bad, err := Combine(s, msg, culprit); err != nil || len(bad) != 1 {
+				if _, bad, err := Combine(s, msg, culprits); err != nil || len(bad) != k-1 {
 					b.Fatal(err, bad)
 				}
 			}

@@ -3,6 +3,7 @@ package thresig
 import (
 	"bytes"
 	"crypto/rand"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
 
@@ -63,27 +64,71 @@ func TestQuickCertMessageBinding(t *testing.T) {
 	}
 }
 
-// Property: share encodings survive arbitrary prefix corruption without
-// panics, and never verify.
-func TestQuickRSAShareFuzz(t *testing.T) {
-	s, keys := newTestRSA(t, 4, 2)
+// Property: at n = 7 (K = 3), up to t = 2 parties' shares are corrupted —
+// a byte of the encoding changed, which leaves a wrong value or a
+// malformed share — and all seven arrive in a random order. Combine
+// returns a verifying signature and names no honest share; every
+// malformed share is named, and when a wrong share is among the first K
+// it combines, every corrupted one is.
+func TestQuickRSACombineNamesOnlyWrongShares(t *testing.T) {
+	s, keys := newTestRSA(t, 7, 3)
 	msg := []byte("fuzzed")
-	good, err := s.SignShare(keys[1], msg, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(idx uint16, b byte) bool {
-		data := append([]byte(nil), good.Data...)
-		if len(data) == 0 {
-			return true
+	good := signAll(t, s, keys, msg, []int{0, 1, 2, 3, 4, 5, 6})
+	f := func(seed int64, corrupt uint8, idx [2]uint16, b [2]byte) bool {
+		rng := mrand.New(mrand.NewSource(seed))
+		order := rng.Perm(7)
+		shares := make([]Share, 7)
+		wrong := map[int]bool{}
+		var malformed []int
+		for pos, p := range order {
+			shares[pos] = good[p]
 		}
-		i := int(idx) % len(data)
-		if data[i] == b {
-			b ^= 0xFF
+		for k := 0; k < int(corrupt%3); k++ {
+			pos := rng.Intn(7)
+			if wrong[pos] {
+				continue
+			}
+			data := append([]byte(nil), shares[pos].Data...)
+			i := int(idx[k]) % len(data)
+			if data[i] == b[k] {
+				b[k] ^= 0xFF
+			}
+			data[i] = b[k]
+			shares[pos].Data = data
+			wrong[pos] = true
+			if s.VerifyShare(msg, shares[pos]) != nil {
+				malformed = append(malformed, pos)
+			}
 		}
-		data[i] = b
-		bad := Share{Party: good.Party, Data: data}
-		return s.VerifyShare(msg, bad) != nil
+		sig, bad, err := Combine(s, msg, shares)
+		if err != nil || s.Verify(msg, sig) != nil {
+			return false
+		}
+		named := map[int]bool{}
+		for _, i := range bad {
+			if !wrong[i] {
+				return false
+			}
+			named[i] = true
+		}
+		for _, i := range malformed {
+			if !named[i] {
+				return false
+			}
+		}
+		// The first K well-formed shares: one wrong among them fails the
+		// first combine, and then every corrupted share is tested.
+		firstK := 0
+		for pos := 0; pos < 7 && firstK < s.K; pos++ {
+			if s.VerifyShare(msg, shares[pos]) != nil {
+				continue
+			}
+			firstK++
+			if wrong[pos] && len(named) != len(wrong) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -7,17 +7,19 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
+	"slices"
 
 	"sintra/internal/adversary"
-	"sintra/internal/modexp"
 )
 
 // RSAScheme is Shoup's practical threshold RSA signature scheme
 // (EUROCRYPT 2000). A trusted dealer shares the RSA signing exponent d
 // with a degree K-1 polynomial over Z_m (m = p'q' for safe primes
 // p = 2p'+1, q = 2q'+1); any K valid signature shares combine into a
-// standard RSA signature y with y^E = H(M)² mod N.
+// standard RSA signature y with y^E = H(M)² mod N. A share is its value
+// alone: Shoup's proof of correctness, and the verification keys it is
+// checked against, serve robustness only, which the package-level
+// Combine gets by combining (see combine).
 //
 // All fields are public values identical on every party; they are exported
 // for serialization and must be treated as read-only.
@@ -30,42 +32,11 @@ type RSAScheme struct {
 	K int
 	// NParties is the number of share holders.
 	NParties int
-	// V is the verification base (a quadratic residue mod N) and
-	// VKeys[i] = V^{s_i} the per-party verification keys.
-	V     *big.Int
-	VKeys []*big.Int
 	// Delta is NParties! — Shoup's denominator-clearing factor.
 	Delta *big.Int
-
-	// Fixed-base exponentiation tables for V and the verification keys:
-	// every share signature and verification exponentiates them, and the
-	// scheme lives for the whole deployment. Built lazily on first use so
-	// deserialized schemes need no explicit init.
-	precompOnce sync.Once
-	vTab        *modexp.Table
-	vkTabs      []*modexp.Table
 }
 
 var _ Scheme = (*RSAScheme)(nil)
-
-// rsaProofHashBits is the bit length of the Fiat-Shamir challenge (L1).
-const rsaProofHashBits = 128
-
-// zBits bounds the proof response z = s_i·c + r: r has |N|+2·L1+64 bits
-// and s_i·c at most |N|+L1, so the sum fits in |N|+2·L1+65 bits. Honest
-// provers never exceed it; VerifyShare rejects anything longer.
-func (s *RSAScheme) zBits() int { return s.N.BitLen() + 2*rsaProofHashBits + 65 }
-
-// precompute builds the fixed-base tables (idempotent, concurrency-safe).
-func (s *RSAScheme) precompute() {
-	s.precompOnce.Do(func() {
-		s.vTab = modexp.NewTable(s.V, s.N, s.zBits())
-		s.vkTabs = make([]*modexp.Table, len(s.VKeys))
-		for i, vk := range s.VKeys {
-			s.vkTabs[i] = modexp.NewTable(vk, s.N, rsaProofHashBits)
-		}
-	})
-}
 
 // NewRSAScheme deals a fresh Shoup threshold RSA key over the safe primes
 // p and q: K-of-n opening, public exponent 65537. It returns the public
@@ -110,17 +81,6 @@ func NewRSAScheme(tag string, p, q *big.Int, n, k int, rnd io.Reader) (*RSASchem
 		shares[i] = acc
 	}
 
-	// Verification base: a random quadratic residue.
-	r, err := rand.Int(rnd, bigN)
-	if err != nil {
-		return nil, nil, fmt.Errorf("thresig: %w", err)
-	}
-	v := new(big.Int).Mod(new(big.Int).Mul(r, r), bigN)
-	vkeys := make([]*big.Int, n)
-	for i := range vkeys {
-		vkeys[i] = new(big.Int).Exp(v, shares[i], bigN)
-	}
-
 	delta := big.NewInt(1)
 	for i := 2; i <= n; i++ {
 		delta.Mul(delta, big.NewInt(int64(i)))
@@ -132,8 +92,6 @@ func NewRSAScheme(tag string, p, q *big.Int, n, k int, rnd io.Reader) (*RSASchem
 		E:           e,
 		K:           k,
 		NParties:    n,
-		V:           v,
-		VKeys:       vkeys,
 		Delta:       delta,
 	}
 	keys := make([]*SecretKey, n)
@@ -174,9 +132,7 @@ func (s *RSAScheme) digest(msg []byte) *big.Int {
 	var ctr uint32
 	for len(out) < want {
 		h := sha256.New()
-		var cb [4]byte
-		binary.BigEndian.PutUint32(cb[:], ctr)
-		h.Write(cb[:])
+		h.Write(binary.BigEndian.AppendUint32(nil, ctr))
 		h.Write([]byte("sintra/thresig/rsa/"))
 		h.Write([]byte(s.InstanceTag))
 		h.Write([]byte{0})
@@ -189,95 +145,36 @@ func (s *RSAScheme) digest(msg []byte) *big.Int {
 	return x.Mul(x, x).Mod(x, s.N)
 }
 
-// challenge computes the Fiat-Shamir challenge of a share proof.
-func (s *RSAScheme) challenge(vk, xTilde, xi2, vPrime, xPrime *big.Int) *big.Int {
-	h := sha256.New()
-	h.Write([]byte("sintra/thresig/rsa/chal/"))
-	h.Write([]byte(s.InstanceTag))
-	for _, b := range []*big.Int{s.V, vk, xTilde, xi2, vPrime, xPrime} {
-		buf := b.Bytes()
-		var lb [4]byte
-		binary.BigEndian.PutUint32(lb[:], uint32(len(buf)))
-		h.Write(lb[:])
-		h.Write(buf)
-	}
-	sum := h.Sum(nil)
-	return new(big.Int).SetBytes(sum[:rsaProofHashBits/8])
-}
-
-// SignShare produces x_i = x̂^{2Δ s_i} with Shoup's proof of correctness.
-func (s *RSAScheme) SignShare(sk *SecretKey, msg []byte, rnd io.Reader) (Share, error) {
+// SignShare returns the share x_i = x̂^{2Δ s_i}, its value alone: there
+// is no proof of correctness (see Combine).
+func (s *RSAScheme) SignShare(sk *SecretKey, msg []byte, _ io.Reader) (Share, error) {
 	if sk == nil || len(sk.RSAShare) == 0 || sk.Party < 0 || sk.Party >= s.NParties {
 		return Share{}, ErrWrongKey
 	}
-	si := new(big.Int).SetBytes(sk.RSAShare)
-	x := s.digest(msg)
 	exp := new(big.Int).Lsh(s.Delta, 1) // 2Δ
-	exp.Mul(exp, si)
-	xi := new(big.Int).Exp(x, exp, s.N)
-
-	// Proof: log_v(v_i) = log_{x̃}(x_i²) = s_i, with x̃ = x̂^{4Δ}.
-	xTilde := new(big.Int).Exp(x, new(big.Int).Lsh(s.Delta, 2), s.N)
-	xi2 := new(big.Int).Mod(new(big.Int).Mul(xi, xi), s.N)
-	// r ∈ [0, 2^{|N| + 2·L1 + 64})
-	bound := new(big.Int).Lsh(big.NewInt(1), uint(s.N.BitLen()+2*rsaProofHashBits+64))
-	r, err := rand.Int(rnd, bound)
-	if err != nil {
-		return Share{}, fmt.Errorf("thresig: %w", err)
-	}
-	s.precompute()
-	vPrime := s.vTab.Exp(r)
-	xPrime := new(big.Int).Exp(xTilde, r, s.N)
-	c := s.challenge(s.VKeys[sk.Party], xTilde, xi2, vPrime, xPrime)
-	z := new(big.Int).Mul(si, c)
-	z.Add(z, r)
-	return Share{Party: sk.Party, Data: encodeBigs(xi, c, z)}, nil
+	exp.Mul(exp, new(big.Int).SetBytes(sk.RSAShare))
+	return Share{Party: sk.Party, Data: encodeBigs(new(big.Int).Exp(s.digest(msg), exp, s.N))}, nil
 }
 
-// VerifyShare checks a signature share's proof of correctness. It
-// bounds c and z before any exponentiation, so a share's cost does not
-// grow with its encoded size.
-func (s *RSAScheme) VerifyShare(msg []byte, sh Share) error {
+// VerifyShare checks what can be checked of a share on its own: a party
+// of the scheme and the encoding of one value 0 < x_i < N. A share
+// carries no proof, so a well-formed wrong share passes; Combine finds
+// it by combining.
+func (s *RSAScheme) VerifyShare(_ []byte, sh Share) error {
+	_, err := s.value(sh)
+	return err
+}
+
+// value decodes a share's x_i (VerifyShare's check).
+func (s *RSAScheme) value(sh Share) (*big.Int, error) {
 	if sh.Party < 0 || sh.Party >= s.NParties {
-		return ErrInvalidShare
+		return nil, ErrInvalidShare
 	}
-	parts, err := decodeBigs(sh.Data, 3)
-	if err != nil {
-		return ErrInvalidShare
+	parts, err := decodeBigs(sh.Data, 1)
+	if err != nil || parts[0].Sign() <= 0 || parts[0].Cmp(s.N) >= 0 {
+		return nil, ErrInvalidShare
 	}
-	xi, c, z := parts[0], parts[1], parts[2]
-	if xi.Sign() <= 0 || xi.Cmp(s.N) >= 0 {
-		return ErrInvalidShare
-	}
-	if c.BitLen() > rsaProofHashBits || z.Sign() < 0 || z.BitLen() > s.zBits() {
-		return ErrInvalidShare
-	}
-	s.precompute()
-	x := s.digest(msg)
-	xTilde := new(big.Int).Exp(x, new(big.Int).Lsh(s.Delta, 2), s.N)
-	xi2 := new(big.Int).Mod(new(big.Int).Mul(xi, xi), s.N)
-	vk := s.VKeys[sh.Party]
-
-	// v' = v^z · (v_i^c)^{-1}, x' = x̃^z · (x_i²)^{-c}; v^z and v_i^c
-	// take the fixed-base tables, inverting after the exponentiation.
-	vkC := s.vkTabs[sh.Party].Exp(c)
-	vkCInv := new(big.Int).ModInverse(vkC, s.N)
-	if vkCInv == nil {
-		return ErrInvalidShare
-	}
-	xi2Inv := new(big.Int).ModInverse(xi2, s.N)
-	if xi2Inv == nil {
-		return ErrInvalidShare
-	}
-	vPrime := s.vTab.Exp(z)
-	vPrime.Mul(vPrime, vkCInv).Mod(vPrime, s.N)
-	xPrime := new(big.Int).Exp(xTilde, z, s.N)
-	xPrime.Mul(xPrime, new(big.Int).Exp(xi2Inv, c, s.N)).Mod(xPrime, s.N)
-
-	if s.challenge(vk, xTilde, xi2, vPrime, xPrime).Cmp(c) != 0 {
-		return ErrInvalidShare
-	}
-	return nil
+	return parts[0], nil
 }
 
 // Sufficient reports whether the parties meet the K-of-n opening rule.
@@ -285,32 +182,98 @@ func (s *RSAScheme) Sufficient(parties adversary.Set) bool {
 	return parties.Count() >= s.K
 }
 
-// Combine assembles a standard RSA signature from the first K shares of
-// distinct parties, verified or not (a wrong one fails the final check):
-// w = Π x_i^{2λ_i} with integer Lagrange coefficients λ_i = Δ·Π j/(j−i),
-// then y = w^a · x̂^b for ea + 4Δ²b = 1, so that y^E = x̂ mod N.
+// Combine assembles a standard RSA signature from shares that need not
+// be verified, as the package-level Combine does.
 func (s *RSAScheme) Combine(msg []byte, shares []Share) ([]byte, error) {
-	// Deduplicate by party, keep the first K.
-	var chosen []rsaPoint
-	seen := make(map[int]bool, len(shares))
-	for _, sh := range shares {
-		if seen[sh.Party] || sh.Party < 0 || sh.Party >= s.NParties {
-			continue
-		}
-		parts, err := decodeBigs(sh.Data, 3)
-		if err != nil {
-			continue
-		}
-		seen[sh.Party] = true
-		chosen = append(chosen, rsaPoint{x: sh.Party + 1, xi: parts[0]})
-		if len(chosen) == s.K {
-			break
-		}
-	}
-	if len(chosen) < s.K {
-		return nil, ErrInsufficient
-	}
+	sig, _, _, err := s.combine(msg, shares)
+	return sig, err
+}
 
+// points decodes the shares, the first of each party, in order; bad are
+// the indexes of shares that fail VerifyShare.
+func (s *RSAScheme) points(shares []Share) (pts []rsaPoint, bad []int) {
+	seen := make([]bool, s.NParties)
+	for i, sh := range shares {
+		if xi, err := s.value(sh); err != nil {
+			bad = append(bad, i)
+		} else if !seen[sh.Party] {
+			seen[sh.Party] = true
+			pts = append(pts, rsaPoint{x: sh.Party + 1, xi: xi, at: i})
+		}
+	}
+	return pts, bad
+}
+
+// combine is the package-level Combine for RSA shares, which carry no
+// proof; tries counts the combines it made. The first K well-formed
+// shares of distinct parties are combined; if that fails, the K-subsets
+// of the first 2K−1 (K = t+1 of which are honest when at most t are not)
+// are combined in lexicographic order until one verifies, and every other
+// share is then combined with K−1 members of that subset: a share that
+// fails there is a culprit. Shares that fail VerifyShare are culprits at
+// once. A failed first combine thus costs at most C(2K−1, K) combines
+// plus one per other share.
+func (s *RSAScheme) combine(msg []byte, shares []Share) (sig []byte, bad []int, tries int, err error) {
+	pts, bad := s.points(shares)
+	if len(pts) < s.K {
+		return nil, bad, 0, ErrInsufficient
+	}
+	x := s.digest(msg)
+	sub := make([]int, s.K)
+	for i := range sub {
+		sub[i] = i
+	}
+	pick := make([]rsaPoint, s.K)
+	try := func() ([]byte, error) {
+		tries++
+		for i, j := range sub {
+			pick[i] = pts[j]
+		}
+		return s.combinePoints(x, pick)
+	}
+	for sig, err = try(); err != nil; sig, err = try() {
+		if !nextSubset(sub, min(len(pts), 2*s.K-1)) {
+			return nil, bad, tries, ErrInsufficient
+		}
+	}
+	if tries == 1 {
+		return sig, bad, tries, nil
+	}
+	found := slices.Clone(sub)
+	for j := range pts {
+		if slices.Contains(found, j) {
+			continue
+		}
+		sub[s.K-1] = j
+		if _, err := try(); err != nil {
+			bad = append(bad, pts[j].at)
+		}
+	}
+	slices.Sort(bad)
+	return sig, bad, tries, nil
+}
+
+// nextSubset advances sub, an ascending K-subset of [0, m), to its
+// lexicographic successor; false when sub was the last.
+func nextSubset(sub []int, m int) bool {
+	k := len(sub)
+	for i := k - 1; i >= 0; i-- {
+		if sub[i] < m-k+i {
+			sub[i]++
+			for j := i + 1; j < k; j++ {
+				sub[j] = sub[j-1] + 1
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// combinePoints combines K parsed shares on the digest x:
+// w = Π x_i^{2λ_i} with integer Lagrange coefficients λ_i = Δ·Π j/(j−i),
+// then y = w^b · x^a for ea + 4Δ²b = 1, so that y^E = x mod N; a y that
+// fails that check is ErrInvalidSignature.
+func (s *RSAScheme) combinePoints(x *big.Int, chosen []rsaPoint) ([]byte, error) {
 	w := big.NewInt(1)
 	for i, p := range chosen {
 		lam := s.lagrange(chosen, i)
@@ -327,15 +290,12 @@ func (s *RSAScheme) Combine(msg []byte, shares []Share) ([]byte, error) {
 	}
 
 	// ea + 4Δ²b = 1, so y = w^b · x̂^a satisfies
-	// y^e = (x̂^{4Δ²})^b · x̂^{ea} = x̂.
+	// y^e = (x̂^{4Δ²})^b · x̂^{ea} = x̂ (were the gcd not 1, the check
+	// below would fail).
 	fourDelta2 := new(big.Int).Mul(s.Delta, s.Delta)
 	fourDelta2.Lsh(fourDelta2, 2)
 	a, b := new(big.Int), new(big.Int)
-	g := new(big.Int).GCD(a, b, s.E, fourDelta2)
-	if g.Cmp(big.NewInt(1)) != 0 {
-		return nil, fmt.Errorf("thresig: gcd(e, 4Δ²) != 1")
-	}
-	x := s.digest(msg)
+	new(big.Int).GCD(a, b, s.E, fourDelta2)
 	y := modExpSigned(w, b, s.N)
 	y.Mul(y, modExpSigned(x, a, s.N)).Mod(y, s.N)
 
@@ -349,6 +309,7 @@ func (s *RSAScheme) Combine(msg []byte, shares []Share) ([]byte, error) {
 type rsaPoint struct {
 	x  int // Shamir x-coordinate (party+1)
 	xi *big.Int
+	at int // index among the shares given to combine
 }
 
 // lagrange computes λ = Δ · Π_{j≠i} x_j / (x_j − x_i), an exact integer.
@@ -397,17 +358,10 @@ func (s *RSAScheme) Verify(msg []byte, sig []byte) error {
 
 // encodeBigs serializes big integers with 4-byte length prefixes.
 func encodeBigs(vals ...*big.Int) []byte {
-	size := 0
-	for _, v := range vals {
-		size += 4 + len(v.Bytes())
-	}
-	out := make([]byte, 0, size)
+	var out []byte
 	for _, v := range vals {
 		b := v.Bytes()
-		var lb [4]byte
-		binary.BigEndian.PutUint32(lb[:], uint32(len(b)))
-		out = append(out, lb[:]...)
-		out = append(out, b...)
+		out = append(binary.BigEndian.AppendUint32(out, uint32(len(b))), b...)
 	}
 	return out
 }

@@ -6,9 +6,9 @@
 // Two schemes are provided behind one interface:
 //
 //   - RSAScheme — Shoup's practical threshold RSA signatures
-//     (EUROCRYPT 2000): non-interactive, robust (shares carry validity
-//     proofs), with constant-size combined signatures. It requires a plain
-//     k-out-of-n opening rule: the answer key a client checks (t+1).
+//     (EUROCRYPT 2000): non-interactive, constant-size combined
+//     signatures, shares without proofs. It requires a plain k-out-of-n
+//     opening rule: the answer key a client checks (t+1).
 //
 //   - CertScheme — a qualified-set certificate of Ed25519 signatures,
 //     validated against an arbitrary generalized adversary structure. It
@@ -20,15 +20,16 @@
 // Both schemes domain-separate instances with a Tag, so a share released
 // for one protocol role can never be replayed in another.
 //
-// Consumers combine shares before checking any proof (the package-level
+// Consumers combine shares before checking any (the package-level
 // Combine): a combined RSA signature that verifies under the public key
-// is a valid signature whoever contributed, so the share proofs are
-// checked only when a combine fails, one share at a time with
-// VerifyShare, to name the culprits. An RSA share is its value x_i and
-// the proof (c, z); the check recomputes the proof's commitments.
+// is the signature, whoever contributed, and an RSA share is its value
+// alone, so wrong shares are found by combining subsets (DESIGN.md,
+// substitution 9). Certificate entries are checked as they are combined,
+// except a party's own (Own).
 package thresig
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"errors"
 	"io"
@@ -56,33 +57,52 @@ type Share struct {
 	// Party is the signer.
 	Party int
 	// Data is the scheme-specific share encoding: for RSAScheme the
-	// share x_i and its proof (c, z).
+	// share x_i, for CertScheme an Ed25519 signature.
 	Data []byte
 }
 
 // Combine assembles a signature on msg from shares nobody has verified
-// and returns the indexes of the invalid shares it found; a signature it
-// returns verifies, whoever contributed. CertScheme checks each share as
-// it combines. RSAScheme combines first and, only when that fails,
-// checks every share with VerifyShare and combines the rest if they
-// still suffice.
+// and returns the indexes of the invalid shares it found, ascending; a
+// signature it returns verifies, whoever contributed. CertScheme checks
+// each share as it combines, RSAScheme searches subsets only when the
+// first K fail; any other Scheme names no culprit.
 func Combine(s Scheme, msg []byte, shares []Share) (sig []byte, bad []int, err error) {
+	return CombineOwn(s, msg, shares, Own{})
+}
+
+// Own is a share this party made and the message it signed. A
+// certificate entry that is byte for byte this share, at its party and
+// for this very message, is taken without a check; every other entry is
+// checked in full. The zero Own matches nothing.
+type Own struct {
+	Msg   []byte
+	Share Share
+}
+
+// covers reports whether data, party p's entry on msg, is the own share.
+func (o *Own) covers(p int, msg, data []byte) bool {
+	return o.Share.Party == p && len(data) > 0 && bytes.Equal(o.Share.Data, data) && bytes.Equal(o.Msg, msg)
+}
+
+// CombineOwn is Combine taking the party's own share unchecked.
+func CombineOwn(s Scheme, msg []byte, shares []Share, own Own) (sig []byte, bad []int, err error) {
+	switch s := s.(type) {
+	case *CertScheme:
+		return s.combine(msg, shares, own)
+	case *RSAScheme:
+		sig, bad, _, err = s.combine(msg, shares)
+		return sig, bad, err
+	}
+	sig, err = s.Combine(msg, shares)
+	return sig, nil, err
+}
+
+// VerifyOwn is s.Verify taking the party's own entry unchecked.
+func VerifyOwn(s Scheme, msg, sig []byte, own Own) error {
 	if cs, ok := s.(*CertScheme); ok {
-		return cs.combine(msg, shares)
+		return cs.verify(msg, sig, own)
 	}
-	if sig, err = s.Combine(msg, shares); err == nil {
-		return sig, nil, nil
-	}
-	for i, sh := range shares {
-		if s.VerifyShare(msg, sh) != nil {
-			bad = append(bad, i)
-		}
-	}
-	if bad == nil {
-		return nil, nil, err
-	}
-	sig, err = s.Combine(msg, Without(shares, bad))
-	return sig, bad, err
+	return s.Verify(msg, sig)
 }
 
 // Without returns a new slice of the shares whose indexes are not in
@@ -119,7 +139,8 @@ type Scheme interface {
 	Tag() string
 	// SignShare produces the calling party's share on msg.
 	SignShare(sk *SecretKey, msg []byte, rnd io.Reader) (Share, error)
-	// VerifyShare checks a single share (robustness).
+	// VerifyShare checks a single share: in full for CertScheme, only
+	// its encoding and range for RSAScheme, whose shares carry no proof.
 	VerifyShare(msg []byte, sh Share) error
 	// Sufficient reports whether shares from the given parties meet the
 	// opening rule.

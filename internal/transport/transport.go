@@ -442,8 +442,9 @@ func (t *Transport) serveConn(conn net.Conn) {
 	}
 	var session []byte
 	switch {
-	case h.From >= 0 && h.From < t.cfg.N:
-		// Server peer: verify the hello MAC under the shared link key.
+	case h.From >= 0 && h.From < t.cfg.N && h.From != t.cfg.Self:
+		// Server peer, never this server itself (abc takes what comes from
+		// its own index unchecked): verify the hello MAC under the link key.
 		key := t.cfg.LinkKeys[h.From]
 		if len(key) == 0 || !hmac.Equal(h.MAC, helloMAC(key, h.From, t.cfg.Self, h.Nonce)) {
 			return

@@ -2,9 +2,13 @@ package transport_test
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -311,6 +315,7 @@ func TestHelloOfAnotherFormatRefused(t *testing.T) {
 		frame []byte
 	}{
 		{"old-magic", wire.MustMarshalBody(hello{Magic: "sintra8", From: 1, Nonce: make([]byte, 16)})},
+		{"format-12", wire.MustMarshalBody(hello{Magic: "sintra12", From: 1, Nonce: make([]byte, 16)})},
 		{"gob", gobHello.Bytes()},
 	} {
 		conn, err := net.Dial("tcp", tr.Addr())
@@ -337,5 +342,63 @@ func TestHelloOfAnotherFormatRefused(t *testing.T) {
 	}
 	if !noted {
 		t.Fatal("the refused magic was not traced")
+	}
+}
+
+// TestHelloClaimingOwnIndexRefused: a hello that names the receiving
+// server as its sender is refused — with no key for that index, as the
+// dealer leaves it, and even with one under which its MAC is valid. A
+// party takes a message from its own index as its own (abc checks no
+// signature on its own PROPOSAL), so no peer may speak as it. The same
+// hello from the peer's own index is accepted and the connection stays
+// open.
+func TestHelloClaimingOwnIndexRefused(t *testing.T) {
+	key := bytes.Repeat([]byte{7}, 32)
+	magic := fmt.Sprint("sintra", wire.Format)
+	type hello struct { // the transport's hello, field for field
+		Magic string
+		From  int
+		Nonce []byte
+		MAC   []byte
+	}
+	for _, selfKey := range [][]byte{nil, key} {
+		tr, err := transport.NewServer(transport.Config{
+			Self: 0, N: 2, Addrs: []string{"127.0.0.1:0", "127.0.0.1:0"},
+			ListenAddr: "127.0.0.1:0", LinkKeys: [][]byte{selfKey, key},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, from := range []int{1, 0} {
+			nonce := make([]byte, 16)
+			mac := hmac.New(sha256.New, key)
+			fmt.Fprintf(mac, "%s|%d|%d|", magic, from, 0)
+			mac.Write(nonce)
+			frame := wire.MustMarshalBody(hello{Magic: magic, From: from, Nonce: nonce, MAC: mac.Sum(nil)})
+			conn, err := net.Dial("tcp", tr.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lb [4]byte
+			binary.BigEndian.PutUint32(lb[:], uint32(len(frame)))
+			if _, err := conn.Write(append(lb[:], frame...)); err != nil {
+				t.Fatal(err)
+			}
+			wait := 10 * time.Second
+			if from == 1 {
+				wait = 300 * time.Millisecond
+			}
+			conn.SetReadDeadline(time.Now().Add(wait))
+			_, err = conn.Read(make([]byte, 1))
+			conn.Close()
+			var ne net.Error
+			switch {
+			case from == 1 && !(errors.As(err, &ne) && ne.Timeout()):
+				t.Fatalf("own key %v: the peer's hello was not accepted (%v)", selfKey != nil, err)
+			case from == 0 && err != io.EOF:
+				t.Fatalf("own key %v: a hello claiming the receiver's index was not refused (%v)", selfKey != nil, err)
+			}
+		}
+		tr.Close()
 	}
 }

@@ -182,8 +182,12 @@ func TestJournalRefusesOtherFormats(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(other, "FORMAT"), []byte("8"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	previous := t.TempDir()
+	if err := os.WriteFile(filepath.Join(previous, "FORMAT"), []byte("12"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	this := fmt.Sprint("format ", wire.Format)
-	for dir, names := range map[string][]string{old: {"format 1", this}, other: {`"8"`, this}} {
+	for dir, names := range map[string][]string{old: {"format 1", this}, other: {`"8"`, this}, previous: {`"12"`, this}} {
 		j, err := OpenJournal(dir, testOpts())
 		if !errors.Is(err, ErrFormat) {
 			if j != nil {

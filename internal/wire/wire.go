@@ -29,11 +29,12 @@ import "fmt"
 // ciphertext; 11: an ordered request names the client endpoint its answer
 // goes to, a REQUEST is the ordered payload itself, and the journal keeps
 // no delivery record; 12: a quorum certificate names its signers by a
-// bitmap, not a count and an index per signature).
+// bitmap, not a count and an index per signature; 13: a threshold-RSA
+// signature share is its value alone, without Shoup's proof).
 // A replica refuses a peer whose transport hello, or a journal directory
 // whose marker (wal.OpenJournal), names another format: neither decodes
 // nor agrees across formats.
-const Format = 12
+const Format = 13
 
 // Message is the envelope routed between parties. Payload bytes must be
 // treated as immutable once sent.

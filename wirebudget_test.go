@@ -56,9 +56,10 @@ func (s *sendOrderTally) Next(pending []wire.Message) int {
 // descriptors too: 83–96 B and 76 KiB). A quorum-key share is one
 // Ed25519 signature: a cbc SHARE stays under 160 B (≈ 108 B; 241 B as a
 // threshold-RSA share with its proof), and a FINAL (≈ 270 B) or a
-// yes-VOTE carries n−t of them under a signer bitmap as a certificate. An answer share carries
-// its value and its proof, not the prover's commitments: a client
-// RESPONSE stays under 340 B (423 B with the commitments).
+// yes-VOTE carries n−t of them under a signer bitmap as a certificate.
+// An answer share is its value alone, without Shoup's proof: a client
+// RESPONSE (≈ 159 B) stays under 200 B (288 B with the proof, 423 B with
+// the proof's commitments too).
 func TestWireBudget(t *testing.T) {
 	tally := &sendOrderTally{msgs: map[[2]string]int{}, bytes: map[[2]string]int{}}
 	c := newChainCluster(t, 4, 1, sintra.WithSeed(7), sintra.WithScheduler(tally))
@@ -137,7 +138,7 @@ func TestWireBudget(t *testing.T) {
 			t.Errorf("%s %s averages %d B, want a certificate without its payload (< 400 B)", k[0], k[1], avg)
 		}
 	}
-	for k, limit := range map[[2]string]int{{"cbc", "SHARE"}: 160, {"client", "RESPONSE"}: 340} {
+	for k, limit := range map[[2]string]int{{"cbc", "SHARE"}: 160, {"client", "RESPONSE"}: 200} {
 		if tally.msgs[k] == 0 {
 			t.Fatalf("no %s %s was delivered", k[0], k[1])
 		}
