@@ -69,9 +69,9 @@ func RunBatchAblation(batchSizes []int, requests int) ([]BatchRow, error) {
 }
 
 // SigSchemeRow is one measurement of the signature-scheme ablation: the
-// dealer's default (a quorum certificate of Ed25519 signatures and a
-// Shoup threshold-RSA answer key) versus ForceCert (certificates for both
-// keys), both driving the same atomic broadcast.
+// dealer's default (a quorum certificate of Ed25519 signatures and, up to
+// K = 5, a Shoup threshold-RSA answer key) versus ForceCert (certificates
+// for both keys), both driving the same atomic broadcast.
 type SigSchemeRow struct {
 	Scheme     string
 	N          int
@@ -89,7 +89,7 @@ func RunSigSchemeAblation(n, requests int) ([]SigSchemeRow, error) {
 		return nil, err
 	}
 	var rows []SigSchemeRow
-	for _, scheme := range []string{"deal default (quorum certificate, RSA answer)", "ForceCert"} {
+	for _, scheme := range []string{"deal default (quorum certificate)", "ForceCert"} {
 		c, err := testutil.New(st, testutil.Options{Group: benchGroup, Seed: 19, ForceCert: scheme == "ForceCert"})
 		if err != nil {
 			return nil, err

@@ -184,6 +184,7 @@ type CBC struct {
 	stmt       []byte
 	sentDigest [32]byte
 	shares     []thresig.Share
+	comb       thresig.Combiner // combines shares
 	shareFrom  adversary.Set
 	finalSent  bool
 
@@ -343,7 +344,7 @@ func (c *CBC) onShare(from int, share thresig.Share) {
 	if !c.quorum() {
 		return
 	}
-	cert, bad, err := thresig.CombineOwn(c.cfg.Scheme, c.stmt, c.shares, c.own)
+	cert, bad, err := c.comb.Combine(c.cfg.Scheme, c.stmt, c.shares, c.own)
 	if bad != nil {
 		for _, i := range bad {
 			c.span.Event(stageShareRejected, -1, fmt.Sprint("from ", c.shares[i].Party))

@@ -185,6 +185,7 @@ type pendKey struct {
 type pendShares struct {
 	from   adversary.Set
 	shares []thresig.Share
+	comb   thresig.Combiner // combines shares
 }
 
 // Tracker runs the checkpoint protocol for one service instance. All
@@ -463,7 +464,7 @@ func (t *Tracker) onShare(from int, body shareBody) {
 	ps.shares = append(ps.shares, body.Share)
 	if t.enough(ps.shares) {
 		stmt := Statement(t.cfg.Instance, body.Seq, body.Round, body.Hash)
-		cert, bad, err := thresig.Combine(t.cfg.Scheme, stmt, ps.shares)
+		cert, bad, err := ps.comb.Combine(t.cfg.Scheme, stmt, ps.shares, thresig.Own{})
 		if bad != nil {
 			for _, i := range bad {
 				t.span.Event("share.rejected", body.Seq, fmt.Sprint("from ", ps.shares[i].Party))

@@ -48,13 +48,15 @@ type SecretKey = sharing.PartyKey
 type Share = sharing.ExponentShare
 
 // Deal generates a fresh coin key for the given structure, returning the
-// public parameters and each party's secret key.
+// public parameters, set up as Init sets up a loaded key, and each
+// party's secret key.
 func Deal(g group.Group, st *adversary.Structure, rnd io.Reader) (*Params, []*SecretKey, error) {
 	exp, _, keys, err := sharing.DealExponent(g, st, rnd)
 	if err != nil {
 		return nil, nil, fmt.Errorf("coin: %w", err)
 	}
-	return &Params{GroupName: g.Name(), Structure: st, VerifyKeys: exp.Keys(), exp: exp}, keys, nil
+	p := &Params{GroupName: g.Name(), Structure: st, VerifyKeys: exp.Keys()}
+	return p, keys, p.Init()
 }
 
 // Init rebuilds the runtime caches after deserialization and registers

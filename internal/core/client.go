@@ -78,8 +78,10 @@ type Client struct {
 }
 
 type call struct {
-	responses []rooted      // in arrival order, culprits dropped
-	from      adversary.Set // every server that responded
+	responses []rooted         // in arrival order, culprits dropped
+	from      adversary.Set    // every server that responded
+	comb      thresig.Combiner // on stmt, the statement last combined
+	stmt      string
 	answered  bool
 	ch        chan Answer
 }
@@ -304,7 +306,10 @@ func (c *Client) onResponse(from int, resp responseBody) {
 		return
 	}
 	stmt := rootStatement(c.service, resp.Count, root)
-	sig, bad, err := thresig.Combine(scheme, stmt, shares)
+	if cl.stmt != string(stmt) {
+		cl.comb, cl.stmt = thresig.Combiner{}, string(stmt)
+	}
+	sig, bad, err := cl.comb.Combine(scheme, stmt, shares, thresig.Own{})
 	for _, i := range bad {
 		// Corrupted server: invalid share. The counter is the client-side
 		// view of server misbehavior; its later responses stay ignored.

@@ -51,8 +51,8 @@ type Public struct {
 	// quorum's) Ed25519 signatures.
 	QuorumCert *thresig.CertScheme
 	// Exactly one of the answer pair is non-nil: Shoup threshold RSA when
-	// the honest rule is a count (threshold and hybrid structures), a
-	// certificate otherwise or under ForceCert.
+	// the honest rule is a count (threshold and hybrid structures) of at
+	// most maxAnswerRSAK, a certificate otherwise or under ForceCert.
 	AnswerRSA  *thresig.RSAScheme
 	AnswerCert *thresig.CertScheme
 }
@@ -91,6 +91,11 @@ type Options struct {
 	// Rand is the randomness source; nil means crypto/rand.
 	Rand io.Reader
 }
+
+// maxAnswerRSAK is the largest K for which the answer key is threshold
+// RSA: its shares carry no proof, so a failed combine searches K-subsets
+// of 2K−1 shares, C(9, 5) = 126 at K = 5 but 462 at K = 6.
+const maxAnswerRSAK = 5
 
 // New runs the dealer and returns the public output plus one secret per
 // party.
@@ -146,12 +151,12 @@ func New(opts Options) (*Public, []*PartySecret, error) {
 
 	// The quorum key, which only replicas check, is a certificate of
 	// individual signatures; the answer key, which clients check, is
-	// Shoup threshold RSA wherever the honest rule is a count.
+	// Shoup threshold RSA where the honest rule is a small enough count.
 	var qKeys, aKeys []*thresig.SecretKey
 	if pub.QuorumCert, qKeys, err = thresig.NewCertScheme(tagQuorum, st, thresig.RuleQuorum, rnd); err != nil {
 		return nil, nil, fmt.Errorf("deal: %w", err)
 	}
-	if k, countBased := st.HonestCount(); countBased && !opts.ForceCert {
+	if k, countBased := st.HonestCount(); countBased && k <= maxAnswerRSAK && !opts.ForceCert {
 		var p, q *big.Int
 		if opts.RSAPrimes != nil {
 			p, q, err = opts.RSAPrimes()
@@ -184,10 +189,6 @@ func New(opts Options) (*Public, []*PartySecret, error) {
 		}
 	}
 
-	// Set up as a loaded dealing: Init registers the fixed-base tables.
-	if err := pub.Init(); err != nil {
-		return nil, nil, err
-	}
 	return pub, secrets, nil
 }
 
@@ -212,7 +213,7 @@ func (p *Public) AnswerSig() thresig.Scheme {
 }
 
 // Init rebuilds runtime caches after deserialization and registers the
-// fixed-base tables of the coin and TDH2 keys; New calls it too.
+// fixed-base tables of the coin and TDH2 keys, as their Deal does.
 func (p *Public) Init() error {
 	if p.Structure == nil || p.Coin == nil || p.Enc == nil || p.Identity == nil {
 		return errors.New("deal: incomplete public material")

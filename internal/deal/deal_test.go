@@ -112,6 +112,20 @@ func TestQuorumCertMatchesRSAThreshold(t *testing.T) {
 	}
 }
 
+// TestDealLargeThresholdAnswersWithCert: the answer key is threshold RSA
+// up to K = t+1 = 5 (n = 13) and a certificate under the has-honest rule
+// from K = 6 (n = 16) on, where a search of RSA shares without proofs
+// could take hundreds of combines per message.
+func TestDealLargeThresholdAnswersWithCert(t *testing.T) {
+	if pub, _ := dealThreshold(t, 13, 4, false); pub.AnswerRSA == nil || pub.AnswerRSA.K != 5 {
+		t.Fatal("n=13, t=4: the answer key should be threshold RSA with K = 5")
+	}
+	pub, _ := dealThreshold(t, 16, 5, false)
+	if pub.AnswerRSA != nil || pub.AnswerCert == nil || pub.AnswerCert.OpenRule != thresig.RuleHasHonest {
+		t.Fatalf("n=16, t=5: answer key %T, want a has-honest certificate", pub.AnswerSig())
+	}
+}
+
 func TestDealForceCert(t *testing.T) {
 	pub, _ := dealThreshold(t, 4, 1, true)
 	if pub.QuorumCert == nil || pub.AnswerCert == nil {

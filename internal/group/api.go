@@ -30,6 +30,9 @@ import (
 	"io"
 	"math/big"
 	"os"
+	"sync/atomic"
+
+	"sintra/internal/modexp"
 )
 
 // Common errors returned by the decoding helpers.
@@ -167,6 +170,8 @@ type Point struct {
 	// by group arithmetic or a strict decode). Z_p* points decoded laxly
 	// from the wire leave it false and pay a Jacobi test in IsElement.
 	member bool
+	// tab is the Z_p* fixed-base table Precompute gave this point.
+	tab atomic.Pointer[modexp.Table]
 }
 
 // GroupID reports which parameter set the point belongs to.
@@ -224,7 +229,8 @@ func (p *Point) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*p = *dec
+	p.id, p.v, p.x, p.y, p.member = dec.id, dec.v, dec.x, dec.y, dec.member
+	p.tab.Store(nil) // a table of the value p held before
 	return nil
 }
 

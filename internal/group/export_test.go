@@ -5,5 +5,5 @@ package group
 // false on P-256, whose Precompute is a no-op.
 func HasTable(g Group, p *Point) bool {
 	m, ok := g.(*modpGroup)
-	return ok && p != nil && m.table(p.v) != nil
+	return ok && p != nil && m.table(p) != nil
 }

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"runtime"
-	"sync"
-	"unsafe"
 
 	"sintra/internal/modexp"
 )
@@ -28,13 +25,11 @@ type modpGroup struct {
 
 	// Fixed-base tables (internal/modexp): base^e then costs ~|q|/w
 	// table multiplications and no squarings. genTab serves the
-	// generator; precomp maps bases registered with Precompute, keyed
-	// by the address of their *big.Int, to theirs. Tables are built on
+	// generator; a base registered with Precompute holds its own
+	// (Point.tab), which lives as long as the point. Tables are built on
 	// first use and immutable afterwards: the routers of one process
-	// share one group. A finalizer on the base drops its entry, so the
-	// registry keeps no dealing alive.
-	genTab  *modexp.Table
-	precomp sync.Map // uintptr → *modexp.Table
+	// share one group.
+	genTab *modexp.Table
 }
 
 // newModpGroup assembles a parameter set from hex-encoded p and q.
@@ -151,24 +146,21 @@ func (g *modpGroup) DecodeScalar(b []byte) (*Scalar, error) {
 	return g.scalar(v), nil
 }
 
-// table returns the fixed-base table for base: the generator's, or one
-// registered with Precompute for this very *big.Int.
-func (g *modpGroup) table(base *big.Int) *modexp.Table {
-	if base == g.gen.v {
+// table returns the fixed-base table for base: the generator's, or the
+// one Precompute gave this very point.
+func (g *modpGroup) table(base *Point) *modexp.Table {
+	if base.v == g.gen.v {
 		return g.genTab
 	}
-	if t, ok := g.precomp.Load(uintptr(unsafe.Pointer(base))); ok {
-		return t.(*modexp.Table)
-	}
-	return nil
+	return base.tab.Load()
 }
 
 // exp returns base^e mod p, through base's fixed-base table if it has one.
-func (g *modpGroup) exp(base, e *big.Int) *big.Int {
+func (g *modpGroup) exp(base *Point, e *big.Int) *big.Int {
 	if t := g.table(base); t != nil {
 		return t.Exp(e)
 	}
-	return new(big.Int).Exp(base, e, g.p)
+	return new(big.Int).Exp(base.v, e, g.p)
 }
 
 // mul returns a·b mod p.
@@ -179,7 +171,7 @@ func (g *modpGroup) mul(a, b *big.Int) *big.Int {
 func (g *modpGroup) BaseExp(e *Scalar) *Point { return g.point(g.genTab.Exp(g.sv(e))) }
 
 func (g *modpGroup) Exp(base *Point, e *Scalar) *Point {
-	return g.point(g.exp(base.v, g.sv(e)))
+	return g.point(g.exp(base, g.sv(e)))
 }
 
 func (g *modpGroup) Mul(a, b *Point) *Point { return g.point(g.mul(a.v, b.v)) }
@@ -194,7 +186,7 @@ func (g *modpGroup) Div(a, b *Point) *Point {
 // externally-reduced shared squaring chain on amd64, so the win comes
 // from the tables dropping squarings altogether, not from sharing them.
 func (g *modpGroup) MulExp(a *Point, x *Scalar, b *Point, y *Scalar) *Point {
-	return g.point(g.mul(g.exp(a.v, g.sv(x)), g.exp(b.v, g.sv(y))))
+	return g.point(g.mul(g.exp(a, g.sv(x)), g.exp(b, g.sv(y))))
 }
 
 // MultiExp evaluates terms whose base has a table through it (no
@@ -210,7 +202,7 @@ func (g *modpGroup) MultiExp(terms []Term) *Point {
 		if e.Sign() == 0 {
 			continue
 		}
-		if tab := g.table(t.Base.v); tab != nil {
+		if tab := g.table(t.Base); tab != nil {
 			acc.Mod(tmp.Mul(acc, tab.Exp(e)), g.p)
 			continue
 		}
@@ -223,20 +215,16 @@ func (g *modpGroup) MultiExp(terms []Term) *Point {
 	return g.point(acc)
 }
 
-// Precompute registers a table for base.v, used whenever the same
-// *big.Int pointer is an exponentiation base: the registry is keyed by
-// pointer identity, not value, so only values with deployment lifetime
-// (dealt keys) should be registered, and they must never be mutated.
-// Registration is cheap; the table is built on first use and dropped
-// once base.v is unreachable.
+// Precompute gives base a table, used whenever this very point is an
+// exponentiation base; another point of the same value has none, so only
+// points with deployment lifetime (dealt keys) should be registered.
+// Registration is cheap; the table is built on first use and goes with
+// the point.
 func (g *modpGroup) Precompute(base *Point) {
 	if base == nil || base.id != g.id || base.v == nil || base.v.Sign() <= 0 || base.v == g.gen.v {
 		return
 	}
-	key := uintptr(unsafe.Pointer(base.v))
-	if _, loaded := g.precomp.LoadOrStore(key, modexp.NewTable(base.v, g.p, g.q.BitLen())); !loaded {
-		runtime.SetFinalizer(base.v, func(*big.Int) { g.precomp.Delete(key) })
-	}
+	base.tab.CompareAndSwap(nil, modexp.NewTable(base.v, g.p, g.q.BitLen()))
 }
 
 // IsElement trusts the member flag of points that group arithmetic or a

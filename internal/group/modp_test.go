@@ -5,11 +5,9 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // Tests of the Z_p* backend's own machinery: fixed-base tables and
@@ -204,7 +202,7 @@ func TestFixedBaseMatchesGeneric(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			base := randomPoint(t, g)
 			g.Precompute(base)
-			tab := g.table(base.v)
+			tab := g.table(base)
 			exps := []*big.Int{
 				big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(15),
 				big.NewInt(16), big.NewInt(17),
@@ -225,7 +223,7 @@ func TestFixedBaseMatchesGeneric(t *testing.T) {
 
 func TestBaseExpUsesTableAndMatches(t *testing.T) {
 	g := test256Group
-	if g.table(g.gen.v) != g.genTab {
+	if g.table(g.gen) != g.genTab {
 		t.Fatal("generator does not route to its table")
 	}
 	for i := 0; i < 32; i++ {
@@ -240,42 +238,16 @@ func TestPrecomputeRoutesExp(t *testing.T) {
 	g := test256Group
 	base := randomPoint(t, g)
 	g.Precompute(base)
-	if g.table(base.v) == nil {
+	if g.table(base) == nil {
 		t.Fatal("registered base has no table")
 	}
 	s := randomScalar(t, g)
 	if g.Exp(base, s).v.Cmp(expGeneric(g, base.v, s.v)) != 0 {
 		t.Fatal("precomputed Exp diverges from generic path")
 	}
-	// A different pointer with the same value must not hit the table.
-	if g.table(new(big.Int).Set(base.v)) != nil {
-		t.Fatal("precomp table matched by value, want pointer identity")
-	}
-}
-
-// TestPrecomputeDropsUnreachableBases: the registry does not keep a base
-// alive, so the tables of bases nobody holds are dropped, and a process
-// that deals many times does not keep every dealing's tables.
-func TestPrecomputeDropsUnreachableBases(t *testing.T) {
-	g := test512Group
-	tables := func() (n int) {
-		g.precomp.Range(func(any, any) bool { n++; return true })
-		return n
-	}
-	before := tables()
-	for i := 0; i < 8; i++ {
-		g.Precompute(randomPoint(t, g))
-	}
-	if n := tables(); n != before+8 {
-		t.Fatalf("%d tables registered, want %d", n, before+8)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for tables() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d tables of unreachable bases kept", tables()-before)
-		}
-		runtime.GC()
-		time.Sleep(time.Millisecond)
+	// Another point of the same value must not hit the table.
+	if g.table(g.point(new(big.Int).Set(base.v))) != nil {
+		t.Fatal("precomp table matched by value, want point identity")
 	}
 }
 
@@ -391,7 +363,7 @@ func TestNoArgumentMutation(t *testing.T) {
 		"Exp":           func() { g.Exp(x, a) },
 		"ExpPrecomp":    func() { g.Exp(y, a) },
 		"BaseExp":       func() { g.BaseExp(a) },
-		"table.Exp":     func() { g.table(y.v).Exp(a.v) },
+		"table.Exp":     func() { g.table(y).Exp(a.v) },
 		"MulExp":        func() { g.MulExp(x, a, y, b) },
 		"MulExpFixed":   func() { g.MulExp(g.gen, a, y, b) },
 		"MultiExp":      func() { g.MultiExp([]Term{{Base: x, Exp: a}, {Base: y, Exp: b}}) },

@@ -76,15 +76,15 @@ type Ciphertext struct {
 type Share = sharing.ExponentShare
 
 // Deal generates a fresh key pair for the structure, returning the public
-// parameters and each party's secret key.
+// parameters, set up as Init sets up a loaded key, and each party's
+// secret key.
 func Deal(g group.Group, st *adversary.Structure, rnd io.Reader) (*Params, []*SecretKey, error) {
 	exp, pub, keys, err := sharing.DealExponent(g, st, rnd)
 	if err != nil {
 		return nil, nil, fmt.Errorf("threnc: %w", err)
 	}
 	p := &Params{GroupName: g.Name(), Structure: st, PubKey: pub, VerifyKeys: exp.Keys()}
-	p.g, p.gbar, p.exp = g, gbarOf(g), exp
-	return p, keys, nil
+	return p, keys, p.Init()
 }
 
 // Init rebuilds the runtime caches after deserialization and registers

@@ -296,9 +296,10 @@ func BenchmarkCertVerify(b *testing.B) {
 	}
 }
 
-// TestCertOwnShareTakenUnchecked: CombineOwn and VerifyOwn take party 0's
-// own entry without a check, and only when it is byte for byte the share
-// party 0 made, on the message being combined or verified. In view, party
+// TestCertOwnShareTakenUnchecked: a Combiner given the own share, and
+// VerifyOwn, take party 0's own entry without a check, and only when it
+// is byte for byte the share party 0 made, on the message being combined
+// or verified. In view, party
 // 0's place holds party 1's key, so any check of party 0's signature
 // there fails; a certificate on another message that carries party 0's
 // share bytes is checked in full, under the right keys, and refused.
@@ -310,9 +311,9 @@ func TestCertOwnShareTakenUnchecked(t *testing.T) {
 	view := &CertScheme{InstanceTag: s.InstanceTag, Structure: s.Structure, OpenRule: s.OpenRule,
 		PubKeys: append([][]byte{s.PubKeys[1]}, s.PubKeys[1:]...)}
 
-	cert, bad, err := CombineOwn(view, msg, shares, own)
+	cert, bad, err := new(Combiner).Combine(view, msg, shares, own)
 	if err != nil || bad != nil {
-		t.Fatalf("CombineOwn: culprits %v, %v", bad, err)
+		t.Fatalf("Combine with the own share: culprits %v, %v", bad, err)
 	}
 	if err := VerifyOwn(view, msg, cert, own); err != nil {
 		t.Fatalf("VerifyOwn: %v", err)
@@ -332,8 +333,8 @@ func TestCertOwnShareTakenUnchecked(t *testing.T) {
 		if VerifyOwn(view, msg, cert, o) == nil {
 			t.Errorf("%s: VerifyOwn took party 0's entry unchecked", name)
 		}
-		if _, bad, _ := CombineOwn(view, msg, shares, o); len(bad) != 1 || bad[0] != 0 {
-			t.Errorf("%s: CombineOwn culprits %v, want [0]", name, bad)
+		if _, bad, _ := new(Combiner).Combine(view, msg, shares, o); len(bad) != 1 || bad[0] != 0 {
+			t.Errorf("%s: Combine culprits %v, want [0]", name, bad)
 		}
 	}
 

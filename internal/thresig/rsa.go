@@ -185,7 +185,7 @@ func (s *RSAScheme) Sufficient(parties adversary.Set) bool {
 // Combine assembles a standard RSA signature from shares that need not
 // be verified, as the package-level Combine does.
 func (s *RSAScheme) Combine(msg []byte, shares []Share) ([]byte, error) {
-	sig, _, _, err := s.combine(msg, shares)
+	sig, _, err := s.combine(msg, shares, new(adversary.Set))
 	return sig, err
 }
 
@@ -204,53 +204,76 @@ func (s *RSAScheme) points(shares []Share) (pts []rsaPoint, bad []int) {
 	return pts, bad
 }
 
-// combine is the package-level Combine for RSA shares, which carry no
-// proof; tries counts the combines it made. The first K well-formed
-// shares of distinct parties are combined; if that fails, the K-subsets
-// of the first 2K−1 (K = t+1 of which are honest when at most t are not)
-// are combined in lexicographic order until one verifies, and every other
-// share is then combined with K−1 members of that subset: a share that
-// fails there is a culprit. Shares that fail VerifyShare are culprits at
-// once. A failed first combine thus costs at most C(2K−1, K) combines
-// plus one per other share.
-func (s *RSAScheme) combine(msg []byte, shares []Share) (sig []byte, bad []int, tries int, err error) {
+// onCombine, when set, is called at each combine (tests count them).
+var onCombine func()
+
+// combine is Combiner.Combine for RSA shares, which carry no proof.
+// Shares that fail VerifyShare are culprits at once. Of the others, the
+// K-subsets of the first 2K−1 (K of them honest) are combined in
+// lexicographic order until one verifies, skipping those whose parties
+// are all in tried, which an earlier call combined. Once a combine has
+// failed, each other share is combined with K−1 members of the subset
+// that verified; if the subset and those that pass number 2(K−1), K−1 of
+// them are honest and fix the dealt sharing with the point 0, so those
+// that failed are culprits. With fewer, honest shares may be failing
+// against crafted ones, and none is named (DESIGN.md, substitution 9).
+func (s *RSAScheme) combine(msg []byte, shares []Share, tried *adversary.Set) (sig []byte, bad []int, err error) {
 	pts, bad := s.points(shares)
 	if len(pts) < s.K {
-		return nil, bad, 0, ErrInsufficient
+		return nil, bad, ErrInsufficient
 	}
 	x := s.digest(msg)
+	window := min(len(pts), 2*s.K-1)
 	sub := make([]int, s.K)
 	for i := range sub {
 		sub[i] = i
 	}
 	pick := make([]rsaPoint, s.K)
 	try := func() ([]byte, error) {
-		tries++
-		for i, j := range sub {
-			pick[i] = pts[j]
+		if onCombine != nil {
+			onCombine()
 		}
 		return s.combinePoints(x, pick)
 	}
-	for sig, err = try(); err != nil; sig, err = try() {
-		if !nextSubset(sub, min(len(pts), 2*s.K-1)) {
-			return nil, bad, tries, ErrInsufficient
+	failed := *tried != 0
+	for {
+		var parties adversary.Set
+		for i, j := range sub {
+			pick[i], parties = pts[j], parties.Add(pts[j].x-1)
+		}
+		if !parties.SubsetOf(*tried) {
+			if sig, err = try(); err == nil {
+				break
+			}
+			failed = true
+		}
+		if !nextSubset(sub, window) {
+			for _, p := range pts[:window] {
+				*tried = tried.Add(p.x - 1)
+			}
+			return nil, bad, ErrInsufficient
 		}
 	}
-	if tries == 1 {
-		return sig, bad, tries, nil
+	if !failed || len(pts) < 2*(s.K-1) {
+		return sig, bad, nil
 	}
-	found := slices.Clone(sub)
-	for j := range pts {
-		if slices.Contains(found, j) {
+	consistent, wrong := s.K, []int(nil)
+	for j, p := range pts {
+		if slices.Contains(sub, j) {
 			continue
 		}
-		sub[s.K-1] = j
+		pick[s.K-1] = p
 		if _, err := try(); err != nil {
-			bad = append(bad, pts[j].at)
+			wrong = append(wrong, p.at)
+		} else {
+			consistent++
 		}
 	}
-	slices.Sort(bad)
-	return sig, bad, tries, nil
+	if consistent >= 2*(s.K-1) {
+		bad = append(bad, wrong...)
+		slices.Sort(bad)
+	}
+	return sig, bad, nil
 }
 
 // nextSubset advances sub, an ascending K-subset of [0, m), to its

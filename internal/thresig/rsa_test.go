@@ -157,32 +157,57 @@ func binomial(n, k int) int {
 	return c
 }
 
+// combines counts the RSA combines f makes.
+func combines(t testing.TB, f func()) int {
+	t.Helper()
+	n := 0
+	onCombine = func() { n++ }
+	defer func() { onCombine = nil }()
+	f()
+	return n
+}
+
+// tWrongFirst deals an n = 3t+1, K = t+1 key and returns t wrong shares
+// of every kind, then every honest share.
+func tWrongFirst(t *testing.T, n int, msg []byte) (*RSAScheme, []Share) {
+	t.Helper()
+	f := (n - 1) / 3
+	s, keys := newTestRSA(t, n, f+1)
+	shares := make([]Share, 0, n)
+	for i := 0; i < f; i++ {
+		shares = append(shares, wrongShare(t, s, keys[i], msg, i))
+	}
+	for i := f; i < n; i++ {
+		shares = append(shares, signAll(t, s, keys, msg, []int{i})[0])
+	}
+	return s, shares
+}
+
 // TestRSACombineNamesEachWrongShare: at n = 4, 7 and 16 (K = t+1), t
 // wrong shares of every kind arrive first and every honest share after
-// them. Combine returns the signature, names exactly the wrong shares,
-// and makes at most C(2t+1, t+1) combines — the K-subsets of the first
-// 2t+1 — plus one for each share outside the subset that verified.
+// them. Combine returns the signature, names exactly the wrong shares —
+// the 2t+1 honest ones are a consistent set of at least 2t — and makes
+// at most C(2t+1, t+1) combines, the K-subsets of the first 2t+1, plus
+// one for each share outside the subset that verified.
 func TestRSACombineNamesEachWrongShare(t *testing.T) {
 	msg := []byte("every culprit named")
 	for _, n := range []int{4, 7, 16} {
 		f := (n - 1) / 3
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			s, keys := newTestRSA(t, n, f+1)
-			shares := make([]Share, 0, n)
-			var want []int
-			for i := 0; i < f; i++ {
-				shares = append(shares, wrongShare(t, s, keys[i], msg, i))
-				want = append(want, i)
-			}
-			for i := f; i < n; i++ {
-				shares = append(shares, signAll(t, s, keys, msg, []int{i})[0])
-			}
-			sig, bad, tries, err := s.combine(msg, shares)
+			s, shares := tWrongFirst(t, n, msg)
+			var sig []byte
+			var bad []int
+			var err error
+			tries := combines(t, func() { sig, bad, err = Combine(s, msg, shares) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Verify(msg, sig); err != nil {
 				t.Fatalf("combined signature does not verify: %v", err)
+			}
+			want := make([]int, f)
+			for i := range want {
+				want[i] = i
 			}
 			if !reflect.DeepEqual(bad, want) {
 				t.Fatalf("culprits %v, want %v", bad, want)
@@ -195,19 +220,69 @@ func TestRSACombineNamesEachWrongShare(t *testing.T) {
 	}
 }
 
-// TestRSACombineCraftedSharesStillSign: two corrupted parties at n = 7
-// (K = 3) send shares whose errors cancel in one subset: x_i·z^{g(i)}
-// for g(x) = x(x − h) with h the x-coordinate of the first honest share,
-// so the first K-subset combines to the right signature although two of
-// its three shares are wrong. Combine returns that signature: a
-// combination that verifies is the signature whoever contributed. What
-// the wrong shares are blamed for is not asserted — with two of three
-// shares consistent with another sharing of the same key, no combination
-// tells the dealt sharing apart (DESIGN.md, substitution 9).
-func TestRSACombineCraftedSharesStillSign(t *testing.T) {
+// TestRSACombinerSearchesEachSubsetOnce: shares arrive one at a time, t
+// wrong ones first, and one Combiner is called on every share held after
+// each arrival from the K-th on, as the client and the checkpoint
+// tracker call it, until a signature comes back. A subset an earlier
+// call tried is not combined again, so all the calls together make at
+// most C(2t+1, t+1) combines, plus t to test the wrong shares at the
+// last. No honest share is named; at t = 1 the wrong one is, while for
+// t ≥ 2 the t+1 honest shares at hand are too few to name a share
+// against.
+func TestRSACombinerSearchesEachSubsetOnce(t *testing.T) {
+	msg := []byte("one arrival at a time")
+	for _, n := range []int{4, 7, 16} {
+		f := (n - 1) / 3
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			s, shares := tWrongFirst(t, n, msg)
+			var c Combiner
+			var sig []byte
+			var bad []int
+			held := f + 1
+			tries := combines(t, func() {
+				for ; held <= n && sig == nil; held++ {
+					var err error
+					if sig, bad, err = c.Combine(s, msg, shares[:held], Own{}); err != nil && !errors.Is(err, ErrInsufficient) {
+						t.Fatal(err)
+					}
+				}
+			})
+			if sig == nil || s.Verify(msg, sig) != nil {
+				t.Fatal("no verifying signature")
+			}
+			if held-1 != 2*f+1 {
+				t.Fatalf("signed after %d shares, want 2t+1 = %d", held-1, 2*f+1)
+			}
+			for _, i := range bad {
+				if i >= f {
+					t.Fatalf("honest share %d named (culprits %v)", i, bad)
+				}
+			}
+			if f == 1 && !reflect.DeepEqual(bad, []int{0}) {
+				t.Fatalf("culprits %v, want [0]", bad)
+			}
+			if limit := binomial(2*f+1, f+1) + f; tries > limit {
+				t.Fatalf("%d combines over the arrivals, want at most C(%d, %d) + %d = %d", tries, 2*f+1, f+1, f, limit)
+			}
+			t.Logf("n=%d: %d combines over %d calls", n, tries, held-1-f)
+		})
+	}
+}
+
+// TestRSACombineCraftedSharesNameNoHonest: two corrupted parties at n = 7
+// (K = 3, t = 2) send shares whose errors cancel with one honest share:
+// x_i·z^{g(i)} for g(x) = x(x − h), h the x-coordinate of party 2. They
+// arrive first, then party 3, party 2 and the rest: the first combine
+// fails, the crafted subset {0, 1, party 2} verifies to the right
+// signature, and every other honest share fails against two crafted
+// ones. Those honest shares and the subset number 3 < 2t, no consistent
+// set of 2t, so nothing is named: with two of three shares from another
+// sharing of the same key, no combination tells the dealt sharing apart
+// (DESIGN.md, substitution 9).
+func TestRSACombineCraftedSharesNameNoHonest(t *testing.T) {
 	s, keys := newTestRSA(t, 7, 3)
 	msg := []byte("crafted shares")
-	shares := signAll(t, s, keys, msg, []int{0, 1, 2, 3, 4, 5, 6})
+	shares := signAll(t, s, keys, msg, []int{0, 1, 3, 2, 4, 5, 6})
 	h := int64(3) // party 2
 	z := big.NewInt(5)
 	for i := 0; i < 2; i++ {
@@ -216,15 +291,15 @@ func TestRSACombineCraftedSharesStillSign(t *testing.T) {
 		e := new(big.Int).Exp(z, big.NewInt(x*(x-h)), s.N) // g(x) < 0 here: a power of 1/z
 		shares[i].Data = encodeBigs(xi.Mul(xi, e).Mod(xi, s.N))
 	}
-	sig, err := s.Combine(msg, shares)
-	if err != nil {
-		t.Fatalf("the crafted first K did not combine: %v", err)
+	if _, err := s.Combine(msg, []Share{shares[0], shares[1], shares[3]}); err != nil {
+		t.Fatalf("the crafted shares and party 2's did not combine: %v", err)
 	}
-	if err := s.Verify(msg, sig); err != nil {
-		t.Fatal(err)
-	}
-	if got, _, err := Combine(s, msg, shares); err != nil || !bytes.Equal(got, sig) {
+	sig, bad, err := Combine(s, msg, shares)
+	if err != nil || s.Verify(msg, sig) != nil {
 		t.Fatalf("Combine: %v", err)
+	}
+	if bad != nil {
+		t.Fatalf("culprits %v: honest shares named against crafted ones", bad)
 	}
 }
 

@@ -61,13 +61,10 @@ type Share struct {
 	Data []byte
 }
 
-// Combine assembles a signature on msg from shares nobody has verified
-// and returns the indexes of the invalid shares it found, ascending; a
-// signature it returns verifies, whoever contributed. CertScheme checks
-// each share as it combines, RSAScheme searches subsets only when the
-// first K fail; any other Scheme names no culprit.
+// Combine assembles a signature on msg from shares nobody has verified:
+// one call of a fresh Combiner.
 func Combine(s Scheme, msg []byte, shares []Share) (sig []byte, bad []int, err error) {
-	return CombineOwn(s, msg, shares, Own{})
+	return new(Combiner).Combine(s, msg, shares, Own{})
 }
 
 // Own is a share this party made and the message it signed. A
@@ -84,14 +81,23 @@ func (o *Own) covers(p int, msg, data []byte) bool {
 	return o.Share.Party == p && len(data) > 0 && bytes.Equal(o.Share.Data, data) && bytes.Equal(o.Msg, msg)
 }
 
-// CombineOwn is Combine taking the party's own share unchecked.
-func CombineOwn(s Scheme, msg []byte, shares []Share, own Own) (sig []byte, bad []int, err error) {
+// A Combiner combines the shares on one message as they arrive, each
+// call given every share held so far, one per party and the same each
+// call. It returns only a signature that verifies, whoever contributed,
+// and the ascending indexes of the invalid shares it found. CertScheme
+// checks each entry but own's; RSAScheme never combines a subset an
+// earlier call tried (RSAScheme.combine). Zero is ready for one message.
+type Combiner struct {
+	tried adversary.Set // parties all of whose RSA K-subsets failed
+}
+
+// Combine combines shares on msg, taking own's entry unchecked.
+func (c *Combiner) Combine(s Scheme, msg []byte, shares []Share, own Own) (sig []byte, bad []int, err error) {
 	switch s := s.(type) {
 	case *CertScheme:
 		return s.combine(msg, shares, own)
 	case *RSAScheme:
-		sig, bad, _, err = s.combine(msg, shares)
-		return sig, bad, err
+		return s.combine(msg, shares, &c.tried)
 	}
 	sig, err = s.Combine(msg, shares)
 	return sig, nil, err
