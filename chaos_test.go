@@ -318,23 +318,34 @@ func TestChaosByzantineSharesRejected(t *testing.T) {
 		sintra.WithSeed(31),
 		sintra.WithByzantine(2, sintra.TamperTail(1)),
 	)
-	// A share is checked only while its round still needs it, so the run is
-	// long enough for some of party 2's shares to arrive in time.
-	c.run(t, 12)
+	// A share is checked only while its coin still needs it, and an honest
+	// party counts its own share unchecked, so one other party's share
+	// completes a coin: party 2's is checked only when it comes first,
+	// which a run of 12 requests on a loaded machine can miss. The run goes
+	// on, 12 requests at a time, until a tampered message has been caught,
+	// for at most 60 requests.
+	caught := func() (rejected, malformed int64) {
+		snap := c.dep.Metrics()
+		rejected = snap.Counter("aba.coin.rejected") + snap.Counter("mvba.coin.rejected") +
+			snap.Counter("scabc.shares.rejected")
+		return rejected, snap.Counter("router.malformed")
+	}
+	requests := 0
+	for rejected, malformed := caught(); requests < 60 && rejected == 0 && malformed == 0; rejected, malformed = caught() {
+		c.run(t, 12)
+		requests += 12
+	}
 	c.assertReplicasConsistent(t, 2)
-	snap := c.dep.Metrics()
-	if n := snap.Counter("faultsim.actions.tamper-tail"); n == 0 {
+	if n := c.dep.Metrics().Counter("faultsim.actions.tamper-tail"); n == 0 {
 		t.Fatal("tamper-tail never fired — the run attacked nothing")
 	}
 	// Tampered shares must have been caught: rejected by a proof check, or
 	// dropped as malformed when the tamper broke the framing.
-	rejected := snap.Counter("aba.coin.rejected") + snap.Counter("mvba.coin.rejected") +
-		snap.Counter("scabc.shares.rejected")
-	malformed := snap.Counter("router.malformed")
+	rejected, malformed := caught()
 	if rejected == 0 && malformed == 0 {
-		t.Fatal("no shares rejected and no malformed payloads dropped under full tampering")
+		t.Fatalf("no shares rejected and no malformed payloads dropped under full tampering in %d requests", requests)
 	}
-	t.Logf("rejected=%d malformed=%d", rejected, malformed)
+	t.Logf("rejected=%d malformed=%d in %d requests", rejected, malformed, requests)
 }
 
 // TestChaosReplicaRestartCatchUp kills one replica mid-load, keeps the

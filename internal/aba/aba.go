@@ -223,7 +223,9 @@ func (a *ABA) handle(from int, msgType string, payload []byte) {
 		}
 	case typeCoin:
 		var body coinBody
-		if !a.cfg.Router.Decode(payload, &body) || body.Round < 1 || a.ahead(body.Round) {
+		// This party's own shares entered its combiner when it released
+		// them; the looped-back copy carries the same values.
+		if from == a.self || !a.cfg.Router.Decode(payload, &body) || body.Round < 1 || a.ahead(body.Round) {
 			return
 		}
 		a.onCoin(from, body.Round, body.Shares)
@@ -354,6 +356,11 @@ func (a *ABA) tryBarrier(r int) {
 			// randomized; journaling re-sends the exact recorded proof.
 			_ = a.cfg.Router.BroadcastJournaled(fmt.Sprintf("coin/%d", r),
 				Protocol, a.cfg.Instance, typeCoin, coinBody{Round: r, Shares: shares})
+			// No party checks its own proof: its shares count unchecked.
+			for _, sh := range shares {
+				st.coinCombiner.AddVerified(sh)
+			}
+			a.finishCoin(r, st)
 		}
 	}
 	a.tryAdvance(r)
@@ -372,7 +379,7 @@ func (a *ABA) onCoin(from, r int, shares []coin.Share) {
 }
 
 func (a *ABA) finishCoin(r int, st *roundState) {
-	if !st.coinCombiner.Ready() {
+	if st.coinDone || !st.coinCombiner.Ready() {
 		return
 	}
 	value, err := st.coinCombiner.Value()

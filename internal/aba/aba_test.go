@@ -3,6 +3,7 @@ package aba_test
 import (
 	"crypto/rand"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"sintra/internal/adversary"
 	"sintra/internal/coin"
 	"sintra/internal/netsim"
+	"sintra/internal/obs"
 	"sintra/internal/testutil"
 	"sintra/internal/wire"
 )
@@ -257,6 +259,77 @@ func TestForgedCoinSharesCostNoProofCheck(t *testing.T) {
 			t.Errorf("party %d: aba.coin.rejected = %d, want 1: only party 0's own share is checked", to, n)
 		}
 	}
+}
+
+// TestOwnCoinShareTakenUnchecked: party 0's coin parameters hold a wrong
+// verification key for its own share, and neither the COIN messages of
+// parties 1 and 2 nor any DECIDED reach it. Every party proposes 0, so
+// every round from 2 on needs its coin, and party 0 completes each from
+// its own share and party 3's alone: no party checks the proof of a share
+// it released. It decides what the others decide, and it emits no
+// coin.rejected event naming itself as sender. (The others may reject its
+// shares: a proof binds the verification key its maker holds.) A party
+// that checked the looped-back copy of its own share rejected it here and
+// never decided.
+func TestOwnCoinShareTakenUnchecked(t *testing.T) {
+	sched := newHoldScheduler(59)
+	sched.hold = func(m *wire.Message) bool {
+		return m.To == 0 && m.Protocol == aba.Protocol &&
+			(m.Type == "COIN" && (m.From == 1 || m.From == 2) || m.Type == "DECIDED" && m.From != 0)
+	}
+	reg := obs.NewRegistry()
+	events := obs.NewCollectTracer()
+	reg.SetTracer(events)
+	c := testutil.NewCluster(t, adversary.MustThreshold(4, 1), testutil.Options{Scheduler: sched, Registry: reg})
+	decided := make(chan decision, c.N())
+	insts := make([]*aba.ABA, c.N())
+	for i := range insts {
+		c.Routers[i].DoSync(func() {
+			cfg := c.ABA(i)
+			cfg.Instance = "own-coin"
+			if i == 0 {
+				cfg.Coin = wrongOwnKeys(t, cfg.Coin, cfg.CoinKey)
+			}
+			cfg.Decide = func(v bool) { decided <- decision{party: i, value: v, round: insts[i].Round()} }
+			insts[i] = aba.New(cfg)
+		})
+	}
+	for _, inst := range insts {
+		if err := inst.Start(false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.After(30 * time.Second)
+	for range insts {
+		select {
+		case d := <-decided:
+			if d.value || d.round < 2 {
+				t.Fatalf("party %d decided %v in round %d, want false from round 2 on", d.party, d.value, d.round)
+			}
+		case <-deadline:
+			t.Fatal("timeout: party 0 never completed a coin from its own share and party 3's")
+		}
+	}
+	for _, ev := range events.Events() {
+		if ev.Party == 0 && ev.Stage == "coin.rejected" && ev.Note == "from 0" {
+			t.Fatalf("party 0 rejected its own coin share in round %d", ev.Seq)
+		}
+	}
+}
+
+// wrongOwnKeys returns a copy of the coin parameters in which each of the
+// key's shares has another share's verification key.
+func wrongOwnKeys(t *testing.T, p *coin.Params, key *coin.SecretKey) *coin.Params {
+	t.Helper()
+	keys := slices.Clone(p.VerifyKeys)
+	for _, sh := range key.Shares {
+		keys[sh.ID] = p.VerifyKeys[(sh.ID+1)%len(keys)]
+	}
+	wrong := &coin.Params{GroupName: p.GroupName, Structure: p.Structure, VerifyKeys: keys}
+	if err := wrong.Init(); err != nil {
+		t.Fatal(err)
+	}
+	return wrong
 }
 
 func TestAgreementWithForceCertScheme(t *testing.T) {

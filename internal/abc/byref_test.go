@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -645,7 +646,24 @@ func TestRestartWithJournaledReferenceLostPayload(t *testing.T) {
 		go func() { defer wg.Done(); r.Run() }()
 		return r, j
 	}
-	adjust := func(cfg *abc.Config) { cfg.CodedThreshold = 512 }
+	// firstEnd holds, per party, the first round that delivered a payload
+	// there and the sequence number it ended at. Parties 1–3 are a quorum
+	// and may deliver a later round before the logs are read, so only each
+	// log's prefix up to that round is compared.
+	type roundEnd struct{ round, seq int64 }
+	var endMu sync.Mutex
+	firstEnd := make(map[int]roundEnd)
+	adjust := func(cfg *abc.Config) {
+		cfg.CodedThreshold = 512
+		self := cfg.Router.Self()
+		cfg.EndRound = func(r abc.Round) {
+			endMu.Lock()
+			defer endMu.Unlock()
+			if _, ok := firstEnd[self]; !ok && r.End > 0 {
+				firstEnd[self] = roundEnd{r.Number, r.End}
+			}
+		}
+	}
 
 	// First life: party 1 submits, proposes by reference, journals it;
 	// party 0 joins the round and pulls the payload. Two parties are no
@@ -683,27 +701,32 @@ func TestRestartWithJournaledReferenceLostPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Round 1 completes at all four parties. Whether its decided list
-	// took party 1's proposal is up to the agreement; if it did, the
-	// payload precedes or follows the wake-up request identically
-	// everywhere.
+	// The first round that delivers completes at all four parties with the
+	// same payloads, round 1 unless its decided list named empty proposals
+	// only. Whether a list took party 1's proposal is up to the agreement;
+	// if it did, the payload precedes or follows the wake-up request
+	// identically everywhere.
 	all := []int{1, 2, 3}
 	second.waitLogs(t, all, 1, 120*time.Second)
 	h.waitLogs(t, []int{0}, 1, 60*time.Second)
 	deadline = time.Now().Add(30 * time.Second)
-	for h.insts[0].Round() < 2 || second.insts[1].Round() < 2 || second.insts[2].Round() < 2 || second.insts[3].Round() < 2 {
+	var ends map[int]roundEnd
+	for ; len(ends) < 4; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("round 1 never completed everywhere")
+			t.Fatalf("the first delivering round ended at %v only", ends)
 		}
-		time.Sleep(5 * time.Millisecond)
+		endMu.Lock()
+		ends = maps.Clone(firstEnd)
+		endMu.Unlock()
 	}
 	h.mu.Lock()
-	first := append([][]byte(nil), h.logs[0]...)
+	first := append([][]byte(nil), h.logs[0][:ends[0].seq]...)
 	h.mu.Unlock()
 	second.mu.Lock()
 	for _, p := range all {
-		if len(second.logs[p]) != len(first) {
-			t.Fatalf("party %d delivered %d payloads in round 1, party 0 delivered %d", p, len(second.logs[p]), len(first))
+		if ends[p] != ends[0] {
+			t.Fatalf("party %d first delivered in round %d, up to %d payloads; party 0 in round %d, up to %d",
+				p, ends[p].round, ends[p].seq, ends[0].round, ends[0].seq)
 		}
 		for k := range first {
 			if !bytes.Equal(second.logs[p][k], first[k]) {
@@ -712,7 +735,7 @@ func TestRestartWithJournaledReferenceLostPayload(t *testing.T) {
 		}
 	}
 	second.mu.Unlock()
-	t.Logf("round 1 delivered %d payloads", len(first))
+	t.Logf("round %d delivered %d payloads", ends[0].round, len(first))
 	// The restarted party asked everyone and party 0 gave the payload back.
 	deadline = time.Now().Add(30 * time.Second)
 	for held := false; !held; time.Sleep(5 * time.Millisecond) {

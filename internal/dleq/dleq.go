@@ -64,11 +64,12 @@ func Prove(g group.Group, st Statement, x *group.Scalar, context string, rnd io.
 	return &Proof{C: c, Z: z}, nil
 }
 
-// Verify checks a proof against the statement and context. Bases with
-// precomputation tables registered in the group (the generator and
-// dealt verification keys, see Group.Precompute) take the fixed-base
-// fast path; marking the statement Trusted additionally skips the
-// four membership checks.
+// Verify checks a proof against the statement and context. A base with a
+// fixed-base table takes it: the generator on every backend, and on Z_p*
+// the dealt verification keys (see Group.Precompute); other bases take
+// the variable-base path. Marking the statement Trusted additionally
+// skips the four membership checks. The protocols verify only shares
+// that other parties released.
 func Verify(g group.Group, st Statement, p *Proof, context string) error {
 	if p == nil || !g.IsScalar(p.C) || !g.IsScalar(p.Z) {
 		return ErrInvalidProof

@@ -300,8 +300,9 @@ type Group interface {
 
 	// BaseExp returns Generator^e via fixed-base precomputation.
 	BaseExp(e *Scalar) *Point
-	// Exp returns base^e. Bases registered with Precompute (pointer
-	// identity) take a fixed-base fast path where the backend has one.
+	// Exp returns base^e. The generator as Generator returns it, and on
+	// Z_p* the bases registered with Precompute (pointer identity), take
+	// a fixed-base table.
 	Exp(base *Point, e *Scalar) *Point
 	// Mul returns the group operation a·b.
 	Mul(a, b *Point) *Point
@@ -317,8 +318,8 @@ type Group interface {
 	// skipped; an empty product is the identity.
 	MultiExp(terms []Term) *Point
 	// Precompute registers a fixed-base table for a long-lived base
-	// (dealt verification keys, public keys). Backends without
-	// per-base tables treat it as a no-op.
+	// (dealt verification keys, public keys). P-256, which has a table
+	// for the generator only, treats it as a no-op.
 	Precompute(base *Point)
 	// IsElement reports whether p is a member of this group. Points
 	// produced by group arithmetic or strict decoding are known

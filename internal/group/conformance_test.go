@@ -26,6 +26,57 @@ func TestGroupConformance(t *testing.T) {
 	}
 }
 
+// TestGeneratorExpMatchesBaseExp: every backend sends the generator, as
+// Generator returns it, to a fixed-base table, and a decoded copy of the
+// generator, another object of the same value, to the generic path. Both
+// give BaseExp's point for e = 0, 1, q−1 and a random e, as a base of Exp,
+// of MulExp in either place and of MultiExp. The generator's inverse
+// shares an x coordinate with it on P-256 and must not take the table.
+func TestGeneratorExpMatchesBaseExp(t *testing.T) {
+	for _, g := range conformanceBackends() {
+		t.Run(g.Name(), func(t *testing.T) {
+			gen := g.Generator()
+			copied, err := g.DecodeElement(g.EncodeElement(gen))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if copied == gen || !copied.Equal(gen) {
+				t.Fatal("the decoded generator is not a distinct object of the same value")
+			}
+			random, err := g.RandomScalar(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := g.RandomElement(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y := g.HashToScalar("generator-test", []byte("y"))
+			py := g.Exp(p, y)
+			for _, e := range []*Scalar{g.NewScalar(0), g.NewScalar(1), g.NewScalar(-1), random} {
+				want := g.BaseExp(e)
+				for name, base := range map[string]*Point{"generator": gen, "decoded copy": copied} {
+					if !g.Exp(base, e).Equal(want) {
+						t.Errorf("Exp(%s, %v) != BaseExp", name, e)
+					}
+					if !g.MulExp(base, e, p, y).Equal(g.Mul(want, py)) {
+						t.Errorf("MulExp(%s, %v, p, y) != BaseExp · p^y", name, e)
+					}
+					if !g.MulExp(p, y, base, e).Equal(g.Mul(py, want)) {
+						t.Errorf("MulExp(p, y, %s, %v) != p^y · BaseExp", name, e)
+					}
+					if !g.MultiExp([]Term{{Base: p, Exp: y}, {Base: base, Exp: e}}).Equal(g.Mul(py, want)) {
+						t.Errorf("MultiExp with %s^%v != p^y · BaseExp", name, e)
+					}
+				}
+				if !g.Exp(g.Inv(gen), e).Equal(g.Inv(want)) {
+					t.Errorf("Exp(Inv(generator), %v) != Inv(BaseExp)", e)
+				}
+			}
+		})
+	}
+}
+
 // groupConformance asserts the Group contract: group and scalar-field
 // laws, canonical encode/decode round-trips, hash-to-point/scalar
 // determinism and range, non-member and foreign-encoding rejection,

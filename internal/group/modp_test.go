@@ -442,7 +442,9 @@ func BenchmarkBaseExp(b *testing.B) {
 }
 
 // BenchmarkMulExp compares two independent generic exponentiations
-// against MulExp without tables and with both bases fixed.
+// against MulExp without tables and with both bases fixed, and on P-256
+// the generator, which takes the stdlib's base-point table, against a
+// decoded copy of it, which takes the variable-base ladder.
 func BenchmarkMulExp(b *testing.B) {
 	g := test256Group
 	h := g.HashToPoint("bench-mulexp", []byte("h"))
@@ -470,6 +472,22 @@ func BenchmarkMulExp(b *testing.B) {
 			g.MulExp(g.gen, x, h, y)
 		}
 	})
+	c := p256Group
+	ch := c.HashToPoint("bench-mulexp", []byte("h"))
+	cx := c.HashToScalar("bench-mulexp", []byte("x"))
+	cy := c.HashToScalar("bench-mulexp", []byte("y"))
+	copied, err := c.DecodeElement(c.EncodeElement(c.gen))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for name, base := range map[string]*Point{"p256/generator": c.gen, "p256/ladder": copied} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.MulExp(base, cx, ch, cy)
+			}
+		})
+	}
 }
 
 // BenchmarkIsElement shows the Jacobi-symbol membership test of a wire

@@ -257,8 +257,9 @@ func (m *MVBA) handle(from int, msgType string, payload []byte) {
 		m.onStart(body.Proposal)
 	case typeLeadCoin:
 		var body leadCoinBody
-		// Trial 1 has no coin: its LEADCOIN is a corrupted party's.
-		if !m.cfg.Router.Decode(payload, &body) || body.Trial < 2 || m.ahead(body.Trial) {
+		// Trial 1 has no coin: its LEADCOIN is a corrupted party's. This
+		// party's own shares entered its combiner when it released them.
+		if from == m.self || !m.cfg.Router.Decode(payload, &body) || body.Trial < 2 || m.ahead(body.Trial) {
 			return
 		}
 		m.onLeadCoin(from, body.Trial, body.Shares)
@@ -330,6 +331,10 @@ func (m *MVBA) startTrial(a int) {
 		if err == nil {
 			_ = m.cfg.Router.BroadcastJournaled(fmt.Sprintf("leadcoin/%d", a),
 				Protocol, m.cfg.Instance, typeLeadCoin, leadCoinBody{Trial: a, Shares: shares})
+			// No party checks its own proof: its shares count unchecked.
+			for _, sh := range shares {
+				ts.coinCombiner.AddVerified(sh)
+			}
 		}
 	}
 	// Earlier-arrived coin shares may already complete the coin — and the

@@ -208,8 +208,9 @@ func (s *SCABC) onOrdered(seq int64, payload []byte) {
 
 // onRoundEnd runs when the embedded atomic broadcast ends a round. One that
 // ordered ciphertexts releases this party's decryption shares for all of
-// them in one message — only now, after their positions are fixed — and
-// takes the shares that faster parties sent early.
+// them in one message — only now, after their positions are fixed — adds
+// them to its own combiners unchecked, and takes the shares that faster
+// parties sent early.
 func (s *SCABC) onRoundEnd(r abc.Round) {
 	s.ended = r.Number
 	rd := s.rounds[r.Number]
@@ -235,6 +236,12 @@ func (s *SCABC) onRoundEnd(r abc.Round) {
 	if err == nil && rd.left > 0 {
 		_ = s.cfg.Router.BroadcastJournaled(fmt.Sprintf("shares/%d", r.Number),
 			Protocol, s.cfg.Instance, typeShares, sharesBody{Round: r.Number, Shares: lists})
+		for k, list := range lists {
+			for _, sh := range list {
+				rd.cts[k].combiner.AddVerified(sh)
+			}
+			rd.decrypt(k)
+		}
 	}
 	s.queue = append(s.queue, rd)
 	for from, lists := range rd.early {
@@ -249,7 +256,10 @@ func (s *SCABC) onRoundEnd(r abc.Round) {
 // handle processes one message on the dispatch goroutine.
 func (s *SCABC) handle(from int, msgType string, payload []byte) {
 	var body sharesBody
-	if msgType != typeShares || !s.cfg.Router.Decode(payload, &body) || body.Round > s.ended+maxPendingRounds {
+	// This party's own shares entered its combiners at round end; the
+	// looped-back copy carries the same values.
+	if msgType != typeShares || from == s.cfg.Router.Self() ||
+		!s.cfg.Router.Decode(payload, &body) || body.Round > s.ended+maxPendingRounds {
 		return
 	}
 	rd := s.rounds[body.Round]
@@ -280,22 +290,29 @@ func (s *SCABC) addShares(rd *round, from int, lists [][]threnc.Share) {
 		bad = rd.cts[k].combiner == nil && len(lists[k]) > 0
 	}
 	for k := 0; !bad && k < len(lists); k++ {
-		c := &rd.cts[k]
-		if c.done {
+		if rd.cts[k].done {
 			continue
 		}
-		if bad = c.combiner.AddFrom(from, lists[k]); bad || !c.combiner.Ready() {
-			continue
+		if bad = rd.cts[k].combiner.AddFrom(from, lists[k]); !bad {
+			rd.decrypt(k)
 		}
-		// A payload that does not open under the combined key, whose proof
-		// held, fails alike on every honest party: it is skipped.
-		plain, err := c.combiner.Decrypt()
-		c.plain, c.done, c.skip = plain, true, err != nil
-		rd.left--
 	}
 	if bad {
 		s.span.Event("shares.rejected", rd.number, fmt.Sprint("from ", from))
 	}
+}
+
+// decrypt opens ciphertext k of the round once its combiner holds enough
+// shares. A payload that does not open under the combined key, whose
+// proof held, fails alike on every honest party: it is skipped.
+func (rd *round) decrypt(k int) {
+	c := &rd.cts[k]
+	if c.done || !c.combiner.Ready() {
+		return
+	}
+	plain, err := c.combiner.Decrypt()
+	c.plain, c.done, c.skip = plain, true, err != nil
+	rd.left--
 }
 
 // flush delivers the ended rounds strictly in order, each once every

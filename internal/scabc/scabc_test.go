@@ -13,6 +13,7 @@ import (
 	"sintra/internal/abc"
 	"sintra/internal/adversary"
 	"sintra/internal/netsim"
+	"sintra/internal/obs"
 	"sintra/internal/scabc"
 	"sintra/internal/testutil"
 	"sintra/internal/threnc"
@@ -33,6 +34,13 @@ type harness struct {
 }
 
 func newHarness(t *testing.T, c *testutil.Cluster, parties []int) *harness {
+	t.Helper()
+	return newHarnessCfg(t, c, parties, nil)
+}
+
+// newHarnessCfg is newHarness with a hook to adjust each party's config
+// before its instance is created.
+func newHarnessCfg(t *testing.T, c *testutil.Cluster, parties []int, adjust func(*scabc.Config)) *harness {
 	t.Helper()
 	h := &harness{
 		c:       c,
@@ -65,6 +73,9 @@ func newHarness(t *testing.T, c *testutil.Cluster, parties []int) *harness {
 				h.invalid[i] += r.Skipped
 				h.ends[i] = append(h.ends[i], len(h.logs[i])+h.invalid[i])
 				h.cond.Broadcast()
+			}
+			if adjust != nil {
+				adjust(&cfg)
 			}
 			h.insts[i] = scabc.New(cfg)
 		})
@@ -387,23 +398,74 @@ func TestOneSharesMessagePerRound(t *testing.T) {
 	}
 }
 
-// holdToScheduler delivers a random pending message, keeping back those
-// to party victim of every protocol but the share exchange while hold is
-// set.
-type holdToScheduler struct {
-	mu     sync.Mutex
-	rng    *mrand.Rand
-	victim int
-	hold   atomic.Bool
+// TestOwnSharesTakenUnchecked: party 0's TDH2 parameters hold a wrong
+// verification key for its own share, and the SHARES messages of parties
+// 1 and 2 never reach it. Party 0 decrypts every request from its own
+// shares and party 3's alone: no party checks the proof of a share it
+// released. It delivers what the others deliver, and it emits no
+// shares.rejected event naming itself as sender. (The others may reject
+// its shares: a proof binds the verification key its maker holds.) A
+// party that checked the looped-back copy of its own shares rejected them
+// here and never decrypted.
+func TestOwnSharesTakenUnchecked(t *testing.T) {
+	sched := &holdScheduler{rng: mrand.New(mrand.NewSource(67)), hold: func(m *wire.Message) bool {
+		return m.To == 0 && m.Protocol == scabc.Protocol && (m.From == 1 || m.From == 2)
+	}}
+	reg := obs.NewRegistry()
+	events := obs.NewCollectTracer()
+	reg.SetTracer(events)
+	c := testutil.NewCluster(t, adversary.MustThreshold(4, 1), testutil.Options{Scheduler: sched, Registry: reg})
+	parties := []int{0, 1, 2, 3}
+	h := newHarnessCfg(t, c, parties, func(cfg *scabc.Config) {
+		if cfg.Router.Self() == 0 {
+			cfg.Enc = wrongOwnKeys(t, cfg.Enc, cfg.EncKey)
+		}
+	})
+	const total = 3
+	for k := 0; k < total; k++ {
+		ct, err := scabc.Encrypt(c.Pub.Enc, "notary", []byte(fmt.Sprintf("own-%d", k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.insts[k%4].Submit(ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.wait(t, parties, total, 60*time.Second)
+	h.assertSameOrder(t, parties)
+	for _, ev := range events.Events() {
+		if ev.Party == 0 && ev.Stage == "shares.rejected" && ev.Note == "from 0" {
+			t.Fatalf("party 0 rejected its own decryption shares for round %d", ev.Seq)
+		}
+	}
 }
 
-func (s *holdToScheduler) Next(pending []wire.Message) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// wrongOwnKeys returns a copy of the TDH2 parameters in which each of the
+// key's shares has another share's verification key.
+func wrongOwnKeys(t *testing.T, p *threnc.Params, key *threnc.SecretKey) *threnc.Params {
+	t.Helper()
+	keys := slices.Clone(p.VerifyKeys)
+	for _, sh := range key.Shares {
+		keys[sh.ID] = p.VerifyKeys[(sh.ID+1)%len(keys)]
+	}
+	wrong := &threnc.Params{GroupName: p.GroupName, Structure: p.Structure, PubKey: p.PubKey, VerifyKeys: keys}
+	if err := wrong.Init(); err != nil {
+		t.Fatal(err)
+	}
+	return wrong
+}
+
+// holdScheduler delivers a random pending message other than those hold
+// names, which stay pending while hold names them.
+type holdScheduler struct {
+	rng  *mrand.Rand
+	hold func(m *wire.Message) bool
+}
+
+func (s *holdScheduler) Next(pending []wire.Message) int {
 	var free []int
 	for i := range pending {
-		m := &pending[i]
-		if !s.hold.Load() || m.To != s.victim || m.Protocol == scabc.Protocol {
+		if !s.hold(&pending[i]) {
 			free = append(free, i)
 		}
 	}
@@ -413,7 +475,7 @@ func (s *holdToScheduler) Next(pending []wire.Message) int {
 	return free[s.rng.Intn(len(free))]
 }
 
-var _ netsim.Scheduler = (*holdToScheduler)(nil)
+var _ netsim.Scheduler = (*holdScheduler)(nil)
 
 // TestEarlySharesBufferedPerSender: party 0 falls behind in ordering, so
 // every decryption share for round 1, which orders one ciphertext,
@@ -426,8 +488,12 @@ var _ netsim.Scheduler = (*holdToScheduler)(nil)
 // arrived, and party 0 never decrypted.
 func TestEarlySharesBufferedPerSender(t *testing.T) {
 	st := adversary.MustThreshold(4, 1)
-	sched := &holdToScheduler{rng: mrand.New(mrand.NewSource(61)), victim: 0}
-	sched.hold.Store(true)
+	// Party 0 gets nothing but the share exchange while holding is set.
+	var holding atomic.Bool
+	holding.Store(true)
+	sched := &holdScheduler{rng: mrand.New(mrand.NewSource(61)), hold: func(m *wire.Message) bool {
+		return holding.Load() && m.To == 0 && m.Protocol != scabc.Protocol
+	}}
 	c := testutil.NewCluster(t, st, testutil.Options{Scheduler: sched, Observe: true})
 	parties := []int{0, 1, 2, 3}
 	h := newHarness(t, c, parties)
@@ -465,7 +531,7 @@ func TestEarlySharesBufferedPerSender(t *testing.T) {
 	h.wait(t, []int{1, 2, 3}, 1, 60*time.Second)
 	received(4)
 
-	sched.hold.Store(false)
+	holding.Store(false)
 	// Wake the network: the scheduler may be waiting for new traffic.
 	c.Net.Endpoint(3).Send(wire.Message{To: 0, Protocol: "wake"})
 	h.wait(t, parties, 1, 30*time.Second)

@@ -208,10 +208,10 @@ func (c *Collector) AddFrom(from int, shares []ExponentShare) (rejected bool) {
 	return false
 }
 
-// AddVerified stores a share that the caller has already checked with
-// Verify, skipping re-verification; the protocols use AddFrom, and
-// AddVerified lets a benchmark time the combine alone. Duplicates are
-// ignored.
+// AddVerified stores a share without checking it: one the caller released
+// itself (the protocols add their own shares so when they release them,
+// and AddFrom the shares of others) or has checked with Verify. Duplicates
+// are ignored.
 func (c *Collector) AddVerified(sh ExponentShare) {
 	if _, ok := c.values[sh.ID]; ok {
 		return
