@@ -340,7 +340,9 @@ func TestChaosByzantineSharesRejected(t *testing.T) {
 		t.Fatal("tamper-tail never fired — the run attacked nothing")
 	}
 	// Tampered shares must have been caught: rejected by a proof check, or
-	// dropped as malformed when the tamper broke the framing.
+	// dropped as malformed when the tamper broke the framing. Party 2's
+	// messages to itself go through untampered, so every count is an
+	// honest party's detection.
 	rejected, malformed := caught()
 	if rejected == 0 && malformed == 0 {
 		t.Fatalf("no shares rejected and no malformed payloads dropped under full tampering in %d requests", requests)

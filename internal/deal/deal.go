@@ -18,6 +18,7 @@ import (
 
 	"sintra/internal/adversary"
 	"sintra/internal/coin"
+	"sintra/internal/edverify"
 	"sintra/internal/group"
 	"sintra/internal/identity"
 	"sintra/internal/threnc"
@@ -212,8 +213,9 @@ func (p *Public) AnswerSig() thresig.Scheme {
 	return nil
 }
 
-// Init rebuilds runtime caches after deserialization and registers the
-// fixed-base tables of the coin and TDH2 keys, as their Deal does.
+// Init rebuilds runtime caches after deserialization, registers the
+// fixed-base tables of the coin and TDH2 keys, as their Deal does, and
+// checks that every Ed25519 key list holds one key per party that decodes.
 func (p *Public) Init() error {
 	if p.Structure == nil || p.Coin == nil || p.Enc == nil || p.Identity == nil {
 		return errors.New("deal: incomplete public material")
@@ -227,6 +229,25 @@ func (p *Public) Init() error {
 	if p.QuorumSig() == nil || p.AnswerSig() == nil {
 		// A dealing from before the quorum certificate has a quorum RSA key.
 		return errors.New("deal: missing signature schemes (a dealing older than the quorum certificate?): deal again")
+	}
+	// Each Ed25519 key list holds one decodable key per party; the check
+	// tables are built on the first check under each key, not here.
+	n := p.Structure.N()
+	if err := checkKeys("identity", p.Identity.PubKeys, n); err != nil {
+		return err
+	}
+	if err := checkKeys("quorum certificate", p.QuorumCert.PubKeys, n); err != nil {
+		return err
+	}
+	if p.AnswerCert != nil {
+		return checkKeys("answer certificate", p.AnswerCert.PubKeys, n)
+	}
+	return nil
+}
+
+func checkKeys(name string, keys [][]byte, n int) error {
+	if err := edverify.CheckKeys(keys, n); err != nil {
+		return fmt.Errorf("deal: %s keys: %w", name, err)
 	}
 	return nil
 }

@@ -3,14 +3,17 @@ package deal_test
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sintra/internal/coin"
 	"sintra/internal/deal"
+	"sintra/internal/edverify"
 	"sintra/internal/threnc"
 	"sintra/internal/thresig"
 	"sintra/internal/wire"
@@ -118,5 +121,100 @@ func TestDealingFixture(t *testing.T) {
 	}
 	if err := pub.AnswerSig().Verify(stmt, sig); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fixtureCopy decodes the fixture's public.gob, lets edit change it, and
+// writes it into a fresh directory that LoadPublic can read.
+func fixtureCopy(t *testing.T, edit func(*deal.Public)) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "dealing", "public.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pub deal.Public
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&pub); err != nil {
+		t.Fatal(err)
+	}
+	edit(&pub)
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&pub); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "public.gob"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestLoadPublicRefusesBadSignatureKeys: a copy of the fixture whose
+// identity or quorum-certificate key list lacks a key, or holds a key that
+// is not 32 bytes or not a curve point, fails to load, naming the list and
+// the party. Such a dealing used to load, and every check under the bad
+// key then panicked inside crypto/ed25519 or rejected everything.
+func TestLoadPublicRefusesBadSignatureKeys(t *testing.T) {
+	notPoint := make([]byte, 32)
+	notPoint[0] = 2 // y = 2 is no curve point's y
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*deal.Public)
+	}{
+		{"short identity key", "identity keys: party 2", func(p *deal.Public) {
+			p.Identity.PubKeys[2] = p.Identity.PubKeys[2][:31]
+		}},
+		{"three identity keys", "identity keys: 3 public keys for 4 parties", func(p *deal.Public) {
+			p.Identity.PubKeys = p.Identity.PubKeys[:3]
+		}},
+		{"quorum key not a point", "quorum certificate keys: party 1", func(p *deal.Public) {
+			p.QuorumCert.PubKeys[1] = notPoint
+		}},
+		{"five quorum keys", "quorum certificate keys: 5 public keys for 4 parties", func(p *deal.Public) {
+			p.QuorumCert.PubKeys = append(p.QuorumCert.PubKeys, p.QuorumCert.PubKeys[0])
+		}},
+	} {
+		dir := fixtureCopy(t, tc.edit)
+		if _, err := deal.LoadPublic(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: LoadPublic: %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := deal.LoadPublic(fixtureCopy(t, func(*deal.Public) {})); err != nil {
+		t.Fatalf("unedited copy: %v", err)
+	}
+}
+
+// TestSignatureTablesBuiltOnFirstCheck: loading a dealing builds no
+// Ed25519 check table; the first check under a key builds that key's
+// table, and later checks under it build none.
+func TestSignatureTablesBuiltOnFirstCheck(t *testing.T) {
+	dir := filepath.Join("testdata", "dealing")
+	before := edverify.Builds()
+	pub, err := deal.LoadPublic(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := edverify.Builds() - before; n != 0 {
+		t.Fatalf("LoadPublic built %d tables", n)
+	}
+	sec, err := deal.LoadParty(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("statement")
+	sig := sec.Identity.Sign("test", msg)
+	sh, err := pub.QuorumCert.SignShare(sec.SigQuorum, msg, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := pub.Identity.Verify(1, "test", msg, sig); err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.QuorumCert.VerifyShare(msg, sh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := edverify.Builds() - before; n != 2 {
+		t.Fatalf("three checks under each of two keys built %d tables, want 2", n)
 	}
 }

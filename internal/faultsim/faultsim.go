@@ -6,7 +6,8 @@
 //
 // The wrapper sits below the router: the corrupted party still runs the
 // honest protocol code, but everything it puts on the wire passes through
-// the behavior pipeline first. This models a real intrusion more closely
+// the behavior pipeline first; its messages to itself never reach the
+// wire and pass unchanged. This models a real intrusion more closely
 // than bespoke attack scripts — the adversary controls the channel, and
 // honest parties must survive whatever arrives. Channel authentication is
 // preserved by construction: the underlying transport stamps the sender
@@ -149,9 +150,16 @@ func (p *Party) Recv() (wire.Message, bool) {
 // Send pushes the message through the behavior pipeline and sends whatever
 // survives. The underlying transport re-stamps From on every envelope, so
 // injected copies of other parties' messages are attributed to this party.
+// A message to the party itself never reaches the network interface the
+// intruder controls, so it goes through unchanged.
 func (p *Party) Send(m wire.Message) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if m.To == p.ctx.Self {
+		p.record(m)
+		p.inner.Send(m)
+		return
+	}
 	msgs := []wire.Message{m}
 	for _, b := range p.behaviors {
 		var next []wire.Message

@@ -137,8 +137,9 @@ func TestDropAndDropTo(t *testing.T) {
 	for to := 0; to < 4; to++ {
 		p.Send(msg(to, []byte{1}))
 	}
-	if len(inner.sent) != 0 {
-		t.Fatalf("Drop(1) let %d messages through", len(inner.sent))
+	// Only the party's message to itself, which no intruder sees, passes.
+	if len(inner.sent) != 1 || inner.sent[0].To != 0 {
+		t.Fatalf("Drop(1) let %d messages through, want only the loopback", len(inner.sent))
 	}
 
 	inner = &capture{self: 0, n: 4}
@@ -222,5 +223,36 @@ func TestAttackMetrics(t *testing.T) {
 	}
 	if got := fmt.Sprint(p.Behaviors()); got != "[duplicate drop]" {
 		t.Fatalf("Behaviors() = %s", got)
+	}
+}
+
+// TestLoopbackUntouched: a party that garbles, duplicates and drops
+// everything it sends still hands its messages to itself unchanged and
+// once, as an intruder on its network interface never sees them; the
+// attack counters count only what went to other parties.
+func TestLoopbackUntouched(t *testing.T) {
+	inner := &capture{self: 2, n: 4}
+	reg := obs.NewRegistry()
+	p := faultsim.Wrap(inner, 1, faultsim.Mutate(1), faultsim.TamperTail(1), faultsim.Duplicate(1))
+	p.SetObserver(reg)
+	for i := 0; i < 20; i++ {
+		p.Send(msg(2, []byte{1, 2, 3, byte(i)}))
+	}
+	if len(inner.sent) != 20 {
+		t.Fatalf("sent %d loopback messages, want 20", len(inner.sent))
+	}
+	for i, m := range inner.sent {
+		if m.To != 2 || !bytes.Equal(m.Payload, []byte{1, 2, 3, byte(i)}) {
+			t.Fatalf("loopback %d altered: to %d payload %x", i, m.To, m.Payload)
+		}
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counter("faultsim.actions.mutate") + snap.Counter("faultsim.injected"); n != 0 {
+		t.Fatalf("loopback traffic counted as %d attack actions", n)
+	}
+	// The same pipeline does garble what goes to another party.
+	p.Send(msg(1, []byte{1, 2, 3}))
+	if len(inner.sent) != 22 || bytes.Equal(inner.sent[20].Payload, []byte{1, 2, 3}) {
+		t.Fatal("message to another party passed the pipeline unaltered")
 	}
 }

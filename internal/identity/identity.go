@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"sintra/internal/edverify"
 )
 
 // Errors reported by the registry.
@@ -29,6 +31,7 @@ var (
 type Registry struct {
 	// PubKeys[i] is party i's Ed25519 public key.
 	PubKeys [][]byte
+	tables  edverify.Cache // PubKeys[i]'s table, built on the first check under it
 }
 
 // Key is one party's private identity key.
@@ -83,8 +86,7 @@ func (r *Registry) Verify(party int, domain string, msg, sig []byte) error {
 	if party < 0 || party >= len(r.PubKeys) {
 		return ErrUnknownParty
 	}
-	if len(sig) != ed25519.SignatureSize ||
-		!ed25519.Verify(r.PubKeys[party], frame(domain, msg), sig) {
+	if !r.tables.Verify(r.PubKeys, party, frame(domain, msg), sig) {
 		return ErrBadSignature
 	}
 	return nil

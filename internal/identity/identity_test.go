@@ -98,3 +98,25 @@ func TestSignKeepsKey(t *testing.T) {
 		t.Fatalf("a replaced seed signed with the kept key: %v", err)
 	}
 }
+
+// TestVerifyUnderBadKey: a registered key that is short or no curve point
+// makes every check under it fail with ErrBadSignature (crypto/ed25519
+// panics on the first); checks under the other keys are unaffected.
+func TestVerifyUnderBadKey(t *testing.T) {
+	reg, keys, err := identity.Generate(3, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("m")
+	reg.PubKeys[1] = reg.PubKeys[1][:31]
+	reg.PubKeys[2] = make([]byte, 32)
+	reg.PubKeys[2][0] = 2 // y = 2: no curve point
+	for _, p := range []int{1, 2} {
+		if err := reg.Verify(p, "d", msg, keys[p].Sign("d", msg)); err != identity.ErrBadSignature {
+			t.Fatalf("party %d under a bad key: %v", p, err)
+		}
+	}
+	if err := reg.Verify(0, "d", msg, keys[0].Sign("d", msg)); err != nil {
+		t.Fatal(err)
+	}
+}

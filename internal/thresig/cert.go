@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"sintra/internal/adversary"
+	"sintra/internal/edverify"
 )
 
 // Rule names the opening condition of a CertScheme, expressed in terms of
@@ -42,6 +43,7 @@ type CertScheme struct {
 	OpenRule Rule
 	// PubKeys holds each party's Ed25519 public key.
 	PubKeys [][]byte
+	tables  edverify.Cache // PubKeys[i]'s table, built on the first check under it
 }
 
 var _ Scheme = (*CertScheme)(nil)
@@ -112,7 +114,7 @@ func (s *CertScheme) VerifyShare(msg []byte, sh Share) error {
 	if sh.Party < 0 || sh.Party >= len(s.PubKeys) || len(sh.Data) != ed25519.SignatureSize {
 		return ErrInvalidShare
 	}
-	if !ed25519.Verify(s.PubKeys[sh.Party], s.frame(msg), sh.Data) {
+	if !s.tables.Verify(s.PubKeys, sh.Party, s.frame(msg), sh.Data) {
 		return ErrInvalidShare
 	}
 	return nil
@@ -201,7 +203,7 @@ func (s *CertScheme) verify(msg, sig []byte, own Own) error {
 	framed := s.frame(msg)
 	for i, p := range parties.Members() {
 		entry := sig[nb+i*ed25519.SignatureSize:][:ed25519.SignatureSize]
-		if !own.covers(p, msg, entry) && !ed25519.Verify(s.PubKeys[p], framed, entry) {
+		if !own.covers(p, msg, entry) && !s.tables.Verify(s.PubKeys, p, framed, entry) {
 			return ErrInvalidSignature
 		}
 	}

@@ -67,7 +67,8 @@ func WithCrashed(servers ...int) SimOption {
 }
 
 // WithByzantine corrupts one server with the given attack behaviors,
-// applied in order to everything it sends. The replica still runs the
+// applied in order to everything it sends to other servers (its messages
+// to itself never reach the network). The replica still runs the
 // honest protocol code — the behaviors subvert its transport, modelling
 // an intruder who controls the party's network interface. Combine with
 // further WithByzantine calls for a mixed fleet; keep the corrupted set
